@@ -6,6 +6,9 @@ test: build
 	go test ./...
 
 # Tier-2 gate: build + vet + mitslint + race detector (scripts/check.sh).
+# The script runs each suite once; the chaos/pipeline/saturation/
+# cluster/obs targets below re-run one suite next to its benchmark and
+# are for working on that subsystem, not part of check.
 .PHONY: check
 check:
 	./scripts/check.sh

@@ -78,18 +78,18 @@ func run() error {
 		return err
 	}
 	defer cli.Close() //mits:allow errdrop smoke teardown
-	db := transport.DBClient{C: cli}
-	doc, err := db.GetSelectedDoc("atm-course")
+	// The caller owns the root span, so it knows the trace ID to look
+	// for in the server's exposition.
+	root := obs.StartSpan("smoke.GetSelectedDoc", "internal")
+	doc, err := transport.DBClient{C: cli, Trace: root.Context()}.GetSelectedDoc("atm-course")
+	root.End(err)
 	if err != nil {
 		return fmt.Errorf("GetSelectedDoc: %w", err)
 	}
 	if len(doc.Data) == 0 {
 		return fmt.Errorf("GetSelectedDoc returned an empty document")
 	}
-	trace := cli.LastTrace()
-	if trace == 0 {
-		return fmt.Errorf("client call produced no trace ID")
-	}
+	trace := root.Trace
 
 	resp, err := http.Get("http://" + stats.Addr + "/stats")
 	if err != nil {
@@ -167,7 +167,10 @@ func runTraceLeg() error {
 		exporter.Close() //mits:allow errdrop smoke teardown
 		return err
 	}
-	_, trace, err := nav.CallTraced(transport.MethodGetContent, req)
+	root := obs.StartSpan("smoke.GetContent", "internal")
+	_, err = nav.CallInTrace(root.Context(), transport.MethodGetContent, req)
+	root.End(err)
+	trace := root.Trace
 	if err != nil {
 		exporter.Close() //mits:allow errdrop smoke teardown
 		return fmt.Errorf("GetContent through the edge: %w", err)

@@ -1,9 +1,7 @@
 package exercise
 
 import (
-	"bytes"
-	"encoding/gob"
-
+	"mits/internal/obs"
 	"mits/internal/transport"
 )
 
@@ -17,18 +15,6 @@ const (
 	MethodStats       = "ex.Stats"
 	MethodContest     = "ex.Contest"
 )
-
-func enc(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func dec(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
 
 type submitReq struct {
 	SetID   string
@@ -44,68 +30,18 @@ type bestResp struct {
 // RegisterService exposes a grade book on a transport mux. AddSet is
 // the author-site call; the rest serve navigators.
 func RegisterService(m *transport.Mux, b *Book) {
-	m.Register(MethodAddSet, func(_ string, p []byte) ([]byte, error) {
-		var s Set
-		if err := dec(p, &s); err != nil {
-			return nil, err
-		}
-		return nil, b.AddSet(&s)
+	transport.Route(m, MethodAddSet, func(s Set) (struct{}, error) { return struct{}{}, b.AddSet(&s) })
+	transport.Route(m, MethodSetsFor, func(course string) ([]string, error) { return b.SetsFor(course), nil })
+	transport.Route(m, MethodPresentable, b.Presentable)
+	transport.Route(m, MethodSubmit, func(req submitReq) (*Grade, error) {
+		return b.Submit(req.SetID, req.Student, req.Answers)
 	})
-	m.Register(MethodSetsFor, func(_ string, p []byte) ([]byte, error) {
-		var course string
-		if err := dec(p, &course); err != nil {
-			return nil, err
-		}
-		return enc(b.SetsFor(course))
-	})
-	m.Register(MethodPresentable, func(_ string, p []byte) ([]byte, error) {
-		var id string
-		if err := dec(p, &id); err != nil {
-			return nil, err
-		}
-		s, err := b.Presentable(id)
-		if err != nil {
-			return nil, err
-		}
-		return enc(s)
-	})
-	m.Register(MethodSubmit, func(_ string, p []byte) ([]byte, error) {
-		var req submitReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		g, err := b.Submit(req.SetID, req.Student, req.Answers)
-		if err != nil {
-			return nil, err
-		}
-		return enc(g)
-	})
-	m.Register(MethodBest, func(_ string, p []byte) ([]byte, error) {
-		var req bestReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
+	transport.Route(m, MethodBest, func(req bestReq) (bestResp, error) {
 		g, found := b.Best(req.SetID, req.Student)
-		return enc(bestResp{Grade: g, Found: found})
+		return bestResp{Grade: g, Found: found}, nil
 	})
-	m.Register(MethodStats, func(_ string, p []byte) ([]byte, error) {
-		var id string
-		if err := dec(p, &id); err != nil {
-			return nil, err
-		}
-		st, err := b.Stats(id)
-		if err != nil {
-			return nil, err
-		}
-		return enc(st)
-	})
-	m.Register(MethodContest, func(_ string, p []byte) ([]byte, error) {
-		var course string
-		if err := dec(p, &course); err != nil {
-			return nil, err
-		}
-		return enc(b.Contest(course))
-	})
+	transport.Route(m, MethodStats, b.Stats)
+	transport.Route(m, MethodContest, func(course string) ([]Standing, error) { return b.Contest(course), nil })
 }
 
 // Client is the remote view of the exercise service.
@@ -113,99 +49,49 @@ type Client struct {
 	C transport.Client
 }
 
+// invoke is the typed call every stub below makes.
+func (c Client) invoke(method string, req, resp any) error {
+	return transport.Invoke(c.C, obs.SpanContext{}, method, req, resp)
+}
+
 // AddSet publishes a problem set (author site).
 func (c Client) AddSet(s *Set) error {
-	req, err := enc(s)
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodAddSet, req)
-	return err
+	return c.invoke(MethodAddSet, s, nil)
 }
 
 // SetsFor lists a course's sets.
-func (c Client) SetsFor(course string) ([]string, error) {
-	req, err := enc(course)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodSetsFor, req)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	return ids, dec(out, &ids)
+func (c Client) SetsFor(course string) (ids []string, err error) {
+	err = c.invoke(MethodSetsFor, course, &ids)
+	return ids, err
 }
 
 // Presentable fetches a set with answers stripped.
 func (c Client) Presentable(id string) (*Set, error) {
-	req, err := enc(id)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodPresentable, req)
-	if err != nil {
-		return nil, err
-	}
 	var s Set
-	return &s, dec(out, &s)
+	return &s, c.invoke(MethodPresentable, id, &s)
 }
 
 // Submit grades the student's answers.
 func (c Client) Submit(setID, student string, answers map[string]string) (*Grade, error) {
-	req, err := enc(submitReq{SetID: setID, Student: student, Answers: answers})
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodSubmit, req)
-	if err != nil {
-		return nil, err
-	}
 	var g Grade
-	return &g, dec(out, &g)
+	return &g, c.invoke(MethodSubmit, submitReq{SetID: setID, Student: student, Answers: answers}, &g)
 }
 
 // Best fetches the student's best grade.
 func (c Client) Best(setID, student string) (*Grade, bool, error) {
-	req, err := enc(bestReq{SetID: setID, Student: student})
-	if err != nil {
-		return nil, false, err
-	}
-	out, err := c.C.Call(MethodBest, req)
-	if err != nil {
-		return nil, false, err
-	}
 	var resp bestResp
-	if err := dec(out, &resp); err != nil {
-		return nil, false, err
-	}
-	return resp.Grade, resp.Found, nil
+	err := c.invoke(MethodBest, bestReq{SetID: setID, Student: student}, &resp)
+	return resp.Grade, resp.Found, err
 }
 
 // Stats fetches a set's statistics.
-func (c Client) Stats(setID string) (SetStats, error) {
-	req, err := enc(setID)
-	if err != nil {
-		return SetStats{}, err
-	}
-	out, err := c.C.Call(MethodStats, req)
-	if err != nil {
-		return SetStats{}, err
-	}
-	var st SetStats
-	return st, dec(out, &st)
+func (c Client) Stats(setID string) (st SetStats, err error) {
+	err = c.invoke(MethodStats, setID, &st)
+	return st, err
 }
 
 // Contest fetches a course's ranking.
-func (c Client) Contest(course string) ([]Standing, error) {
-	req, err := enc(course)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodContest, req)
-	if err != nil {
-		return nil, err
-	}
-	var ranks []Standing
-	return ranks, dec(out, &ranks)
+func (c Client) Contest(course string) (ranks []Standing, err error) {
+	err = c.invoke(MethodContest, course, &ranks)
+	return ranks, err
 }

@@ -1,9 +1,7 @@
 package facilitator
 
 import (
-	"bytes"
-	"encoding/gob"
-
+	"mits/internal/obs"
 	"mits/internal/transport"
 )
 
@@ -23,18 +21,6 @@ const (
 	MethodInbox    = "fac.Inbox"
 )
 
-func enc(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func dec(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
 type roomMemberReq struct{ Room, Member string }
 type sayReq struct{ Room, Member, Text string }
 type pollReq struct {
@@ -46,106 +32,28 @@ type mailReq struct{ From, To, Subject, Body string }
 
 // RegisterService exposes a Facilitator on a transport mux.
 func RegisterService(m *transport.Mux, f *Facilitator) {
-	m.Register(MethodOpenRoom, func(_ string, p []byte) ([]byte, error) {
-		var name string
-		if err := dec(p, &name); err != nil {
-			return nil, err
-		}
-		return nil, f.OpenRoom(name)
+	transport.Route(m, MethodOpenRoom, func(name string) (struct{}, error) { return struct{}{}, f.OpenRoom(name) })
+	transport.Route(m, MethodJoin, func(req roomMemberReq) (struct{}, error) {
+		return struct{}{}, f.Join(req.Room, req.Member)
 	})
-	m.Register(MethodJoin, func(_ string, p []byte) ([]byte, error) {
-		var req roomMemberReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		return nil, f.Join(req.Room, req.Member)
+	transport.Route(m, MethodLeave, func(req roomMemberReq) (struct{}, error) {
+		return struct{}{}, f.Leave(req.Room, req.Member)
 	})
-	m.Register(MethodLeave, func(_ string, p []byte) ([]byte, error) {
-		var req roomMemberReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		return nil, f.Leave(req.Room, req.Member)
+	transport.Route(m, MethodSay, func(req sayReq) (int, error) { return f.Say(req.Room, req.Member, req.Text) })
+	transport.Route(m, MethodMessages, func(req pollReq) ([]ChatMessage, error) {
+		return f.Messages(req.Name, req.After)
 	})
-	m.Register(MethodSay, func(_ string, p []byte) ([]byte, error) {
-		var req sayReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		seq, err := f.Say(req.Room, req.Member, req.Text)
-		if err != nil {
-			return nil, err
-		}
-		return enc(seq)
+	transport.Route(m, MethodMembers, f.Members)
+	transport.Route(m, MethodRooms, func(struct{}) ([]string, error) { return f.Rooms(), nil })
+	transport.Route(m, MethodPublish, func(req publishReq) (int, error) {
+		return f.Publish(req.Board, req.Author, req.Subject, req.Body)
 	})
-	m.Register(MethodMessages, func(_ string, p []byte) ([]byte, error) {
-		var req pollReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		msgs, err := f.Messages(req.Name, req.After)
-		if err != nil {
-			return nil, err
-		}
-		return enc(msgs)
+	transport.Route(m, MethodRead, func(req pollReq) ([]Post, error) { return f.Read(req.Name, req.After) })
+	transport.Route(m, MethodBoards, func(struct{}) ([]string, error) { return f.Boards(), nil })
+	transport.Route(m, MethodSend, func(req mailReq) (int, error) {
+		return f.Send(req.From, req.To, req.Subject, req.Body)
 	})
-	m.Register(MethodMembers, func(_ string, p []byte) ([]byte, error) {
-		var name string
-		if err := dec(p, &name); err != nil {
-			return nil, err
-		}
-		members, err := f.Members(name)
-		if err != nil {
-			return nil, err
-		}
-		return enc(members)
-	})
-	m.Register(MethodRooms, func(_ string, _ []byte) ([]byte, error) {
-		return enc(f.Rooms())
-	})
-	m.Register(MethodPublish, func(_ string, p []byte) ([]byte, error) {
-		var req publishReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		seq, err := f.Publish(req.Board, req.Author, req.Subject, req.Body)
-		if err != nil {
-			return nil, err
-		}
-		return enc(seq)
-	})
-	m.Register(MethodRead, func(_ string, p []byte) ([]byte, error) {
-		var req pollReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		posts, err := f.Read(req.Name, req.After)
-		if err != nil {
-			return nil, err
-		}
-		return enc(posts)
-	})
-	m.Register(MethodBoards, func(_ string, _ []byte) ([]byte, error) {
-		return enc(f.Boards())
-	})
-	m.Register(MethodSend, func(_ string, p []byte) ([]byte, error) {
-		var req mailReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		seq, err := f.Send(req.From, req.To, req.Subject, req.Body)
-		if err != nil {
-			return nil, err
-		}
-		return enc(seq)
-	})
-	m.Register(MethodInbox, func(_ string, p []byte) ([]byte, error) {
-		var recipient string
-		if err := dec(p, &recipient); err != nil {
-			return nil, err
-		}
-		return enc(f.Inbox(recipient))
-	})
+	transport.Route(m, MethodInbox, func(recipient string) ([]Mail, error) { return f.Inbox(recipient), nil })
 }
 
 // Client is the navigator-side view of the facilitator service.
@@ -153,150 +61,76 @@ type Client struct {
 	C transport.Client
 }
 
+// invoke is the typed call every stub below makes.
+func (c Client) invoke(method string, req, resp any) error {
+	return transport.Invoke(c.C, obs.SpanContext{}, method, req, resp)
+}
+
 // OpenRoom creates a discussion room.
 func (c Client) OpenRoom(name string) error {
-	req, err := enc(name)
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodOpenRoom, req)
-	return err
+	return c.invoke(MethodOpenRoom, name, nil)
 }
 
 // Join enters a room.
 func (c Client) Join(room, member string) error {
-	req, err := enc(roomMemberReq{Room: room, Member: member})
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodJoin, req)
-	return err
+	return c.invoke(MethodJoin, roomMemberReq{Room: room, Member: member}, nil)
 }
 
 // Leave exits a room.
 func (c Client) Leave(room, member string) error {
-	req, err := enc(roomMemberReq{Room: room, Member: member})
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodLeave, req)
-	return err
+	return c.invoke(MethodLeave, roomMemberReq{Room: room, Member: member}, nil)
 }
 
 // Say posts a message.
-func (c Client) Say(room, member, text string) (int, error) {
-	req, err := enc(sayReq{Room: room, Member: member, Text: text})
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.C.Call(MethodSay, req)
-	if err != nil {
-		return 0, err
-	}
-	var seq int
-	return seq, dec(out, &seq)
+func (c Client) Say(room, member, text string) (seq int, err error) {
+	err = c.invoke(MethodSay, sayReq{Room: room, Member: member, Text: text}, &seq)
+	return seq, err
 }
 
 // Messages polls a room.
-func (c Client) Messages(room string, after int) ([]ChatMessage, error) {
-	req, err := enc(pollReq{Name: room, After: after})
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodMessages, req)
-	if err != nil {
-		return nil, err
-	}
-	var msgs []ChatMessage
-	return msgs, dec(out, &msgs)
+func (c Client) Messages(room string, after int) (msgs []ChatMessage, err error) {
+	err = c.invoke(MethodMessages, pollReq{Name: room, After: after}, &msgs)
+	return msgs, err
 }
 
 // Members lists a room's members.
-func (c Client) Members(room string) ([]string, error) {
-	req, err := enc(room)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodMembers, req)
-	if err != nil {
-		return nil, err
-	}
-	var members []string
-	return members, dec(out, &members)
+func (c Client) Members(room string) (members []string, err error) {
+	err = c.invoke(MethodMembers, room, &members)
+	return members, err
 }
 
 // Rooms lists open rooms.
-func (c Client) Rooms() ([]string, error) {
-	out, err := c.C.Call(MethodRooms, nil)
-	if err != nil {
-		return nil, err
-	}
-	var rooms []string
-	return rooms, dec(out, &rooms)
+func (c Client) Rooms() (rooms []string, err error) {
+	err = c.invoke(MethodRooms, nil, &rooms)
+	return rooms, err
 }
 
 // Publish posts to a bulletin board.
-func (c Client) Publish(board, author, subject, body string) (int, error) {
-	req, err := enc(publishReq{Board: board, Author: author, Subject: subject, Body: body})
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.C.Call(MethodPublish, req)
-	if err != nil {
-		return 0, err
-	}
-	var seq int
-	return seq, dec(out, &seq)
+func (c Client) Publish(board, author, subject, body string) (seq int, err error) {
+	err = c.invoke(MethodPublish, publishReq{Board: board, Author: author, Subject: subject, Body: body}, &seq)
+	return seq, err
 }
 
 // Read polls a board.
-func (c Client) Read(board string, after int) ([]Post, error) {
-	req, err := enc(pollReq{Name: board, After: after})
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodRead, req)
-	if err != nil {
-		return nil, err
-	}
-	var posts []Post
-	return posts, dec(out, &posts)
+func (c Client) Read(board string, after int) (posts []Post, err error) {
+	err = c.invoke(MethodRead, pollReq{Name: board, After: after}, &posts)
+	return posts, err
 }
 
 // Boards lists news groups.
-func (c Client) Boards() ([]string, error) {
-	out, err := c.C.Call(MethodBoards, nil)
-	if err != nil {
-		return nil, err
-	}
-	var boards []string
-	return boards, dec(out, &boards)
+func (c Client) Boards() (boards []string, err error) {
+	err = c.invoke(MethodBoards, nil, &boards)
+	return boards, err
 }
 
 // SendMail delivers a message to a mailbox.
-func (c Client) SendMail(from, to, subject, body string) (int, error) {
-	req, err := enc(mailReq{From: from, To: to, Subject: subject, Body: body})
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.C.Call(MethodSend, req)
-	if err != nil {
-		return 0, err
-	}
-	var seq int
-	return seq, dec(out, &seq)
+func (c Client) SendMail(from, to, subject, body string) (seq int, err error) {
+	err = c.invoke(MethodSend, mailReq{From: from, To: to, Subject: subject, Body: body}, &seq)
+	return seq, err
 }
 
 // Inbox fetches a mailbox.
-func (c Client) Inbox(recipient string) ([]Mail, error) {
-	req, err := enc(recipient)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodInbox, req)
-	if err != nil {
-		return nil, err
-	}
-	var mail []Mail
-	return mail, dec(out, &mail)
+func (c Client) Inbox(recipient string) (mail []Mail, err error) {
+	err = c.invoke(MethodInbox, recipient, &mail)
+	return mail, err
 }

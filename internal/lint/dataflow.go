@@ -153,11 +153,39 @@ func NewCallGraph(pass *Pass) *CallGraph {
 // Funcs returns the package's function declarations.
 func (g *CallGraph) Funcs() map[*types.Func]*FuncInfo { return g.funcs }
 
+// uninstantiate strips the explicit type arguments off a generic
+// function named in call position — f[T] or pkg.f[K, V] — so callee
+// resolution sees the same f or pkg.f an inferred call spells. Every
+// other expression, an element of a slice or map of funcs included, is
+// returned as it came (minus parentheses).
+func uninstantiate(info *types.Info, fun ast.Expr) ast.Expr {
+	fun = ast.Unparen(fun)
+	var x ast.Expr
+	switch e := fun.(type) {
+	case *ast.IndexExpr:
+		x = ast.Unparen(e.X)
+	case *ast.IndexListExpr:
+		x = ast.Unparen(e.X)
+	default:
+		return fun
+	}
+	id, _ := x.(*ast.Ident)
+	if sel, ok := x.(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if id != nil {
+		if _, generic := info.Uses[id].(*types.Func); generic {
+			return x
+		}
+	}
+	return fun
+}
+
 // Callee statically resolves a call expression to a function object
-// (package-local or not), nil when dynamic.
+// (package-local or not, generic or not), nil when dynamic.
 func (g *CallGraph) Callee(call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := uninstantiate(g.pass.TypesInfo, call.Fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

@@ -71,3 +71,36 @@ func (e *exporter) drainSafely() {
 		e.coll.add(span)
 	}
 }
+
+// The same inversion with one leg behind an explicitly instantiated
+// generic function. The summary extractor once resolved only f(…) and
+// x.f(…) callees, so lockRight[int](…) read as a dynamic call, the
+// left→right edge was never recorded and the cycle went unseen — the
+// shape the transport's generic typed-RPC stubs would have hidden
+// everything behind.
+type left struct{ mu sync.Mutex }
+
+type right struct{ mu sync.Mutex }
+
+func lockRight[T any](r *right, v T) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return v
+}
+
+func (l *left) thenRight(r *right) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return lockRight[int](r, 1) // want "lock-order cycle"
+}
+
+func (l *left) touch() {
+	l.mu.Lock()
+	l.mu.Unlock()
+}
+
+func (r *right) thenLeft(l *left) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l.touch()
+}

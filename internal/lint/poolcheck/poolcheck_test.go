@@ -7,5 +7,5 @@ import (
 )
 
 func TestPoolCheck(t *testing.T) {
-	lint.RunTest(t, "testdata", Analyzer, "a")
+	lint.RunTest(t, "testdata", Analyzer, "a", "regress")
 }

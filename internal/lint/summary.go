@@ -126,7 +126,7 @@ func (ps *PackageSummary) Func(id FuncID) *FuncSummary {
 // blockingCallNames mirrors deadlinecheck's view of potentially
 // indefinite blocking I/O method names.
 var blockingCallNames = map[string]bool{
-	"Call": true, "CallTraced": true,
+	"Call": true,
 	"Read": true, "Write": true,
 	"Send": true, "Recv": true, "Receive": true,
 	"Accept": true, "Wait": true,
@@ -495,7 +495,7 @@ func (ex *extractor) recordCall(sum *FuncSummary, call *ast.CallExpr, held []Loc
 		Async:    async,
 	}
 	var calleeFn *types.Func
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := uninstantiate(ex.pkg.Info, call.Fun).(type) {
 	case *ast.Ident:
 		cs.Name = fun.Name
 		calleeFn, _ = ex.pkg.Info.Uses[fun].(*types.Func)

@@ -1,10 +1,9 @@
 package school
 
 import (
-	"bytes"
-	"encoding/gob"
 	"time"
 
+	"mits/internal/obs"
 	"mits/internal/transport"
 )
 
@@ -23,18 +22,6 @@ const (
 	MethodAddBookmark   = "school.AddBookmark"
 	MethodStats         = "school.Stats"
 )
-
-func enc(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func dec(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
 
 type studentCourseReq struct{ Number, Course string }
 type profileReq struct {
@@ -56,252 +43,112 @@ type bookmarkReq struct {
 
 // RegisterService exposes a School on a transport mux.
 func RegisterService(m *transport.Mux, s *School) {
-	m.Register(MethodRegister, func(_ string, p []byte) ([]byte, error) {
-		var req Profile
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		num, err := s.Register(req)
-		if err != nil {
-			return nil, err
-		}
-		return enc(num)
+	transport.Route(m, MethodRegister, s.Register)
+	transport.Route(m, MethodStudent, s.Student)
+	transport.Route(m, MethodUpdateProfile, func(req profileReq) (struct{}, error) {
+		return struct{}{}, s.UpdateProfile(req.Number, req.Profile)
 	})
-	m.Register(MethodStudent, func(_ string, p []byte) ([]byte, error) {
-		var num string
-		if err := dec(p, &num); err != nil {
-			return nil, err
-		}
-		st, err := s.Student(num)
-		if err != nil {
-			return nil, err
-		}
-		return enc(st)
+	transport.Route(m, MethodPrograms, func(struct{}) ([]string, error) { return s.Programs(), nil })
+	transport.Route(m, MethodCoursesIn, func(program string) ([]Course, error) { return s.CoursesIn(program), nil })
+	transport.Route(m, MethodCourse, s.Course)
+	transport.Route(m, MethodEnroll, func(req studentCourseReq) (struct{}, error) {
+		return struct{}{}, s.Enroll(req.Number, req.Course)
 	})
-	m.Register(MethodUpdateProfile, func(_ string, p []byte) ([]byte, error) {
-		var req profileReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		return nil, s.UpdateProfile(req.Number, req.Profile)
+	transport.Route(m, MethodRecordSession, func(req studentCourseReq) (Registration, error) {
+		return s.RecordSession(req.Number, req.Course)
 	})
-	m.Register(MethodPrograms, func(_ string, _ []byte) ([]byte, error) {
-		return enc(s.Programs())
+	transport.Route(m, MethodSetResume, func(req resumeSetReq) (struct{}, error) {
+		return struct{}{}, s.SetResume(req.Number, req.Course, req.Pos)
 	})
-	m.Register(MethodCoursesIn, func(_ string, p []byte) ([]byte, error) {
-		var program string
-		if err := dec(p, &program); err != nil {
-			return nil, err
-		}
-		return enc(s.CoursesIn(program))
-	})
-	m.Register(MethodCourse, func(_ string, p []byte) ([]byte, error) {
-		var code string
-		if err := dec(p, &code); err != nil {
-			return nil, err
-		}
-		c, err := s.Course(code)
-		if err != nil {
-			return nil, err
-		}
-		return enc(c)
-	})
-	m.Register(MethodEnroll, func(_ string, p []byte) ([]byte, error) {
-		var req studentCourseReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		return nil, s.Enroll(req.Number, req.Course)
-	})
-	m.Register(MethodRecordSession, func(_ string, p []byte) ([]byte, error) {
-		var req studentCourseReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		reg, err := s.RecordSession(req.Number, req.Course)
-		if err != nil {
-			return nil, err
-		}
-		return enc(reg)
-	})
-	m.Register(MethodSetResume, func(_ string, p []byte) ([]byte, error) {
-		var req resumeSetReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		return nil, s.SetResume(req.Number, req.Course, req.Pos)
-	})
-	m.Register(MethodGetResume, func(_ string, p []byte) ([]byte, error) {
-		var req studentCourseReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
+	transport.Route(m, MethodGetResume, func(req studentCourseReq) (resumeResp, error) {
 		pos, found, err := s.GetResume(req.Number, req.Course)
-		if err != nil {
-			return nil, err
-		}
-		return enc(resumeResp{Pos: pos, Found: found})
+		return resumeResp{Pos: pos, Found: found}, err
 	})
-	m.Register(MethodAddBookmark, func(_ string, p []byte) ([]byte, error) {
-		var req bookmarkReq
-		if err := dec(p, &req); err != nil {
-			return nil, err
-		}
-		return nil, s.AddBookmark(req.Number, req.Bookmark)
+	transport.Route(m, MethodAddBookmark, func(req bookmarkReq) (struct{}, error) {
+		return struct{}{}, s.AddBookmark(req.Number, req.Bookmark)
 	})
-	m.Register(MethodStats, func(_ string, _ []byte) ([]byte, error) {
-		return enc(s.Stats())
-	})
+	transport.Route(m, MethodStats, func(struct{}) (Statistics, error) { return s.Stats(), nil })
 }
 
 // Client is the navigator-side view of the administration service.
 type Client struct {
 	C transport.Client
+
+	// Trace, when non-zero, is the span context every call continues
+	// (see transport.DBClient.Trace).
+	Trace obs.SpanContext
+}
+
+// invoke is the typed call every stub below makes.
+func (c Client) invoke(method string, req, resp any) error {
+	return transport.Invoke(c.C, c.Trace, method, req, resp)
 }
 
 // Register enrolls a new student and returns the assigned number.
-func (c Client) Register(p Profile) (string, error) {
-	req, err := enc(p)
-	if err != nil {
-		return "", err
-	}
-	out, err := c.C.Call(MethodRegister, req)
-	if err != nil {
-		return "", err
-	}
-	var num string
-	return num, dec(out, &num)
+func (c Client) Register(p Profile) (num string, err error) {
+	err = c.invoke(MethodRegister, p, &num)
+	return num, err
 }
 
 // Student fetches a student record.
-func (c Client) Student(number string) (Student, error) {
-	req, err := enc(number)
-	if err != nil {
-		return Student{}, err
-	}
-	out, err := c.C.Call(MethodStudent, req)
-	if err != nil {
-		return Student{}, err
-	}
-	var st Student
-	return st, dec(out, &st)
+func (c Client) Student(number string) (st Student, err error) {
+	err = c.invoke(MethodStudent, number, &st)
+	return st, err
 }
 
 // UpdateProfile replaces a student's personal data.
 func (c Client) UpdateProfile(number string, p Profile) error {
-	req, err := enc(profileReq{Number: number, Profile: p})
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodUpdateProfile, req)
-	return err
+	return c.invoke(MethodUpdateProfile, profileReq{Number: number, Profile: p}, nil)
 }
 
 // Programs lists available programs.
-func (c Client) Programs() ([]string, error) {
-	out, err := c.C.Call(MethodPrograms, nil)
-	if err != nil {
-		return nil, err
-	}
-	var progs []string
-	return progs, dec(out, &progs)
+func (c Client) Programs() (progs []string, err error) {
+	err = c.invoke(MethodPrograms, nil, &progs)
+	return progs, err
 }
 
 // CoursesIn lists a program's courses.
-func (c Client) CoursesIn(program string) ([]Course, error) {
-	req, err := enc(program)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.C.Call(MethodCoursesIn, req)
-	if err != nil {
-		return nil, err
-	}
-	var courses []Course
-	return courses, dec(out, &courses)
+func (c Client) CoursesIn(program string) (courses []Course, err error) {
+	err = c.invoke(MethodCoursesIn, program, &courses)
+	return courses, err
 }
 
 // Course fetches one course record.
-func (c Client) Course(code string) (Course, error) {
-	req, err := enc(code)
-	if err != nil {
-		return Course{}, err
-	}
-	out, err := c.C.Call(MethodCourse, req)
-	if err != nil {
-		return Course{}, err
-	}
-	var course Course
-	return course, dec(out, &course)
+func (c Client) Course(code string) (course Course, err error) {
+	err = c.invoke(MethodCourse, code, &course)
+	return course, err
 }
 
 // Enroll registers the student for a course.
 func (c Client) Enroll(number, course string) error {
-	req, err := enc(studentCourseReq{Number: number, Course: course})
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodEnroll, req)
-	return err
+	return c.invoke(MethodEnroll, studentCourseReq{Number: number, Course: course}, nil)
 }
 
 // RecordSession advances course progress.
-func (c Client) RecordSession(number, course string) (Registration, error) {
-	req, err := enc(studentCourseReq{Number: number, Course: course})
-	if err != nil {
-		return Registration{}, err
-	}
-	out, err := c.C.Call(MethodRecordSession, req)
-	if err != nil {
-		return Registration{}, err
-	}
-	var reg Registration
-	return reg, dec(out, &reg)
+func (c Client) RecordSession(number, course string) (reg Registration, err error) {
+	err = c.invoke(MethodRecordSession, studentCourseReq{Number: number, Course: course}, &reg)
+	return reg, err
 }
 
 // SetResume stores the stop position.
 func (c Client) SetResume(number, course, scene string, at time.Duration) error {
-	req, err := enc(resumeSetReq{Number: number, Course: course, Pos: Position{Scene: scene, At: at}})
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodSetResume, req)
-	return err
+	return c.invoke(MethodSetResume, resumeSetReq{Number: number, Course: course, Pos: Position{Scene: scene, At: at}}, nil)
 }
 
 // GetResume retrieves the stored stop position.
 func (c Client) GetResume(number, course string) (Position, bool, error) {
-	req, err := enc(studentCourseReq{Number: number, Course: course})
-	if err != nil {
-		return Position{}, false, err
-	}
-	out, err := c.C.Call(MethodGetResume, req)
-	if err != nil {
-		return Position{}, false, err
-	}
 	var resp resumeResp
-	if err := dec(out, &resp); err != nil {
-		return Position{}, false, err
-	}
-	return resp.Pos, resp.Found, nil
+	err := c.invoke(MethodGetResume, studentCourseReq{Number: number, Course: course}, &resp)
+	return resp.Pos, resp.Found, err
 }
 
 // AddBookmark saves a bookmark.
 func (c Client) AddBookmark(number string, b Bookmark) error {
-	req, err := enc(bookmarkReq{Number: number, Bookmark: b})
-	if err != nil {
-		return err
-	}
-	_, err = c.C.Call(MethodAddBookmark, req)
-	return err
+	return c.invoke(MethodAddBookmark, bookmarkReq{Number: number, Bookmark: b}, nil)
 }
 
 // Stats fetches school statistics.
-func (c Client) Stats() (Statistics, error) {
-	out, err := c.C.Call(MethodStats, nil)
-	if err != nil {
-		return Statistics{}, err
-	}
-	var st Statistics
-	return st, dec(out, &st)
+func (c Client) Stats() (st Statistics, err error) {
+	err = c.invoke(MethodStats, nil, &st)
+	return st, err
 }

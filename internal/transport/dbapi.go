@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -27,18 +25,6 @@ const (
 	MethodPutContent   = "db.PutContent"
 )
 
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
 // Wire structs.
 type getDocReq struct{ Name string }
 type putDocReq struct {
@@ -58,68 +44,35 @@ type keywordReq struct{ Keyword string }
 // RegisterStore exposes a mediastore on a mux as the courseware
 // database service.
 func RegisterStore(m *Mux, store *mediastore.Store) {
-	m.Register(MethodListDocs, func(_ string, _ []byte) ([]byte, error) {
-		return gobEncode(store.ListDocuments())
-	})
-	m.RegisterCtx(MethodGetDoc, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, error) {
-		var req getDocReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
+	Route(m, MethodListDocs, func(struct{}) ([]string, error) { return store.ListDocuments(), nil })
+	RouteCtx(m, MethodGetDoc, func(sc obs.SpanContext, req getDocReq) (*mediastore.DocRecord, error) {
 		// Internal span: separates time in the store itself from the
 		// transport around it when the request is traced.
 		sp := obs.SpanFromContext("store.GetDocument", "internal", sc)
 		rec, err := store.GetDocument(req.Name)
 		sp.End(err)
-		if err != nil {
-			return nil, err
-		}
-		return gobEncode(rec)
+		return rec, err
 	})
-	m.Register(MethodKeywordTree, func(_ string, _ []byte) ([]byte, error) {
-		return gobEncode(store.Keywords())
+	Route(m, MethodKeywordTree, func(struct{}) (*mediastore.KeywordNode, error) { return store.Keywords(), nil })
+	Route(m, MethodDocByKeyword, func(req keywordReq) ([]string, error) {
+		return store.DocsByKeyword(req.Keyword), nil
 	})
-	m.Register(MethodDocByKeyword, func(_ string, payload []byte) ([]byte, error) {
-		var req keywordReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
-		return gobEncode(store.DocsByKeyword(req.Keyword))
-	})
-	m.RegisterCtx(MethodGetContent, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, error) {
-		var req getContentReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
+	RouteCtx(m, MethodGetContent, func(sc obs.SpanContext, req getContentReq) (*mediastore.ContentRecord, error) {
 		sp := obs.SpanFromContext("store.GetContent", "internal", sc)
 		// Borrow, don't copy: the record is immediately re-serialized,
 		// so GetContent's defensive copy would be pure allocator load.
 		// Borrowed records are immutable and gob only reads them.
 		rec, err := store.GetContentBorrow(req.Ref)
 		sp.End(err)
-		if err != nil {
-			return nil, err
-		}
-		return gobEncode(rec)
+		return rec, err
 	})
 	registerContentStream(m, store)
-	m.Register(MethodPutDoc, func(_ string, payload []byte) ([]byte, error) {
-		var req putDocReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
+	Route(m, MethodPutDoc, func(req putDocReq) (putDocResp, error) {
 		v, err := store.PutDocument(req.Name, req.Title, req.Encoding, req.Data, req.Keywords...)
-		if err != nil {
-			return nil, err
-		}
-		return gobEncode(putDocResp{Version: v})
+		return putDocResp{Version: v}, err
 	})
-	m.Register(MethodPutContent, func(_ string, payload []byte) ([]byte, error) {
-		var req putContentReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
-		}
-		return nil, store.PutContent(req.Ref, req.Coding, req.Data, req.Keywords...)
+	Route(m, MethodPutContent, func(req putContentReq) (struct{}, error) {
+		return struct{}{}, store.PutContent(req.Ref, req.Coding, req.Data, req.Keywords...)
 	})
 }
 
@@ -189,11 +142,6 @@ func DecodeNameList(payload []byte) ([]string, error) {
 	return names, gobDecode(payload, &names)
 }
 
-// EncodeKeywordQuery encodes a GetDocByKeyword request payload.
-func EncodeKeywordQuery(keyword string) ([]byte, error) {
-	return gobEncode(keywordReq{Keyword: keyword})
-}
-
 // EncodeKeywordTree encodes a GetKeywordTree response payload.
 func EncodeKeywordTree(t *mediastore.KeywordNode) ([]byte, error) { return gobEncode(t) }
 
@@ -239,86 +187,43 @@ func (d DBClient) WithTrace(sc obs.SpanContext) DBClient {
 	return d
 }
 
-// call issues one RPC through the carrier; the zero Trace context
-// makes it an ordinary Call on every carrier.
-func (d DBClient) call(method string, payload []byte) ([]byte, error) {
-	return CallInTrace(d.C, d.Trace, method, payload)
-}
-
-// callPooled is call through the allocation-free decode path: the
-// response may be backed by a pooled buffer that the returned release
-// (when non-nil) recycles. Used by the typed methods, which gob-decode
-// (copying everything out) and release before returning.
-func (d DBClient) callPooled(method string, payload []byte) ([]byte, func(), error) {
-	return CallInTracePooled(d.C, d.Trace, method, payload)
-}
-
-// decodeReleased gob-decodes a pooled response into v and recycles the
-// response buffer: gob copies every byte it keeps, so nothing aliases
-// the buffer once Decode returns.
-func decodeReleased(payload []byte, rel func(), v any) error {
-	err := gobDecode(payload, v)
-	if rel != nil {
-		rel()
-	}
-	return err
-}
-
 // Do issues one raw, already-encoded RPC through the client's full
 // stack (trace, breaker, retry — whatever the carrier composes). It is
 // the forwarding hook for proxies that route by inspecting the payload
 // rather than re-marshalling it: the cluster router decodes just the
 // routing key and ships the original bytes to the chosen replica.
 func (d DBClient) Do(method string, payload []byte) ([]byte, error) {
-	return d.call(method, payload)
+	return CallInTrace(d.C, d.Trace, method, payload)
+}
+
+// invoke is the typed call every stub below makes: Invoke under the
+// trace this client continues.
+func (d DBClient) invoke(method string, req, resp any) error {
+	return Invoke(d.C, d.Trace, method, req, resp)
 }
 
 // GetListDoc returns the stored document names.
-func (d DBClient) GetListDoc() ([]string, error) {
-	payload, rel, err := d.callPooled(MethodListDocs, nil)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	return names, decodeReleased(payload, rel, &names)
+func (d DBClient) GetListDoc() (names []string, err error) {
+	err = d.invoke(MethodListDocs, nil, &names)
+	return names, err
 }
 
 // GetSelectedDoc retrieves one document by name.
 func (d DBClient) GetSelectedDoc(name string) (*mediastore.DocRecord, error) {
-	req, err := gobEncode(getDocReq{Name: name})
-	if err != nil {
-		return nil, err
-	}
-	payload, rel, err := d.callPooled(MethodGetDoc, req)
-	if err != nil {
-		return nil, err
-	}
 	var rec mediastore.DocRecord
-	return &rec, decodeReleased(payload, rel, &rec)
+	return &rec, d.invoke(MethodGetDoc, getDocReq{Name: name}, &rec)
 }
 
 // GetKeywordTree retrieves the library's keyword hierarchy.
 func (d DBClient) GetKeywordTree() (*mediastore.KeywordNode, error) {
-	payload, rel, err := d.callPooled(MethodKeywordTree, nil)
-	if err != nil {
-		return nil, err
-	}
 	var tree mediastore.KeywordNode
-	return &tree, decodeReleased(payload, rel, &tree)
+	return &tree, d.invoke(MethodKeywordTree, nil, &tree)
 }
 
 // GetDocByKeyword finds documents by keyword path.
-func (d DBClient) GetDocByKeyword(keyword string) ([]string, error) {
-	req, err := gobEncode(keywordReq{Keyword: keyword})
-	if err != nil {
-		return nil, err
-	}
-	payload, rel, err := d.callPooled(MethodDocByKeyword, req)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	return names, decodeReleased(payload, rel, &names)
+func (d DBClient) GetDocByKeyword(keyword string) (names []string, err error) {
+	err = d.invoke(MethodDocByKeyword, keywordReq{Keyword: keyword}, &names)
+	return names, err
 }
 
 // GetContent fetches a content object's data by reference, consulting
@@ -348,20 +253,12 @@ func (d DBClient) GetContent(ref string) (*mediastore.ContentRecord, error) {
 }
 
 // fetchContent is the uncached upstream path. The gob decode copies
-// the record out of the (pooled) response before it is recycled, so
+// the record out of the (pooled) response before Invoke recycles it, so
 // the returned record owns its memory — which is exactly what the
 // cache's immutable handoff needs.
 func (d DBClient) fetchContent(ref string) (*mediastore.ContentRecord, error) {
-	req, err := gobEncode(getContentReq{Ref: ref})
-	if err != nil {
-		return nil, err
-	}
-	payload, rel, err := d.callPooled(MethodGetContent, req)
-	if err != nil {
-		return nil, err
-	}
 	var rec mediastore.ContentRecord
-	return &rec, decodeReleased(payload, rel, &rec)
+	return &rec, d.invoke(MethodGetContent, getContentReq{Ref: ref}, &rec)
 }
 
 // CloneContentRecord deep-copies a record — the escape hatch for
@@ -377,26 +274,14 @@ func CloneContentRecord(rec *mediastore.ContentRecord) *mediastore.ContentRecord
 
 // PutDocument publishes a courseware document (author site).
 func (d DBClient) PutDocument(name, title, encoding string, data []byte, keywords ...string) (int, error) {
-	req, err := gobEncode(putDocReq{Name: name, Title: title, Encoding: encoding, Keywords: keywords, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	payload, err := d.call(MethodPutDoc, req)
-	if err != nil {
-		return 0, err
-	}
 	var resp putDocResp
-	return resp.Version, gobDecode(payload, &resp)
+	err := d.invoke(MethodPutDoc, putDocReq{Name: name, Title: title, Encoding: encoding, Keywords: keywords, Data: data}, &resp)
+	return resp.Version, err
 }
 
 // PutContent uploads media data (production center).
 func (d DBClient) PutContent(ref, coding string, data []byte, keywords ...string) error {
-	req, err := gobEncode(putContentReq{Ref: ref, Coding: coding, Keywords: keywords, Data: data})
-	if err != nil {
-		return err
-	}
-	_, err = d.call(MethodPutContent, req)
-	return err
+	return d.invoke(MethodPutContent, putContentReq{Ref: ref, Coding: coding, Keywords: keywords, Data: data}, nil)
 }
 
 // FetchContent implements engine.ContentResolver over the database
@@ -457,17 +342,5 @@ func (f ForwardHandler) HandleCtx(sc obs.SpanContext, method string, payload []b
 	// but a timed-out upstream call can leave its frame queued behind
 	// the upstream writer still referencing payload — forward a private
 	// copy.
-	return d.call(method, append([]byte(nil), payload...))
-}
-
-// NewCachedResilientDBClient is NewResilientDBClient with a content
-// cache of cacheBytes in front — the full deployment stack of a
-// navigator site (cache over breaker over retry over redial). The
-// cache composes cleanly with the resilience layer because it sits
-// above it: a hit never touches the breaker, a miss takes the whole
-// hardened path, and fill errors are not cached so recovery is
-// immediate.
-func NewCachedResilientDBClient(peer string, dial Dialer, policy RetryPolicy, threshold int, cooldown time.Duration, seed uint64, cacheBytes int64) (DBClient, *Breaker) {
-	d, br := NewResilientDBClient(peer, dial, policy, threshold, cooldown, seed)
-	return d.WithContentCache(cache.New("content:"+peer, cacheBytes)), br
+	return d.Do(method, append([]byte(nil), payload...))
 }

@@ -22,41 +22,24 @@ import (
 // database API layer.
 const MaxFrame = 16 << 20
 
-// frameKind distinguishes requests from responses on a duplex carrier,
-// and doubles as the header version: the v1 kinds carry no trace
-// fields, the v2 kinds insert a 16-byte trace context (trace ID + span
-// ID) between the frame id and the name, and the v3 kinds insert an
-// 8-byte request-correlation ID followed by the 16-byte trace context
-// (zero trace = untraced). The correlation ID is what lets one
-// connection carry many in-flight calls: the multiplexed client keys
-// its pending-call map on it and the server echoes it, so responses
-// may complete out of order. Compatibility is decode-side only:
-// decoders accept all three layouts, so persisted frames keep
-// decoding and a v3 client still matches v1/v2 responses (by frame
-// id) from a server that does not echo correlation IDs. The converse
-// does not hold — the multiplexed client correlates every request and
-// therefore always emits v3, which a pre-v3 decoder rejects as a bad
-// frame; in a rolling upgrade, servers must understand v3 before
-// clients start speaking it. Encoders emit the lowest version that
-// carries the data (v3 exactly when a correlation ID is attached, v2
-// when only a trace is), which keeps untraced uncorrelated wire bytes
-// identical to the v1 format.
+// frameKind distinguishes requests from responses on a duplex carrier.
+// There is one header layout (see appendTo); the two kind bytes are 5
+// and 6 because that is what the layout has always put on the wire —
+// 1–4 belonged to two earlier layouts that no deployed peer ever spoke
+// and now decode as ErrBadFrame like any other unknown byte.
 type frameKind byte
 
 const (
-	kindRequest frameKind = iota + 1
-	kindResponse
-	kindRequestV2
-	kindResponseV2
-	kindRequestV3
-	kindResponseV3
+	kindRequest  frameKind = 5
+	kindResponse frameKind = 6
 )
 
 // frame is the wire unit: id pairs responses to requests, method names
 // the operation (requests) and errText carries failure (responses).
 // trace/span carry the obs trace context (zero = untraced); corr is
-// the v3 request-correlation ID (zero = uncorrelated, i.e. the peer
-// runs one call at a time).
+// the request-correlation ID the multiplexed client keys its pending
+// calls on and the server echoes, so responses may complete out of
+// order (zero on the ATM carrier, which pairs by id alone).
 type frame struct {
 	kind    frameKind
 	id      uint64
@@ -76,46 +59,37 @@ type frame struct {
 	buf []byte
 }
 
+// frameHeader is the fixed part of a frame body: kind, id, correlation
+// ID, trace ID, span ID.
+const frameHeader = 1 + 8 + 8 + 8 + 8
+
+// name is the header's string field: the method of a request, the
+// error text of a response.
+func (f *frame) name() string {
+	if f.kind == kindResponse {
+		return f.errText
+	}
+	return f.method
+}
+
 // wireSize reports the marshalled body length, so writers can size a
 // pooled buffer before encoding.
 func (f *frame) wireSize() int {
-	name := f.method
-	if f.kind == kindResponse {
-		name = f.errText
-	}
-	size := 1 + 8 + 4 + len(name) + 4 + len(f.payload)
-	switch {
-	case f.corr != 0:
-		size += 8 + 16 // correlation ID + trace context, always present in v3
-	case f.trace != 0:
-		size += 16
-	}
-	return size
+	return frameHeader + 4 + len(f.name()) + 4 + len(f.payload)
 }
 
 // appendTo encodes the frame body (without the outer length prefix TCP
-// adds) onto buf, returning the extended slice.
+// adds) onto buf, returning the extended slice:
+//
+//	u8 kind | u64 id | u64 corr | u64 trace | u64 span |
+//	u32 len(name) name | u32 len(payload) payload
 func (f *frame) appendTo(buf []byte) []byte {
-	name := f.method
-	if f.kind == kindResponse {
-		name = f.errText
-	}
-	kind := f.kind
-	switch {
-	case f.corr != 0:
-		kind += kindRequestV3 - kindRequest
-	case f.trace != 0:
-		kind += kindRequestV2 - kindRequest
-	}
-	buf = append(buf, byte(kind))
+	name := f.name()
+	buf = append(buf, byte(f.kind))
 	buf = binary.BigEndian.AppendUint64(buf, f.id)
-	if f.corr != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, f.corr)
-	}
-	if f.corr != 0 || f.trace != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, f.trace)
-		buf = binary.BigEndian.AppendUint64(buf, f.span)
-	}
+	buf = binary.BigEndian.AppendUint64(buf, f.corr)
+	buf = binary.BigEndian.AppendUint64(buf, f.trace)
+	buf = binary.BigEndian.AppendUint64(buf, f.span)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(name)))
 	buf = append(buf, name...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.payload)))
@@ -135,49 +109,32 @@ func (f *frame) marshal() []byte {
 // malformed traffic from timeouts and hangups.
 var ErrBadFrame = errors.New("transport: malformed frame")
 
-// errBadFrame is the internal alias predating the export.
-var errBadFrame = ErrBadFrame
-
 func unmarshalFrame(data []byte) (*frame, error) {
-	if len(data) < 1+8+4 {
-		return nil, errBadFrame
+	if len(data) < frameHeader+4 {
+		return nil, ErrBadFrame
 	}
-	f := &frame{kind: frameKind(data[0]), id: binary.BigEndian.Uint64(data[1:])}
-	off := 9
-	switch f.kind {
-	case kindRequest, kindResponse:
-		// v1: no trace context.
-	case kindRequestV2, kindResponseV2:
-		if len(data) < 1+8+16+4 {
-			return nil, errBadFrame
-		}
-		f.trace = binary.BigEndian.Uint64(data[off:])
-		f.span = binary.BigEndian.Uint64(data[off+8:])
-		f.kind -= kindRequestV2 - kindRequest
-		off += 16
-	case kindRequestV3, kindResponseV3:
-		if len(data) < 1+8+8+16+4 {
-			return nil, errBadFrame
-		}
-		f.corr = binary.BigEndian.Uint64(data[off:])
-		f.trace = binary.BigEndian.Uint64(data[off+8:])
-		f.span = binary.BigEndian.Uint64(data[off+16:])
-		f.kind -= kindRequestV3 - kindRequest
-		off += 24
-	default:
-		return nil, fmt.Errorf("%w: kind %d", errBadFrame, f.kind)
+	f := &frame{
+		kind:  frameKind(data[0]),
+		id:    binary.BigEndian.Uint64(data[1:]),
+		corr:  binary.BigEndian.Uint64(data[9:]),
+		trace: binary.BigEndian.Uint64(data[17:]),
+		span:  binary.BigEndian.Uint64(data[25:]),
 	}
+	if f.kind != kindRequest && f.kind != kindResponse {
+		return nil, fmt.Errorf("%w: kind %d", ErrBadFrame, f.kind)
+	}
+	off := frameHeader
 	nameLen := int(binary.BigEndian.Uint32(data[off:]))
 	off += 4
 	if nameLen < 0 || off+nameLen+4 > len(data) {
-		return nil, errBadFrame
+		return nil, ErrBadFrame
 	}
 	name := string(data[off : off+nameLen])
 	off += nameLen
 	payLen := int(binary.BigEndian.Uint32(data[off:]))
 	off += 4
 	if payLen < 0 || off+payLen != len(data) {
-		return nil, errBadFrame
+		return nil, ErrBadFrame
 	}
 	if f.kind == kindRequest {
 		f.method = name

@@ -2,14 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
-// FuzzFrameDecode throws arbitrary bytes at the frame decoder. All
-// three header versions are seeded: v1 (untraced), v2 (16-byte trace
-// context between the id and the name) and v3 (8-byte correlation ID
-// then the trace context). Anything that decodes must survive a
-// marshal/unmarshal round trip unchanged.
+// FuzzFrameDecode throws arbitrary bytes at the frame decoder. The
+// seeds cover the one header layout with and without a correlation ID
+// and a trace context, plus the kind bytes of the two retired layouts
+// (which must be rejected, not misparsed). Anything that decodes must
+// survive a marshal/unmarshal round trip unchanged.
 func FuzzFrameDecode(f *testing.F) {
 	for _, fr := range []*frame{
 		{kind: kindRequest, id: 1, method: "GetDoc", payload: []byte("atm-course")},
@@ -34,8 +35,8 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(fr.marshal())
 	}
 	f.Add([]byte{})
-	f.Add([]byte{byte(kindRequestV2), 0, 0, 0})
-	f.Add([]byte{byte(kindRequestV3), 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{3, 0, 0, 0})
+	f.Add([]byte{byte(kindRequest), 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := unmarshalFrame(data)
 		if err != nil {
@@ -45,19 +46,10 @@ func FuzzFrameDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-decode: %v", err)
 		}
-		if fr2.kind != fr.kind || fr2.id != fr.id || fr2.method != fr.method ||
+		if fr2.kind != fr.kind || fr2.id != fr.id || fr2.corr != fr.corr ||
+			fr2.trace != fr.trace || fr2.span != fr.span || fr2.method != fr.method ||
 			fr2.errText != fr.errText || !bytes.Equal(fr2.payload, fr.payload) {
 			t.Fatalf("round trip changed frame:\n%+v\n%+v", fr, fr2)
-		}
-		// A span without a trace id is not a trace context; marshal is
-		// free to drop it, so only compare when the frame is traced.
-		if fr.trace != 0 && (fr2.trace != fr.trace || fr2.span != fr.span) {
-			t.Fatalf("round trip dropped trace context:\n%+v\n%+v", fr, fr2)
-		}
-		// Likewise a zero correlation ID means uncorrelated; compare
-		// only when the frame carried one.
-		if fr.corr != 0 && fr2.corr != fr.corr {
-			t.Fatalf("round trip dropped correlation ID:\n%+v\n%+v", fr, fr2)
 		}
 	})
 }
@@ -82,12 +74,18 @@ func mustChunk(c *ContentChunk) []byte {
 
 // FuzzContentChunkDecode throws arbitrary bytes at the chunk and
 // stream-request decoders. Anything that decodes must re-encode and
-// re-decode to the same chunk — and never alias beyond the payload.
+// re-decode to the same chunk — and never alias beyond the payload —
+// and a client assembling a stream from a peer that answers with it
+// must end with the object or ErrBadChunk, never a panic or an
+// allocation sized by the chunk's claimed total.
 func FuzzContentChunkDecode(f *testing.F) {
 	f.Add(mustStreamReq("store/v.mpg", 1<<20, 262144))
 	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 8, Data: []byte("01234567"), Last: true, Keywords: []string{"video", "atm/demo"}}))
 	f.Add(mustChunk(&ContentChunk{Ref: "r", Total: 0, Last: true}))
 	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Offset: 262144, Index: 1, Data: []byte("mid")})[:12])
+	// A non-final first chunk claiming an absurd total: the assembly
+	// buffer must not be sized by it.
+	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 62, Data: []byte("7 bytes")}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ref, off, maxBytes, err := DecodeGetContentStream(data); err == nil {
 			re := mustStreamReq(ref, off, maxBytes)
@@ -111,6 +109,14 @@ func FuzzContentChunkDecode(f *testing.F) {
 			c2.Offset != c.Offset || c2.Total != c.Total || c2.Last != c.Last ||
 			!bytes.Equal(c2.Data, c.Data) {
 			t.Fatalf("chunk round trip changed:\n%+v\n%+v", c, c2)
+		}
+		peer := HandlerFunc(func(string, []byte) ([]byte, error) { return data, nil })
+		rec, err := DBClient{C: Loopback{H: peer}}.GetContentStream(c.Ref, nil)
+		switch {
+		case err != nil && !errors.Is(err, ErrBadChunk):
+			t.Fatalf("stream assembly failed with %v, want ErrBadChunk", err)
+		case err == nil && (!bytes.Equal(rec.Data, c.Data) || cap(rec.Data) > MaxFrame):
+			t.Fatalf("stream assembled %d bytes (cap %d) from a %d-byte chunk", len(rec.Data), cap(rec.Data), len(c.Data))
 		}
 	})
 }

@@ -14,10 +14,11 @@ import (
 	"mits/internal/obs"
 )
 
-// --- frame v3 unit coverage (mirrors the v2 regression suite) ---
+// --- frame unit coverage ("V3" is the layout's historical name; it is
+// the only one) ---
 
 // TestFrameV3RoundTrip checks the correlation ID (and the trace context
-// riding behind it) survives the v3 encoding in both kinds.
+// riding behind it) survives the encoding in both kinds.
 func TestFrameV3RoundTrip(t *testing.T) {
 	for _, kind := range []frameKind{kindRequest, kindResponse} {
 		f := &frame{kind: kind, id: 9, corr: 77, trace: 0xdeadbeefcafe, span: 42, payload: []byte{1, 2, 3}}
@@ -45,18 +46,18 @@ func TestFrameV3UntracedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.corr != 5 || got.trace != 0 || got.span != 0 {
-		t.Fatalf("untraced v3 mangled: %+v", got)
+		t.Fatalf("untraced frame mangled: %+v", got)
 	}
 }
 
-// TestFrameV3Truncated makes sure a v3 kind with a short body errors
+// TestFrameV3Truncated makes sure every proper prefix of a frame errors
 // instead of reading out of bounds.
 func TestFrameV3Truncated(t *testing.T) {
 	f := &frame{kind: kindRequest, id: 1, corr: 2, trace: 5, span: 6, method: "m"}
 	raw := f.marshal()
-	for n := 1; n < 1+8+8+16+4; n++ {
-		if _, err := unmarshalFrame(raw[:n]); err == nil {
-			t.Fatalf("truncated v3 frame of %d bytes decoded", n)
+	for n := 0; n < len(raw); n++ {
+		if _, err := unmarshalFrame(raw[:n]); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("truncated frame of %d bytes: err = %v, want ErrBadFrame", n, err)
 		}
 	}
 }
@@ -179,46 +180,6 @@ func TestUnknownCorrelationResponse(t *testing.T) {
 	}
 	if got := obsUnknownCorr.Value() - before; got != 1 {
 		t.Fatalf("unknown-corr counter moved by %d, want 1", got)
-	}
-}
-
-// TestPreUpgradePeerResponseMatchesByID covers the compatibility path:
-// a pre-v3 peer echoes only the frame id (no correlation field), and
-// the client must still match the response.
-func TestPreUpgradePeerResponseMatchesByID(t *testing.T) {
-	leaktest.Check(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srvErr := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			srvErr <- err
-			return
-		}
-		defer conn.Close()
-		req, err := readFrame(conn, false)
-		if err != nil {
-			srvErr <- err
-			return
-		}
-		// A v1 response: same id, no correlation ID, no trace.
-		srvErr <- writeFrame(conn, &frame{kind: kindResponse, id: req.id, payload: req.payload})
-	}()
-	cli := mustDial(t, ln.Addr().String())
-	defer cli.Close()
-	out, err := cli.Call("echo", []byte("v1"))
-	if err != nil {
-		t.Fatalf("call against v1-style peer: %v", err)
-	}
-	if string(out) != "v1" {
-		t.Fatalf("payload %q", out)
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatalf("scripted server: %v", err)
 	}
 }
 
@@ -369,9 +330,10 @@ func TestCallTimeoutKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestCallTracedPerCall is the LastTrace fix: under concurrency every
-// call reports its own trace ID, all distinct, each with a server span
-// joined to it.
+// TestCallTracedPerCall: under concurrency every call issued under its
+// own root span travels under that span's trace — all distinct, each
+// with a server span joined to it — which is why the client needs no
+// last-writer-wins "last trace" of its own.
 func TestCallTracedPerCall(t *testing.T) {
 	leaktest.Check(t)
 	srv, addr := pipelineServer(t, nil, nil)
@@ -389,7 +351,7 @@ func TestCallTracedPerCall(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, trace, err := cli.CallTraced("echo", []byte{byte(i)})
+			_, trace, err := callUnderRoot(cli, "echo", []byte{byte(i)})
 			if err != nil {
 				t.Errorf("call %d: %v", i, err)
 			}
@@ -521,19 +483,29 @@ func TestEnqueueBlockedCallersReleasedOnConnDeath(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	c := NewTCPClient(cliConn)
 
-	// More callers than the writer (1 frame in its hands, stalled on
-	// the unread pipe) plus the send queue can absorb, so the overflow
+	// One call first, to stall the writer: net.Pipe's Write returns
+	// only when every byte is read, so once one byte of that frame has
+	// come out of the far end the writer is inside a flush it can never
+	// finish. (Launching everyone at once left it to the scheduler how
+	// many frames the writer drained into its batch before stalling, and
+	// whenever that was more than the overflow the queue never filled.)
+	// Then more callers than the send queue can absorb, so the overflow
 	// is parked in the enqueue select.
-	const callers = sendQueueDepth + 8
+	const callers = 1 + sendQueueDepth + 8
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := c.Call("stalled", nil)
-			errs <- err
-		}()
+	call := func() {
+		defer wg.Done()
+		_, err := c.Call("stalled", nil)
+		errs <- err
+	}
+	wg.Add(callers)
+	go call()
+	if _, err := srvConn.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < callers; i++ {
+		go call()
 	}
 
 	waitFor(t, func() bool {

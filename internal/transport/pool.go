@@ -73,21 +73,6 @@ func DialTCPPool(addr string, n int) (*ClientPool, error) {
 	return NewClientPool(stripes), nil
 }
 
-// PoolDialer adapts DialTCPPool to the resilience layer's Dialer, the
-// pool analogue of `func() (Client, error) { return DialTCP(addr) }`:
-// the retry client redials a whole fresh pool when the current one
-// dies. timeout sets every stripe's per-call deadline (0 = none).
-func PoolDialer(addr string, n int, timeout time.Duration) Dialer {
-	return func() (Client, error) {
-		p, err := DialTCPPool(addr, n)
-		if err != nil {
-			return nil, err
-		}
-		p.SetTimeout(timeout)
-		return p, nil
-	}
-}
-
 // SetTimeout sets the per-call deadline on every stripe. Like
 // TCPClient.Timeout it must be set before the first call.
 func (p *ClientPool) SetTimeout(d time.Duration) {
@@ -121,11 +106,6 @@ func (p *ClientPool) pick() *TCPClient {
 // Call implements Client on the next stripe.
 func (p *ClientPool) Call(method string, payload []byte) ([]byte, error) {
 	return p.pick().Call(method, payload)
-}
-
-// CallTraced mirrors TCPClient.CallTraced on the next stripe.
-func (p *ClientPool) CallTraced(method string, payload []byte) ([]byte, obs.TraceID, error) {
-	return p.pick().CallTraced(method, payload)
 }
 
 // CallInTrace implements TraceCaller on the next stripe.

@@ -353,7 +353,7 @@ func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool
 		if err != nil {
 			return nil, err
 		}
-		payload, rel, err := d.callPooled(MethodGetContentStream, req)
+		payload, rel, err := CallInTracePooled(d.C, d.Trace, MethodGetContentStream, req)
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +370,10 @@ func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool
 		if idx == 0 {
 			total = ck.Total
 			if retain {
-				buf = make([]byte, 0, ck.Total)
+				// Total is the peer's word: reserve no more than one
+				// frame's worth on it and let append grow the rest with
+				// bytes that actually arrive.
+				buf = make([]byte, 0, min(ck.Total, MaxFrame))
 			}
 		}
 		if retain {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -204,6 +205,27 @@ func TestGetContentStreamChecksInvariants(t *testing.T) {
 	db := DBClient{C: Loopback{H: evil}}
 	if _, err := db.GetContentStream("store/big.mpg", nil); !errors.Is(err, ErrBadChunk) {
 		t.Fatalf("mis-sequenced stream returned %v, want ErrBadChunk", err)
+	}
+}
+
+// TestGetContentStreamHostileTotal: the total in a chunk header is the
+// peer's word. A broken or hostile peer answering a 7-byte non-final
+// chunk that claims a 4 EB object must cost the client a bounded
+// reservation and end in ErrBadChunk (the next chunk breaks sequence),
+// not a makeslice panic or an out-of-memory kill.
+func TestGetContentStreamHostileTotal(t *testing.T) {
+	lie := mustChunk(&ContentChunk{Ref: "store/big.mpg", Coding: "MPEG", Total: 1 << 62, Data: []byte("7 bytes")})
+	peer := HandlerFunc(func(string, []byte) ([]byte, error) { return lie, nil })
+	db := DBClient{C: Loopback{H: peer}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := db.GetContentStream("store/big.mpg", nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadChunk) {
+		t.Fatalf("stream from a lying peer returned %v, want ErrBadChunk", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*MaxFrame {
+		t.Fatalf("lying peer made the client allocate %d bytes, want at most one frame's reservation", grew)
 	}
 }
 

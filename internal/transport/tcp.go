@@ -461,10 +461,17 @@ func (s *TCPServer) handleRequest(rw *respWriter, req *frame) {
 	} else {
 		payload, herr = s.handler.Handle(req.method, req.payload)
 	}
-	obs.Observe("transport_server_latency_ns", time.Since(start), "method", req.method)
-	obs.GetCounter("transport_server_rpcs_total", "method", req.method).Inc()
+	// The method name is the peer's word until a handler has accepted
+	// it: names nobody serves share one label, so a client cannot mint a
+	// metric series per made-up name.
+	label := req.method
+	if errors.Is(herr, ErrUnknownMethod) {
+		label = "unknown"
+	}
+	obs.Observe("transport_server_latency_ns", time.Since(start), "method", label)
+	obs.GetCounter("transport_server_rpcs_total", "method", label).Inc()
 	if herr != nil {
-		obs.GetCounter("transport_server_errors_total", "method", req.method).Inc()
+		obs.GetCounter("transport_server_errors_total", "method", label).Inc()
 	}
 	sp.End(herr)
 	resp := &frame{kind: kindResponse, id: req.id, corr: req.corr, trace: req.trace, span: req.span, payload: payload}
@@ -529,8 +536,6 @@ type TCPClient struct {
 	connOnce sync.Once
 	connErr  error
 
-	lastTrace atomic.Uint64
-
 	wg sync.WaitGroup // writer + reader loops
 }
 
@@ -540,7 +545,6 @@ type TCPClient struct {
 type pendingCall struct {
 	req    *frame
 	method string
-	trace  obs.TraceID
 	done   chan struct{}
 	resp   *frame
 	err    error
@@ -595,48 +599,35 @@ func NewTCPClient(conn net.Conn) *TCPClient {
 
 // Call implements Client: issue a request, wait for its response.
 // Safe for concurrent use; calls pipeline onto the one connection.
-// The returned payload is caller-owned: its backing buffer is simply
-// left to the GC (never recycled), so holding it forever is safe.
+// Every call opens a fresh trace whose IDs ride the frame header, so
+// the server's span lands in the same trace as the client's. The
+// returned payload is caller-owned: its backing buffer is simply left
+// to the GC (never recycled), so holding it forever is safe.
 func (c *TCPClient) Call(method string, payload []byte) ([]byte, error) {
-	out, _, err := c.CallTraced(method, payload)
-	return out, err
-}
-
-// CallTraced is Call returning also the trace ID the call travelled
-// under — the per-call replacement for LastTrace that stays meaningful
-// when many goroutines share the client. Every call opens a fresh
-// trace whose IDs ride the frame header, so the server's span lands in
-// the same trace as the client's.
-func (c *TCPClient) CallTraced(method string, payload []byte) ([]byte, obs.TraceID, error) {
-	out, _, trace, err := c.callSpan(obs.StartSpan(method, "client"), method, payload)
-	return out, trace, err
+	return c.CallInTrace(obs.SpanContext{}, method, payload)
 }
 
 // CallInTrace implements TraceCaller: the client span continues the
 // trace in sc (parented under sc.Parent) instead of opening a fresh
 // one, so a server handling a request can fan out to another site
-// within the same trace. A zero sc degenerates to CallTraced.
+// within the same trace. A caller that wants to know which trace its
+// call travelled under opens the root span itself and passes its
+// context. A zero sc opens a fresh trace, like Call.
 func (c *TCPClient) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	out, _, _, err := c.callSpan(obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent), method, payload)
+	out, _, err := c.callSpan(sc, method, payload)
 	return out, err
 }
 
-// CallPooled is Call for the allocation-free decode path: the returned
-// payload is backed by a pooled frame buffer, and release (when
-// non-nil) recycles it. The caller must not touch the payload — or
-// anything aliasing it — after calling release, and must not call
-// release twice; callers that decode-and-drop (gob into a typed
-// struct) release immediately after decoding. Dropping release instead
-// of calling it is always safe: the buffer just falls to the GC.
-func (c *TCPClient) CallPooled(method string, payload []byte) ([]byte, func(), error) {
-	out, resp, _, err := c.callSpan(obs.StartSpan(method, "client"), method, payload)
-	return out, poolRelease(resp), err
-}
-
-// CallInTracePooled implements PooledTraceCaller: CallPooled
-// continuing the trace in sc, with CallInTrace's zero-sc behaviour.
+// CallInTracePooled implements PooledTraceCaller: CallInTrace for the
+// allocation-free decode path. The returned payload is backed by a
+// pooled frame buffer, and release (when non-nil) recycles it. The
+// caller must not touch the payload — or anything aliasing it — after
+// calling release, and must not call release twice; callers that
+// decode-and-drop (gob into a typed struct) release immediately after
+// decoding. Dropping release instead of calling it is always safe: the
+// buffer just falls to the GC.
 func (c *TCPClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-	out, resp, _, err := c.callSpan(obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent), method, payload)
+	out, resp, err := c.callSpan(sc, method, payload)
 	return out, poolRelease(resp), err
 }
 
@@ -649,12 +640,12 @@ func poolRelease(f *frame) func() {
 	return func() { releaseFrame(f) }
 }
 
-// callSpan issues the call under an already-opened client span and
+// callSpan issues the call under a client span continuing sc and
 // settles the span and the per-method metrics. The returned frame is
-// the pooled response (nil on error or for an empty pre-v3 response);
-// pooled callers adapt it via poolRelease, plain callers drop it.
-func (c *TCPClient) callSpan(sp *obs.Span, method string, payload []byte) ([]byte, *frame, obs.TraceID, error) {
-	c.lastTrace.Store(uint64(sp.Trace))
+// the pooled response (nil on error); pooled callers adapt it via
+// poolRelease, plain callers drop it.
+func (c *TCPClient) callSpan(sc obs.SpanContext, method string, payload []byte) ([]byte, *frame, error) {
+	sp := obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent)
 	payload, resp, err := c.issue(sp, method, payload)
 	sp.End(err)
 	obs.Observe("transport_client_latency_ns", sp.Dur, "method", method)
@@ -662,7 +653,7 @@ func (c *TCPClient) callSpan(sp *obs.Span, method string, payload []byte) ([]byt
 	if err != nil {
 		obs.GetCounter("transport_client_errors_total", "method", method).Inc()
 	}
-	return payload, resp, sp.Trace, err
+	return payload, resp, err
 }
 
 // Err reports the client's terminal state: nil while the connection is
@@ -686,7 +677,7 @@ func (c *TCPClient) Err() error {
 // On success the pooled response frame rides along for callers that
 // recycle its buffer.
 func (c *TCPClient) issue(sp *obs.Span, method string, payload []byte) ([]byte, *frame, error) {
-	pc := &pendingCall{method: method, trace: sp.Trace, done: make(chan struct{})}
+	pc := &pendingCall{method: method, done: make(chan struct{})}
 	corr, err := c.register(pc, method, payload, sp)
 	if err != nil {
 		return nil, nil, &CallError{Method: method, Err: err}
@@ -846,11 +837,7 @@ func (c *TCPClient) readLoop() {
 			c.fail(fmt.Errorf("%w: unexpected frame kind %d", ErrBadFrame, kind))
 			return
 		}
-		corr := resp.corr
-		if corr == 0 {
-			corr = resp.id // a pre-v3 peer echoes only the frame id
-		}
-		pc := c.take(corr)
+		pc := c.take(resp.corr)
 		if pc == nil {
 			// Nobody is waiting: a call that timed out earlier, or a
 			// confused peer. Correlation IDs make late responses
@@ -897,15 +884,6 @@ func (c *TCPClient) closeConn() error {
 		c.connErr = c.conn.Close() //mits:nolock write is published by connOnce.Do
 	})
 	return c.connErr //mits:nolock connOnce.Do orders the write before this read
-}
-
-// LastTrace reports the trace ID of the most recently issued Call —
-// the handle a navigator prints so an operator can find the same
-// request in the server's span exposition. With concurrent callers
-// this is inherently last-writer-wins; use CallTraced to get the trace
-// ID of a specific call.
-func (c *TCPClient) LastTrace() obs.TraceID {
-	return obs.TraceID(c.lastTrace.Load())
 }
 
 // Close implements Client. It is idempotent and safe to call

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"mits/internal/lint/leaktest"
@@ -10,74 +11,61 @@ import (
 	"mits/internal/obs"
 )
 
-// preUpgradeRequestFrame builds the exact byte layout the v1 encoder
-// produced before the trace-ID field existed:
-// kind(1) id(8) nameLen(4) name payLen(4) payload.
-func preUpgradeRequestFrame(id uint64, method string, payload []byte) []byte {
-	buf := []byte{byte(kindRequest)}
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(method)))
-	buf = append(buf, method...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+// callUnderRoot issues one call under a root span the test owns and
+// reports the trace it travelled under — how any caller that needs to
+// know its trace ID does it (there is no "last trace" on the client).
+func callUnderRoot(c Client, method string, payload []byte) ([]byte, obs.TraceID, error) {
+	root := obs.StartSpan("test.root", "internal")
+	out, err := CallInTrace(c, root.Context(), method, payload)
+	root.End(err)
+	return out, root.Trace, err
 }
 
-// TestFrameDecodesPreUpgradeEncoding is the frame-versioning
-// regression test: a frame encoded before the header grew the trace
-// context must still decode, field for field.
-func TestFrameDecodesPreUpgradeEncoding(t *testing.T) {
-	raw := preUpgradeRequestFrame(7, "db.Get_Selected_Doc", []byte("payload"))
-	f, err := unmarshalFrame(raw)
-	if err != nil {
-		t.Fatalf("pre-upgrade frame rejected: %v", err)
-	}
-	if f.kind != kindRequest || f.id != 7 || f.method != "db.Get_Selected_Doc" || string(f.payload) != "payload" {
-		t.Fatalf("pre-upgrade frame mangled: %+v", f)
-	}
-	if f.trace != 0 || f.span != 0 {
-		t.Fatalf("pre-upgrade frame grew a trace context: trace=%d span=%d", f.trace, f.span)
-	}
-}
-
-// TestFrameUntracedEncodingIsV1 pins the compatibility contract from
-// the other side: a frame without a trace context must marshal to the
-// v1 byte layout, so an un-upgraded peer can still parse what we send.
-func TestFrameUntracedEncodingIsV1(t *testing.T) {
-	f := &frame{kind: kindRequest, id: 7, method: "db.Get_Selected_Doc", payload: []byte("payload")}
-	want := preUpgradeRequestFrame(7, "db.Get_Selected_Doc", []byte("payload"))
-	if got := f.marshal(); !bytes.Equal(got, want) {
-		t.Fatalf("untraced frame encoding drifted from v1:\n got %x\nwant %x", got, want)
-	}
-}
-
-// TestFrameV2RoundTrip checks the trace context survives the new
-// encoding in both kinds.
-func TestFrameV2RoundTrip(t *testing.T) {
-	for _, kind := range []frameKind{kindRequest, kindResponse} {
-		f := &frame{kind: kind, id: 9, trace: 0xdeadbeefcafe, span: 42, payload: []byte{1, 2, 3}}
-		if kind == kindRequest {
-			f.method = "db.GetContent"
-		} else {
-			f.errText = "boom"
+// TestFrameLayoutPinned pins the one header layout byte for byte:
+// kind(1) id(8) corr(8) trace(8) span(8) nameLen(4) name payLen(4)
+// payload, kind bytes 5 (request) and 6 (response). These are the
+// bytes the multiplexed TCP path has always put on the wire.
+func TestFrameLayoutPinned(t *testing.T) {
+	build := func(kind byte, id, corr, trace, span uint64, name string, payload []byte) []byte {
+		buf := []byte{kind}
+		for _, v := range []uint64{id, corr, trace, span} {
+			buf = binary.BigEndian.AppendUint64(buf, v)
 		}
-		got, err := unmarshalFrame(f.marshal())
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(name)))
+		buf = append(buf, name...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+		return append(buf, payload...)
+	}
+	for _, tc := range []struct {
+		f    *frame
+		want []byte
+	}{
+		{&frame{kind: kindRequest, id: 7, corr: 7, trace: 0xfeed, span: 3, method: "db.Get_Selected_Doc", payload: []byte("payload")},
+			build(5, 7, 7, 0xfeed, 3, "db.Get_Selected_Doc", []byte("payload"))},
+		{&frame{kind: kindResponse, id: 7, corr: 7, errText: "boom"},
+			build(6, 7, 7, 0, 0, "boom", nil)},
+		// The ATM carrier pairs by id alone: corr stays zero but is on
+		// the wire all the same.
+		{&frame{kind: kindRequest, id: 9, method: "m"}, build(5, 9, 0, 0, 0, "m", nil)},
+	} {
+		if got := tc.f.marshal(); !bytes.Equal(got, tc.want) {
+			t.Errorf("frame %+v encodes as\n got %x\nwant %x", tc.f, got, tc.want)
 		}
-		if got.kind != kind || got.trace != f.trace || got.span != f.span || got.id != 9 {
-			t.Fatalf("kind %d round trip mangled: %+v", kind, got)
+		if got := tc.f.wireSize(); got != len(tc.want) {
+			t.Errorf("wireSize = %d, want %d", got, len(tc.want))
 		}
 	}
 }
 
-// TestFrameV2Truncated makes sure a v2 kind with a short body errors
-// instead of reading out of bounds.
-func TestFrameV2Truncated(t *testing.T) {
-	f := &frame{kind: kindRequest, id: 1, trace: 5, span: 6, method: "m"}
-	raw := f.marshal()
-	for n := 1; n < 1+8+16+4; n++ {
-		if _, err := unmarshalFrame(raw[:n]); err == nil {
-			t.Fatalf("truncated v2 frame of %d bytes decoded", n)
+// TestFrameRejectsRetiredKinds: kind bytes 1–4 named two earlier header
+// layouts; with one layout left they are as malformed as any other
+// unknown byte, whatever follows them.
+func TestFrameRejectsRetiredKinds(t *testing.T) {
+	raw := (&frame{kind: kindRequest, id: 1, corr: 1, method: "m", payload: []byte("p")}).marshal()
+	for _, kind := range []byte{0, 1, 2, 3, 4, 7, 0xff} {
+		raw[0] = kind
+		if _, err := unmarshalFrame(raw); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("kind %d: err = %v, want ErrBadFrame", kind, err)
 		}
 	}
 }
@@ -102,12 +90,9 @@ func TestTraceAcrossTCP(t *testing.T) {
 	}
 	defer cli.Close()
 
-	if _, err := cli.Call("echo", []byte("x")); err != nil {
+	_, trace, err := callUnderRoot(cli, "echo", []byte("x"))
+	if err != nil {
 		t.Fatal(err)
-	}
-	trace := cli.LastTrace()
-	if trace == 0 {
-		t.Fatal("client call left no trace ID")
 	}
 
 	spans := obs.Default.SpansOf(trace)

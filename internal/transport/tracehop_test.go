@@ -11,11 +11,11 @@ import (
 // TestTracePropagatesAcrossHops runs the full three-node delivery
 // shape over real TCP — navigator client → edge (a ForwardHandler
 // whose DBClient dials the store) → store server — and asserts that
-// one CallTraced produces one trace whose spans chain parent-to-child
-// across every hop:
+// one call under the navigator's root span produces one trace whose
+// spans chain parent-to-child across every hop:
 //
-//	client(navigator) → server(edge) → client(edge) → server(store)
-//	                                                → internal(store.GetContent)
+//	root → client(navigator) → server(edge) → client(edge) → server(store)
+//	                                                       → internal(store.GetContent)
 //
 // This is the wire contract the collector's critical path depends on:
 // if any hop dropped or re-rooted the context, the trace would
@@ -56,14 +56,14 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trace, err := nav.CallTraced(MethodGetContent, req)
+	_, trace, err := callUnderRoot(nav, MethodGetContent, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spans := obs.Default.SpansOf(trace)
-	if len(spans) != 5 {
-		t.Fatalf("trace %s has %d spans, want 5: %+v", trace, len(spans), spans)
+	if len(spans) != 6 {
+		t.Fatalf("trace %s has %d spans, want 6: %+v", trace, len(spans), spans)
 	}
 	byID := make(map[obs.SpanID]*obs.Span, len(spans))
 	kinds := make(map[string]int)
@@ -74,13 +74,12 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 			t.Errorf("span %s carries trace %s, want %s", s.Name, s.Trace, trace)
 		}
 	}
-	if kinds["client"] != 2 || kinds["server"] != 2 || kinds["internal"] != 1 {
-		t.Fatalf("span kinds = %v, want 2 client, 2 server, 1 internal", kinds)
+	if kinds["client"] != 2 || kinds["server"] != 2 || kinds["internal"] != 2 {
+		t.Fatalf("span kinds = %v, want 2 client, 2 server, 2 internal (root + store)", kinds)
 	}
 
 	// Walk each span to the root: every span must reach the navigator's
-	// client span, and depth must match its hop.
-	wantDepth := map[string]int{"client": 0, "server": 1, "internal": 4}
+	// root span, and depth must match its hop.
 	var root *obs.Span
 	for _, s := range spans {
 		depth := 0
@@ -99,30 +98,30 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 			t.Fatalf("span %s/%s reaches root %d, others reach %d", s.Name, s.Kind, cur.ID, root.ID)
 		}
 		switch {
-		case s.Kind == "internal" && depth != wantDepth["internal"]:
-			t.Errorf("internal span %s at depth %d, want 4", s.Name, depth)
-		case s.Kind == "client" && depth != 0 && depth != 2:
-			t.Errorf("client span at depth %d, want 0 or 2", depth)
-		case s.Kind == "server" && depth != 1 && depth != 3:
-			t.Errorf("server span at depth %d, want 1 or 3", depth)
+		case s.Kind == "internal" && depth != 0 && depth != 5:
+			t.Errorf("internal span %s at depth %d, want 0 (root) or 5 (store)", s.Name, depth)
+		case s.Kind == "client" && depth != 1 && depth != 3:
+			t.Errorf("client span at depth %d, want 1 or 3", depth)
+		case s.Kind == "server" && depth != 2 && depth != 4:
+			t.Errorf("server span at depth %d, want 2 or 4", depth)
 		}
 	}
-	if root.Kind != "client" || root.Name != MethodGetContent {
-		t.Fatalf("root span = %s/%s, want %s/client", root.Name, root.Kind, MethodGetContent)
+	if root.Name != "test.root" {
+		t.Fatalf("root span = %s/%s, want the test's own root", root.Name, root.Kind)
 	}
 
 	// Second request hits the edge cache: the trace still forms, but
 	// stops at the edge — no store-side spans.
-	_, trace2, err := nav.CallTraced(MethodGetContent, req)
+	_, trace2, err := callUnderRoot(nav, MethodGetContent, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spans2 := obs.Default.SpansOf(trace2)
-	if len(spans2) != 2 {
-		t.Fatalf("cache-hit trace has %d spans, want 2 (client+edge server): %+v", len(spans2), spans2)
+	if len(spans2) != 3 {
+		t.Fatalf("cache-hit trace has %d spans, want 3 (root+client+edge server): %+v", len(spans2), spans2)
 	}
 	for _, s := range spans2 {
-		if s.Kind == "internal" {
+		if s.Name == "store.GetContent" {
 			t.Errorf("cache-hit trace reached the store: %+v", s)
 		}
 	}

@@ -3,16 +3,18 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
-
-	"mits/internal/lint/leaktest"
 	"testing/quick"
 	"time"
 
 	"mits/internal/atm"
+	"mits/internal/lint/leaktest"
 	"mits/internal/mediastore"
+	"mits/internal/obs"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -390,5 +392,68 @@ func TestDialTCPConnectBounded(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("DialTCP to a black-holed address took %v; connect timeout not applied", elapsed)
+	}
+}
+
+// TestUnknownMethodsShareOneMetricSeries: the method name in a request
+// is the peer's word. A client spraying made-up names must land on the
+// one method="unknown" label, not mint a latency histogram and two
+// counters per name. The requests are raw frames so the client-side
+// metrics (which label by the caller's own method) stay out of it.
+func TestUnknownMethodsShareOneMetricSeries(t *testing.T) {
+	leaktest.Check(t)
+	mux := NewMux()
+	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
+	srv := NewTCPServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	call := func(id uint64, method string) {
+		t.Helper()
+		if err := writeFrame(conn, &frame{kind: kindRequest, id: id, corr: id, method: method}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(conn, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.corr != id || resp.errText == "" {
+			t.Fatalf("bogus method %q answered %+v, want an error echoing corr %d", method, resp, id)
+		}
+	}
+	serverSeries := func() int {
+		n := 0
+		for _, c := range obs.Default.Counters() {
+			if strings.HasPrefix(c.Base(), "transport_server_") {
+				n++
+			}
+		}
+		for _, h := range obs.Default.Histograms() {
+			if strings.HasPrefix(h.Base(), "transport_server_") {
+				n++
+			}
+		}
+		return n
+	}
+
+	call(1, "bogus.first") // mints the method="unknown" series, once
+	before := serverSeries()
+	unknown := obs.GetCounter("transport_server_rpcs_total", "method", "unknown")
+	rpcs := unknown.Value()
+	for i := uint64(0); i < 1000; i++ {
+		call(2+i, fmt.Sprintf("bogus.%d", i))
+	}
+	if got := serverSeries(); got != before {
+		t.Fatalf("1000 made-up method names grew the server's metric series from %d to %d", before, got)
+	}
+	if got := unknown.Value() - rpcs; got != 1000 {
+		t.Fatalf(`transport_server_rpcs_total{method="unknown"} moved by %d, want 1000`, got)
 	}
 }

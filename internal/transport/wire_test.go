@@ -1,0 +1,83 @@
+package transport
+
+import (
+	"fmt"
+	"testing"
+
+	"mits/internal/mediastore"
+	"mits/internal/transport/wiretest"
+)
+
+// wire is recorded while the package initialises: gob numbers types in
+// the order a process first meets them, so the bytes are only
+// reproducible before any other test has touched gob.
+var wire, wireErr = recordWire()
+
+// recordWire drives every gob db.* stub once with fixed inputs.
+func recordWire() (*wiretest.Recorder, error) {
+	mux := NewMux()
+	RegisterStore(mux, mediastore.New())
+	rec := &wiretest.Recorder{Next: Loopback{H: mux}}
+	db := DBClient{C: rec}
+
+	var version int
+	var doc *mediastore.DocRecord
+	var names []string
+	var content *mediastore.ContentRecord
+	for _, step := range []func() error{
+		func() (err error) {
+			version, err = db.PutDocument("elg5121.doc", "Multimedia", "asn1", []byte{0x30, 0x03, 0x02, 0x01, 0x07}, "Engineering/ATM")
+			return
+		},
+		func() error { return db.PutContent("intro/elg5121", "mpeg", []byte("frame-bytes"), "Engineering/ATM") },
+		func() error { _, err := db.GetListDoc(); return err },
+		func() (err error) { doc, err = db.GetSelectedDoc("elg5121.doc"); return },
+		func() error { _, err := db.GetKeywordTree(); return err },
+		func() (err error) { names, err = db.GetDocByKeyword("Engineering/ATM"); return },
+		func() (err error) { content, err = db.GetContent("intro/elg5121"); return },
+	} {
+		if err := step(); err != nil {
+			return nil, err
+		}
+	}
+	if version != 1 || doc.Title != "Multimedia" || doc.Version != 1 {
+		return nil, fmt.Errorf("PutDocument = %d, GetSelectedDoc = %+v", version, doc)
+	}
+	if len(names) != 1 || names[0] != "elg5121.doc" || string(content.Data) != "frame-bytes" {
+		return nil, fmt.Errorf("GetDocByKeyword = %v, GetContent = %+v", names, content)
+	}
+	return rec, nil
+}
+
+// TestWireGolden compares the request/response payloads of all seven
+// gob db.* stubs with testdata/wire.golden, captured from the
+// hand-written stubs this layer replaced; RequestKey must still pull
+// the routing key out of each keyed request.
+func TestWireGolden(t *testing.T) {
+	if wireErr != nil {
+		t.Fatal(wireErr)
+	}
+	if got := len(wire.Methods()); got != 7 {
+		t.Errorf("%d gob db.* methods exercised, want all 7", got)
+	}
+	keys := map[string]string{
+		MethodPutDoc: "elg5121.doc", MethodGetDoc: "elg5121.doc",
+		MethodPutContent: "intro/elg5121", MethodGetContent: "intro/elg5121",
+	}
+	for _, call := range wire.Calls {
+		argless := call.Method == MethodListDocs || call.Method == MethodKeywordTree
+		if argless != (call.Req == nil) {
+			t.Errorf("%s: nil request = %v", call.Method, call.Req == nil)
+		}
+		if (call.Method == MethodPutContent) != (call.Resp == nil) {
+			t.Errorf("%s: nil response = %v", call.Method, call.Resp == nil)
+		}
+		key, err := RequestKey(call.Method, call.Req)
+		if want, keyed := keys[call.Method]; keyed && (err != nil || key != want) {
+			t.Errorf("RequestKey(%s) = %q, %v; want %q", call.Method, key, err, want)
+		} else if !keyed && err == nil {
+			t.Errorf("RequestKey(%s) = %q for an unkeyed method", call.Method, key)
+		}
+	}
+	wire.Golden(t, "testdata/wire.golden")
+}

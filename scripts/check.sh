@@ -3,6 +3,13 @@
 # static-analysis suite, and the full test suite under the race
 # detector. CI and pre-merge runs should call this; one failure is a
 # bug, not noise (see EXPERIMENTS.md "Deterministic invariants").
+#
+# Every suite runs once: `go test -race ./...` is the only pass over the
+# unit, experiment (E28/E30/E31 shape checks included) and stress tests;
+# the gates after it add what that pass cannot — fuzzing beyond the
+# corpora, the smoke binary, the benchmark acceptance bits, and the 5x
+# repetition of the scheduling-dependent suites. A failing experiment
+# prints its per-scenario table itself.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,42 +42,24 @@ for target in \
 	go test -fuzz="$fuzz" -fuzztime=10s "$pkg"
 done
 
-# Observability gate: the obs and collector packages under the race
-# detector, the two-leg smoke (traced-RPC stats scrape, then the
-# three-node trace pipeline checked over the collector's HTTP views),
-# the E30 cross-site trace experiment (critical path localizes an
-# injected store stall), and the overhead benchmarks written to
-# BENCH_obs.json (export overhead must stay under 5%).
-echo "==> go test -race ./internal/obs/..."
-go test -race ./internal/obs/...
-
+# Observability gate: the two-leg smoke (traced-RPC stats scrape, then
+# the three-node trace pipeline checked over the collector's HTTP
+# views) and the overhead benchmarks written to BENCH_obs.json (export
+# overhead must stay under 5%).
 echo "==> go run ./cmd/obssmoke"
 go run ./cmd/obssmoke
-
-echo "==> go test -race -run 'TestAllExperimentsPassShapeChecks/E30' -v ./internal/experiments/"
-go test -race -run 'TestAllExperimentsPassShapeChecks/E30' -v ./internal/experiments/
 
 echo "==> scripts/bench_obs.sh"
 ./scripts/bench_obs.sh
 
-# Chaos gate: the E28 fault matrix re-run under the race detector (it
-# already ran once inside `go test -race ./...` above; the explicit -v
-# run makes the per-scenario recovery table visible in CI logs), then
-# the fault-recovery latency benchmark writing BENCH_faults.json.
-echo "==> go test -race -run 'TestAllExperimentsPassShapeChecks/E28' -v ./internal/experiments/"
-go test -race -run 'TestAllExperimentsPassShapeChecks/E28' -v ./internal/experiments/
-
+# Chaos gate: the fault-recovery latency benchmark writing
+# BENCH_faults.json.
 echo "==> scripts/bench_faults.sh"
 ./scripts/bench_faults.sh
 
-# Pipelining gate: the 64-caller multiplexed-client stress test under
-# the race detector (it already ran once inside `go test -race ./...`;
-# the explicit run keeps the gate obvious when someone trims the full
-# suite), then the E29 throughput benchmark writing BENCH_pipeline.json
-# (8-caller speedup vs the serialized baseline, cache hit vs miss).
-echo "==> go test -race -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce' -v ./internal/transport/"
-go test -race -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce' -v ./internal/transport/
-
+# Pipelining gate: the E29 throughput benchmark writing
+# BENCH_pipeline.json (8-caller speedup vs the serialized baseline,
+# cache hit vs miss).
 echo "==> scripts/bench_pipeline.sh"
 ./scripts/bench_pipeline.sh
 
@@ -86,16 +75,10 @@ echo "==> scripts/bench_pipeline.sh"
 echo "==> scripts/bench_saturation.sh"
 ./scripts/bench_saturation.sh
 
-# Cluster gate: the E31 chaos experiment (replica kill, shard
-# partition, heal-while-streaming against the sharded replicated
-# MEDIASTORE) re-run under the race detector with the per-scenario
-# table visible, then the availability/latency benchmark writing
+# Cluster gate: the availability/latency benchmark writing
 # BENCH_cluster.json — the script fails if either acceptance bit
 # (100% availability with one replica down per shard, degraded p99
 # within 3x healthy) is false.
-echo "==> go test -race -run 'TestAllExperimentsPassShapeChecks/E31' -v ./internal/experiments/"
-go test -race -run 'TestAllExperimentsPassShapeChecks/E31' -v ./internal/experiments/
-
 echo "==> scripts/bench_cluster.sh"
 ./scripts/bench_cluster.sh
 

@@ -23,6 +23,7 @@ lint:
 .PHONY: fuzz
 fuzz:
 	go test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/transport/
+	go test -fuzz=FuzzContentChunkDecode -fuzztime=10s ./internal/transport/
 	go test -fuzz=FuzzAAL5Reassemble -fuzztime=10s ./internal/atm/
 	go test -fuzz=FuzzMHEGDecode -fuzztime=10s ./internal/mheg/codec/
 	go test -fuzz=FuzzMarkupParse -fuzztime=10s ./internal/markup/
@@ -75,8 +76,9 @@ cluster:
 
 # Race-stress gate: the concurrency-protocol suites that guard the
 # multiplexed hot path — transport pipelining (out-of-order completion,
-# conn-death drain, blocked-enqueue release, abandoned frames), the
-# cache singleflight, and the cluster failover ladder (replica death
+# conn-death drain, blocked-enqueue release, abandoned frames, the
+# stream window's settle-every-started-call accounting), the cache
+# singleflight, and the cluster failover ladder (replica death
 # mid-stream vs the replication appliers) — repeated 5× under the race
 # detector so scheduling-dependent interleavings get real coverage, not
 # one lucky pass. chanwait/atomicmix/poolcheck/deadlinecheck prove the
@@ -84,7 +86,7 @@ cluster:
 # see.
 .PHONY: racestress
 racestress:
-	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation' ./internal/transport/
+	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation|TestStreamSettlesEveryStartedCall|TestStreamOrderAndEquivalence|TestServerReleasesPooledResponseExactlyOnce' ./internal/transport/
 	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
 	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition' ./internal/cluster/
 

@@ -1,6 +1,9 @@
 package transport
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Size-classed frame-buffer recycling. Every RPC used to allocate a
 // fresh body buffer on each side of the wire (marshal on write, read
@@ -16,7 +19,8 @@ import "sync"
 //     flush's Write/writev returns;
 //   - server request buffers are released after the handler returned
 //     AND its response was encoded into the batch (Handler documents
-//     that payloads do not outlive the call);
+//     that payloads do not outlive the call); a pooled response
+//     (PooledCtxHandler) is released at the same point;
 //   - client response buffers are pooled too, but recycling is opt-in:
 //     the pooled call API (CallInTracePooled) hands the caller a
 //     release callback, and a caller that drops it — every plain
@@ -31,11 +35,23 @@ var bufClasses = [...]int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 
 
 var bufPools [len(bufClasses)]sync.Pool
 
+// bufAudit, when set, counts pooled-class buffers handed out (+1) and
+// recycled (-1). Tests that check a path returns exactly what it took
+// set it; otherwise it is nil and costs one atomic load.
+var bufAudit atomic.Pointer[atomic.Int64]
+
+func audit(delta int64) {
+	if a := bufAudit.Load(); a != nil {
+		a.Add(delta)
+	}
+}
+
 // getBuf returns a zero-length buffer with capacity ≥ n, pooled when a
 // class fits.
 func getBuf(n int) []byte {
 	for i, size := range bufClasses {
 		if n <= size {
+			audit(+1)
 			if b, ok := bufPools[i].Get().(*[]byte); ok {
 				return (*b)[:0]
 			}
@@ -53,6 +69,7 @@ func putBuf(b []byte) {
 	c := cap(b)
 	for i, size := range bufClasses {
 		if c == size {
+			audit(-1)
 			b = b[:0]
 			bufPools[i].Put(&b)
 			return

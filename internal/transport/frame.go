@@ -183,6 +183,19 @@ func (f CtxHandlerFunc) HandleCtx(sc obs.SpanContext, method string, payload []b
 	return f(sc, method, payload)
 }
 
+// PooledCtxHandler is the server-side mirror of PooledTraceCaller: the
+// response payload may be a pooled buffer that release (when non-nil)
+// recycles. The TCP server probes for it and calls release exactly once,
+// after the response bytes are copied onto the wire batch or the
+// response is discarded; a wrapper that only speaks CtxHandler drops
+// release and the buffer falls to the GC.
+type PooledCtxHandler interface {
+	HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) (resp []byte, release func(), err error)
+}
+
+// pooledHandlerFunc is a mux route: CtxHandlerFunc plus the release.
+type pooledHandlerFunc func(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error)
+
 // ErrUnknownMethod is returned by Mux for unregistered methods.
 var ErrUnknownMethod = errors.New("transport: unknown method")
 
@@ -192,11 +205,11 @@ var ErrUnknownMethod = errors.New("transport: unknown method")
 // are context-aware internally; Register wraps a trace-blind handler,
 // RegisterCtx mounts one that threads the span context onward.
 type Mux struct {
-	routes map[string]CtxHandlerFunc
+	routes map[string]pooledHandlerFunc
 }
 
 // NewMux returns an empty mux.
-func NewMux() *Mux { return &Mux{routes: make(map[string]CtxHandlerFunc)} }
+func NewMux() *Mux { return &Mux{routes: make(map[string]pooledHandlerFunc)} }
 
 // Register adds a method handler; re-registering a method panics (it is
 // always a wiring bug).
@@ -208,6 +221,14 @@ func (m *Mux) Register(method string, h HandlerFunc) {
 
 // RegisterCtx adds a trace-aware method handler.
 func (m *Mux) RegisterCtx(method string, h CtxHandlerFunc) {
+	m.registerPooled(method, func(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
+		out, err := h(sc, method, payload)
+		return out, nil, err
+	})
+}
+
+// registerPooled adds a handler whose responses may be pooled buffers.
+func (m *Mux) registerPooled(method string, h pooledHandlerFunc) {
 	if _, dup := m.routes[method]; dup {
 		panic("transport: duplicate method " + method)
 	}
@@ -219,11 +240,17 @@ func (m *Mux) Handle(method string, payload []byte) ([]byte, error) {
 	return m.HandleCtx(obs.SpanContext{}, method, payload)
 }
 
-// HandleCtx implements CtxHandler.
+// HandleCtx implements CtxHandler; a pooled response is left to the GC.
 func (m *Mux) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
+	out, _, err := m.HandleCtxPooled(sc, method, payload)
+	return out, err
+}
+
+// HandleCtxPooled implements PooledCtxHandler.
+func (m *Mux) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	h, ok := m.routes[method]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownMethod, method)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownMethod, method)
 	}
 	return h(sc, method, payload)
 }

@@ -86,6 +86,11 @@ func FuzzContentChunkDecode(f *testing.F) {
 	// A non-final first chunk claiming an absurd total: the assembly
 	// buffer must not be sized by it.
 	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 62, Data: []byte("7 bytes")}))
+	// Non-terminal chunks that do not carry the requested bytes: short,
+	// and empty (which used to spin the chunk loop forever when the peer
+	// also echoed the expected index).
+	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Data: bytes.Repeat([]byte("s"), DefaultStreamChunkBytes-1)}))
+	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ref, off, maxBytes, err := DecodeGetContentStream(data); err == nil {
 			re := mustStreamReq(ref, off, maxBytes)

@@ -86,21 +86,24 @@ func (p *ClientPool) SetTimeout(d time.Duration) {
 // Conns reports the stripe count.
 func (p *ClientPool) Conns() int { return len(p.stripes) }
 
-// pick chooses the next stripe round-robin, skipping stripes that have
-// already died so new calls are not fed to a known-dead connection.
-// With every stripe dead it returns one anyway — the call fails with
-// that stripe's typed error, which is what the caller (and the retry
-// layer above) needs to see.
+// pick chooses the next stripe round-robin among the live stripes
+// holding the fewest content streams (streamContent holds one per
+// stream): no call is fed to a known-dead connection, and none queues
+// behind a stream's chunks while another stripe is free of them. With
+// every stripe dead it returns one anyway — the call fails with that
+// stripe's typed error, which is what the caller (and the retry layer
+// above) needs to see.
 func (p *ClientPool) pick() *TCPClient {
 	i := p.next.Add(1)
 	n := uint64(len(p.stripes))
-	for k := uint64(0); k < n; k++ {
+	best := p.stripes[i%n]
+	for k, live := uint64(0), false; k < n; k++ {
 		c := p.stripes[(i+k)%n]
-		if c.Err() == nil {
-			return c
+		if (!live || c.streams.Load() < best.streams.Load()) && c.Err() == nil {
+			best, live = c, true
 		}
 	}
-	return p.stripes[i%n]
+	return best
 }
 
 // Call implements Client on the next stripe.

@@ -136,3 +136,84 @@ func TestPoolAllStripesDead(t *testing.T) {
 		t.Fatalf("call on all-dead pool returned %v, want ErrPeerClosed", err)
 	}
 }
+
+// TestPoolPickAvoidsStreamingStripes: while a content stream holds a
+// stripe, every other call goes to the stripes free of streams (so an
+// interactive call never queues behind the stream's chunks while it
+// need not), a second stream takes a free stripe, and a dead stripe is
+// never picked however few streams it holds. (Without streams the pool
+// is plain round-robin: TestPoolStripesRoundRobin.)
+func TestPoolPickAvoidsStreamingStripes(t *testing.T) {
+	leaktest.Check(t)
+	mux := NewMux()
+	RegisterStore(mux, streamStore(t, 4*DefaultStreamChunkBytes))
+	srv := NewTCPServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool, err := DialTCPPool(addr, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	holding := func() (held []*TCPClient) {
+		for _, c := range pool.stripes {
+			for i := c.streams.Load(); i > 0; i-- {
+				held = append(held, c)
+			}
+		}
+		return held
+	}
+	picks := func(n int) map[*TCPClient]int {
+		seen := map[*TCPClient]int{}
+		for i := 0; i < n; i++ {
+			seen[pool.pick()]++
+		}
+		return seen
+	}
+	db := DBClient{C: pool}
+	chunk := 0
+	_, err = db.GetContentStream(streamRef, func([]byte) error {
+		defer func() { chunk++ }()
+		if chunk != 1 {
+			return nil
+		}
+		outer := holding()
+		if len(outer) != 1 {
+			t.Fatalf("%d stripes held mid-stream, want 1", len(outer))
+		}
+		if seen := picks(30); seen[outer[0]] != 0 || len(seen) != 2 {
+			t.Errorf("picks beside one stream: %d on its stripe, %d stripes used; want 0 and 2", seen[outer[0]], len(seen))
+		}
+		// A second stream takes a stripe of its own ...
+		_, err := db.GetContentStream(streamRef, func([]byte) error {
+			if both := holding(); len(both) != 2 || both[0] == both[1] {
+				t.Errorf("two streams hold %d stripes (same: %v), want two different ones", len(both), len(both) == 2 && both[0] == both[1])
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		// ... and a dead stripe is not chosen for being free of streams.
+		for _, c := range pool.stripes {
+			if c != outer[0] {
+				c.conn.Close()
+				waitFor(t, func() bool { return c.Err() != nil })
+			}
+		}
+		if seen := picks(6); seen[outer[0]] != 6 {
+			t.Errorf("with every other stripe dead, %d of 6 picks took the live streaming stripe", seen[outer[0]])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held := holding(); len(held) != 0 {
+		t.Fatalf("%d stripes still held after the streams returned", len(held))
+	}
+}

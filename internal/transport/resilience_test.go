@@ -352,7 +352,7 @@ func TestReadFrameStreamsLargeBodies(t *testing.T) {
 		t.Fatal("truncated 15MB frame decoded successfully")
 	}
 	runtime.ReadMemStats(&after)
-	// The failed read should cost ~one readChunk (64KB), nowhere near
+	// The failed read should cost ~one readGrant (65KB), nowhere near
 	// the advertised 15MB.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 		t.Errorf("failed large-frame read allocated %d bytes (up-front allocation regressed)", grew)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"mits/internal/mediastore"
 	"mits/internal/obs"
@@ -11,13 +12,14 @@ import (
 
 // Chunked streaming GetContent — the "Media Objects in Time" shape:
 // content travels as a sequence of bounded, time-ordered fragments
-// instead of one monolithic ≤16 MB frame. Each chunk is an ordinary
-// keyed request/response on the multiplexed connection, so fairness
-// falls out of the existing pipelining (a small interactive call is
-// never stuck behind more than one chunk's worth of video on the
-// wire), the cluster router forwards chunks verbatim like any other
-// keyed read, and the breaker/retry stack sees idempotent single-chunk
-// calls it already knows how to handle.
+// instead of one monolithic ≤16 MB frame, delivered ahead of the
+// consumer. Each chunk is an ordinary keyed request/response, so the
+// cluster router forwards chunks verbatim like any other keyed read
+// and the breaker/retry stack sees idempotent single-chunk calls it
+// already knows how to handle. Over a multiplexed connection the client
+// reads ahead on one pool stripe (streamContent), so the round trip
+// leaves the stream's critical path while a small interactive call
+// waits behind at most the window's worth of video.
 //
 // The codec is hand-rolled binary, not gob: profiling the saturated
 // transport showed gob's per-call decoder compilation — not syscalls —
@@ -44,10 +46,24 @@ const DefaultStreamChunkBytes = 64 << 10
 // this op exists to avoid.
 const MaxStreamChunkBytes = 1 << 20
 
+// streamReadAhead is how many chunk requests a stream keeps in flight
+// beyond the chunk its sink is consuming. Measured (EXPERIMENTS E33):
+// one only overlaps the sink's own work, two take the round trip off
+// the critical path, three cost the interactive neighbour its latency.
+const streamReadAhead = 2
+
 // ErrBadChunk marks a GetContentStream payload that failed to decode
 // or a chunk sequence that broke its invariants (wrong offset,
-// out-of-order index, total drifting mid-stream).
+// out-of-order index, short non-terminal chunk, total drifting
+// mid-stream).
 var ErrBadChunk = errors.New("transport: malformed content chunk")
+
+// Chunks delivered to streams, and how long each stream sat blocked
+// for its next one: a round trip with no read-ahead, else next to nothing.
+var (
+	obsStreamChunks    = obs.GetCounter("transport_stream_chunks_total")
+	obsStreamChunkWait = obs.GetHistogram("transport_stream_chunk_wait_ns")
+)
 
 // streamReqVersion / chunkVersion pin the binary layouts; a decoder
 // seeing any other value rejects rather than misparsing.
@@ -229,12 +245,14 @@ func DecodeContentChunk(payload []byte) (*ContentChunk, error) {
 
 // registerContentStream mounts the chunk server on the mux, serving
 // straight off the store's borrowed (zero-copy) records: the only copy
-// between the store's bytes and the wire batch is the chunk encode.
+// between the store's bytes and the wire batch is the chunk encode,
+// into a pooled buffer the server's writer recycles once the bytes are
+// on the batch.
 func registerContentStream(m *Mux, store *mediastore.Store) {
-	m.RegisterCtx(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, error) {
+	m.registerPooled(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
 		ref, offset, maxBytes, err := DecodeGetContentStream(payload)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if maxBytes == 0 {
 			maxBytes = DefaultStreamChunkBytes
@@ -246,12 +264,12 @@ func registerContentStream(m *Mux, store *mediastore.Store) {
 		rec, err := store.GetContentBorrow(ref)
 		sp.End(err)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		data := rec.Data
 		total := uint64(len(data))
 		if offset > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: offset %d beyond content %q of %d bytes", ErrBadChunk, offset, ref, total)
+			return nil, nil, fmt.Errorf("%w: offset %d beyond content %q of %d bytes", ErrBadChunk, offset, ref, total)
 		}
 		end := offset + uint64(maxBytes)
 		if end > uint64(len(data)) {
@@ -269,8 +287,13 @@ func registerContentStream(m *Mux, store *mediastore.Store) {
 		if chunk.Last {
 			chunk.Keywords = rec.Keywords
 		}
-		out := make([]byte, 0, chunkWireOverhead(&chunk)+len(chunk.Data))
-		return AppendContentChunk(out, &chunk)
+		buf := getBuf(chunkWireOverhead(&chunk) + len(chunk.Data))
+		out, err := AppendContentChunk(buf, &chunk)
+		if err != nil {
+			putBuf(buf)
+			return nil, nil, err
+		}
+		return out, func() { putBuf(out) }, nil
 	})
 }
 
@@ -342,31 +365,78 @@ func (d DBClient) GetContentStream(ref string, sink func([]byte) error) (*medias
 // streamContent is the chunk loop. retain assembles the object into
 // rec.Data; otherwise the chunks only pass through sink and rec comes
 // back metadata-only.
+//
+// A stream holds one pool stripe from first chunk to last, so its
+// chunks arrive in order on one connection and the other stripes stay
+// clear for interactive calls. Chunk 0 is fetched alone (it carries
+// Total); from then on, over a connection that can start a call
+// without waiting for it, up to streamReadAhead further requests are
+// in flight while the sink consumes, and each is settled before the
+// stream returns — waited and released, or cancelled. Any other carrier
+// (retry, breaker, loopback) runs the same loop with nothing ahead:
+// one call per chunk, in sequence.
 func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool) (*mediastore.ContentRecord, error) {
+	c := d.C
+	conn, _ := c.(*TCPClient)
+	if p, ok := c.(*ClientPool); ok {
+		conn = p.pick()
+		conn.streams.Add(1)
+		defer conn.streams.Add(-1)
+		c = conn
+	}
+	var ahead [streamReadAhead]*pendingCall // chunk i's started call sits in slot i%len
+	next, started := uint32(0), uint32(0)   // chunks settled, chunks requested
+	defer func() {
+		for ; next < started; next++ {
+			ahead[next%streamReadAhead].cancel()
+		}
+	}()
 	rec := &mediastore.ContentRecord{Ref: ref}
 	var buf []byte
-	var off uint64
-	var idx uint32
 	var total uint64
 	for {
-		req, err := EncodeGetContentStream(ref, off, DefaultStreamChunkBytes)
+		idx := next
+		blocked := time.Now()
+		var payload []byte
+		var rel func()
+		var err error
+		if idx < started {
+			var resp *frame
+			payload, resp, err = ahead[idx%streamReadAhead].wait()
+			rel = poolRelease(resp)
+		} else {
+			var req []byte
+			if req, err = chunkRequest(ref, idx); err == nil {
+				payload, rel, err = CallInTracePooled(c, d.Trace, MethodGetContentStream, req)
+			}
+			started++
+		}
+		next++
+		obsStreamChunkWait.Observe(time.Since(blocked))
 		if err != nil {
 			return nil, err
 		}
-		payload, rel, err := CallInTracePooled(d.C, d.Trace, MethodGetContentStream, req)
-		if err != nil {
-			return nil, err
+		if rel == nil {
+			rel = func() {} // unpooled carrier: the payload is the GC's
 		}
 		ck, err := DecodeContentChunk(payload)
 		if err == nil {
-			err = checkChunk(ck, ref, off, idx, total)
+			err = checkChunk(ck, ref, idx, total)
+		}
+		// Top the window up before consuming: the chunk is in sequence,
+		// so its Total says how many more there are to ask for.
+		for err == nil && conn != nil && started <= idx+streamReadAhead && uint64(started)*DefaultStreamChunkBytes < ck.Total {
+			var req []byte
+			if req, err = chunkRequest(ref, started); err == nil {
+				ahead[started%streamReadAhead] = conn.start(d.Trace, MethodGetContentStream, req)
+				started++
+			}
 		}
 		if err != nil {
-			if rel != nil {
-				rel()
-			}
+			rel()
 			return nil, fmt.Errorf("content stream %q: %w", ref, err)
 		}
+		obsStreamChunks.Inc()
 		if idx == 0 {
 			total = ck.Total
 			if retain {
@@ -381,9 +451,7 @@ func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool
 		}
 		if sink != nil {
 			if err := sink(ck.Data); err != nil {
-				if rel != nil {
-					rel()
-				}
+				rel()
 				return nil, err
 			}
 		}
@@ -392,13 +460,9 @@ func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool
 			rec.Keywords = ck.Keywords
 		}
 		last := ck.Last
-		off += uint64(len(ck.Data))
-		idx++
 		// The chunk (and its Data view of the response) is consumed:
-		// recycle the response buffer before the next round trip.
-		if rel != nil {
-			rel()
-		}
+		// recycle the response buffer before waiting for the next.
+		rel()
 		if last {
 			break
 		}
@@ -407,19 +471,28 @@ func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool
 	return rec, nil
 }
 
-// checkChunk enforces the stream invariants on one received chunk:
-// right object, sequential offset and index, stable total. total is 0
-// before the first chunk (unknown); a zero-total first chunk is legal
-// only for an empty tail.
-func checkChunk(ck *ContentChunk, ref string, off uint64, idx uint32, total uint64) error {
+// chunkRequest encodes the request for chunk idx of a stream.
+func chunkRequest(ref string, idx uint32) ([]byte, error) {
+	return EncodeGetContentStream(ref, uint64(idx)*DefaultStreamChunkBytes, DefaultStreamChunkBytes)
+}
+
+// checkChunk enforces the stream invariants on received chunk idx:
+// right object, sequential offset and index, exactly the requested
+// bytes unless it is the last (read-ahead offsets assume it, and an
+// empty non-terminal chunk would never advance the stream), stable
+// total. total is 0 before the first chunk (unknown).
+func checkChunk(ck *ContentChunk, ref string, idx uint32, total uint64) error {
 	if ck.Ref != ref {
 		return fmt.Errorf("%w: chunk for %q", ErrBadChunk, ck.Ref)
 	}
-	if ck.Offset != off {
+	if off := uint64(idx) * DefaultStreamChunkBytes; ck.Offset != off {
 		return fmt.Errorf("%w: chunk at offset %d, want %d", ErrBadChunk, ck.Offset, off)
 	}
 	if ck.Index != idx {
 		return fmt.Errorf("%w: chunk index %d, want %d", ErrBadChunk, ck.Index, idx)
+	}
+	if !ck.Last && len(ck.Data) != DefaultStreamChunkBytes {
+		return fmt.Errorf("%w: non-terminal chunk of %d bytes, want %d", ErrBadChunk, len(ck.Data), DefaultStreamChunkBytes)
 	}
 	if idx > 0 && ck.Total != total {
 		return fmt.Errorf("%w: total changed mid-stream (%d -> %d; content republished?)", ErrBadChunk, total, ck.Total)

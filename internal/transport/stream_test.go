@@ -209,23 +209,27 @@ func TestGetContentStreamChecksInvariants(t *testing.T) {
 }
 
 // TestGetContentStreamHostileTotal: the total in a chunk header is the
-// peer's word. A broken or hostile peer answering a 7-byte non-final
-// chunk that claims a 4 EB object must cost the client a bounded
-// reservation and end in ErrBadChunk (the next chunk breaks sequence),
-// not a makeslice panic or an out-of-memory kill.
+// peer's word. A broken or hostile peer claiming a 4 EB object must cost
+// the client a bounded reservation and end in ErrBadChunk, not a
+// makeslice panic or an out-of-memory kill: a 7-byte non-final chunk is
+// refused at once (a non-terminal chunk carries exactly the requested
+// bytes), and a full-size one gets one frame's worth reserved before the
+// repeated chunk breaks sequence.
 func TestGetContentStreamHostileTotal(t *testing.T) {
-	lie := mustChunk(&ContentChunk{Ref: "store/big.mpg", Coding: "MPEG", Total: 1 << 62, Data: []byte("7 bytes")})
-	peer := HandlerFunc(func(string, []byte) ([]byte, error) { return lie, nil })
-	db := DBClient{C: Loopback{H: peer}}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := db.GetContentStream("store/big.mpg", nil)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrBadChunk) {
-		t.Fatalf("stream from a lying peer returned %v, want ErrBadChunk", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*MaxFrame {
-		t.Fatalf("lying peer made the client allocate %d bytes, want at most one frame's reservation", grew)
+	for _, data := range [][]byte{[]byte("7 bytes"), make([]byte, DefaultStreamChunkBytes)} {
+		lie := mustChunk(&ContentChunk{Ref: "store/big.mpg", Coding: "MPEG", Total: 1 << 62, Data: data})
+		peer := HandlerFunc(func(string, []byte) ([]byte, error) { return lie, nil })
+		db := DBClient{C: Loopback{H: peer}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := db.GetContentStream("store/big.mpg", nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadChunk) {
+			t.Fatalf("stream from a lying peer returned %v, want ErrBadChunk", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*MaxFrame {
+			t.Fatalf("lying peer made the client allocate %d bytes, want at most one frame's reservation", grew)
+		}
 	}
 }
 

@@ -46,10 +46,11 @@ func writeFrame(w io.Writer, f *frame) error {
 	return err
 }
 
-// readChunk is the initial/step allocation for frame bodies: large
-// enough that ordinary frames take one allocation, small enough that a
-// hostile header can't reserve much before any payload arrives.
-const readChunk = 64 << 10
+// readGrant is the first allocation for a frame body: a default
+// stream chunk plus its chunk and frame headers, so the frame the
+// delivery path moves most takes one buffer and no grow-copy, while a
+// hostile header still reserves little before any payload arrives.
+const readGrant = DefaultStreamChunkBytes + 1<<10
 
 // readFrame receives one length-prefixed frame. With pooled set, the
 // body buffer comes from (and, on decode failure, returns to) the
@@ -104,48 +105,28 @@ func frameBuf(n int, pooled bool) []byte {
 
 // readBody reads exactly n bytes, growing the buffer as data actually
 // arrives: a peer advertising a huge-but-legal length gets at most one
-// readChunk of memory up front, and capacity only doubles after the
+// readGrant of memory up front, and capacity only doubles after the
 // previously granted bytes have been delivered. Growth intermediates
 // (and the result, on error) go back to the pool when pooled.
 func readBody(r io.Reader, n int, pooled bool) ([]byte, error) {
-	if n <= readChunk {
-		body := frameBuf(n, pooled)
-		if _, err := io.ReadFull(r, body); err != nil {
-			if pooled {
-				putBuf(body)
-			}
-			return nil, err
-		}
-		return body, nil
-	}
-	buf := frameBuf(readChunk, pooled)
-	read := 0
-	for read < n {
-		want := n - read
-		if want > readChunk {
-			want = readChunk
-		}
-		if read+want > len(buf) {
-			grown := 2 * len(buf)
-			if grown > n {
-				grown = n
-			}
-			nb := frameBuf(grown, pooled)
-			copy(nb, buf[:read])
-			if pooled {
-				putBuf(buf)
-			}
-			buf = nb
-		}
-		if _, err := io.ReadFull(r, buf[read:read+want]); err != nil {
+	buf := frameBuf(min(n, readGrant), pooled)
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
 			if pooled {
 				putBuf(buf)
 			}
 			return nil, err
 		}
-		read += want
+		if read = len(buf); read == n {
+			return buf, nil
+		}
+		grown := frameBuf(min(2*read, n), pooled)
+		copy(grown, buf)
+		if pooled {
+			putBuf(buf)
+		}
+		buf = grown
 	}
-	return buf[:n], nil
 }
 
 // TCPServer serves a Handler over TCP — the content server process of
@@ -157,9 +138,11 @@ func readBody(r io.Reader, n int, pooled bool) ([]byte, error) {
 type TCPServer struct {
 	handler Handler
 
-	// ctxHandler is handler's CtxHandler view, probed once at
-	// construction; nil for trace-blind handlers.
-	ctxHandler CtxHandler
+	// ctxHandler and pooledHandler are handler's CtxHandler and
+	// PooledCtxHandler views, probed once at construction; nil when the
+	// handler is trace-blind or never hands out pooled responses.
+	ctxHandler    CtxHandler
+	pooledHandler PooledCtxHandler
 
 	// ConnTimeout, when set, bounds each frame read and write on every
 	// connection (a per-operation deadline): a stalled or vanished
@@ -192,7 +175,8 @@ const DefaultMaxInFlight = 32
 // nested RPCs stay in the caller's trace.
 func NewTCPServer(h Handler) *TCPServer {
 	ch, _ := h.(CtxHandler)
-	return &TCPServer{handler: h, ctxHandler: ch, conns: make(map[net.Conn]bool)}
+	ph, _ := h.(PooledCtxHandler)
+	return &TCPServer{handler: h, ctxHandler: ch, pooledHandler: ph, conns: make(map[net.Conn]bool)}
 }
 
 // Listen starts accepting on addr ("127.0.0.1:0" for tests) and returns
@@ -331,11 +315,21 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 }
 
 // respEntry pairs a completed response with the request frame whose
-// pooled buffer it may alias; the writer recycles the request only
-// after the response bytes are encoded.
+// pooled buffer it may alias and, for a pooled response, the handler's
+// release; the writer recycles both only after the response bytes are
+// encoded — or the entry is discarded — and exactly once.
 type respEntry struct {
-	resp *frame
-	req  *frame
+	resp    *frame
+	req     *frame
+	release func() // nil unless the payload is a pooled buffer
+}
+
+// done recycles what the entry holds once nothing reads it any more.
+func (e respEntry) done() {
+	releaseFrame(e.req)
+	if e.release != nil {
+		e.release()
+	}
 }
 
 // respWriter is a connection's flush-combining response writer. A
@@ -371,7 +365,7 @@ func (rw *respWriter) enqueue(e respEntry) {
 	rw.mu.Lock()
 	if rw.dead {
 		rw.mu.Unlock()
-		releaseFrame(e.req)
+		e.done()
 		return
 	}
 	rw.queue = append(rw.queue, e)
@@ -394,8 +388,8 @@ func (rw *respWriter) enqueue(e respEntry) {
 				werr = rw.w.add(be.resp)
 			}
 			// add copied the response out (or the write is already
-			// failed); the request buffer it may alias is recyclable.
-			releaseFrame(be.req)
+			// failed); its buffer and the request's are recyclable.
+			be.done()
 		}
 		if werr == nil {
 			werr = rw.w.flush()
@@ -421,7 +415,7 @@ func (rw *respWriter) enqueue(e respEntry) {
 // discardLocked releases everything still queued. Caller holds mu.
 func (rw *respWriter) discardLocked() {
 	for _, e := range rw.queue {
-		releaseFrame(e.req)
+		e.done()
 	}
 	rw.queue = rw.queue[:0]
 }
@@ -453,12 +447,16 @@ func (s *TCPServer) handleRequest(rw *respWriter, req *frame) {
 	}
 	start := time.Now()
 	var payload []byte
+	var release func()
 	var herr error
-	if s.ctxHandler != nil {
-		// sp.Context() parents nested work under the server span; it is
-		// the zero context (untraced) when sp is nil.
+	// sp.Context() parents nested work under the server span; it is the
+	// zero context (untraced) when sp is nil.
+	switch {
+	case s.pooledHandler != nil:
+		payload, release, herr = s.pooledHandler.HandleCtxPooled(sp.Context(), req.method, req.payload)
+	case s.ctxHandler != nil:
 		payload, herr = s.ctxHandler.HandleCtx(sp.Context(), req.method, req.payload)
-	} else {
+	default:
 		payload, herr = s.handler.Handle(req.method, req.payload)
 	}
 	// The method name is the peer's word until a handler has accepted
@@ -482,7 +480,7 @@ func (s *TCPServer) handleRequest(rw *respWriter, req *frame) {
 	// The response may alias the request payload (echo-style handlers);
 	// the writer recycles the request buffer only after encoding the
 	// response, so the pair travels together.
-	rw.enqueue(respEntry{resp: resp, req: req})
+	rw.enqueue(respEntry{resp: resp, req: req, release: release})
 }
 
 // Close stops the listener and all connections, waiting for serving
@@ -523,9 +521,10 @@ type TCPClient struct {
 	// discarded by correlation ID. Set before the first Call.
 	Timeout time.Duration
 
-	conn  net.Conn
-	sendq chan *pendingCall
-	quit  chan struct{} // closed exactly once by Close
+	conn    net.Conn
+	sendq   chan *pendingCall
+	quit    chan struct{} // closed exactly once by Close
+	streams atomic.Int32  // content streams holding this stripe of a pool
 
 	mu       sync.Mutex
 	pending  map[uint64]*pendingCall
@@ -539,20 +538,25 @@ type TCPClient struct {
 	wg sync.WaitGroup // writer + reader loops
 }
 
-// pendingCall is one in-flight request parked in the pending map:
-// completion (response, connection failure, or close-drain) sets resp
-// or err and closes done exactly once.
+// pendingCall is one started request: start parks it in the pending
+// map and hands its frame to the writer, completion (response,
+// connection failure, or close-drain) sets resp or err and closes done
+// exactly once, and the caller settles it exactly once — wait, or
+// cancel for a call nobody will wait for.
 type pendingCall struct {
-	req    *frame
-	method string
-	done   chan struct{}
-	resp   *frame
-	err    error
+	c       *TCPClient
+	sp      *obs.Span     // client span, opened by start and ended by settle
+	timeout time.Duration // the client's per-call deadline, counted from start; 0 = none
+	req     *frame
+	method  string
+	done    chan struct{}
+	resp    *frame
+	err     error
 
-	// abandoned is set when the call times out while its frame may
-	// still be queued behind the writer; the writer drops flagged
-	// frames instead of spending wire bytes and a server MaxInFlight
-	// slot on a response nobody will take.
+	// abandoned is set when the call times out or is cancelled while
+	// its frame may still be queued behind the writer; the writer drops
+	// flagged frames instead of spending wire bytes and a server
+	// MaxInFlight slot on a response nobody will take.
 	abandoned atomic.Bool
 }
 
@@ -597,8 +601,9 @@ func NewTCPClient(conn net.Conn) *TCPClient {
 	return c
 }
 
-// Call implements Client: issue a request, wait for its response.
-// Safe for concurrent use; calls pipeline onto the one connection.
+// Call implements Client: issue a request, wait for its response —
+// like every synchronous variant below, start-then-wait. Safe for
+// concurrent use; calls pipeline onto the one connection.
 // Every call opens a fresh trace whose IDs ride the frame header, so
 // the server's span lands in the same trace as the client's. The
 // returned payload is caller-owned: its backing buffer is simply left
@@ -614,7 +619,7 @@ func (c *TCPClient) Call(method string, payload []byte) ([]byte, error) {
 // call travelled under opens the root span itself and passes its
 // context. A zero sc opens a fresh trace, like Call.
 func (c *TCPClient) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	out, _, err := c.callSpan(sc, method, payload)
+	out, _, err := c.start(sc, method, payload).wait()
 	return out, err
 }
 
@@ -627,7 +632,7 @@ func (c *TCPClient) CallInTrace(sc obs.SpanContext, method string, payload []byt
 // decoding. Dropping release instead of calling it is always safe: the
 // buffer just falls to the GC.
 func (c *TCPClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-	out, resp, err := c.callSpan(sc, method, payload)
+	out, resp, err := c.start(sc, method, payload).wait()
 	return out, poolRelease(resp), err
 }
 
@@ -638,22 +643,6 @@ func poolRelease(f *frame) func() {
 		return nil
 	}
 	return func() { releaseFrame(f) }
-}
-
-// callSpan issues the call under a client span continuing sc and
-// settles the span and the per-method metrics. The returned frame is
-// the pooled response (nil on error); pooled callers adapt it via
-// poolRelease, plain callers drop it.
-func (c *TCPClient) callSpan(sc obs.SpanContext, method string, payload []byte) ([]byte, *frame, error) {
-	sp := obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent)
-	payload, resp, err := c.issue(sp, method, payload)
-	sp.End(err)
-	obs.Observe("transport_client_latency_ns", sp.Dur, "method", method)
-	obs.GetCounter("transport_client_rpcs_total", "method", method).Inc()
-	if err != nil {
-		obs.GetCounter("transport_client_errors_total", "method", method).Inc()
-	}
-	return payload, resp, err
 }
 
 // Err reports the client's terminal state: nil while the connection is
@@ -669,18 +658,19 @@ func (c *TCPClient) Err() error {
 	return c.dead
 }
 
-// issue registers the call in the pending map, hands its frame to the
-// writer goroutine, and waits for completion or the per-call deadline.
-// Every failure it returns is typed: RemoteError for server-side
-// failures, otherwise a CallError wrapping ErrCallTimeout /
-// ErrPeerClosed / ErrBadFrame — raw io.EOF or net timeouts never leak.
-// On success the pooled response frame rides along for callers that
-// recycle its buffer.
-func (c *TCPClient) issue(sp *obs.Span, method string, payload []byte) ([]byte, *frame, error) {
-	pc := &pendingCall{method: method, done: make(chan struct{})}
-	corr, err := c.register(pc, method, payload, sp)
-	if err != nil {
-		return nil, nil, &CallError{Method: method, Err: err}
+// start opens the client span continuing sc, registers the call in the
+// pending map and hands its frame to the writer goroutine, without
+// waiting for the response: the primitive under every synchronous
+// variant, and what lets a stream keep requests in flight while it
+// consumes. A call that could not start is returned already failed.
+func (c *TCPClient) start(sc obs.SpanContext, method string, payload []byte) *pendingCall {
+	pc := &pendingCall{c: c, method: method, done: make(chan struct{})}
+	pc.timeout = c.Timeout //mits:nolock Timeout is set before the first Call and read-only after
+	pc.sp = obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent)
+	if err := c.register(pc, payload); err != nil {
+		pc.err = err
+		close(pc.done)
+		return pc
 	}
 	select {
 	case c.sendq <- pc:
@@ -688,70 +678,108 @@ func (c *TCPClient) issue(sp *obs.Span, method string, payload []byte) ([]byte, 
 		// The connection died while the send queue was full: fail()
 		// completes every registered call — including this one, parked
 		// here before its frame ever reached the writer. Without this
-		// case the caller would hang forever (the per-call timer is
-		// armed only after a successful enqueue). Fall through to take
-		// the failure from the completion wait.
+		// case the caller would hang forever when no per-call timeout is
+		// set. The failure is taken by wait.
 	case <-c.quit:
 		// Close raced the enqueue; its drain fails us (we are already
-		// registered), so fall through to the completion wait.
+		// registered), and wait takes that.
 	}
+	return pc
+}
+
+// wait blocks until the call completes or its deadline passes, and
+// settles it. Every failure it returns is typed:
+// RemoteError for server-side failures, otherwise a CallError wrapping
+// ErrCallTimeout / ErrPeerClosed / ErrBadFrame — raw io.EOF or net
+// timeouts never leak. On success the pooled response frame rides
+// along for callers that recycle its buffer.
+func (pc *pendingCall) wait() ([]byte, *frame, error) {
 	var deadline <-chan time.Time
-	if c.Timeout > 0 { //mits:nolock Timeout is set before the first Call and read-only after
-		t := time.NewTimer(c.Timeout)
+	if pc.timeout > 0 {
+		t := time.NewTimer(time.Until(pc.sp.Start.Add(pc.timeout)))
 		defer t.Stop()
 		deadline = t.C
 	}
 	select {
 	case <-pc.done:
 	case <-deadline:
-		if c.abandon(corr) {
-			return nil, nil, &CallError{Method: method, Err: fmt.Errorf("%w (after %v)", ErrCallTimeout, c.Timeout)}
+		if pc.c.abandon(pc) {
+			return nil, nil, pc.settle(fmt.Errorf("%w (after %v)", ErrCallTimeout, pc.timeout))
 		}
 		<-pc.done // completion won the race; take its result
 	}
-	if pc.err != nil {
-		var remote *RemoteError
-		if errors.As(pc.err, &remote) {
-			return nil, nil, pc.err
-		}
-		return nil, nil, &CallError{Method: method, Err: pc.err}
+	if err := pc.settle(pc.err); err != nil {
+		return nil, nil, err
 	}
 	return pc.resp.payload, pc.resp, nil
 }
 
+var errCallCancelled = errors.New("transport: call cancelled")
+
+// cancel settles a started call nobody will wait for, with
+// errCallCancelled: it leaves the pending map like a timed-out call (a
+// frame still queued is dropped unwritten, a late response is discarded
+// by correlation ID), and a response that already arrived is recycled.
+func (pc *pendingCall) cancel() {
+	if !pc.c.abandon(pc) {
+		<-pc.done
+		if pc.resp != nil {
+			releaseFrame(pc.resp)
+		}
+	}
+	pc.settle(errCallCancelled) //mits:allow errdrop the caller is already failing with its own error
+}
+
+// settle ends the call's span, records the per-method metrics and
+// types the error: a RemoteError passes through, any other failure is
+// wrapped in a CallError.
+func (pc *pendingCall) settle(err error) error {
+	var remote *RemoteError
+	if err != nil && !errors.As(err, &remote) {
+		err = &CallError{Method: pc.method, Err: err}
+	}
+	pc.sp.End(err)
+	obs.Observe("transport_client_latency_ns", pc.sp.Dur, "method", pc.method)
+	obs.GetCounter("transport_client_rpcs_total", "method", pc.method).Inc()
+	if err != nil {
+		obs.GetCounter("transport_client_errors_total", "method", pc.method).Inc()
+	}
+	return err
+}
+
 // register allocates the call's correlation ID and parks it in the
 // pending map, failing fast on a closed or dead client.
-func (c *TCPClient) register(pc *pendingCall, method string, payload []byte, sp *obs.Span) (uint64, error) {
+func (c *TCPClient) register(pc *pendingCall, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return 0, errClientClosed
+		return errClientClosed
 	}
 	if c.dead != nil {
-		return 0, c.dead
+		return c.dead
 	}
 	c.nextCorr++
 	corr := c.nextCorr
 	pc.req = &frame{
-		kind: kindRequest, id: corr, corr: corr, method: method, payload: payload,
-		trace: uint64(sp.Trace), span: uint64(sp.ID),
+		kind: kindRequest, id: corr, corr: corr, method: pc.method, payload: payload,
+		trace: uint64(pc.sp.Trace), span: uint64(pc.sp.ID),
 	}
 	c.pending[corr] = pc
-	return corr, nil
+	return nil
 }
 
-// abandon removes a timed-out call from the pending map, reporting
-// whether the entry was still there (false means a completion won the
-// race and the caller must take its result instead).
-func (c *TCPClient) abandon(corr uint64) bool {
+// abandon removes a timed-out or cancelled call from the pending map,
+// reporting whether the entry was still there (false means a
+// completion won the race — or the call never started — and the caller
+// must take its result instead).
+func (c *TCPClient) abandon(pc *pendingCall) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pc, ok := c.pending[corr]
-	if !ok {
+	if pc.req == nil || c.pending[pc.req.corr] != pc {
 		return false
 	}
 	pc.abandoned.Store(true) // the writer skips the frame if it is still queued
-	delete(c.pending, corr)
+	delete(c.pending, pc.req.corr)
 	return true
 }
 

@@ -26,12 +26,20 @@ go run ./cmd/mitslint -ci -baseline lint.baseline.json ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The benchmark is its own module compiled against this tree's
+# transport surface, and program PRs may not edit it: a change that
+# breaks it must fail here, not in the benchmark driver.
+echo "==> go -C bench vet ./... && go -C bench test ./..."
+go -C bench vet ./...
+go -C bench test ./...
+
 # Fuzz smoke: each decoder fuzzer runs briefly so a regression that
 # only hostile input reaches fails the gate, not a user. The checked-in
 # seed corpora already replayed in the test run above; this explores
 # beyond them. Sequential: go fuzzing owns all CPUs per target.
 for target in \
 	FuzzFrameDecode:./internal/transport/ \
+	FuzzContentChunkDecode:./internal/transport/ \
 	FuzzAAL5Reassemble:./internal/atm/ \
 	FuzzMHEGDecode:./internal/mheg/codec/ \
 	FuzzMarkupParse:./internal/markup/ \

@@ -24,6 +24,7 @@ lint:
 fuzz:
 	go test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/transport/
 	go test -fuzz=FuzzContentChunkDecode -fuzztime=10s ./internal/transport/
+	go test -fuzz=FuzzGobDecodeDifferential -fuzztime=10s ./internal/transport/
 	go test -fuzz=FuzzAAL5Reassemble -fuzztime=10s ./internal/atm/
 	go test -fuzz=FuzzMHEGDecode -fuzztime=10s ./internal/mheg/codec/
 	go test -fuzz=FuzzMarkupParse -fuzztime=10s ./internal/markup/
@@ -77,18 +78,19 @@ cluster:
 # Race-stress gate: the concurrency-protocol suites that guard the
 # multiplexed hot path — transport pipelining (out-of-order completion,
 # conn-death drain, blocked-enqueue release, abandoned frames, the
-# stream window's settle-every-started-call accounting), the cache
-# singleflight, and the cluster failover ladder (replica death
-# mid-stream vs the replication appliers) — repeated 5× under the race
+# stream window's settle-every-started-call accounting, the process-wide
+# codec pools under eight callers), the cache singleflight, and the
+# cluster failover ladder (replica death mid-stream vs the replication
+# appliers, the relay's release-exactly-once) — repeated 5× under the race
 # detector so scheduling-dependent interleavings get real coverage, not
 # one lucky pass. chanwait/atomicmix/poolcheck/deadlinecheck prove the
 # protocol shapes statically; this leg hammers the shapes they cannot
 # see.
 .PHONY: racestress
 racestress:
-	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation|TestStreamSettlesEveryStartedCall|TestStreamOrderAndEquivalence|TestServerReleasesPooledResponseExactlyOnce' ./internal/transport/
+	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation|TestStreamSettlesEveryStartedCall|TestStreamOrderAndEquivalence|TestServerReleasesPooledResponseExactlyOnce|TestCodecConcurrent' ./internal/transport/
 	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
-	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition' ./internal/cluster/
+	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition|TestRouterRelayReleasesExactlyOnce' ./internal/cluster/
 
 # Observability checks alone: obs + collector + transport tests under
 # the race detector, the two-leg smoke (traced-RPC scrape + three-node

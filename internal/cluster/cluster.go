@@ -28,14 +28,15 @@
 //     total blackout errors.
 //
 // The router speaks the ordinary courseware-database wire protocol on
-// both faces: it is a transport.Handler/CtxHandler (mount it on a mux
-// or serve it over TCP via cmd/mitsd -cluster) and it forwards
-// verbatim payloads to replicas via DBClient.Do, so stores, clients
-// and caches are unchanged. "Media Objects in Time" is the reason the
-// read path never blocks on a dead node: continuous-media reads must
-// keep flowing when a replica dies mid-stream, which E31 validates
-// with chaos scenarios (replica kill, shard partition,
-// heal-while-streaming).
+// both faces: it is a transport.Handler/CtxHandler/PooledCtxHandler
+// (mount it on a mux or serve it over TCP via cmd/mitsd -cluster) and
+// it forwards verbatim payloads to replicas via DBClient.Do — relaying
+// each answer's pooled buffer to the front door's writer rather than
+// copying it — so stores, clients and caches are unchanged. "Media
+// Objects in Time" is the reason the read path never blocks on a dead
+// node: continuous-media reads must keep flowing when a replica dies
+// mid-stream, which E31 validates with chaos scenarios (replica kill,
+// shard partition, heal-while-streaming).
 package cluster
 
 import (
@@ -136,8 +137,9 @@ func (g *replGroup) closeAll() {
 	}
 }
 
-// Router is the cluster front door. It implements transport.Handler
-// and transport.CtxHandler over the courseware-database method set.
+// Router is the cluster front door. It implements transport.Handler,
+// transport.CtxHandler and transport.PooledCtxHandler over the
+// courseware-database method set.
 type Router struct {
 	shards []*shard
 	ring   *ring
@@ -298,8 +300,10 @@ func isNotFound(err error) bool {
 // failures and not-found answers (which may be replication lag) fall
 // through to the next rung; any other remote error is authoritative
 // and returns immediately. The primary's answer — including its
-// not-found — is final.
-func (r *Router) read(sc obs.SpanContext, sh *shard, method string, payload []byte) ([]byte, error) {
+// not-found — is final. The answer is the replica client's buffer,
+// not a copy: whoever takes it owes release (when non-nil) exactly
+// once, after the last byte is read.
+func (r *Router) read(sc obs.SpanContext, sh *shard, method string, payload []byte) ([]byte, func(), error) {
 	ladder := append(orderByHealth(sh.replicas), sh.primary)
 	var lastErr error
 	for i, rep := range ladder {
@@ -307,16 +311,16 @@ func (r *Router) read(sc obs.SpanContext, sh *shard, method string, payload []by
 			r.readFailovers.Inc()
 		}
 		start := time.Now()
-		out, err := rep.DB.WithTrace(sc).Do(method, payload)
+		out, release, err := rep.DB.WithTrace(sc).Do(method, payload)
 		if err == nil {
 			rep.recordOutcome(time.Since(start), false)
-			return out, nil
+			return out, release, nil
 		}
 		var remote *transport.RemoteError
 		if errors.As(err, &remote) {
 			rep.recordOutcome(time.Since(start), false) // the node answered
 			if !isNotFound(err) {
-				return nil, err // deterministic server-side failure
+				return nil, nil, err // deterministic server-side failure
 			}
 			lastErr = err // maybe lag: ask the next rung, ultimately the primary
 			continue
@@ -330,7 +334,7 @@ func (r *Router) read(sc obs.SpanContext, sh *shard, method string, payload []by
 	} else if !isNotFound(lastErr) {
 		lastErr = fmt.Errorf("%w: %w", ErrAllReplicasFailed, lastErr)
 	}
-	return nil, lastErr
+	return nil, nil, lastErr
 }
 
 // --- writes: primary accepts, appliers converge the replicas ---
@@ -339,20 +343,23 @@ func (r *Router) read(sc obs.SpanContext, sh *shard, method string, payload []by
 // enqueues the identical wire op for every read replica. The caller
 // sees exactly the primary's answer; replication is asynchronous and
 // its lag observable (cluster_replication_backlog / _lag_ns gauges).
-func (r *Router) write(sc obs.SpanContext, sh *shard, method string, payload []byte) ([]byte, error) {
-	out, err := sh.primary.DB.WithTrace(sc).Do(method, payload)
+func (r *Router) write(sc obs.SpanContext, sh *shard, method string, payload []byte) ([]byte, func(), error) {
+	out, release, err := sh.primary.DB.WithTrace(sc).Do(method, payload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sh.repl.enqueueAll(replOp{method: method, payload: payload, accepted: time.Now()})
-	return out, nil
+	return out, release, nil
 }
 
 // --- scatter-gather: listings, keyword search, keyword tree ---
 
-// shardAnswer is one shard's leg of a fan-out query.
+// shardAnswer is one shard's leg of a fan-out query. The payload is the
+// leg's pooled response; release gives it back once the merge has
+// decoded it.
 type shardAnswer struct {
 	payload []byte
+	release func()
 	err     error
 }
 
@@ -365,12 +372,22 @@ func (r *Router) scatter(sc obs.SpanContext, method string, payload []byte) []sh
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			out, err := r.read(sc, sh, method, payload)
-			answers[i] = shardAnswer{payload: out, err: err}
+			out, release, err := r.read(sc, sh, method, payload)
+			answers[i] = shardAnswer{payload: out, release: release, err: err}
 		}(i, sh)
 	}
 	wg.Wait()
 	return answers
+}
+
+// releaseAll gives every leg's pooled response back; a merge defers it,
+// since what it decodes out of the legs is copied.
+func releaseAll(answers []shardAnswer) {
+	for _, a := range answers {
+		if a.release != nil {
+			a.release()
+		}
+	}
 }
 
 // gatherTally applies the partial-result policy to a scatter's
@@ -402,7 +419,9 @@ func (r *Router) gatherTally(answers []shardAnswer) (served []shardAnswer, faile
 // scatterNames merges the []string responses of a fan-out method
 // (ListDocs, DocByKeyword): union, deduplicated, sorted.
 func (r *Router) scatterNames(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	served, _, err := r.gatherTally(r.scatter(sc, method, payload))
+	answers := r.scatter(sc, method, payload)
+	defer releaseAll(answers)
+	served, _, err := r.gatherTally(answers)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +441,9 @@ func (r *Router) scatterNames(sc obs.SpanContext, method string, payload []byte)
 // scatterTree merges the per-shard keyword-tree snapshots into one
 // tree (same node set a single store would have built).
 func (r *Router) scatterTree(sc obs.SpanContext, payload []byte) ([]byte, error) {
-	served, _, err := r.gatherTally(r.scatter(sc, transport.MethodKeywordTree, payload))
+	answers := r.scatter(sc, transport.MethodKeywordTree, payload)
+	defer releaseAll(answers)
+	served, _, err := r.gatherTally(answers)
 	if err != nil {
 		return nil, err
 	}

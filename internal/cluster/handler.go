@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -14,11 +15,25 @@ func (r *Router) Handle(method string, payload []byte) ([]byte, error) {
 	return r.HandleCtx(obs.SpanContext{}, method, payload)
 }
 
-// HandleCtx implements transport.CtxHandler: the router's whole wire
-// surface. Keyed methods hash to their owning shard — reads walk the
-// failover ladder, writes go primary-then-replicate; unkeyed methods
-// scatter to every shard and gather with partial-result degradation.
+// HandleCtx implements transport.CtxHandler, for a caller that cannot
+// release: it gets a copy of a relayed response, the pool its buffer.
 func (r *Router) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
+	out, release, err := r.HandleCtxPooled(sc, method, payload)
+	if release != nil {
+		out = bytes.Clone(out)
+		release()
+	}
+	return out, err
+}
+
+// HandleCtxPooled implements transport.PooledCtxHandler: the router's
+// whole wire surface. Keyed methods hash to their owning shard — reads
+// walk the failover ladder, writes go primary-then-replicate — and the
+// node's answer is relayed as it arrived, its pooled buffer released by
+// the serving connection once the bytes are on the wire; unkeyed
+// methods scatter to every shard and gather with partial-result
+// degradation.
+func (r *Router) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	// The server recycles the request buffer when this handler returns,
 	// but the replication queues (and a timed-out forward's still-queued
 	// frame) outlive it — take a private copy once, up front.
@@ -32,27 +47,30 @@ func (r *Router) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([
 		// independently walks the failover ladder.
 		key, err := transport.RequestKey(method, payload)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return r.read(sc, r.shards[r.ring.shardFor(key)], method, payload)
 	case transport.MethodPutDoc, transport.MethodPutContent:
 		key, err := transport.RequestKey(method, payload)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return r.write(sc, r.shards[r.ring.shardFor(key)], method, payload)
 	case transport.MethodListDocs, transport.MethodDocByKeyword:
-		return r.scatterNames(sc, method, payload)
+		out, err := r.scatterNames(sc, method, payload)
+		return out, nil, err
 	case transport.MethodKeywordTree:
-		return r.scatterTree(sc, payload)
+		out, err := r.scatterTree(sc, payload)
+		return out, nil, err
 	}
 	// Anything else (obs.Export, future methods) is not a cluster
 	// concern; answer like a mux with no such handler.
-	return nil, fmt.Errorf("%w: %q", transport.ErrUnknownMethod, method)
+	return nil, nil, fmt.Errorf("%w: %q", transport.ErrUnknownMethod, method)
 }
 
 // Register mounts the router's method set on a mux, so a TCP server
-// (or loopback) serves the cluster exactly like a single store.
+// (or loopback) serves the cluster exactly like a single store —
+// relayed buffers and their releases included.
 func (r *Router) Register(m *transport.Mux) {
 	methods := []string{
 		transport.MethodListDocs,
@@ -65,9 +83,7 @@ func (r *Router) Register(m *transport.Mux) {
 		transport.MethodPutContent,
 	}
 	for _, method := range methods {
-		m.RegisterCtx(method, func(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-			return r.HandleCtx(sc, method, payload)
-		})
+		m.RegisterPooled(method, r.HandleCtxPooled)
 	}
 }
 

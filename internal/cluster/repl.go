@@ -119,7 +119,10 @@ func (a *applier) run() {
 		if !ok {
 			return
 		}
-		_, err := a.rep.DB.Do(op.method, op.payload)
+		_, release, err := a.rep.DB.Do(op.method, op.payload)
+		if release != nil {
+			release() // the replica's acknowledgement carries nothing the applier reads
+		}
 		if err != nil {
 			var remote *transport.RemoteError
 			if !errors.As(err, &remote) {

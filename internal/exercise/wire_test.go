@@ -72,3 +72,13 @@ func TestWireGolden(t *testing.T) {
 	}
 	wire.Golden(t, "testdata/wire.golden")
 }
+
+// TestWireRepeatCalls: the golden pins each method's first call, which
+// meets fresh codecs; calls two and three meet primed ones and must put
+// the same bytes on the wire, requests and responses alike.
+func TestWireRepeatCalls(t *testing.T) {
+	if wireErr != nil {
+		t.Fatal(wireErr)
+	}
+	wire.Repeat(t, recordWire)
+}

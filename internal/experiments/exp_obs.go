@@ -29,12 +29,19 @@ func (s stallMux) Handle(method string, payload []byte) ([]byte, error) {
 }
 
 func (s stallMux) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
+	out, _, err := s.HandleCtxPooled(sc, method, payload)
+	return out, err
+}
+
+// HandleCtxPooled passes the mux's pooled response and its release on to
+// the serving connection (transport.PooledCtxHandler).
+func (s stallMux) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	if method == transport.MethodGetContent {
 		if d := s.inj.CallStall(method); d > 0 {
 			time.Sleep(d) //mits:allow sleepless injected store-side stall is a real wall-clock wait
 		}
 	}
-	return s.mux.HandleCtx(sc, method, payload)
+	return s.mux.HandleCtxPooled(sc, method, payload)
 }
 
 // E30TraceCollection reproduces the operational question behind the

@@ -135,3 +135,13 @@ func TestCallsContinueTheCallersTrace(t *testing.T) {
 			root.ID, client.Parent, client.ID, server.Parent)
 	}
 }
+
+// TestWireRepeatCalls: the golden pins each method's first call, which
+// meets fresh codecs; calls two and three meet primed ones and must put
+// the same bytes on the wire, requests and responses alike.
+func TestWireRepeatCalls(t *testing.T) {
+	if wireErr != nil {
+		t.Fatal(wireErr)
+	}
+	wire.Repeat(t, recordWire)
+}

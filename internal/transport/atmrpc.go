@@ -226,7 +226,7 @@ func (s *ATMSession) onRequest(pdu []byte, _, _ sim.Time) {
 		if req.trace != 0 {
 			sp = obs.ContinueSpan(req.method, "server", obs.TraceID(req.trace), obs.SpanID(req.span))
 		}
-		payload, herr := s.handler.Handle(req.method, req.payload)
+		payload, release, herr := Loopback{H: s.handler}.CallInTracePooled(obs.SpanContext{}, req.method, req.payload)
 		sp.End(herr)
 		resp := &frame{kind: kindResponse, id: req.id, trace: req.trace, span: req.span, payload: payload}
 		if herr != nil {
@@ -234,6 +234,9 @@ func (s *ATMSession) onRequest(pdu []byte, _, _ sim.Time) {
 			resp.payload = nil
 		}
 		body := resp.marshal()
+		if release != nil {
+			release() // a pooled response: marshal copied it
+		}
 		s.rspBytes += int64(len(body))
 		obsATMBytes.Add(int64(len(body)))
 		sendChunked(s.s2c, body) //mits:allow errdrop closed session drops responses

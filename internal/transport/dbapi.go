@@ -103,6 +103,12 @@ func DecodeContentRecord(data []byte) (*mediastore.ContentRecord, error) {
 // a thin, exported view of the wire structs for exactly that — the
 // payloads themselves are forwarded verbatim via DBClient.Do.
 
+// putDocKey and putContentKey read a put for its routing key alone: gob
+// skips the fields a target lacks, so routing a write does not materialise
+// its Data. (Not the gets' types: learned prefixes are bounded per target.)
+type putDocKey struct{ Name string }
+type putContentKey struct{ Ref string }
+
 // RequestKey extracts the routing key of a keyed request payload: the
 // document name for Get_Selected_Doc/PutDocument, the content ref for
 // GetContent/PutContent. Methods that have no single key (list and
@@ -116,11 +122,11 @@ func RequestKey(method string, payload []byte) (string, error) {
 		var req getContentReq
 		return req.Ref, gobDecode(payload, &req)
 	case MethodPutDoc:
-		var req putDocReq
-		return req.Name, gobDecode(payload, &req)
+		var key putDocKey
+		return key.Name, gobDecode(payload, &key)
 	case MethodPutContent:
-		var req putContentReq
-		return req.Ref, gobDecode(payload, &req)
+		var key putContentKey
+		return key.Ref, gobDecode(payload, &key)
 	case MethodGetContentStream:
 		ref, _, _, err := DecodeGetContentStream(payload)
 		return ref, err
@@ -191,9 +197,10 @@ func (d DBClient) WithTrace(sc obs.SpanContext) DBClient {
 // stack (trace, breaker, retry — whatever the carrier composes). It is
 // the forwarding hook for proxies that route by inspecting the payload
 // rather than re-marshalling it: the cluster router decodes just the
-// routing key and ships the original bytes to the chosen replica.
-func (d DBClient) Do(method string, payload []byte) ([]byte, error) {
-	return CallInTrace(d.C, d.Trace, method, payload)
+// routing key and ships the original bytes to the chosen replica, then
+// hands the response and its release (PooledTraceCaller) to its own writer.
+func (d DBClient) Do(method string, payload []byte) (resp []byte, release func(), err error) {
+	return CallInTracePooled(d.C, d.Trace, method, payload)
 }
 
 // invoke is the typed call every stub below makes: Invoke under the
@@ -326,17 +333,23 @@ func (f ForwardHandler) Handle(method string, payload []byte) ([]byte, error) {
 
 // HandleCtx implements CtxHandler.
 func (f ForwardHandler) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
+	return unpooled(f.HandleCtxPooled(sc, method, payload))
+}
+
+// HandleCtxPooled implements PooledCtxHandler: the upstream's response
+// is relayed with its release, not copied.
+func (f ForwardHandler) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	d := f.DB.WithTrace(sc)
 	if method == MethodGetContent && d.ContentCache != nil {
 		var req getContentReq
 		if err := gobDecode(payload, &req); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rec, err := d.GetContent(req.Ref)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return gobEncode(rec)
+		return gobEncodePooled(rec)
 	}
 	// The server recycles the request buffer when this handler returns,
 	// but a timed-out upstream call can leave its frame queued behind

@@ -11,6 +11,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -168,9 +169,9 @@ func (f HandlerFunc) Handle(method string, payload []byte) ([]byte, error) {
 // CtxHandler is the trace-aware handler contract: HandleCtx receives
 // the span context of the server span opened for the request (zero
 // when the request is untraced), so nested work — an internal span, a
-// further RPC to another site — lands in the same trace. The TCP
-// server and the loopback carrier probe for it once and fall back to
-// Handler when absent, so trace-blind handlers keep working unchanged.
+// further RPC to another site — lands in the same trace. The loopback
+// carrier probes for it, for the servers too, and falls back to Handler
+// when absent, so trace-blind handlers keep working unchanged.
 type CtxHandler interface {
 	HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error)
 }
@@ -185,10 +186,10 @@ func (f CtxHandlerFunc) HandleCtx(sc obs.SpanContext, method string, payload []b
 
 // PooledCtxHandler is the server-side mirror of PooledTraceCaller: the
 // response payload may be a pooled buffer that release (when non-nil)
-// recycles. The TCP server probes for it and calls release exactly once,
-// after the response bytes are copied onto the wire batch or the
-// response is discarded; a wrapper that only speaks CtxHandler drops
-// release and the buffer falls to the GC.
+// recycles. The TCP and ATM servers call release exactly once, after
+// the response bytes are copied onto the wire batch or the response is
+// discarded; dropping release is safe (the buffer falls to the GC),
+// and a pooled handler's own HandleCtx hands out a copy instead.
 type PooledCtxHandler interface {
 	HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) (resp []byte, release func(), err error)
 }
@@ -221,14 +222,14 @@ func (m *Mux) Register(method string, h HandlerFunc) {
 
 // RegisterCtx adds a trace-aware method handler.
 func (m *Mux) RegisterCtx(method string, h CtxHandlerFunc) {
-	m.registerPooled(method, func(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
+	m.RegisterPooled(method, func(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 		out, err := h(sc, method, payload)
 		return out, nil, err
 	})
 }
 
-// registerPooled adds a handler whose responses may be pooled buffers.
-func (m *Mux) registerPooled(method string, h pooledHandlerFunc) {
+// RegisterPooled adds a handler whose responses may be pooled buffers.
+func (m *Mux) RegisterPooled(method string, h func(sc obs.SpanContext, method string, payload []byte) (resp []byte, release func(), err error)) {
 	if _, dup := m.routes[method]; dup {
 		panic("transport: duplicate method " + method)
 	}
@@ -240,9 +241,18 @@ func (m *Mux) Handle(method string, payload []byte) ([]byte, error) {
 	return m.HandleCtx(obs.SpanContext{}, method, payload)
 }
 
-// HandleCtx implements CtxHandler; a pooled response is left to the GC.
+// HandleCtx implements CtxHandler.
 func (m *Mux) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	out, _, err := m.HandleCtxPooled(sc, method, payload)
+	return unpooled(m.HandleCtxPooled(sc, method, payload))
+}
+
+// unpooled ends a pooled answer for a caller that cannot release it: the
+// caller gets a copy the size of the answer, the pool its buffer back.
+func unpooled(out []byte, release func(), err error) ([]byte, error) {
+	if release != nil {
+		out = bytes.Clone(out)
+		release()
+	}
 	return out, err
 }
 
@@ -322,6 +332,16 @@ func (l Loopback) CallInTrace(sc obs.SpanContext, method string, payload []byte)
 		return ch.HandleCtx(sc, method, payload)
 	}
 	return l.H.Handle(method, payload)
+}
+
+// CallInTracePooled implements PooledTraceCaller: a handler's pooled
+// response and its release pass straight through to the caller.
+func (l Loopback) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
+	if ph, ok := l.H.(PooledCtxHandler); ok {
+		return ph.HandleCtxPooled(sc, method, payload)
+	}
+	out, err := l.CallInTrace(sc, method, payload)
+	return out, nil, err
 }
 
 // Close implements Client.

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -122,6 +123,57 @@ func FuzzContentChunkDecode(f *testing.F) {
 			t.Fatalf("stream assembly failed with %v, want ErrBadChunk", err)
 		case err == nil && (!bytes.Equal(rec.Data, c.Data) || cap(rec.Data) > MaxFrame):
 			t.Fatalf("stream assembled %d bytes (cap %d) from a %d-byte chunk", len(rec.Data), cap(rec.Data), len(c.Data))
+		}
+	})
+}
+
+// FuzzGobDecodeDifferential throws arbitrary bytes at the primed decoder
+// of every db.* wire type, next to a fresh gob decoder per message: the
+// two must agree on whether the payload decodes, and on the value when
+// it does. The codec pools are the process's, so each input meets what
+// the inputs before it left in them. Seeds: every golden payload, whole
+// and truncated, the shapes the splitter has to tell apart, and a prefix
+// padded with unused definitions.
+func FuzzGobDecodeDifferential(f *testing.F) {
+	if wireErr != nil {
+		f.Fatal(wireErr)
+	}
+	samples := wireSamples()
+	padded := false
+	for _, call := range wire.Calls {
+		for _, payload := range [][]byte{call.Req, call.Resp} {
+			defs, value, ok := splitGob(payload)
+			if !ok {
+				continue
+			}
+			for target := range samples {
+				f.Add(payload, uint8(target))
+			}
+			for _, shape := range [][]byte{
+				payload[:len(payload)-1], payload[:len(payload)/2],
+				value,                                  // a value message with no prefix
+				defs,                                   // a prefix with no value
+				append(bytes.Clone(payload), value...), // two value messages
+				append(bytes.Clone(payload), defs...),  // a definition smuggled after the value
+				append(bytes.Clone(defs), payload...),  // every definition twice
+			} {
+				f.Add(shape, uint8(len(payload)%len(samples)))
+			}
+			if len(defs) > 0 && !padded {
+				padded = true // one is enough: a prefix padded past its bound runs to 4 KB
+				f.Add(padPrefix(f, defs, value), uint8(len(payload)%len(samples)))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, target uint8) {
+		s := samples[int(target)%len(samples)]
+		primed, fresh := s.target(), s.target()
+		perr, ferr := gobDecode(data, primed), freshDecode(data, fresh)
+		if (perr == nil) != (ferr == nil) {
+			t.Fatalf("primed decode into %T says %v, fresh decode says %v", primed, perr, ferr)
+		}
+		if perr == nil && !reflect.DeepEqual(primed, fresh) {
+			t.Fatalf("primed decode gave %+v, fresh decode %+v", primed, fresh)
 		}
 	})
 }

@@ -21,11 +21,11 @@ import (
 // leaves the stream's critical path while a small interactive call
 // waits behind at most the window's worth of video.
 //
-// The codec is hand-rolled binary, not gob: profiling the saturated
-// transport showed gob's per-call decoder compilation — not syscalls —
-// burning half the CPU on the content hot path (E32), and a fixed
-// layout decodes with zero reflection and zero allocation beyond the
-// strings.
+// The codec is hand-rolled binary, not gob: a fixed layout decodes with
+// zero reflection, zero allocation beyond the strings and a Data that
+// is a view of the frame, where gob copies every message twice. (E32's
+// other reason — gob compiling a decoder per call, half the CPU of the
+// content hot path — stub.go's primed codecs have since removed, E34.)
 
 // MethodGetContentStream is the chunked content wire op. It is keyed
 // by ref (RequestKey) and idempotent per chunk.
@@ -249,7 +249,7 @@ func DecodeContentChunk(payload []byte) (*ContentChunk, error) {
 // into a pooled buffer the server's writer recycles once the bytes are
 // on the batch.
 func registerContentStream(m *Mux, store *mediastore.Store) {
-	m.registerPooled(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
+	m.RegisterPooled(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
 		ref, offset, maxBytes, err := DecodeGetContentStream(payload)
 		if err != nil {
 			return nil, nil, err

@@ -136,13 +136,7 @@ func readBody(r io.Reader, n int, pooled bool) ([]byte, error) {
 // responses are matched to requests by correlation ID, so they may
 // complete out of order behind a pipelined client.
 type TCPServer struct {
-	handler Handler
-
-	// ctxHandler and pooledHandler are handler's CtxHandler and
-	// PooledCtxHandler views, probed once at construction; nil when the
-	// handler is trace-blind or never hands out pooled responses.
-	ctxHandler    CtxHandler
-	pooledHandler PooledCtxHandler
+	handler Loopback // the handler, called in the richest contract it speaks
 
 	// ConnTimeout, when set, bounds each frame read and write on every
 	// connection (a per-operation deadline): a stalled or vanished
@@ -172,11 +166,9 @@ const DefaultMaxInFlight = 32
 
 // NewTCPServer wraps a handler. When h also implements CtxHandler, the
 // server threads each request's trace context through HandleCtx so
-// nested RPCs stay in the caller's trace.
+// nested RPCs stay in the caller's trace (PooledCtxHandler likewise).
 func NewTCPServer(h Handler) *TCPServer {
-	ch, _ := h.(CtxHandler)
-	ph, _ := h.(PooledCtxHandler)
-	return &TCPServer{handler: h, ctxHandler: ch, pooledHandler: ph, conns: make(map[net.Conn]bool)}
+	return &TCPServer{handler: Loopback{H: h}, conns: make(map[net.Conn]bool)}
 }
 
 // Listen starts accepting on addr ("127.0.0.1:0" for tests) and returns
@@ -446,19 +438,9 @@ func (s *TCPServer) handleRequest(rw *respWriter, req *frame) {
 		sp = obs.ContinueSpan(req.method, "server", obs.TraceID(req.trace), obs.SpanID(req.span))
 	}
 	start := time.Now()
-	var payload []byte
-	var release func()
-	var herr error
 	// sp.Context() parents nested work under the server span; it is the
 	// zero context (untraced) when sp is nil.
-	switch {
-	case s.pooledHandler != nil:
-		payload, release, herr = s.pooledHandler.HandleCtxPooled(sp.Context(), req.method, req.payload)
-	case s.ctxHandler != nil:
-		payload, herr = s.ctxHandler.HandleCtx(sp.Context(), req.method, req.payload)
-	default:
-		payload, herr = s.handler.Handle(req.method, req.payload)
-	}
+	payload, release, herr := s.handler.CallInTracePooled(sp.Context(), req.method, req.payload)
 	// The method name is the peer's word until a handler has accepted
 	// it: names nobody serves share one label, so a client cannot mint a
 	// metric series per made-up name.

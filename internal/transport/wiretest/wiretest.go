@@ -3,8 +3,11 @@
 // request and response payload it saw against a checked-in hex fixture.
 // The fixtures were captured from the hand-written stubs that preceded
 // transport.Invoke/Route, so a passing test proves the stub layer left
-// the bytes on the wire alone. The package imports nothing of the
-// transport, so the transport's own tests can use it too.
+// the bytes on the wire alone. Repeat runs the same script again in the
+// same process: the recording Golden checks meets fresh codecs, the
+// repeats meet primed ones, and the bytes must not differ. The package
+// imports nothing of the transport, so the transport's own tests can
+// use it too.
 package wiretest
 
 import (
@@ -13,6 +16,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"mits/internal/obs"
 )
 
 // Exchange is one recorded call. A nil payload stays nil (argument-less
@@ -101,5 +106,45 @@ func (r *Recorder) Golden(t *testing.T, path string) {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("%s line %d: wire bytes changed\n got %s\nwant %s", path, i+1, gotLines[i], wantLines[i])
 		}
+	}
+}
+
+// CodecFallbacks sums transport_codec_fallback_total over its closed
+// label sets: how many messages have gone round the primed codecs in
+// this process so far.
+func CodecFallbacks() (n int64) {
+	for _, dir := range []string{"encode", "decode"} {
+		for _, reason := range []string{"unsplittable", "prefix_bound", "multi_message", "oversize"} {
+			n += obs.GetCounter("transport_codec_fallback_total", "dir", dir, "reason", reason).Value()
+		}
+	}
+	return n
+}
+
+// Repeat runs the recording script twice more and compares every
+// request and response payload of both runs with r's — byte identity
+// beyond the first call, which is all the fixture can pin — and checks
+// that none of those messages fell back to an unprimed codec.
+func (r *Recorder) Repeat(t *testing.T, record func() (*Recorder, error)) {
+	t.Helper()
+	before := CodecFallbacks()
+	want := strings.Split(r.format(), "\n")
+	for run := 2; run <= 3; run++ {
+		again, err := record()
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		got := strings.Split(again.format(), "\n")
+		if len(got) != len(want) {
+			t.Fatalf("run %d recorded %d calls, run 1 recorded %d", run, len(got)-1, len(want)-1)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("run %d call %d: wire bytes differ from the first run\n got %s\nwant %s", run, i+1, got[i], want[i])
+			}
+		}
+	}
+	if n := CodecFallbacks() - before; n != 0 {
+		t.Errorf("%d messages of the wire script fell back to an unprimed codec, want 0", n)
 	}
 }

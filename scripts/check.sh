@@ -40,6 +40,7 @@ go -C bench test ./...
 for target in \
 	FuzzFrameDecode:./internal/transport/ \
 	FuzzContentChunkDecode:./internal/transport/ \
+	FuzzGobDecodeDifferential:./internal/transport/ \
 	FuzzAAL5Reassemble:./internal/atm/ \
 	FuzzMHEGDecode:./internal/mheg/codec/ \
 	FuzzMarkupParse:./internal/markup/ \

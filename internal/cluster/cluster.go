@@ -439,9 +439,11 @@ func (r *Router) scatterNames(sc obs.SpanContext, method string, payload []byte)
 }
 
 // scatterTree merges the per-shard keyword-tree snapshots into one
-// tree (same node set a single store would have built).
+// tree (same node set a single store would have built). A client's tag
+// names that tree, which no shard holds: the shards are asked for theirs
+// whole, and "unchanged" is the router's answer, by the merged tree's digest.
 func (r *Router) scatterTree(sc obs.SpanContext, payload []byte) ([]byte, error) {
-	answers := r.scatter(sc, transport.MethodKeywordTree, payload)
+	answers := r.scatter(sc, transport.MethodKeywordTree, nil)
 	defer releaseAll(answers)
 	served, _, err := r.gatherTally(answers)
 	if err != nil {
@@ -449,11 +451,11 @@ func (r *Router) scatterTree(sc obs.SpanContext, payload []byte) ([]byte, error)
 	}
 	merged := &mediastore.KeywordNode{}
 	for _, a := range served {
-		tree, derr := transport.DecodeKeywordTree(a.payload)
+		tree, _, derr := transport.DecodeKeywordTree(a.payload)
 		if derr != nil {
 			return nil, fmt.Errorf("cluster: merge keyword tree: %w", derr)
 		}
 		mergeKeywordNode(merged, tree)
 	}
-	return transport.EncodeKeywordTree(merged)
+	return transport.EncodeKeywordTree(payload, merged, merged.Digest())
 }

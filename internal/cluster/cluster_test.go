@@ -329,13 +329,13 @@ func TestKeywordTreeMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := db.GetKeywordTree()
+	got, tag, err := db.GetKeywordTree(0)
 	if err != nil {
 		t.Fatalf("cluster keyword tree: %v", err)
 	}
-	want := reference.Keywords()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged tree = %+v, want %+v", got, want)
+	want, wantTag := reference.Keywords()
+	if !reflect.DeepEqual(got, want) || tag != wantTag {
+		t.Fatalf("merged tree = %+v tag %#x, want %+v tag %#x", got, tag, want, wantTag)
 	}
 }
 

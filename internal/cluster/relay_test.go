@@ -208,7 +208,7 @@ func TestRouterRelayReleasesExactlyOnce(t *testing.T) {
 		t.Fatalf("scatter: %v, release %v, %v %v", names, release != nil, err, derr)
 	}
 	out, _, err = r.HandleCtxPooled(obs.SpanContext{}, transport.MethodKeywordTree, nil)
-	tree, derr := transport.DecodeKeywordTree(out)
+	tree, _, derr := transport.DecodeKeywordTree(out)
 	if err != nil || derr != nil || len(tree.Children) != 1 || tree.Children[0].Name != "network" {
 		t.Fatalf("scatter tree: %+v, %v %v", tree, err, derr)
 	}

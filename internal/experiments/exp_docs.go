@@ -212,7 +212,7 @@ func E13Mediastore() (*Report, error) {
 	getT := time.Since(t0)
 
 	t0 = time.Now()
-	tree := store.Keywords()
+	tree, _ := store.Keywords()
 	var leaves int
 	tree.Walk(func(string, *mediastore.KeywordNode) { leaves++ })
 	byKw := store.DocsByKeyword("faculty-1")

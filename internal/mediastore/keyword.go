@@ -3,13 +3,30 @@ package mediastore
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
+
+	"mits/internal/obs"
 )
 
 // KeywordTree indexes documents by hierarchical keyword paths
 // ("network/atm/cells"). The navigator's library browser renders the
 // tree (GetKeywordTree, §5.5) and resolves keyword queries through it.
+// It has no lock of its own: add and remove need the store's write
+// lock, Find and Snapshot run beside one another under its read lock.
 type KeywordTree struct {
-	root *kwNode
+	root  *kwNode
+	nodes int // keyword paths below the root, kept by add and remove: the obs gauge
+
+	// snap is the index in client-safe form, nil from a mutation until
+	// the first Snapshot after it: a publish nobody reads rebuilds nothing.
+	snap atomic.Pointer[treeSnapshot]
+}
+
+var snapshotBuilds = obs.GetCounter("mediastore_keyword_snapshot_builds_total")
+
+type treeSnapshot struct {
+	root *KeywordNode
+	tag  uint64
 }
 
 type kwNode struct {
@@ -36,6 +53,7 @@ func splitPath(keyword string) []string {
 }
 
 func (t *KeywordTree) add(doc string, keywords []string) {
+	t.snap.Store(nil)
 	for _, kw := range keywords {
 		node := t.root
 		for _, part := range splitPath(kw) {
@@ -43,6 +61,7 @@ func (t *KeywordTree) add(doc string, keywords []string) {
 			if !ok {
 				child = newKwNode()
 				node.children[part] = child
+				t.nodes++
 			}
 			node = child
 		}
@@ -53,6 +72,7 @@ func (t *KeywordTree) add(doc string, keywords []string) {
 }
 
 func (t *KeywordTree) remove(doc string, keywords []string) {
+	t.snap.Store(nil)
 	for _, kw := range keywords {
 		node := t.root
 		path := []*kwNode{node}
@@ -76,21 +96,10 @@ func (t *KeywordTree) remove(doc string, keywords []string) {
 			n := path[i]
 			if len(n.docs) == 0 && len(n.children) == 0 {
 				delete(path[i-1].children, parts[i-1])
+				t.nodes--
 			}
 		}
 	}
-}
-
-// Nodes counts the keyword paths in the index (tree nodes below the
-// root) — the size figure the obs gauge reports.
-func (t *KeywordTree) Nodes() int { return countNodes(t.root) - 1 }
-
-func countNodes(n *kwNode) int {
-	total := 1
-	for _, c := range n.children {
-		total += countNodes(c)
-	}
-	return total
 }
 
 // Find returns the sorted names of documents tagged at or below the
@@ -124,15 +133,54 @@ func collect(n *kwNode, into map[string]bool) {
 }
 
 // KeywordNode is an immutable snapshot of one tree node, handed to
-// clients for library browsing.
+// clients for library browsing — to all of them: never modify one.
 type KeywordNode struct {
 	Name     string
 	Docs     []string
 	Children []*KeywordNode
 }
 
-// Snapshot copies the tree into client-safe form, children sorted.
-func (t *KeywordTree) Snapshot() *KeywordNode { return snapshot("", t.root) }
+// Snapshot returns the tree in client-safe form, docs and children
+// sorted, with its tag: the same nodes on every call until a mutation.
+func (t *KeywordTree) Snapshot() (*KeywordNode, uint64) {
+	s := t.snap.Load()
+	if s == nil {
+		root := snapshot("", t.root)
+		s = &treeSnapshot{root, root.Digest()}
+		t.snap.Store(s)
+		snapshotBuilds.Inc()
+	}
+	return s.root, s.tag
+}
+
+// Digest is the tag of the tree below n: an FNV-1a hash of its canonical
+// form (each name and document with its length, each count, in order),
+// low bit set so that 0 can say "no tree". Equal trees have equal tags
+// whichever store, replica or router built them, and whenever. It guards
+// against a stale copy, not against an author who forges a collision.
+func (n *KeywordNode) Digest() uint64 { return n.digest(14695981039346656037) | 1 }
+
+func (n *KeywordNode) digest(h uint64) uint64 {
+	h = digestString(h, n.Name)
+	h = (h ^ uint64(len(n.Docs))<<32 ^ uint64(len(n.Children))) * fnvPrime
+	for _, d := range n.Docs {
+		h = digestString(h, d)
+	}
+	for _, c := range n.Children {
+		h = c.digest(h)
+	}
+	return h
+}
+
+const fnvPrime = 1099511628211
+
+func digestString(h uint64, s string) uint64 {
+	h = (h ^ uint64(len(s))) * fnvPrime
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
 
 func snapshot(name string, n *kwNode) *KeywordNode {
 	out := &KeywordNode{Name: name}

@@ -89,6 +89,6 @@ func Load(path string) (*Store, error) {
 	}
 	s.obsDocs.Set(int64(len(s.docs)))
 	s.obsContents.Set(int64(len(s.content)))
-	s.obsKeywords.Set(int64(s.keywords.Nodes()))
+	s.obsKeywords.Set(int64(s.keywords.nodes))
 	return s, nil
 }

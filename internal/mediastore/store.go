@@ -124,7 +124,7 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	rec.Version++
 	s.keywords.add(name, keywords)
 	s.obsDocs.Set(int64(len(s.docs)))
-	s.obsKeywords.Set(int64(s.keywords.Nodes()))
+	s.obsKeywords.Set(int64(s.keywords.nodes))
 	return rec.Version, nil
 }
 
@@ -175,7 +175,7 @@ func (s *Store) DeleteDocument(name string) error {
 	s.keywords.remove(name, rec.Keywords)
 	delete(s.docs, name)
 	s.obsDocs.Set(int64(len(s.docs)))
-	s.obsKeywords.Set(int64(s.keywords.Nodes()))
+	s.obsKeywords.Set(int64(s.keywords.nodes))
 	return nil
 }
 
@@ -188,9 +188,9 @@ func (s *Store) DocsByKeyword(keyword string) []string {
 	return s.keywords.Find(keyword)
 }
 
-// Keywords returns a snapshot of the keyword tree (the GetKeywordTree
-// API of §5.5).
-func (s *Store) Keywords() *KeywordNode {
+// Keywords returns the keyword tree (the GetKeywordTree API of §5.5) and
+// its tag: one snapshot, shared by every caller until the next publish.
+func (s *Store) Keywords() (*KeywordNode, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.keywords.Snapshot()

@@ -134,7 +134,7 @@ func TestKeywordQueries(t *testing.T) {
 	if got := s.DocsByKeyword("humanities"); got != nil {
 		t.Errorf("deleted doc still indexed: %v", got)
 	}
-	tree := s.Keywords()
+	tree, _ := s.Keywords()
 	for _, c := range tree.Children {
 		if c.Name == "humanities" {
 			t.Error("empty branch not pruned")
@@ -146,7 +146,7 @@ func TestKeywordTreeSnapshot(t *testing.T) {
 	s := New()
 	s.PutDocument("atm", "t", "asn1", []byte("x"), "network/atm", "network/broadband")
 	s.PutDocument("ip", "t", "asn1", []byte("x"), "network/ip")
-	tree := s.Keywords()
+	tree, _ := s.Keywords()
 	if len(tree.Children) != 1 || tree.Children[0].Name != "network" {
 		t.Fatalf("tree root children %+v", tree.Children)
 	}

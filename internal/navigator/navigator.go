@@ -60,8 +60,10 @@ type Navigator struct {
 	courseDoc  string
 	sceneRoots map[string]mheg.ID // scene id → composite model
 	rootID     mheg.ID
-	current    string   // current scene id
-	sceneStart sim.Time // when the current scene started
+	current    string                  // current scene id
+	sceneStart sim.Time                // when the current scene started
+	tree       *mediastore.KeywordNode // the last LibraryTree answer
+	treeTag    uint64                  // its tag; 0 = nothing to revalidate
 }
 
 // Options wires a navigator to its services.
@@ -395,9 +397,17 @@ func (n *Navigator) ExitCourse() error {
 
 // ---- library browsing (Fig 5.7) ----
 
-// LibraryTree fetches the library's keyword hierarchy.
+// LibraryTree fetches the library's keyword hierarchy: the tree kept
+// from last time while the store confirms it. Shared; read-only.
 func (n *Navigator) LibraryTree() (*mediastore.KeywordNode, error) {
-	return n.db.GetKeywordTree()
+	root, tag, err := n.db.GetKeywordTree(n.treeTag)
+	if err != nil {
+		return nil, err
+	}
+	if root != nil {
+		n.tree, n.treeTag = root, tag
+	}
+	return n.tree, nil
 }
 
 // SearchLibrary finds documents by keyword.

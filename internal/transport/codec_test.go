@@ -68,6 +68,15 @@ func wireSamples() []wireSample {
 				{Name: "Arts"},
 			}},
 		}, func() any { return new(mediastore.KeywordNode) }},
+		{[]any{uint64(0), uint64(7), uint64(0x9c13b2702cafba57)}, func() any { return new(uint64) }},
+		{[]any{
+			keywordTreeResp{},       // "unchanged" under tag 0: refused by every asker
+			keywordTreeResp{Tag: 7}, // "unchanged": good only as the answer to have = 7
+			keywordTreeResp{Root: &mediastore.KeywordNode{Children: []*mediastore.KeywordNode{{Name: "Arts"}}}}, // a tree under tag 0: shown, not held
+			keywordTreeResp{Tag: 0x9c13b2702cafba57, Root: &mediastore.KeywordNode{Children: []*mediastore.KeywordNode{
+				{Name: "Engineering", Docs: []string{"a.doc"}, Children: []*mediastore.KeywordNode{{Name: "ATM", Docs: []string{"a.doc", "b.doc"}}}},
+			}}},
+		}, func() any { return new(keywordTreeResp) }},
 		{[]any{
 			&mediastore.DocRecord{},
 			&mediastore.DocRecord{Name: "elg5121.doc", Title: "Multimedia", Encoding: "asn1", Keywords: kw, Version: 3, Data: []byte{1, 2, 3}},
@@ -647,7 +656,7 @@ func codecRound(db DBClient, g, r int) error {
 	if names, err = db.GetListDoc(); err != nil || !contains(names, name) {
 		return fmt.Errorf("GetListDoc = %v, %v; want %s in it", names, err, name)
 	}
-	tree, err := db.GetKeywordTree()
+	tree, _, err := db.GetKeywordTree(0)
 	if err != nil || len(tree.Children) == 0 {
 		return fmt.Errorf("GetKeywordTree = %+v, %v", tree, err)
 	}

@@ -41,6 +41,13 @@ type putContentReq struct {
 }
 type keywordReq struct{ Keyword string }
 
+// keywordTreeResp answers a request that is the tag of the tree the caller
+// holds (a bare uint64; no payload: none): Root is nil if it is still Tag.
+type keywordTreeResp struct {
+	Tag  uint64
+	Root *mediastore.KeywordNode
+}
+
 // RegisterStore exposes a mediastore on a mux as the courseware
 // database service.
 func RegisterStore(m *Mux, store *mediastore.Store) {
@@ -53,7 +60,20 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 		sp.End(err)
 		return rec, err
 	})
-	Route(m, MethodKeywordTree, func(struct{}) (*mediastore.KeywordNode, error) { return store.Keywords(), nil })
+	served := map[bool]*obs.Counter{ // by whether the tree went with the answer
+		true:  obs.GetCounter("mediastore_keyword_tree_served_total", "result", "full"),
+		false: obs.GetCounter("mediastore_keyword_tree_served_total", "result", "unchanged"),
+	}
+	// Not a Route, which decodes every request: here no payload is one.
+	m.RegisterPooled(MethodKeywordTree, func(_ obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
+		root, tag := store.Keywords()
+		resp, err := answerKeywordTree(payload, root, tag)
+		if err != nil {
+			return nil, nil, err
+		}
+		served[resp.Root != nil].Inc()
+		return gobEncodePooled(resp)
+	})
 	Route(m, MethodDocByKeyword, func(req keywordReq) ([]string, error) {
 		return store.DocsByKeyword(req.Keyword), nil
 	})
@@ -148,13 +168,48 @@ func DecodeNameList(payload []byte) ([]string, error) {
 	return names, gobDecode(payload, &names)
 }
 
-// EncodeKeywordTree encodes a GetKeywordTree response payload.
-func EncodeKeywordTree(t *mediastore.KeywordNode) ([]byte, error) { return gobEncode(t) }
+// ErrKeywordTag marks "unchanged" in answer to a tag the caller did not send.
+var ErrKeywordTag = errors.New("transport: keyword tree unchanged from a tag not asked about")
 
-// DecodeKeywordTree decodes a GetKeywordTree response payload.
-func DecodeKeywordTree(payload []byte) (*mediastore.KeywordNode, error) {
-	var tree mediastore.KeywordNode
-	return &tree, gobDecode(payload, &tree)
+// answerKeywordTree is the serving side, a store's and a router's alike:
+// the tree held under tag, or "unchanged" if the request names that tag.
+func answerKeywordTree(request []byte, root *mediastore.KeywordNode, tag uint64) (keywordTreeResp, error) {
+	var have uint64
+	if len(request) > 0 {
+		if err := gobDecode(request, &have); err != nil {
+			return keywordTreeResp{}, err
+		}
+	}
+	if have == tag && tag != 0 {
+		root = nil
+	}
+	return keywordTreeResp{Tag: tag, Root: root}, nil
+}
+
+// EncodeKeywordTree encodes a server's response to a GetKeywordTree request.
+func EncodeKeywordTree(request []byte, root *mediastore.KeywordNode, tag uint64) ([]byte, error) {
+	resp, err := answerKeywordTree(request, root, tag)
+	if err != nil {
+		return nil, err
+	}
+	return gobEncode(resp)
+}
+
+// tree is the asking side: what r says in answer to a request naming have.
+func (r keywordTreeResp) tree(have uint64) (*mediastore.KeywordNode, uint64, error) {
+	if r.Root == nil && (have == 0 || r.Tag != have) {
+		return nil, 0, fmt.Errorf("%w: peer at %#x, asked with %#x", ErrKeywordTag, r.Tag, have)
+	}
+	return r.Root, r.Tag, nil
+}
+
+// DecodeKeywordTree decodes the response to an unconditional GetKeywordTree.
+func DecodeKeywordTree(payload []byte) (*mediastore.KeywordNode, uint64, error) {
+	var resp keywordTreeResp
+	if err := gobDecode(payload, &resp); err != nil {
+		return nil, 0, err
+	}
+	return resp.tree(0)
 }
 
 // DBClient is the typed client module of §5.3.2, usable over any
@@ -221,10 +276,15 @@ func (d DBClient) GetSelectedDoc(name string) (*mediastore.DocRecord, error) {
 	return &rec, d.invoke(MethodGetDoc, getDocReq{Name: name}, &rec)
 }
 
-// GetKeywordTree retrieves the library's keyword hierarchy.
-func (d DBClient) GetKeywordTree() (*mediastore.KeywordNode, error) {
-	var tree mediastore.KeywordNode
-	return &tree, d.invoke(MethodKeywordTree, nil, &tree)
+// GetKeywordTree retrieves the library's keyword hierarchy and its tag.
+// have is the tag of the tree the caller holds, 0 for none: while it is
+// current the answer is a nil tree under it. A tree under tag 0 is not kept.
+func (d DBClient) GetKeywordTree(have uint64) (*mediastore.KeywordNode, uint64, error) {
+	var resp keywordTreeResp
+	if err := d.invoke(MethodKeywordTree, have, &resp); err != nil {
+		return nil, 0, err
+	}
+	return resp.tree(have)
 }
 
 // GetDocByKeyword finds documents by keyword path.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"mits/internal/mediastore"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the frame decoder. The
@@ -132,8 +134,12 @@ func FuzzContentChunkDecode(f *testing.F) {
 // two must agree on whether the payload decodes, and on the value when
 // it does. The codec pools are the process's, so each input meets what
 // the inputs before it left in them. Seeds: every golden payload, whole
-// and truncated, the shapes the splitter has to tell apart, and a prefix
-// padded with unused definitions.
+// and truncated, the shapes the splitter has to tell apart, a prefix
+// padded with unused definitions, and the GetKeywordTree replies a peer
+// can send (unchanged, under the tag asked about or another; a tree
+// under a tag or under none) for the asking side, which every input also
+// meets as a reply: it gets a tree, or "unchanged" under the tag it
+// sent, or an error — never neither.
 func FuzzGobDecodeDifferential(f *testing.F) {
 	if wireErr != nil {
 		f.Fatal(wireErr)
@@ -165,7 +171,22 @@ func FuzzGobDecodeDifferential(f *testing.F) {
 			}
 		}
 	}
+	tree := &mediastore.KeywordNode{Children: []*mediastore.KeywordNode{{Name: "Arts", Docs: []string{"a.doc"}}}}
+	for _, reply := range []keywordTreeResp{{}, {Tag: 7}, {Tag: 8}, {Root: tree}, {Tag: 7, Root: tree}} {
+		payload, err := gobEncode(reply)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload, uint8(0)) // as the answer to a caller holding nothing
+		f.Add(payload, uint8(7)) // and to one holding tag 7
+		f.Add(payload[:len(payload)-2], uint8(7))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, target uint8) {
+		peer := HandlerFunc(func(string, []byte) ([]byte, error) { return data, nil })
+		have := uint64(target)
+		if root, tag, err := (DBClient{C: Loopback{H: peer}}).GetKeywordTree(have); err == nil && root == nil && (have == 0 || tag != have) {
+			t.Fatalf("asked with tag %d: no tree, no error, tag %d", have, tag)
+		}
 		s := samples[int(target)%len(samples)]
 		primed, fresh := s.target(), s.target()
 		perr, ferr := gobDecode(data, primed), freshDecode(data, fresh)

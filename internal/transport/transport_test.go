@@ -131,8 +131,8 @@ func exerciseDB(t *testing.T, db DBClient) {
 	} else if !strings.Contains(err.Error(), "not found") {
 		t.Errorf("error lost fidelity across the wire: %v", err)
 	}
-	tree, err := db.GetKeywordTree()
-	if err != nil || len(tree.Children) == 0 {
+	tree, tag, err := db.GetKeywordTree(0)
+	if err != nil || len(tree.Children) == 0 || tag != tree.Digest() {
 		t.Fatalf("GetKeywordTree=%+v err=%v", tree, err)
 	}
 	byKw, err := db.GetDocByKeyword("network")

@@ -24,6 +24,8 @@ func recordWire() (*wiretest.Recorder, error) {
 	var doc *mediastore.DocRecord
 	var names []string
 	var content *mediastore.ContentRecord
+	var tree, again *mediastore.KeywordNode
+	var tag uint64
 	for _, step := range []func() error{
 		func() (err error) {
 			version, err = db.PutDocument("elg5121.doc", "Multimedia", "asn1", []byte{0x30, 0x03, 0x02, 0x01, 0x07}, "Engineering/ATM")
@@ -32,7 +34,8 @@ func recordWire() (*wiretest.Recorder, error) {
 		func() error { return db.PutContent("intro/elg5121", "mpeg", []byte("frame-bytes"), "Engineering/ATM") },
 		func() error { _, err := db.GetListDoc(); return err },
 		func() (err error) { doc, err = db.GetSelectedDoc("elg5121.doc"); return },
-		func() error { _, err := db.GetKeywordTree(); return err },
+		func() (err error) { tree, tag, err = db.GetKeywordTree(0); return },
+		func() (err error) { again, _, err = db.GetKeywordTree(tag); return },
 		func() (err error) { names, err = db.GetDocByKeyword("Engineering/ATM"); return },
 		func() (err error) { content, err = db.GetContent("intro/elg5121"); return },
 	} {
@@ -45,6 +48,9 @@ func recordWire() (*wiretest.Recorder, error) {
 	}
 	if len(names) != 1 || names[0] != "elg5121.doc" || string(content.Data) != "frame-bytes" {
 		return nil, fmt.Errorf("GetDocByKeyword = %v, GetContent = %+v", names, content)
+	}
+	if tree == nil || tag != tree.Digest() || again != nil {
+		return nil, fmt.Errorf("GetKeywordTree(0) = %+v tag %#x, GetKeywordTree(tag) = %+v", tree, tag, again)
 	}
 	return rec, nil
 }
@@ -65,7 +71,7 @@ func TestWireGolden(t *testing.T) {
 		MethodPutContent: "intro/elg5121", MethodGetContent: "intro/elg5121",
 	}
 	for _, call := range wire.Calls {
-		argless := call.Method == MethodListDocs || call.Method == MethodKeywordTree
+		argless := call.Method == MethodListDocs
 		if argless != (call.Req == nil) {
 			t.Errorf("%s: nil request = %v", call.Method, call.Req == nil)
 		}

@@ -7,11 +7,6 @@
 # shape that matters: rpcs_per_sec at 8 callers at least 3x the
 # 1-caller (serialized) baseline, and cache_hit_speedup at least 10x —
 # the two acceptance lines of the pipelining change.
-#
-# This run REWRITES BENCH_pipeline.json; the E32 saturation rows
-# (rpc/s and allocs/op per transport leg, interleaving p99s) merge
-# back in under the "saturation" key when scripts/bench_saturation.sh
-# runs afterwards — keep that ordering when refreshing both.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -72,18 +72,6 @@ echo "==> scripts/bench_faults.sh"
 echo "==> scripts/bench_pipeline.sh"
 ./scripts/bench_pipeline.sh
 
-# Saturation gate: the E32 hardware-limited transport benchmark (no
-# modeled store latency — gob vs binary-streaming codec, 1-conn vs
-# pooled, cache-hit allocs, interactive p99 under an 8 MB transfer)
-# merged into BENCH_pipeline.json. The script fails unless the pooled
-# streaming path beats the single-connection seed baseline by 2x, the
-# cached-hit call path is allocation-free, and chunking keeps
-# interactive tail latency bounded (within 2x idle, or >= 5x better
-# than a monolithic transfer on CPU-starved hosts). Runs after
-# bench_pipeline.sh: E29 rewrites the JSON, E32 merges into it.
-echo "==> scripts/bench_saturation.sh"
-./scripts/bench_saturation.sh
-
 # Cluster gate: the availability/latency benchmark writing
 # BENCH_cluster.json — the script fails if either acceptance bit
 # (100% availability with one replica down per shard, degraded p99

@@ -76,7 +76,8 @@ cluster:
 # multiplexed hot path — transport pipelining (out-of-order completion,
 # conn-death drain, blocked-enqueue release, abandoned frames, the
 # stream window's settle-every-started-call accounting, the process-wide
-# codec pools under eight callers), the cache singleflight, the
+# codec pools under eight callers, GetContent's records against scribbled
+# and reused response buffers), the cache singleflight, the
 # cluster failover ladder (replica death mid-stream vs the replication
 # appliers, the relay's release-exactly-once), and the keyword tree's
 # shared snapshot under publishers — repeated 5× under the race
@@ -86,7 +87,7 @@ cluster:
 # see.
 .PHONY: racestress
 racestress:
-	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation|TestStreamSettlesEveryStartedCall|TestStreamOrderAndEquivalence|TestServerReleasesPooledResponseExactlyOnce|TestCodecConcurrent' ./internal/transport/
+	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation|TestStreamSettlesEveryStartedCall|TestStreamOrderAndEquivalence|TestServerReleasesPooledResponseExactlyOnce|TestCodecConcurrent|TestGetContentRecordOwnsItsMemory' ./internal/transport/
 	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
 	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition|TestRouterRelayReleasesExactlyOnce|TestLibraryTreeFreshness' ./internal/cluster/
 	go test -race -count=5 -run 'TestKeywordSnapshotsConcurrent' ./internal/mediastore/

@@ -135,9 +135,9 @@ func TestRouterRelayReleasesExactlyOnce(t *testing.T) {
 	}
 	content := func(name string, payload []byte, want string) {
 		t.Helper()
-		rec, err := transport.DecodeContentRecord(payload)
-		if err != nil || string(rec.Data) != want {
-			t.Fatalf("%s: relayed %q, %v; want %q", name, rec.Data, err, want)
+		ck, err := transport.DecodeContentChunk(payload)
+		if err != nil || string(ck.Data) != want {
+			t.Fatalf("%s: relayed a chunk that is not %q (%v)", name, want, err)
 		}
 	}
 	getContent := func(ref string) []byte {

@@ -566,7 +566,7 @@ func TestReleaseBlindServeRecycles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if rec, err := DecodeContentRecord(out); err != nil || !bytes.Equal(rec.Data, data) {
+		if ck, err := DecodeContentChunk(out); err != nil || !bytes.Equal(ck.Data, data) {
 			t.Errorf("%s: the response does not decode to the object (%v)", name, err)
 		}
 		if cap(out) >= 2*len(out) {

@@ -77,16 +77,7 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 	Route(m, MethodDocByKeyword, func(req keywordReq) ([]string, error) {
 		return store.DocsByKeyword(req.Keyword), nil
 	})
-	RouteCtx(m, MethodGetContent, func(sc obs.SpanContext, req getContentReq) (*mediastore.ContentRecord, error) {
-		sp := obs.SpanFromContext("store.GetContent", "internal", sc)
-		// Borrow, don't copy: the record is immediately re-serialized,
-		// so GetContent's defensive copy would be pure allocator load.
-		// Borrowed records are immutable and gob only reads them.
-		rec, err := store.GetContentBorrow(req.Ref)
-		sp.End(err)
-		return rec, err
-	})
-	registerContentStream(m, store)
+	registerContent(m, store)
 	Route(m, MethodPutDoc, func(req putDocReq) (putDocResp, error) {
 		v, err := store.PutDocument(req.Name, req.Title, req.Encoding, req.Data, req.Keywords...)
 		return putDocResp{Version: v}, err
@@ -108,12 +99,6 @@ func DecodeDocRecord(data []byte) (*mediastore.DocRecord, error) {
 
 // EncodeGetContent encodes a GetContent request payload.
 func EncodeGetContent(ref string) ([]byte, error) { return gobEncode(getContentReq{Ref: ref}) }
-
-// DecodeContentRecord decodes a GetContent response payload.
-func DecodeContentRecord(data []byte) (*mediastore.ContentRecord, error) {
-	var rec mediastore.ContentRecord
-	return &rec, gobDecode(data, &rec)
-}
 
 // Routing-key extractors and scatter-gather codecs. A cluster router
 // sits between clients and shards speaking the same wire protocol both
@@ -298,10 +283,7 @@ func (d DBClient) GetDocByKeyword(keyword string) (names []string, err error) {
 // cache are SHARED under the immutable-bytes handoff contract: every
 // hit returns the same record, callers must treat it as read-only, and
 // CloneContentRecord gives a private copy to the rare caller that
-// needs to mutate. (The cache boundary used to clone defensively on
-// every hit; at pipelined rates that copy dominated the hit cost —
-// E32 — and the poolcheck tripwire now enforces the no-aliasing side
-// of the bargain in the transport itself.)
+// needs to mutate (a defensive clone per hit dominated the hit cost, E32).
 func (d DBClient) GetContent(ref string) (*mediastore.ContentRecord, error) {
 	if d.ContentCache == nil {
 		return d.fetchContent(ref)
@@ -319,13 +301,33 @@ func (d DBClient) GetContent(ref string) (*mediastore.ContentRecord, error) {
 	return v.(*mediastore.ContentRecord), nil
 }
 
-// fetchContent is the uncached upstream path. The gob decode copies
-// the record out of the (pooled) response before Invoke recycles it, so
-// the returned record owns its memory — which is exactly what the
-// cache's immutable handoff needs.
+// fetchContent is the uncached upstream path. The reply is the one chunk
+// that is all of ref — chunk 0 of a stream, and its last — and Data is
+// copied out of the (pooled) response, once, so the returned record owns
+// its memory — which is exactly what the cache's immutable handoff needs.
 func (d DBClient) fetchContent(ref string) (*mediastore.ContentRecord, error) {
-	var rec mediastore.ContentRecord
-	return &rec, d.invoke(MethodGetContent, getContentReq{Ref: ref}, &rec)
+	req, err := EncodeGetContent(ref)
+	if err != nil {
+		return nil, err
+	}
+	out, release, err := d.Do(MethodGetContent, req)
+	if err != nil {
+		return nil, err
+	}
+	if release != nil {
+		defer release() // ck is a view of out
+	}
+	ck, err := DecodeContentChunk(out)
+	if err == nil {
+		err = checkChunk(ck, ref, 0, 0)
+	}
+	if err == nil && !ck.Last {
+		err = fmt.Errorf("%w: %d of %d bytes", ErrBadChunk, len(ck.Data), ck.Total)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("content %q: %w", ref, err)
+	}
+	return &mediastore.ContentRecord{Ref: ck.Ref, Coding: ck.Coding, Keywords: ck.Keywords, Data: append([]byte(nil), ck.Data...)}, nil
 }
 
 // CloneContentRecord deep-copies a record — the escape hatch for
@@ -401,15 +403,15 @@ func (f ForwardHandler) HandleCtx(sc obs.SpanContext, method string, payload []b
 func (f ForwardHandler) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	d := f.DB.WithTrace(sc)
 	if method == MethodGetContent && d.ContentCache != nil {
-		var req getContentReq
-		if err := gobDecode(payload, &req); err != nil {
-			return nil, nil, err
-		}
-		rec, err := d.GetContent(req.Ref)
+		ref, err := RequestKey(method, payload)
 		if err != nil {
 			return nil, nil, err
 		}
-		return gobEncodePooled(rec)
+		rec, err := d.GetContent(ref)
+		if err != nil {
+			return nil, nil, err
+		}
+		return encodeContent(rec, 0, wholeObject) // as the store behind would
 	}
 	// The server recycles the request buffer when this handler returns,
 	// but a timed-out upstream call can leave its frame queued behind

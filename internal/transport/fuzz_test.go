@@ -2,11 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mits/internal/mediastore"
+	"mits/internal/transport/wiretest"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the frame decoder. The
@@ -94,6 +97,9 @@ func FuzzContentChunkDecode(f *testing.F) {
 	// also echoed the expected index).
 	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20, Data: bytes.Repeat([]byte("s"), DefaultStreamChunkBytes-1)}))
 	f.Add(mustChunk(&ContentChunk{Ref: "store/v.mpg", Coding: "MPEG", Total: 1 << 20}))
+	// A keyword count the payload cannot hold: it sized a make before any
+	// keyword was read.
+	f.Add(append(mustChunk(&ContentChunk{Ref: "r", Last: true, Keywords: []string{"k"}})[:27], 0xFF, 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ref, off, maxBytes, err := DecodeGetContentStream(data); err == nil {
 			re := mustStreamReq(ref, off, maxBytes)
@@ -126,6 +132,15 @@ func FuzzContentChunkDecode(f *testing.F) {
 		case err == nil && (!bytes.Equal(rec.Data, c.Data) || cap(rec.Data) > MaxFrame):
 			t.Fatalf("stream assembled %d bytes (cap %d) from a %d-byte chunk", len(rec.Data), cap(rec.Data), len(c.Data))
 		}
+		// The same bytes as a db.GetContent reply: the whole object or
+		// ErrBadChunk, and whole means what a stream would have assembled.
+		whole, werr := DBClient{C: Loopback{H: peer}}.GetContent(c.Ref)
+		switch {
+		case werr != nil && !errors.Is(werr, ErrBadChunk):
+			t.Fatalf("GetContent failed with %v, want ErrBadChunk", werr)
+		case werr == nil && (err != nil || !bytes.Equal(whole.Data, c.Data) || c.Index != 0 || c.Offset != 0 || !c.Last):
+			t.Fatalf("GetContent took chunk %d at %d (last %v) for the whole object; the stream says %v", c.Index, c.Offset, c.Last, err)
+		}
 	})
 }
 
@@ -146,7 +161,12 @@ func FuzzGobDecodeDifferential(f *testing.F) {
 	}
 	samples := wireSamples()
 	padded := false
-	for _, call := range wire.Calls {
+	// db.GetContent's reply is no longer gob; what it used to be still seeds.
+	was, err := hex.DecodeString(gobContentReply)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, call := range append(slices.Clone(wire.Calls), wiretest.Exchange{Resp: was}) {
 		for _, payload := range [][]byte{call.Req, call.Resp} {
 			defs, value, ok := splitGob(payload)
 			if !ok {

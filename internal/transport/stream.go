@@ -4,28 +4,27 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"mits/internal/mediastore"
 	"mits/internal/obs"
 )
 
-// Chunked streaming GetContent — the "Media Objects in Time" shape:
-// content travels as a sequence of bounded, time-ordered fragments
-// instead of one monolithic ≤16 MB frame, delivered ahead of the
-// consumer. Each chunk is an ordinary keyed request/response, so the
-// cluster router forwards chunks verbatim like any other keyed read
-// and the breaker/retry stack sees idempotent single-chunk calls it
-// already knows how to handle. Over a multiplexed connection the client
-// reads ahead on one pool stripe (streamContent), so the round trip
-// leaves the stream's critical path while a small interactive call
-// waits behind at most the window's worth of video.
+// Content on the way down — the "Media Objects in Time" shape: bounded,
+// time-ordered fragments delivered ahead of the consumer instead of one
+// monolithic ≤16 MB frame. Each chunk is an ordinary keyed
+// request/response, so the cluster router forwards chunks verbatim like
+// any other keyed read and the breaker/retry stack sees idempotent
+// single-chunk calls. Over a multiplexed connection the client reads
+// ahead on one pool stripe (streamContent), so the round trip leaves the
+// stream's critical path while a small interactive call waits behind at
+// most the window's worth of video. db.GetContent answers in the same
+// layout: the whole object as chunk 0, which is also the last.
 //
 // The codec is hand-rolled binary, not gob: a fixed layout decodes with
 // zero reflection, zero allocation beyond the strings and a Data that
-// is a view of the frame, where gob copies every message twice. (E32's
-// other reason — gob compiling a decoder per call, half the CPU of the
-// content hot path — stub.go's primed codecs have since removed, E34.)
+// is a view of the frame, where gob copies every message twice (E36).
 
 // MethodGetContentStream is the chunked content wire op. It is keyed
 // by ref (RequestKey) and idempotent per chunk.
@@ -214,6 +213,9 @@ func DecodeContentChunk(payload []byte) (*ContentChunk, error) {
 		}
 		n := int(binary.BigEndian.Uint16(rest))
 		rest = rest[2:]
+		if n > len(rest)/2 { // each needs its u16 length: n is the peer's word, and sizes the make
+			return nil, fmt.Errorf("%w: truncated keyword", ErrBadChunk)
+		}
 		c.Keywords = make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			kw, ok := takeString()
@@ -243,58 +245,72 @@ func DecodeContentChunk(payload []byte) (*ContentChunk, error) {
 	return c, nil
 }
 
-// registerContentStream mounts the chunk server on the mux, serving
-// straight off the store's borrowed (zero-copy) records: the only copy
-// between the store's bytes and the wire batch is the chunk encode,
-// into a pooled buffer the server's writer recycles once the bytes are
-// on the batch.
-func registerContentStream(m *Mux, store *mediastore.Store) {
-	m.RegisterPooled(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
-		ref, offset, maxBytes, err := DecodeGetContentStream(payload)
+// wholeObject is the maxBytes that asks for all of an object: a chunk's u32 data length.
+const wholeObject = math.MaxUint32
+
+// registerContent mounts the two content reads on the mux. They differ
+// only in how a request says (ref, offset, maxBytes) — db.GetContent's
+// gob {Ref} means all of it, from 0 — and answer alike: one chunk,
+// served straight off the store's borrowed (zero-copy) record.
+func registerContent(m *Mux, store *mediastore.Store) {
+	serve := func(sc obs.SpanContext, span, ref string, offset, maxBytes uint64, err error) ([]byte, func(), error) {
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, err // the request did not decode
 		}
-		if maxBytes == 0 {
-			maxBytes = DefaultStreamChunkBytes
-		}
-		if maxBytes > MaxStreamChunkBytes {
-			maxBytes = MaxStreamChunkBytes
-		}
-		sp := obs.SpanFromContext("store.GetContentStream", "internal", sc)
+		sp := obs.SpanFromContext(span, "internal", sc)
 		rec, err := store.GetContentBorrow(ref)
 		sp.End(err)
 		if err != nil {
 			return nil, nil, err
 		}
-		data := rec.Data
-		total := uint64(len(data))
-		if offset > uint64(len(data)) {
-			return nil, nil, fmt.Errorf("%w: offset %d beyond content %q of %d bytes", ErrBadChunk, offset, ref, total)
-		}
-		end := offset + uint64(maxBytes)
-		if end > uint64(len(data)) {
-			end = total
-		}
-		chunk := ContentChunk{
-			Ref:    rec.Ref,
-			Coding: rec.Coding,
-			Index:  uint32(offset / uint64(maxBytes)),
-			Offset: offset,
-			Total:  total,
-			Last:   end == total,
-			Data:   data[offset:end],
-		}
-		if chunk.Last {
-			chunk.Keywords = rec.Keywords
-		}
-		buf := getBuf(chunkWireOverhead(&chunk) + len(chunk.Data))
-		out, err := AppendContentChunk(buf, &chunk)
-		if err != nil {
-			putBuf(buf)
-			return nil, nil, err
-		}
-		return out, func() { putBuf(out) }, nil
+		return encodeContent(rec, offset, maxBytes)
+	}
+	m.RegisterPooled(MethodGetContent, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
+		var req getContentReq
+		err := gobDecode(payload, &req)
+		return serve(sc, "store.GetContent", req.Ref, 0, wholeObject, err)
 	})
+	m.RegisterPooled(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
+		ref, offset, maxBytes, err := DecodeGetContentStream(payload)
+		if maxBytes == 0 {
+			maxBytes = DefaultStreamChunkBytes
+		}
+		return serve(sc, "store.GetContentStream", ref, offset, uint64(min(maxBytes, MaxStreamChunkBytes)), err)
+	})
+}
+
+// encodeContent encodes bytes [offset, offset+maxBytes) of rec as one
+// chunk. The only copy between the record's bytes and the wire batch is
+// this encode, into a pooled buffer the server's writer recycles once
+// the bytes are on the batch.
+func encodeContent(rec *mediastore.ContentRecord, offset, maxBytes uint64) ([]byte, func(), error) {
+	data := rec.Data
+	if offset > uint64(len(data)) {
+		return nil, nil, fmt.Errorf("%w: offset %d beyond content %q of %d bytes", ErrBadChunk, offset, rec.Ref, len(data))
+	}
+	end := offset + maxBytes
+	if end > uint64(len(data)) {
+		end = uint64(len(data))
+	}
+	chunk := ContentChunk{
+		Ref:    rec.Ref,
+		Coding: rec.Coding,
+		Index:  uint32(offset / maxBytes),
+		Offset: offset,
+		Total:  uint64(len(data)),
+		Last:   end == uint64(len(data)),
+		Data:   data[offset:end],
+	}
+	if chunk.Last {
+		chunk.Keywords = rec.Keywords
+	}
+	buf := getBuf(chunkWireOverhead(&chunk) + len(chunk.Data))
+	out, err := AppendContentChunk(buf, &chunk)
+	if err != nil {
+		putBuf(buf)
+		return nil, nil, err
+	}
+	return out, func() { putBuf(out) }, nil
 }
 
 // chunkWireOverhead sizes a chunk's encoding minus its data, so the

@@ -54,7 +54,12 @@ type lateEvenServer struct {
 	reordered atomic.Int64
 }
 
-func (s *lateEvenServer) listen(t *testing.T) string {
+func (s *lateEvenServer) listen(t *testing.T) string { return listenScripted(t, s.serve) }
+
+// listenScripted serves every connection to a fresh loopback listener
+// with serve, a scripted peer's side of the wire, and tears all of it
+// down with the test.
+func listenScripted(t *testing.T, serve func(net.Conn)) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -77,7 +82,7 @@ func (s *lateEvenServer) listen(t *testing.T) string {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s.serve(conn)
+				serve(conn)
 			}()
 		}
 	}()

@@ -258,9 +258,8 @@ func TestDBOverATM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec mediastore.ContentRecord
-	if err := gobDecode(payload, &rec); err != nil || len(rec.Data) != 100000 {
-		t.Fatalf("content len=%d err=%v", len(rec.Data), err)
+	if ck, err := DecodeContentChunk(payload); err != nil || len(ck.Data) != 100000 {
+		t.Fatalf("content chunk err=%v", err)
 	}
 
 	// Errors cross the ATM path too.

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"mits/internal/mediastore"
@@ -13,7 +17,12 @@ import (
 // reproducible before any other test has touched gob.
 var wire, wireErr = recordWire()
 
-// recordWire drives every gob db.* stub once with fixed inputs.
+// gobContentReply is the db.GetContent reply of the fixture's script as
+// this route sent it while it still answered in gob: a ContentRecord.
+// Nothing sends it any more; a peer that does is refused.
+const gobContentReply = "45ff950301010d436f6e74656e745265636f726401ff960001040103526566010c000106436f64696e67010c0001084b6579776f72647301ff8200010444617461010a00000016ff81020101085b5d737472696e6701ff8200010c000037ff96010d696e74726f2f656c673531323101046d70656701010f456e67696e656572696e672f41544d010b6672616d652d627974657300"
+
+// recordWire drives every db.* stub once with fixed inputs.
 func recordWire() (*wiretest.Recorder, error) {
 	mux := NewMux()
 	RegisterStore(mux, mediastore.New())
@@ -56,7 +65,7 @@ func recordWire() (*wiretest.Recorder, error) {
 }
 
 // TestWireGolden compares the request/response payloads of all seven
-// gob db.* stubs with testdata/wire.golden, captured from the
+// db.* stubs (gob, but for db.GetContent's reply) with testdata/wire.golden, captured from the
 // hand-written stubs this layer replaced; RequestKey must still pull
 // the routing key out of each keyed request.
 func TestWireGolden(t *testing.T) {
@@ -96,4 +105,46 @@ func TestWireRepeatCalls(t *testing.T) {
 		t.Fatal(wireErr)
 	}
 	wire.Repeat(t, recordWire)
+}
+
+// TestWireGoldenMovedOneReply: the fixture was regenerated on purpose,
+// for exactly one payload. With db.GetContent's reply put back to the gob
+// ContentRecord it used to be, the file is the fixture of the commit
+// before — so every other method's request and reply, and db.GetContent's
+// request, are the bytes they were — and the reply that took its place is
+// the whole object as one terminal chunk, keywords attached.
+func TestWireGoldenMovedOneReply(t *testing.T) {
+	const before = "88807cf6325b5617c1c78694172a1f6d347147d3c7d7c36fe71354de7b40af0f" // sha256 of the fixture at PR 21
+	golden, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(golden), "\n")
+	moved := 0
+	for i, line := range lines {
+		call := strings.Fields(line)
+		if len(call) != 3 || call[0] != MethodGetContent {
+			continue
+		}
+		moved++
+		lines[i] = call[0] + " " + call[1] + " " + gobContentReply + "\n"
+		reply, err := hex.DecodeString(call[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := DecodeContentChunk(reply)
+		if err != nil {
+			t.Fatalf("the db.GetContent reply is not a chunk: %v", err)
+		}
+		if ck.Ref != "intro/elg5121" || ck.Coding != "mpeg" || ck.Index != 0 || ck.Offset != 0 || !ck.Last ||
+			ck.Total != uint64(len(ck.Data)) || string(ck.Data) != "frame-bytes" || len(ck.Keywords) != 1 || ck.Keywords[0] != "Engineering/ATM" {
+			t.Errorf("the db.GetContent reply is not the whole object in one chunk: %+v", ck)
+		}
+	}
+	if moved != 1 {
+		t.Fatalf("%d db.GetContent calls in the fixture, want 1", moved)
+	}
+	if sum := sha256.Sum256([]byte(strings.Join(lines, ""))); hex.EncodeToString(sum[:]) != before {
+		t.Errorf("with the old db.GetContent reply put back the fixture hashes to %x, want %s: another payload moved", sum, before)
+	}
 }

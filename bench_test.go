@@ -7,10 +7,9 @@ package mits
 // EXPERIMENTS.md; the experiment *tables* come from cmd/experiments.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -772,10 +771,9 @@ func BenchmarkE24Conferencing(b *testing.B) {
 // BenchmarkE27ObsBaseline — the observability baseline: real TCP
 // Get_Selected_Doc round trips with the obs instrumentation live, so
 // the reported percentiles include every counter increment and span
-// the production path pays. Besides the usual ns/op it writes
-// BENCH_obs.json with the transport client/server latency percentiles
-// accumulated by the obs histograms (check.sh runs it to refresh the
-// baseline recorded in EXPERIMENTS.md).
+// the production path pays. Besides the usual ns/op it reports the
+// transport client/server latency percentiles accumulated by the obs
+// histograms.
 func BenchmarkE27ObsBaseline(b *testing.B) {
 	sys := NewSystem("bench school")
 	if err := publishDoc(sys); err != nil {
@@ -802,23 +800,13 @@ func BenchmarkE27ObsBaseline(b *testing.B) {
 	}
 	b.StopTimer()
 
-	out := map[string]any{"benchmark": "E27ObsBaseline", "rpcs": b.N}
 	for key, name := range map[string]string{
 		"transport_client_latency": "transport_client_latency_ns",
 		"transport_server_latency": "transport_server_latency_ns",
 	} {
 		s := obs.GetHistogram(name, "method", transport.MethodGetDoc).Snapshot()
-		out[key] = map[string]int64{
-			"count": s.Count, "p50_ns": int64(s.P50), "p95_ns": int64(s.P95), "p99_ns": int64(s.P99),
-		}
 		b.ReportMetric(float64(int64(s.P50)), key+"_p50_ns")
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+		b.ReportMetric(float64(int64(s.P99)), key+"_p99_ns")
 	}
 }
 
@@ -840,8 +828,9 @@ func publishDoc(sys *System) error {
 // injectors, one stack per scenario. Each iteration issues one call
 // per scenario; the reported percentiles are whole-call latencies
 // including every retry and backoff the recovery needed. Besides
-// ns/op it writes BENCH_faults.json with per-scenario p50/p99 recovery
-// latency (scripts/bench_faults.sh runs it to refresh the baseline).
+// ns/op it reports per-scenario p50/p99 recovery latency; the shape
+// that matters is that clean p99 stays microseconds-to-low-ms while
+// the fault scenarios stay bounded by attempts x timeout + backoff.
 func BenchmarkE28FaultRecovery(b *testing.B) {
 	scens := []struct {
 		name string
@@ -904,21 +893,9 @@ func BenchmarkE28FaultRecovery(b *testing.B) {
 	}
 	b.StopTimer()
 
-	out := map[string]any{"benchmark": "E28FaultRecovery", "calls_per_scenario": b.N}
 	for _, st := range stacks {
-		out[st.name] = map[string]int64{
-			"count":  int64(st.lat.N()),
-			"p50_ns": int64(st.lat.Percentile(50)),
-			"p99_ns": int64(st.lat.Percentile(99)),
-		}
+		b.ReportMetric(st.lat.Percentile(50), st.name+"_p50_ns")
 		b.ReportMetric(st.lat.Percentile(99), st.name+"_p99_ns")
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_faults.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -933,10 +910,11 @@ func BenchmarkE28FaultRecovery(b *testing.B) {
 // free, which no deployment's is), because that wait is precisely what
 // pipelining overlaps: the serial client pays it once per call,
 // the multiplexed client amortizes it across everything in flight.
-// Besides the usual ns/op it writes BENCH_pipeline.json
-// (scripts/bench_pipeline.sh runs it); the acceptance shape is ≥3×
-// RPC throughput at 8 callers vs serial and ≥10× latency reduction
-// for a cache hit vs a miss.
+// Besides the usual ns/op each caller count reports rpcs/sec and its
+// same-run ratio to the serial leg, and cache=hit its speedup over
+// cache=miss; the shape that matters is ≥3× RPC throughput at 8
+// callers vs serial and ≥10× latency reduction for a cache hit vs a
+// miss.
 func BenchmarkPipelinedThroughput(b *testing.B) {
 	const storeServiceDelay = time.Millisecond
 	content := make([]byte, 16<<10)
@@ -967,7 +945,7 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 	defer cli.Close()
 	db := transport.DBClient{C: cli}
 
-	throughput := map[int]float64{}
+	var serial float64 // the callers=1 leg's rpcs/sec; 0 when -bench filtered it out
 	for _, callers := range []int{1, 8, 64} {
 		callers := callers
 		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
@@ -999,14 +977,18 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 			}
 			thr := float64(per*callers) / elapsed.Seconds()
 			b.ReportMetric(thr, "rpcs/sec")
-			throughput[callers] = thr
+			if callers == 1 {
+				serial = thr
+			} else if serial > 0 {
+				b.ReportMetric(thr/serial, "x_vs_serial")
+			}
 		})
 	}
 
 	// Cache hit vs fetch miss: the cached client warmed once, against
 	// the uncached client paying the full network fetch every call.
 	cached := db.WithContentCache(cache.New("bench-pipeline", 64<<20))
-	var missNS, hitNS float64
+	var missNS float64 // 0 when -bench filtered cache=miss out
 	b.Run("cache=miss", func(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
@@ -1026,51 +1008,11 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		hitNS = float64(time.Since(start).Nanoseconds()) / float64(b.N)
-	})
-
-	out := map[string]any{
-		"benchmark":     "E29PipelinedThroughput",
-		"content_bytes": len(content),
-		"rpcs_per_sec": map[string]float64{
-			"1": throughput[1], "8": throughput[8], "64": throughput[64],
-		},
-		"speedup_8_callers_vs_serial": throughput[8] / throughput[1],
-		"cache_miss_ns":               missNS,
-		"cache_hit_ns":                hitNS,
-		"cache_hit_speedup":           missNS / hitNS,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// mergeBenchJSON folds add into the JSON object at path, creating the
-// file if absent — so benchmarks sharing one output file (E27 writes
-// BENCH_obs.json fresh, the E30 benchmarks annotate it) compose under
-// any -bench filter.
-func mergeBenchJSON(b *testing.B, path string, add map[string]any) {
-	b.Helper()
-	out := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &out); err != nil {
-			out = map[string]any{}
+		hitNS := float64(time.Since(start).Nanoseconds()) / float64(b.N)
+		if missNS > 0 {
+			b.ReportMetric(missNS/hitNS, "x_vs_miss")
 		}
-	}
-	for k, v := range add {
-		out[k] = v
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	})
 }
 
 // BenchmarkE30ExportOverhead prices the trace pipeline on the E29
@@ -1084,8 +1026,6 @@ func mergeBenchJSON(b *testing.B, path string, add map[string]any) {
 // and assembly contending for the same CPUs) is measured and reported
 // alongside; on a single-CPU host it is materially higher because
 // every collector cycle comes straight out of delivery throughput.
-// Both fractions are merged into BENCH_obs.json next to the E27
-// latency baseline.
 func BenchmarkE30ExportOverhead(b *testing.B) {
 	const storeServiceDelay = time.Millisecond
 	const callers = 8
@@ -1232,19 +1172,6 @@ func BenchmarkE30ExportOverhead(b *testing.B) {
 	b.ReportMetric(on, "rpcs/sec_on")
 	b.ReportMetric(exporterOv*100, "exporter_overhead_%")
 	b.ReportMetric(pipelineOv*100, "colocated_overhead_%")
-	mergeBenchJSON(b, "BENCH_obs.json", map[string]any{
-		"export_overhead": map[string]any{
-			"benchmark":                   "E30ExportOverhead",
-			"callers":                     callers,
-			"rounds":                      rounds,
-			"rpcs_per_sec_off":            off,
-			"rpcs_per_sec_on":             on,
-			"overhead_fraction":           exporterOv,
-			"colocated_overhead_fraction": pipelineOv,
-			"acceptance_sub_5pc":          exporterOv < 0.05,
-			"note":                        "overhead_fraction is the node-side exporter cost (collector off-box, as deployed); colocated_overhead_fraction adds the collector sharing this host's CPUs",
-		},
-	})
 }
 
 // median of a small sample; averages the middle pair on even sizes.
@@ -1262,7 +1189,7 @@ func median(xs []float64) float64 {
 // BenchmarkE30CollectorAssembly prices the collector's side of the
 // pipeline: batches of four-hop traces added directly (no network),
 // measuring assembly + tail-sampling + critical-path throughput in
-// spans/sec. Merged into BENCH_obs.json.
+// spans/sec.
 func BenchmarkE30CollectorAssembly(b *testing.B) {
 	col := collect.NewCollector(collect.RetainPolicy{SlowThreshold: time.Hour, SampleRate: 0})
 	defer col.Close()
@@ -1285,14 +1212,7 @@ func BenchmarkE30CollectorAssembly(b *testing.B) {
 	}
 	col.Sweep(0)
 	b.StopTimer()
-	spansPerSec := float64(b.N*4) / b.Elapsed().Seconds()
-	b.ReportMetric(spansPerSec, "spans/sec")
-	mergeBenchJSON(b, "BENCH_obs.json", map[string]any{
-		"collector_assembly": map[string]any{
-			"benchmark":     "E30CollectorAssembly",
-			"spans_per_sec": spansPerSec,
-		},
-	})
+	b.ReportMetric(float64(b.N*4)/b.Elapsed().Seconds(), "spans/sec")
 }
 
 // BenchmarkE31ClusterAvailability — the cluster availability/latency
@@ -1302,11 +1222,10 @@ func BenchmarkE30CollectorAssembly(b *testing.B) {
 // down per shard, two replicas down per shard (primary-only). Each
 // stage gets a short unmeasured warm-up so breakers trip and the
 // health ordering settles (steady-state routing is what deployments
-// run in), then b.N measured reads. Besides ns/op it writes
-// BENCH_cluster.json with per-stage p50/p99 read latency and
-// availability, plus the two acceptance bits: 100% availability with
-// one replica down, and degraded p99 within 3x the healthy baseline
-// (scripts/bench_cluster.sh runs it to refresh the numbers).
+// run in), then b.N measured reads. Besides ns/op it reports each
+// stage's p99 read latency and failed reads, and it is its own gate:
+// it fails when e31Accept rejects what it measured (make cluster runs
+// it at -benchtime=300x).
 func BenchmarkE31ClusterAvailability(b *testing.B) {
 	const (
 		shards      = 2
@@ -1354,20 +1273,15 @@ func BenchmarkE31ClusterAvailability(b *testing.B) {
 		b.Fatalf("seed replication never converged: backlog %d", router.Backlog())
 	}
 
-	type stage struct {
-		down      int
-		lat       sim.Series
-		ok, total int
-	}
-	stages := []*stage{{down: 0}, {down: 1}, {down: 2}}
+	var stages [3]e31Stage // indexed by replicas down per shard
 	b.ReportAllocs()
 	b.ResetTimer()
-	for _, st := range stages {
+	for down := range stages {
 		// Damage is cumulative: stage N partitions the N-th read replica
 		// of every shard.
-		if st.down > 0 {
+		if down > 0 {
 			for _, shard := range nodes {
-				shard[st.down].Partition(true)
+				shard[down].Partition(true)
 			}
 		}
 		b.StopTimer()
@@ -1375,15 +1289,18 @@ func BenchmarkE31ClusterAvailability(b *testing.B) {
 			db.GetContent(refs[i%len(refs)]) //mits:allow errdrop warm-up outcome recorded by the measured loop
 		}
 		b.StartTimer()
+		var lat sim.Series
+		st := &stages[down]
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
 			_, rerr := db.GetContent(refs[i%len(refs)])
-			st.lat.AddDuration(time.Since(start))
+			lat.AddDuration(time.Since(start))
 			st.total++
 			if rerr == nil {
 				st.ok++
 			}
 		}
+		st.p99 = lat.Percentile(99)
 	}
 	b.StopTimer()
 	for _, shard := range nodes {
@@ -1391,35 +1308,46 @@ func BenchmarkE31ClusterAvailability(b *testing.B) {
 		shard[2].Partition(false)
 	}
 
-	out := map[string]any{"benchmark": "E31ClusterAvailability", "reads_per_stage": b.N,
-		"topology": fmt.Sprintf("%d shards x (primary+%d replicas)", shards, replicas-1)}
-	for _, st := range stages {
-		avail := 0.0
-		if st.total > 0 {
-			avail = float64(st.ok) / float64(st.total)
-		}
-		key := fmt.Sprintf("replicas_down_%d", st.down)
-		out[key] = map[string]any{
-			"p50_ns":       int64(st.lat.Percentile(50)),
-			"p99_ns":       int64(st.lat.Percentile(99)),
-			"ok":           st.ok,
-			"failed":       st.total - st.ok,
-			"availability": avail,
-		}
-		b.ReportMetric(st.lat.Percentile(99), fmt.Sprintf("down%d_p99_ns", st.down))
+	for down, st := range stages {
+		b.ReportMetric(st.p99, fmt.Sprintf("down%d_p99_ns", down))
+		b.ReportMetric(float64(st.total-st.ok), fmt.Sprintf("down%d_failed", down))
 	}
-	// The acceptance bits E31 is gated on: no failed reads with one
-	// replica down per shard, and its p99 within 3x the healthy p99.
-	oneDown := stages[1]
-	out["accept_full_availability_one_down"] = oneDown.ok == oneDown.total
-	out["accept_p99_within_3x_healthy"] = oneDown.lat.Percentile(99) <= 3*stages[0].lat.Percentile(99)
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
+	if err := e31Accept(stages); err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_cluster.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+}
+
+// e31Stage is what BenchmarkE31ClusterAvailability measured at one
+// damage level: reads that succeeded out of reads issued, and the p99
+// read latency in ns.
+type e31Stage struct {
+	ok, total int
+	p99       float64
+}
+
+// e31Accept is the E31 gate of DESIGN §12 over the three stages
+// (indexed by replicas down per shard): with one replica down per
+// shard no read may fail and the p99 must stay within 3x the healthy
+// p99. Two down (primary only) is reported, not gated. Under 100 reads
+// per stage "p99" is the slowest of a handful of samples, so the
+// discovery runs of go test -bench (b.N = 1, ...) are held to the
+// availability half only. The error carries every stage's numbers.
+func e31Accept(stages [3]e31Stage) error {
+	healthy, oneDown := stages[0], stages[1]
+	var why string
+	switch {
+	case oneDown.ok != oneDown.total:
+		why = "reads failed with one replica down per shard"
+	case oneDown.total >= 100 && oneDown.p99 > 3*healthy.p99:
+		why = "one-down p99 exceeds 3x healthy"
+	default:
+		return nil
 	}
+	msg := "E31: " + why
+	for down, st := range stages {
+		msg += fmt.Sprintf("\n  %d down: %d/%d reads ok, p99 %s", down, st.ok, st.total, time.Duration(st.p99))
+	}
+	return errors.New(msg)
 }
 
 // BenchmarkTransportSaturation — E32, the hardware-limited transport

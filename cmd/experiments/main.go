@@ -1,6 +1,7 @@
 // Command experiments runs the paper-reproduction experiment suite
-// (E1–E20, one per figure/table — see DESIGN.md) and prints each
-// report. With -only it runs a single experiment.
+// (one per figure/table plus the system experiments — see DESIGN.md;
+// -list prints the registered ids) and prints each report. With -only
+// it runs a single experiment.
 //
 //	go run ./cmd/experiments            # all experiments
 //	go run ./cmd/experiments -only E17  # just the broadband experiment
@@ -15,11 +16,12 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment id (E1..E20)")
+	entries := experiments.All()
+	only := flag.String("only", "", fmt.Sprintf("run a single experiment id (%s..%s; -list prints all %d)",
+		entries[0].ID, entries[len(entries)-1].ID, len(entries)))
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
-	entries := experiments.All()
 	if *list {
 		for _, e := range entries {
 			fmt.Println(e.ID)

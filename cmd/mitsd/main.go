@@ -25,12 +25,12 @@
 //
 // With -stats, GET /stats returns the obs text exposition (counters,
 // gauges, latency percentiles, recent RPC spans), /metrics the
-// Prometheus exposition, /debug/vars the expvar mirror, /debug/pprof/*
-// the runtime profiles and /healthz a liveness 200. With -collect the
-// daemon also runs a trace collector on the given RPC address and
-// mounts its /traces, /trace and /slowest views on the stats endpoint;
-// with -export it ships its own finished spans to a collector
-// elsewhere (typically another mitsd run with -collect).
+// Prometheus exposition, /debug/pprof/* the runtime profiles and
+// /healthz a liveness 200. With -collect the daemon also runs a trace
+// collector on the given RPC address and mounts its /traces, /trace
+// and /slowest views on the stats endpoint; with -export it ships its
+// own finished spans to a collector elsewhere (typically another mitsd
+// run with -collect).
 package main
 
 import (

@@ -160,9 +160,10 @@ func (a *applier) pause(d time.Duration) bool {
 	}
 }
 
-// close stops the applier goroutine. Pending ops are abandoned — the
-// router is shutting down, and replication state is rebuilt from the
-// primary on the next start.
+// close stops the applier goroutine. Pending ops are dropped with the
+// in-memory queue and nothing replays them on the next start: a replica
+// that had not applied them stays behind the primary for those keys
+// until they are written again (ROADMAP 6 owns the resync).
 func (a *applier) close() {
 	a.mu.Lock()
 	if !a.closed {

@@ -20,7 +20,7 @@ import (
 
 // Report is one experiment's result table.
 type Report struct {
-	ID     string // "E1"…"E20"
+	ID     string // the Entry.ID it ran as, e.g. "E17"
 	Figure string // paper figure/table reproduced
 	Title  string
 	Header []string

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
@@ -62,35 +60,6 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// expvarOnce guards the process-global expvar namespace: Publish
-// panics on duplicates, and tests may wire several servers.
-var expvarOnce sync.Once
-
-// PublishExpvar mirrors the Default registry into expvar under the
-// "mits" variable, so the standard /debug/vars endpoint carries the
-// same numbers as /stats. Safe to call repeatedly.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("mits", expvar.Func(func() any {
-			out := make(map[string]any)
-			for _, c := range Default.Counters() {
-				out[c.Name()] = c.Value()
-			}
-			for _, g := range Default.Gauges() {
-				out[g.Name()] = g.Value()
-			}
-			for _, h := range Default.Histograms() {
-				s := h.Snapshot()
-				out[s.Name] = map[string]int64{
-					"count": s.Count, "sum_ns": int64(s.Sum),
-					"p50_ns": int64(s.P50), "p95_ns": int64(s.P95), "p99_ns": int64(s.P99),
-				}
-			}
-			return out
-		}))
-	})
-}
-
 // StatsServer is a running stats HTTP endpoint.
 type StatsServer struct {
 	Addr        string // bound address, e.g. "127.0.0.1:7122"
@@ -111,10 +80,10 @@ func (s *StatsServer) Close() error {
 
 // ServeStats exposes the Default registry over HTTP on addr
 // ("127.0.0.1:0" picks a free port): GET /stats returns the text
-// exposition, /metrics the Prometheus text format, /debug/vars the
-// expvar mirror, /debug/pprof/* the runtime profiles, /healthz a bare
-// 200. While the server runs, a background sampler publishes the
-// runtime_* gauges and the runtime_gc_pause_ns histogram.
+// exposition, /metrics the Prometheus text format, /debug/pprof/* the
+// runtime profiles, /healthz a bare 200. While the server runs, a
+// background sampler publishes the runtime_* gauges and the
+// runtime_gc_pause_ns histogram.
 func ServeStats(addr string) (*StatsServer, error) {
 	return ServeStatsMux(addr, nil)
 }
@@ -128,11 +97,9 @@ func ServeStatsMux(addr string, mount func(*http.ServeMux)) (*StatsServer, error
 	if err != nil {
 		return nil, fmt.Errorf("obs: stats listen: %w", err)
 	}
-	PublishExpvar()
 	mux := http.NewServeMux()
 	mux.Handle("/stats", Default.Handler())
 	mux.Handle("/metrics", Default.PromHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	// pprof registers on http.DefaultServeMux via init; this server uses
 	// its own mux, so mount the handlers explicitly. Note the server's
 	// WriteTimeout below caps profile collection — use e.g.

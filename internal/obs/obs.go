@@ -18,7 +18,7 @@
 //
 // Every process has one Default registry; the package-level functions
 // address it. Sites expose it over HTTP (ServeStats) in the text
-// exposition format of WriteText, and mirror it into expvar.
+// exposition format of WriteText and in the Prometheus text format.
 //
 // Instrumentation is cheap by construction: counters and histograms
 // are atomics, name lookup is one read-locked map access, and hot

@@ -864,7 +864,7 @@ func BenchmarkE28FaultRecovery(b *testing.B) {
 		if err := srv.Serve(inj.WrapListener(lis)); err != nil {
 			b.Fatal(err)
 		}
-		defer srv.Close() //mits:allow errdrop benchmark teardown
+		defer srv.Close()
 		addr := lis.Addr().String()
 		dial := func() (transport.Client, error) {
 			conn, derr := inj.Dial(addr)
@@ -878,7 +878,7 @@ func BenchmarkE28FaultRecovery(b *testing.B) {
 		db, _ := transport.NewResilientDBClient(sc.name, dial, transport.RetryPolicy{
 			Attempts: 4, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
 		}, 8, 100*time.Millisecond, uint64(0xBE7C+17*i))
-		defer db.C.Close() //mits:allow errdrop benchmark teardown
+		defer db.C.Close()
 		stacks = append(stacks, &stack{name: sc.name, db: db})
 	}
 
@@ -887,7 +887,7 @@ func BenchmarkE28FaultRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, st := range stacks {
 			start := time.Now()
-			st.db.GetListDoc() //mits:allow errdrop typed failures under injected faults are expected
+			st.db.GetListDoc()
 			st.lat.AddDuration(time.Since(start))
 		}
 	}
@@ -929,7 +929,7 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 	mux := transport.NewMux()
 	transport.RegisterStore(mux, store)
 	slowStore := transport.HandlerFunc(func(method string, payload []byte) ([]byte, error) {
-		time.Sleep(storeServiceDelay) //mits:allow sleepless modeled store service latency under benchmark
+		time.Sleep(storeServiceDelay)
 		return mux.Handle(method, payload)
 	})
 	srv := transport.NewTCPServer(slowStore)
@@ -1037,7 +1037,7 @@ func BenchmarkE30ExportOverhead(b *testing.B) {
 	mux := transport.NewMux()
 	transport.RegisterStore(mux, store)
 	slowStore := transport.HandlerFunc(func(method string, payload []byte) ([]byte, error) {
-		time.Sleep(storeServiceDelay) //mits:allow sleepless modeled store service latency under benchmark
+		time.Sleep(storeServiceDelay)
 		return mux.Handle(method, payload)
 	})
 	srv := transport.NewTCPServer(slowStore)
@@ -1249,7 +1249,7 @@ func BenchmarkE31ClusterAvailability(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer n.Close() //mits:allow errdrop benchmark teardown
+			defer n.Close()
 			nodes[i] = append(nodes[i], n)
 			sc.Replicas = append(sc.Replicas, cluster.ReplicaConfig{Name: name, Dial: n.Dialer(100 * time.Millisecond)})
 		}
@@ -1259,7 +1259,7 @@ func BenchmarkE31ClusterAvailability(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer router.Close() //mits:allow errdrop benchmark teardown
+	defer router.Close()
 	db := transport.DBClient{C: transport.Loopback{H: router}}
 
 	refs := make([]string, seedCourses)
@@ -1286,7 +1286,7 @@ func BenchmarkE31ClusterAvailability(b *testing.B) {
 		}
 		b.StopTimer()
 		for i := 0; i < 16; i++ { // warm-up: let breakers open, health order settle
-			db.GetContent(refs[i%len(refs)]) //mits:allow errdrop warm-up outcome recorded by the measured loop
+			db.GetContent(refs[i%len(refs)])
 		}
 		b.StartTimer()
 		var lat sim.Series

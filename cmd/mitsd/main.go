@@ -286,15 +286,15 @@ func runCluster(logger *slog.Logger, addr, spec, name string, noSamples bool) (*
 			School:     sch,
 		}
 		if err := publishSamples(pub); err != nil {
-			router.Close() //mits:allow errdrop teardown after failed start
+			router.Close()
 			return nil, "", nil, err
 		}
 		if err := pub.StockLibrary(); err != nil {
-			router.Close() //mits:allow errdrop teardown after failed start
+			router.Close()
 			return nil, "", nil, err
 		}
 		if err := publishExercises(exb, fac); err != nil {
-			router.Close() //mits:allow errdrop teardown after failed start
+			router.Close()
 			return nil, "", nil, err
 		}
 		if !router.WaitConverged(10 * time.Second) {
@@ -304,7 +304,7 @@ func runCluster(logger *slog.Logger, addr, spec, name string, noSamples bool) (*
 	srv := transport.NewTCPServer(mux)
 	bound, err := srv.Listen(addr)
 	if err != nil {
-		router.Close() //mits:allow errdrop teardown after failed start
+		router.Close()
 		return nil, "", nil, err
 	}
 	logger.Info("cluster front door", "school", name, "shards", router.Shards())

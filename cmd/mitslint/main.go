@@ -6,46 +6,44 @@
 //
 // Analyzers (see internal/lint/<name> for the full contract):
 //
-//	lockcheck     unguarded field access on mutex-protected structs
+//	lockcheck     fields of mutex-protected structs touched without the lock
 //	errdrop       discarded errors from transport/mediastore I/O
 //	lifecycle     MHEG form (a)/(b)/(c) object life cycle violations
 //	sleepless     time.Sleep synchronization in non-test code
 //	logcheck      raw log.*/fmt.Print* output in internal packages
-//	goleak        goroutine launches with no reachable stop path
 //	closecheck    closeable values never closed and never escaping
 //	boundscheck   unguarded []byte indexing in decode paths
 //	chanwait      blocking sends/receives the teardown path cannot wake
 //	atomicmix     fields mixing sync/atomic with plain or mutex access
 //	poolcheck     sync.Pool double-Put, use-after-Put, API escapes
 //	deadlinecheck blocking transport/store calls with no reachable deadline
+//	spancheck     trace spans that do not reach End on every path
 //	lockorder     cycles in the module-wide lock-ordering graph
-//	ctxflow       inbound deadlines dropped at a cross-package hop
 //
 // All matched packages are summarized into one module-wide view
 // (function summaries, interface calls resolved to every in-module
-// implementation) before any analyzer runs, so the interprocedural
-// analyzers — lockorder, ctxflow — see cross-package facts even when
-// each diagnostic is reported by the package that owns the witness
-// line. Packages are then analyzed concurrently (-j workers, default
-// GOMAXPROCS); output order is independent of scheduling.
+// implementation) before any analyzer runs, so lockorder sees
+// cross-package lock order even though each cycle is reported by the
+// package that owns its witness line.
 //
 // Diagnostics print in a deterministic order (by file, line, column,
-// analyzer) regardless of package load order; -json emits them as a
-// JSON array and -sarif as a SARIF 2.1.0 log instead. Exit status is 1
-// when any unsuppressed diagnostic is reported, 2 on usage or load
-// errors. Type errors in loaded packages are warnings: the analyzers
-// run on what type-checks, and the build gate — not the linter — owns
-// compilation failures.
+// analyzer). Exit status is 1 when any unsuppressed diagnostic or dead
+// baseline entry is reported, 2 on usage or load errors. Type errors
+// in loaded packages are warnings: the analyzers run on what
+// type-checks, and the build gate — not the linter — owns compilation
+// failures.
 //
-// Suppression happens at two levels. In the source, //mits:allow
-// <analyzer> (or //mits:nolock) on or above the flagged line. Out of
-// band, a baseline file (-baseline, default lint.baseline.json when
-// present) lists triaged findings by analyzer/file/message; matching
-// diagnostics are reported as suppressed and do not fail the run.
-// Entries whose file no longer exists are invalid (renames re-triage
-// under the new path) and entries matching nothing are stale; both are
-// warnings normally and hard errors under -ci, which is how the CI
-// gate keeps the baseline from outliving the findings it triaged.
+// Suppression happens at two levels. In the source, a //mits:allow
+// <analyzer> comment (or //mits:nolock for lockcheck) on or above the
+// flagged line, or in a function's doc comment for the whole function;
+// a suppression that matches no finding of an analyzer that ran is a
+// finding itself. Out of band, a baseline file (-baseline, default
+// lint.baseline.json when present) lists triaged findings by
+// analyzer/file/message; matching diagnostics are reported as
+// suppressed and do not fail the run. Entries whose file no longer
+// exists are invalid (renames re-triage under the new path) and entries
+// matching nothing are stale; both fail the run, which is how the gate
+// keeps the baseline from outliving the findings it triaged.
 // -write-baseline regenerates the file from the current findings.
 // -stats writes per-analyzer wall time and finding counts as JSON to
 // the given path ("-" for stderr).
@@ -58,10 +56,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mits/internal/lint"
@@ -71,19 +66,10 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log on stdout")
 	baselinePath := flag.String("baseline", "lint.baseline.json", "baseline file of triaged findings to suppress (missing file = empty baseline)")
 	writeBaseline := flag.Bool("write-baseline", false, "write the current findings to the baseline file and exit")
 	statsPath := flag.String("stats", "", "write per-analyzer wall time and finding counts as JSON to this path (\"-\" = stderr)")
-	ci := flag.Bool("ci", false, "gate mode: stale or invalidated baseline entries are hard errors, not warnings")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "number of packages analyzed concurrently (1 = serial)")
 	flag.Parse()
-
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "mitslint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	analyzers := suite.All()
 	if *list {
@@ -104,8 +90,7 @@ func main() {
 			}
 		}
 		if len(filtered) == 0 {
-			fmt.Fprintf(os.Stderr, "mitslint: no analyzer matches -only=%s\n", *only)
-			os.Exit(2)
+			fatalf("no analyzer matches -only=%s", *only)
 		}
 		analyzers = filtered
 	}
@@ -116,8 +101,7 @@ func main() {
 	}
 	pkgs, err := lint.Load("", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mitslint: %v\n", err)
-		os.Exit(2)
+		fatalf("%v", err)
 	}
 
 	var targets []*lint.Package
@@ -126,55 +110,45 @@ func main() {
 			continue
 		}
 		targets = append(targets, pkg)
-	}
-	if len(targets) == 0 {
-		fmt.Fprintf(os.Stderr, "mitslint: patterns matched no packages: %s\n", strings.Join(patterns, " "))
-		os.Exit(2)
-	}
-	for _, pkg := range targets {
 		for _, te := range pkg.TypeErrors {
 			fmt.Fprintf(os.Stderr, "mitslint: warning: %s: type error: %v\n", pkg.ImportPath, te)
 		}
 	}
-
-	// One module-wide view over every analyzed package: the
-	// interprocedural analyzers resolve interface calls and stitch lock
-	// order across all of it, then each per-package pass reports only
-	// the findings whose witness line it owns.
-	mod := lint.NewModule(targets)
-
-	diags, stats, err := analyzeAll(analyzers, targets, mod, *workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mitslint: %v\n", err)
-		os.Exit(2)
+	if len(targets) == 0 {
+		fatalf("patterns matched no packages: %s", strings.Join(patterns, " "))
 	}
 
-	// One global order across all packages and analyzers, so output is
-	// stable under load-order and scheduling differences.
+	// One module-wide view over every analyzed package: lockorder
+	// resolves interface calls and stitches lock order across all of it,
+	// then each per-package pass reports only the findings whose witness
+	// line it owns.
+	mod := lint.NewModule(targets)
+
+	var diags []lint.Diagnostic
+	stats := make([]analyzerStats, len(analyzers))
+	for i, a := range analyzers {
+		stats[i].Analyzer = a.Name
+	}
+	for _, pkg := range targets {
+		for i, a := range analyzers {
+			start := time.Now()
+			ds, err := lint.RunWithModule(a, pkg, mod)
+			stats[i].WallMS += float64(time.Since(start).Microseconds()) / 1000
+			if err != nil {
+				fatalf("%v", err)
+			}
+			stats[i].Findings += len(ds)
+			diags = append(diags, ds...)
+		}
+	}
 	for i := range diags {
 		diags[i].Pos.Filename = rel(diags[i].Pos.Filename)
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
+	lint.SortDiags(diags)
 
 	if *writeBaseline {
 		if err := lint.SaveBaseline(*baselinePath, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "mitslint: %v\n", err)
-			os.Exit(2)
+			fatalf("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "mitslint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
 		return
@@ -182,110 +156,34 @@ func main() {
 
 	baseline, err := lint.LoadBaseline(*baselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mitslint: %v\n", err)
-		os.Exit(2)
+		fatalf("%v", err)
 	}
 	diags, suppressed, stale := baseline.Filter(diags)
-	severity := "warning"
-	if *ci {
-		severity = "error"
-	}
 	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "mitslint: %s: stale baseline entry: %s\n", severity, s)
+		fmt.Fprintf(os.Stderr, "mitslint: error: stale baseline entry: %s\n", s)
 	}
 	if suppressed > 0 {
 		fmt.Fprintf(os.Stderr, "mitslint: %d finding(s) suppressed by %s\n", suppressed, *baselinePath)
 	}
 
 	if *statsPath != "" {
-		if err := writeStats(*statsPath, analyzers, stats); err != nil {
-			fmt.Fprintf(os.Stderr, "mitslint: %v\n", err)
-			os.Exit(2)
+		if err := writeStats(*statsPath, stats); err != nil {
+			fatalf("%v", err)
 		}
 	}
 
-	switch {
-	case *jsonOut:
-		printJSON(diags)
-	case *sarifOut:
-		printSARIF(analyzers, diags)
-	default:
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
-	if len(diags) > 0 || (*ci && len(stale) > 0) {
+	if len(diags) > 0 || len(stale) > 0 {
 		os.Exit(1)
 	}
 }
 
-// ---- concurrent package analysis ----
-
-// analyzeAll runs every analyzer over every target package, packages
-// fanned across a bounded worker pool. Results are merged in target
-// order, so diagnostics and stats are identical to a serial run
-// regardless of scheduling; the shared Module is safe for concurrent
-// readers (its lazy graphs build under sync.Once).
-func analyzeAll(analyzers []*lint.Analyzer, targets []*lint.Package, mod *lint.Module, workers int) ([]lint.Diagnostic, map[string]*analyzerStats, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	type pkgResult struct {
-		diags []lint.Diagnostic
-		wall  map[string]float64
-		count map[string]int
-		err   error
-	}
-	results := make([]pkgResult, len(targets))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, pkg := range targets {
-		wg.Add(1)
-		go func(i int, pkg *lint.Package) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res := pkgResult{
-				wall:  make(map[string]float64, len(analyzers)),
-				count: make(map[string]int, len(analyzers)),
-			}
-			for _, a := range analyzers {
-				start := time.Now()
-				ds, err := lint.RunWithModule(a, pkg, mod)
-				res.wall[a.Name] += float64(time.Since(start).Microseconds()) / 1000
-				if err != nil {
-					res.err = err
-					break
-				}
-				res.count[a.Name] += len(ds)
-				res.diags = append(res.diags, ds...)
-			}
-			results[i] = res
-		}(i, pkg)
-	}
-	wg.Wait()
-
-	var diags []lint.Diagnostic
-	stats := make(map[string]*analyzerStats, len(analyzers))
-	for _, a := range analyzers {
-		stats[a.Name] = &analyzerStats{Analyzer: a.Name}
-	}
-	for _, res := range results {
-		if res.err != nil {
-			return nil, nil, res.err
-		}
-		diags = append(diags, res.diags...)
-		for name, ms := range res.wall {
-			stats[name].WallMS += ms
-		}
-		for name, n := range res.count {
-			stats[name].Findings += n
-		}
-	}
-	return diags, stats, nil
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mitslint: "+format+"\n", args...)
+	os.Exit(2)
 }
-
-// ---- per-analyzer stats ----
 
 type analyzerStats struct {
 	Analyzer string  `json:"analyzer"`
@@ -293,14 +191,11 @@ type analyzerStats struct {
 	WallMS   float64 `json:"wall_ms"`
 }
 
-func writeStats(path string, analyzers []*lint.Analyzer, stats map[string]*analyzerStats) error {
-	out := make([]analyzerStats, 0, len(analyzers))
-	for _, a := range analyzers {
-		s := *stats[a.Name]
-		s.WallMS = math.Round(s.WallMS*1000) / 1000
-		out = append(out, s)
+func writeStats(path string, stats []analyzerStats) error {
+	for i := range stats {
+		stats[i].WallMS = math.Round(stats[i].WallMS*1000) / 1000
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.MarshalIndent(stats, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -310,129 +205,6 @@ func writeStats(path string, analyzers []*lint.Analyzer, stats map[string]*analy
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// ---- output formats ----
-
-// jsonDiag is the -json wire form of one diagnostic.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-func printJSON(diags []lint.Diagnostic) {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			Analyzer: d.Analyzer,
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "mitslint: %v\n", err)
-		os.Exit(2)
-	}
-}
-
-// SARIF 2.1.0 — the minimum profile CI viewers consume: one run, one
-// driver, a rule per analyzer, a result per diagnostic.
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-func printSARIF(analyzers []*lint.Analyzer, diags []lint.Diagnostic) {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-	}
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "warning",
-			Message: sarifMessage{Text: d.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: filepath.ToSlash(d.Pos.Filename)},
-					Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "mitslint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&log); err != nil {
-		fmt.Fprintf(os.Stderr, "mitslint: %v\n", err)
-		os.Exit(2)
-	}
 }
 
 // isTestdata guards against explicitly-named testdata packages (the

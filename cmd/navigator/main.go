@@ -68,7 +68,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "stats listen on %s: %v\n", *statsAddr, err)
 			os.Exit(1)
 		}
-		defer stats.Close() //mits:allow errdrop best-effort close on exit
+		defer stats.Close()
 		fmt.Printf("stats endpoint up at http://%s/stats\n", stats.Addr)
 	}
 
@@ -77,7 +77,7 @@ func main() {
 	// what lets a slow request be blamed on the right site.
 	if *exportAddr != "" {
 		exporter := collect.StartExporter(obs.Default, collect.Dial(*exportAddr), collect.ExporterOptions{Site: "navigator"})
-		defer exporter.Close() //mits:allow errdrop best-effort close on exit
+		defer exporter.Close()
 		fmt.Printf("exporting spans to %s\n", *exportAddr)
 	}
 

@@ -140,7 +140,7 @@ func runTraceLeg() error {
 	// Collector with its views on a second stats endpoint (in a real
 	// deployment this is `mitsd -collect ... -stats ...`).
 	col := collect.NewCollector(collect.RetainPolicy{SlowThreshold: time.Nanosecond, SampleRate: 0})
-	defer col.Close() //mits:allow errdrop smoke teardown
+	defer col.Close()
 	colMux := transport.NewMux()
 	col.Register(colMux)
 	colSrv := transport.NewTCPServer(colMux)
@@ -158,13 +158,13 @@ func runTraceLeg() error {
 	exporter := collect.StartExporter(obs.Default, collect.Dial(colAddr), collect.ExporterOptions{Site: "smoke"})
 	nav, err := transport.DialTCP(edgeAddr)
 	if err != nil {
-		exporter.Close() //mits:allow errdrop smoke teardown
+		exporter.Close()
 		return err
 	}
 	defer nav.Close() //mits:allow errdrop smoke teardown
 	req, err := transport.EncodeGetContent("store/v.mpg")
 	if err != nil {
-		exporter.Close() //mits:allow errdrop smoke teardown
+		exporter.Close()
 		return err
 	}
 	root := obs.StartSpan("smoke.GetContent", "internal")
@@ -172,7 +172,7 @@ func runTraceLeg() error {
 	root.End(err)
 	trace := root.Trace
 	if err != nil {
-		exporter.Close() //mits:allow errdrop smoke teardown
+		exporter.Close()
 		return fmt.Errorf("GetContent through the edge: %w", err)
 	}
 	exporter.Flush()
@@ -186,7 +186,7 @@ func runTraceLeg() error {
 		return fmt.Errorf("scrape /trace: %w", err)
 	}
 	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close() //mits:allow errdrop smoke teardown
+	resp.Body.Close()
 	if err != nil {
 		return err
 	}
@@ -204,7 +204,7 @@ func runTraceLeg() error {
 	if err != nil {
 		return err
 	}
-	resp404.Body.Close() //mits:allow errdrop smoke teardown
+	resp404.Body.Close()
 	if resp404.StatusCode != 404 {
 		return fmt.Errorf("unknown trace ID answered %d, want 404", resp404.StatusCode)
 	}

@@ -41,7 +41,7 @@ func testCluster(t *testing.T, shards, replicasPerShard int) (*Router, [][]*Stor
 			if err != nil {
 				t.Fatalf("start node %s: %v", name, err)
 			}
-			t.Cleanup(func() { n.Close() }) //mits:allow errdrop test teardown
+			t.Cleanup(func() { n.Close() })
 			nodes[i] = append(nodes[i], n)
 			sc.Replicas = append(sc.Replicas, ReplicaConfig{Name: name, Dial: n.Dialer(150 * time.Millisecond)})
 		}
@@ -51,7 +51,7 @@ func testCluster(t *testing.T, shards, replicasPerShard int) (*Router, [][]*Stor
 	if err != nil {
 		t.Fatalf("new router: %v", err)
 	}
-	t.Cleanup(func() { r.Close() }) //mits:allow errdrop test teardown
+	t.Cleanup(func() { r.Close() })
 	return r, nodes
 }
 

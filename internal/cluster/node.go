@@ -40,7 +40,7 @@ func StartStoreNode(name string, scen faults.Scenario, seed uint64) (*StoreNode,
 		return nil, err
 	}
 	if err := n.srv.Serve(n.Injector.WrapListener(base)); err != nil {
-		base.Close() //mits:allow errdrop listener teardown after a failed serve
+		base.Close()
 		return nil, err
 	}
 	n.addr = base.Addr().String()

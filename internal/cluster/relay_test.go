@@ -110,7 +110,7 @@ func relayCluster(t *testing.T) (*Router, []*countingNode) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { r.Close() }) //mits:allow errdrop test teardown
+	t.Cleanup(func() { r.Close() })
 	return r, nodes
 }
 
@@ -318,6 +318,6 @@ func waitFor(t *testing.T, what string, cond func(*countingNode) bool, nodes []*
 		if time.Now().After(deadline) {
 			t.Fatalf("%s: not within 5s", what)
 		}
-		time.Sleep(time.Millisecond) //mits:allow sleepless test poll
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -53,7 +53,7 @@ func newRing(nShards, virtualNodes int) *ring {
 // uniformly around the circle.
 func hashKey(key string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(key)) //mits:allow errdrop,deadlinecheck in-memory hash: Write never fails and cannot block
+	h.Write([]byte(key)) //mits:allow deadlinecheck in-memory hash: Write cannot block
 	return mix64(h.Sum64())
 }
 

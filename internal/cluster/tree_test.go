@@ -106,12 +106,12 @@ func TestLibraryTreeFreshness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer node.Close() //mits:allow errdrop test teardown
+		defer node.Close()
 		c, err := transport.DialTCP(node.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close() //mits:allow errdrop test teardown
+		defer c.Close()
 		browseScript(t, c, func() {}, func(name string) {
 			if err := node.Store.DeleteDocument(name); err != nil {
 				t.Fatal(err)
@@ -153,12 +153,12 @@ func TestLibraryTreeAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { srv.Close() }) //mits:allow errdrop test teardown
+		t.Cleanup(func() { srv.Close() })
 		c, err := transport.DialTCP(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close() }) //mits:allow errdrop test teardown
+		t.Cleanup(func() { c.Close() })
 		return c
 	}
 	store := mediastore.New()

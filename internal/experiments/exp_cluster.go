@@ -89,7 +89,7 @@ func clusterStack(shards, replicasPerShard int, seed uint64) (*cluster.Router, [
 		for _, shard := range nodes {
 			for _, n := range shard {
 				if n != nil {
-					n.Close() //mits:allow errdrop experiment teardown
+					n.Close()
 				}
 			}
 		}
@@ -145,7 +145,7 @@ func clusterReplicaKill() (clusterRow, error) {
 		return clusterRow{}, err
 	}
 	defer teardown()
-	defer router.Close() //mits:allow errdrop experiment teardown
+	defer router.Close()
 
 	names, err := seedCluster(router, 8)
 	if err != nil {
@@ -195,7 +195,7 @@ func clusterShardPartition() (clusterRow, error) {
 		return clusterRow{}, err
 	}
 	defer teardown()
-	defer router.Close() //mits:allow errdrop experiment teardown
+	defer router.Close()
 
 	names, err := seedCluster(router, 8)
 	if err != nil {
@@ -265,7 +265,7 @@ func clusterHealWhileStreaming() (clusterRow, error) {
 		return clusterRow{}, err
 	}
 	defer teardown()
-	defer router.Close() //mits:allow errdrop experiment teardown
+	defer router.Close()
 
 	db := transport.DBClient{C: transport.Loopback{H: router}}
 	const chunks = 16

@@ -96,7 +96,7 @@ func E30TraceCollection() (*Report, error) {
 
 	// Collector node, fed by an exporter tapping this process's spans.
 	col := collect.NewCollector(collect.RetainPolicy{SlowThreshold: slowThreshold, SampleRate: 0})
-	defer col.Close() //mits:allow errdrop experiment teardown
+	defer col.Close()
 	colMux := transport.NewMux()
 	col.Register(colMux)
 	colSrv := transport.NewTCPServer(colMux)
@@ -106,7 +106,7 @@ func E30TraceCollection() (*Report, error) {
 	}
 	defer colSrv.Close() //mits:allow errdrop experiment teardown
 	exp := collect.StartExporter(obs.Default, collect.Dial(colAddr), collect.ExporterOptions{Site: "mits"})
-	defer exp.Close() //mits:allow errdrop experiment teardown
+	defer exp.Close()
 
 	// Navigator node: one slow content request (travels all hops, hits
 	// the stall) and one healthy control call (no stall on ListDocs).

@@ -66,8 +66,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		return c.Conn.Write(buf)
 	case writeTrunc:
-		n, _ := c.Conn.Write(p[:len(p)/2]) //mits:allow errdrop the injected severance is the error we report
-		c.Conn.Close()                     //mits:allow errdrop fault injection severs the conn; the write error is the signal
+		n, _ := c.Conn.Write(p[:len(p)/2])
+		c.Conn.Close()
 		return n, errors.Join(ErrInjected, errors.New("faults: write truncated, connection severed"))
 	}
 	return c.Conn.Write(p)

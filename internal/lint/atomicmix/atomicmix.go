@@ -7,7 +7,7 @@
 // torn or stale value regardless of atomics elsewhere, and a mutex
 // does not order its critical sections against atomic access from
 // outside them. Every field must therefore pick exactly one
-// discipline. Three rules:
+// discipline. Two rules:
 //
 //   - atomic/plain mix: a variable whose address reaches a sync/atomic
 //     function anywhere in the package must not be read or written
@@ -19,22 +19,15 @@
 //     struct with its own sync.Mutex/RWMutex, the diagnostic names the
 //     mutex — the usual fix is to stop being clever and take the lock.
 //
-//   - naked cross-function access (the field-granular lockcheck
-//     extension): a mutable field of a mutex-guarded struct touched
-//     through a non-receiver value — a free function or another
-//     type's method reaching into s.field — without s.mu.Lock()/RLock()
-//     earlier in the same body. lockcheck owns receiver methods; this
-//     rule owns everybody else in the package.
-//
 // Helpers that run under the caller's lock keep the lockcheck
-// conventions: a *Locked name suffix or //mits:allow atomicmix.
+// conventions: a *Locked name suffix or //mits:allow atomicmix. Plain
+// access to a mutex-guarded field without its lock is lockcheck's.
 package atomicmix
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"mits/internal/lint"
@@ -50,36 +43,16 @@ var Analyzer = &lint.Analyzer{
 func run(pass *lint.Pass) error {
 	conc := lint.NewConc(pass)
 	if len(conc.AtomicUses) == 0 {
-		// No atomic functions used: only the naked-access rule applies.
-		checkNakedAccess(pass)
 		return nil
 	}
-	checkAtomicMix(pass, conc)
-	checkNakedAccess(pass)
-	return nil
-}
-
-// ---- atomic/plain and atomic/mutex mixing ----
-
-func checkAtomicMix(pass *lint.Pass, conc *lint.Conc) {
-	// Deterministic object order for reporting.
-	objs := make([]types.Object, 0, len(conc.AtomicUses))
-	for obj := range conc.AtomicUses {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-
 	for _, f := range pass.Files {
 		parents := lint.Parents(f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || pass.FuncAllowed(fd) {
-				continue
+			if !ok || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {
+				continue // a Locked helper runs under the caller's lock by convention
 			}
-			if strings.HasSuffix(fd.Name.Name, "Locked") {
-				continue // runs under the caller's lock by convention
-			}
-			constructed := constructedTypes(pass, fd.Body)
+			constructed := pass.ConstructedTypes(fd.Body)
 			reported := map[types.Object]bool{} // one report per field per function
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				e, ok := n.(ast.Expr)
@@ -97,14 +70,12 @@ func checkAtomicMix(pass *lint.Pass, conc *lint.Conc) {
 				if !plainUse(pass, parents, e) {
 					return true
 				}
-				if v, ok := obj.(*types.Var); ok && v.IsField() {
-					if owner := fieldOwner(pass, v); owner != nil && constructed[owner] {
-						return true // pre-publication initialization in a constructor body
-					}
-				}
 				mutexNote := ""
 				if v, ok := obj.(*types.Var); ok && v.IsField() {
 					if owner := fieldOwner(pass, v); owner != nil {
+						if constructed[owner] {
+							return true // pre-publication initialization in a constructor body
+						}
 						if mu := mutexFieldOf(owner); mu != nil {
 							mutexNote = " (the struct has " + mu.Name() + "; mixing a mutex with atomics on one field orders nothing)"
 						}
@@ -118,6 +89,7 @@ func checkAtomicMix(pass *lint.Pass, conc *lint.Conc) {
 			})
 		}
 	}
+	return nil
 }
 
 // plainUse reports whether this appearance of the object is a plain
@@ -130,10 +102,9 @@ func plainUse(pass *lint.Pass, parents map[ast.Node]ast.Node, e ast.Expr) bool {
 	// take the selector and skip its Sel ident to avoid double reports.
 	switch p := parents[e].(type) {
 	case *ast.SelectorExpr:
-		if p.Sel == e {
-			return false // handled at the SelectorExpr node
-		}
-		return false // e is the base of a selector; not itself the access
+		// Either the Sel ident (handled at the SelectorExpr node) or the
+		// base of a selector (not itself the access).
+		return false
 	case *ast.KeyValueExpr:
 		if p.Key == e {
 			return false // composite-literal initialization
@@ -160,51 +131,6 @@ func isAtomicCall(pass *lint.Pass, call *ast.CallExpr) bool {
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// constructedTypes collects the named struct types this body builds
-// with a composite literal — values not yet shared, whose fields may
-// be initialized plainly.
-func constructedTypes(pass *lint.Pass, body ast.Node) map[*types.Named]bool {
-	out := make(map[*types.Named]bool)
-	record := func(t types.Type) {
-		if t == nil {
-			return
-		}
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			out[named] = true
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CompositeLit:
-			record(pass.TypesInfo.TypeOf(x))
-		case *ast.CallExpr:
-			// s := New(...) is the other pre-publication shape: a
-			// package-local New* constructor's result is unshared until
-			// this function hands it out (school.Load, mediastore.Load).
-			var id *ast.Ident
-			switch fun := ast.Unparen(x.Fun).(type) {
-			case *ast.Ident:
-				id = fun
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			}
-			if id == nil || !strings.HasPrefix(id.Name, "New") {
-				return true
-			}
-			if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() == pass.Pkg {
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Results().Len() > 0 {
-					record(sig.Results().At(0).Type())
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // fieldOwner resolves a field var to the named struct declaring it.
@@ -240,239 +166,9 @@ func mutexFieldOf(named *types.Named) *types.Var {
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		fld := st.Field(i)
-		if isSyncNamed(fld.Type(), "Mutex") || isSyncNamed(fld.Type(), "RWMutex") {
+		if lint.IsMutex(fld.Type()) {
 			return fld
 		}
 	}
 	return nil
-}
-
-func isSyncNamed(t types.Type, name string) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// ---- naked cross-function access to mutex-guarded fields ----
-
-// guarded mirrors lockcheck's struct model: a package-local struct
-// with a mutex field, its guarded fields, and which of them the
-// package mutates outside construction.
-type guarded struct {
-	named   *types.Named
-	mutex   *types.Var
-	fields  map[*types.Var]bool
-	mutable map[*types.Var]bool
-}
-
-func checkNakedAccess(pass *lint.Pass) {
-	structs := guardedStructs(pass)
-	if len(structs) == 0 {
-		return
-	}
-	markMutable(pass, structs)
-	fieldOwners := make(map[*types.Var]*guarded)
-	for _, g := range structs {
-		for fld := range g.fields {
-			fieldOwners[fld] = g
-		}
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || pass.FuncAllowed(fd) {
-				continue
-			}
-			if strings.HasSuffix(fd.Name.Name, "Locked") {
-				continue
-			}
-			recvNamed := receiverNamed(pass, fd)
-			constructed := constructedTypes(pass, fd.Body)
-			checkBodyNaked(pass, fd, recvNamed, constructed, fieldOwners)
-		}
-	}
-}
-
-// checkBodyNaked flags accesses to guarded fields through values whose
-// type is NOT the enclosing method's receiver type (lockcheck owns
-// those) when no base.mu.Lock()/RLock() appears earlier in the body.
-func checkBodyNaked(pass *lint.Pass, fd *ast.FuncDecl, recvNamed *types.Named, constructed map[*types.Named]bool, fieldOwners map[*types.Var]*guarded) {
-	type key struct {
-		base types.Object
-		fld  *types.Var
-	}
-	reported := make(map[key]bool)
-	locked := lockPositions(pass, fd.Body)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		s := pass.TypesInfo.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
-			return true
-		}
-		fld, ok := s.Obj().(*types.Var)
-		if !ok {
-			return true
-		}
-		g := fieldOwners[fld]
-		if g == nil || fld == g.mutex || isSyncPkgType(fld.Type()) || !g.mutable[fld] {
-			return true
-		}
-		if g.named == recvNamed {
-			return true // receiver methods are lockcheck's domain
-		}
-		if constructed[g.named] {
-			return true // building the value; not shared yet
-		}
-		base := pass.Referent(sel.X)
-		if base == nil {
-			return true
-		}
-		if first, ok := locked[base]; ok && sel.Pos() > first {
-			return true // base.mu.Lock() earlier in this body
-		}
-		k := key{base, fld}
-		if !reported[k] {
-			reported[k] = true
-			pass.Reportf(sel.Pos(), "%s.%s is guarded by %s.%s elsewhere but accessed here without holding it (no %s.%s.Lock earlier in this body)",
-				base.Name(), fld.Name(), g.named.Obj().Name(), g.mutex.Name(), base.Name(), g.mutex.Name())
-		}
-		return true
-	})
-}
-
-// lockPositions maps base objects to the position of the first
-// base.<mutex>.Lock()/RLock() call in the body.
-func lockPositions(pass *lint.Pass, body ast.Node) map[types.Object]token.Pos {
-	out := make(map[types.Object]token.Pos)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if s := pass.TypesInfo.Selections[inner]; s == nil || s.Kind() != types.FieldVal {
-			return true
-		}
-		base := pass.Referent(inner.X)
-		if base == nil {
-			return true
-		}
-		if first, ok := out[base]; !ok || call.Pos() < first {
-			out[base] = call.Pos()
-		}
-		return true
-	})
-	return out
-}
-
-func receiverNamed(pass *lint.Pass, fd *ast.FuncDecl) *types.Named {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	t := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-func guardedStructs(pass *lint.Pass) []*guarded {
-	var out []*guarded
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		g := &guarded{named: named, fields: make(map[*types.Var]bool), mutable: make(map[*types.Var]bool)}
-		for i := 0; i < st.NumFields(); i++ {
-			fld := st.Field(i)
-			g.fields[fld] = true
-			if g.mutex == nil && (isSyncNamed(fld.Type(), "Mutex") || isSyncNamed(fld.Type(), "RWMutex")) {
-				g.mutex = fld
-			}
-		}
-		if g.mutex != nil {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-func isSyncPkgType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && (obj.Pkg().Path() == "sync" || obj.Pkg().Path() == "sync/atomic")
-}
-
-// markMutable mirrors lockcheck: a field written outside composite
-// literals (assignment, ++/--, address-taken) is mutable; fields set
-// only at construction are immutable and free to read.
-func markMutable(pass *lint.Pass, structs []*guarded) {
-	owners := make(map[*types.Var]*guarded)
-	for _, g := range structs {
-		for fld := range g.fields {
-			owners[fld] = g
-		}
-	}
-	markExpr := func(e ast.Expr) {
-		ast.Inspect(e, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			s := pass.TypesInfo.Selections[sel]
-			if s == nil || s.Kind() != types.FieldVal {
-				return true
-			}
-			if fld, ok := s.Obj().(*types.Var); ok {
-				if g := owners[fld]; g != nil {
-					g.mutable[fld] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					markExpr(lhs)
-				}
-			case *ast.IncDecStmt:
-				markExpr(n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					markExpr(n.X)
-				}
-			}
-			return true
-		})
-	}
 }

@@ -33,14 +33,14 @@ func TestBaselineFilter(t *testing.T) {
 	b := &Baseline{Findings: []BaselineEntry{
 		{Analyzer: "lockcheck", File: "pkg/live.go", Message: "field hits guarded by mu"},
 		{Analyzer: "errdrop", File: "pkg/fixed.go", Message: "error discarded"},
-		{Analyzer: "goleak", File: "pkg/old.go", Message: "goroutine leak"},
+		{Analyzer: "closecheck", File: "pkg/old.go", Message: "conn never closed"},
 	}}
 
 	diags := []Diagnostic{
 		diagAt("lockcheck", "pkg/live.go", "field hits guarded by mu"),
 		// Same analyzer+message as the pkg/old.go entry, but in a file
 		// that exists: the dead entry must not suppress it.
-		diagAt("goleak", "pkg/renamed.go", "goroutine leak"),
+		diagAt("closecheck", "pkg/renamed.go", "conn never closed"),
 	}
 
 	kept, suppressed, stale := b.Filter(diags)
@@ -48,7 +48,7 @@ func TestBaselineFilter(t *testing.T) {
 		t.Errorf("suppressed = %d, want 1", suppressed)
 	}
 	if len(kept) != 1 || kept[0].Pos.Filename != "pkg/renamed.go" {
-		t.Errorf("kept = %v, want the pkg/renamed.go goleak finding", kept)
+		t.Errorf("kept = %v, want the pkg/renamed.go closecheck finding", kept)
 	}
 	if len(stale) != 2 {
 		t.Fatalf("stale = %v, want 2 entries", stale)

@@ -208,7 +208,7 @@ func checkCounterparts(pass *lint.Pass, conc *lint.Conc, comp lint.Completers) {
 // outside the package: an unexported field of a package-local struct
 // whose type is itself unexported or whose field cannot be reached, or
 // an unexported package-level variable. Locals are excluded (their
-// lifetime is one call; goleak and the runtime leaktest own those),
+// lifetime is one call; the runtime leaktest owns those),
 // as are exported names (another package may hold the counterpart).
 func packagePrivateChan(pass *lint.Pass, obj types.Object) bool {
 	v, ok := obj.(*types.Var)

@@ -1,15 +1,10 @@
 // Dataflow layer: the shared package-local analyses the deeper
-// analyzers (goleak, closecheck, boundscheck, and the concurrency
-// suite chanwait/atomicmix/poolcheck/deadlinecheck) build on. Four
-// pieces:
+// analyzers (closecheck, boundscheck, lockcheck, and the concurrency
+// suite chanwait/atomicmix/poolcheck) build on. Four pieces:
 //
 //   - CallGraph — a static, package-local call graph over function
-//     declarations, with transitive body reachability. `go f()` and
-//     `go func(){...}()` launches are first-class: a GoLaunch carries
-//     the launched callee, every package-local body the goroutine can
-//     reach, and the values that flow into it (receiver, arguments,
-//     captured free variables) so an analyzer can ask "who else in
-//     this package touches what this goroutine runs on?".
+//     declarations, resolving calls (generic ones included) to their
+//     declarations.
 //
 //   - Parents — an AST parent map, so expression-level analyses can
 //     classify how a value is used (returned, stored, passed on).
@@ -39,6 +34,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // ---- parent map ----
@@ -112,21 +108,6 @@ type FuncInfo struct {
 	Decl *ast.FuncDecl
 }
 
-// GoLaunch is one `go` statement, resolved.
-type GoLaunch struct {
-	Stmt   *ast.GoStmt
-	Callee *types.Func // statically-resolved launched function, nil for func literals and dynamic calls
-	// Bodies holds every package-local body the goroutine can execute:
-	// the launched func literal or declaration body, plus the bodies of
-	// all package-local functions transitively reachable from it.
-	Bodies []ast.Node
-	// Inflows are the values visible to the goroutine at launch: the
-	// receiver and arguments of the launched call, plus (for literals)
-	// the free variables the closure captures. These are what escape
-	// into the goroutine — the handles an owner must use to stop it.
-	Inflows []types.Object
-}
-
 // CallGraph is a static, package-local call graph.
 type CallGraph struct {
 	pass  *Pass
@@ -195,101 +176,6 @@ func (g *CallGraph) Callee(call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := g.pass.TypesInfo.Uses[id].(*types.Func)
 	return fn
-}
-
-// ReachableBodies returns root plus the body of every package-local
-// function transitively reachable from it through static calls. Func
-// literals nested in a body are walked as part of it (they may run on
-// the same goroutine or a child of it — either way their effects are
-// reachable).
-func (g *CallGraph) ReachableBodies(root ast.Node) []ast.Node {
-	seen := make(map[ast.Node]bool)
-	var out []ast.Node
-	var visit func(body ast.Node)
-	visit = func(body ast.Node) {
-		if body == nil || seen[body] {
-			return
-		}
-		seen[body] = true
-		out = append(out, body)
-		ast.Inspect(body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := g.Callee(call); fn != nil {
-				if info := g.funcs[fn]; info != nil {
-					visit(info.Decl.Body)
-				}
-			}
-			return true
-		})
-	}
-	visit(root)
-	return out
-}
-
-// Launches finds every `go` statement in the package and resolves its
-// reachable bodies and inflowing values.
-func (g *CallGraph) Launches() []GoLaunch {
-	var out []GoLaunch
-	for _, f := range g.pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			out = append(out, g.resolveLaunch(gs))
-			return true
-		})
-	}
-	return out
-}
-
-func (g *CallGraph) resolveLaunch(gs *ast.GoStmt) GoLaunch {
-	l := GoLaunch{Stmt: gs}
-	call := gs.Call
-	// Arguments flow into the goroutine whatever the callee is.
-	for _, arg := range call.Args {
-		if obj := g.pass.Referent(arg); obj != nil {
-			l.Inflows = append(l.Inflows, obj)
-		}
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		l.Bodies = g.ReachableBodies(fun.Body)
-		// Captured free variables: identifiers used in the literal whose
-		// declaration is outside it.
-		ast.Inspect(fun.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			v, ok := g.pass.TypesInfo.Uses[id].(*types.Var)
-			if !ok || v.Pos() == token.NoPos {
-				return true
-			}
-			if v.Pos() < fun.Pos() || v.Pos() > fun.End() {
-				l.Inflows = append(l.Inflows, v)
-			}
-			return true
-		})
-	default:
-		if fn := g.Callee(call); fn != nil {
-			l.Callee = fn
-			if info := g.funcs[fn]; info != nil {
-				l.Bodies = g.ReachableBodies(info.Decl.Body)
-			}
-		}
-		// Method launch: the receiver flows in too.
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if obj := g.pass.Referent(sel.X); obj != nil {
-				l.Inflows = append(l.Inflows, obj)
-			}
-		}
-		_ = fun
-	}
-	return l
 }
 
 // ---- reaching length guards ----
@@ -848,23 +734,82 @@ func (c *Conc) Completers() Completers {
 	return out
 }
 
-// ---- sync.Pool classification ----
+// ---- sync types ----
+
+// syncPkgName returns the package path and type name of a named type,
+// ("", "") for anything else.
+func syncPkgName(t types.Type) (pkg, name string) {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return "", ""
+	}
+	return named.Obj().Pkg().Path(), named.Obj().Name()
+}
+
+// IsMutex reports whether t is sync.Mutex or sync.RWMutex.
+func IsMutex(t types.Type) bool {
+	pkg, name := syncPkgName(t)
+	return pkg == "sync" && (name == "Mutex" || name == "RWMutex")
+}
+
+// SelfSynchronized reports whether t belongs to package sync or
+// sync/atomic (Mutex, WaitGroup, Once, atomic.Int64, ...): a field of
+// such a type synchronizes itself and needs no lock.
+func SelfSynchronized(t types.Type) bool {
+	pkg, _ := syncPkgName(t)
+	return pkg == "sync" || pkg == "sync/atomic"
+}
 
 // IsPoolType reports whether t is sync.Pool (or a pointer to it).
 func IsPoolType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
+	pkg, name := syncPkgName(t)
+	return pkg == "sync" && name == "Pool"
 }
+
+// ConstructedTypes collects the named struct types body builds — with
+// a composite literal, or as the result of a package-local New*
+// constructor (the school.Load / mediastore.Load shape). Such values
+// are not shared until the body hands them out, so their fields may be
+// initialized without the struct's synchronization discipline.
+func (p *Pass) ConstructedTypes(body ast.Node) map[*types.Named]bool {
+	out := make(map[*types.Named]bool)
+	record := func(t types.Type) {
+		if named, ok := derefNamed(t); ok {
+			out[named] = true
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CompositeLit:
+			if t := p.TypesInfo.TypeOf(x); t != nil {
+				record(t)
+			}
+		case *ast.CallExpr:
+			var id *ast.Ident
+			switch fun := ast.Unparen(x.Fun).(type) {
+			case *ast.Ident:
+				id = fun
+			case *ast.SelectorExpr:
+				id = fun.Sel
+			}
+			if id == nil || !strings.HasPrefix(id.Name, "New") {
+				return true
+			}
+			if fn, ok := p.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() == p.Pkg {
+				if sig, ok := fn.Type().(*types.Signature); ok && sig.Results().Len() > 0 {
+					record(sig.Results().At(0).Type())
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// ---- sync.Pool classification ----
 
 // PoolCall classifies call as a sync.Pool Get or Put: it returns the
 // method name ("Get" or "Put") when the callee is a method of

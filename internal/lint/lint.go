@@ -11,9 +11,10 @@
 //
 // Suppression: a diagnostic is dropped when the flagged line (or the
 // line above it) carries a `//mits:allow <name>` comment naming the
-// analyzer, or the legacy `//mits:nolock` spelling for lockcheck.
-// Function-level suppression (the whole body) is available to
-// analyzers via Pass.FuncAllowed.
+// analyzer, or the legacy `//mits:nolock` spelling for lockcheck. The
+// same comment in a function's doc comment covers the whole function.
+// A suppression that covers none of its analyzer's findings is itself
+// reported, so the comments cannot outlive what they excuse.
 package lint
 
 import (
@@ -52,10 +53,19 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	pkg        *Package
-	mod        *Module
-	diags      []Diagnostic
-	allowLines map[string]map[int][]string // filename → line → allowed analyzer names
+	pkg    *Package
+	mod    *Module
+	diags  []Diagnostic
+	allows []*allow // this analyzer's in-source suppressions
+}
+
+// allow is one in-source suppression naming the pass's analyzer: the
+// comment's own line and the next, or a whole function when it sits
+// in the function's doc comment.
+type allow struct {
+	pos      token.Position // the comment
+	from, to int            // covered lines of pos.Filename
+	used     bool
 }
 
 // Module returns the whole-module view the pass runs under. Drivers
@@ -70,34 +80,7 @@ func (p *Pass) Module() *Module {
 	return p.mod
 }
 
-var allowRe = regexp.MustCompile(`//\s*mits:(nolock|allow\s+([\w,-]+))`)
-
-// buildAllowLines indexes every //mits:allow (and //mits:nolock)
-// comment by file and line. A comment suppresses its own line and the
-// line directly below it, so both trailing and preceding placement
-// work.
-func (p *Pass) buildAllowLines() {
-	p.allowLines = make(map[string]map[int][]string)
-	add := func(pos token.Position, names []string) {
-		byLine := p.allowLines[pos.Filename]
-		if byLine == nil {
-			byLine = make(map[int][]string)
-			p.allowLines[pos.Filename] = byLine
-		}
-		byLine[pos.Line] = append(byLine[pos.Line], names...)
-		byLine[pos.Line+1] = append(byLine[pos.Line+1], names...)
-	}
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				names := parseAllow(c.Text)
-				if len(names) > 0 {
-					add(p.Fset.Position(c.Pos()), names)
-				}
-			}
-		}
-	}
-}
+var allowRe = regexp.MustCompile(`^//\s*mits:(nolock|allow\s+([\w,-]+))`)
 
 func parseAllow(comment string) []string {
 	m := allowRe.FindStringSubmatch(comment)
@@ -110,52 +93,57 @@ func parseAllow(comment string) []string {
 	return strings.Split(m[2], ",")
 }
 
-func (p *Pass) allowedAt(pos token.Position) bool {
-	if p.allowLines == nil {
-		p.buildAllowLines()
-	}
-	for _, name := range p.allowLines[pos.Filename][pos.Line] {
-		if name == p.Analyzer.Name {
-			return true
+// buildAllows indexes every suppression comment that names this
+// pass's analyzer.
+func (p *Pass) buildAllows() {
+	byComment := make(map[*ast.Comment]*allow)
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range parseAllow(c.Text) {
+					if name == p.Analyzer.Name {
+						pos := p.Fset.Position(c.Pos())
+						a := &allow{pos: pos, from: pos.Line, to: pos.Line + 1}
+						byComment[c] = a
+						p.allows = append(p.allows, a)
+					}
+				}
+			}
 		}
-	}
-	return false
-}
-
-// FuncAllowed reports whether a declaration's doc comment suppresses
-// this analyzer for the whole function (used by analyzers whose unit
-// of reasoning is a body, not a line).
-func (p *Pass) FuncAllowed(decl *ast.FuncDecl) bool {
-	if decl.Doc == nil {
-		return false
-	}
-	for _, c := range decl.Doc.List {
-		for _, name := range parseAllow(c.Text) {
-			if name == p.Analyzer.Name {
-				return true
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				for _, c := range fd.Doc.List {
+					if a := byComment[c]; a != nil {
+						a.to = p.Fset.Position(fd.End()).Line
+					}
+				}
 			}
 		}
 	}
-	return false
 }
 
-// Reportf records a diagnostic unless an allow comment covers the line.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.allowedAt(position) {
-		return
+// allowedAt reports whether a suppression covers pos, and marks every
+// suppression that does as used.
+func (p *Pass) allowedAt(pos token.Position) bool {
+	hit := false
+	for _, a := range p.allows {
+		if a.pos.Filename == pos.Filename && a.from <= pos.Line && pos.Line <= a.to {
+			a.used = true
+			hit = true
+		}
 	}
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	return hit
+}
+
+// Reportf records a diagnostic unless a suppression covers the line.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.ReportAt(p.Fset.Position(pos), format, args...)
 }
 
 // ReportAt records a diagnostic at an already-resolved position — the
 // form interprocedural analyzers use, whose witnesses are serialized
-// positions from another package's summary. Allow-comment suppression
-// applies when the position's file belongs to this pass.
+// positions from another package's summary. Suppression applies when
+// the position's file belongs to this pass.
 func (p *Pass) ReportAt(position token.Position, format string, args ...any) {
 	if p.allowedAt(position) {
 		return
@@ -188,7 +176,9 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 
 // RunWithModule applies one analyzer to one loaded package under a
 // shared whole-module view. mod may be nil; the pass then builds a
-// single-package module on first use.
+// single-package module on first use. Every suppression of this
+// analyzer that covered none of its findings is returned as a finding
+// too.
 func RunWithModule(a *Analyzer, pkg *Package, mod *Module) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:  a,
@@ -199,14 +189,26 @@ func RunWithModule(a *Analyzer, pkg *Package, mod *Module) ([]Diagnostic, error)
 		pkg:       pkg,
 		mod:       mod,
 	}
+	pass.buildAllows()
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
 	}
-	sortDiags(pass.diags)
+	for _, al := range pass.allows {
+		if !al.used {
+			pass.diags = append(pass.diags, Diagnostic{
+				Analyzer: a.Name,
+				Pos:      al.pos,
+				Message:  "suppression matches no " + a.Name + " finding — delete it",
+			})
+		}
+	}
+	SortDiags(pass.diags)
 	return pass.diags, nil
 }
 
-func sortDiags(ds []Diagnostic) {
+// SortDiags orders diagnostics by file, line, column, analyzer and
+// message, so output is stable under load order and scheduling.
+func SortDiags(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -217,6 +219,9 @@ func sortDiags(ds []Diagnostic) {
 		}
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
 		}
 		return a.Message < b.Message
 	})

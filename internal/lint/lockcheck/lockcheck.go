@@ -1,25 +1,31 @@
-// Package lockcheck flags methods of mutex-guarded structs that touch
-// shared fields without holding the lock.
+// Package lockcheck is the mutex-discipline analyzer: it flags code
+// that touches the shared fields of a mutex-guarded struct without
+// holding the lock.
 //
 // A struct is "guarded" when it has a field of type sync.Mutex or
-// sync.RWMutex. Within each method body (function literals are
-// analyzed as separate bodies, since they usually run on other
-// goroutines), an access to a guarded field is an error unless
+// sync.RWMutex. A field of a guarded struct needs the lock unless it
+// synchronizes itself (a sync or sync/atomic type) or is immutable —
+// never reassigned, index-assigned, incremented or address-taken
+// anywhere in the package, i.e. set only at construction. Two rules:
 //
-//   - a receiver.mu.Lock() / RLock() call appears earlier in the same
-//     body (defer-Unlock idiom is therefore accepted),
-//   - the field is the mutex itself or another sync.* primitive
-//     (WaitGroups are their own synchronization domain),
-//   - the field is immutable — never reassigned, index-assigned,
-//     incremented or address-taken anywhere in the package, i.e. set
-//     only at construction, or
-//   - the method name ends in "Locked" (the caller-holds-lock helper
-//     convention), or the declaration carries //mits:nolock.
+//   - receiver methods: within each method body of a guarded struct
+//     (function literals are separate bodies, since they usually run
+//     on other goroutines), an access through the receiver needs a
+//     receiver.mu.Lock() / RLock() earlier in the same body (the
+//     defer-Unlock idiom is therefore accepted).
 //
-// The check is a per-body source-order heuristic, not a full
-// happens-before analysis: it accepts an access after an early Unlock
-// and cannot see locks held by callers. The "Locked" suffix and
-// //mits:nolock escape hatch cover exactly those cases — visibly.
+//   - everybody else: a free function or another type's method
+//     reaching into s.field needs s.mu.Lock() / RLock() earlier in the
+//     body, unless the body builds the value itself (a composite
+//     literal or package-local New* result: not shared yet).
+//
+// Functions whose name ends in "Locked" (the caller-holds-lock helper
+// convention) are exempt, and //mits:nolock on the line or the
+// declaration suppresses the rest. The check is a per-body
+// source-order heuristic, not a full happens-before analysis: it
+// accepts an access after an early Unlock and cannot see locks held by
+// callers. The "Locked" suffix and //mits:nolock escape hatch cover
+// exactly those cases — visibly.
 package lockcheck
 
 import (
@@ -41,45 +47,40 @@ var Analyzer = &lint.Analyzer{
 // guardedStruct is one struct type with a mutex field.
 type guardedStruct struct {
 	named   *types.Named
-	fields  map[*types.Var]bool // all direct fields
-	mutexes map[*types.Var]bool // the sync.Mutex / sync.RWMutex fields
+	mutex   *types.Var          // the first sync.Mutex / sync.RWMutex field
 	mutable map[*types.Var]bool // fields written outside construction
 }
 
 func run(pass *lint.Pass) error {
-	guarded := findGuarded(pass)
-	if len(guarded) == 0 {
+	owners := guardedFields(pass)
+	if len(owners) == 0 {
 		return nil
 	}
-	markMutable(pass, guarded)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
+			if !ok || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue
 			}
-			g := receiverStruct(pass, fd, guarded)
-			if g == nil {
-				continue
+			recv, recvObj := receiver(pass, fd)
+			if recvObj != nil {
+				for _, body := range splitBodies(fd.Body) {
+					checkReceiver(pass, fd, body, recv, recvObj, owners)
+				}
 			}
-			if strings.HasSuffix(fd.Name.Name, "Locked") || pass.FuncAllowed(fd) {
-				continue
-			}
-			recvObj := receiverObj(pass, fd)
-			if recvObj == nil {
-				continue
-			}
-			for _, body := range splitBodies(fd.Body) {
-				checkBody(pass, fd, body, recvObj, g)
-			}
+			checkNaked(pass, fd, recv, owners)
 		}
 	}
 	return nil
 }
 
-// findGuarded collects the package's structs that carry a mutex field.
-func findGuarded(pass *lint.Pass) map[*types.Named]*guardedStruct {
-	out := make(map[*types.Named]*guardedStruct)
+// guardedFields maps every field of the package's guarded structs to
+// its struct, with mutability marked: a field written outside
+// composite literals (assignment, through an index or nested selector,
+// ++/--, address-taken) is mutable; fields set only at construction
+// stay immutable and may be read without the lock.
+func guardedFields(pass *lint.Pass) map[*types.Var]*guardedStruct {
+	owners := make(map[*types.Var]*guardedStruct)
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -94,72 +95,27 @@ func findGuarded(pass *lint.Pass) map[*types.Named]*guardedStruct {
 		if !ok {
 			continue
 		}
-		g := &guardedStruct{
-			named:   named,
-			fields:  make(map[*types.Var]bool),
-			mutexes: make(map[*types.Var]bool),
-			mutable: make(map[*types.Var]bool),
-		}
+		g := &guardedStruct{named: named, mutable: make(map[*types.Var]bool)}
 		for i := 0; i < st.NumFields(); i++ {
-			fld := st.Field(i)
-			g.fields[fld] = true
-			if isSyncType(fld.Type(), "Mutex") || isSyncType(fld.Type(), "RWMutex") {
-				g.mutexes[fld] = true
+			if fld := st.Field(i); g.mutex == nil && lint.IsMutex(fld.Type()) {
+				g.mutex = fld
 			}
 		}
-		if len(g.mutexes) > 0 {
-			out[named] = g
+		if g.mutex == nil {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			owners[st.Field(i)] = g
 		}
 	}
-	return out
-}
-
-// isSyncType reports whether t is sync.<name>.
-func isSyncType(t types.Type, name string) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// isAnySyncType reports whether t lives in package sync (Mutex,
-// WaitGroup, Once, ...): such fields synchronize themselves.
-func isAnySyncType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-// markMutable scans the whole package for writes through guarded
-// fields: direct assignment, assignment through an index or nested
-// selector, ++/--, and address-taking all make a field "mutable".
-// Fields only ever set in composite literals (constructors) stay
-// immutable and may be read without the lock.
-func markMutable(pass *lint.Pass, guarded map[*types.Named]*guardedStruct) {
-	fieldOwners := make(map[*types.Var]*guardedStruct)
-	for _, g := range guarded {
-		for fld := range g.fields {
-			fieldOwners[fld] = g
-		}
+	if len(owners) == 0 {
+		return nil
 	}
 	markExpr := func(e ast.Expr) {
 		ast.Inspect(e, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			s := pass.TypesInfo.Selections[sel]
-			if s == nil || s.Kind() != types.FieldVal {
-				return true
-			}
-			if fld, ok := s.Obj().(*types.Var); ok {
-				if g := fieldOwners[fld]; g != nil {
-					g.mutable[fld] = true
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if fld := fieldOf(pass, sel); fld != nil && owners[fld] != nil {
+					owners[fld].mutable[fld] = true
 				}
 			}
 			return true
@@ -182,29 +138,46 @@ func markMutable(pass *lint.Pass, guarded map[*types.Named]*guardedStruct) {
 			return true
 		})
 	}
+	return owners
 }
 
-// receiverStruct resolves a method's receiver to a guarded struct.
-func receiverStruct(pass *lint.Pass, fd *ast.FuncDecl, guarded map[*types.Named]*guardedStruct) *guardedStruct {
-	if len(fd.Recv.List) == 0 {
+// fieldOf resolves a field selector to its field, nil otherwise.
+func fieldOf(pass *lint.Pass, sel *ast.SelectorExpr) *types.Var {
+	s := pass.TypesInfo.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
 		return nil
 	}
-	t := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
+	fld, _ := s.Obj().(*types.Var)
+	return fld
+}
+
+// lockedField resolves sel to a field that needs its struct's lock —
+// mutable and not self-synchronizing — and that struct.
+func lockedField(pass *lint.Pass, sel *ast.SelectorExpr, owners map[*types.Var]*guardedStruct) (*types.Var, *guardedStruct) {
+	fld := fieldOf(pass, sel)
+	g := owners[fld]
+	if g == nil || lint.SelfSynchronized(fld.Type()) || !g.mutable[fld] {
+		return nil, nil
+	}
+	return fld, g
+}
+
+// receiver returns fd's receiver type and the receiver variable (nil
+// for functions and unnamed receivers).
+func receiver(pass *lint.Pass, fd *ast.FuncDecl) (*types.Named, types.Object) {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return nil, nil
+	}
+	field := fd.Recv.List[0]
+	t := pass.TypesInfo.TypeOf(field.Type)
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
+	named, _ := t.(*types.Named)
+	if len(field.Names) == 0 {
+		return named, nil
 	}
-	return guarded[named]
-}
-
-func receiverObj(pass *lint.Pass, fd *ast.FuncDecl) types.Object {
-	if len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
+	return named, pass.TypesInfo.Defs[field.Names[0]]
 }
 
 // splitBodies returns the method body plus each nested function
@@ -231,8 +204,36 @@ func inspectShallow(root ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-func checkBody(pass *lint.Pass, fd *ast.FuncDecl, body ast.Node, recvObj types.Object, g *guardedStruct) {
-	firstLock := firstLockPos(pass, body, recvObj, g)
+// lockPositions maps each base object to the position of the first
+// base.<field>.Lock() / RLock() call walked from root.
+func lockPositions(pass *lint.Pass, root ast.Node, walk func(ast.Node, func(ast.Node) bool)) map[types.Object]token.Pos {
+	out := make(map[types.Object]token.Pos)
+	walk(root, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+			return true
+		}
+		inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+		if !ok || fieldOf(pass, inner) == nil {
+			return true
+		}
+		if base := pass.Referent(inner.X); base != nil {
+			if first, ok := out[base]; !ok || call.Pos() < first {
+				out[base] = call.Pos()
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// checkReceiver applies the receiver-method rule to one body.
+func checkReceiver(pass *lint.Pass, fd *ast.FuncDecl, body ast.Node, recv *types.Named, recvObj types.Object, owners map[*types.Var]*guardedStruct) {
+	firstLock, locked := lockPositions(pass, body, inspectShallow)[recvObj]
 	reported := make(map[*types.Var]bool)
 	inspectShallow(body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
@@ -243,63 +244,49 @@ func checkBody(pass *lint.Pass, fd *ast.FuncDecl, body ast.Node, recvObj types.O
 		if !ok || pass.TypesInfo.Uses[ident] != recvObj {
 			return true
 		}
-		s := pass.TypesInfo.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
+		fld, g := lockedField(pass, sel, owners)
+		if g == nil || g.named != recv || (locked && sel.Pos() > firstLock) || reported[fld] {
 			return true
 		}
-		fld, ok := s.Obj().(*types.Var)
-		if !ok || !g.fields[fld] {
-			return true
-		}
-		if g.mutexes[fld] || isAnySyncType(fld.Type()) {
-			return true
-		}
-		if !g.mutable[fld] {
-			return true // set only at construction: immutable, lock-free reads fine
-		}
-		if firstLock.IsValid() && sel.Pos() > firstLock {
-			return true
-		}
-		if !reported[fld] {
-			reported[fld] = true
-			pass.Reportf(sel.Pos(), "%s.%s accesses %s.%s without holding the mutex (no Lock/RLock earlier in this body; suffix the helper with Locked or annotate //mits:nolock if the caller holds it)",
-				g.named.Obj().Name(), fd.Name.Name, ident.Name, fld.Name())
-		}
+		reported[fld] = true
+		pass.Reportf(sel.Pos(), "%s.%s accesses %s.%s without holding the mutex (no Lock/RLock earlier in this body; suffix the helper with Locked or annotate //mits:nolock if the caller holds it)",
+			g.named.Obj().Name(), fd.Name.Name, ident.Name, fld.Name())
 		return true
 	})
 }
 
-// firstLockPos finds the earliest receiver.mu.Lock()/RLock() call in
-// the body, token.NoPos when absent.
-func firstLockPos(pass *lint.Pass, body ast.Node, recvObj types.Object, g *guardedStruct) token.Pos {
-	first := token.NoPos
-	inspectShallow(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
+// checkNaked applies the everybody-else rule to fd: accesses to
+// guarded fields through values whose type is not fd's receiver type
+// (checkReceiver owns those).
+func checkNaked(pass *lint.Pass, fd *ast.FuncDecl, recv *types.Named, owners map[*types.Var]*guardedStruct) {
+	type key struct {
+		base types.Object
+		fld  *types.Var
+	}
+	reported := make(map[key]bool)
+	constructed := pass.ConstructedTypes(fd.Body)
+	locked := lockPositions(pass, fd.Body, ast.Inspect)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+		fld, g := lockedField(pass, sel, owners)
+		if g == nil || g.named == recv || constructed[g.named] {
 			return true
 		}
-		inner, ok := sel.X.(*ast.SelectorExpr)
-		if !ok {
+		base := pass.Referent(sel.X)
+		if base == nil {
 			return true
 		}
-		ident, ok := inner.X.(*ast.Ident)
-		if !ok || pass.TypesInfo.Uses[ident] != recvObj {
+		if first, ok := locked[base]; ok && sel.Pos() > first {
 			return true
 		}
-		s := pass.TypesInfo.Selections[inner]
-		if s == nil || s.Kind() != types.FieldVal {
-			return true
-		}
-		if fld, ok := s.Obj().(*types.Var); ok && g.mutexes[fld] {
-			if !first.IsValid() || call.Pos() < first {
-				first = call.Pos()
-			}
+		if k := (key{base, fld}); !reported[k] {
+			reported[k] = true
+			pass.Reportf(sel.Pos(), "%s.%s is guarded by %s.%s elsewhere but accessed here without holding it (no %s.%s.Lock earlier in this body)",
+				base.Name(), fld.Name(), g.named.Obj().Name(), g.mutex.Name(), base.Name(), g.mutex.Name())
 		}
 		return true
 	})
-	return first
 }

@@ -31,6 +31,7 @@
 package lockorder
 
 import (
+	"path/filepath"
 	"strings"
 
 	"mits/internal/lint"
@@ -90,7 +91,9 @@ func message(cyc lint.LockCycle) string {
 		b.WriteString("; ")
 		b.WriteString(string(e.To))
 		b.WriteString(" taken at ")
-		b.WriteString(shortPos(e.Witness))
+		// Base filename only: the full path is in the diagnostic's own
+		// position; repeating directories for every edge drowns the cycle.
+		b.WriteString(filepath.Base(e.Witness))
 		b.WriteString(" while ")
 		b.WriteString(string(e.From))
 		b.WriteString(" held")
@@ -101,14 +104,4 @@ func message(cyc lint.LockCycle) string {
 		}
 	}
 	return b.String()
-}
-
-// shortPos trims a witness position to its base filename — the full
-// path is in the diagnostic's own position; repeating directories for
-// every edge drowns the cycle.
-func shortPos(pos string) string {
-	if i := strings.LastIndexByte(pos, '/'); i >= 0 {
-		return pos[i+1:]
-	}
-	return pos
 }

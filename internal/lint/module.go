@@ -1,56 +1,41 @@
 // Module: the whole-module stitching of per-package summaries into a
 // cross-package call graph, with interface calls resolved to every
-// in-module implementation, plus the two derived structures the
-// interprocedural analyzers consume — the lock-ordering graph (with
-// cycle detection) and the request-handler reachability set.
+// in-module implementation, and the lock-ordering graph (with cycle
+// detection) lockorder reads from it.
 //
 // A Module is built once per mitslint invocation over all root
-// packages and shared read-only across analyzer runs; the derived
-// graphs are computed lazily under sync.Once so package-local runs
-// that never ask for them pay nothing.
+// packages and shared read-only across analyzer runs; the lock graph
+// is computed lazily under sync.Once so package-local runs that never
+// ask for it pay nothing.
 package lint
 
 import (
 	"fmt"
 	"go/types"
+	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
 // Module is the whole-module view over a set of loaded packages.
 type Module struct {
-	// Sums holds one PackageSummary per analyzed package, keyed by
-	// import path.
-	Sums map[string]*PackageSummary
-
 	funcs map[FuncID]*FuncSummary
 	// impls maps each named in-module interface method to the FuncIDs
 	// of every in-module concrete method implementing it.
 	impls map[IfaceMethodID][]FuncID
-	// ifaceKnob records, per named in-module interface, whether the
-	// interface itself or any in-module implementation carries a
-	// deadline knob (Set*Deadline*/Set*Timeout* method or a
-	// time.Duration Timeout/Deadline field).
-	ifaceKnob map[string]bool
 
 	lockOnce   sync.Once
 	lockEdges  []LockEdge
 	lockCycles []LockCycle
-
-	handlerOnce  sync.Once
-	handlerReach map[FuncID]FuncID // reachable func → handler root
 }
 
 // NewModule summarizes pkgs and stitches the module view. Standard
-// and testdata packages are skipped; pass every root package of the
-// analysis for full cross-package vision.
+// packages are skipped; pass every root package of the analysis for
+// full cross-package vision.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
-		Sums:      make(map[string]*PackageSummary),
-		funcs:     make(map[FuncID]*FuncSummary),
-		impls:     make(map[IfaceMethodID][]FuncID),
-		ifaceKnob: make(map[string]bool),
+		funcs: make(map[FuncID]*FuncSummary),
+		impls: make(map[IfaceMethodID][]FuncID),
 	}
 	var analyzed []*Package
 	for _, pkg := range pkgs {
@@ -58,9 +43,7 @@ func NewModule(pkgs []*Package) *Module {
 			continue
 		}
 		analyzed = append(analyzed, pkg)
-		ps := Summarize(pkg)
-		m.Sums[ps.Path] = ps
-		for _, fs := range ps.Funcs {
+		for _, fs := range summarize(pkg) {
 			m.funcs[fs.ID] = fs
 		}
 	}
@@ -71,22 +54,6 @@ func NewModule(pkgs []*Package) *Module {
 // Func returns the summary for id, nil when the function is outside
 // the module (or has no body).
 func (m *Module) Func(id FuncID) *FuncSummary { return m.funcs[id] }
-
-// Impls returns the in-module implementations of a named interface
-// method, in deterministic order.
-func (m *Module) Impls(id IfaceMethodID) []FuncID { return m.impls[id] }
-
-// InterfaceHasDeadlineKnob reports whether the named in-module
-// interface (or any in-module implementation of it) carries a
-// deadline knob. Unknown interfaces report true — absence of evidence
-// must not fabricate findings.
-func (m *Module) InterfaceHasDeadlineKnob(iface string) bool {
-	knob, ok := m.ifaceKnob[iface]
-	if !ok {
-		return true
-	}
-	return knob
-}
 
 // resolveInterfaces indexes every named interface defined in an
 // analyzed package against every named concrete type in any analyzed
@@ -120,13 +87,9 @@ func (m *Module) resolveInterfaces(pkgs []*Package) {
 		}
 	}
 	for _, ni := range ifaces {
-		knob := interfaceHasKnobMethod(ni.iface)
 		for _, named := range concrete {
 			if !types.Implements(named, ni.iface) && !types.Implements(types.NewPointer(named), ni.iface) {
 				continue
-			}
-			if typeCarriesDeadlineKnob(named) {
-				knob = true
 			}
 			for i := 0; i < ni.iface.NumMethods(); i++ {
 				mName := ni.iface.Method(i).Name()
@@ -136,55 +99,18 @@ func (m *Module) resolveInterfaces(pkgs []*Package) {
 					continue
 				}
 				id := IfaceMethodID(ni.id + "." + mName)
-				target := FuncIDOf(impl)
+				target := funcIDOf(impl)
 				if m.funcs[target] == nil {
 					continue // method promoted from outside the module
 				}
 				m.impls[id] = append(m.impls[id], target)
 			}
 		}
-		m.ifaceKnob[ni.id] = knob
 	}
 	for id := range m.impls {
 		list := m.impls[id]
 		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
 	}
-}
-
-func interfaceHasKnobMethod(iface *types.Interface) bool {
-	for i := 0; i < iface.NumMethods(); i++ {
-		name := iface.Method(i).Name()
-		if strings.HasPrefix(name, "Set") && (strings.Contains(name, "Deadline") || strings.Contains(name, "Timeout")) {
-			return true
-		}
-	}
-	return false
-}
-
-func typeCarriesDeadlineKnob(named *types.Named) bool {
-	if st, ok := named.Underlying().(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			lower := strings.ToLower(f.Name())
-			if !strings.Contains(lower, "timeout") && !strings.Contains(lower, "deadline") {
-				continue
-			}
-			if ft, ok := f.Type().(*types.Named); ok {
-				obj := ft.Obj()
-				if obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "Duration" {
-					return true
-				}
-			}
-		}
-	}
-	ms := types.NewMethodSet(types.NewPointer(named))
-	for i := 0; i < ms.Len(); i++ {
-		name := ms.At(i).Obj().Name()
-		if strings.HasPrefix(name, "Set") && (strings.Contains(name, "Deadline") || strings.Contains(name, "Timeout")) {
-			return true
-		}
-	}
-	return false
 }
 
 // Targets resolves a call site to the in-module functions it can
@@ -336,22 +262,13 @@ func (m *Module) buildLockGraph() {
 					// messages, and an absolute path there would make baseline
 					// entries (keyed on message text) machine-specific.
 					for _, held := range cs.Held {
-						addEdge(held, lock, cs.Pos, via+" acquires at "+basePos(w.pos))
+						addEdge(held, lock, cs.Pos, via+" acquires at "+filepath.Base(w.pos))
 					}
 				}
 			}
 		}
 	}
 	m.lockCycles = findCycles(m.lockEdges)
-}
-
-// basePos trims a serialized "dir/file.go:line:col" position to its
-// base filename.
-func basePos(pos string) string {
-	if i := strings.LastIndexByte(pos, '/'); i >= 0 {
-		return pos[i+1:]
-	}
-	return pos
 }
 
 // findCycles locates elementary cycles via SCC decomposition: inside
@@ -508,69 +425,4 @@ func traceCycle(start LockID, inSCC map[LockID]bool, adj map[LockID][]LockEdge) 
 		}
 	}
 	return nil
-}
-
-// ---- request-handler reachability ----
-
-// HandlerRoot returns, for a function reachable from an in-module RPC
-// handler implementation (a concrete method implementing an interface
-// method named Handle or HandleCtx), the root handler's FuncID; ""
-// when the function is not on any request-handling chain.
-func (m *Module) HandlerRoot(id FuncID) FuncID {
-	m.handlerOnce.Do(m.buildHandlerReach)
-	return m.handlerReach[id]
-}
-
-func (m *Module) buildHandlerReach() {
-	m.handlerReach = make(map[FuncID]FuncID)
-	var roots []FuncID
-	rootSeen := make(map[FuncID]bool)
-	implIDs := make([]IfaceMethodID, 0, len(m.impls))
-	for id := range m.impls {
-		implIDs = append(implIDs, id)
-	}
-	sort.Slice(implIDs, func(i, j int) bool { return implIDs[i] < implIDs[j] })
-	for _, id := range implIDs {
-		name := string(id)
-		if !strings.HasSuffix(name, ".Handle") && !strings.HasSuffix(name, ".HandleCtx") {
-			continue
-		}
-		for _, target := range m.impls[id] {
-			if !rootSeen[target] {
-				rootSeen[target] = true
-				roots = append(roots, target)
-			}
-		}
-	}
-	for _, root := range roots {
-		m.reachFrom(root, root)
-	}
-}
-
-// reachFrom marks every function (and its launched goroutine bodies)
-// reachable from id as belonging to root's handling chain. The first
-// root to claim a function wins (roots are visited in sorted order).
-func (m *Module) reachFrom(id, root FuncID) {
-	if _, claimed := m.handlerReach[id]; claimed {
-		return
-	}
-	fs := m.funcs[id]
-	if fs == nil {
-		return
-	}
-	m.handlerReach[id] = root
-	for i := range fs.Calls {
-		for _, target := range m.Targets(&fs.Calls[i]) {
-			m.reachFrom(target, root)
-		}
-	}
-	// Goroutine bodies launched inside a request chain are still part
-	// of serving the request.
-	for n := 1; ; n++ {
-		sub := FuncID(fmt.Sprintf("%s#go%d", id, n))
-		if m.funcs[sub] == nil {
-			break
-		}
-		m.reachFrom(sub, root)
-	}
 }

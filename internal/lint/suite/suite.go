@@ -7,10 +7,8 @@ import (
 	"mits/internal/lint/boundscheck"
 	"mits/internal/lint/chanwait"
 	"mits/internal/lint/closecheck"
-	"mits/internal/lint/ctxflow"
 	"mits/internal/lint/deadlinecheck"
 	"mits/internal/lint/errdrop"
-	"mits/internal/lint/goleak"
 	"mits/internal/lint/lifecycle"
 	"mits/internal/lint/lockcheck"
 	"mits/internal/lint/lockorder"
@@ -28,7 +26,6 @@ func All() []*lint.Analyzer {
 		lifecycle.Analyzer,
 		sleepless.Analyzer,
 		logcheck.Analyzer,
-		goleak.Analyzer,
 		closecheck.Analyzer,
 		boundscheck.Analyzer,
 		chanwait.Analyzer,
@@ -37,6 +34,5 @@ func All() []*lint.Analyzer {
 		deadlinecheck.Analyzer,
 		spancheck.Analyzer,
 		lockorder.Analyzer,
-		ctxflow.Analyzer,
 	}
 }

@@ -3,11 +3,13 @@ package suite
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"mits/internal/lint"
 	"mits/internal/lint/chanwait"
-	"mits/internal/lint/ctxflow"
 	"mits/internal/lint/lockorder"
 	"mits/internal/lint/poolcheck"
 )
@@ -134,11 +136,10 @@ func TestPoolcheckGuardsTransportOwnership(t *testing.T) {
 }
 
 // TestSuiteInterproceduralAnalyzersRegistered pins the module-wide
-// layer into the suite: lockorder and ctxflow only see cross-package
-// inversions and dropped deadlines when they actually run, so their
-// registration is itself an invariant.
+// layer into the suite: lockorder only sees cross-package inversions
+// when it actually runs, so its registration is itself an invariant.
 func TestSuiteInterproceduralAnalyzersRegistered(t *testing.T) {
-	want := []string{"lockorder", "ctxflow"}
+	want := []string{"lockorder"}
 	have := make(map[string]bool)
 	for _, a := range All() {
 		have[a.Name] = true
@@ -150,44 +151,42 @@ func TestSuiteInterproceduralAnalyzersRegistered(t *testing.T) {
 	}
 }
 
-// loadDeliveryModule loads the delivery-path packages — transport,
-// trace collection, the cache, and the metrics layer they all call
-// into under their locks — as one module, the way mitslint sees them:
-// one shared summary index, interface calls resolved across package
-// boundaries. obs must be in the module or the cache→obs and
-// transport→obs held-lock call edges dangle and the ordering graph
-// goes blind exactly where the cross-package risk is.
-func loadDeliveryModule(t *testing.T) ([]*lint.Package, *lint.Module) {
-	t.Helper()
-	patterns := []string{
-		"mits/internal/transport",
-		"mits/internal/obs",
-		"mits/internal/obs/collect",
-		"mits/internal/cache",
-		// The cluster router sits on the delivery path too: its shard
-		// replMu and applier locks nest around transport calls, so the
-		// ordering graph must span it or a router→transport inversion
-		// goes unseen.
-		"mits/internal/cluster",
+// TestSuiteDocumented holds every list of the analyzers to the
+// registry: mitslint's doc comment, DESIGN §7's bullets and README's
+// table must each name exactly the analyzers suite.All() runs.
+func TestSuiteDocumented(t *testing.T) {
+	var want []string
+	for _, a := range All() {
+		want = append(want, a.Name)
 	}
-	pkgs, err := lint.Load("", patterns...)
-	if err != nil {
-		t.Fatalf("loading delivery path: %v", err)
-	}
-	wantPaths := map[string]bool{}
-	for _, p := range patterns {
-		wantPaths[p] = true
-	}
-	var roots []*lint.Package
-	for _, pkg := range pkgs {
-		if wantPaths[pkg.ImportPath] {
-			roots = append(roots, pkg)
+	slices.Sort(want)
+	for _, doc := range []struct {
+		file, from, to string
+		item           *regexp.Regexp
+	}{
+		{"cmd/mitslint/main.go", "// Analyzers", "\npackage main", regexp.MustCompile(`(?m)^//\t([a-z]+) +\S`)},
+		{"DESIGN.md", "\n## 7.", "\n## 8.", regexp.MustCompile(`(?m)^- \*\*([a-z]+)\*\* —`)},
+		{"README.md", "| analyzer | invariant |", "\n\n", regexp.MustCompile(`(?m)^\| ([a-z]+) \| [^-]`)},
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "..", doc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, section, ok := strings.Cut(string(data), doc.from)
+		section, _, _ = strings.Cut(section, doc.to)
+		if !ok {
+			t.Errorf("%s: no %q section", doc.file, doc.from)
+			continue
+		}
+		var got []string
+		for _, m := range doc.item.FindAllStringSubmatch(section, -1) {
+			got = append(got, m[1])
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s lists %v, suite.All() runs %v", doc.file, got, want)
 		}
 	}
-	if len(roots) != len(patterns) {
-		t.Fatalf("loaded %d of %d delivery-path packages", len(roots), len(patterns))
-	}
-	return roots, lint.NewModule(roots)
 }
 
 // TestLockorderGuardsDeliveryPath is this PR's cross-package tripwire:
@@ -201,7 +200,34 @@ func TestLockorderGuardsDeliveryPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the delivery path")
 	}
-	roots, mod := loadDeliveryModule(t)
+	// The delivery-path packages — transport, trace collection, the
+	// cache, the metrics layer they all call into under their locks, and
+	// the cluster router whose replMu and applier locks nest around
+	// transport calls — as one module, the way mitslint sees them. obs
+	// must be in it or the cache→obs and transport→obs held-lock call
+	// edges dangle and the ordering graph goes blind exactly where the
+	// cross-package risk is.
+	patterns := []string{
+		"mits/internal/transport",
+		"mits/internal/obs",
+		"mits/internal/obs/collect",
+		"mits/internal/cache",
+		"mits/internal/cluster",
+	}
+	pkgs, err := lint.Load("", patterns...)
+	if err != nil {
+		t.Fatalf("loading delivery path: %v", err)
+	}
+	var roots []*lint.Package
+	for _, pkg := range pkgs {
+		if slices.Contains(patterns, pkg.ImportPath) {
+			roots = append(roots, pkg)
+		}
+	}
+	if len(roots) != len(patterns) {
+		t.Fatalf("loaded %d of %d delivery-path packages", len(roots), len(patterns))
+	}
+	mod := lint.NewModule(roots)
 	for _, pkg := range roots {
 		diags, err := lint.RunWithModule(lockorder.Analyzer, pkg, mod)
 		if err != nil {
@@ -213,25 +239,5 @@ func TestLockorderGuardsDeliveryPath(t *testing.T) {
 	}
 	if len(mod.LockEdges()) == 0 {
 		t.Error("lock-ordering graph over the delivery path is empty; summary extraction regressed")
-	}
-}
-
-// TestCtxflowGuardsDeliveryPath: every deadline the delivery path
-// receives (TCPClient.Timeout, collector flush intervals) must survive
-// its hops — no fresh contexts on serving chains, no knobless
-// blocking interface calls below a deadline-carrying frame.
-func TestCtxflowGuardsDeliveryPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the delivery path")
-	}
-	roots, mod := loadDeliveryModule(t)
-	for _, pkg := range roots {
-		diags, err := lint.RunWithModule(ctxflow.Analyzer, pkg, mod)
-		if err != nil {
-			t.Fatalf("ctxflow over %s: %v", pkg.ImportPath, err)
-		}
-		for _, d := range diags {
-			t.Errorf("dropped deadline in delivery path: %s", d.String())
-		}
 	}
 }

@@ -1,15 +1,13 @@
-// Interprocedural summaries: the per-package facts the module-wide
-// analyzers (lockorder, ctxflow) stitch into whole-module reasoning.
+// Interprocedural summaries: the per-package facts lockorder stitches
+// into whole-module reasoning.
 //
 // Each function declaration (plus each goroutine body launched inside
 // one) is condensed into a FuncSummary: the mutexes it acquires and
-// which locks are lexically held at each acquisition, every call it
-// makes with the locks held at that call site and how the inbound
-// context flows into it, and its channel operations (re-using the Conc
-// classification). Summaries are pure data — qualified-name strings
-// and serialized positions, no *types.Object pointers — so they export
-// as go/analysis-style facts: a PackageSummary round-trips through
-// encoding/json byte-identically, which the module meta-test pins.
+// which locks are lexically held at each acquisition, and every call
+// it makes with the locks held at that call site. Summaries are pure
+// data — qualified-name strings and serialized positions, no
+// *types.Object pointers — so one package's facts read the same from
+// any other package's pass.
 //
 // The held-lock tracking is the same trade every analyzer here makes:
 // lexical source order, not a happens-before proof. An Unlock in a
@@ -25,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -48,95 +45,35 @@ type IfaceMethodID string
 
 // LockAcq is one mutex acquisition.
 type LockAcq struct {
-	Lock  LockID   `json:"lock"`
-	Pos   string   `json:"pos"`
-	RLock bool     `json:"rlock,omitempty"`
-	Held  []LockID `json:"held,omitempty"` // locks lexically held when this one is taken
+	Lock LockID
+	Pos  string
+	Held []LockID // locks lexically held when this one is taken
 }
 
 // CallSite is one call made by the summarized function.
 type CallSite struct {
-	Pos    string        `json:"pos"`
-	Name   string        `json:"name"`             // method/function name
-	Callee FuncID        `json:"callee,omitempty"` // statically-resolved callee ("" when dynamic)
-	Iface  IfaceMethodID `json:"iface,omitempty"`  // set when the call goes through a named in-module interface
-	Held   []LockID      `json:"held,omitempty"`   // locks lexically held at the call
-	// CtxForwarded: an argument derives from the enclosing function's
-	// inbound context parameter. CtxFresh: an argument is a direct
-	// context.Background()/context.TODO() result.
-	CtxForwarded bool `json:"ctx_forwarded,omitempty"`
-	CtxFresh     bool `json:"ctx_fresh,omitempty"`
-	// CalleeTakesCtx: the callee's signature accepts a context.Context.
-	CalleeTakesCtx bool `json:"callee_takes_ctx,omitempty"`
-	// Blocking: the method name is in the potentially-indefinite I/O set
-	// (Call, Read, Accept, ...) and the call goes through an interface.
-	Blocking bool `json:"blocking,omitempty"`
+	Pos    string
+	Callee FuncID        // statically-resolved callee ("" when dynamic)
+	Iface  IfaceMethodID // set when the call goes through a named in-module interface
+	Held   []LockID      // locks lexically held at the call
 	// Deferred/Async: the call runs at function exit (defer) or on a
 	// fresh goroutine (go) — excluded from held-lock edge propagation.
-	Deferred bool `json:"deferred,omitempty"`
-	Async    bool `json:"async,omitempty"`
+	Deferred bool
+	Async    bool
 }
 
-// ChanOpFact is one channel operation, serialized from the Conc layer.
-type ChanOpFact struct {
-	Kind     string `json:"kind"` // send, receive, close, range
-	Pos      string `json:"pos"`
-	Chan     string `json:"chan,omitempty"` // the channel object's name, when resolvable
-	Blocking bool   `json:"blocking,omitempty"`
-}
-
-// FuncSummary is the exported interprocedural fact set for one
-// function, method, or launched goroutine body.
+// FuncSummary is the interprocedural fact set for one function,
+// method, or launched goroutine body.
 type FuncSummary struct {
-	ID  FuncID `json:"id"`
-	Pos string `json:"pos"`
-	// HasCtxParam: the signature accepts a context.Context.
-	HasCtxParam bool `json:"has_ctx_param,omitempty"`
-	// DeadlineRecv: the receiver struct carries a time.Duration
-	// Timeout/Deadline field — the type owns an inbound deadline even
-	// without a context parameter.
-	DeadlineRecv bool `json:"deadline_recv,omitempty"`
-	// CtxParamDiscarded: the function has a context parameter that no
-	// call site forwards (and the body makes at least one call).
-	CtxParamDiscarded bool `json:"ctx_param_discarded,omitempty"`
-	// SetsDeadline: the body calls a Set*Deadline*/Set*Timeout* knob
-	// itself, bounding its blocking I/O locally.
-	SetsDeadline bool `json:"sets_deadline,omitempty"`
-
-	Acquires []LockAcq    `json:"acquires,omitempty"`
-	Calls    []CallSite   `json:"calls,omitempty"`
-	ChanOps  []ChanOpFact `json:"chan_ops,omitempty"`
+	ID       FuncID
+	Acquires []LockAcq
+	Calls    []CallSite
 }
 
-// PackageSummary is the fact set for one package, funcs sorted by ID.
-type PackageSummary struct {
-	Path  string         `json:"path"`
-	Funcs []*FuncSummary `json:"funcs"`
-}
-
-// Func returns the summary with the given ID, nil when absent.
-func (ps *PackageSummary) Func(id FuncID) *FuncSummary {
-	i := sort.Search(len(ps.Funcs), func(i int) bool { return ps.Funcs[i].ID >= id })
-	if i < len(ps.Funcs) && ps.Funcs[i].ID == id {
-		return ps.Funcs[i]
-	}
-	return nil
-}
-
-// blockingCallNames mirrors deadlinecheck's view of potentially
-// indefinite blocking I/O method names.
-var blockingCallNames = map[string]bool{
-	"Call": true,
-	"Read": true, "Write": true,
-	"Send": true, "Recv": true, "Receive": true,
-	"Accept": true, "Wait": true,
-	"Query": true, "Exec": true, "Fetch": true,
-}
-
-// Summarize extracts the interprocedural facts for one loaded package.
-func Summarize(pkg *Package) *PackageSummary {
+// summarize extracts the interprocedural facts for one loaded package.
+func summarize(pkg *Package) []*FuncSummary {
 	ex := &extractor{pkg: pkg}
-	ps := &PackageSummary{Path: pkg.Types.Path()}
+	var out []*FuncSummary
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -147,11 +84,10 @@ func Summarize(pkg *Package) *PackageSummary {
 			if !ok {
 				continue
 			}
-			ps.Funcs = append(ps.Funcs, ex.summarize(fn, fd)...)
+			out = append(out, ex.summarize(fn, fd)...)
 		}
 	}
-	sort.Slice(ps.Funcs, func(i, j int) bool { return ps.Funcs[i].ID < ps.Funcs[j].ID })
-	return ps
+	return out
 }
 
 type extractor struct {
@@ -162,19 +98,15 @@ func (ex *extractor) pos(p token.Pos) string {
 	return ex.pkg.Fset.Position(p).String()
 }
 
-// FuncIDOf builds the module-wide ID for a function object.
-func FuncIDOf(fn *types.Func) FuncID {
+// funcIDOf builds the module-wide ID for a function object.
+func funcIDOf(fn *types.Func) FuncID {
 	pkgPath := ""
 	if fn.Pkg() != nil {
 		pkgPath = fn.Pkg().Path()
 	}
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
+		if named, ok := derefNamed(sig.Recv().Type()); ok {
 			return FuncID(fmt.Sprintf("%s.(%s).%s", pkgPath, named.Obj().Name(), fn.Name()))
 		}
 	}
@@ -184,64 +116,25 @@ func FuncIDOf(fn *types.Func) FuncID {
 // summarize condenses one declaration, returning its summary plus one
 // synthetic summary per goroutine body launched inside it.
 func (ex *extractor) summarize(fn *types.Func, fd *ast.FuncDecl) []*FuncSummary {
-	root := &FuncSummary{
-		ID:           FuncIDOf(fn),
-		Pos:          ex.pos(fd.Pos()),
-		HasCtxParam:  signatureTakesCtx(fn),
-		DeadlineRecv: receiverCarriesDeadline(fn),
-	}
-	ctxParams := ex.ctxParamObjs(fd)
-	goBodies := ex.walkBody(root, fd.Body, ctxParams)
+	root := &FuncSummary{ID: funcIDOf(fn)}
+	goBodies := ex.walkBody(root, fd.Body)
 	out := []*FuncSummary{root}
 	n := 0
 	for len(goBodies) > 0 {
 		body := goBodies[0]
 		goBodies = goBodies[1:]
 		n++
-		sub := &FuncSummary{
-			ID:  FuncID(fmt.Sprintf("%s#go%d", root.ID, n)),
-			Pos: ex.pos(body.Pos()),
-		}
-		// A launched goroutine still sees the enclosing ctx params
-		// (captured), so forwarding classification carries over.
-		goBodies = append(goBodies, ex.walkBody(sub, body, ctxParams)...)
+		sub := &FuncSummary{ID: FuncID(fmt.Sprintf("%s#go%d", root.ID, n))}
+		goBodies = append(goBodies, ex.walkBody(sub, body)...)
 		out = append(out, sub)
 	}
-	if root.HasCtxParam && len(root.Calls) > 0 {
-		forwarded := false
-		for i := range root.Calls {
-			if root.Calls[i].CtxForwarded {
-				forwarded = true
-				break
-			}
-		}
-		root.CtxParamDiscarded = !forwarded
-	}
 	return out
 }
 
-// ctxParamObjs returns the declaration's context.Context-typed
-// parameter objects.
-func (ex *extractor) ctxParamObjs(fd *ast.FuncDecl) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	if fd.Type.Params == nil {
-		return out
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			obj := ex.pkg.Info.Defs[name]
-			if obj != nil && isContextType(obj.Type()) {
-				out[obj] = true
-			}
-		}
-	}
-	return out
-}
-
-// walkBody records acquisitions, calls, and channel ops in source
-// order with lexical held-lock tracking, and returns the bodies of
-// `go` statements for separate summarization.
-func (ex *extractor) walkBody(sum *FuncSummary, body ast.Node, ctxParams map[types.Object]bool) []*ast.BlockStmt {
+// walkBody records acquisitions and calls in source order with lexical
+// held-lock tracking, and returns the bodies of `go` statements for
+// separate summarization.
+func (ex *extractor) walkBody(sum *FuncSummary, body *ast.BlockStmt) []*ast.BlockStmt {
 	var held []LockID
 	var goBodies []*ast.BlockStmt
 	holdIdx := func(id LockID) int {
@@ -260,8 +153,8 @@ func (ex *extractor) walkBody(sum *FuncSummary, body ast.Node, ctxParams map[typ
 			case *ast.GoStmt:
 				// `go expr()`: arguments and the callee expression are
 				// evaluated synchronously, but the launched body is not.
-				if lock, _, _ := ex.classifyLockCall(n.Call); lock == "" {
-					ex.recordCall(sum, n.Call, held, ctxParams, deferred, true)
+				if lock, _ := ex.classifyLockCall(n.Call); lock == "" {
+					ex.recordCall(sum, n.Call, held, deferred, true)
 				}
 				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
 					goBodies = append(goBodies, lit.Body)
@@ -278,11 +171,11 @@ func (ex *extractor) walkBody(sum *FuncSummary, body ast.Node, ctxParams map[typ
 					held = nil
 					walk(lit.Body, false)
 					held = saved
-				} else if lock, _, _ := ex.classifyLockCall(n.Call); lock == "" {
+				} else if lock, _ := ex.classifyLockCall(n.Call); lock == "" {
 					// `defer mu.Unlock()` is the release idiom, not a call
 					// site; everything else deferred is a real call that
 					// runs at exit with an unknowable lock context.
-					ex.recordCall(sum, n.Call, nil, ctxParams, true, false)
+					ex.recordCall(sum, n.Call, nil, true, false)
 				}
 				for _, arg := range n.Call.Args {
 					walk(arg, deferred)
@@ -298,17 +191,16 @@ func (ex *extractor) walkBody(sum *FuncSummary, body ast.Node, ctxParams map[typ
 				held = saved
 				return false
 			case *ast.CallExpr:
-				if lock, isAcquire, isRLock := ex.classifyLockCall(n); lock != "" {
+				if lock, isAcquire := ex.classifyLockCall(n); lock != "" {
 					if isAcquire {
 						if deferred {
 							// A deferred Lock is pathological; ignore.
 							return true
 						}
 						sum.Acquires = append(sum.Acquires, LockAcq{
-							Lock:  lock,
-							Pos:   ex.pos(n.Pos()),
-							RLock: isRLock,
-							Held:  append([]LockID(nil), held...),
+							Lock: lock,
+							Pos:  ex.pos(n.Pos()),
+							Held: append([]LockID(nil), held...),
 						})
 						if holdIdx(lock) < 0 {
 							held = append(held, lock)
@@ -322,83 +214,51 @@ func (ex *extractor) walkBody(sum *FuncSummary, body ast.Node, ctxParams map[typ
 					}
 					return true
 				}
-				ex.recordCall(sum, n, held, ctxParams, deferred, false)
-				return true
-			case *ast.SendStmt:
-				sum.ChanOps = append(sum.ChanOps, ex.chanFact("send", n.Pos(), n.Chan, true))
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW {
-					sum.ChanOps = append(sum.ChanOps, ex.chanFact("receive", n.Pos(), n.X, true))
-				}
-			case *ast.RangeStmt:
-				if t := ex.pkg.Info.TypeOf(n.X); t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						sum.ChanOps = append(sum.ChanOps, ex.chanFact("range", n.Pos(), n.X, true))
-					}
-				}
+				ex.recordCall(sum, n, held, deferred, false)
 			}
 			return true
 		})
 	}
-	if b, ok := body.(*ast.BlockStmt); ok {
-		walk(b, false)
-	} else {
-		walk(body, false)
-	}
+	walk(body, false)
 	return goBodies
-}
-
-func (ex *extractor) chanFact(kind string, pos token.Pos, ch ast.Expr, blocking bool) ChanOpFact {
-	fact := ChanOpFact{Kind: kind, Pos: ex.pos(pos), Blocking: blocking}
-	if obj := referentIn(ex.pkg.Info, ch); obj != nil {
-		fact.Chan = obj.Name()
-	}
-	return fact
 }
 
 // classifyLockCall recognizes sync.Mutex / sync.RWMutex Lock / RLock /
 // Unlock / RUnlock calls (including through an embedded mutex) and
-// resolves the lock's module-wide identity. Returns ("", _, _) for
-// every other call.
-func (ex *extractor) classifyLockCall(call *ast.CallExpr) (lock LockID, acquire, rlock bool) {
+// resolves the lock's module-wide identity. Returns ("", _) for every
+// other call.
+func (ex *extractor) classifyLockCall(call *ast.CallExpr) (lock LockID, acquire bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", false, false
+		return "", false
 	}
 	fn, ok := ex.pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false, false
+		return "", false
 	}
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
-		return "", false, false
+		return "", false
 	}
-	rt := recv.Type()
-	if ptr, ok := rt.(*types.Pointer); ok {
-		rt = ptr.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	if !ok || (named.Obj().Name() != "Mutex" && named.Obj().Name() != "RWMutex") {
-		return "", false, false
+	if named, ok := derefNamed(recv.Type()); !ok || !IsMutex(named) {
+		return "", false
 	}
 	switch fn.Name() {
 	case "Lock", "RLock":
 		acquire = true
-		rlock = fn.Name() == "RLock"
 	case "Unlock", "RUnlock":
 	case "TryLock", "TryRLock":
 		// A failed TryLock does not block; treat success as an acquire
 		// for edge purposes (it still establishes ordering when held).
 		acquire = true
-		rlock = fn.Name() == "TryRLock"
 	default:
-		return "", false, false
+		return "", false
 	}
 	id := ex.lockIdent(sel)
 	if id == "" {
-		return "", false, false
+		return "", false
 	}
-	return id, acquire, rlock
+	return id, acquire
 }
 
 // lockIdent resolves the receiver of a mutex method call to a stable
@@ -406,35 +266,24 @@ func (ex *extractor) classifyLockCall(call *ast.CallExpr) (lock LockID, acquire,
 // selection's index path names the mutex field even when it is
 // embedded (s.Lock() on a struct embedding sync.Mutex).
 func (ex *extractor) lockIdent(sel *ast.SelectorExpr) LockID {
-	// Direct package-level mutex: mu.Lock() with mu a package var.
 	if s := ex.pkg.Info.Selections[sel]; s != nil {
-		t := s.Recv()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+		if named, ok := derefNamed(s.Recv()); ok && named.Obj().Pkg() != nil && !IsMutex(named) {
+			// s.Lock() through an embedded mutex: identity is the
+			// owning named type's embedded field.
 			obj := named.Obj()
-			if obj.Name() == "Mutex" || obj.Name() == "RWMutex" {
-				if obj.Pkg().Path() == "sync" {
-					// Receiver is the mutex itself: resolve x in x.Lock().
-					return ex.lockOwner(sel.X)
-				}
-			} else {
-				// s.Lock() through an embedded mutex: identity is the
-				// owning named type's embedded field.
-				st, ok := named.Underlying().(*types.Struct)
-				if ok && len(s.Index()) > 0 {
-					idx := s.Index()[0]
-					if idx < st.NumFields() {
-						f := st.Field(idx)
-						if isMutexType(f.Type()) {
-							return LockID(fmt.Sprintf("%s.%s.%s", obj.Pkg().Path(), obj.Name(), f.Name()))
-						}
+			st, ok := named.Underlying().(*types.Struct)
+			if ok && len(s.Index()) > 0 {
+				idx := s.Index()[0]
+				if idx < st.NumFields() {
+					f := st.Field(idx)
+					if IsMutex(f.Type()) {
+						return LockID(fmt.Sprintf("%s.%s.%s", obj.Pkg().Path(), obj.Name(), f.Name()))
 					}
 				}
 			}
 		}
 	}
+	// The receiver is the mutex itself: resolve x in x.Lock().
 	return ex.lockOwner(sel.X)
 }
 
@@ -449,21 +298,17 @@ func (ex *extractor) lockOwner(e ast.Expr) LockID {
 			if field == nil || field.Pkg() == nil {
 				return ""
 			}
-			t := s.Recv()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
+			if named, ok := derefNamed(s.Recv()); ok {
 				return LockID(fmt.Sprintf("%s.%s.%s", field.Pkg().Path(), named.Obj().Name(), field.Name()))
 			}
 			return LockID(field.Pkg().Path() + "." + field.Name())
 		}
 		// Package-qualified variable: pkg.Mu.
-		if obj, ok := ex.pkg.Info.Uses[e.Sel].(*types.Var); ok && obj.Pkg() != nil && isPkgLevel(obj) {
+		if obj, ok := ex.pkg.Info.Uses[e.Sel].(*types.Var); ok && isPkgLevel(obj) {
 			return LockID(obj.Pkg().Path() + "." + obj.Name())
 		}
 	case *ast.Ident:
-		if obj, ok := ex.pkg.Info.Uses[e].(*types.Var); ok && obj.Pkg() != nil && isPkgLevel(obj) {
+		if obj, ok := ex.pkg.Info.Uses[e].(*types.Var); ok && isPkgLevel(obj) {
 			return LockID(obj.Pkg().Path() + "." + obj.Name())
 		}
 	}
@@ -475,19 +320,9 @@ func isPkgLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
-func isMutexType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
 // recordCall appends a CallSite for call (which is known not to be a
 // mutex operation).
-func (ex *extractor) recordCall(sum *FuncSummary, call *ast.CallExpr, held []LockID, ctxParams map[types.Object]bool, deferred, async bool) {
+func (ex *extractor) recordCall(sum *FuncSummary, call *ast.CallExpr, held []LockID, deferred, async bool) {
 	cs := CallSite{
 		Pos:      ex.pos(call.Pos()),
 		Held:     append([]LockID(nil), held...),
@@ -497,51 +332,22 @@ func (ex *extractor) recordCall(sum *FuncSummary, call *ast.CallExpr, held []Loc
 	var calleeFn *types.Func
 	switch fun := uninstantiate(ex.pkg.Info, call.Fun).(type) {
 	case *ast.Ident:
-		cs.Name = fun.Name
 		calleeFn, _ = ex.pkg.Info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		cs.Name = fun.Sel.Name
-		if strings.HasPrefix(cs.Name, "Set") && (strings.Contains(cs.Name, "Deadline") || strings.Contains(cs.Name, "Timeout")) {
-			sum.SetsDeadline = true
-		}
 		calleeFn, _ = ex.pkg.Info.Uses[fun.Sel].(*types.Func)
 		if s := ex.pkg.Info.Selections[fun]; s != nil && s.Kind() == types.MethodVal && types.IsInterface(s.Recv()) {
 			if named, ok := derefNamed(s.Recv()); ok && named.Obj().Pkg() != nil {
 				cs.Iface = IfaceMethodID(fmt.Sprintf("%s.%s.%s", named.Obj().Pkg().Path(), named.Obj().Name(), fun.Sel.Name))
 			}
-			cs.Blocking = blockingCallNames[cs.Name]
 		}
 	default:
 		// Dynamic call (function value, conversion result): record the
 		// site with no callee so held-lock facts still exist.
 	}
-	if calleeFn != nil {
-		// Interface method objects resolve to the interface's method;
-		// only record a concrete callee for statically-dispatched calls.
-		if cs.Iface == "" {
-			cs.Callee = FuncIDOf(calleeFn)
-		}
-		cs.CalleeTakesCtx = signatureTakesCtx(calleeFn)
-	}
-	for _, arg := range call.Args {
-		t := ex.pkg.Info.TypeOf(arg)
-		if t == nil || !isContextType(t) {
-			continue
-		}
-		if isFreshContextExpr(ex.pkg.Info, arg) {
-			cs.CtxFresh = true
-			continue
-		}
-		if obj := referentIn(ex.pkg.Info, arg); obj != nil && ctxParams[obj] {
-			cs.CtxForwarded = true
-			continue
-		}
-		// Any other context value (derived local, field) counts as a
-		// forward when the function has inbound ctx params at all —
-		// ctx2, cancel := context.WithTimeout(ctx, ...) is the idiom.
-		if len(ctxParams) > 0 {
-			cs.CtxForwarded = true
-		}
+	// Interface method objects resolve to the interface's method; only
+	// record a concrete callee for statically-dispatched calls.
+	if calleeFn != nil && cs.Iface == "" {
+		cs.Callee = funcIDOf(calleeFn)
 	}
 	sum.Calls = append(sum.Calls, cs)
 }
@@ -552,106 +358,6 @@ func derefNamed(t types.Type) (*types.Named, bool) {
 	}
 	named, ok := t.(*types.Named)
 	return named, ok
-}
-
-// isFreshContextExpr reports whether e is a direct
-// context.Background() or context.TODO() call.
-func isFreshContextExpr(info *types.Info, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO")
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// SignatureTakesCtx reports whether fn accepts a context.Context
-// parameter. Exported for analyzers (ctxflow) that rule on it at the
-// AST level, outside the summary extractor.
-func SignatureTakesCtx(fn *types.Func) bool { return signatureTakesCtx(fn) }
-
-// signatureTakesCtx reports whether fn accepts a context.Context.
-func signatureTakesCtx(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// receiverCarriesDeadline reports whether fn is a method whose
-// receiver struct has a time.Duration Timeout/Deadline field.
-func receiverCarriesDeadline(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		name := strings.ToLower(f.Name())
-		if !strings.Contains(name, "timeout") && !strings.Contains(name, "deadline") {
-			continue
-		}
-		if named, ok := f.Type().(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "Duration" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// referentIn is Pass.Referent without the Pass: resolve an expression
-// to the variable-like object it denotes.
-func referentIn(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if obj := info.Uses[e]; obj != nil {
-			return obj
-		}
-		return info.Defs[e]
-	case *ast.SelectorExpr:
-		if s := info.Selections[e]; s != nil && s.Kind() == types.FieldVal {
-			return s.Obj()
-		}
-		if obj := info.Uses[e.Sel]; obj != nil {
-			if _, ok := obj.(*types.Var); ok {
-				return obj
-			}
-		}
-	}
-	return nil
 }
 
 // ParsePos splits a serialized "file:line:col" position back into a

@@ -1,19 +1,14 @@
 // Package ipa is the producer side of the interprocedural meta-test
 // fixtures: it defines the Sink seam, one local implementation, and a
 // Hub that dispatches through the seam while holding its own lock —
-// the facts whose serialized form must survive a cross-package round
-// trip byte-for-byte.
+// the facts another package's pass must read unchanged.
 package ipa
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // Sink is the dispatch seam; ipb adds a second implementation.
 type Sink interface {
 	Put(v int)
-	Fetch(key string) ([]byte, error)
 }
 
 type Local struct {
@@ -26,8 +21,6 @@ func (l *Local) Put(v int) {
 	defer l.mu.Unlock()
 	l.vals = append(l.vals, v)
 }
-
-func (l *Local) Fetch(key string) ([]byte, error) { return nil, nil }
 
 type Hub struct {
 	mu    sync.Mutex
@@ -43,16 +36,4 @@ func (h *Hub) Broadcast(v int) {
 	for _, s := range h.sinks {
 		s.Put(v)
 	}
-}
-
-// Forward threads its ctx to the next hop; the summaries record the
-// forward at each level.
-func Forward(ctx context.Context, s Sink, key string) ([]byte, error) {
-	return FetchWith(ctx, s, key)
-}
-
-// FetchWith receives the forwarded ctx ahead of a seam call.
-func FetchWith(ctx context.Context, s Sink, key string) ([]byte, error) {
-	_ = ctx
-	return s.Fetch(key)
 }

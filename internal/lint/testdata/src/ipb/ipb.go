@@ -21,8 +21,6 @@ func (r *Remote) Put(v int) {
 	r.n++
 }
 
-func (r *Remote) Fetch(key string) ([]byte, error) { return nil, nil }
-
 // Mirror launches the hub feed asynchronously; Broadcast's locks must
 // not leak into Mirror's context, only into the #go1 body's.
 func Mirror(h *ipa.Hub, vals []int) {

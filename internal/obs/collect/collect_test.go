@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mits/internal/lint/leaktest"
 	"mits/internal/obs"
 	"mits/internal/transport"
 )
@@ -157,6 +158,32 @@ func TestExporterNeverBlocksAndCountsDrops(t *testing.T) {
 		t.Errorf("dropped = %d, want >= 90 (queue depth 4, 100 spans, stuck export)", d)
 	}
 	_ = e // leaked goroutine is reclaimed at process exit; Close would block on the stuck client
+}
+
+// TestExporterCloseLeavesNoGoroutine: the export loop exits on Close,
+// having shipped what was queued.
+func TestExporterCloseLeavesNoGoroutine(t *testing.T) {
+	leaktest.Check(t)
+	reg := obs.NewRegistry()
+	cap := &captureClient{}
+	e := StartExporter(reg, cap, ExporterOptions{Site: "n", FlushInterval: time.Millisecond})
+	reg.StartSpan("op", "client").End(nil)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cap.spans()); n != 1 {
+		t.Errorf("Close shipped %d spans, want 1", n)
+	}
+}
+
+// TestCollectorCloseLeavesNoGoroutine: the sweeper exits on Close.
+func TestCollectorCloseLeavesNoGoroutine(t *testing.T) {
+	leaktest.Check(t)
+	c := NewCollector(RetainPolicy{})
+	c.Start(time.Millisecond)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 type blockingClient struct{ blocked chan struct{} }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mits/internal/lint/leaktest"
 )
 
 func TestServeStatsServesExposition(t *testing.T) {
@@ -93,4 +95,19 @@ func TestServeStatsHasServerTimeouts(t *testing.T) {
 			t.Errorf("stats server %s is unset: a stalled client leaks a goroutine", name)
 		}
 	}
+}
+
+// TestStatsServerLeavesNoGoroutine is the runtime leak check for the
+// package's two goroutines: the runtime sampler's loop and the stats
+// endpoint's serve loop are both gone once their owners stop them.
+func TestStatsServerLeavesNoGoroutine(t *testing.T) {
+	leaktest.Check(t)
+	stop := startRuntimeSampler(NewRegistry(), time.Millisecond)
+	s, err := ServeStats("127.0.0.1:0")
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	s.Close()
+	stop()
 }

@@ -90,7 +90,7 @@ func (s *contentScript) serve(conn net.Conn) {
 		}
 		body := resp.marshal()
 		wire := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body[:len(body)/2]...)
-		conn.Write(wire) //mits:allow errdrop the peer is hanging up on purpose
+		conn.Write(wire)
 		conn.Close()
 		return
 	}

@@ -246,7 +246,7 @@ func TestInjectedStallDoesNotBlockNeighbors(t *testing.T) {
 		if err != nil || drop {
 			return nil, fmt.Errorf("unexpected injector verdict: drop=%v err=%v", drop, err)
 		}
-		time.Sleep(delay) //mits:allow sleepless injected per-call stall under test
+		time.Sleep(delay)
 		return p, nil
 	})
 	srv := NewTCPServer(mux)
@@ -593,6 +593,6 @@ func waitFor(t *testing.T, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatal("condition not reached in 5s")
 		}
-		time.Sleep(time.Millisecond) //mits:allow sleepless test poll
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -68,7 +68,7 @@ func TestPoolStripeFailureIsolation(t *testing.T) {
 
 	// Peer-death on one stripe: close the raw conn underneath the
 	// client, as a server crash would.
-	pool.stripes[1].conn.Close() //mits:allow errdrop test-injected conn death
+	pool.stripes[1].conn.Close()
 
 	// Exactly the dead stripe's calls fail, and with the typed error.
 	for i := 0; i < perStripe; i++ {
@@ -122,12 +122,12 @@ func TestPoolAllStripesDead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool.stripes[0].conn.Close() //mits:allow errdrop test-injected conn death
+	pool.stripes[0].conn.Close()
 	waitFor(t, func() bool { return pool.stripes[0].Err() != nil })
 	if pool.Err() != nil {
 		t.Fatal("pool reported dead with a live stripe")
 	}
-	pool.stripes[1].conn.Close() //mits:allow errdrop test-injected conn death
+	pool.stripes[1].conn.Close()
 	waitFor(t, func() bool { return pool.stripes[1].Err() != nil })
 	if !errors.Is(pool.Err(), ErrPeerClosed) {
 		t.Fatalf("all-dead pool reported %v, want ErrPeerClosed", pool.Err())

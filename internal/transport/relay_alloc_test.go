@@ -50,18 +50,18 @@ func TestRoutedReadAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer router.Close() //mits:allow errdrop test teardown
+	defer router.Close()
 	srv := transport.NewTCPServer(mux)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close() //mits:allow errdrop test teardown
+	defer srv.Close()
 	pool, err := transport.DialTCPPool(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close() //mits:allow errdrop test teardown
+	defer pool.Close()
 	req, err := transport.EncodeGetContent(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestRoutedReadAllocBudget(t *testing.T) {
 // bytes, so the call returning does not mean that has happened yet.
 func settled(audit *atomic.Int64) int64 {
 	for last, same := audit.Load(), 0; ; {
-		time.Sleep(time.Millisecond) //mits:allow sleepless test poll
+		time.Sleep(time.Millisecond)
 		if now := audit.Load(); now != last {
 			last, same = now, 0
 		} else if same++; same == 20 {

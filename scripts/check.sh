@@ -21,8 +21,8 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> go run ./cmd/mitslint -ci -baseline lint.baseline.json ./..."
-go run ./cmd/mitslint -ci -baseline lint.baseline.json ./...
+echo "==> make lint"
+make lint
 
 echo "==> go test -race ./..."
 go test -race ./...

@@ -1,7 +1,8 @@
 // Command experiments runs the paper-reproduction experiment suite
-// (one per figure/table plus the system experiments — see DESIGN.md;
-// -list prints the registered ids) and prints each report. With -only
-// it runs a single experiment.
+// (one per figure/table — see DESIGN.md; -list prints the registered
+// ids) and prints each report, separated by blank lines. The full run
+// prints exactly internal/experiments/testdata/reports.golden. With
+// -only it runs a single experiment.
 //
 //	go run ./cmd/experiments            # all experiments
 //	go run ./cmd/experiments -only E17  # just the broadband experiment
@@ -42,7 +43,10 @@ func main() {
 			failed++
 			continue
 		}
-		fmt.Println(rep)
+		if ran > 1 {
+			fmt.Println()
+		}
+		fmt.Print(rep)
 		if !rep.Pass {
 			failed++
 		}

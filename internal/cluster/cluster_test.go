@@ -290,6 +290,12 @@ func TestScatterGatherPartialDegradation(t *testing.T) {
 	if obs.GetGauge("cluster_search_shards_failed").Value() != 1 {
 		t.Fatalf("shards-failed gauge = %d, want 1", obs.GetGauge("cluster_search_shards_failed").Value())
 	}
+	// Keyed reads on the surviving shard are untouched by the outage.
+	for _, name := range byShard[0] {
+		if _, err := db.GetSelectedDoc(name); err != nil {
+			t.Fatalf("read %s on the surviving shard: %v", name, err)
+		}
+	}
 
 	// Total blackout: every shard dark → ErrNoQuorum, not a silent nil.
 	for _, n := range nodes[0] {

@@ -58,7 +58,6 @@ func E9Hypermedia() (*Report, error) {
 	rng := sim.NewRNG(9)
 	const steps = 500
 	taken := 0
-	t0 := time.Now()
 	for i := 0; i < steps; i++ {
 		choices := doc.Choices(current)
 		if len(choices) == 0 {
@@ -77,14 +76,12 @@ func E9Hypermedia() (*Report, error) {
 		}
 		taken++
 	}
-	walkT := time.Since(t0)
 
 	r := &Report{
 		ID: "E9", Figure: "Fig 4.3", Title: fmt.Sprintf("Hypermedia model: %d-step random navigation walk", taken),
 		Header: []string{"page", "visits"},
 		Notes: []string{
-			fmt.Sprintf("%d links traversed in %v (%.1f µs/step)", taken, walkT.Round(time.Millisecond), float64(walkT.Microseconds())/float64(taken)),
-			fmt.Sprintf("links fired: %d", e.Stats.LinksFired),
+			fmt.Sprintf("%d links traversed, links fired: %d", taken, e.Stats.LinksFired),
 		},
 	}
 	allVisited := true
@@ -171,7 +168,6 @@ func E13Mediastore() (*Report, error) {
 	const courses = 20
 	var put, contentBytes int64
 
-	t0 := time.Now()
 	for i := 0; i < courses; i++ {
 		name := fmt.Sprintf("course-%02d", i)
 		doc := document.SampleATMCourse()
@@ -201,31 +197,26 @@ func E13Mediastore() (*Report, error) {
 			contentBytes += int64(len(rec.Data))
 		}
 	}
-	putT := time.Since(t0)
 
-	t0 = time.Now()
 	for i := 0; i < courses; i++ {
 		if _, err := store.GetDocument(fmt.Sprintf("course-%02d", i)); err != nil {
 			return nil, err
 		}
 	}
-	getT := time.Since(t0)
 
-	t0 = time.Now()
 	tree, _ := store.Keywords()
 	var leaves int
 	tree.Walk(func(string, *mediastore.KeywordNode) { leaves++ })
 	byKw := store.DocsByKeyword("faculty-1")
-	queryT := time.Since(t0)
 
 	docs, contents := store.Sizes()
 	r := &Report{
 		ID: "E13", Figure: "Figs 5.1–5.2", Title: fmt.Sprintf("MEDIABASE platform: %d courses stored and queried", courses),
-		Header: []string{"operation", "volume", "wall time"},
+		Header: []string{"operation", "volume"},
 		Rows: [][]string{
-			{"store documents + produce media", fmt.Sprintf("%d docs (%s) + %d content objects (%s)", docs, bytesStr(put), contents, bytesStr(contentBytes)), dur(putT)},
-			{"retrieve all documents", fmt.Sprintf("%d fetches", courses), dur(getT)},
-			{"keyword tree + query", fmt.Sprintf("%d tree nodes, %d hits for faculty-1", leaves, len(byKw)), dur(queryT)},
+			{"store documents + produce media", fmt.Sprintf("%d docs (%s) + %d content objects (%s)", docs, bytesStr(put), contents, bytesStr(contentBytes))},
+			{"retrieve all documents", fmt.Sprintf("%d fetches", courses)},
+			{"keyword tree + query", fmt.Sprintf("%d tree nodes, %d hits for faculty-1", leaves, len(byKw))},
 		},
 		Pass: docs == courses && len(byKw) == courses/4,
 	}

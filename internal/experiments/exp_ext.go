@@ -28,14 +28,11 @@ import (
 func E21HyTimePipeline() (*Report, error) {
 	src := hytime.SampleCourse().Markup()
 
-	t0 := time.Now()
 	doc, err := hytime.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	parseT := time.Since(t0)
 
-	t0 = time.Now()
 	imd, err := hytime.ToIMD(doc)
 	if err != nil {
 		return nil, err
@@ -48,7 +45,6 @@ func E21HyTimePipeline() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	convertT := time.Since(t0)
 
 	// Presenting directly from HyTime: the engine resolves addresses at
 	// every traversal (simulate a session touching each link and
@@ -91,8 +87,6 @@ func E21HyTimePipeline() (*Report, error) {
 		Header: []string{"stage", "value"},
 		Rows: [][]string{
 			{"HyTime source (authoring form)", bytesStr(int64(len(src)))},
-			{"parse + validate", dur(parseT)},
-			{"convert + compile to MHEG", dur(convertT)},
 			{"MHEG container (interchange form)", bytesStr(int64(len(mhegBytes)))},
 			{"address resolutions presenting from HyTime", fmt.Sprint(hyEng.Resolutions)},
 			{"address resolutions presenting from MHEG", "0 (links pre-resolved)"},

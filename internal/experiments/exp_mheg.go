@@ -17,7 +17,7 @@ func eid(app string, n uint32) mheg.ID { return mheg.ID{App: app, Num: n} }
 
 // E1Lifecycle reproduces Fig 2.4: the MHEG object life cycle — form (a)
 // interchange bytes → form (b) decoded models → form (c) run-time
-// objects → deletion/destruction — measured per stage over 1000
+// objects → deletion/destruction — counted per stage over 1000
 // objects.
 func E1Lifecycle() (*Report, error) {
 	const n = 1000
@@ -31,7 +31,6 @@ func E1Lifecycle() (*Report, error) {
 		objs[i] = c
 	}
 
-	t0 := time.Now()
 	formA := make([][]byte, n)
 	var wire int64
 	for i, o := range objs {
@@ -42,19 +41,16 @@ func E1Lifecycle() (*Report, error) {
 		formA[i] = data
 		wire += int64(len(data))
 	}
-	encodeT := time.Since(t0)
 
 	clock := sim.NewClock()
 	e := engine.New(clock)
-	t0 = time.Now()
 	for _, data := range formA {
 		if _, err := e.Ingest(data); err != nil {
 			return nil, err
 		}
 	}
-	decodeT := time.Since(t0)
+	decoded := e.Models()
 
-	t0 = time.Now()
 	rts := make([]engine.RTID, n)
 	for i := range objs {
 		rt, err := e.NewRT(objs[i].Base().ID, "stage")
@@ -63,37 +59,33 @@ func E1Lifecycle() (*Report, error) {
 		}
 		rts[i] = rt
 	}
-	newT := time.Since(t0)
+	created := e.RTs()
 
-	t0 = time.Now()
 	for _, rt := range rts {
 		e.Run(rt)
 	}
-	clock.Run()
-	runT := time.Since(t0)
+	span := clock.Run().Duration()
 
-	t0 = time.Now()
 	for _, rt := range rts {
 		e.Delete(rt)
 	}
 	for _, o := range objs {
 		e.Destroy(o.Base().ID)
 	}
-	deleteT := time.Since(t0)
 
-	perOp := func(d time.Duration) string { return dur(d / n) }
 	r := &Report{
 		ID: "E1", Figure: "Fig 2.4", Title: "MHEG object life cycle, 1000 objects per stage",
-		Header: []string{"stage", "form transition", "total", "per object"},
+		Header: []string{"stage", "form transition", "outcome"},
 		Rows: [][]string{
-			{"encode", "internal → (a)", dur(encodeT), perOp(encodeT)},
-			{"decode+validate", "(a) → (b)", dur(decodeT), perOp(decodeT)},
-			{"new", "(b) → (c)", dur(newT), perOp(newT)},
-			{"run+finish", "(c) presented", dur(runT), perOp(runT)},
-			{"delete+destroy", "(c),(b) → gone", dur(deleteT), perOp(deleteT)},
+			{"encode", "internal → (a)", fmt.Sprintf("%d coded objects", len(formA))},
+			{"decode+validate", "(a) → (b)", fmt.Sprintf("%d models", decoded)},
+			{"new", "(b) → (c)", fmt.Sprintf("%d run-time objects", created)},
+			{"run+finish", "(c) presented", fmt.Sprintf("virtual span %v, %d events", span, clock.Fired())},
+			{"delete+destroy", "(c),(b) → gone", fmt.Sprintf("%d models, %d run-time objects left", e.Models(), e.RTs())},
 		},
 		Notes: []string{fmt.Sprintf("wire volume %s for %d objects (%.0f B/object)", bytesStr(wire), n, float64(wire)/n)},
-		Pass:  e.RTs() == 0 && e.Models() == 0 && e.Stats.ObjectsDecoded == n,
+		Pass: decoded == n && created == n && e.RTs() == 0 && e.Models() == 0 &&
+			e.Stats.ObjectsDecoded == n,
 	}
 	return r, nil
 }
@@ -173,8 +165,8 @@ func E2Synchronization() (*Report, error) {
 
 // E3Interchange reproduces Figs 2.7–2.9: the interchange model. The
 // same courseware container is coded in the binary (ASN.1-role) and
-// textual (SGML-role) notations and decoded back; sizes and speeds
-// quantify why the binary form is the wire default.
+// textual (SGML-role) notations and decoded back; the sizes quantify
+// why the binary form is the wire default.
 func E3Interchange() (*Report, error) {
 	out, err := compiledATM()
 	if err != nil {
@@ -182,33 +174,21 @@ func E3Interchange() (*Report, error) {
 	}
 	r := &Report{
 		ID: "E3", Figure: "Figs 2.7–2.9", Title: "Interchange of a full courseware container, both notations",
-		Header: []string{"encoding", "bytes", "encode", "decode", "objects"},
+		Header: []string{"encoding", "bytes", "objects decoded"},
 	}
 	sizes := map[string]int{}
-	const reps = 50
 	for _, enc := range []codec.Encoding{codec.ASN1(), codec.SGML()} {
-		var data []byte
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			data, err = enc.Encode(out.Container)
-			if err != nil {
-				return nil, err
-			}
+		data, err := enc.Encode(out.Container)
+		if err != nil {
+			return nil, err
 		}
-		encT := time.Since(t0) / reps
-		var decoded mheg.Object
-		t0 = time.Now()
-		for i := 0; i < reps; i++ {
-			decoded, err = enc.Decode(data)
-			if err != nil {
-				return nil, err
-			}
+		decoded, err := enc.Decode(data)
+		if err != nil {
+			return nil, err
 		}
-		decT := time.Since(t0) / reps
 		sizes[enc.Name()] = len(data)
 		r.Rows = append(r.Rows, []string{
-			enc.Name(), fmt.Sprint(len(data)), dur(encT), dur(decT),
-			fmt.Sprint(len(decoded.(*mheg.Container).Items)),
+			enc.Name(), fmt.Sprint(len(data)), fmt.Sprint(len(decoded.(*mheg.Container).Items)),
 		})
 	}
 	ratio := float64(sizes["sgml"]) / float64(sizes["asn1"])

@@ -5,12 +5,15 @@
 # bug, not noise (see EXPERIMENTS.md "Deterministic invariants").
 #
 # Every suite runs once: `go test -race ./...` is the only pass over the
-# unit, experiment (E28/E30/E31 shape checks included) and stress tests;
+# unit, chaos (fault matrix, trace collection, cluster failover) and
+# stress tests; the paper-reproduction shape checks of
+# internal/experiments are single-goroutine simulations built with
+# `!race`, so they run in the tier-1 `go test ./...` instead;
 # the legs after it add what that pass cannot — fuzzing beyond the
 # corpora, the smoke binary, the one benchmark that fails itself, and
 # the 5x repetition of the scheduling-dependent suites. The test lists
-# of those legs live in the Makefile only. A failing experiment prints
-# its per-scenario table itself. Nothing here writes a tracked file.
+# of those legs live in the Makefile only. Nothing here writes a
+# tracked file.
 set -eu
 
 cd "$(dirname "$0")/.."

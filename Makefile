@@ -56,8 +56,9 @@ cluster:
 # codec pools under eight callers, GetContent's records against scribbled
 # and reused response buffers), the cache singleflight, the
 # cluster failover ladder (replica death mid-stream vs the replication
-# appliers, the relay's release-exactly-once), and the keyword tree's
-# shared snapshot under publishers — repeated 5× under the race
+# appliers, the relay's release-exactly-once), the keyword tree's
+# shared snapshot under publishers, and navigators sharing one decoded
+# course image through their content cache — repeated 5× under the race
 # detector so scheduling-dependent interleavings get real coverage, not
 # one lucky pass. Four of the 13 mitslint analyzers (chanwait,
 # atomicmix, poolcheck, deadlinecheck) prove the protocol shapes
@@ -68,3 +69,4 @@ racestress:
 	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
 	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition|TestRouterRelayReleasesExactlyOnce|TestLibraryTreeFreshness' ./internal/cluster/
 	go test -race -count=5 -run 'TestKeywordSnapshotsConcurrent' ./internal/mediastore/
+	go test -race -count=5 -run 'TestCourseImageSharedCache' ./internal/navigator/

@@ -8,9 +8,11 @@
 // object into a single upstream fetch that every waiter shares.
 //
 // The cache is value-agnostic: callers store whatever they fetched
-// along with its byte cost, and own the copy-on-read discipline for
-// mutable values (see transport.DBClient.GetContent, which clones
-// cached content records so no caller can corrupt shared bytes).
+// along with its byte cost, and own the discipline for sharing it.
+// transport.DBClient.GetContent hands every hit the same record under
+// an immutable-bytes contract (CloneContentRecord for a caller that must
+// mutate), and a navigator keeps its decoded, read-only course
+// documents in the same cache under keys no content ref can reach.
 package cache
 
 import (
@@ -164,8 +166,7 @@ func (c *Cache) addLocked(key string, val any, cost int64) {
 	c.objectsGauge.Set(int64(len(c.items)))
 }
 
-// Remove drops a key, if present — the invalidation hook for a future
-// PutContent-through-cache path.
+// Remove drops a key, if present.
 func (c *Cache) Remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

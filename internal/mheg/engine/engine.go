@@ -11,6 +11,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"mits/internal/mheg"
@@ -199,10 +200,37 @@ type Engine struct {
 	// Cached obs counters for the interpretation hot paths (links and
 	// actions fire per status change); the three form-transition
 	// counters track a→b decode, b→c instantiation and c destruction.
-	// Per-class lifecycle counters go through the registry — lifecycle
-	// events are rare next to link traffic.
+	// Per-class lifecycle counters are the package's (classCounter).
 	obsLinks, obsActions, obsFetches, obsCacheHits *obs.Counter
 	obsAtoB, obsBtoC, obsCGone                     *obs.Counter
+}
+
+// classCounter is one per-class lifecycle counter family. Each class's
+// series is looked up in the registry on first use and kept: NewRT, Run
+// and Delete fire for every run-time object (24 per course open), and a
+// registry lookup builds a label string and takes the registry lock.
+type classCounter struct {
+	name    string
+	byClass [mheg.ClassDescriptor + 1]atomic.Pointer[obs.Counter]
+}
+
+var (
+	rtCreated   = &classCounter{name: "mheg_rt_created_total"}
+	rtRun       = &classCounter{name: "mheg_rt_run_total"}
+	rtDestroyed = &classCounter{name: "mheg_rt_destroyed_total"}
+)
+
+func (cc *classCounter) inc(class mheg.ClassID) {
+	if class < 0 || int(class) >= len(cc.byClass) {
+		obs.GetCounter(cc.name, "class", class.String()).Inc()
+		return
+	}
+	c := cc.byClass[class].Load()
+	if c == nil {
+		c = obs.GetCounter(cc.name, "class", class.String())
+		cc.byClass[class].Store(c)
+	}
+	c.Inc()
 }
 
 type linkKey struct {
@@ -258,20 +286,42 @@ func (e *Engine) Clock() *sim.Clock { return e.clock }
 // object (Fig 2.4 "CODER"→decode). Containers are unpacked: every
 // nested object becomes an individually addressable model.
 func (e *Engine) Ingest(data []byte) (mheg.ID, error) {
-	obj, err := e.enc.Decode(data)
+	obj, err := e.Decode(data)
 	if err != nil {
 		return mheg.ID{}, err
 	}
-	e.Stats.ObjectsDecoded++
-	e.obsAtoB.Inc()
-	return obj.Base().ID, e.AddModel(obj)
+	return obj.Base().ID, e.Load(obj)
 }
 
-// AddModel registers an already-decoded object as a form (b) model.
+// Decode turns an interchanged byte stream into a validated object
+// without registering it: the first half of Ingest, for a caller that
+// keeps the decoded object and Loads it into several engines.
+func (e *Engine) Decode(data []byte) (mheg.Object, error) {
+	obj, err := e.enc.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	e.Stats.ObjectsDecoded++
+	e.obsAtoB.Inc()
+	if err := obj.Validate(); err != nil {
+		return nil, fmt.Errorf("engine: rejecting model: %w", err)
+	}
+	return obj, nil
+}
+
+// AddModel validates an already-decoded object (a container validates
+// everything it holds) and registers it as a form (b) model.
 func (e *Engine) AddModel(obj mheg.Object) error {
 	if err := obj.Validate(); err != nil {
 		return fmt.Errorf("engine: rejecting model: %w", err)
 	}
+	return e.Load(obj)
+}
+
+// Load registers an object that has already passed Validate, unpacking
+// containers. The engine only reads its models, so one decoded object
+// may be loaded into any number of engines at once.
+func (e *Engine) Load(obj mheg.Object) error {
 	id := obj.Base().ID
 	if _, dup := e.models[id]; dup {
 		return fmt.Errorf("engine: model %v already present", id)
@@ -279,7 +329,7 @@ func (e *Engine) AddModel(obj mheg.Object) error {
 	e.models[id] = obj
 	if c, ok := obj.(*mheg.Container); ok {
 		for _, item := range c.Items {
-			if err := e.AddModel(item); err != nil {
+			if err := e.Load(item); err != nil {
 				return err
 			}
 		}
@@ -342,7 +392,7 @@ func (e *Engine) NewRT(model mheg.ID, channel string) (RTID, error) {
 	e.byModel[model] = append(e.byModel[model], rt.ID)
 	e.Stats.RTCreated++
 	e.obsBtoC.Inc()
-	obs.GetCounter("mheg_rt_created_total", "class", obj.Base().Class.String()).Inc()
+	rtCreated.inc(obj.Base().Class)
 
 	if comp, ok := obj.(*mheg.Composite); ok {
 		for _, cid := range comp.Components {
@@ -421,7 +471,7 @@ func (e *Engine) Delete(id RTID) {
 	e.Stats.RTDeleted++
 	e.obsCGone.Inc()
 	if obj, ok := e.models[rt.Model]; ok {
-		obs.GetCounter("mheg_rt_destroyed_total", "class", obj.Base().Class.String()).Inc()
+		rtDestroyed.inc(obj.Base().Class)
 	}
 	e.emit(Event{Kind: EvDeleted, RT: id, Model: rt.Model, Channel: rt.Channel})
 }
@@ -675,7 +725,7 @@ func (e *Engine) Run(id RTID) {
 	rt.startedAt = e.clock.Now()
 	e.emit(Event{Kind: EvRan, RT: id, Model: rt.Model, Channel: rt.Channel})
 	if obj, ok := e.models[rt.Model]; ok {
-		obs.GetCounter("mheg_rt_run_total", "class", obj.Base().Class.String()).Inc()
+		rtRun.inc(obj.Base().Class)
 	}
 
 	switch obj := e.models[rt.Model].(type) {

@@ -8,6 +8,7 @@ import (
 	"mits/internal/media"
 	"mits/internal/mheg"
 	"mits/internal/mheg/codec"
+	"mits/internal/obs"
 	"mits/internal/sim"
 )
 
@@ -670,5 +671,114 @@ func TestEngineFuzzOpsNeverPanic(t *testing.T) {
 			}
 		}
 		clock.Run() // drain any scheduled finishes without panicking
+	}
+}
+
+// countingObject is a valid object that counts its Validate calls.
+type countingObject struct {
+	mheg.Common
+	validations *int
+}
+
+func (o *countingObject) Validate() error { *o.validations++; return nil }
+
+// TestOneValidatePerObject: a container validates everything it holds,
+// so registering it validates each nested object once — not once per
+// enclosing level, as when every level re-validated its items.
+func TestOneValidatePerObject(t *testing.T) {
+	var n int
+	leaf := &countingObject{Common: mheg.Common{Class: mheg.ClassContent, ID: id(1)}, validations: &n}
+	inner := mheg.NewContainer(id(2), leaf)
+	outer := mheg.NewContainer(id(3), inner)
+
+	e, _, _ := newTestEngine(t)
+	if err := e.AddModel(outer); err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || e.Models() != 3 {
+		t.Errorf("AddModel of a leaf two containers deep: %d validations, %d models; want 1, 3", n, e.Models())
+	}
+
+	// Load validates nothing, keeps the duplicate check, and registers
+	// the same objects in a second engine.
+	n = 0
+	e2, _, _ := newTestEngine(t)
+	if err := e2.Load(outer); err != nil || n != 0 {
+		t.Fatalf("Load: %v after %d validations, want none", err, n)
+	}
+	if m, ok := e2.Model(id(1)); !ok || m != leaf {
+		t.Errorf("loaded leaf %v, want the object itself", m)
+	}
+	if err := e2.Load(inner); err == nil {
+		t.Error("Load of an object already present succeeded")
+	}
+}
+
+// TestDecodeThenLoadIsIngest: Decode validates and counts one a→b
+// transition; loading its object yields what Ingest yields.
+func TestDecodeThenLoadIsIngest(t *testing.T) {
+	audio, err := mheg.NewAudioContent(id(1), media.CodingWAV, "store/a.wav", 2*time.Second, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := codec.ASN1().Encode(mheg.NewContainer(id(100), audio, mheg.NewTextContent(id(2), "caption")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingested, _, _ := newTestEngine(t)
+	if _, err := ingested.Ingest(data); err != nil {
+		t.Fatal(err)
+	}
+	e, _, _ := newTestEngine(t)
+	root, err := e.Decode(data)
+	if err != nil || e.Models() != 0 || e.Stats.ObjectsDecoded != 1 {
+		t.Fatalf("Decode: %v, %d models, %d decoded; want nil, 0, 1", err, e.Models(), e.Stats.ObjectsDecoded)
+	}
+	if err := e.Load(root); err != nil || e.Models() != ingested.Models() || e.Stats != ingested.Stats {
+		t.Errorf("Decode+Load: %v, %d models, %+v; Ingest: %d models, %+v", err, e.Models(), e.Stats, ingested.Models(), ingested.Stats)
+	}
+}
+
+// TestPerClassLifecycleCounters: NewRT, Run and Delete count into
+// mheg_rt_{created,run,destroyed}_total{class=…}, one series per class,
+// resolved once and kept.
+func TestPerClassLifecycleCounters(t *testing.T) {
+	series := func(name, class string) int64 { return obs.GetCounter(name, "class", class).Value() }
+	type counts struct{ created, run, destroyed int64 }
+	read := func(class string) counts {
+		return counts{series("mheg_rt_created_total", class), series("mheg_rt_run_total", class), series("mheg_rt_destroyed_total", class)}
+	}
+	beforeContent, beforeComposite := read("content"), read("composite")
+
+	e, _, clock := newTestEngine(t)
+	for i := uint32(1); i <= 2; i++ {
+		c, _ := mheg.NewAudioContent(id(i), media.CodingWAV, fmt.Sprintf("a%d", i), time.Second, 70)
+		e.AddModel(c)
+	}
+	e.AddModel(mheg.NewComposite(id(10), id(1), id(2)))
+	rt, err := e.NewRT(id(10), "stage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(rt)
+	clock.Run()
+	e.Delete(rt)
+
+	content, composite := read("content"), read("composite")
+	if d := (counts{content.created - beforeContent.created, content.run - beforeContent.run, content.destroyed - beforeContent.destroyed}); d != (counts{2, 2, 2}) {
+		t.Errorf("content series moved by %+v, want {2 2 2}", d)
+	}
+	if d := (counts{composite.created - beforeComposite.created, composite.run - beforeComposite.run, composite.destroyed - beforeComposite.destroyed}); d != (counts{1, 1, 1}) {
+		t.Errorf("composite series moved by %+v, want {1 1 1}", d)
+	}
+	if got, want := rtCreated.byClass[mheg.ClassContent].Load(), obs.GetCounter("mheg_rt_created_total", "class", "content"); got != want {
+		t.Errorf("kept counter %p is not the registry's series %p", got, want)
+	}
+
+	// A class outside the table still counts, in its own series.
+	before := series("mheg_rt_run_total", "ClassID(99)")
+	rtRun.inc(mheg.ClassID(99))
+	if got := series("mheg_rt_run_total", "ClassID(99)") - before; got != 1 {
+		t.Errorf("out-of-table class counted %d, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package navigator
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -48,7 +49,7 @@ func DefaultCapabilities() Capabilities {
 // courseware database and a virtual screen showing the presentation.
 type Navigator struct {
 	clock  *sim.Clock
-	db     transport.DBClient
+	db     courseDB
 	school school.Client
 	engine *engine.Engine
 	screen *Screen
@@ -75,9 +76,11 @@ type Options struct {
 	Capabilities *Capabilities
 	// ContentCache, when non-nil, serves the playback path's repeated
 	// content fetches (scene replays, shared stills, the engine's
-	// resolver) from local memory with singleflight dedup. Left nil by
-	// the experiments so store read counts stay exact; the deployment
-	// entry points (NewRemoteNavigator, cmd/navigator) attach one.
+	// resolver) from local memory with singleflight dedup, and keeps
+	// each course's decoded, validated document for the next open while
+	// the store serves the same bytes. Left nil by the experiments so
+	// store read counts stay exact; the deployment entry points
+	// (NewRemoteNavigator, cmd/navigator) attach one.
 	ContentCache *cache.Cache
 }
 
@@ -88,7 +91,7 @@ func New(opts Options) *Navigator {
 	}
 	n := &Navigator{
 		clock:      opts.Clock,
-		db:         transport.DBClient{C: opts.DB, ContentCache: opts.ContentCache},
+		db:         courseDB{transport.DBClient{C: opts.DB, ContentCache: opts.ContentCache}},
 		school:     school.Client{C: opts.School},
 		sceneRoots: make(map[string]mheg.ID),
 		caps:       DefaultCapabilities(),
@@ -101,9 +104,11 @@ func New(opts Options) *Navigator {
 }
 
 // resetEngine replaces the engine and screen — the navigator starts
-// every course in a clean presentation environment (form (b)/(c)
-// objects "are assumed to be extinct whenever the presentation
-// environment vanishes", §2.2.2.2).
+// every course in a clean presentation environment: its form (c)
+// objects and the engine's register of form (b) objects "are assumed to
+// be extinct whenever the presentation environment vanishes" (§2.2.2.2).
+// The decoded form (b) objects themselves are read-only and may outlive
+// it in the content cache (loadCourse).
 func (n *Navigator) resetEngine(enc codec.Encoding) {
 	opts := []engine.Option{
 		engine.WithResolver(n.db),
@@ -231,7 +236,7 @@ func (n *Navigator) StartCourse(code string) error {
 	n.resetEngine(enc)
 	n.sceneRoots = make(map[string]mheg.ID)
 	n.current = ""
-	rootID, err := n.engine.Ingest(rec.Data)
+	rootID, err := n.loadCourse(course.Document, rec)
 	if err != nil {
 		return fmt.Errorf("navigator: ingest courseware: %w", err)
 	}
@@ -260,6 +265,88 @@ func (n *Navigator) StartCourse(code string) error {
 	}
 	n.engine.Run(rt)
 	return nil
+}
+
+// courseImage is a course document as the content cache keeps it: the
+// bytes it was decoded from and the validated form (b) root they decode
+// to. Engines only read their models, so every navigator sharing the
+// cache loads the one root.
+type courseImage struct {
+	encoding string
+	data     []byte
+	root     mheg.Object
+}
+
+// imageKeyPrefix starts the content-cache key of every course image. No
+// content read reaches a key that starts with a NUL (courseDB), so an
+// image and a content record never meet under one key.
+const imageKeyPrefix = "\x00course-image:"
+
+// imageCostFactor charges a course image to the cache at this multiple
+// of its document's size, an upper bound on the bytes kept plus what
+// decoding them allocated (6.3× for the sample course; TestCourseImageCost).
+const imageCostFactor = 8
+
+// loadCourse registers the fetched course document in the fresh engine
+// and returns its root: the cached image while its encoding and bytes
+// equal the fetched document's, otherwise a fresh decode, kept for the
+// next open once it has loaded. A cached value of another type is a
+// miss.
+func (n *Navigator) loadCourse(doc string, rec *mediastore.DocRecord) (mheg.ID, error) {
+	images := n.db.ContentCache
+	key := imageKeyPrefix + doc
+	if images != nil {
+		if v, ok := images.Get(key); ok {
+			if img, ok := v.(*courseImage); ok && img.encoding == rec.Encoding && bytes.Equal(img.data, rec.Data) {
+				return img.root.Base().ID, n.engine.Load(img.root)
+			}
+		}
+	}
+	root, err := n.engine.Decode(rec.Data)
+	if err != nil {
+		return mheg.ID{}, err
+	}
+	if err := n.engine.Load(root); err != nil {
+		return mheg.ID{}, err
+	}
+	if images != nil {
+		images.Add(key, &courseImage{encoding: rec.Encoding, data: rec.Data, root: root}, imageCostFactor*int64(len(rec.Data)))
+	}
+	return root.Base().ID, nil
+}
+
+// courseDB is the navigator's database client. Its content reads refuse
+// a ref in the course-image key space before it reaches the shared
+// cache, where a hit would hand the client an image instead of a record.
+type courseDB struct{ transport.DBClient }
+
+func checkContentRef(ref string) error {
+	if strings.HasPrefix(ref, "\x00") {
+		return fmt.Errorf("navigator: content ref %q starts with a NUL", ref)
+	}
+	return nil
+}
+
+func (d courseDB) GetContent(ref string) (*mediastore.ContentRecord, error) {
+	if err := checkContentRef(ref); err != nil {
+		return nil, err
+	}
+	return d.DBClient.GetContent(ref)
+}
+
+func (d courseDB) GetContentStream(ref string, sink func([]byte) error) (*mediastore.ContentRecord, error) {
+	if err := checkContentRef(ref); err != nil {
+		return nil, err
+	}
+	return d.DBClient.GetContentStream(ref, sink)
+}
+
+// FetchContent is the engine's resolver.
+func (d courseDB) FetchContent(ref string) ([]byte, error) {
+	if err := checkContentRef(ref); err != nil {
+		return nil, err
+	}
+	return d.DBClient.FetchContent(ref)
 }
 
 // negotiate checks the courseware's descriptor objects against the

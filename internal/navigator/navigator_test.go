@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mits/internal/atm"
+	"mits/internal/cache"
 	"mits/internal/courseware"
 	"mits/internal/document"
 	"mits/internal/media"
@@ -20,6 +21,13 @@ import (
 // course in the database, produced media, library holdings, and the
 // administration records — everything behind loopback transports.
 func buildSchool(t *testing.T) (*Navigator, *mediastore.Store, *school.School) {
+	t.Helper()
+	return buildCachedSchool(t, nil)
+}
+
+// buildCachedSchool is buildSchool with c as the navigator's content
+// cache (nil for none).
+func buildCachedSchool(t *testing.T, c *cache.Cache) (*Navigator, *mediastore.Store, *school.School) {
 	t.Helper()
 	store := mediastore.New()
 	out, err := courseware.CompileIMD(document.SampleATMCourse(), "atm")
@@ -52,16 +60,20 @@ func buildSchool(t *testing.T) (*Navigator, *mediastore.Store, *school.School) {
 		PlannedSessions: 4, Document: "atm-course", IntroRef: "store/atm/course-intro.mpg",
 	})
 
+	return attachNavigator(store, sch, c), store, sch
+}
+
+// attachNavigator opens a navigator on store and sch over loopback.
+func attachNavigator(store *mediastore.Store, sch *school.School, c *cache.Cache) *Navigator {
 	dbMux := transport.NewMux()
 	transport.RegisterStore(dbMux, store)
 	schoolMux := transport.NewMux()
 	school.RegisterService(schoolMux, sch)
-
-	nav := New(Options{
-		DB:     transport.Loopback{H: dbMux},
-		School: transport.Loopback{H: schoolMux},
+	return New(Options{
+		DB:           transport.Loopback{H: dbMux},
+		School:       transport.Loopback{H: schoolMux},
+		ContentCache: c,
 	})
-	return nav, store, sch
 }
 
 func TestRegistrationAndLogin(t *testing.T) {

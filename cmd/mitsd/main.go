@@ -23,19 +23,26 @@
 // any other courseware. Navigators dial the front door exactly as
 // they would a single mitsd.
 //
-// With -stats, GET /stats returns the obs text exposition (counters,
-// gauges, latency percentiles, recent RPC spans), /metrics the
-// Prometheus exposition, /debug/pprof/* the runtime profiles and
-// /healthz a liveness 200. With -collect the daemon also runs a trace
-// collector on the given RPC address and mounts its /traces, /trace
-// and /slowest views on the stats endpoint; with -export it ships its
-// own finished spans to a collector elsewhere (typically another mitsd
-// run with -collect).
+// With -stats, GET /metrics returns the Prometheus exposition
+// (counters, gauges, latency histograms, opened by a "# mits
+// exposition site=mitsd" comment), /debug/pprof/* the runtime profiles
+// and /healthz a liveness 200. Spans leave the process: with -collect
+// the daemon also runs a trace collector on the given RPC address and
+// mounts its /traces, /trace and /slowest views on the stats endpoint;
+// with -export it ships its own finished spans to a collector
+// elsewhere (typically another mitsd run with -collect). One box sees
+// its own spans by collecting them itself:
+//
+//	mitsd -collect 127.0.0.1:7123 -export 127.0.0.1:7123 -stats 127.0.0.1:7122
+//
+// then GET /traces on 127.0.0.1:7122 lists the slow and errored traces
+// the collector kept, and /trace?id=<16 hex digits> draws one.
 package main
 
 import (
 	"flag"
 	"log/slog"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -100,8 +107,10 @@ func main() {
 	// the deployment. Peers point -export here; the views ride -stats.
 	var col *collect.Collector
 	var colSrv *transport.TCPServer
+	var mountViews func(*http.ServeMux)
 	if *collectAddr != "" {
 		col = collect.NewCollector(collect.RetainPolicy{})
+		mountViews = col.Mount
 		colMux := transport.NewMux()
 		col.Register(colMux)
 		colSrv = transport.NewTCPServer(colMux)
@@ -115,11 +124,7 @@ func main() {
 
 	var stats *obs.StatsServer
 	if *statsAddr != "" {
-		if col != nil {
-			stats, err = obs.ServeStatsMux(*statsAddr, col.Mount)
-		} else {
-			stats, err = obs.ServeStats(*statsAddr)
-		}
+		stats, err = obs.ServeStats(*statsAddr, mountViews)
 		if err != nil {
 			fatal(logger, "stats listen", err)
 		}

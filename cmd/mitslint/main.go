@@ -27,25 +27,18 @@
 // package that owns its witness line.
 //
 // Diagnostics print in a deterministic order (by file, line, column,
-// analyzer). Exit status is 1 when any unsuppressed diagnostic or dead
-// baseline entry is reported, 2 on usage or load errors. Type errors
-// in loaded packages are warnings: the analyzers run on what
-// type-checks, and the build gate — not the linter — owns compilation
-// failures.
+// analyzer). Exit status is 1 when any unsuppressed diagnostic is
+// reported, 2 on usage or load errors. Type errors in loaded packages
+// are warnings: the analyzers run on what type-checks, and the build
+// gate — not the linter — owns compilation failures.
 //
-// Suppression happens at two levels. In the source, a //mits:allow
+// Suppression happens in the source and nowhere else: a //mits:allow
 // <analyzer> comment (or //mits:nolock for lockcheck) on or above the
-// flagged line, or in a function's doc comment for the whole function;
-// a suppression that matches no finding of an analyzer that ran is a
-// finding itself. Out of band, a baseline file (-baseline, default
-// lint.baseline.json when present) lists triaged findings by
-// analyzer/file/message; matching diagnostics are reported as
-// suppressed and do not fail the run. Entries whose file no longer
-// exists are invalid (renames re-triage under the new path) and entries
-// matching nothing are stale; both fail the run, which is how the gate
-// keeps the baseline from outliving the findings it triaged.
-// -write-baseline regenerates the file from the current findings.
-// -stats writes per-analyzer wall time and finding counts as JSON to
+// flagged line, or in a function's doc comment for the whole function.
+// A suppression that matches no finding of an analyzer that ran is a
+// finding itself, so no suppression outlives the finding it excused.
+// -only runs a comma-separated subset of analyzers, -list prints them,
+// and -stats writes per-analyzer wall time and finding counts as JSON to
 // the given path ("-" for stderr).
 package main
 
@@ -66,8 +59,6 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	baselinePath := flag.String("baseline", "lint.baseline.json", "baseline file of triaged findings to suppress (missing file = empty baseline)")
-	writeBaseline := flag.Bool("write-baseline", false, "write the current findings to the baseline file and exit")
 	statsPath := flag.String("stats", "", "write per-analyzer wall time and finding counts as JSON to this path (\"-\" = stderr)")
 	flag.Parse()
 
@@ -146,26 +137,6 @@ func main() {
 	}
 	lint.SortDiags(diags)
 
-	if *writeBaseline {
-		if err := lint.SaveBaseline(*baselinePath, diags); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "mitslint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return
-	}
-
-	baseline, err := lint.LoadBaseline(*baselinePath)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	diags, suppressed, stale := baseline.Filter(diags)
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "mitslint: error: stale baseline entry: %s\n", s)
-	}
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "mitslint: %d finding(s) suppressed by %s\n", suppressed, *baselinePath)
-	}
-
 	if *statsPath != "" {
 		if err := writeStats(*statsPath, stats); err != nil {
 			fatalf("%v", err)
@@ -175,7 +146,7 @@ func main() {
 	for _, d := range diags {
 		fmt.Println(d.String())
 	}
-	if len(diags) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

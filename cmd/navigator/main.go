@@ -63,13 +63,13 @@ func main() {
 	// in this process, so the navigator exposes its own registry —
 	// scrape cache_hits_total & co. here, not on the server.
 	if *statsAddr != "" {
-		stats, err := obs.ServeStats(*statsAddr)
+		stats, err := obs.ServeStats(*statsAddr, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "stats listen on %s: %v\n", *statsAddr, err)
 			os.Exit(1)
 		}
 		defer stats.Close()
-		fmt.Printf("stats endpoint up at http://%s/stats\n", stats.Addr)
+		fmt.Printf("stats endpoint up at http://%s/metrics\n", stats.Addr)
 	}
 
 	// Span export: the navigator's client spans are the student's half

@@ -55,9 +55,10 @@ func TestE31Accept(t *testing.T) {
 
 // TestGateListsResolve reads the three files that define the gates and
 // fails when one of them names something that is not there: a script,
-// a make target, or — the case go test itself reports as "no tests to
-// run" and exit 0 — a test, fuzzer or benchmark in a -run/-fuzz/-bench
-// list that the package on that line no longer has.
+// a make target, a `go run ./<dir>` command, or — the case go test
+// itself reports as "no tests to run" and exit 0 — a test, fuzzer or
+// benchmark in a -run/-fuzz/-bench list that the package on that line
+// no longer has.
 func TestGateListsResolve(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -68,12 +69,6 @@ func TestGateListsResolve(t *testing.T) {
 		targets[m[1]] = true
 	}
 
-	var (
-		scriptRef = regexp.MustCompile(`scripts/[\w.-]+\.sh`)
-		makeRef   = regexp.MustCompile(`\bmake (\w+)`)
-		listFlag  = regexp.MustCompile(`-(?:run|fuzz|bench)[= ]'?([^' ]+)`)
-		pkgArg    = regexp.MustCompile(` (\.[\w./-]*)\s*$`)
-	)
 	checked := 0
 	for _, file := range []string{"Makefile", "scripts/check.sh", ".github/workflows/check.yml"} {
 		data, err := os.ReadFile(file)
@@ -84,46 +79,73 @@ func TestGateListsResolve(t *testing.T) {
 			if strings.HasPrefix(strings.TrimSpace(line), "#") {
 				continue
 			}
-			at := func(format string, args ...any) {
-				t.Helper()
-				t.Errorf("%s:%d: "+format, append([]any{file, i + 1}, args...)...)
-			}
-			for _, script := range scriptRef.FindAllString(line, -1) {
-				if _, err := os.Stat(script); err != nil {
-					at("names %s, which does not exist", script)
-				}
-			}
-			for _, m := range makeRef.FindAllStringSubmatch(line, -1) {
-				if !targets[m[1]] {
-					at("calls make %s, which the Makefile does not define", m[1])
-				}
-			}
-			if !strings.Contains(line, "go test") {
-				continue
-			}
-			for _, m := range listFlag.FindAllStringSubmatch(line, -1) {
-				pkg := pkgArg.FindStringSubmatch(line)
-				if pkg == nil || strings.HasSuffix(pkg[1], "...") {
-					at("cannot tell which one package %q selects from", m[0])
-					continue
-				}
-				funcs := testFuncs(t, pkg[1])
-				for _, name := range strings.Split(m[1], "|") {
-					name, _, _ = strings.Cut(name, "/") // a subtest path selects within its parent
-					if name == "NONE" || name == "." {
-						continue
-					}
-					checked++
-					if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
-						at("%s matches no test, fuzzer or benchmark in %s", name, pkg[1])
-					}
-				}
+			errs, n := unresolvedGateRefs(t, line, targets)
+			checked += n
+			for _, e := range errs {
+				t.Errorf("%s:%d: %s", file, i+1, e)
 			}
 		}
 	}
 	if checked == 0 {
 		t.Fatal("found no -run/-fuzz/-bench list to check: the gate files changed shape under this test")
 	}
+
+	// A command deleted while a gate file still runs it fails here, not
+	// minutes into check.sh.
+	if errs, _ := unresolvedGateRefs(t, "go run ./cmd/no-such-command ./...", targets); len(errs) != 1 {
+		t.Errorf("go run of a missing directory resolved: %q", errs)
+	}
+}
+
+var (
+	scriptRef = regexp.MustCompile(`scripts/[\w.-]+\.sh`)
+	makeRef   = regexp.MustCompile(`\bmake (\w+)`)
+	goRunRef  = regexp.MustCompile(`\bgo run (\./[\w./-]*)`)
+	listFlag  = regexp.MustCompile(`-(?:run|fuzz|bench)[= ]'?([^' ]+)`)
+	pkgArg    = regexp.MustCompile(` (\.[\w./-]*)\s*$`)
+)
+
+// unresolvedGateRefs reports what one gate-file line names that does
+// not exist, and how many test, fuzzer and benchmark names it checked.
+func unresolvedGateRefs(t *testing.T, line string, targets map[string]bool) (errs []string, checked int) {
+	t.Helper()
+	for _, script := range scriptRef.FindAllString(line, -1) {
+		if _, err := os.Stat(script); err != nil {
+			errs = append(errs, fmt.Sprintf("names %s, which does not exist", script))
+		}
+	}
+	for _, m := range makeRef.FindAllStringSubmatch(line, -1) {
+		if !targets[m[1]] {
+			errs = append(errs, fmt.Sprintf("calls make %s, which the Makefile does not define", m[1]))
+		}
+	}
+	for _, m := range goRunRef.FindAllStringSubmatch(line, -1) {
+		if srcs, _ := filepath.Glob(filepath.Join(m[1], "*.go")); len(srcs) == 0 {
+			errs = append(errs, fmt.Sprintf("runs go run %s, which holds no Go source", m[1]))
+		}
+	}
+	if !strings.Contains(line, "go test") {
+		return errs, 0
+	}
+	for _, m := range listFlag.FindAllStringSubmatch(line, -1) {
+		pkg := pkgArg.FindStringSubmatch(line)
+		if pkg == nil || strings.HasSuffix(pkg[1], "...") {
+			errs = append(errs, fmt.Sprintf("cannot tell which one package %q selects from", m[0]))
+			continue
+		}
+		funcs := testFuncs(t, pkg[1])
+		for _, name := range strings.Split(m[1], "|") {
+			name, _, _ = strings.Cut(name, "/") // a subtest path selects within its parent
+			if name == "NONE" || name == "." {
+				continue
+			}
+			checked++
+			if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
+				errs = append(errs, fmt.Sprintf("%s matches no test, fuzzer or benchmark in %s", name, pkg[1]))
+			}
+		}
+	}
+	return errs, checked
 }
 
 // testFuncs lists the Test*, Fuzz* and Benchmark* functions declared

@@ -34,7 +34,7 @@ type Cache struct {
 	flight map[string]*flightCall
 	bytes  int64
 
-	// Exposed in /stats: hit ratio tells an operator whether the cache
+	// Exposed at /metrics: hit ratio tells an operator whether the cache
 	// is sized for the working set, evictions whether it is thrashing,
 	// and the fill-latency histogram what a miss actually costs (the
 	// upstream fetch time a hit saves).

@@ -259,8 +259,8 @@ func (m *Module) buildLockGraph() {
 						via = via + " → " + w.via
 					}
 					// Base filename only: the chain appears inside diagnostic
-					// messages, and an absolute path there would make baseline
-					// entries (keyed on message text) machine-specific.
+					// messages, and an absolute path there would make the
+					// output machine-specific.
 					for _, held := range cs.Held {
 						addEdge(held, lock, cs.Pos, via+" acquires at "+filepath.Base(w.pos))
 					}

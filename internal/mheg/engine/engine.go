@@ -198,11 +198,12 @@ type Engine struct {
 	Stats Stats
 
 	// Cached obs counters for the interpretation hot paths (links and
-	// actions fire per status change); the three form-transition
+	// actions fire per status change); obsFetchErrs counts resolver
+	// failures on either fetch path; the three form-transition
 	// counters track a→b decode, b→c instantiation and c destruction.
 	// Per-class lifecycle counters are the package's (classCounter).
-	obsLinks, obsActions, obsFetches, obsCacheHits *obs.Counter
-	obsAtoB, obsBtoC, obsCGone                     *obs.Counter
+	obsLinks, obsActions, obsFetches, obsFetchErrs, obsCacheHits *obs.Counter
+	obsAtoB, obsBtoC, obsCGone                                   *obs.Counter
 }
 
 // classCounter is one per-class lifecycle counter family. Each class's
@@ -266,6 +267,7 @@ func New(clock *sim.Clock, opts ...Option) *Engine {
 		obsLinks:     obs.GetCounter("mheg_links_fired_total"),
 		obsActions:   obs.GetCounter("mheg_actions_applied_total"),
 		obsFetches:   obs.GetCounter("mheg_content_fetches_total"),
+		obsFetchErrs: obs.GetCounter("mheg_content_fetch_errors_total"),
 		obsCacheHits: obs.GetCounter("mheg_content_cache_hits_total"),
 		obsAtoB:      obs.GetCounter("mheg_form_transitions_total", "transition", "a_to_b"),
 		obsBtoC:      obs.GetCounter("mheg_form_transitions_total", "transition", "b_to_c"),
@@ -928,6 +930,7 @@ func (e *Engine) fetchContent(c *mheg.Content) {
 	}
 	data, err := e.resolver.FetchContent(c.ContentRef)
 	if err != nil {
+		e.obsFetchErrs.Inc()
 		return
 	}
 	e.Stats.ContentFetches++
@@ -962,6 +965,7 @@ func (e *Engine) ContentData(id mheg.ID) ([]byte, error) {
 	}
 	data, err := e.resolver.FetchContent(c.ContentRef)
 	if err != nil {
+		e.obsFetchErrs.Inc()
 		return nil, err
 	}
 	e.Stats.ContentFetches++

@@ -468,6 +468,37 @@ func TestContentFetchCaching(t *testing.T) {
 	}
 }
 
+// TestContentFetchErrorsCounted: a resolver failure is counted once per
+// failed fetch on both paths — a presentation's fetch and ContentData —
+// and a failed fetch is not cached, so the next presentation tries (and
+// counts) again.
+func TestContentFetchErrorsCounted(t *testing.T) {
+	failing := ResolverFunc(func(ref string) ([]byte, error) { return nil, fmt.Errorf("store down: %s", ref) })
+	errs := obs.GetCounter("mheg_content_fetch_errors_total")
+	before := errs.Value()
+	e := New(sim.NewClock(), WithResolver(failing))
+	e.AddModel(mheg.NewVideoContent(id(1), "store/v.mpg", mheg.Size{}, time.Second))
+	for i := 0; i < 3; i++ {
+		rt, _ := e.NewRT(id(1), "")
+		e.Run(rt)
+		e.Clock().Run()
+	}
+	if got := errs.Value() - before; got != 3 {
+		t.Errorf("3 failed presentation fetches counted %d errors", got)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := e.ContentData(id(1)); err == nil {
+			t.Fatal("ContentData through a failing resolver succeeded")
+		}
+	}
+	if got := errs.Value() - before; got != 5 {
+		t.Errorf("3 failed fetches and 2 failed ContentData counted %d errors, want 5", got)
+	}
+	if e.Stats.ContentFetches != 0 || e.Stats.BytesFetched != 0 {
+		t.Errorf("failed fetches reached Stats: %+v", e.Stats)
+	}
+}
+
 func TestContentData(t *testing.T) {
 	e, _, _ := newTestEngine(t)
 	inline := mheg.NewTextContent(id(1), "inline text")

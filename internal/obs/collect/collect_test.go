@@ -441,8 +441,10 @@ func TestCollectorOverTransportAndViews(t *testing.T) {
 		t.Fatalf("/trace?id= status %d: %s", smux.Code, smux.Body.String())
 	}
 	body := smux.Body.String()
-	if !strings.Contains(body, "store.GetContent") || !strings.Contains(body, "critical path:") {
-		t.Errorf("/trace body missing tree or critical path:\n%s", body)
+	for _, want := range []string{"db.GetContent", "store.GetContent", "critical path:"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/trace body lacks %q:\n%s", want, body)
+		}
 	}
 	rec404 := httptest.NewRecorder()
 	webmux.ServeHTTP(rec404, httptest.NewRequest("GET", "/trace?id=00000000000000ff", nil))

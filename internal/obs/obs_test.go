@@ -2,12 +2,17 @@ package obs_test
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mits/internal/mediastore"
 	"mits/internal/obs"
+	"mits/internal/obs/spantest"
+	"mits/internal/transport"
 )
 
 // TestHistogramBucketBoundaries pins the `le` (inclusive upper bound)
@@ -146,10 +151,12 @@ func TestSpanIDsDistinctAcrossRegistries(t *testing.T) {
 	}
 }
 
-// TestSpansAndRing covers trace identity, parentage, idempotent End,
-// nil-safety, and the exposition ring.
-func TestSpansAndRing(t *testing.T) {
+// TestSpans covers trace identity, parentage, idempotent End,
+// ContinueSpan on an untraced peer and the inert nil span, reading the
+// finished spans through the registry's sink.
+func TestSpans(t *testing.T) {
 	r := obs.NewRegistry()
+	rec := spantest.Record(t, r)
 	client := r.StartSpan("db.Get_Selected_Doc", "client")
 	if client.Trace == 0 || client.ID == 0 {
 		t.Fatalf("span minted zero IDs: %+v", client)
@@ -165,9 +172,8 @@ func TestSpansAndRing(t *testing.T) {
 	client.End(nil)
 	client.End(nil) // second End must not double-record
 
-	spans := r.SpansOf(client.Trace)
-	if len(spans) != 2 {
-		t.Fatalf("SpansOf returned %d spans, want 2", len(spans))
+	if spans := rec.Of(client.Trace); len(spans) != 2 || spans[0] != server || spans[1] != client {
+		t.Fatalf("sink saw %+v, want the server then the client span once each", spans)
 	}
 	if h := r.Histogram("span_ns", "span", "db.Get_Selected_Doc", "kind", "client"); h.Count() != 1 {
 		t.Errorf("client span histogram count %d, want 1", h.Count())
@@ -182,58 +188,8 @@ func TestSpansAndRing(t *testing.T) {
 	// A nil span (untraced request path) must be inert.
 	var nilSpan *obs.Span
 	nilSpan.End(nil)
-
-	// The ring keeps only the most recent spans, oldest first.
-	for i := 0; i < 300; i++ {
-		r.StartSpan("fill", "client").End(nil)
-	}
-	all := r.Spans()
-	if len(all) != 256 {
-		t.Fatalf("ring holds %d spans, want 256", len(all))
-	}
-	for _, sp := range all[len(all)-250:] {
-		if sp.Name != "fill" {
-			t.Fatalf("recent ring entry is %q, want fill", sp.Name)
-		}
-	}
-}
-
-// TestWriteText checks the exposition format end to end on a private
-// registry.
-func TestWriteText(t *testing.T) {
-	r := obs.NewRegistry()
-	r.SetSite("testsite")
-	r.Counter("reqs", "method", "get").Add(3)
-	r.Gauge("docs").Set(7)
-	r.Histogram("lat").Observe(5 * time.Microsecond)
-	sp := r.StartSpan("m", "client")
-	sp.End(nil)
-
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"# mits exposition site=testsite\n",
-		`counter reqs{method="get"} 3` + "\n",
-		"gauge docs 7\n",
-		"hist lat count=1",
-		"trace=" + sp.Trace.String(),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition lacks %q:\n%s", want, text)
-		}
-	}
-	// Every line must parse as one of the four record kinds.
-	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-		switch {
-		case strings.HasPrefix(line, "# "), strings.HasPrefix(line, "counter "),
-			strings.HasPrefix(line, "gauge "), strings.HasPrefix(line, "hist "),
-			strings.HasPrefix(line, "span "):
-		default:
-			t.Errorf("unparseable exposition line %q", line)
-		}
+	if n := len(rec.Of(0)); n != 2 {
+		t.Errorf("sink saw %d spans after the inert ones, want 2", n)
 	}
 }
 
@@ -256,4 +212,79 @@ func TestLogger(t *testing.T) {
 			t.Errorf("log record lacks %q: %q", want, out)
 		}
 	}
+}
+
+// TestServeStatsServesExposition scrapes /metrics after one
+// Get_Selected_Doc over a real TCP server: the site comment comes
+// first, the RPC's client and server histograms carry a non-zero
+// _count, the store's get_document histogram reports ordered positive
+// percentiles, and the mount hook's route is served beside /metrics.
+func TestServeStatsServesExposition(t *testing.T) {
+	prev := obs.Default.Site()
+	obs.SetSite("obs-test")
+	t.Cleanup(func() { obs.SetSite(prev) })
+
+	store := mediastore.New()
+	if _, err := store.PutDocument("atm-course", "ATM", "asn1", []byte("course-bytes"), "network/atm"); err != nil {
+		t.Fatal(err)
+	}
+	mux := transport.NewMux()
+	transport.RegisterStore(mux, store)
+	srv := transport.NewTCPServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := transport.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := (transport.DBClient{C: cli}).GetSelectedDoc("atm-course"); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := obs.ServeStats("127.0.0.1:0", func(mux *http.ServeMux) {
+		mux.HandleFunc("/extra", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "mounted") })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + s.Addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+
+	metrics := get("/metrics")
+	if !strings.HasPrefix(metrics, "# mits exposition site=obs-test\n") {
+		t.Errorf("/metrics does not open with the site comment:\n%.200s", metrics)
+	}
+	for _, series := range []string{
+		`transport_client_latency_ns_count{method="db.Get_Selected_Doc"} `,
+		`transport_server_latency_ns_count{method="db.Get_Selected_Doc"} `,
+		`mediastore_latency_ns_count{op="get_document"} `,
+	} {
+		i := strings.Index(metrics, series)
+		if i < 0 || strings.HasPrefix(metrics[i+len(series):], "0\n") {
+			t.Errorf("/metrics lacks a non-zero %s", series)
+		}
+	}
+	if snap := obs.GetHistogram("mediastore_latency_ns", "op", "get_document").Snapshot(); snap.P50 <= 0 || snap.P95 < snap.P50 || snap.P99 < snap.P95 {
+		t.Errorf("get_document percentiles not positive and ordered: %+v", snap)
+	}
+	if got := get("/extra"); got != "mounted" {
+		t.Errorf("/extra = %q, want the mount hook's route", got)
+	}
+	get("/healthz")
 }

@@ -9,13 +9,11 @@ import (
 )
 
 // This file renders the registry in the Prometheus text exposition
-// format (version 0.0.4), served at /metrics alongside the simpler
-// project-native /stats format. The two differ in shape, not content:
-// /stats prints one pre-rendered line per metric, /metrics groups
-// series into metric families with # TYPE headers, escapes label
-// values per the format's rules, and expands each histogram into
-// cumulative le-buckets plus _sum and _count — what an off-the-shelf
-// Prometheus server scrapes without an adapter.
+// format (version 0.0.4), served at /metrics — the registry's one
+// exposition. It groups series into metric families with # TYPE
+// headers, escapes label values per the format's rules, and expands
+// each histogram into cumulative le-buckets plus _sum and _count — what
+// an off-the-shelf Prometheus server scrapes without an adapter.
 //
 // Convention: every histogram in this codebase is a *_ns latency
 // histogram, so bucket bounds, _sum values and le labels are integral
@@ -91,8 +89,16 @@ func promFamily[M interface{ Base() string }](metrics []M) (bases []string, byBa
 
 // WriteProm renders the registry in the Prometheus text format. Output
 // is deterministic: families sorted by name, series within a family by
-// their full rendered name (the listers' order).
+// their full rendered name (the listers' order). When SetSite named the
+// site, the first line is the comment "# mits exposition site=<site>"
+// (a # line that is not HELP or TYPE is a comment in the format), so a
+// scrape says which process it came from.
 func (r *Registry) WriteProm(w io.Writer) error {
+	if site := r.Site(); site != "" {
+		if _, err := fmt.Fprintf(w, "# mits exposition site=%s\n", site); err != nil {
+			return err
+		}
+	}
 	cBases, counters := promFamily(r.Counters())
 	for _, base := range cBases {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", base); err != nil {

@@ -40,15 +40,19 @@ func TestWritePromGolden(t *testing.T) {
 	}
 }
 
+// TestPromHandler also pins the site line: once SetSite names the
+// process, the exposition opens with a comment saying which site a
+// scrape came from (the golden's unnamed registry writes none).
 func TestPromHandler(t *testing.T) {
 	r := promTestRegistry()
+	r.SetSite("testsite")
 	rec := httptest.NewRecorder()
 	r.PromHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("content type = %q, want prometheus text format", ct)
 	}
-	if !strings.Contains(rec.Body.String(), "# TYPE requests_total counter") {
-		t.Errorf("body missing TYPE line:\n%s", rec.Body.String())
+	if want := "# mits exposition site=testsite\n# TYPE requests_total counter\n"; !strings.HasPrefix(rec.Body.String(), want) {
+		t.Errorf("body does not open with the site line, then the first TYPE line:\n%s", rec.Body.String())
 	}
 }
 

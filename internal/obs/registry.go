@@ -7,13 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// spanRingSize bounds the finished-span buffer each registry keeps for
-// exposition. 256 spans cover the recent RPC history of a busy server
-// without unbounded growth.
-const spanRingSize = 256
-
-// Registry holds one process's metrics and recent trace spans. All
-// methods are safe for concurrent use.
+// Registry holds one process's metrics and its span sink. All methods
+// are safe for concurrent use.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -29,11 +24,6 @@ type Registry struct {
 	samplerMu   sync.Mutex
 	samplerRefs int
 	samplerStop func()
-
-	spanMu   sync.Mutex
-	spans    [spanRingSize]*Span // finished spans, ring buffer
-	spanHead int                 // next write position
-	spanLen  int
 
 	// spanHists caches span_ns histogram handles per (name, kind), so
 	// Span.End skips label rendering and the main registry lock (see

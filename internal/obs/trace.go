@@ -118,9 +118,9 @@ func nonZero(v uint64) uint64 {
 }
 
 // End closes the span: its duration lands in the span_ns histogram
-// (per operation and kind) and the finished span enters the ring
-// buffer the exposition endpoint prints. End is idempotent; err may be
-// nil. A nil span is a no-op, so callers on untraced paths need no
+// (per operation and kind) and the finished span goes to the
+// registry's span sink, if one is attached. End is idempotent; err may
+// be nil. A nil span is a no-op, so callers on untraced paths need no
 // branches.
 func (s *Span) End(err error) {
 	if s == nil || s.ended {
@@ -132,7 +132,11 @@ func (s *Span) End(err error) {
 		s.Err = err.Error()
 	}
 	s.reg.spanHist(s.Name, s.Kind).Observe(s.Dur)
-	s.reg.recordSpan(s)
+	// The sink (a span exporter, when one is attached) is required to be
+	// non-blocking: End is on the RPC hot path.
+	if fn := s.reg.spanSink.Load(); fn != nil {
+		(*fn)(s)
+	}
 }
 
 // spanHistKey identifies one span_ns histogram in the handle cache.
@@ -165,22 +169,6 @@ func (r *Registry) spanHist(name, kind string) *Histogram {
 	return h
 }
 
-func (r *Registry) recordSpan(s *Span) {
-	r.spanMu.Lock()
-	r.spans[r.spanHead] = s
-	r.spanHead = (r.spanHead + 1) % spanRingSize
-	if r.spanLen < spanRingSize {
-		r.spanLen++
-	}
-	r.spanMu.Unlock()
-	// The sink (a span exporter, when one is attached) runs outside the
-	// ring lock and is required to be non-blocking: End is on the RPC
-	// hot path.
-	if fn := r.spanSink.Load(); fn != nil {
-		(*fn)(s)
-	}
-}
-
 // SetSpanSink installs fn to be called with every span finished in
 // this registry — the tap a trace exporter hangs off. fn runs on the
 // goroutine calling Span.End and therefore must never block (enqueue
@@ -195,29 +183,4 @@ func (r *Registry) SetSpanSink(fn func(*Span)) {
 	// publishes it before any reader can hold the address.
 	sink := fn //mits:allow atomicmix boxed before publication, never touched again
 	r.spanSink.Store(&sink)
-}
-
-// Spans returns the finished spans still in the ring buffer, oldest
-// first.
-func (r *Registry) Spans() []*Span {
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	out := make([]*Span, 0, r.spanLen)
-	start := (r.spanHead - r.spanLen + spanRingSize) % spanRingSize
-	for i := 0; i < r.spanLen; i++ {
-		out = append(out, r.spans[(start+i)%spanRingSize])
-	}
-	return out
-}
-
-// SpansOf filters the ring buffer to one trace, oldest first — the
-// cross-site "follow one GetDocument" view.
-func (r *Registry) SpansOf(trace TraceID) []*Span {
-	var out []*Span
-	for _, s := range r.Spans() {
-		if s.Trace == trace {
-			out = append(out, s)
-		}
-	}
-	return out
 }

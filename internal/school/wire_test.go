@@ -7,6 +7,7 @@ import (
 
 	"mits/internal/lint/leaktest"
 	"mits/internal/obs"
+	"mits/internal/obs/spantest"
 	"mits/internal/transport"
 	"mits/internal/transport/wiretest"
 )
@@ -109,6 +110,7 @@ func TestCallsContinueTheCallersTrace(t *testing.T) {
 	}
 	defer cli.Close()
 
+	rec := spantest.Record(t, obs.Default)
 	root := obs.StartSpan("test.session", "internal")
 	_, err = Client{C: cli, Trace: root.Context()}.Register(Profile{Name: "Traced"})
 	root.End(err)
@@ -116,7 +118,7 @@ func TestCallsContinueTheCallersTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var client, server *obs.Span
-	for _, s := range obs.Default.SpansOf(root.Trace) {
+	for _, s := range rec.Of(root.Trace) {
 		if s.Name != MethodRegister {
 			continue
 		}
@@ -128,7 +130,7 @@ func TestCallsContinueTheCallersTrace(t *testing.T) {
 		}
 	}
 	if client == nil || server == nil {
-		t.Fatalf("trace %s lacks the school.Register client/server pair: %+v", root.Trace, obs.Default.SpansOf(root.Trace))
+		t.Fatalf("trace %s lacks the school.Register client/server pair: %+v", root.Trace, rec.Of(root.Trace))
 	}
 	if client.Parent != root.ID || server.Parent != client.ID {
 		t.Fatalf("span chain broken: root %s ← client parent %s, client %s ← server parent %s",

@@ -90,7 +90,7 @@ func TestRetryBudgetExhaustionCounted(t *testing.T) {
 }
 
 // TestBreakerStateGauge: the breaker's position is mirrored into the
-// breaker_state{peer} gauge on every transition, so routers and /stats
+// breaker_state{peer} gauge on every transition, so routers and /metrics
 // see open circuits directly.
 func TestBreakerStateGauge(t *testing.T) {
 	g := obs.GetGauge("breaker_state", "peer", "gauge-peer")

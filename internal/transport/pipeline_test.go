@@ -12,6 +12,7 @@ import (
 	"mits/internal/faults"
 	"mits/internal/lint/leaktest"
 	"mits/internal/obs"
+	"mits/internal/obs/spantest"
 )
 
 // --- frame unit coverage ("V3" is the layout's historical name; it is
@@ -344,6 +345,7 @@ func TestCallTracedPerCall(t *testing.T) {
 	}
 	defer cli.Close()
 
+	rec := spantest.Record(t, obs.Default)
 	const calls = 16
 	traces := make([]obs.TraceID, calls)
 	var wg sync.WaitGroup
@@ -369,7 +371,7 @@ func TestCallTracedPerCall(t *testing.T) {
 		}
 		seen[tr] = true
 		foundServer := false
-		for _, s := range obs.Default.SpansOf(tr) {
+		for _, s := range rec.Of(tr) {
 			if s.Kind == "server" {
 				foundServer = true
 			}

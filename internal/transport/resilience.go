@@ -14,7 +14,7 @@ import (
 // transport failures, idempotent retry with exponential backoff and
 // jitter, and a per-peer circuit breaker. The thesis assumes a
 // well-behaved broadband network; the ROADMAP's millions of users do
-// not. Every mechanism here is visible in /stats (retries, breaker
+// not. Every mechanism here is visible at /metrics (retries, breaker
 // transitions) and is driven through its failure modes by the E28
 // chaos experiment on top of internal/faults.
 
@@ -460,14 +460,14 @@ func (s BreakerState) String() string {
 // failures it opens and rejects calls instantly (no timeout waits
 // pile up against a dead peer); after Cooldown it half-opens and lets
 // one probe through — success closes it, failure re-opens. State
-// transitions and rejections are counted in /stats.
+// transitions and rejections are counted at /metrics.
 type Breaker struct {
 	peer      string
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Time
 
-	// stateGauge mirrors the position into /stats as
+	// stateGauge mirrors the position into /metrics as
 	// breaker_state{peer=...} (0 closed, 1 open, 2 half-open), so the
 	// cluster router and operators see open circuits directly instead
 	// of inferring them from error counts.

@@ -9,6 +9,7 @@ import (
 	"mits/internal/lint/leaktest"
 
 	"mits/internal/obs"
+	"mits/internal/obs/spantest"
 )
 
 // callUnderRoot issues one call under a root span the test owns and
@@ -90,12 +91,13 @@ func TestTraceAcrossTCP(t *testing.T) {
 	}
 	defer cli.Close()
 
+	rec := spantest.Record(t, obs.Default)
 	_, trace, err := callUnderRoot(cli, "echo", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	spans := obs.Default.SpansOf(trace)
+	spans := rec.Of(trace)
 	var client, server *obs.Span
 	for _, s := range spans {
 		switch s.Kind {
@@ -145,31 +147,28 @@ func TestTraceAcrossATM(t *testing.T) {
 	}
 	defer sess.Close()
 
+	rec := spantest.Record(t, obs.Default)
 	if _, err := sess.CallOver("echo", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	// The registry is a ring buffer that earlier tests may have filled
-	// past its capacity, so index arithmetic from "before the call" is
-	// unreliable; the call just made is simply the newest client span
-	// with our name.
-	var trace obs.TraceID
-	spans := obs.Default.Spans()
-	for i := len(spans) - 1; i >= 0; i-- {
-		if spans[i].Name == "echo" && spans[i].Kind == "client" {
-			trace = spans[i].Trace
-			break
+	// The recorder sees only spans ended since this test began: exactly
+	// one echo client span, and one server span in its trace.
+	var clients []*obs.Span
+	for _, s := range rec.Of(0) {
+		if s.Name == "echo" && s.Kind == "client" {
+			clients = append(clients, s)
 		}
 	}
-	if trace == 0 {
-		t.Fatal("no client span recorded for the ATM call")
+	if len(clients) != 1 {
+		t.Fatalf("ATM call recorded %d echo client spans, want 1", len(clients))
 	}
-	foundServer := false
-	for _, s := range obs.Default.SpansOf(trace) {
+	var servers []*obs.Span
+	for _, s := range rec.Of(clients[0].Trace) {
 		if s.Kind == "server" {
-			foundServer = true
+			servers = append(servers, s)
 		}
 	}
-	if !foundServer {
-		t.Fatalf("trace %s has no server span on the ATM path", trace)
+	if len(servers) != 1 || servers[0].Name != "echo" || servers[0].Parent != clients[0].ID {
+		t.Fatalf("trace %s: server spans %+v, want one echo span parented on client %s", clients[0].Trace, servers, clients[0].ID)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"mits/internal/cache"
 	"mits/internal/lint/leaktest"
 	"mits/internal/obs"
+	"mits/internal/obs/spantest"
 )
 
 // TestTracePropagatesAcrossHops runs the full three-node delivery
@@ -56,12 +57,13 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := spantest.Record(t, obs.Default)
 	_, trace, err := callUnderRoot(nav, MethodGetContent, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	spans := obs.Default.SpansOf(trace)
+	spans := rec.Of(trace)
 	if len(spans) != 6 {
 		t.Fatalf("trace %s has %d spans, want 6: %+v", trace, len(spans), spans)
 	}
@@ -116,7 +118,7 @@ func TestTracePropagatesAcrossHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans2 := obs.Default.SpansOf(trace2)
+	spans2 := rec.Of(trace2)
 	if len(spans2) != 3 {
 		t.Fatalf("cache-hit trace has %d spans, want 3 (root+client+edge server): %+v", len(spans2), spans2)
 	}

@@ -10,10 +10,9 @@
 # internal/experiments are single-goroutine simulations built with
 # `!race`, so they run in the tier-1 `go test ./...` instead;
 # the legs after it add what that pass cannot — fuzzing beyond the
-# corpora, the smoke binary, the one benchmark that fails itself, and
-# the 5x repetition of the scheduling-dependent suites. The test lists
-# of those legs live in the Makefile only. Nothing here writes a
-# tracked file.
+# corpora, the one benchmark that fails itself, and the 5x repetition
+# of the scheduling-dependent suites. The test lists of those legs live
+# in the Makefile only. Nothing here writes a tracked file.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,11 +42,6 @@ go -C bench test ./...
 # beyond them.
 echo "==> make fuzz"
 make fuzz
-
-# Observability smoke: the traced-RPC stats scrape, then the three-node
-# trace pipeline checked over the collector's HTTP views.
-echo "==> go run ./cmd/obssmoke"
-go run ./cmd/obssmoke
 
 # Cluster gate: the E31 availability benchmark fails itself if a read
 # fails with one replica down per shard or the one-down p99 exceeds 3x

@@ -57,8 +57,9 @@ cluster:
 # and reused response buffers), the cache singleflight, the
 # cluster failover ladder (replica death mid-stream vs the replication
 # appliers, the relay's release-exactly-once), the keyword tree's
-# shared snapshot under publishers, and navigators sharing one decoded
-# course image through their content cache — repeated 5× under the race
+# shared snapshot under publishers, store reads sharing the read lock
+# with writers, and navigators sharing one decoded course image through
+# their content cache, also while it is republished — repeated 5× under the race
 # detector so scheduling-dependent interleavings get real coverage, not
 # one lucky pass. Four of the 13 mitslint analyzers (chanwait,
 # atomicmix, poolcheck, deadlinecheck) prove the protocol shapes
@@ -68,5 +69,5 @@ racestress:
 	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation|TestStreamSettlesEveryStartedCall|TestStreamOrderAndEquivalence|TestServerReleasesPooledResponseExactlyOnce|TestCodecConcurrent|TestGetContentRecordOwnsItsMemory' ./internal/transport/
 	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
 	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition|TestRouterRelayReleasesExactlyOnce|TestLibraryTreeFreshness' ./internal/cluster/
-	go test -race -count=5 -run 'TestKeywordSnapshotsConcurrent' ./internal/mediastore/
-	go test -race -count=5 -run 'TestCourseImageSharedCache' ./internal/navigator/
+	go test -race -count=5 -run 'TestKeywordSnapshotsConcurrent|TestReadsShareTheReadLock' ./internal/mediastore/
+	go test -race -count=5 -run 'TestCourseImageSharedCache|TestCourseImageRepublishUnderRevalidation' ./internal/navigator/

@@ -794,7 +794,7 @@ func BenchmarkE27ObsBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.GetSelectedDoc("atm-course"); err != nil {
+		if _, err := db.GetSelectedDoc("atm-course", 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -122,7 +122,7 @@ func TestClusterWriteReadRouting(t *testing.T) {
 		if _, err := nodes[owner][1].Store.GetDocument(name); err != nil {
 			t.Fatalf("doc %s not replicated on shard %d: %v", name, owner, err)
 		}
-		rec, err := db.GetSelectedDoc(name)
+		rec, err := db.GetSelectedDoc(name, 0)
 		if err != nil {
 			t.Fatalf("get %s through router: %v", name, err)
 		}
@@ -148,13 +148,58 @@ func TestClusterWriteReadRouting(t *testing.T) {
 	}
 }
 
+// TestDocumentDigestAcrossReplicas: the document digest is the same
+// answer on every node of a shard. Once WaitConverged returns, each
+// replica's Get_Selected_Doc carries the primary's digest; a read through
+// the router that names that digest carries no Data; and once a routed
+// PutDocument is acknowledged, a read through the primary returns the
+// new bytes under a new digest.
+func TestDocumentDigestAcrossReplicas(t *testing.T) {
+	r, nodes := testCluster(t, 2, 3)
+	db := routerClient(r)
+	docs := []string{"course-a", "course-b", "course-c", "course-d"}
+	for _, name := range docs {
+		if _, err := db.PutDocument(name, "T:"+name, "asn1", []byte("first edition of "+name), "network/atm"); err != nil {
+			t.Fatalf("put %s: %v", name, err)
+		}
+	}
+	if !r.WaitConverged(2 * time.Second) {
+		t.Fatalf("replication backlog never drained: %d pending", r.Backlog())
+	}
+	for _, name := range docs {
+		shard := r.ShardFor(name)
+		primary, err := nodes[shard][0].Store.GetDocument(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range r.Replicas(shard) {
+			rec, err := rep.DB.GetSelectedDoc(name, 0)
+			if err != nil || rec.Digest != primary.Digest || string(rec.Data) != string(primary.Data) {
+				t.Errorf("%s on %s: %+v, %v; want the primary's copy under %#x", name, rep.Name, rec, err, primary.Digest)
+			}
+		}
+		same, err := db.GetSelectedDoc(name, primary.Digest)
+		if err != nil || same.Data != nil || same.Digest != primary.Digest {
+			t.Errorf("revalidating %s through the router: %+v, %v; want no Data", name, same, err)
+		}
+
+		if _, err := db.PutDocument(name, "T:"+name, "asn1", []byte("second edition of "+name), "network/atm"); err != nil {
+			t.Fatalf("republish %s: %v", name, err)
+		}
+		rec, err := r.Replicas(shard)[0].DB.GetSelectedDoc(name, primary.Digest)
+		if err != nil || string(rec.Data) != "second edition of "+name || rec.Digest == primary.Digest {
+			t.Errorf("%s through the primary after an acknowledged put: %+v, %v; want the second edition", name, rec, err)
+		}
+	}
+}
+
 // TestMissingDocIsNotFound: a miss through the whole cluster surfaces
 // as the store's not-found error (remote, inspectable), not as a
 // failover exhaustion.
 func TestMissingDocIsNotFound(t *testing.T) {
 	r, _ := testCluster(t, 2, 2)
 	db := routerClient(r)
-	_, err := db.GetSelectedDoc("no-such-course")
+	_, err := db.GetSelectedDoc("no-such-course", 0)
 	if err == nil {
 		t.Fatal("missing doc returned no error")
 	}
@@ -184,7 +229,7 @@ func TestReadFailoverReplicaDown(t *testing.T) {
 	nodes[0][1].Partition(true) // first read replica drops off the network
 	defer nodes[0][1].Partition(false)
 	for i := 0; i < 10; i++ {
-		if _, err := db.GetSelectedDoc("course-x"); err != nil {
+		if _, err := db.GetSelectedDoc("course-x", 0); err != nil {
 			t.Fatalf("read %d with one replica down: %v", i, err)
 		}
 	}
@@ -196,7 +241,7 @@ func TestReadFailoverReplicaDown(t *testing.T) {
 	nodes[0][2].Partition(true)
 	defer nodes[0][2].Partition(false)
 	for i := 0; i < 5; i++ {
-		if _, err := db.GetSelectedDoc("course-x"); err != nil {
+		if _, err := db.GetSelectedDoc("course-x", 0); err != nil {
 			t.Fatalf("read %d with all replicas down: %v", i, err)
 		}
 	}
@@ -222,7 +267,7 @@ func TestReplicationHealsAfterPartition(t *testing.T) {
 		t.Fatalf("partitioned replica has the doc: %v", err)
 	}
 	// Reads are unaffected throughout: primary serves.
-	if _, err := db.GetSelectedDoc("late-course"); err != nil {
+	if _, err := db.GetSelectedDoc("late-course", 0); err != nil {
 		t.Fatalf("read during replica partition: %v", err)
 	}
 
@@ -292,7 +337,7 @@ func TestScatterGatherPartialDegradation(t *testing.T) {
 	}
 	// Keyed reads on the surviving shard are untouched by the outage.
 	for _, name := range byShard[0] {
-		if _, err := db.GetSelectedDoc(name); err != nil {
+		if _, err := db.GetSelectedDoc(name, 0); err != nil {
 			t.Fatalf("read %s on the surviving shard: %v", name, err)
 		}
 	}

@@ -63,7 +63,7 @@ func E4Pipeline() (*Report, error) {
 	mux := transport.NewMux()
 	transport.RegisterStore(mux, store)
 	db := transport.DBClient{C: transport.Loopback{H: mux}}
-	rec, err := db.GetSelectedDoc("atm-course")
+	rec, err := db.GetSelectedDoc("atm-course", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func E6Processing() (*Report, error) {
 	mux := transport.NewMux()
 	transport.RegisterStore(mux, store)
 	db := transport.DBClient{C: transport.Loopback{H: mux}}
-	rec, err := db.GetSelectedDoc("atm-course")
+	rec, err := db.GetSelectedDoc("atm-course", 0)
 	if err != nil {
 		return nil, err
 	}

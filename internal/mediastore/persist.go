@@ -66,7 +66,8 @@ func (s *Store) Save(path string) error {
 	return os.Rename(tmp, path)
 }
 
-// Load reads a store image written by Save.
+// Load reads a store image written by Save. An image saved before
+// documents carried a digest gets each one stamped here.
 func Load(path string) (*Store, error) {
 	start := time.Now()
 	defer func() { obs.Observe("mediastore_latency_ns", time.Since(start), "op", "load") }()
@@ -81,6 +82,9 @@ func Load(path string) (*Store, error) {
 	}
 	s := New()
 	for _, d := range snap.Docs {
+		if d.Digest == 0 {
+			d.Digest = docDigest(d.Encoding, d.Data)
+		}
 		s.docs[d.Name] = d
 		s.keywords.add(d.Name, d.Keywords)
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSaveConcurrentWithPutDocument is the regression test for a data
@@ -110,5 +112,92 @@ func TestStoreConcurrentStress(t *testing.T) {
 
 	if docs, contents := s.Sizes(); docs != 4 || contents != 4 {
 		t.Errorf("after stress: %d docs, %d contents; want 4, 4", docs, contents)
+	}
+}
+
+// TestReadsShareTheReadLock: document and content reads take the read
+// lock — they complete while another reader holds it — and their
+// counters are atomics, so readers interleaved with PutDocument,
+// PutContent and Stats lose no count (run with -race).
+func TestReadsShareTheReadLock(t *testing.T) {
+	s := New()
+	if _, err := s.PutDocument("course", "Title", "asn1", []byte("edition 0"), "networking"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutContent("store/clip", "mpeg", []byte("frames 0")); err != nil {
+		t.Fatal(err)
+	}
+
+	s.mu.RLock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.GetDocument("course")
+		s.GetContentBorrow("store/clip")
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a read waited for another reader's lock")
+	}
+	s.mu.RUnlock()
+	baseDocs, baseContent, baseBytes := s.Stats()
+
+	const readers, iters = 4, 300
+	var wg sync.WaitGroup
+	var docReads, contentReads, bytesOut atomic.Int64
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // the writer
+		defer wg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.PutDocument("course", "Title", "asn1", []byte(fmt.Sprintf("edition %d", i)), "networking"); err != nil {
+				t.Error(err)
+			}
+			if err := s.PutContent("store/clip", "mpeg", []byte(fmt.Sprintf("frames %d", i))); err != nil {
+				t.Error(err)
+			}
+			s.Stats()
+		}
+	}()
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			var have uint64
+			for i := 0; i < iters; i++ {
+				doc, err := s.RevalidateDocument("course", have)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				docReads.Add(1)
+				bytesOut.Add(int64(len(doc.Data)))
+				if r%2 == 0 {
+					have = doc.Digest // odd readers always ask for the whole record
+				}
+				c, err := s.GetContentBorrow("store/clip")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				contentReads.Add(1)
+				bytesOut.Add(int64(len(c.Data)))
+			}
+		}(r)
+	}
+	rg.Wait()
+	close(stop)
+	wg.Wait()
+	d, c, b := s.Stats()
+	if d-baseDocs != docReads.Load() || c-baseContent != contentReads.Load() || b-baseBytes != bytesOut.Load() {
+		t.Errorf("Stats moved by %d doc reads, %d content reads, %d bytes; the readers made %d, %d, %d",
+			d-baseDocs, c-baseContent, b-baseBytes, docReads.Load(), contentReads.Load(), bytesOut.Load())
 	}
 }

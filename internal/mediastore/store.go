@@ -12,11 +12,14 @@
 package mediastore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mits/internal/obs"
@@ -34,6 +37,26 @@ type DocRecord struct {
 	Keywords []string
 	Version  int
 	Data     []byte
+	// Digest identifies (Encoding, Data): equal documents have equal
+	// digests on every store, and it is never 0. PutDocument stamps it.
+	Digest uint64
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// docDigest is CRC-32C ‖ CRC-32 (IEEE) of the encoding's length, the
+// encoding and the data, mapped off 0, which means "no digest" to a
+// reader. Both CRCs are hardware paths in hash/crc32: 1.2 µs for an 8 KB
+// document, where a byte-at-a-time hash such as FNV-1a takes 14 µs (E42).
+func docDigest(encoding string, data []byte) uint64 {
+	var buf [32]byte
+	head := append(binary.AppendUvarint(buf[:0], uint64(len(encoding))), encoding...)
+	c, i := crc32.Update(0, castagnoli, head), crc32.ChecksumIEEE(head)
+	c, i = crc32.Update(c, castagnoli, data), crc32.Update(i, crc32.IEEETable, data)
+	if d := uint64(c)<<32 | uint64(i); d != 0 {
+		return d
+	}
+	return 1
 }
 
 // ContentRecord is one entry of the content database.
@@ -52,10 +75,10 @@ type Store struct {
 	content  map[string]*ContentRecord
 	keywords *KeywordTree
 
-	// Stats for the experiments.
-	docReads     int64
-	contentReads int64
-	bytesOut     int64
+	// Stats for the experiments: atomics, so reads take the read lock.
+	docReads     atomic.Int64
+	contentReads atomic.Int64
+	bytesOut     atomic.Int64
 
 	// Cached obs instruments, set at construction (immutable —
 	// increments need no store lock). All stores in a process share
@@ -108,6 +131,7 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	}
 	start := time.Now()
 	defer func() { s.obsPutDoc.Observe(time.Since(start)) }()
+	digest := docDigest(encoding, data) // before the lock: readers wait for none of it
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.docs[name]
@@ -121,6 +145,7 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	rec.Encoding = encoding
 	rec.Keywords = append([]string(nil), keywords...)
 	rec.Data = append([]byte(nil), data...)
+	rec.Digest = digest
 	rec.Version++
 	s.keywords.add(name, keywords)
 	s.obsDocs.Set(int64(len(s.docs)))
@@ -131,10 +156,18 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 // GetDocument retrieves a document by name (the Get_Selected_Doc API of
 // §5.3.2).
 func (s *Store) GetDocument(name string) (*DocRecord, error) {
+	return s.RevalidateDocument(name, 0)
+}
+
+// RevalidateDocument is GetDocument for a caller holding the document
+// whose digest is have: while the stored one still has that digest the
+// answer is the record without Data and Keywords, copied from nothing.
+// Any other have (0 included) gets a private copy of the whole record.
+func (s *Store) RevalidateDocument(name string, have uint64) (*DocRecord, error) {
 	start := time.Now()
 	defer func() { s.obsGetDoc.Observe(time.Since(start)) }()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	rec, ok := s.docs[name]
 	if !ok {
 		s.obsMisses.Inc()
@@ -142,10 +175,14 @@ func (s *Store) GetDocument(name string) (*DocRecord, error) {
 		return nil, fmt.Errorf("%w: document %q", ErrNotFound, name)
 	}
 	s.obsHits.Inc()
-	s.obsBytes.Add(int64(len(rec.Data)))
-	s.docReads++
-	s.bytesOut += int64(len(rec.Data))
+	s.docReads.Add(1)
 	cp := *rec
+	if rec.Digest == have {
+		cp.Data, cp.Keywords = nil, nil
+		return &cp, nil
+	}
+	s.obsBytes.Add(int64(len(rec.Data)))
+	s.bytesOut.Add(int64(len(rec.Data)))
 	cp.Data = append([]byte(nil), rec.Data...)
 	cp.Keywords = append([]string(nil), rec.Keywords...)
 	return &cp, nil
@@ -255,8 +292,8 @@ func (s *Store) GetContent(ref string) (*ContentRecord, error) {
 func (s *Store) GetContentBorrow(ref string) (*ContentRecord, error) {
 	start := time.Now()
 	defer func() { s.obsGetContent.Observe(time.Since(start)) }()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	rec, ok := s.content[ref]
 	if !ok {
 		s.obsMisses.Inc()
@@ -265,8 +302,8 @@ func (s *Store) GetContentBorrow(ref string) (*ContentRecord, error) {
 	}
 	s.obsHits.Inc()
 	s.obsBytes.Add(int64(len(rec.Data)))
-	s.contentReads++
-	s.bytesOut += int64(len(rec.Data))
+	s.contentReads.Add(1)
+	s.bytesOut.Add(int64(len(rec.Data)))
 	return rec, nil
 }
 
@@ -301,9 +338,7 @@ func (s *Store) ListContent(prefix string) []string {
 
 // Stats reports served volume for the experiments.
 func (s *Store) Stats() (docReads, contentReads, bytesOut int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.docReads, s.contentReads, s.bytesOut
+	return s.docReads.Load(), s.contentReads.Load(), s.bytesOut.Load()
 }
 
 // Sizes reports how many documents and content objects are stored.

@@ -2,7 +2,9 @@ package mediastore
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -387,5 +389,106 @@ func TestGetContentBorrowStableAcrossRepublish(t *testing.T) {
 	}
 	if !bytes.Equal(fresh.Data, []byte{9, 9}) {
 		t.Fatalf("fresh borrow missed the republish: %v", fresh.Data)
+	}
+}
+
+// TestDocumentDigest: the digest names (Encoding, Data) — the same on
+// any store, whatever the title, keywords or version — is never 0, and
+// a read that names the current digest is answered with the record's
+// header alone, which moves no byte.
+func TestDocumentDigest(t *testing.T) {
+	digest := func(s *Store, name string) uint64 {
+		t.Helper()
+		rec, err := s.GetDocument(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Digest == 0 {
+			t.Fatalf("%s has digest 0", name)
+		}
+		return rec.Digest
+	}
+	a, b := New(), New()
+	a.PutDocument("doc", "Title", "asn1", []byte("container"), "kw")
+	b.PutDocument("other", "Another title", "asn1", []byte("container"))
+	b.PutDocument("other", "Another title", "asn1", []byte("container"))
+	if digest(a, "doc") != digest(b, "other") {
+		t.Error("equal encoding and data under different names, titles and versions digest differently")
+	}
+	a.PutDocument("sgml", "Title", "sgml", []byte("container"))
+	a.PutDocument("data", "Title", "asn1", []byte("container!"))
+	a.PutDocument("split", "Title", "asn", []byte("1container"))
+	seen := map[uint64]string{}
+	for _, name := range []string{"doc", "sgml", "data", "split"} {
+		if other, dup := seen[digest(a, name)]; dup {
+			t.Errorf("%s and %s share a digest", name, other)
+		}
+		seen[digest(a, name)] = name
+	}
+	if docDigest("", nil) == 0 {
+		t.Error("docDigest of nothing is 0")
+	}
+
+	have := digest(a, "doc")
+	_, _, before := a.Stats()
+	same, err := a.RevalidateDocument("doc", have)
+	if err != nil || same.Data != nil || same.Keywords != nil || same.Digest != have || same.Title != "Title" || same.Version != 1 {
+		t.Errorf("RevalidateDocument(current digest) = %+v, %v; want the header alone", same, err)
+	}
+	if _, _, after := a.Stats(); after != before {
+		t.Errorf("an unchanged answer moved %d bytes", after-before)
+	}
+	full, err := a.RevalidateDocument("doc", have^1)
+	if err != nil || string(full.Data) != "container" || len(full.Keywords) != 1 {
+		t.Errorf("RevalidateDocument(stale digest) = %+v, %v; want the whole record", full, err)
+	}
+	if _, err := a.RevalidateDocument("nope", have); !errors.Is(err, ErrNotFound) {
+		t.Errorf("RevalidateDocument of a missing document: %v", err)
+	}
+}
+
+// TestLoadStampsMissingDigests: an image saved before documents carried
+// a digest loads with each document stamped as a fresh put would stamp it.
+func TestLoadStampsMissingDigests(t *testing.T) {
+	s := New()
+	s.PutDocument("atm", "ATM", "asn1", []byte("docdata"), "network/atm")
+	s.PutDocument("web", "Web", "sgml", []byte("<doc/>"))
+	path := filepath.Join(t.TempDir(), "old.db")
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range snap.Docs {
+		d.Digest = 0
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"atm", "web"} {
+		rec, err := loaded.GetDocument(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := New()
+		fresh.PutDocument(name, rec.Title, rec.Encoding, rec.Data)
+		want, _ := fresh.GetDocument(name)
+		if rec.Digest != want.Digest {
+			t.Errorf("%s loaded from a digest-less image with digest %#x, a fresh put stamps %#x", name, rec.Digest, want.Digest)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"time"
 
@@ -336,6 +337,27 @@ func (e *Engine) Load(obj mheg.Object) error {
 			}
 		}
 	}
+	return nil
+}
+
+// Index returns a copy of the engine's register of form (b) objects —
+// what its Loads flattened, by id — for LoadIndex into other engines.
+func (e *Engine) Index() map[mheg.ID]mheg.Object { return maps.Clone(e.models) }
+
+// LoadIndex makes an Index this engine's register of form (b) objects,
+// with one clone, and sizes its run-time register to it. Only an engine
+// that holds no models takes one; adding to a register is Load's job,
+// with its duplicate check.
+func (e *Engine) LoadIndex(index map[mheg.ID]mheg.Object) error {
+	if len(e.models) != 0 || len(e.rts) != 0 {
+		return fmt.Errorf("engine: LoadIndex into an engine holding %d models", len(e.models))
+	}
+	if len(index) == 0 {
+		return nil
+	}
+	e.models = maps.Clone(index)
+	e.rts = make(map[RTID]*RTObject, len(index))
+	e.byModel = make(map[mheg.ID][]RTID, len(index))
 	return nil
 }
 

@@ -770,6 +770,55 @@ func TestDecodeThenLoadIsIngest(t *testing.T) {
 	}
 }
 
+// TestLoadIndex: an empty engine adopts another's Index as its own copy
+// and presents from it as if it had loaded the root; an engine that
+// already holds models refuses one.
+func TestLoadIndex(t *testing.T) {
+	audio, err := mheg.NewAudioContent(id(1), media.CodingWAV, "store/a.wav", 2*time.Second, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := mheg.NewContainer(id(100), audio, mheg.NewTextContent(id(2), "caption"), mheg.NewComposite(id(10), id(1), id(2)))
+	loaded, _, _ := newTestEngine(t)
+	if err := loaded.Load(root); err != nil {
+		t.Fatal(err)
+	}
+	index := loaded.Index()
+	if len(index) != loaded.Models() || index[id(100)] != root || index[id(1)] != audio {
+		t.Fatalf("Index = %v, want the %d loaded models", index, loaded.Models())
+	}
+	loaded.Destroy(id(2))
+	if _, ok := index[id(2)]; !ok {
+		t.Error("Destroy in the engine reached its Index")
+	}
+
+	e, rec, _ := newTestEngine(t)
+	if err := e.LoadIndex(index); err != nil {
+		t.Fatal(err)
+	}
+	if e.Models() != len(index) {
+		t.Fatalf("adopted %d models, want %d", e.Models(), len(index))
+	}
+	rt, err := e.NewRT(id(10), "stage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(rt)
+	if got := rec.kinds(id(1)); len(got) == 0 || got[0] != EvCreated {
+		t.Errorf("events of the adopted audio model: %v", got)
+	}
+	e.Destroy(id(1))
+	if _, ok := index[id(1)]; !ok {
+		t.Error("Destroy in the adopting engine reached the index")
+	}
+
+	more, _, _ := newTestEngine(t)
+	more.AddModel(mheg.NewTextContent(id(3), "other"))
+	if err := more.LoadIndex(index); err == nil || more.Models() != 1 {
+		t.Errorf("LoadIndex into an engine holding a model: %v, %d models; want refused, 1", err, more.Models())
+	}
+}
+
 // TestPerClassLifecycleCounters: NewRT, Run and Delete count into
 // mheg_rt_{created,run,destroyed}_total{class=…}, one series per class,
 // resolved once and kept.

@@ -1,7 +1,6 @@
 package navigator
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -213,7 +212,8 @@ func (n *Navigator) Enroll(code string) error {
 
 // ---- classroom presentation (Fig 5.5) ----
 
-// StartCourse fetches the course document, loads it into a fresh
+// StartCourse fetches the course document — or only the store's word
+// that the cached image's copy is current — loads it into a fresh
 // engine, and begins presentation — resuming at the stored stop
 // position when one exists ("the courseware can automatically start the
 // course presentation at the right place when a student enters again").
@@ -225,7 +225,12 @@ func (n *Navigator) StartCourse(code string) error {
 	if err != nil {
 		return err
 	}
-	rec, err := n.db.GetSelectedDoc(course.Document)
+	img := n.imageOf(course.Document)
+	var have uint64
+	if img != nil {
+		have = img.digest
+	}
+	rec, err := n.db.GetSelectedDoc(course.Document, have)
 	if err != nil {
 		return fmt.Errorf("navigator: fetch courseware: %w", err)
 	}
@@ -233,10 +238,13 @@ func (n *Navigator) StartCourse(code string) error {
 	if err != nil {
 		return err
 	}
+	// From here the previous course is gone: a failed open leaves no
+	// course in progress, so ExitCourse cannot file its position under
+	// the course left behind.
 	n.resetEngine(enc)
 	n.sceneRoots = make(map[string]mheg.ID)
-	n.current = ""
-	rootID, err := n.loadCourse(course.Document, rec)
+	n.current, n.courseCode = "", ""
+	rootID, err := n.loadCourse(course.Document, img, rec)
 	if err != nil {
 		return fmt.Errorf("navigator: ingest courseware: %w", err)
 	}
@@ -268,13 +276,14 @@ func (n *Navigator) StartCourse(code string) error {
 }
 
 // courseImage is a course document as the content cache keeps it: the
-// bytes it was decoded from and the validated form (b) root they decode
-// to. Engines only read their models, so every navigator sharing the
+// digest of the bytes it was decoded from, the validated form (b) root
+// they decode to, and the model index its one Load flattened that root
+// into. Engines only read their models, so every navigator sharing the
 // cache loads the one root.
 type courseImage struct {
-	encoding string
-	data     []byte
-	root     mheg.Object
+	digest uint64
+	root   mheg.Object
+	index  map[mheg.ID]mheg.Object
 }
 
 // imageKeyPrefix starts the content-cache key of every course image. No
@@ -283,24 +292,29 @@ type courseImage struct {
 const imageKeyPrefix = "\x00course-image:"
 
 // imageCostFactor charges a course image to the cache at this multiple
-// of its document's size, an upper bound on the bytes kept plus what
-// decoding them allocated (6.3× for the sample course; TestCourseImageCost).
+// of its document's size, an upper bound on what decoding the document
+// allocated plus the index kept (5.9× for the sample course;
+// TestCourseImageCost).
 const imageCostFactor = 8
 
+// imageOf is the image of doc in the content cache, or nil. A cached
+// value of another type is a miss.
+func (n *Navigator) imageOf(doc string) *courseImage {
+	if n.db.ContentCache == nil {
+		return nil
+	}
+	v, _ := n.db.ContentCache.Get(imageKeyPrefix + doc)
+	img, _ := v.(*courseImage)
+	return img
+}
+
 // loadCourse registers the fetched course document in the fresh engine
-// and returns its root: the cached image while its encoding and bytes
-// equal the fetched document's, otherwise a fresh decode, kept for the
-// next open once it has loaded. A cached value of another type is a
-// miss.
-func (n *Navigator) loadCourse(doc string, rec *mediastore.DocRecord) (mheg.ID, error) {
-	images := n.db.ContentCache
-	key := imageKeyPrefix + doc
-	if images != nil {
-		if v, ok := images.Get(key); ok {
-			if img, ok := v.(*courseImage); ok && img.encoding == rec.Encoding && bytes.Equal(img.data, rec.Data) {
-				return img.root.Base().ID, n.engine.Load(img.root)
-			}
-		}
+// and returns its root: img's index when the store answered "unchanged"
+// to its digest (rec carries no Data), otherwise a fresh decode, imaged
+// for the next open once it has loaded.
+func (n *Navigator) loadCourse(doc string, img *courseImage, rec *mediastore.DocRecord) (mheg.ID, error) {
+	if rec.Data == nil {
+		return img.root.Base().ID, n.engine.LoadIndex(img.index)
 	}
 	root, err := n.engine.Decode(rec.Data)
 	if err != nil {
@@ -309,8 +323,8 @@ func (n *Navigator) loadCourse(doc string, rec *mediastore.DocRecord) (mheg.ID, 
 	if err := n.engine.Load(root); err != nil {
 		return mheg.ID{}, err
 	}
-	if images != nil {
-		images.Add(key, &courseImage{encoding: rec.Encoding, data: rec.Data, root: root}, imageCostFactor*int64(len(rec.Data)))
+	if images := n.db.ContentCache; images != nil {
+		images.Add(imageKeyPrefix+doc, &courseImage{digest: rec.Digest, root: root, index: n.engine.Index()}, imageCostFactor*int64(len(rec.Data)))
 	}
 	return root.Base().ID, nil
 }

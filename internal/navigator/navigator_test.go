@@ -532,3 +532,50 @@ func TestDescriptorNegotiationBlocksIncapableSites(t *testing.T) {
 		t.Fatal("codec-less site started the course")
 	}
 }
+
+// TestFailedOpenKeepsResumePoint: a student in one course who fails to
+// open another (its document does not decode) has no course in progress
+// any more, so ExitCourse refuses and the first course's stored stop
+// position is the one filed when the student last left it.
+func TestFailedOpenKeepsResumePoint(t *testing.T) {
+	nav, store, sch := buildSchool(t)
+	if _, err := store.PutDocument("bad-course", "Broken", "asn1", []byte("not an MHEG container")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.AddCourse(school.Course{Code: "BAD100", Name: "Broken", Program: "Engineering", PlannedSessions: 1, Document: "bad-course"}); err != nil {
+		t.Fatal(err)
+	}
+	num, err := nav.Register(school.Profile{Name: "A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range []string{"ELG5121", "BAD100"} {
+		if err := nav.Enroll(code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nav.StartCourse("ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	nav.Clock().RunFor(40 * time.Second)
+	if err := nav.ExitCourse(); err != nil {
+		t.Fatal(err)
+	}
+	filed, found, err := sch.GetResume(num, "ELG5121")
+	if err != nil || !found || filed.Scene == "" {
+		t.Fatalf("resume point after the first visit: %+v %v %v", filed, found, err)
+	}
+
+	if err := nav.StartCourse("ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nav.StartCourse("BAD100"); err == nil {
+		t.Fatal("opening an undecodable document succeeded")
+	}
+	if err := nav.ExitCourse(); err == nil {
+		t.Error("ExitCourse after a failed open filed a position")
+	}
+	if pos, _, _ := sch.GetResume(num, "ELG5121"); pos != filed {
+		t.Errorf("ELG5121's resume point is %+v after the failed open, want %+v", pos, filed)
+	}
+}

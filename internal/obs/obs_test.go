@@ -241,7 +241,7 @@ func TestServeStatsServesExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := (transport.DBClient{C: cli}).GetSelectedDoc("atm-course"); err != nil {
+	if _, err := (transport.DBClient{C: cli}).GetSelectedDoc("atm-course", 0); err != nil {
 		t.Fatal(err)
 	}
 

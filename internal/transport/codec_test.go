@@ -44,7 +44,7 @@ func wireSamples() []wireSample {
 	big := bytes.Repeat([]byte{0xA5, 0x00, 0xFF, 0x7F}, 256<<10)
 	kw := []string{"Engineering/ATM", "video"}
 	return []wireSample{
-		{[]any{getDocReq{}, getDocReq{Name: "elg5121.doc"}}, func() any { return new(getDocReq) }},
+		{[]any{getDocReq{}, getDocReq{Name: "elg5121.doc"}, getDocReq{Name: "elg5121.doc", Have: 0xf8ef2936b2a0664f}}, func() any { return new(getDocReq) }},
 		{[]any{getContentReq{}, getContentReq{Ref: "intro/elg5121"}}, func() any { return new(getContentReq) }},
 		{[]any{keywordReq{}, keywordReq{Keyword: "Engineering/ATM"}}, func() any { return new(keywordReq) }},
 		{[]any{putDocResp{}, putDocResp{Version: 7}}, func() any { return new(putDocResp) }},
@@ -82,6 +82,7 @@ func wireSamples() []wireSample {
 			&mediastore.DocRecord{Name: "elg5121.doc", Title: "Multimedia", Encoding: "asn1", Keywords: kw, Version: 3, Data: []byte{1, 2, 3}},
 			&mediastore.DocRecord{Name: "empty", Keywords: []string{}, Data: []byte{}},
 			&mediastore.DocRecord{Name: "big", Data: big},
+			&mediastore.DocRecord{Name: "unchanged", Title: "Multimedia", Encoding: "asn1", Version: 3, Digest: 0xf8ef2936b2a0664f},
 		}, func() any { return new(mediastore.DocRecord) }},
 		{[]any{
 			&mediastore.ContentRecord{},
@@ -520,7 +521,7 @@ func TestStubAllocBudget(t *testing.T) {
 	bufAudit.Store(&audit)
 	defer bufAudit.Store(nil)
 	allocs := testing.AllocsPerRun(200, func() {
-		if rec, err := db.GetSelectedDoc("elg5121.doc"); err != nil || len(rec.Data) != 4<<10 {
+		if rec, err := db.GetSelectedDoc("elg5121.doc", 0); err != nil || len(rec.Data) != 4<<10 {
 			t.Fatalf("GetSelectedDoc = %+v, %v", rec, err)
 		}
 	})
@@ -641,7 +642,7 @@ func codecRound(db DBClient, g, r int) error {
 	if err := db.PutContent(ref, "mpeg", body, kw); err != nil {
 		return err
 	}
-	doc, err := db.GetSelectedDoc(name)
+	doc, err := db.GetSelectedDoc(name, 0)
 	if err != nil || doc.Version != version || doc.Title != "Title "+name || !bytes.Equal(doc.Data, body) {
 		return fmt.Errorf("GetSelectedDoc = v%d %q %d bytes, %v", doc.Version, doc.Title, len(doc.Data), err)
 	}
@@ -660,7 +661,7 @@ func codecRound(db DBClient, g, r int) error {
 	if err != nil || len(tree.Children) == 0 {
 		return fmt.Errorf("GetKeywordTree = %+v, %v", tree, err)
 	}
-	if _, err := db.GetSelectedDoc("no-such-doc"); err == nil {
+	if _, err := db.GetSelectedDoc("no-such-doc", 0); err == nil {
 		return fmt.Errorf("GetSelectedDoc of a missing document succeeded")
 	}
 	return nil

@@ -26,7 +26,13 @@ const (
 )
 
 // Wire structs.
-type getDocReq struct{ Name string }
+
+// getDocReq names a document and the digest of the copy the caller holds
+// (0 for none); while it is current the reply is the record without Data.
+type getDocReq struct {
+	Name string
+	Have uint64
+}
 type putDocReq struct {
 	Name, Title, Encoding string
 	Keywords              []string
@@ -56,7 +62,7 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 		// Internal span: separates time in the store itself from the
 		// transport around it when the request is traced.
 		sp := obs.SpanFromContext("store.GetDocument", "internal", sc)
-		rec, err := store.GetDocument(req.Name)
+		rec, err := store.RevalidateDocument(req.Name, req.Have)
 		sp.End(err)
 		return rec, err
 	})
@@ -255,10 +261,18 @@ func (d DBClient) GetListDoc() (names []string, err error) {
 	return names, err
 }
 
-// GetSelectedDoc retrieves one document by name.
-func (d DBClient) GetSelectedDoc(name string) (*mediastore.DocRecord, error) {
+// GetSelectedDoc retrieves one document by name. have is the digest of
+// the copy the caller holds, 0 for none: while it is current the answer
+// is the record without Data (or Keywords) under it.
+func (d DBClient) GetSelectedDoc(name string, have uint64) (*mediastore.DocRecord, error) {
 	var rec mediastore.DocRecord
-	return &rec, d.invoke(MethodGetDoc, getDocReq{Name: name}, &rec)
+	if err := d.invoke(MethodGetDoc, getDocReq{Name: name, Have: have}, &rec); err != nil {
+		return nil, err
+	}
+	if rec.Data == nil && (have == 0 || rec.Digest != have) {
+		return nil, fmt.Errorf("transport: document %q unchanged from %#x, asked with %#x", name, rec.Digest, have)
+	}
+	return &rec, nil
 }
 
 // GetKeywordTree retrieves the library's keyword hierarchy and its tag.

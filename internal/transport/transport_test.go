@@ -122,11 +122,19 @@ func exerciseDB(t *testing.T, db DBClient) {
 	if err != nil || len(names) != 1 || names[0] != "atm-course" {
 		t.Fatalf("GetListDoc=%v err=%v", names, err)
 	}
-	rec, err := db.GetSelectedDoc("atm-course")
+	rec, err := db.GetSelectedDoc("atm-course", 0)
 	if err != nil || string(rec.Data) != "course-bytes" {
 		t.Fatalf("GetSelectedDoc=%+v err=%v", rec, err)
 	}
-	if _, err := db.GetSelectedDoc("missing"); err == nil {
+	same, err := db.GetSelectedDoc("atm-course", rec.Digest)
+	if err != nil || same.Data != nil || same.Keywords != nil || same.Digest != rec.Digest ||
+		same.Title != rec.Title || same.Encoding != rec.Encoding || same.Version != rec.Version {
+		t.Fatalf("GetSelectedDoc(current digest)=%+v err=%v, want the record without Data", same, err)
+	}
+	if stale, err := db.GetSelectedDoc("atm-course", rec.Digest^1); err != nil || string(stale.Data) != "course-bytes" {
+		t.Fatalf("GetSelectedDoc(stale digest)=%+v err=%v, want the whole record", stale, err)
+	}
+	if _, err := db.GetSelectedDoc("missing", 0); err == nil {
 		t.Error("missing doc fetch succeeded")
 	} else if !strings.Contains(err.Error(), "not found") {
 		t.Errorf("error lost fidelity across the wire: %v", err)
@@ -186,7 +194,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 			defer c.Close()
 			db := DBClient{C: c}
 			for j := 0; j < 20; j++ {
-				if _, err := db.GetSelectedDoc("atm-course"); err != nil {
+				if _, err := db.GetSelectedDoc("atm-course", 0); err != nil {
 					errs <- err
 					return
 				}

@@ -33,21 +33,15 @@ fuzz:
 	go test -fuzz=FuzzMarkupParse -fuzztime=10s ./internal/markup/
 	go test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/obs/collect/
 
-# Every experiment benchmark, for reading: they report through
-# b.ReportMetric and write no file. The numbers that gate a PR are the
-# end-to-end metrics of BENCHMARK.json (bench/), not these.
-.PHONY: bench
-bench:
-	go test -bench=. -benchmem .
-
 # Cluster gate: the one benchmark that fails itself. E31 reads through
 # the router over 2 shards x (primary + 2 replicas) at three damage
 # levels and fails if a read fails with one replica down per shard or
-# the one-down p99 exceeds 3x healthy (e31Accept in bench_test.go; 300
-# reads per stage so the p99 is a p99).
+# the one-down p99 exceeds 3x healthy (e31Accept in
+# ./internal/cluster/, table-tested by TestE31Accept; 300 reads per
+# stage so the p99 is a p99).
 .PHONY: cluster
 cluster:
-	go test -run=NONE -bench=BenchmarkE31ClusterAvailability -benchtime=300x .
+	go test -run=NONE -bench=BenchmarkE31ClusterAvailability -benchtime=300x ./internal/cluster/
 
 # Race-stress gate: the concurrency-protocol suites that guard the
 # multiplexed hot path — transport pipelining (out-of-order completion,

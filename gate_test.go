@@ -8,50 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
-
-// TestE31Accept holds the E31 gate decision — the one enforced pair of
-// benchmark bits, which make cluster applies to what
-// BenchmarkE31ClusterAvailability measured — to its table.
-func TestE31Accept(t *testing.T) {
-	const ms = 1e6
-	for _, tc := range []struct {
-		name   string
-		stages [3]e31Stage
-		pass   bool
-	}{
-		{"all reads ok, ratio 1.05",
-			[3]e31Stage{{300, 300, 1 * ms}, {300, 300, 1.05 * ms}, {300, 300, 1.2 * ms}}, true},
-		{"one failed read at one-down",
-			[3]e31Stage{{300, 300, 1 * ms}, {299, 300, 1.05 * ms}, {300, 300, 1.2 * ms}}, false},
-		{"one-down p99 3.01x healthy",
-			[3]e31Stage{{300, 300, 1 * ms}, {300, 300, 3.01 * ms}, {300, 300, 1.2 * ms}}, false},
-		{"one-down p99 exactly 3x healthy",
-			[3]e31Stage{{300, 300, 1 * ms}, {300, 300, 3 * ms}, {300, 300, 1.2 * ms}}, true},
-		{"two-down failures and latency are not gated",
-			[3]e31Stage{{300, 300, 1 * ms}, {300, 300, 1.05 * ms}, {120, 300, 50 * ms}}, true},
-		{"discovery run: one sample is no p99",
-			[3]e31Stage{{1, 1, 1 * ms}, {1, 1, 10 * ms}, {1, 1, 1 * ms}}, true},
-		{"discovery run: a failed read still fails",
-			[3]e31Stage{{1, 1, 1 * ms}, {0, 1, 1 * ms}, {1, 1, 1 * ms}}, false},
-	} {
-		err := e31Accept(tc.stages)
-		if (err == nil) != tc.pass {
-			t.Errorf("%s: pass=%v, want %v (err: %v)", tc.name, err == nil, tc.pass, err)
-		}
-		if err == nil {
-			continue
-		}
-		// The failure is evidence, not a bit: every stage's counts and p99.
-		for down, st := range tc.stages {
-			want := fmt.Sprintf("%d down: %d/%d reads ok, p99 %s", down, st.ok, st.total, time.Duration(st.p99))
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error lacks %q:\n%v", tc.name, want, err)
-			}
-		}
-	}
-}
 
 // TestGateListsResolve reads the three files that define the gates and
 // fails when one of them names something that is not there: a script,
@@ -94,6 +51,47 @@ func TestGateListsResolve(t *testing.T) {
 	// minutes into check.sh.
 	if errs, _ := unresolvedGateRefs(t, "go run ./cmd/no-such-command ./...", targets); len(errs) != 1 {
 		t.Errorf("go run of a missing directory resolved: %q", errs)
+	}
+}
+
+// TestBenchmarksHaveReaders fails when a Benchmark* in the main
+// module's test files (bench/ is its own module) is named by no gate
+// file and no document: a number nothing runs or reads is a second
+// measurement estate, and it goes, or a gate or document says why it
+// stays.
+func TestBenchmarksHaveReaders(t *testing.T) {
+	var readers []byte
+	for _, file := range []string{"Makefile", "scripts/check.sh", ".github/workflows/check.yml", "DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers = append(readers, data...)
+	}
+	benchmarks := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		for _, name := range testFuncs(t, path) {
+			if !strings.HasPrefix(name, "Benchmark") {
+				continue
+			}
+			benchmarks++
+			if !regexp.MustCompile(`\b` + name + `\b`).Match(readers) {
+				t.Errorf("%s in %s is named by no gate file and no document: delete it or name its reader", name, path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if benchmarks == 0 {
+		t.Fatal("found no benchmark to check: the tree changed shape under this test")
 	}
 }
 

@@ -212,38 +212,86 @@ func TestMissingDocIsNotFound(t *testing.T) {
 	}
 }
 
-// TestReadFailoverReplicaDown: with one replica partitioned, every
-// read still succeeds (the ladder falls through to the next node), and
-// the failover counter moves.
+// TestReadFailoverReplicaDown is E31's availability bit, exact: over 2
+// shards x (primary + 2 read replicas), with keys on both shards, no
+// read fails healthy or with one read replica down per shard (the
+// ladder falls through to the next node, and the failover counter
+// moves), and with every read replica down the primary, the last
+// rung, still serves. A failure prints every stage's ok/total.
 func TestReadFailoverReplicaDown(t *testing.T) {
-	r, nodes := testCluster(t, 1, 3)
+	r, nodes := testCluster(t, 2, 3)
 	db := routerClient(r)
-	if _, err := db.PutDocument("course-x", "X", "text", []byte("x body")); err != nil {
-		t.Fatal(err)
+	var names []string
+	perShard := map[int]int{}
+	for i := 0; perShard[0] < 2 || perShard[1] < 2; i++ {
+		name := fmt.Sprintf("course-%d", i)
+		if _, err := db.PutDocument(name, "X", "text", []byte(name+" body")); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+		perShard[r.ShardFor(name)]++
 	}
 	if !r.WaitConverged(2 * time.Second) {
 		t.Fatalf("replication never converged")
 	}
 
-	failoversBefore := obs.GetCounter("cluster_read_failovers_total").Value()
-	nodes[0][1].Partition(true) // first read replica drops off the network
-	defer nodes[0][1].Partition(false)
-	for i := 0; i < 10; i++ {
-		if _, err := db.GetSelectedDoc("course-x", 0); err != nil {
-			t.Fatalf("read %d with one replica down: %v", i, err)
+	var stages [3]struct {
+		ok, total int
+		first     error
+	} // indexed by read replicas down per shard
+	var failovers int64
+	cut := func(shard int, rep *Replica) {
+		for _, n := range nodes[shard] {
+			if n.Name == rep.Name {
+				n.Partition(true)
+				t.Cleanup(func() { n.Partition(false) })
+			}
 		}
 	}
-	if obs.GetCounter("cluster_read_failovers_total").Value() == failoversBefore {
-		t.Fatal("no failovers recorded while a replica was partitioned")
-	}
-
-	// Both replicas down: the primary is the last rung and still serves.
-	nodes[0][2].Partition(true)
-	defer nodes[0][2].Partition(false)
-	for i := 0; i < 5; i++ {
-		if _, err := db.GetSelectedDoc("course-x", 0); err != nil {
-			t.Fatalf("read %d with all replicas down: %v", i, err)
+	for down := range stages {
+		// Damage is cumulative. One down cuts, in every shard, the read
+		// replica the ladder tries first, so the stage reads through a
+		// failover rather than around one; two down cuts both.
+		for i, sh := range r.shards {
+			switch down {
+			case 1:
+				cut(i, orderByHealth(sh.replicas)[0])
+			case 2:
+				for _, rep := range sh.replicas {
+					cut(i, rep)
+				}
+			}
 		}
+		before := obs.GetCounter("cluster_read_failovers_total").Value()
+		st := &stages[down]
+		for i := 0; i < 3*len(names); i++ {
+			name := names[i%len(names)]
+			rec, err := db.GetSelectedDoc(name, 0)
+			if err == nil && string(rec.Data) != name+" body" {
+				err = fmt.Errorf("%s read back %q", name, rec.Data)
+			}
+			st.total++
+			if err == nil {
+				st.ok++
+			} else if st.first == nil {
+				st.first = err
+			}
+		}
+		if down == 1 {
+			failovers = obs.GetCounter("cluster_read_failovers_total").Value() - before
+		}
+	}
+	var evidence string
+	failed := failovers == 0
+	for down, st := range stages {
+		evidence += fmt.Sprintf("\n  %d down: %d/%d reads ok", down, st.ok, st.total)
+		if st.first != nil {
+			evidence += fmt.Sprintf(", first error: %v", st.first)
+		}
+		failed = failed || st.ok != st.total
+	}
+	if failed {
+		t.Fatalf("read replicas down per shard (failovers at one down: %d):%s", failovers, evidence)
 	}
 }
 

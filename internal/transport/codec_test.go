@@ -631,7 +631,8 @@ func TestCodecConcurrent(t *testing.T) {
 }
 
 // codecRound publishes a document and an object only caller g writes,
-// and reads them back through every gob db.* method.
+// and reads them back through every gob db.* method and the chunked
+// GetContentStream.
 func codecRound(db DBClient, g, r int) error {
 	name, ref, kw := fmt.Sprintf("doc-%d", g), fmt.Sprintf("obj-%d", g), fmt.Sprintf("callers/c%d", g)
 	body := bytes.Repeat([]byte{byte(g), byte(r)}, 1+(g+1)*(r+1)*1777%(48<<10))
@@ -649,6 +650,11 @@ func codecRound(db DBClient, g, r int) error {
 	rec, err := db.GetContent(ref)
 	if err != nil || rec.Ref != ref || rec.Coding != "mpeg" || !bytes.Equal(rec.Data, body) {
 		return fmt.Errorf("GetContent = %q %q %d bytes, %v", rec.Ref, rec.Coding, len(rec.Data), err)
+	}
+	if rec, err = db.GetContentStream(ref, nil); err != nil {
+		return fmt.Errorf("GetContentStream: %w", err)
+	} else if rec.Ref != ref || !bytes.Equal(rec.Data, body) {
+		return fmt.Errorf("GetContentStream = %q %d bytes, want %q %d bytes", rec.Ref, len(rec.Data), ref, len(body))
 	}
 	names, err := db.GetDocByKeyword(kw)
 	if err != nil || len(names) != 1 || names[0] != name {

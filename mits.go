@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"mits/internal/cache"
-	"mits/internal/cluster"
 	"mits/internal/courseware"
 	"mits/internal/document"
 	"mits/internal/exercise"
@@ -46,7 +45,6 @@ import (
 	"mits/internal/navigator"
 	"mits/internal/production"
 	"mits/internal/school"
-	"mits/internal/sim"
 	"mits/internal/transport"
 )
 
@@ -272,16 +270,6 @@ func (s *System) NewNavigator() *navigator.Navigator {
 	})
 }
 
-// NewNavigatorOn opens a navigator session sharing the given clock,
-// for experiments that co-schedule several sessions.
-func (s *System) NewNavigatorOn(clock *sim.Clock) *navigator.Navigator {
-	return navigator.New(navigator.Options{
-		Clock:  clock,
-		DB:     transport.Loopback{H: s.mux},
-		School: transport.Loopback{H: s.mux},
-	})
-}
-
 // FormatGrade renders an exercise grade for display.
 var FormatGrade = navigator.FormatGrade
 
@@ -298,22 +286,6 @@ const DefaultContentCacheBytes = 64 << 20
 func NewRemoteNavigator(db, sch transport.Client) *navigator.Navigator {
 	return navigator.New(navigator.Options{
 		DB:           db,
-		School:       sch,
-		ContentCache: cache.New("content:navigator", DefaultContentCacheBytes),
-	})
-}
-
-// NewClusterNavigator opens a navigator against a co-located cluster
-// router: course fetches route through the router's health-aware
-// failover ladder to the sharded, replicated stores, so a navigator
-// session survives a replica dying mid-course. The school client is
-// separate — administration stays a single-site service beside the
-// router (cmd/mitsd -cluster). Remote navigators need nothing special:
-// the router speaks the ordinary wire protocol, so NewRemoteNavigator
-// pointed at a cluster front door gets the same failover transparently.
-func NewClusterNavigator(r *cluster.Router, sch transport.Client) *navigator.Navigator {
-	return navigator.New(navigator.Options{
-		DB:           transport.Loopback{H: r},
 		School:       sch,
 		ContentCache: cache.New("content:navigator", DefaultContentCacheBytes),
 	})

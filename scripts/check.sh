@@ -43,9 +43,9 @@ go -C bench test ./...
 echo "==> make fuzz"
 make fuzz
 
-# Cluster gate: the E31 availability benchmark fails itself if a read
-# fails with one replica down per shard or the one-down p99 exceeds 3x
-# healthy.
+# Cluster gate: the E31 availability benchmark in ./internal/cluster/
+# fails itself if a read fails with one replica down per shard or the
+# one-down p99 exceeds 3x healthy.
 echo "==> make cluster"
 make cluster
 

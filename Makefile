@@ -16,10 +16,13 @@ check:
 	./scripts/check.sh
 
 # The project static-analysis suite on its own, exactly as check.sh and
-# CI run it (mitslint is gate-only: any finding or dead suppression
-# fails).
+# CI run it: gofmt over the tracked Go files outside testdata (any file
+# it would reformat fails), then mitslint (gate-only: any finding or
+# dead suppression fails).
 .PHONY: lint
 lint:
+	@unformatted=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	go run ./cmd/mitslint ./...
 
 # The decoder fuzzers, 10s each (sequential: fuzzing owns all CPUs).
@@ -52,8 +55,9 @@ cluster:
 # cluster failover ladder (replica death mid-stream vs the replication
 # appliers, the relay's release-exactly-once), the keyword tree's
 # shared snapshot under publishers, store reads sharing the read lock
-# with writers, and navigators sharing one decoded course image through
-# their content cache, also while it is republished — repeated 5× under the race
+# with writers, navigators sharing one decoded course image through
+# their content cache, also while it is republished, and engines sharing
+# that image's model index while one writes its own copy — repeated 5× under the race
 # detector so scheduling-dependent interleavings get real coverage, not
 # one lucky pass. Four of the 13 mitslint analyzers (chanwait,
 # atomicmix, poolcheck, deadlinecheck) prove the protocol shapes
@@ -64,4 +68,5 @@ racestress:
 	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
 	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition|TestRouterRelayReleasesExactlyOnce|TestLibraryTreeFreshness' ./internal/cluster/
 	go test -race -count=5 -run 'TestKeywordSnapshotsConcurrent|TestReadsShareTheReadLock' ./internal/mediastore/
+	go test -race -count=5 -run 'TestAdoptedIndexCopyOnWrite' ./internal/mheg/engine/
 	go test -race -count=5 -run 'TestCourseImageSharedCache|TestCourseImageRepublishUnderRevalidation' ./internal/navigator/

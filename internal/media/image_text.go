@@ -50,7 +50,12 @@ func EncodeHTML(doc string) []byte {
 }
 
 // TextContent extracts the text from an encoded ASCII or HTML object.
-func TextContent(c Coding, data []byte) (string, error) {
+func TextContent(c Coding, data []byte) (string, error) { return TextPrefix(c, data, len(data)) }
+
+// TextPrefix is TextContent cut to at most n bytes — a caller that shows
+// an excerpt copies no more of the text than it shows. The cut may split
+// a multi-byte rune.
+func TextPrefix(c Coding, data []byte, n int) (string, error) {
 	if c != CodingASCII && c != CodingHTML {
 		return "", fmt.Errorf("media: %q is not a text coding", c)
 	}
@@ -62,7 +67,11 @@ func TextContent(c Coding, data []byte) (string, error) {
 	if len(data) < headerSize {
 		return "", fmt.Errorf("media: %q object truncated at %d bytes", c, len(data))
 	}
-	return string(data[headerSize:]), nil
+	text := data[headerSize:]
+	if n < len(text) {
+		text = text[:max(n, 0)]
+	}
+	return string(text), nil
 }
 
 // NewText builds a plain-text Object.

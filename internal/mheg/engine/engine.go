@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -167,6 +168,7 @@ type RTObject struct {
 	// Sockets holds the run-time components of a composite.
 	Sockets []Socket
 
+	obj       mheg.Object // the model; the register holds it while the object lives
 	deleted   bool
 	finishEv  *sim.Event
 	remaining time.Duration // set while paused
@@ -182,10 +184,23 @@ type Engine struct {
 	renderers []Renderer
 	resolver  ContentResolver
 
-	models  map[mheg.ID]mheg.Object // form (b)
-	rts     map[RTID]*RTObject      // form (c)
+	// models is the register of form (b) objects. After LoadIndex it is
+	// the adopted Index itself, shared with its other adopters, and
+	// adopted stays true until ownModels clones it for a write.
+	models  map[mheg.ID]mheg.Object
+	adopted bool
+
+	// rts is the register of form (c) objects, indexed by RTID: IDs are
+	// handed out densely from 1 and never reused, and a deleted object's
+	// slot is nil. live counts the non-nil slots.
+	rts     []*RTObject
+	live    int
 	byModel map[mheg.ID][]RTID
-	nextRT  RTID
+
+	// slab and idArena are the unused tails from which NewRT carves run-
+	// time objects and each model's first byModel list (register).
+	slab    []RTObject
+	idArena []RTID
 
 	// activeLinks holds links currently armed, keyed by (source, attr).
 	activeLinks map[linkKey][]*mheg.Link
@@ -198,14 +213,34 @@ type Engine struct {
 
 	Stats Stats
 
-	// Cached obs counters for the interpretation hot paths (links and
-	// actions fire per status change); obsFetchErrs counts resolver
-	// failures on either fetch path; the three form-transition
-	// counters track a→b decode, b→c instantiation and c destruction.
-	// Per-class lifecycle counters are the package's (classCounter).
-	obsLinks, obsActions, obsFetches, obsFetchErrs, obsCacheHits *obs.Counter
-	obsAtoB, obsBtoC, obsCGone                                   *obs.Counter
+	metrics *counters
 }
+
+// counters are the engine's obs series: the interpretation hot paths
+// (links and actions fire per status change), resolver failures on
+// either fetch path (fetchErrs), and the three form transitions — a→b
+// decode, b→c instantiation and c destruction. They are resolved from
+// the registry once per process (engineCounters), like the per-class
+// lifecycle counters (classCounter): an engine is made per course open,
+// and a registry lookup builds a label string and takes the registry
+// lock.
+type counters struct {
+	links, actions, fetches, fetchErrs, cacheHits *obs.Counter
+	aToB, bToC, cGone                             *obs.Counter
+}
+
+var engineCounters = sync.OnceValue(func() *counters {
+	return &counters{
+		links:     obs.GetCounter("mheg_links_fired_total"),
+		actions:   obs.GetCounter("mheg_actions_applied_total"),
+		fetches:   obs.GetCounter("mheg_content_fetches_total"),
+		fetchErrs: obs.GetCounter("mheg_content_fetch_errors_total"),
+		cacheHits: obs.GetCounter("mheg_content_cache_hits_total"),
+		aToB:      obs.GetCounter("mheg_form_transitions_total", "transition", "a_to_b"),
+		bToC:      obs.GetCounter("mheg_form_transitions_total", "transition", "b_to_c"),
+		cGone:     obs.GetCounter("mheg_form_transitions_total", "transition", "c_destroyed"),
+	}
+})
 
 // classCounter is one per-class lifecycle counter family. Each class's
 // series is looked up in the registry on first use and kept: NewRT, Run
@@ -258,21 +293,9 @@ func New(clock *sim.Clock, opts ...Option) *Engine {
 	e := &Engine{
 		clock:        clock,
 		enc:          codec.ASN1(),
-		models:       make(map[mheg.ID]mheg.Object),
-		rts:          make(map[RTID]*RTObject),
-		byModel:      make(map[mheg.ID][]RTID),
 		activeLinks:  make(map[linkKey][]*mheg.Link),
 		contentCache: make(map[string][]byte),
-		nextRT:       1,
-
-		obsLinks:     obs.GetCounter("mheg_links_fired_total"),
-		obsActions:   obs.GetCounter("mheg_actions_applied_total"),
-		obsFetches:   obs.GetCounter("mheg_content_fetches_total"),
-		obsFetchErrs: obs.GetCounter("mheg_content_fetch_errors_total"),
-		obsCacheHits: obs.GetCounter("mheg_content_cache_hits_total"),
-		obsAtoB:      obs.GetCounter("mheg_form_transitions_total", "transition", "a_to_b"),
-		obsBtoC:      obs.GetCounter("mheg_form_transitions_total", "transition", "b_to_c"),
-		obsCGone:     obs.GetCounter("mheg_form_transitions_total", "transition", "c_destroyed"),
+		metrics:      engineCounters(),
 	}
 	for _, o := range opts {
 		o(e)
@@ -305,7 +328,7 @@ func (e *Engine) Decode(data []byte) (mheg.Object, error) {
 		return nil, err
 	}
 	e.Stats.ObjectsDecoded++
-	e.obsAtoB.Inc()
+	e.metrics.aToB.Inc()
 	if err := obj.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: rejecting model: %w", err)
 	}
@@ -329,6 +352,7 @@ func (e *Engine) Load(obj mheg.Object) error {
 	if _, dup := e.models[id]; dup {
 		return fmt.Errorf("engine: model %v already present", id)
 	}
+	e.ownModels()
 	e.models[id] = obj
 	if c, ok := obj.(*mheg.Container); ok {
 		for _, item := range c.Items {
@@ -344,21 +368,32 @@ func (e *Engine) Load(obj mheg.Object) error {
 // what its Loads flattened, by id — for LoadIndex into other engines.
 func (e *Engine) Index() map[mheg.ID]mheg.Object { return maps.Clone(e.models) }
 
-// LoadIndex makes an Index this engine's register of form (b) objects,
-// with one clone, and sizes its run-time register to it. Only an engine
-// that holds no models takes one; adding to a register is Load's job,
-// with its duplicate check.
+// LoadIndex makes an Index this engine's register of form (b) objects
+// without copying it: the engine shares the map with every other engine
+// that adopted it, and only reads it until its first Load or Destroy
+// clones it (ownModels). Only an engine that holds no models takes one;
+// adding to a register is Load's job, with its duplicate check.
 func (e *Engine) LoadIndex(index map[mheg.ID]mheg.Object) error {
-	if len(e.models) != 0 || len(e.rts) != 0 {
+	if len(e.models) != 0 || e.live != 0 {
 		return fmt.Errorf("engine: LoadIndex into an engine holding %d models", len(e.models))
 	}
 	if len(index) == 0 {
 		return nil
 	}
-	e.models = maps.Clone(index)
-	e.rts = make(map[RTID]*RTObject, len(index))
-	e.byModel = make(map[mheg.ID][]RTID, len(index))
+	e.models, e.adopted = index, true
 	return nil
+}
+
+// ownModels makes the register of form (b) objects the engine's own
+// before a write: Load and Destroy, the only two writers, call it, so an
+// adopted Index is never written.
+func (e *Engine) ownModels() {
+	switch {
+	case e.adopted:
+		e.models, e.adopted = maps.Clone(e.models), false
+	case e.models == nil:
+		e.models = make(map[mheg.ID]mheg.Object)
+	}
 }
 
 // Model looks up a form (b) object.
@@ -376,7 +411,10 @@ func (e *Engine) Destroy(id mheg.ID) {
 	for _, rt := range append([]RTID(nil), e.byModel[id]...) {
 		e.Delete(rt)
 	}
-	delete(e.models, id)
+	if _, ok := e.models[id]; ok {
+		e.ownModels()
+		delete(e.models, id)
+	}
 }
 
 // ---- form (b) → form (c) ----
@@ -392,15 +430,8 @@ func (e *Engine) NewRT(model mheg.ID, channel string) (RTID, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownModel, model)
 	}
-	rt := &RTObject{
-		ID:      e.nextRT,
-		Model:   model,
-		Channel: channel,
-		Visible: true,
-		Volume:  70,
-		Speed:   100,
-	}
-	e.nextRT++
+	rt := e.register(model, obj)
+	rt.Channel = channel
 	if c, ok := obj.(*mheg.Content); ok {
 		rt.Size = c.OrigSize
 		if c.OrigVolume != 0 {
@@ -412,24 +443,23 @@ func (e *Engine) NewRT(model mheg.ID, channel string) (RTID, error) {
 			rt.Channel = c.Channel
 		}
 	}
-	e.rts[rt.ID] = rt
-	e.byModel[model] = append(e.byModel[model], rt.ID)
 	e.Stats.RTCreated++
-	e.obsBtoC.Inc()
+	e.metrics.bToC.Inc()
 	rtCreated.inc(obj.Base().Class)
 
 	if comp, ok := obj.(*mheg.Composite); ok {
+		rt.Sockets = make([]Socket, 0, len(comp.Components))
 		for _, cid := range comp.Components {
-			kind := PresentableSocket
-			if _, isComposite := e.models[cid].(*mheg.Composite); isComposite {
-				kind = StructuralSocket
-			}
 			child, err := e.NewRT(cid, channel)
 			if err != nil {
 				// Leave an empty socket for missing components; the
 				// descriptor negotiation normally prevents this.
 				rt.Sockets = append(rt.Sockets, Socket{Kind: EmptySocket})
 				continue
+			}
+			kind := PresentableSocket
+			if _, isComposite := e.rts[child].obj.(*mheg.Composite); isComposite {
+				kind = StructuralSocket
 			}
 			rt.Sockets = append(rt.Sockets, Socket{Kind: kind, RT: child})
 		}
@@ -443,17 +473,73 @@ func (e *Engine) NewRT(model mheg.ID, channel string) (RTID, error) {
 	return rt.ID, nil
 }
 
+// slabMin is the least number of run-time objects the first slab holds.
+const slabMin = 8
+
+// presenters counts the models that become run-time objects in a course
+// open — every class but the links, actions, descriptors and containers
+// the engine only reads — to size the register's first slabs.
+func (e *Engine) presenters() int {
+	n := 0
+	for _, obj := range e.models {
+		switch obj.(type) {
+		case *mheg.Link, *mheg.Action, *mheg.Descriptor, *mheg.Container:
+		default:
+			n++
+		}
+	}
+	return max(n, slabMin)
+}
+
+// register enters a new run-time object of model under the next RTID.
+// Objects and each model's first byModel list are carved from slabs: the
+// first holds one entry per presenting model, which is what a course
+// open instantiates, and each later one as many entries as the register
+// already has. A carved list is capped at one entry, so a second
+// instance of its model appends into a list of its own.
+func (e *Engine) register(model mheg.ID, obj mheg.Object) *RTObject {
+	if e.rts == nil {
+		n := e.presenters()
+		e.slab, e.idArena = make([]RTObject, n), make([]RTID, n)
+		e.rts = make([]*RTObject, 1, n+1) // RTID 0 is never handed out
+		e.byModel = make(map[mheg.ID][]RTID, n)
+	}
+	if len(e.slab) == 0 {
+		e.slab = make([]RTObject, len(e.rts))
+	}
+	rt := &e.slab[0]
+	e.slab = e.slab[1:]
+	rt.ID, rt.Model, rt.obj, rt.Visible, rt.Volume, rt.Speed = RTID(len(e.rts)), model, obj, true, 70, 100
+	e.rts = append(e.rts, rt)
+	e.live++
+
+	ids := e.byModel[model]
+	if cap(ids) == 0 {
+		if len(e.idArena) == 0 {
+			e.idArena = make([]RTID, len(e.rts))
+		}
+		ids, e.idArena = e.idArena[:0:1], e.idArena[1:]
+	}
+	e.byModel[model] = append(ids, rt.ID)
+	return rt
+}
+
+// lookup is the live run-time object id names, or nil.
+func (e *Engine) lookup(id RTID) *RTObject {
+	if id <= 0 || int(id) >= len(e.rts) {
+		return nil
+	}
+	return e.rts[id]
+}
+
 // RT looks up a live run-time object.
 func (e *Engine) RT(id RTID) (*RTObject, bool) {
-	rt, ok := e.rts[id]
-	if !ok || rt.deleted {
-		return nil, false
-	}
-	return rt, true
+	rt := e.lookup(id)
+	return rt, rt != nil
 }
 
 // RTs reports how many live run-time objects exist.
-func (e *Engine) RTs() int { return len(e.rts) }
+func (e *Engine) RTs() int { return e.live }
 
 // RTsOf returns the live run-time instances of a model.
 func (e *Engine) RTsOf(model mheg.ID) []RTID {
@@ -463,8 +549,8 @@ func (e *Engine) RTsOf(model mheg.ID) []RTID {
 // Delete removes a run-time object ('delete' action) and, for
 // composites, its socketed components.
 func (e *Engine) Delete(id RTID) {
-	rt, ok := e.rts[id]
-	if !ok {
+	rt := e.lookup(id)
+	if rt == nil {
 		return
 	}
 	if rt.finishEv != nil {
@@ -477,7 +563,8 @@ func (e *Engine) Delete(id RTID) {
 		}
 	}
 	rt.deleted = true
-	delete(e.rts, id)
+	e.rts[id] = nil
+	e.live--
 	ids := e.byModel[rt.Model]
 	for i, v := range ids {
 		if v == id {
@@ -485,7 +572,7 @@ func (e *Engine) Delete(id RTID) {
 			break
 		}
 	}
-	if comp, ok := e.models[rt.Model].(*mheg.Composite); ok {
+	if comp, ok := rt.obj.(*mheg.Composite); ok {
 		for _, lid := range comp.Links {
 			if l, ok := e.models[lid].(*mheg.Link); ok {
 				e.disarmLink(l)
@@ -493,10 +580,8 @@ func (e *Engine) Delete(id RTID) {
 		}
 	}
 	e.Stats.RTDeleted++
-	e.obsCGone.Inc()
-	if obj, ok := e.models[rt.Model]; ok {
-		rtDestroyed.inc(obj.Base().Class)
-	}
+	e.metrics.cGone.Inc()
+	rtDestroyed.inc(rt.obj.Base().Class)
 	e.emit(Event{Kind: EvDeleted, RT: id, Model: rt.Model, Channel: rt.Channel})
 }
 
@@ -545,7 +630,7 @@ func (e *Engine) statusChanged(rt *RTObject, attr mheg.StatusAttr, newValue mheg
 			continue
 		}
 		e.Stats.LinksFired++
-		e.obsLinks.Inc()
+		e.metrics.links.Inc()
 		e.applyEffect(l)
 	}
 }
@@ -628,7 +713,7 @@ func (e *Engine) applyItems(items []mheg.ElementaryAction) {
 
 func (e *Engine) applyOne(item mheg.ElementaryAction) {
 	e.Stats.ActionsApplied++
-	e.obsActions.Inc()
+	e.metrics.actions.Inc()
 	for _, target := range item.Targets {
 		e.applyToTarget(item, target)
 	}
@@ -655,11 +740,9 @@ func (e *Engine) applyToTarget(item mheg.ElementaryAction, target mheg.ID) {
 	}
 	// Remaining ops address the run-time instances of the target model.
 	for _, id := range append([]RTID(nil), e.byModel[target]...) {
-		rt, ok := e.rts[id]
-		if !ok {
-			continue
+		if rt := e.lookup(id); rt != nil {
+			e.applyToRT(item, rt)
 		}
-		e.applyToRT(item, rt)
 	}
 }
 
@@ -715,7 +798,7 @@ func (e *Engine) applyToRT(item mheg.ElementaryAction, rt *RTObject) {
 			e.statusChanged(rt, mheg.AttrData, rt.Data)
 		}
 	case mheg.OpActivate:
-		if s, ok := e.models[rt.Model].(*mheg.Script); ok {
+		if s, ok := rt.obj.(*mheg.Script); ok {
 			e.emit(Event{Kind: EvScript, RT: rt.ID, Model: rt.Model, Channel: rt.Channel,
 				Detail: s.Language})
 		}
@@ -741,18 +824,16 @@ func (e *Engine) applyToRT(item mheg.ElementaryAction, rt *RTObject) {
 // start-up action play their components serially — "simple serial
 // playback when there is no users' interference" (§4.3.3).
 func (e *Engine) Run(id RTID) {
-	rt, ok := e.rts[id]
-	if !ok || rt.Running == mheg.StatusRunning {
+	rt := e.lookup(id)
+	if rt == nil || rt.Running == mheg.StatusRunning {
 		return
 	}
 	rt.Running = mheg.StatusRunning
 	rt.startedAt = e.clock.Now()
 	e.emit(Event{Kind: EvRan, RT: id, Model: rt.Model, Channel: rt.Channel})
-	if obj, ok := e.models[rt.Model]; ok {
-		rtRun.inc(obj.Base().Class)
-	}
+	rtRun.inc(rt.obj.Base().Class)
 
-	switch obj := e.models[rt.Model].(type) {
+	switch obj := rt.obj.(type) {
 	case *mheg.Content:
 		if obj.Referenced() {
 			e.fetchContent(obj)
@@ -819,8 +900,8 @@ func (e *Engine) serialStep(rt *RTObject) {
 		if s.Kind == EmptySocket {
 			continue
 		}
-		child, ok := e.rts[s.RT]
-		if !ok {
+		child := e.lookup(s.RT)
+		if child == nil {
 			continue
 		}
 		e.Run(child.ID)
@@ -835,7 +916,7 @@ func (e *Engine) serialStep(rt *RTObject) {
 }
 
 func (e *Engine) isTimed(rt *RTObject) bool {
-	switch obj := e.models[rt.Model].(type) {
+	switch obj := rt.obj.(type) {
 	case *mheg.Content:
 		return obj.OrigDuration > 0
 	case *mheg.MultiplexedContent:
@@ -859,8 +940,8 @@ func (e *Engine) watchFinish(parent, child *RTObject) {
 
 // Stop halts presentation ('stop' action).
 func (e *Engine) Stop(id RTID) {
-	rt, ok := e.rts[id]
-	if !ok || rt.Running == mheg.StatusNotRunning {
+	rt := e.lookup(id)
+	if rt == nil || rt.Running == mheg.StatusNotRunning {
 		return
 	}
 	if rt.finishEv != nil {
@@ -880,8 +961,8 @@ func (e *Engine) Stop(id RTID) {
 // Pause suspends a running time-based presentation, remembering the
 // remaining play time.
 func (e *Engine) Pause(id RTID) {
-	rt, ok := e.rts[id]
-	if !ok || rt.Running != mheg.StatusRunning || rt.finishEv == nil {
+	rt := e.lookup(id)
+	if rt == nil || rt.Running != mheg.StatusRunning || rt.finishEv == nil {
 		return
 	}
 	rt.remaining = rt.finishEv.When().Sub(e.clock.Now())
@@ -892,8 +973,8 @@ func (e *Engine) Pause(id RTID) {
 
 // Resume continues a paused presentation.
 func (e *Engine) Resume(id RTID) {
-	rt, ok := e.rts[id]
-	if !ok || rt.Running != mheg.StatusRunning || rt.remaining <= 0 {
+	rt := e.lookup(id)
+	if rt == nil || rt.Running != mheg.StatusRunning || rt.remaining <= 0 {
 		return
 	}
 	e.scheduleFinish(rt, rt.remaining)
@@ -906,8 +987,8 @@ func (e *Engine) Resume(id RTID) {
 // Select registers a user selection (click) on a run-time object,
 // incrementing its selection count and firing selection links.
 func (e *Engine) Select(id RTID) {
-	rt, ok := e.rts[id]
-	if !ok {
+	rt := e.lookup(id)
+	if rt == nil {
 		return
 	}
 	rt.Selections++
@@ -917,8 +998,8 @@ func (e *Engine) Select(id RTID) {
 // SetSelection sets the selection state (menu choice, entry-field text)
 // and fires selection-state links.
 func (e *Engine) SetSelection(id RTID, v mheg.Value) {
-	rt, ok := e.rts[id]
-	if !ok {
+	rt := e.lookup(id)
+	if rt == nil {
 		return
 	}
 	rt.Selection = v
@@ -927,8 +1008,8 @@ func (e *Engine) SetSelection(id RTID, v mheg.Value) {
 
 // Input delivers a free-form user input event attributed to an object.
 func (e *Engine) Input(id RTID, v mheg.Value) {
-	rt, ok := e.rts[id]
-	if !ok {
+	rt := e.lookup(id)
+	if rt == nil {
 		return
 	}
 	e.statusChanged(rt, mheg.AttrUserInput, v)
@@ -946,17 +1027,17 @@ func (e *Engine) fetchContent(c *mheg.Content) {
 	if !e.DisableCache {
 		if _, ok := e.contentCache[c.ContentRef]; ok {
 			e.Stats.CacheHits++
-			e.obsCacheHits.Inc()
+			e.metrics.cacheHits.Inc()
 			return
 		}
 	}
 	data, err := e.resolver.FetchContent(c.ContentRef)
 	if err != nil {
-		e.obsFetchErrs.Inc()
+		e.metrics.fetchErrs.Inc()
 		return
 	}
 	e.Stats.ContentFetches++
-	e.obsFetches.Inc()
+	e.metrics.fetches.Inc()
 	e.Stats.BytesFetched += int64(len(data))
 	if !e.DisableCache {
 		e.contentCache[c.ContentRef] = data
@@ -979,7 +1060,7 @@ func (e *Engine) ContentData(id mheg.ID) ([]byte, error) {
 	}
 	if data, ok := e.contentCache[c.ContentRef]; ok {
 		e.Stats.CacheHits++
-		e.obsCacheHits.Inc()
+		e.metrics.cacheHits.Inc()
 		return data, nil
 	}
 	if e.resolver == nil {
@@ -987,11 +1068,11 @@ func (e *Engine) ContentData(id mheg.ID) ([]byte, error) {
 	}
 	data, err := e.resolver.FetchContent(c.ContentRef)
 	if err != nil {
-		e.obsFetchErrs.Inc()
+		e.metrics.fetchErrs.Inc()
 		return nil, err
 	}
 	e.Stats.ContentFetches++
-	e.obsFetches.Inc()
+	e.metrics.fetches.Inc()
 	e.Stats.BytesFetched += int64(len(data))
 	if !e.DisableCache {
 		e.contentCache[c.ContentRef] = data

@@ -2,6 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -816,6 +820,151 @@ func TestLoadIndex(t *testing.T) {
 	more.AddModel(mheg.NewTextContent(id(3), "other"))
 	if err := more.LoadIndex(index); err == nil || more.Models() != 1 {
 		t.Errorf("LoadIndex into an engine holding a model: %v, %d models; want refused, 1", err, more.Models())
+	}
+}
+
+// TestDeletedRTLeavesTheRegister: a deleted run-time object is gone
+// from RT, RTs and RTsOf, and its id is never handed out again; objects
+// and instance lists carved past the first slab are as separate as the
+// first ones.
+func TestDeletedRTLeavesTheRegister(t *testing.T) {
+	e, _, _ := newTestEngine(t)
+	e.AddModel(mheg.NewTextContent(id(1), "a"))
+	e.AddModel(mheg.NewTextContent(id(2), "b"))
+	var ids, ofModel1, ofModel2 []RTID
+	for i := 0; i < 3*slabMin; i++ {
+		model := id(uint32(1 + i%2))
+		rt, err := e.NewRT(model, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt != RTID(i+1) {
+			t.Fatalf("instance %d got id %d, want %d", i, rt, i+1)
+		}
+		ids = append(ids, rt)
+		if model == id(1) {
+			ofModel1 = append(ofModel1, rt)
+		} else {
+			ofModel2 = append(ofModel2, rt)
+		}
+	}
+	if got1, got2 := e.RTsOf(id(1)), e.RTsOf(id(2)); !slices.Equal(got1, ofModel1) || !slices.Equal(got2, ofModel2) {
+		t.Fatalf("RTsOf = %v and %v, want %v and %v", got1, got2, ofModel1, ofModel2)
+	}
+	for i, rt := range ids {
+		obj, ok := e.RT(rt)
+		if !ok || obj.ID != rt {
+			t.Fatalf("RT(%d) = %+v, %v", rt, obj, ok)
+		}
+		obj.Volume = i
+	}
+	for i, rt := range ids {
+		if obj, _ := e.RT(rt); obj.Volume != i {
+			t.Errorf("rt %d has volume %d, want %d: run-time objects share memory", rt, obj.Volume, i)
+		}
+	}
+
+	gone := ofModel1[1]
+	e.Delete(gone)
+	e.Delete(gone) // a second delete, and ids never handed out, change nothing
+	for _, never := range []RTID{0, -1, ids[len(ids)-1] + 1} {
+		e.Delete(never)
+		if _, ok := e.RT(never); ok {
+			t.Errorf("RT(%d) found an object", never)
+		}
+	}
+	if _, ok := e.RT(gone); ok {
+		t.Errorf("RT(%d) found the deleted object", gone)
+	}
+	if got, want := e.RTs(), len(ids)-1; got != want {
+		t.Errorf("RTs() = %d after one delete, want %d", got, want)
+	}
+	live := slices.Delete(slices.Clone(ofModel1), 1, 2)
+	if got := e.RTsOf(id(1)); !slices.Equal(got, live) {
+		t.Errorf("RTsOf = %v, want %v", got, live)
+	}
+	if got := e.RTsOf(id(2)); !slices.Equal(got, ofModel2) {
+		t.Errorf("RTsOf(other model) = %v, want %v", got, ofModel2)
+	}
+	next, _ := e.NewRT(id(1), "")
+	if next <= ids[len(ids)-1] {
+		t.Errorf("NewRT after a delete handed out id %d, already used", next)
+	}
+	if e.RTs() != len(ids) {
+		t.Errorf("RTs() = %d, want %d", e.RTs(), len(ids))
+	}
+}
+
+// TestAdoptedIndexCopyOnWrite: an engine that adopted an Index writes a
+// copy of its own — Load, AddModel and Destroy leave the adopted map as
+// it was — and engines sharing one Index may write theirs concurrently
+// (make racestress runs this under -race).
+func TestAdoptedIndexCopyOnWrite(t *testing.T) {
+	audio, err := mheg.NewAudioContent(id(1), media.CodingWAV, "store/a.wav", 2*time.Second, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := mheg.NewContainer(id(100), audio, mheg.NewTextContent(id(2), "caption"), mheg.NewComposite(id(10), id(1), id(2)))
+	src, _, _ := newTestEngine(t)
+	if err := src.Load(root); err != nil {
+		t.Fatal(err)
+	}
+	index := src.Index()
+	want := maps.Clone(index)
+
+	e, _, _ := newTestEngine(t)
+	if err := e.LoadIndex(index); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := e.NewRT(id(10), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(rt)
+	if err := e.Load(mheg.NewTextContent(id(3), "loaded")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddModel(mheg.NewTextContent(id(4), "added")); err != nil {
+		t.Fatal(err)
+	}
+	e.Destroy(id(2))
+	e.Destroy(id(10))
+	if !reflect.DeepEqual(index, want) {
+		t.Errorf("the adopted index changed under Load, AddModel and Destroy: %v, want %v", index, want)
+	}
+	_, has3 := e.Model(id(3))
+	_, has2 := e.Model(id(2))
+	if !has3 || has2 || e.Models() != len(want) {
+		t.Errorf("the engine's own register: id 3 %v, id 2 %v, %d models; want true, false, %d", has3, has2, e.Models(), len(want))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(destroys bool) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				e := New(sim.NewClock())
+				if err := e.LoadIndex(index); err != nil {
+					t.Error(err)
+					return
+				}
+				rt, err := e.NewRT(id(10), "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				e.Run(rt)
+				if destroys {
+					e.Destroy(id(1))
+					e.Destroy(id(10))
+				}
+			}
+		}(g == 0)
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(index, want) {
+		t.Errorf("the shared index changed under concurrent adopters: %v, want %v", index, want)
 	}
 }
 

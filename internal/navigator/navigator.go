@@ -102,12 +102,13 @@ func New(opts Options) *Navigator {
 	return n
 }
 
-// resetEngine replaces the engine and screen — the navigator starts
-// every course in a clean presentation environment: its form (c)
+// resetEngine replaces the engine and clears the screen — the navigator
+// starts every course in a clean presentation environment: its form (c)
 // objects and the engine's register of form (b) objects "are assumed to
 // be extinct whenever the presentation environment vanishes" (§2.2.2.2).
 // The decoded form (b) objects themselves are read-only and may outlive
-// it in the content cache (loadCourse).
+// it in the content cache (loadCourse); the screen is the navigator's
+// one display and keeps its item storage from course to course.
 func (n *Navigator) resetEngine(enc codec.Encoding) {
 	opts := []engine.Option{
 		engine.WithResolver(n.db),
@@ -117,7 +118,11 @@ func (n *Navigator) resetEngine(enc codec.Encoding) {
 		opts = append(opts, engine.WithEncoding(enc))
 	}
 	n.engine = engine.New(n.clock, opts...)
-	n.screen = NewScreen(n.engine.Model)
+	if n.screen == nil {
+		n.screen = NewScreen(n.engine.Model)
+	} else {
+		n.screen.reset(n.engine.Model)
+	}
 }
 
 func (n *Navigator) render(ev engine.Event) {

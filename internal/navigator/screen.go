@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"mits/internal/media"
 	"mits/internal/mheg"
@@ -55,32 +56,50 @@ type Item struct {
 // channel (the logical presentation spaces of §4.3.3).
 type Screen struct {
 	lookup func(mheg.ID) (mheg.Object, bool)
-	items  map[engine.RTID]*Item
-	// Trace keeps the render event history for the session log.
-	Trace []engine.Event
-	// TraceLimit bounds Trace (0 = unlimited).
-	TraceLimit int
+	// items is indexed by RTID, which the engine hands out densely and
+	// never reuses; a slot whose RT is 0 holds no object.
+	items []Item
 }
 
 // NewScreen builds a screen resolving model metadata through lookup
 // (normally engine.Model).
 func NewScreen(lookup func(mheg.ID) (mheg.Object, bool)) *Screen {
-	return &Screen{lookup: lookup, items: make(map[engine.RTID]*Item)}
+	return &Screen{lookup: lookup}
+}
+
+// reset empties the screen for a fresh engine whose models lookup
+// resolves, keeping the item storage for its objects.
+func (s *Screen) reset(lookup func(mheg.ID) (mheg.Object, bool)) {
+	clear(s.items)
+	s.items, s.lookup = s.items[:0], lookup
+}
+
+// item is the object with run-time id rt on screen, or nil.
+func (s *Screen) item(rt engine.RTID) *Item {
+	if rt <= 0 || int(rt) >= len(s.items) || s.items[rt].RT == 0 {
+		return nil
+	}
+	return &s.items[rt]
 }
 
 // RenderEvent implements engine.Renderer.
 func (s *Screen) RenderEvent(ev engine.Event) {
-	if s.TraceLimit == 0 || len(s.Trace) < s.TraceLimit {
-		s.Trace = append(s.Trace, ev)
-	}
 	switch ev.Kind {
 	case engine.EvCreated:
-		s.items[ev.RT] = s.describe(ev)
+		if ev.RT <= 0 {
+			return
+		}
+		for int(ev.RT) >= len(s.items) {
+			s.items = append(s.items, Item{})
+		}
+		s.describe(&s.items[ev.RT], ev)
 	case engine.EvDeleted:
-		delete(s.items, ev.RT)
+		if it := s.item(ev.RT); it != nil {
+			*it = Item{}
+		}
 	default:
-		it, ok := s.items[ev.RT]
-		if !ok {
+		it := s.item(ev.RT)
+		if it == nil {
 			return
 		}
 		switch ev.Kind {
@@ -98,11 +117,12 @@ func (s *Screen) RenderEvent(ev engine.Event) {
 	}
 }
 
-func (s *Screen) describe(ev engine.Event) *Item {
-	it := &Item{RT: ev.RT, Model: ev.Model, Channel: ev.Channel, Visible: true, Kind: KindOther}
+// describe fills it for the object an EvCreated event announces.
+func (s *Screen) describe(it *Item, ev engine.Event) {
+	*it = Item{RT: ev.RT, Model: ev.Model, Channel: ev.Channel, Visible: true, Kind: KindOther}
 	obj, ok := s.lookup(ev.Model)
 	if !ok {
-		return it
+		return
 	}
 	content, isContent := obj.(*mheg.Content)
 	if !isContent {
@@ -110,7 +130,7 @@ func (s *Screen) describe(ev engine.Event) *Item {
 			content = &m.Content
 		} else {
 			it.Label = obj.Base().Info.Name
-			return it
+			return
 		}
 	}
 	it.Size = content.OrigSize
@@ -124,10 +144,12 @@ func (s *Screen) describe(ev engine.Event) *Item {
 		it.Label = strings.TrimPrefix(name, "word:")
 	case content.Coding == media.CodingASCII || content.Coding == media.CodingHTML:
 		it.Kind = KindText
-		if txt, err := content.Text(); err == nil {
-			it.Label = excerpt(txt, 60)
-		} else {
-			it.Label = name
+		it.Label = name
+		if !content.Referenced() {
+			// One byte past the excerpt tells excerpt whether to cut.
+			if txt, err := media.TextPrefix(content.Coding, content.Inline, excerptLen+1); err == nil {
+				it.Label = excerpt(txt, excerptLen)
+			}
 		}
 	case media.ClassOf(content.Coding) == media.ClassVideo:
 		it.Kind = KindVideo
@@ -139,13 +161,20 @@ func (s *Screen) describe(ev engine.Event) *Item {
 		it.Kind = KindImage
 		it.Label = name
 	}
-	return it
 }
 
+// excerptLen bounds a text item's label, in bytes.
+const excerptLen = 60
+
+// excerpt is s on one line, cut to at most n bytes at a rune boundary
+// and marked "…" when cut.
 func excerpt(s string, n int) string {
 	s = strings.ReplaceAll(s, "\n", " ")
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "…"
 }
@@ -154,18 +183,18 @@ func excerpt(s string, n int) string {
 // channel is empty): objects that are visible and running — created
 // run-time objects that have not been run are prepared, not presented
 // (§2.2.2.2). Structural composites never display. Buttons sort first,
-// then model id, which gives the deterministic "screen" the tests
-// assert on.
+// then model id, then run-time id, which gives the deterministic
+// "screen" the tests assert on.
 func (s *Screen) Display(channel string) []Item {
 	var out []Item
 	for _, it := range s.items {
-		if !it.Visible || !it.Running || it.Kind == KindOther {
+		if it.RT == 0 || !it.Visible || !it.Running || it.Kind == KindOther {
 			continue
 		}
 		if channel != "" && it.Channel != channel {
 			continue
 		}
-		out = append(out, *it)
+		out = append(out, it)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind.Clickable() != out[j].Kind.Clickable() {
@@ -174,9 +203,18 @@ func (s *Screen) Display(channel string) []Item {
 		if out[i].Model.App != out[j].Model.App {
 			return out[i].Model.App < out[j].Model.App
 		}
-		return out[i].Model.Num < out[j].Model.Num
+		return byModelNum(out[i], out[j])
 	})
 	return out
+}
+
+// byModelNum orders items by model number, then run-time id: two
+// instances of one model list in the order they were created.
+func byModelNum(a, b Item) bool {
+	if a.Model.Num != b.Model.Num {
+		return a.Model.Num < b.Model.Num
+	}
+	return a.RT < b.RT
 }
 
 // Buttons lists the clickable items currently on screen (buttons run
@@ -184,40 +222,34 @@ func (s *Screen) Display(channel string) []Item {
 func (s *Screen) Buttons() []Item {
 	var out []Item
 	for _, it := range s.items {
-		if it.Kind.Clickable() && it.Visible && it.Running {
-			out = append(out, *it)
+		if it.RT != 0 && it.Kind.Clickable() && it.Visible && it.Running {
+			out = append(out, it)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Model.Num < out[j].Model.Num })
+	sort.Slice(out, func(i, j int) bool { return byModelNum(out[i], out[j]) })
 	return out
 }
 
-// Find locates the first visible item with the given label.
+// Find locates the first visible item with the given label, the one
+// created first when several carry it.
 func (s *Screen) Find(label string) (Item, bool) {
-	var best *Item
 	for _, it := range s.items {
-		if it.Visible && it.Running && it.Label == label {
-			if best == nil || it.RT < best.RT {
-				it := *it
-				best = &it
-			}
+		if it.RT != 0 && it.Visible && it.Running && it.Label == label {
+			return it, true
 		}
 	}
-	if best == nil {
-		return Item{}, false
-	}
-	return *best, true
+	return Item{}, false
 }
 
 // Playing lists the currently running continuous-media items.
 func (s *Screen) Playing() []Item {
 	var out []Item
 	for _, it := range s.items {
-		if it.Running && (it.Kind == KindVideo || it.Kind == KindAudio) {
-			out = append(out, *it)
+		if it.RT != 0 && it.Running && (it.Kind == KindVideo || it.Kind == KindAudio) {
+			out = append(out, it)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Model.Num < out[j].Model.Num })
+	sort.Slice(out, func(i, j int) bool { return byModelNum(out[i], out[j]) })
 	return out
 }
 

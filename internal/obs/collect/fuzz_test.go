@@ -33,7 +33,7 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x01})                            // unknown version
+	f.Add([]byte{0xff, 0x01})                           // unknown version
 	f.Add([]byte{wireV1, 0, 0xff, 0xff, 0xff, 0xff, 7}) // absurd span count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBatch(data)

@@ -1,7 +1,7 @@
 #!/bin/sh
-# check.sh — the tier-2 correctness gate: build, vet, the MITS
-# static-analysis suite, and the full test suite under the race
-# detector. CI and pre-merge runs should call this; one failure is a
+# check.sh — the tier-2 correctness gate: build, vet, gofmt and the
+# MITS static-analysis suite (make lint), and the full test suite under
+# the race detector. CI and pre-merge runs should call this; one failure is a
 # bug, not noise (see EXPERIMENTS.md "Deterministic invariants").
 #
 # Every suite runs once: `go test -race ./...` is the only pass over the

@@ -1,3 +1,10 @@
+// The ATM model is a single-goroutine simulation on sim.Clock: neither
+// this package nor its tests start a goroutine, so the race detector
+// has nothing to observe here, yet it makes the package's tests about
+// ten times slower. They run in the plain `go test ./...` pass only.
+
+//go:build !race
+
 package atm
 
 import (

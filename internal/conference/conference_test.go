@@ -1,3 +1,10 @@
+// A conference runs on the ATM model's sim.Clock in one goroutine:
+// neither this package nor its tests start a goroutine, so the race
+// detector has nothing to observe here, yet it makes these tests over
+// ten times slower. They run in the plain `go test ./...` pass only.
+
+//go:build !race
+
 package conference
 
 import (

@@ -197,24 +197,6 @@ func (in *Injector) readStall() time.Duration {
 	return 0
 }
 
-// CallStall decides whether one handled call stalls for StallFor,
-// returning the stall to apply (0 = none). Unlike the conn-level read
-// stall — which delays the *client's* read and therefore lands in the
-// client span — a handler calls this before doing its work, so the
-// stall is inside the server span and a trace's critical path
-// attributes it to the right hop. method is recorded for the event
-// log.
-func (in *Injector) CallStall(method string) time.Duration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.seq++
-	if in.draw(in.scen.StallProb) {
-		in.recordLocked("call-stall", method+" "+in.scen.StallFor.String())
-		return in.scen.StallFor
-	}
-	return 0
-}
-
 // acceptErr decides whether one Accept fails, returning a temporary
 // net.Error or nil.
 func (in *Injector) acceptErr() error {

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/token"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -16,6 +18,12 @@ import (
 // one comment expect several diagnostics. Lines with diagnostics but
 // no matching want, and wants with no matching diagnostic, fail the
 // test.
+//
+// The wants are regexps and may be loose, so RunTest also compares the
+// full text of every diagnostic, one `file:line:col: analyzer: message`
+// line each, with testdataDir/<pkgdirs joined by "_">.golden. Paths
+// are relative to the test's directory. A missing golden is written and
+// the test fails once, as wire.golden is: delete it to regenerate.
 func RunTest(t *testing.T, testdataDir string, a *Analyzer, pkgdirs ...string) {
 	t.Helper()
 	patterns := make([]string, 0, len(pkgdirs))
@@ -37,6 +45,7 @@ func RunTest(t *testing.T, testdataDir string, a *Analyzer, pkgdirs ...string) {
 	}
 	mod := NewModule(roots)
 	ran := false
+	var all []Diagnostic
 	for _, pkg := range pkgs {
 		if !pkg.Root {
 			continue
@@ -50,9 +59,41 @@ func RunTest(t *testing.T, testdataDir string, a *Analyzer, pkgdirs ...string) {
 			t.Fatalf("run %s on %s: %v", a.Name, pkg.ImportPath, err)
 		}
 		checkWants(t, pkg, diags)
+		all = append(all, diags...)
 	}
 	if !ran {
 		t.Fatalf("no packages loaded for %v in %s", pkgdirs, testdataDir)
+	}
+	checkGolden(t, filepath.Join(testdataDir, strings.Join(pkgdirs, "_")+".golden"), all)
+}
+
+// checkGolden compares the diagnostics' text with the golden at path.
+func checkGolden(t *testing.T, path string, diags []Diagnostic) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	SortDiags(diags)
+	var b strings.Builder
+	for _, d := range diags {
+		b.WriteString(d.String())
+		b.WriteByte('\n')
+	}
+	// Messages may quote positions too; strip the directory everywhere.
+	got := strings.ReplaceAll(b.String(), wd+string(filepath.Separator), "")
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote new golden %s; review it and run again", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("diagnostics differ from %s (delete it and rerun to regenerate)\ngot:\n%swant:\n%s", path, got, want)
 	}
 }
 
@@ -112,38 +153,14 @@ func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 // comment tail, e.g. `"foo.*" "bar"` → [foo.*, bar].
 func splitQuoted(s string) []string {
 	var out []string
-	s = strings.TrimSpace(s)
-	for s != "" {
-		switch s[0] {
-		case '"':
-			end := 1
-			for end < len(s) {
-				if s[end] == '\\' {
-					end += 2
-					continue
-				}
-				if s[end] == '"' {
-					break
-				}
-				end++
-			}
-			if end >= len(s) {
-				return out
-			}
-			if uq, err := strconv.Unquote(s[:end+1]); err == nil {
-				out = append(out, uq)
-			}
-			s = strings.TrimSpace(s[end+1:])
-		case '`':
-			end := strings.IndexByte(s[1:], '`')
-			if end < 0 {
-				return out
-			}
-			out = append(out, s[1:end+1])
-			s = strings.TrimSpace(s[end+2:])
-		default:
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		q, err := strconv.QuotedPrefix(s)
+		if err != nil || q[0] == '\'' {
 			return out
 		}
+		uq, _ := strconv.Unquote(q)
+		out = append(out, uq)
+		s = s[len(q):]
 	}
 	return out
 }

@@ -41,53 +41,63 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	conc := lint.NewConc(pass)
-	if len(conc.AtomicUses) == 0 {
-		return nil
-	}
+	// Every variable whose address reaches a sync/atomic function, with
+	// those call positions.
+	atomicUses := make(map[types.Object][]token.Pos)
 	for _, f := range pass.Files {
-		parents := lint.Parents(f)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {
-				continue // a Locked helper runs under the caller's lock by convention
-			}
-			constructed := pass.ConstructedTypes(fd.Body)
-			reported := map[types.Object]bool{} // one report per field per function
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				e, ok := n.(ast.Expr)
-				if !ok {
-					return true
-				}
-				obj := pass.Referent(e)
-				if obj == nil {
-					return true
-				}
-				uses, atomicObj := conc.AtomicUses[obj]
-				if !atomicObj || len(uses) == 0 || reported[obj] {
-					return true
-				}
-				if !plainUse(pass, parents, e) {
-					return true
-				}
-				mutexNote := ""
-				if v, ok := obj.(*types.Var); ok && v.IsField() {
-					if owner := fieldOwner(pass, v); owner != nil {
-						if constructed[owner] {
-							return true // pre-publication initialization in a constructor body
-						}
-						if mu := mutexFieldOf(owner); mu != nil {
-							mutexNote = " (the struct has " + mu.Name() + "; mixing a mutex with atomics on one field orders nothing)"
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isAtomicCall(pass, call) {
+				for _, arg := range call.Args {
+					if ue, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && ue.Op == token.AND {
+						if obj := pass.Referent(ue.X); obj != nil {
+							atomicUses[obj] = append(atomicUses[obj], call.Pos())
 						}
 					}
 				}
-				reported[obj] = true
-				pos := pass.Fset.Position(uses[0])
-				pass.Reportf(e.Pos(), "%s is accessed with sync/atomic (e.g. %s:%d) but plainly here — one field, one discipline%s",
-					obj.Name(), pos.Filename, pos.Line, mutexNote)
-				return false
-			})
+			}
+			return true
+		})
+	}
+	if len(atomicUses) == 0 {
+		return nil
+	}
+	for _, fd := range pass.FuncDecls() {
+		if strings.HasSuffix(fd.Name.Name, "Locked") {
+			continue // a Locked helper runs under the caller's lock by convention
 		}
+		parents := lint.Parents(fd.Body)
+		constructed := pass.ConstructedTypes(fd.Body)
+		reported := map[types.Object]bool{} // one report per field per function
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			e, ok := n.(ast.Expr)
+			if !ok {
+				return true
+			}
+			obj := pass.Referent(e)
+			if obj == nil {
+				return true
+			}
+			uses := atomicUses[obj]
+			if len(uses) == 0 || reported[obj] || !plainUse(pass, parents, e) {
+				return true
+			}
+			mutexNote := ""
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if owner := fieldOwner(pass, v); owner != nil {
+					if constructed[owner] {
+						return true // pre-publication initialization in a constructor body
+					}
+					if mu := lint.MutexField(owner); mu != nil {
+						mutexNote = " (the struct has " + mu.Name() + "; mixing a mutex with atomics on one field orders nothing)"
+					}
+				}
+			}
+			reported[obj] = true
+			pos := pass.Fset.Position(uses[0])
+			pass.Reportf(e.Pos(), "%s is accessed with sync/atomic (e.g. %s:%d) but plainly here — one field, one discipline%s",
+				obj.Name(), pos.Filename, pos.Line, mutexNote)
+			return false
+		})
 	}
 	return nil
 }
@@ -135,39 +145,13 @@ func isAtomicCall(pass *lint.Pass, call *ast.CallExpr) bool {
 
 // fieldOwner resolves a field var to the named struct declaring it.
 func fieldOwner(pass *lint.Pass, fld *types.Var) *types.Named {
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == fld {
-				return named
+	for _, named := range lint.NamedTypes(pass.Pkg.Scope()) {
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i) == fld {
+					return named
+				}
 			}
-		}
-	}
-	return nil
-}
-
-// mutexFieldOf returns the struct's sync.Mutex/RWMutex field, if any.
-func mutexFieldOf(named *types.Named) *types.Var {
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		fld := st.Field(i)
-		if lint.IsMutex(fld.Type()) {
-			return fld
 		}
 	}
 	return nil

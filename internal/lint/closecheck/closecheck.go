@@ -31,6 +31,7 @@ package closecheck
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"mits/internal/lint"
 )
@@ -45,14 +46,8 @@ var Analyzer = &lint.Analyzer{
 var closeNames = []string{"Close", "Shutdown", "Stop", "Hangup"}
 
 func run(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, fd)
-		}
+	for _, fd := range pass.FuncDecls() {
+		checkFunc(pass, fd)
 	}
 	return nil
 }
@@ -92,7 +87,7 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 			if !ok {
 				continue // reassignment of an existing var: out of scope here
 			}
-			if !lint.HasMethod(v.Type(), closeNames...) || !returnsErrorOrNothing(v.Type()) {
+			if !returnsErrorOrNothing(v.Type()) {
 				continue
 			}
 			a := &acquisition{obj: v, call: call}
@@ -119,7 +114,7 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 		if a == nil || a.ok {
 			return true
 		}
-		if useReleases(pass, parents, id) {
+		if useReleases(parents, id) {
 			a.ok = true
 		}
 		return true
@@ -154,9 +149,10 @@ func isForeignCall(pass *lint.Pass, call *ast.CallExpr) bool {
 	return fn.Pkg() == nil || fn.Pkg() != pass.Pkg
 }
 
-// returnsErrorOrNothing checks the Close method's shape — `Close()
-// error` or `Close()` — so arbitrary Close-named methods with
-// parameters don't drag a type into resource tracking.
+// returnsErrorOrNothing reports whether t's method set (taking the
+// address if needed) has a close method of the shape `Close() error` or
+// `Close()`, so arbitrary Close-named methods with parameters don't
+// drag a type into resource tracking.
 func returnsErrorOrNothing(t types.Type) bool {
 	for _, name := range closeNames {
 		obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
@@ -171,44 +167,12 @@ func returnsErrorOrNothing(t types.Type) bool {
 }
 
 // useReleases reports whether this use of the variable closes it or
-// lets it escape.
-func useReleases(pass *lint.Pass, parents map[ast.Node]ast.Node, id *ast.Ident) bool {
-	parent := parents[id]
-	switch p := parent.(type) {
-	case *ast.SelectorExpr:
-		// v.M(...) — a close call releases; any other method call is
-		// just a use. v.Field reads don't release either.
-		if call, ok := parents[p].(*ast.CallExpr); ok && call.Fun == p {
-			for _, name := range closeNames {
-				if p.Sel.Name == name {
-					return true
-				}
-			}
-		}
-		return false
-	case *ast.CallExpr:
-		// v passed as an argument (not being the callee itself).
-		for _, arg := range p.Args {
-			if arg == id {
-				return true
-			}
-		}
-		return false
-	case *ast.ReturnStmt, *ast.CompositeLit, *ast.SendStmt:
-		return true
-	case *ast.KeyValueExpr:
-		return p.Value == id
-	case *ast.AssignStmt:
-		// v on the right-hand side: stored somewhere else.
-		for _, rhs := range p.Rhs {
-			if rhs == id {
-				return true
-			}
-		}
-		return false
-	case *ast.UnaryExpr:
-		// &v: address taken, anything can happen — treat as escape.
-		return p.Op.String() == "&"
+// lets it escape. v.M(...) releases for a close method only; any other
+// method call or field read is just a use.
+func useReleases(parents map[ast.Node]ast.Node, id *ast.Ident) bool {
+	if p, ok := parents[id].(*ast.SelectorExpr); ok {
+		call, ok := parents[p].(*ast.CallExpr)
+		return ok && call.Fun == p && slices.Contains(closeNames, p.Sel.Name)
 	}
-	return false
+	return lint.Escapes(parents, id)
 }

@@ -38,6 +38,7 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 
 	"mits/internal/lint"
@@ -64,14 +65,8 @@ var blockingNames = map[string]bool{
 var knobRe = regexp.MustCompile(`^Set.*(Deadline|Timeout)`)
 
 func run(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, fd)
-		}
+	for _, fd := range pass.FuncDecls() {
+		checkFunc(pass, fd)
 	}
 	return nil
 }
@@ -79,7 +74,7 @@ func run(pass *lint.Pass) error {
 func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 	recvKnob := receiverHasKnob(pass, fd)
 	bodyKnob := bodySetsDeadline(fd.Body)
-	params := interfaceParams(pass, fd)
+	params := pass.Params(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -117,8 +112,13 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 		if iface == nil || interfaceDeclaresKnob(iface) {
 			return true
 		}
-		if base := baseIdentObj(pass, sel.X); base != nil && params[base] {
-			return true
+		// A helper handed an interface-typed parameter cannot set its
+		// deadlines; its caller owns the bound. Field receivers (c.C.Call)
+		// do not count: only values the function was handed directly.
+		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+			if base := pass.Referent(id); base != nil && types.IsInterface(base.Type()) && slices.Contains(params, base) {
+				return true
+			}
 		}
 		if implementationHasKnob(pass, s.Recv(), iface) {
 			return true
@@ -158,11 +158,8 @@ func durationKnobField(t types.Type) bool {
 		if !strings.Contains(name, "timeout") && !strings.Contains(name, "deadline") {
 			continue
 		}
-		if named, ok := f.Type().(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "Duration" {
-				return true
-			}
+		if lint.IsNamed(f.Type(), "time", "Duration") {
+			return true
 		}
 	}
 	return false
@@ -185,34 +182,6 @@ func bodySetsDeadline(body *ast.BlockStmt) bool {
 	return found
 }
 
-// interfaceParams returns fd's parameters whose declared type is an
-// interface.
-func interfaceParams(pass *lint.Pass, fd *ast.FuncDecl) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	if fd.Type.Params == nil {
-		return out
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := pass.TypesInfo.Defs[name]; obj != nil && types.IsInterface(obj.Type()) {
-				out[obj] = true
-			}
-		}
-	}
-	return out
-}
-
-// baseIdentObj resolves a plain-identifier receiver expression to its
-// object. Field receivers (c.C.Call) intentionally resolve to nil:
-// the parameter exoneration applies only to values the function was
-// handed directly.
-func baseIdentObj(pass *lint.Pass, e ast.Expr) types.Object {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		return pass.Referent(id)
-	}
-	return nil
-}
-
 // hasContextParam reports whether fn takes a context.Context.
 func hasContextParam(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
@@ -220,12 +189,7 @@ func hasContextParam(fn *types.Func) bool {
 		return false
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
-		named, ok := sig.Params().At(i).Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context" {
+		if lint.IsNamed(sig.Params().At(i).Type(), "context", "Context") {
 			return true
 		}
 	}
@@ -255,12 +219,7 @@ func implementationHasKnob(pass *lint.Pass, recv types.Type, iface *types.Interf
 		}
 	}
 	for _, scope := range scopes {
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			t := tn.Type()
+		for _, t := range lint.NamedTypes(scope) {
 			if types.IsInterface(t) {
 				continue
 			}

@@ -48,15 +48,9 @@ var formC = map[string]bool{
 var sanctifiers = map[string]bool{"AddModel": true, "Ingest": true}
 
 func run(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFabricatedRTIDs(pass, fd.Body)
-			checkUnvalidatedEncodes(pass, fd.Body)
-		}
+	for _, fd := range pass.FuncDecls() {
+		checkFabricatedRTIDs(pass, fd.Body)
+		checkUnvalidatedEncodes(pass, fd.Body)
 	}
 	return nil
 }

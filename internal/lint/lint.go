@@ -137,14 +137,7 @@ func (p *Pass) allowedAt(pos token.Position) bool {
 
 // Reportf records a diagnostic unless a suppression covers the line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportAt(p.Fset.Position(pos), format, args...)
-}
-
-// ReportAt records a diagnostic at an already-resolved position — the
-// form interprocedural analyzers use, whose witnesses are serialized
-// positions from another package's summary. Suppression applies when
-// the position's file belongs to this pass.
-func (p *Pass) ReportAt(position token.Position, format string, args ...any) {
+	position := p.Fset.Position(pos)
 	if p.allowedAt(position) {
 		return
 	}
@@ -153,19 +146,6 @@ func (p *Pass) ReportAt(position token.Position, format string, args ...any) {
 		Pos:      position,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// OwnsFile reports whether the given filename is one of this pass's
-// package files — interprocedural analyzers use it to report each
-// module-wide finding exactly once, in the package that owns the
-// witness position.
-func (p *Pass) OwnsFile(filename string) bool {
-	for _, f := range p.Files {
-		if p.Fset.Position(f.Pos()).Filename == filename {
-			return true
-		}
-	}
-	return false
 }
 
 // Run applies one analyzer to one loaded package with single-package

@@ -18,8 +18,6 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	ImportPath string
-	Name       string
-	Dir        string
 	Standard   bool // part of the Go distribution
 	Root       bool // named by the Load patterns (vs. pulled in as a dep)
 
@@ -37,10 +35,8 @@ type listedPkg struct {
 	ImportPath string
 	Name       string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	Standard   bool
-	Incomplete bool
 	Error      *listedErr
 }
 
@@ -164,8 +160,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		checked[lp.ImportPath] = tpkg
 		out = append(out, &Package{
 			ImportPath: lp.ImportPath,
-			Name:       lp.Name,
-			Dir:        lp.Dir,
 			Standard:   lp.Standard,
 			Root:       isRoot[lp.ImportPath],
 			Fset:       fset,

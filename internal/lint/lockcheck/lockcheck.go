@@ -56,20 +56,17 @@ func run(pass *lint.Pass) error {
 	if len(owners) == 0 {
 		return nil
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {
-				continue
-			}
-			recv, recvObj := receiver(pass, fd)
-			if recvObj != nil {
-				for _, body := range splitBodies(fd.Body) {
-					checkReceiver(pass, fd, body, recv, recvObj, owners)
-				}
-			}
-			checkNaked(pass, fd, recv, owners)
+	for _, fd := range pass.FuncDecls() {
+		if strings.HasSuffix(fd.Name.Name, "Locked") {
+			continue
 		}
+		recv, recvObj := receiver(pass, fd)
+		if recvObj != nil {
+			for _, body := range splitBodies(fd.Body) {
+				checkReceiver(pass, fd, body, recv, recvObj, owners)
+			}
+		}
+		checkNaked(pass, fd, recv, owners)
 	}
 	return nil
 }
@@ -81,29 +78,13 @@ func run(pass *lint.Pass) error {
 // stay immutable and may be read without the lock.
 func guardedFields(pass *lint.Pass) map[*types.Var]*guardedStruct {
 	owners := make(map[*types.Var]*guardedStruct)
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
+	for _, named := range lint.NamedTypes(pass.Pkg.Scope()) {
+		mu := lint.MutexField(named)
+		if mu == nil {
 			continue
 		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		g := &guardedStruct{named: named, mutable: make(map[*types.Var]bool)}
-		for i := 0; i < st.NumFields(); i++ {
-			if fld := st.Field(i); g.mutex == nil && lint.IsMutex(fld.Type()) {
-				g.mutex = fld
-			}
-		}
-		if g.mutex == nil {
-			continue
-		}
+		g := &guardedStruct{named: named, mutex: mu, mutable: make(map[*types.Var]bool)}
+		st := named.Underlying().(*types.Struct)
 		for i := 0; i < st.NumFields(); i++ {
 			owners[st.Field(i)] = g
 		}
@@ -156,7 +137,9 @@ func fieldOf(pass *lint.Pass, sel *ast.SelectorExpr) *types.Var {
 func lockedField(pass *lint.Pass, sel *ast.SelectorExpr, owners map[*types.Var]*guardedStruct) (*types.Var, *guardedStruct) {
 	fld := fieldOf(pass, sel)
 	g := owners[fld]
-	if g == nil || lint.SelfSynchronized(fld.Type()) || !g.mutable[fld] {
+	// A sync or sync/atomic field (Mutex, WaitGroup, atomic.Int64...)
+	// synchronizes itself.
+	if g == nil || lint.IsNamed(fld.Type(), "sync") || lint.IsNamed(fld.Type(), "sync/atomic") || !g.mutable[fld] {
 		return nil, nil
 	}
 	return fld, g

@@ -31,6 +31,7 @@
 package lockorder
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 
@@ -45,16 +46,15 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	mod := pass.Module()
-	for _, cyc := range mod.LockCycles() {
-		if len(cyc.Edges) == 0 {
-			continue
+	for _, cyc := range pass.Module().LockCycles() {
+		// Report each cycle once module-wide: in the package whose files
+		// hold the anchoring witness.
+		anchor := cyc.Edges[0].Witness
+		for _, f := range pass.Files {
+			if f.FileStart <= anchor && anchor <= f.FileEnd {
+				pass.Reportf(anchor, "%s", message(pass, cyc))
+			}
 		}
-		anchor := lint.ParsePos(cyc.Edges[0].Witness)
-		if !pass.OwnsFile(anchor.Filename) {
-			continue
-		}
-		pass.ReportAt(anchor, "%s", message(cyc))
 	}
 	return nil
 }
@@ -66,42 +66,29 @@ func run(pass *lint.Pass) error {
 // Cycle:
 //
 //	potential deadlock: lock-order cycle a.S.mu → a.T.mu → a.S.mu; a.T.mu
-//	acquired at a.go:12:2 while a.S.mu held; a.S.mu acquired at ... while ...
-func message(cyc lint.LockCycle) string {
+//	taken at a.go:12:2 while a.S.mu held; a.S.mu taken at ... while ...
+func message(pass *lint.Pass, cyc lint.LockCycle) string {
 	var b strings.Builder
-	if len(cyc.Locks) == 1 {
-		e := cyc.Edges[0]
-		b.WriteString("potential deadlock: ")
-		b.WriteString(string(e.From))
-		b.WriteString(" reacquired while already held")
+	via := func(e lint.LockEdge) {
 		if e.Via != "" {
-			b.WriteString(" (via ")
-			b.WriteString(e.Via)
-			b.WriteString(")")
+			fmt.Fprintf(&b, " (via %s)", e.Via)
 		}
+	}
+	if len(cyc.Locks) == 1 {
+		fmt.Fprintf(&b, "potential deadlock: %s reacquired while already held", cyc.Locks[0])
+		via(cyc.Edges[0])
 		return b.String()
 	}
 	b.WriteString("potential deadlock: lock-order cycle ")
 	for _, l := range cyc.Locks {
-		b.WriteString(string(l))
-		b.WriteString(" → ")
+		fmt.Fprintf(&b, "%s → ", l)
 	}
-	b.WriteString(string(cyc.Locks[0]))
+	b.WriteString(cyc.Locks[0].String())
 	for _, e := range cyc.Edges {
-		b.WriteString("; ")
-		b.WriteString(string(e.To))
-		b.WriteString(" taken at ")
 		// Base filename only: the full path is in the diagnostic's own
 		// position; repeating directories for every edge drowns the cycle.
-		b.WriteString(filepath.Base(e.Witness))
-		b.WriteString(" while ")
-		b.WriteString(string(e.From))
-		b.WriteString(" held")
-		if e.Via != "" {
-			b.WriteString(" (via ")
-			b.WriteString(e.Via)
-			b.WriteString(")")
-		}
+		fmt.Fprintf(&b, "; %s taken at %s while %s held", e.To, filepath.Base(pass.Fset.Position(e.Witness).String()), e.From)
+		via(e)
 	}
 	return b.String()
 }

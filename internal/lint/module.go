@@ -11,18 +11,22 @@ package lint
 
 import (
 	"fmt"
+	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Module is the whole-module view over a set of loaded packages.
 type Module struct {
-	funcs map[FuncID]*FuncSummary
-	// impls maps each named in-module interface method to the FuncIDs
-	// of every in-module concrete method implementing it.
-	impls map[IfaceMethodID][]FuncID
+	fset  *token.FileSet
+	funcs map[*types.Func]*funcSummary
+	all   []*funcSummary // every summary, goroutine bodies included, by name then file order
+	// impls maps each named in-module interface method to every
+	// in-module concrete method implementing it, by name.
+	impls map[ifaceMethod][]*types.Func
 
 	lockOnce   sync.Once
 	lockEdges  []LockEdge
@@ -31,102 +35,85 @@ type Module struct {
 
 // NewModule summarizes pkgs and stitches the module view. Standard
 // packages are skipped; pass every root package of the analysis for
-// full cross-package vision.
+// full cross-package vision. The packages share one FileSet, as Load
+// returns them.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
-		funcs: make(map[FuncID]*FuncSummary),
-		impls: make(map[IfaceMethodID][]FuncID),
+		funcs: make(map[*types.Func]*funcSummary),
+		impls: make(map[ifaceMethod][]*types.Func),
 	}
 	var analyzed []*Package
 	for _, pkg := range pkgs {
 		if pkg.Standard || pkg.Types == nil {
 			continue
 		}
+		m.fset = pkg.Fset
 		analyzed = append(analyzed, pkg)
-		for _, fs := range summarize(pkg) {
-			m.funcs[fs.ID] = fs
+		for _, fd := range funcDecls(pkg.Files) {
+			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			sums := summarize(pkg.Info, fn, fd)
+			m.funcs[fn] = sums[0]
+			m.all = append(m.all, sums...)
 		}
 	}
+	// Stable: every init body is named pkg.init, and the lock graph keeps
+	// the first witness per edge, so ties keep file order.
+	sort.SliceStable(m.all, func(i, j int) bool { return m.all[i].name < m.all[j].name })
 	m.resolveInterfaces(analyzed)
 	return m
 }
-
-// Func returns the summary for id, nil when the function is outside
-// the module (or has no body).
-func (m *Module) Func(id FuncID) *FuncSummary { return m.funcs[id] }
 
 // resolveInterfaces indexes every named interface defined in an
 // analyzed package against every named concrete type in any analyzed
 // package, mapping each interface method to the implementing methods.
 func (m *Module) resolveInterfaces(pkgs []*Package) {
-	type namedIface struct {
-		id    string // pkgpath.Name
-		iface *types.Interface
-	}
-	var ifaces []namedIface
-	var concrete []*types.Named
+	var ifaces, concrete []*types.Named
 	for _, pkg := range pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			if iface, ok := named.Underlying().(*types.Interface); ok {
-				ifaces = append(ifaces, namedIface{
-					id:    pkg.Types.Path() + "." + name,
-					iface: iface,
-				})
+		for _, named := range NamedTypes(pkg.Types.Scope()) {
+			if types.IsInterface(named) {
+				ifaces = append(ifaces, named)
 			} else {
 				concrete = append(concrete, named)
 			}
 		}
 	}
 	for _, ni := range ifaces {
+		iface := ni.Underlying().(*types.Interface)
 		for _, named := range concrete {
-			if !types.Implements(named, ni.iface) && !types.Implements(types.NewPointer(named), ni.iface) {
+			if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
 				continue
 			}
-			for i := 0; i < ni.iface.NumMethods(); i++ {
-				mName := ni.iface.Method(i).Name()
+			for i := 0; i < iface.NumMethods(); i++ {
+				mName := iface.Method(i).Name()
 				obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), mName)
 				impl, ok := obj.(*types.Func)
-				if !ok {
-					continue
-				}
-				id := IfaceMethodID(ni.id + "." + mName)
-				target := funcIDOf(impl)
-				if m.funcs[target] == nil {
+				if !ok || m.funcs[impl.Origin()] == nil {
 					continue // method promoted from outside the module
 				}
-				m.impls[id] = append(m.impls[id], target)
+				key := ifaceMethod{ni.Obj(), mName}
+				m.impls[key] = append(m.impls[key], impl.Origin())
 			}
 		}
 	}
-	for id := range m.impls {
-		list := m.impls[id]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+	for _, list := range m.impls {
+		sort.Slice(list, func(i, j int) bool { return m.funcs[list[i]].name < m.funcs[list[j]].name })
 	}
 }
 
-// Targets resolves a call site to the in-module functions it can
+// targets resolves a call site to the in-module functions it can
 // reach: the static callee when summarized, else every in-module
 // implementation of the interface method.
-func (m *Module) Targets(cs *CallSite) []FuncID {
-	if cs.Callee != "" {
-		if m.funcs[cs.Callee] != nil {
-			return []FuncID{cs.Callee}
+func (m *Module) targets(cs *callSite) []*types.Func {
+	if cs.callee != nil {
+		if m.funcs[cs.callee] != nil {
+			return []*types.Func{cs.callee}
 		}
 		return nil
 	}
-	if cs.Iface != "" {
-		return m.impls[cs.Iface]
-	}
-	return nil
+	return m.impls[cs.iface]
 }
 
 // ---- lock-ordering graph ----
@@ -135,23 +122,22 @@ func (m *Module) Targets(cs *CallSite) []FuncID {
 // From was held. Witness pins where, Via names the call chain when the
 // acquisition is in a callee.
 type LockEdge struct {
-	From    LockID
-	To      LockID
-	Witness string // serialized position of the acquisition or initiating call
-	Via     string // "f → g → h" call chain, "" for a same-body acquisition
+	From, To Lock
+	Witness  token.Pos // the acquisition or the initiating call
+	Via      string    // "f → g → h acquires at file:line:col", "" for a same-body acquisition
 }
 
 // LockCycle is one potential deadlock: a cycle in the lock-ordering
-// graph, canonicalized to start at the smallest LockID.
+// graph, starting at its smallest lock.
 type LockCycle struct {
-	Locks []LockID   // cycle order; Locks[0] is the smallest
+	Locks []Lock     // cycle order; Locks[0] is the smallest
 	Edges []LockEdge // Edges[i] is Locks[i] → Locks[(i+1)%len]
 }
 
 // acqWitness is where (and through which chain) a function's
 // transitive execution acquires a lock.
 type acqWitness struct {
-	pos string
+	pos token.Pos
 	via string
 }
 
@@ -169,100 +155,85 @@ func (m *Module) LockCycles() []LockCycle {
 }
 
 func (m *Module) buildLockGraph() {
-	ids := make([]FuncID, 0, len(m.funcs))
-	for id := range m.funcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 	// transitive acquisitions per function, memoized. DFS with an
 	// in-progress marker: recursion (direct or mutual) contributes the
 	// already-discovered part, which under-approximates fixpoints but
 	// never fabricates an acquisition.
-	memo := make(map[FuncID]map[LockID]acqWitness)
-	inProgress := make(map[FuncID]bool)
-	var transitive func(id FuncID) map[LockID]acqWitness
-	transitive = func(id FuncID) map[LockID]acqWitness {
-		if got, ok := memo[id]; ok {
+	memo := make(map[*types.Func]map[Lock]acqWitness)
+	inProgress := make(map[*types.Func]bool)
+	// chain prefixes a callee's witness chain with the callee's name.
+	chain := func(target *types.Func, w acqWitness) string {
+		if w.via != "" {
+			return m.funcs[target].name + " → " + w.via
+		}
+		return m.funcs[target].name
+	}
+	var transitive func(fn *types.Func) map[Lock]acqWitness
+	transitive = func(fn *types.Func) map[Lock]acqWitness {
+		if got, ok := memo[fn]; ok {
 			return got
 		}
-		if inProgress[id] {
+		if inProgress[fn] {
 			return nil
 		}
-		inProgress[id] = true
-		defer delete(inProgress, id)
-		fs := m.funcs[id]
-		if fs == nil {
-			return nil
-		}
-		out := make(map[LockID]acqWitness)
-		for _, acq := range fs.Acquires {
-			if _, ok := out[acq.Lock]; !ok {
-				out[acq.Lock] = acqWitness{pos: acq.Pos}
+		inProgress[fn] = true
+		defer delete(inProgress, fn)
+		out := make(map[Lock]acqWitness)
+		for _, acq := range m.funcs[fn].acquires {
+			if _, ok := out[acq.lock]; !ok {
+				out[acq.lock] = acqWitness{pos: acq.pos}
 			}
 		}
-		for i := range fs.Calls {
-			cs := &fs.Calls[i]
-			if cs.Async {
+		for i := range m.funcs[fn].calls {
+			cs := &m.funcs[fn].calls[i]
+			if cs.async {
 				continue // a spawned goroutine's locks are its own context
 			}
-			for _, target := range m.Targets(cs) {
+			for _, target := range m.targets(cs) {
 				for lock, w := range transitive(target) {
-					if _, ok := out[lock]; ok {
-						continue
+					if _, ok := out[lock]; !ok {
+						out[lock] = acqWitness{pos: w.pos, via: chain(target, w)}
 					}
-					via := string(target)
-					if w.via != "" {
-						via = via + " → " + w.via
-					}
-					out[lock] = acqWitness{pos: w.pos, via: via}
 				}
 			}
 		}
-		memo[id] = out
+		memo[fn] = out
 		return out
 	}
 
-	type edgeKey struct{ from, to LockID }
+	type edgeKey struct{ from, to Lock }
 	seen := make(map[edgeKey]bool)
-	addEdge := func(from, to LockID, witness, via string) {
-		k := edgeKey{from, to}
-		if seen[k] {
-			return
+	addEdge := func(from, to Lock, witness token.Pos, via string) {
+		if k := (edgeKey{from, to}); !seen[k] {
+			seen[k] = true
+			m.lockEdges = append(m.lockEdges, LockEdge{From: from, To: to, Witness: witness, Via: via})
 		}
-		seen[k] = true
-		m.lockEdges = append(m.lockEdges, LockEdge{From: from, To: to, Witness: witness, Via: via})
 	}
-	for _, id := range ids {
-		fs := m.funcs[id]
-		for _, acq := range fs.Acquires {
-			for _, held := range acq.Held {
-				addEdge(held, acq.Lock, acq.Pos, "")
+	for _, fs := range m.all {
+		for _, acq := range fs.acquires {
+			for _, held := range acq.held {
+				addEdge(held, acq.lock, acq.pos, "")
 			}
 		}
-		for i := range fs.Calls {
-			cs := &fs.Calls[i]
-			if cs.Async || cs.Deferred || len(cs.Held) == 0 {
+		for i := range fs.calls {
+			cs := &fs.calls[i]
+			if cs.async || cs.deferred || len(cs.held) == 0 {
 				continue
 			}
-			for _, target := range m.Targets(cs) {
+			for _, target := range m.targets(cs) {
 				acqs := transitive(target)
-				locks := make([]LockID, 0, len(acqs))
+				locks := make([]Lock, 0, len(acqs))
 				for lock := range acqs {
 					locks = append(locks, lock)
 				}
-				sort.Slice(locks, func(i, j int) bool { return locks[i] < locks[j] })
+				sortLocks(locks)
 				for _, lock := range locks {
-					w := acqs[lock]
-					via := string(target)
-					if w.via != "" {
-						via = via + " → " + w.via
-					}
 					// Base filename only: the chain appears inside diagnostic
 					// messages, and an absolute path there would make the
 					// output machine-specific.
-					for _, held := range cs.Held {
-						addEdge(held, lock, cs.Pos, via+" acquires at "+filepath.Base(w.pos))
+					via := chain(target, acqs[lock]) + " acquires at " + filepath.Base(m.fset.Position(acqs[lock].pos).String())
+					for _, held := range cs.held {
+						addEdge(held, lock, cs.pos, via)
 					}
 				}
 			}
@@ -271,158 +242,77 @@ func (m *Module) buildLockGraph() {
 	m.lockCycles = findCycles(m.lockEdges)
 }
 
-// findCycles locates elementary cycles via SCC decomposition: inside
-// each strongly connected component of ≥2 locks, one representative
-// cycle is traced from the smallest lock; self-edges are their own
-// cycles.
-func findCycles(edges []LockEdge) []LockCycle {
-	adj := make(map[LockID][]LockEdge)
-	var nodes []LockID
-	nodeSeen := make(map[LockID]bool)
-	for _, e := range edges {
-		adj[e.From] = append(adj[e.From], e)
-		for _, n := range []LockID{e.From, e.To} {
-			if !nodeSeen[n] {
-				nodeSeen[n] = true
-				nodes = append(nodes, n)
-			}
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	// Tarjan SCC, iterative enough for our graph sizes via recursion.
-	index := make(map[LockID]int)
-	low := make(map[LockID]int)
-	onStack := make(map[LockID]bool)
-	var stack []LockID
-	counter := 0
-	var sccs [][]LockID
-	var strongconnect func(v LockID)
-	strongconnect = func(v LockID) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, e := range adj[v] {
-			w := e.To
-			if _, ok := index[w]; !ok {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []LockID
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, n := range nodes {
-		if _, ok := index[n]; !ok {
-			strongconnect(n)
-		}
-	}
-
-	edgeFor := func(from, to LockID) (LockEdge, bool) {
-		for _, e := range adj[from] {
-			if e.To == to {
-				return e, true
-			}
-		}
-		return LockEdge{}, false
-	}
-
-	var cycles []LockCycle
-	for _, scc := range sccs {
-		sort.Slice(scc, func(i, j int) bool { return scc[i] < scc[j] })
-		if len(scc) == 1 {
-			// Self-loop: the lock is (reachably) reacquired while held —
-			// an immediate deadlock for Go's non-reentrant mutexes.
-			if e, ok := edgeFor(scc[0], scc[0]); ok {
-				cycles = append(cycles, LockCycle{Locks: []LockID{scc[0]}, Edges: []LockEdge{e}})
-			}
-			continue
-		}
-		// Trace one representative cycle from the smallest lock: BFS
-		// within the SCC back to the start.
-		inSCC := make(map[LockID]bool, len(scc))
-		for _, n := range scc {
-			inSCC[n] = true
-		}
-		start := scc[0]
-		path := traceCycle(start, inSCC, adj)
-		if path == nil {
-			continue
-		}
-		cyc := LockCycle{Locks: path}
-		ok := true
-		for i := range path {
-			e, found := edgeFor(path[i], path[(i+1)%len(path)])
-			if !found {
-				ok = false
-				break
-			}
-			cyc.Edges = append(cyc.Edges, e)
-		}
-		if ok {
-			cycles = append(cycles, cyc)
-		}
-	}
-	sort.Slice(cycles, func(i, j int) bool {
-		return fmt.Sprint(cycles[i].Locks) < fmt.Sprint(cycles[j].Locks)
-	})
-	return cycles
+func sortLocks(locks []Lock) {
+	sort.Slice(locks, func(i, j int) bool { return locks[i].String() < locks[j].String() })
 }
 
-// traceCycle finds a shortest cycle from start back to start staying
-// inside the SCC, returning the lock sequence (start first).
-func traceCycle(start LockID, inSCC map[LockID]bool, adj map[LockID][]LockEdge) []LockID {
-	type step struct {
-		node LockID
-		prev int
+// findCycles returns one representative cycle per strongly connected
+// set of locks, in one search: from each lock in sorted order a
+// breadth-first search, neighbours expanded in sorted order, finds the
+// shortest way back. A lock reports it only when it is the smallest
+// lock of its set, the set of locks it reaches that reach it back; a
+// lock alone in its set reports its self-edge instead, if any — Go
+// mutexes are not reentrant. Cycles sort by lock list.
+func findCycles(edges []LockEdge) []LockCycle {
+	adj := make(map[Lock][]LockEdge)
+	var locks []Lock
+	for _, e := range edges {
+		for _, l := range []Lock{e.From, e.To} {
+			if _, ok := adj[l]; !ok {
+				adj[l] = nil
+				locks = append(locks, l)
+			}
+		}
+		adj[e.From] = append(adj[e.From], e)
 	}
-	queue := []step{{node: start, prev: -1}}
-	visited := map[LockID]bool{}
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		next := adj[cur.node]
-		// Deterministic expansion order.
-		sorted := append([]LockEdge(nil), next...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].To < sorted[j].To })
-		for _, e := range sorted {
-			if !inSCC[e.To] {
-				continue
-			}
-			if e.To == start && cur.node != start {
-				// Reconstruct.
-				var rev []LockID
-				for i := qi; i != -1; i = queue[i].prev {
-					rev = append(rev, queue[i].node)
+	sortLocks(locks)
+	for _, out := range adj {
+		sort.SliceStable(out, func(i, j int) bool { return out[i].To.String() < out[j].To.String() })
+	}
+
+	reach := make(map[Lock]map[Lock]bool)
+	var cycles []LockCycle
+	for i, start := range locks {
+		type step struct {
+			edge LockEdge // the edge that reached this lock
+			prev int
+		}
+		queue := []step{{edge: LockEdge{To: start}, prev: -1}}
+		seen := map[Lock]bool{start: true}
+		var back, self *LockEdge
+		last := -1 // queue index the first way back leaves from
+		for qi := 0; qi < len(queue); qi++ {
+			for _, e := range adj[queue[qi].edge.To] {
+				switch {
+				case e.To == start && qi == 0:
+					self = &e
+				case e.To == start && back == nil:
+					back, last = &e, qi
+				case !seen[e.To]:
+					seen[e.To] = true
+					queue = append(queue, step{edge: e, prev: qi})
 				}
-				out := make([]LockID, 0, len(rev))
-				for i := len(rev) - 1; i >= 0; i-- {
-					out = append(out, rev[i])
-				}
-				return out
 			}
-			if visited[e.To] || e.To == start {
-				continue
+		}
+		reach[start] = seen
+		if slices.ContainsFunc(locks[:i], func(l Lock) bool { return seen[l] && reach[l][start] }) {
+			continue // not the smallest lock of its set
+		}
+		switch {
+		case back != nil:
+			cyc := LockCycle{Edges: []LockEdge{*back}}
+			for qi := last; qi > 0; qi = queue[qi].prev {
+				cyc.Edges = append(cyc.Edges, queue[qi].edge)
 			}
-			visited[e.To] = true
-			queue = append(queue, step{node: e.To, prev: qi})
+			slices.Reverse(cyc.Edges)
+			for _, e := range cyc.Edges {
+				cyc.Locks = append(cyc.Locks, e.From)
+			}
+			cycles = append(cycles, cyc)
+		case self != nil:
+			cycles = append(cycles, LockCycle{Locks: []Lock{start}, Edges: []LockEdge{*self}})
 		}
 	}
-	return nil
+	sort.Slice(cycles, func(i, j int) bool { return fmt.Sprint(cycles[i].Locks) < fmt.Sprint(cycles[j].Locks) })
+	return cycles
 }

@@ -1,8 +1,11 @@
 package lint
 
 import (
-	"reflect"
-	"sort"
+	"fmt"
+	"go/types"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -45,50 +48,59 @@ func loadIPFixtures(t *testing.T) (*Package, *Package) {
 func TestModuleResolvesInterfaceCalls(t *testing.T) {
 	ipa, ipb := loadIPFixtures(t)
 	mod := NewModule([]*Package{ipa, ipb})
+	typ := func(pkg *Package, name string) *types.Named {
+		return pkg.Types.Scope().Lookup(name).Type().(*types.Named)
+	}
+	method := func(named *types.Named, name string) *types.Func {
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), name)
+		return obj.(*types.Func)
+	}
+	lockOf := func(named *types.Named) Lock { return Lock{Owner: named.Obj(), Var: MutexField(named)} }
 
-	broadcast := mod.Func(FuncID(ipaPath + ".(Hub).Broadcast"))
-	if broadcast == nil {
-		t.Fatal("module lacks (Hub).Broadcast")
+	hub := typ(ipa, "Hub")
+	broadcastFn := method(hub, "Broadcast")
+	broadcast := mod.funcs[broadcastFn]
+	if broadcast == nil || broadcast.name != ipaPath+".(Hub).Broadcast" {
+		t.Fatalf("module lacks (Hub).Broadcast: %+v", broadcast)
 	}
-	hubMu := LockID(ipaPath + ".Hub.mu")
-	if len(broadcast.Acquires) != 1 || broadcast.Acquires[0].Lock != hubMu {
-		t.Errorf("Broadcast acquires = %+v, want exactly %s", broadcast.Acquires, hubMu)
+	hubMu := lockOf(hub)
+	if hubMu.String() != ipaPath+".Hub.mu" {
+		t.Errorf("Hub's lock renders as %s", hubMu)
 	}
-	putID := IfaceMethodID(ipaPath + ".Sink.Put")
+	if len(broadcast.acquires) != 1 || broadcast.acquires[0].lock != hubMu {
+		t.Errorf("Broadcast acquires = %+v, want exactly %s", broadcast.acquires, hubMu)
+	}
+	put := ifaceMethod{typ(ipa, "Sink").Obj(), "Put"}
 	found := false
-	for _, cs := range broadcast.Calls {
-		if cs.Iface != putID {
+	for _, cs := range broadcast.calls {
+		if cs.iface != put {
 			continue
 		}
 		found = true
-		if len(cs.Held) != 1 || cs.Held[0] != hubMu {
-			t.Errorf("Sink.Put dispatch held = %v, want [%s]", cs.Held, hubMu)
+		if len(cs.held) != 1 || cs.held[0] != hubMu {
+			t.Errorf("Sink.Put dispatch held = %v, want [%s]", cs.held, hubMu)
 		}
 	}
 	if !found {
-		t.Errorf("Broadcast has no call site through %s: %+v", putID, broadcast.Calls)
+		t.Errorf("Broadcast has no call site through Sink.Put: %+v", broadcast.calls)
 	}
 
-	got := mod.Targets(&CallSite{Iface: putID})
-	want := []FuncID{
-		FuncID(ipaPath + ".(Local).Put"),
-		FuncID(ipbPath + ".(Remote).Put"),
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Targets(Sink.Put) = %v, want %v", got, want)
+	got := mod.targets(&callSite{iface: put})
+	want := []*types.Func{method(typ(ipa, "Local"), "Put"), method(typ(ipb, "Remote"), "Put")}
+	if !slices.Equal(got, want) {
+		t.Errorf("targets(Sink.Put) = %v, want %v", got, want)
 	}
 
 	// The resolved dispatch must produce ordering edges from Hub.mu to
 	// each implementation's lock — one of them in a package Hub's
 	// summary has never seen.
-	edgeTo := map[LockID]bool{}
+	edgeTo := map[Lock]bool{}
 	for _, e := range mod.LockEdges() {
 		if e.From == hubMu {
 			edgeTo[e.To] = true
 		}
 	}
-	for _, to := range []LockID{LockID(ipaPath + ".Local.mu"), LockID(ipbPath + ".Remote.mu")} {
+	for _, to := range []Lock{lockOf(typ(ipa, "Local")), lockOf(typ(ipb, "Remote"))} {
 		if !edgeTo[to] {
 			t.Errorf("missing lock edge Hub.mu → %s (edges: %v)", to, mod.LockEdges())
 		}
@@ -97,20 +109,63 @@ func TestModuleResolvesInterfaceCalls(t *testing.T) {
 	// Mirror's goroutine body is a synthetic function of its own; the
 	// launch must not smuggle Broadcast under Mirror's (empty) held
 	// set, and the body must carry the Broadcast call.
-	goBody := mod.Func(FuncID(ipbPath + ".Mirror#go1"))
+	var goBody *funcSummary
+	for _, fs := range mod.all {
+		if fs.name == ipbPath+".Mirror#go1" {
+			goBody = fs
+		}
+	}
 	if goBody == nil {
 		t.Fatal("no synthetic summary for Mirror's goroutine body")
 	}
 	foundBroadcast := false
-	for _, cs := range goBody.Calls {
-		if cs.Callee == FuncID(ipaPath+".(Hub).Broadcast") {
+	for _, cs := range goBody.calls {
+		if cs.callee == broadcastFn {
 			foundBroadcast = true
-			if len(cs.Held) != 0 {
-				t.Errorf("goroutine body calls Broadcast with held = %v, want none", cs.Held)
+			if len(cs.held) != 0 {
+				t.Errorf("goroutine body calls Broadcast with held = %v, want none", cs.held)
 			}
 		}
 	}
 	if !foundBroadcast {
-		t.Errorf("Mirror#go1 does not call Broadcast: %+v", goBody.Calls)
+		t.Errorf("Mirror#go1 does not call Broadcast: %+v", goBody.calls)
+	}
+}
+
+// TestLockEdgeWitnessKeepsFileOrder: every init body of a package is
+// summarized under the one name pkg.init, and the lock graph keeps the
+// first witness it meets per edge. So that witness must be the first
+// init in file order, however many inits tie on the name.
+func TestLockEdgeWitnessKeepsFileOrder(t *testing.T) {
+	dir := t.TempDir()
+	src := "package inits\n\nimport \"sync\"\n\nvar a, b sync.Mutex\n"
+	// Functions named in reverse between the inits make the sort move
+	// them; an unstable sort then reorders the inits among themselves.
+	for i := 0; i < 40; i++ {
+		src += "\nfunc init() {\n\ta.Lock()\n\tb.Lock()\n\tb.Unlock()\n\ta.Unlock()\n}\n"
+		src += fmt.Sprintf("\nfunc f%02d() {}\n", 40-i)
+	}
+	for name, body := range map[string]string{"go.mod": "module inits\n\ngo 1.22\n", "inits.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := Load(dir, ".")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	var roots []*Package
+	for _, pkg := range pkgs {
+		if pkg.Root {
+			roots = append(roots, pkg)
+		}
+	}
+	edges := NewModule(roots).LockEdges()
+	if len(edges) != 1 {
+		t.Fatalf("edges = %v, want exactly a → b", edges)
+	}
+	// The first init's b.Lock() is on line 9 of inits.go.
+	if pos := roots[0].Fset.Position(edges[0].Witness); pos.Line != 9 {
+		t.Errorf("a → b witnessed at %v, want the first init (line 9)", pos)
 	}
 }

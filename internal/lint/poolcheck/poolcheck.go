@@ -31,6 +31,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 
 	"mits/internal/lint"
 )
@@ -43,45 +44,57 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	g := lint.NewCallGraph(pass)
-	sources := sourceFuncs(pass, g)
-	releases := releaseFuncs(pass, g)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkLifetimes(pass, g, releases, fd)
-			if fd.Name.IsExported() {
-				checkBoundary(pass, g, sources, releases, fd)
-			}
+	sources := sourceFuncs(pass)
+	releases := releaseFuncs(pass)
+	for _, fd := range pass.FuncDecls() {
+		walkStmts(pass, releases, fd.Body.List, map[types.Object]token.Pos{})
+		if fd.Name.IsExported() {
+			checkBoundary(pass, sources, releases, fd)
 		}
 	}
 	return nil
+}
+
+// poolCall classifies call as a sync.Pool Get or Put: it returns the
+// method name ("Get" or "Put") when the callee is a method of
+// sync.Pool, "" otherwise.
+func poolCall(pass *lint.Pass, call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Get" && sel.Sel.Name != "Put") {
+		return ""
+	}
+	t := pass.TypesInfo.TypeOf(sel.X)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if !lint.IsNamed(t, "sync", "Pool") {
+		return ""
+	}
+	return sel.Sel.Name
 }
 
 // ---- wrapper classification ----
 
 // sourceFuncs finds package-local functions whose return value derives
 // from a pool.Get, transitively through other sources.
-func sourceFuncs(pass *lint.Pass, g *lint.CallGraph) map[*types.Func]bool {
+func sourceFuncs(pass *lint.Pass) map[*types.Func]bool {
 	sources := map[*types.Func]bool{}
 	for {
 		changed := false
-		for fn, info := range g.Funcs() {
-			if sources[fn] {
+		for _, fd := range pass.FuncDecls() {
+			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok || sources[fn] {
 				continue
 			}
-			pooled := pooledLocals(pass, g, sources, info.Decl.Body)
+			pooled := pooledLocals(pass, sources, fd.Body)
 			returns := false
-			ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				ret, ok := n.(*ast.ReturnStmt)
 				if !ok || returns {
 					return !returns
 				}
 				for _, res := range ret.Results {
-					if derives(pass, g, sources, pooled, res) {
+					if derives(pass, sources, pooled, res) {
 						returns = true
 					}
 				}
@@ -101,21 +114,22 @@ func sourceFuncs(pass *lint.Pass, g *lint.CallGraph) map[*types.Func]bool {
 // releaseFuncs finds package-local functions that release a parameter
 // into a pool, transitively through other releases. The value maps the
 // indices of the released parameters.
-func releaseFuncs(pass *lint.Pass, g *lint.CallGraph) map[*types.Func]map[int]bool {
+func releaseFuncs(pass *lint.Pass) map[*types.Func]map[int]bool {
 	releases := map[*types.Func]map[int]bool{}
 	for {
 		changed := false
-		for fn, info := range g.Funcs() {
-			params := paramObjs(pass, info.Decl)
-			if len(params) == 0 {
+		for _, fd := range pass.FuncDecls() {
+			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			params := pass.Params(fd)
+			if !ok || len(params) == 0 {
 				continue
 			}
-			ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				for _, arg := range releasedArgs(pass, g, releases, call) {
+				for _, arg := range releasedArgs(pass, releases, call) {
 					obj := baseObj(pass, arg)
 					if obj == nil {
 						continue
@@ -142,11 +156,11 @@ func releaseFuncs(pass *lint.Pass, g *lint.CallGraph) map[*types.Func]map[int]bo
 // releasedArgs returns the argument expressions that call hands over
 // to a pool: pool.Put's argument, or the arguments in a known release
 // function's released positions.
-func releasedArgs(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[int]bool, call *ast.CallExpr) []ast.Expr {
-	if pass.PoolCall(call) == "Put" && len(call.Args) > 0 {
+func releasedArgs(pass *lint.Pass, releases map[*types.Func]map[int]bool, call *ast.CallExpr) []ast.Expr {
+	if poolCall(pass, call) == "Put" && len(call.Args) > 0 {
 		return call.Args[:1]
 	}
-	fn := g.Callee(call)
+	fn := lint.Callee(pass.TypesInfo, call)
 	if fn == nil || releases[fn] == nil {
 		return nil
 	}
@@ -159,26 +173,10 @@ func releasedArgs(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]m
 	return out
 }
 
-// paramObjs returns the declared parameter objects of fd, in order.
-func paramObjs(pass *lint.Pass, fd *ast.FuncDecl) []types.Object {
-	var out []types.Object
-	if fd.Type.Params == nil {
-		return nil
-	}
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := pass.TypesInfo.Defs[name]; obj != nil {
-				out = append(out, obj)
-			}
-		}
-	}
-	return out
-}
-
 // pooledLocals finds the local variables of body whose value derives
 // from a pool source, to a fixpoint (covers buf := frameBuf(...) then
 // nb := ...; buf = nb chains).
-func pooledLocals(pass *lint.Pass, g *lint.CallGraph, sources map[*types.Func]bool, body *ast.BlockStmt) map[types.Object]bool {
+func pooledLocals(pass *lint.Pass, sources map[*types.Func]bool, body *ast.BlockStmt) map[types.Object]bool {
 	pooled := map[types.Object]bool{}
 	for {
 		changed := false
@@ -200,7 +198,7 @@ func pooledLocals(pass *lint.Pass, g *lint.CallGraph, sources map[*types.Func]bo
 				} else {
 					continue
 				}
-				if !derives(pass, g, sources, pooled, rhs) {
+				if !derives(pass, sources, pooled, rhs) {
 					continue
 				}
 				if obj := pass.Referent(id); obj != nil && !pooled[obj] {
@@ -219,26 +217,26 @@ func pooledLocals(pass *lint.Pass, g *lint.CallGraph, sources map[*types.Func]bo
 // derives reports whether e's value derives from a pool source: a
 // pool.Get (or source-function) result, a pooled local, or a slice /
 // index / pointer view of one.
-func derives(pass *lint.Pass, g *lint.CallGraph, sources map[*types.Func]bool, pooled map[types.Object]bool, e ast.Expr) bool {
+func derives(pass *lint.Pass, sources map[*types.Func]bool, pooled map[types.Object]bool, e ast.Expr) bool {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := pass.Referent(x)
 		return obj != nil && pooled[obj]
 	case *ast.SliceExpr:
-		return derives(pass, g, sources, pooled, x.X)
+		return derives(pass, sources, pooled, x.X)
 	case *ast.IndexExpr:
-		return derives(pass, g, sources, pooled, x.X)
+		return derives(pass, sources, pooled, x.X)
 	case *ast.StarExpr:
-		return derives(pass, g, sources, pooled, x.X)
+		return derives(pass, sources, pooled, x.X)
 	case *ast.UnaryExpr:
-		return x.Op == token.AND && derives(pass, g, sources, pooled, x.X)
+		return x.Op == token.AND && derives(pass, sources, pooled, x.X)
 	case *ast.TypeAssertExpr:
-		return derives(pass, g, sources, pooled, x.X)
+		return derives(pass, sources, pooled, x.X)
 	case *ast.CallExpr:
-		if pass.PoolCall(x) == "Get" {
+		if poolCall(pass, x) == "Get" {
 			return true
 		}
-		fn := g.Callee(x)
+		fn := lint.Callee(pass.TypesInfo, x)
 		return fn != nil && sources[fn]
 	}
 	return false
@@ -273,17 +271,13 @@ func baseObj(pass *lint.Pass, e ast.Expr) types.Object {
 
 // ---- lifetime rules (double-Put, use-after-Put) ----
 
-// checkLifetimes walks fd's body as a lexical path, tracking which
-// variables have been released. Branches run on a copy of the state,
-// so a conditional release (error paths that Put and return) does not
+// walkStmts walks a body as a lexical path, tracking which variables
+// have been released. Branches run on a copy of the state, so a
+// conditional release (error paths that Put and return) does not
 // poison the straight-line code after the branch.
-func checkLifetimes(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[int]bool, fd *ast.FuncDecl) {
-	walkStmts(pass, g, releases, fd.Body.List, map[types.Object]token.Pos{})
-}
-
-func walkStmts(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[int]bool, stmts []ast.Stmt, state map[types.Object]token.Pos) {
+func walkStmts(pass *lint.Pass, releases map[*types.Func]map[int]bool, stmts []ast.Stmt, state map[types.Object]token.Pos) {
 	for _, s := range stmts {
-		walkStmt(pass, g, releases, s, state)
+		walkStmt(pass, releases, s, state)
 	}
 }
 
@@ -295,11 +289,11 @@ func cloneState(state map[types.Object]token.Pos) map[types.Object]token.Pos {
 	return out
 }
 
-func walkStmt(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[int]bool, s ast.Stmt, state map[types.Object]token.Pos) {
+func walkStmt(pass *lint.Pass, releases map[*types.Func]map[int]bool, s ast.Stmt, state map[types.Object]token.Pos) {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			if vars := releasedIdents(pass, g, releases, call); len(vars) > 0 {
+			if vars := releasedIdents(pass, releases, call); len(vars) > 0 {
 				for _, v := range vars {
 					if first, done := state[v]; done {
 						pass.Reportf(call.Pos(), "%s is returned to the pool twice (first at %s) — the second Put hands the same buffer to two owners",
@@ -330,34 +324,34 @@ func walkStmt(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[i
 		// A deferred release runs at function exit, after every lexical
 		// use below it: not a release on this path, and not a use.
 	case *ast.BlockStmt:
-		walkStmts(pass, g, releases, st.List, state)
+		walkStmts(pass, releases, st.List, state)
 	case *ast.IfStmt:
 		if st.Init != nil {
-			walkStmt(pass, g, releases, st.Init, state)
+			walkStmt(pass, releases, st.Init, state)
 		}
 		checkUses(pass, st.Cond, state)
-		walkStmts(pass, g, releases, st.Body.List, cloneState(state))
+		walkStmts(pass, releases, st.Body.List, cloneState(state))
 		if st.Else != nil {
-			walkStmt(pass, g, releases, st.Else, cloneState(state))
+			walkStmt(pass, releases, st.Else, cloneState(state))
 		}
 	case *ast.ForStmt:
 		if st.Init != nil {
-			walkStmt(pass, g, releases, st.Init, state)
+			walkStmt(pass, releases, st.Init, state)
 		}
 		if st.Cond != nil {
 			checkUses(pass, st.Cond, state)
 		}
 		branch := cloneState(state)
-		walkStmts(pass, g, releases, st.Body.List, branch)
+		walkStmts(pass, releases, st.Body.List, branch)
 		if st.Post != nil {
-			walkStmt(pass, g, releases, st.Post, branch)
+			walkStmt(pass, releases, st.Post, branch)
 		}
 	case *ast.RangeStmt:
 		checkUses(pass, st.X, state)
-		walkStmts(pass, g, releases, st.Body.List, cloneState(state))
+		walkStmts(pass, releases, st.Body.List, cloneState(state))
 	case *ast.SwitchStmt:
 		if st.Init != nil {
-			walkStmt(pass, g, releases, st.Init, state)
+			walkStmt(pass, releases, st.Init, state)
 		}
 		if st.Tag != nil {
 			checkUses(pass, st.Tag, state)
@@ -367,17 +361,17 @@ func walkStmt(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[i
 				for _, e := range cc.List {
 					checkUses(pass, e, state)
 				}
-				walkStmts(pass, g, releases, cc.Body, cloneState(state))
+				walkStmts(pass, releases, cc.Body, cloneState(state))
 			}
 		}
 	case *ast.TypeSwitchStmt:
 		if st.Init != nil {
-			walkStmt(pass, g, releases, st.Init, state)
+			walkStmt(pass, releases, st.Init, state)
 		}
 		checkUses(pass, st.Assign, state)
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				walkStmts(pass, g, releases, cc.Body, cloneState(state))
+				walkStmts(pass, releases, cc.Body, cloneState(state))
 			}
 		}
 	case *ast.SelectStmt:
@@ -385,9 +379,9 @@ func walkStmt(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[i
 			if cc, ok := c.(*ast.CommClause); ok {
 				branch := cloneState(state)
 				if cc.Comm != nil {
-					walkStmt(pass, g, releases, cc.Comm, branch)
+					walkStmt(pass, releases, cc.Comm, branch)
 				}
-				walkStmts(pass, g, releases, cc.Body, branch)
+				walkStmts(pass, releases, cc.Body, branch)
 			}
 		}
 	case nil:
@@ -401,9 +395,9 @@ func walkStmt(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[i
 // a non-identifier base (putBuf(f.buf)) are not tracked: the lexical
 // machine cannot follow field lifetimes, and flagging the owner would
 // misfire on the release helper's own cleanup stores.
-func releasedIdents(pass *lint.Pass, g *lint.CallGraph, releases map[*types.Func]map[int]bool, call *ast.CallExpr) []types.Object {
+func releasedIdents(pass *lint.Pass, releases map[*types.Func]map[int]bool, call *ast.CallExpr) []types.Object {
 	var out []types.Object
-	for _, arg := range releasedArgs(pass, g, releases, call) {
+	for _, arg := range releasedArgs(pass, releases, call) {
 		e := ast.Unparen(arg)
 		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 			e = ast.Unparen(u.X)
@@ -445,24 +439,21 @@ func checkUses(pass *lint.Pass, n ast.Node, state map[types.Object]token.Pos) {
 // checkBoundary flags exported functions that leak pool-owned memory
 // out (returning a pooled buffer) or pull caller-owned memory in
 // (releasing a parameter).
-func checkBoundary(pass *lint.Pass, g *lint.CallGraph, sources map[*types.Func]bool, releases map[*types.Func]map[int]bool, fd *ast.FuncDecl) {
-	pooled := pooledLocals(pass, g, sources, fd.Body)
-	params := map[types.Object]bool{}
-	for _, p := range paramObjs(pass, fd) {
-		params[p] = true
-	}
+func checkBoundary(pass *lint.Pass, sources map[*types.Func]bool, releases map[*types.Func]map[int]bool, fd *ast.FuncDecl) {
+	pooled := pooledLocals(pass, sources, fd.Body)
+	params := pass.Params(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.ReturnStmt:
 			for _, res := range x.Results {
-				if derives(pass, g, sources, pooled, res) {
+				if derives(pass, sources, pooled, res) {
 					pass.Reportf(res.Pos(), "exported %s returns a pool-backed buffer — the caller cannot know a later Put will yank it back; copy it or document transfer",
 						fd.Name.Name)
 				}
 			}
 		case *ast.CallExpr:
-			for _, arg := range releasedArgs(pass, g, releases, x) {
-				if obj := baseObj(pass, arg); obj != nil && params[obj] {
+			for _, arg := range releasedArgs(pass, releases, x) {
+				if obj := baseObj(pass, arg); obj != nil && slices.Contains(params, obj) {
 					pass.Reportf(arg.Pos(), "exported %s recycles its parameter %s into a pool — callers own their arguments; a pooled alias corrupts them later",
 						fd.Name.Name, obj.Name())
 				}

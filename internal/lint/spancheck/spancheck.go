@@ -36,7 +36,6 @@ package spancheck
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"mits/internal/lint"
@@ -57,17 +56,10 @@ var constructors = map[string]bool{
 }
 
 func run(pass *lint.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			c := &checker{pass: pass, parents: lint.Parents(fd.Body)}
-			live, terminated := c.stmts(fd.Body.List, liveSet{})
-			if !terminated {
-				c.reportLive(live)
-			}
+	for _, fd := range pass.FuncDecls() {
+		c := &checker{pass: pass, parents: lint.Parents(fd.Body)}
+		if live, terminated := c.stmts(fd.Body.List, liveSet{}); !terminated {
+			c.reportLive(live)
 		}
 	}
 	return nil
@@ -394,31 +386,11 @@ func (c *checker) releases(id *ast.Ident) bool {
 		// inspect it.
 		call, ok := c.parents[p].(*ast.CallExpr)
 		return ok && call.Fun == p && p.Sel.Name == "End"
-	case *ast.CallExpr:
-		for _, arg := range p.Args {
-			if arg == id {
-				return true // callee takes responsibility
-			}
-		}
-		return false
-	case *ast.ReturnStmt, *ast.CompositeLit, *ast.SendStmt:
-		return true
-	case *ast.KeyValueExpr:
-		return p.Value == id
-	case *ast.AssignStmt:
-		for _, rhs := range p.Rhs {
-			if rhs == id {
-				return true // stored somewhere else
-			}
-		}
-		return false
-	case *ast.UnaryExpr:
-		return p.Op == token.AND
 	case *ast.IndexExpr:
 		// m[sp] as a key is bizarre but is a store-shaped use.
 		return p.Index == id
 	}
-	return false
+	return lint.Escapes(c.parents, id)
 }
 
 // lhsVar resolves an assignment target identifier to its variable,
@@ -438,8 +410,7 @@ func (c *checker) lhsVar(lhs ast.Expr) *types.Var {
 	return nil
 }
 
-// hasEndMethod reports whether t's method set carries End(error) —
-// lint.HasMethod only admits niladic methods, and End takes the
+// hasEndMethod reports whether t's method set carries End(error), the
 // span's outcome.
 func hasEndMethod(t types.Type) bool {
 	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "End")

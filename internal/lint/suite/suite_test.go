@@ -50,9 +50,9 @@ func TestSuiteWellFormed(t *testing.T) {
 }
 
 // TestSuiteConcurrencyAnalyzersRegistered pins the concurrency-protocol
-// layer into the suite: the four analyzers built on the Conc fact
-// extractor must stay registered, or mitslint silently stops guarding
-// the multiplexed hot path.
+// analyzers into the suite: the four that check the channel, atomic,
+// pool and deadline protocols must stay registered, or mitslint
+// silently stops guarding the multiplexed hot path.
 func TestSuiteConcurrencyAnalyzersRegistered(t *testing.T) {
 	want := []string{"chanwait", "atomicmix", "poolcheck", "deadlinecheck"}
 	have := make(map[string]bool)

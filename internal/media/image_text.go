@@ -27,16 +27,6 @@ func EncodeJPEG(width, height int, seed uint64) []byte {
 	return buf
 }
 
-// NewImage builds a complete image Object.
-func NewImage(id, name string, width, height int, keywords ...string) (*Object, error) {
-	data := EncodeJPEG(width, height, hashID(id))
-	meta, err := Decode(CodingJPEG, data)
-	if err != nil {
-		return nil, err
-	}
-	return &Object{ID: id, Name: name, Coding: CodingJPEG, Meta: meta, Keywords: keywords, Data: data}, nil
-}
-
 // EncodeText wraps plain text in the synthetic container.
 func EncodeText(text string) []byte {
 	buf := encodeHeader(CodingASCII, Meta{}, len(text))
@@ -74,12 +64,6 @@ func TextPrefix(c Coding, data []byte, n int) (string, error) {
 	return string(text), nil
 }
 
-// NewText builds a plain-text Object.
-func NewText(id, name, text string, keywords ...string) (*Object, error) {
-	data := EncodeText(text)
-	return &Object{ID: id, Name: name, Coding: CodingASCII, Keywords: keywords, Data: data}, nil
-}
-
 // NewHTML builds an HTML document Object, synthesizing a simple page
 // around the body when it is not already markup.
 func NewHTML(id, title, body string, keywords ...string) (*Object, error) {
@@ -114,14 +98,4 @@ func GenerateLecture(topic string, approxLen int, seed uint64) string {
 		b.WriteString(".\n")
 	}
 	return b.String()
-}
-
-// hashID derives a deterministic seed from an object id (FNV-1a).
-func hashID(id string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -214,6 +214,10 @@ type Engine struct {
 	Stats Stats
 
 	metrics *counters
+
+	// retired is set by Retire: the engine's delayed action items, which
+	// keep no clock handle, check it when they fire.
+	retired bool
 }
 
 // counters are the engine's obs series: the interpretation hot paths
@@ -301,6 +305,20 @@ func New(clock *sim.Clock, opts ...Option) *Engine {
 		o(e)
 	}
 	return e
+}
+
+// Retire stops an engine whose host has replaced it on a shared clock:
+// every pending finish is cancelled and every delayed action item
+// becomes a no-op, so nothing the retired presentation scheduled reaches
+// a renderer afterwards.
+func (e *Engine) Retire() {
+	e.retired = true
+	for _, rt := range e.rts {
+		if rt != nil && rt.finishEv != nil {
+			e.clock.Cancel(rt.finishEv)
+			rt.finishEv = nil
+		}
+	}
 }
 
 // Clock returns the engine's clock.
@@ -704,7 +722,11 @@ func (e *Engine) applyItems(items []mheg.ElementaryAction) {
 	for _, item := range items {
 		item := item
 		if item.Delay > 0 {
-			e.clock.After(item.Delay, func(sim.Time) { e.applyOne(item) })
+			e.clock.After(item.Delay, func(sim.Time) {
+				if !e.retired {
+					e.applyOne(item)
+				}
+			})
 		} else {
 			e.applyOne(item)
 		}

@@ -108,8 +108,14 @@ func New(opts Options) *Navigator {
 // be extinct whenever the presentation environment vanishes" (§2.2.2.2).
 // The decoded form (b) objects themselves are read-only and may outlive
 // it in the content cache (loadCourse); the screen is the navigator's
-// one display and keeps its item storage from course to course.
+// one display and keeps its item storage from course to course. The
+// old engine is retired first: it shares the navigator's clock, and a
+// finish or delayed action it left pending would otherwise render into
+// the new course's screen and move its current scene.
 func (n *Navigator) resetEngine(enc codec.Encoding) {
+	if n.engine != nil {
+		n.engine.Retire()
+	}
 	opts := []engine.Option{
 		engine.WithResolver(n.db),
 		engine.WithRenderer(engine.RendererFunc(n.render)),

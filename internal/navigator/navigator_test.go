@@ -579,3 +579,69 @@ func TestFailedOpenKeepsResumePoint(t *testing.T) {
 		t.Errorf("ELG5121's resume point is %+v after the failed open, want %+v", pos, filed)
 	}
 }
+
+// TestReplacedEngineFiresNothing opens course A, whose intro video
+// has a finish pending on the navigator's clock, then opens course B
+// (the same document offered under a second code, so the two engines'
+// model and run-time IDs coincide) and runs the clock past A's intro.
+// The screen, the current scene and the filed resume point must be B's
+// alone: the same as a navigator that only ever opened B.
+func TestReplacedEngineFiresNothing(t *testing.T) {
+	nav, _, sch := buildSchool(t)
+	if err := sch.AddCourse(school.Course{Code: "ELG5199", Name: "ATM Technology II", Program: "Engineering", PlannedSessions: 4, Document: "atm-course"}); err != nil {
+		t.Fatal(err)
+	}
+	num, err := nav.Register(school.Profile{Name: "A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range []string{"ELG5121", "ELG5199"} {
+		if err := nav.Enroll(code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// File B's resume point at "quiz", a scene A never reaches by itself.
+	if err := nav.StartCourse("ELG5199"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nav.GotoScene("quiz"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nav.ExitCourse(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The control: a second navigator on the same school opens B only.
+	control := New(Options{DB: nav.db.C, School: nav.school.C})
+	if err := control.Login(num); err != nil {
+		t.Fatal(err)
+	}
+	if err := control.StartCourse("ELG5199"); err != nil {
+		t.Fatal(err)
+	}
+	control.Clock().RunFor(20 * time.Second)
+
+	if err := nav.StartCourse("ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	if len(nav.Screen().Playing()) == 0 {
+		t.Fatal("course A's intro is not playing")
+	}
+	if err := nav.StartCourse("ELG5199"); err != nil {
+		t.Fatal(err)
+	}
+	nav.Clock().RunFor(20 * time.Second)
+
+	if got, _ := nav.CurrentScene(); got != "quiz" {
+		t.Errorf("current scene %q after A's intro ran out, want B's quiz", got)
+	}
+	if got, want := nav.Screen().String(), control.Screen().String(); got != want {
+		t.Errorf("screen after opening A then B:\n%s\nwant (B only):\n%s", got, want)
+	}
+	if err := nav.ExitCourse(); err != nil {
+		t.Fatal(err)
+	}
+	if pos, _, _ := sch.GetResume(num, "ELG5199"); pos.Scene != "quiz" {
+		t.Errorf("B's resume point is %+v, want scene quiz", pos)
+	}
+}

@@ -182,20 +182,6 @@ func (l DegradeLevel) String() string {
 	return fmt.Sprintf("level(%d)", int(l))
 }
 
-// StreamCourseVideo is the end-to-end delivery path of §3.3: the clip
-// travels from the content server over the chunked GetContentStream op
-// (bounded fragments that share the multiplexed connection fairly with
-// interactive calls), then plays out to the student over the ATM
-// contract with the adaptive degradation ladder. The navigator's
-// content cache makes a replayed clip skip the transport entirely.
-func (n *Navigator) StreamCourseVideo(net *atm.Network, server, client *atm.Host, td atm.TrafficDescriptor, ref string, buffer time.Duration) (*StreamStats, error) {
-	rec, err := n.db.GetContentStream(ref, nil)
-	if err != nil {
-		return nil, fmt.Errorf("navigator: stream fetch %q: %w", ref, err)
-	}
-	return StreamVideoAdaptive(net, server, client, td, rec.Data, buffer)
-}
-
 // StreamVideoAdaptive is StreamVideo with the degradation ladder: at
 // each frame's send time the server inspects its backlog (frames sent
 // but not yet delivered). When the backlog is worth more playback time

@@ -111,19 +111,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	}
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear
-// interpolation within the owning bucket, the same estimate the
-// Prometheus histogram_quantile function computes.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	var counts [numBuckets + 1]int64
-	total := int64(0)
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	return quantile(counts[:], total, q)
-}
-
 func quantile(counts []int64, total int64, q float64) time.Duration {
 	if total == 0 {
 		return 0

@@ -6,9 +6,10 @@
 #
 # Every suite runs once: `go test -race ./...` is the only pass over the
 # unit, chaos (fault matrix, trace collection, cluster failover) and
-# stress tests; the paper-reproduction shape checks of
-# internal/experiments are single-goroutine simulations built with
-# `!race`, so they run in the tier-1 `go test ./...` instead;
+# stress tests; the tests of internal/experiments (the paper-reproduction
+# shape checks), internal/atm and internal/conference exercise
+# single-goroutine simulations and are built with `!race`, so they run
+# in the tier-1 `go test ./...` instead;
 # the legs after it add what that pass cannot — fuzzing beyond the
 # corpora, the one benchmark that fails itself, and the 5x repetition
 # of the scheduling-dependent suites. The test lists of those legs live

@@ -40,7 +40,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
@@ -136,7 +138,7 @@ func main() {
 	// obs_export_dropped_total.
 	var exporter *collect.Exporter
 	if *exportAddr != "" {
-		exporter = collect.StartExporter(obs.Default, collect.Dial(*exportAddr), collect.ExporterOptions{Site: "mitsd"})
+		exporter = collect.StartExporter(obs.Default, collect.Dial(*exportAddr), collect.ExporterOptions{})
 		logger.Info("span export up", "collector", *exportAddr)
 	}
 	logger.Info("serving", "addr", bound)
@@ -183,13 +185,13 @@ func runSingle(logger *slog.Logger, addr, dbPath, name string, noSamples bool) (
 		if loaded, err := mediastore.Load(dbPath); err == nil {
 			store = loaded
 			logger.Info("loaded database image", "path", dbPath)
-		} else if !os.IsNotExist(underlying(err)) {
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			return nil, "", nil, err
 		}
 		if loaded, err := school.Load(schoolPath); err == nil {
 			sch = loaded
 			logger.Info("loaded school image", "path", schoolPath)
-		} else if !os.IsNotExist(underlying(err)) {
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			return nil, "", nil, err
 		}
 	}
@@ -239,7 +241,7 @@ func runShard(logger *slog.Logger, addr, dbPath string) (*transport.TCPServer, s
 		if loaded, err := mediastore.Load(dbPath); err == nil {
 			store = loaded
 			logger.Info("loaded shard image", "path", dbPath)
-		} else if !os.IsNotExist(underlying(err)) {
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			return nil, "", nil, err
 		}
 	}
@@ -271,7 +273,7 @@ func runShard(logger *slog.Logger, addr, dbPath string) (*transport.TCPServer, s
 // through the router, so the demo courseware is itself sharded and
 // replicated.
 func runCluster(logger *slog.Logger, addr, spec, name string, noSamples bool) (*transport.TCPServer, string, func(), error) {
-	router, err := cluster.NewTCPRouter(spec, cluster.TCPOptions{})
+	router, err := cluster.NewTCPRouter(spec)
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -332,11 +334,7 @@ func fatal(logger *slog.Logger, msg string, err error) {
 	os.Exit(1)
 }
 
-var errFlagConflict = errFlags("-shard and -cluster are mutually exclusive roles")
-
-type errFlags string
-
-func (e errFlags) Error() string { return string(e) }
+var errFlagConflict = errors.New("-shard and -cluster are mutually exclusive roles")
 
 func publishSamples(pub *mits.Publisher) error {
 	atmDoc, err := mits.SampleATMCourse()
@@ -382,19 +380,4 @@ func publishExercises(exb *exercise.Book, fac *facilitator.Facilitator) error {
 	_, err := fac.Publish("announcements", "admin",
 		"Exercise atm-ex1 published", "try 'exercises ELG5121' in the navigator")
 	return err
-}
-
-// underlying unwraps a wrapped error chain's last error for IsNotExist.
-func underlying(err error) error {
-	for {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		next := u.Unwrap()
-		if next == nil {
-			return err
-		}
-		err = next
-	}
 }

@@ -58,6 +58,7 @@ func main() {
 	statsAddr := flag.String("stats", "", "HTTP stats listen address (empty disables the endpoint)")
 	exportAddr := flag.String("export", "", "ship finished spans to the trace collector at this address")
 	flag.Parse()
+	obs.SetSite("navigator") // names this process in its logs, its /metrics header and its exported spans
 
 	// The content cache (and the client-side transport counters) live
 	// in this process, so the navigator exposes its own registry —
@@ -76,7 +77,7 @@ func main() {
 	// of every trace — shipping them to the deployment's collector is
 	// what lets a slow request be blamed on the right site.
 	if *exportAddr != "" {
-		exporter := collect.StartExporter(obs.Default, collect.Dial(*exportAddr), collect.ExporterOptions{Site: "navigator"})
+		exporter := collect.StartExporter(obs.Default, collect.Dial(*exportAddr), collect.ExporterOptions{})
 		defer exporter.Close()
 		fmt.Printf("exporting spans to %s\n", *exportAddr)
 	}

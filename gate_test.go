@@ -3,6 +3,7 @@ package mits
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -92,6 +93,61 @@ func TestBenchmarksHaveReaders(t *testing.T) {
 	}
 	if benchmarks == 0 {
 		t.Fatal("found no benchmark to check: the tree changed shape under this test")
+	}
+}
+
+// testInfra is what only tests may link: the fault injector, the span
+// recorder, the wire-script recorder and the goroutine-leak check.
+var testInfra = []string{
+	"mits/internal/faults",
+	"mits/internal/obs/spantest",
+	"mits/internal/transport/wiretest",
+	"mits/internal/lint/leaktest",
+}
+
+// TestBinariesLinkNoTestInfra fails when the facade, a command or an
+// example depends on test infrastructure, and prints the import chain
+// that pulls it in.
+func TestBinariesLinkNoTestInfra(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}} {{.DepOnly}} {{join .Imports \" \"}}", ".", "./cmd/...", "./examples/...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	imports := map[string][]string{}
+	var roots []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		imports[f[0]] = f[2:]
+		if f[1] == "false" {
+			roots = append(roots, f[0])
+		}
+	}
+	for _, root := range roots {
+		// Breadth-first from the root, keeping each package's parent so
+		// a hit prints its shortest chain.
+		parent := map[string]string{root: ""}
+		queue := []string{root}
+		for len(queue) > 0 {
+			pkg := queue[0]
+			queue = queue[1:]
+			if slices.Contains(testInfra, pkg) {
+				chain := []string{pkg}
+				for p := parent[pkg]; p != ""; p = parent[p] {
+					chain = append([]string{p}, chain...)
+				}
+				t.Errorf("%s links test infrastructure: %s", root, strings.Join(chain, " → "))
+				continue
+			}
+			for _, dep := range imports[pkg] {
+				if _, seen := parent[dep]; !seen {
+					parent[dep] = pkg
+					queue = append(queue, dep)
+				}
+			}
+		}
+	}
+	if len(roots) == 0 {
+		t.Fatal("go list named no packages")
 	}
 }
 

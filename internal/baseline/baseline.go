@@ -39,8 +39,8 @@ type Model interface {
 type Broadcasting struct {
 	// Period between broadcasts of the same lecture (e.g. one week).
 	Period time.Duration
-	// Offset of the broadcast slot within the period.
-	Offset time.Duration
+	// offset of the broadcast slot within the period.
+	offset time.Duration
 }
 
 // Name implements Model.
@@ -51,7 +51,7 @@ func (b Broadcasting) AccessDelay(now sim.Time, _ int64) time.Duration {
 	if b.Period <= 0 {
 		return 0
 	}
-	phase := (time.Duration(now) - b.Offset) % b.Period
+	phase := (time.Duration(now) - b.offset) % b.Period
 	if phase < 0 {
 		phase += b.Period
 	}
@@ -76,14 +76,14 @@ func (b Broadcasting) VideoSupport(float64) float64 { return 1 }
 type CDROM struct {
 	// Shipping is the order-to-delivery time for a disc.
 	Shipping time.Duration
-	// Capacity is the disc capacity (650 MB for the era's CD-ROM).
-	Capacity int64
-	// Owned reports whether the student already has the disc.
-	Owned bool
+	// capacity is the disc capacity (650 MB for the era's CD-ROM).
+	capacity int64
+	// owned reports whether the student already has the disc.
+	owned bool
 }
 
-// DefaultCDCapacity is a 650 MB disc.
-const DefaultCDCapacity = 650 << 20
+// defaultCDCapacity is a 650 MB disc.
+const defaultCDCapacity = 650 << 20
 
 // Name implements Model.
 func (c CDROM) Name() string { return "cdrom-pc" }
@@ -93,14 +93,14 @@ func (c CDROM) Name() string { return "cdrom-pc" }
 // model reports an infinite (one-year) delay to keep the comparison
 // numeric.
 func (c CDROM) AccessDelay(_ sim.Time, courseBytes int64) time.Duration {
-	cap := c.Capacity
+	cap := c.capacity
 	if cap == 0 {
-		cap = DefaultCDCapacity
+		cap = defaultCDCapacity
 	}
 	if courseBytes > cap {
 		return 365 * 24 * time.Hour
 	}
-	if c.Owned {
+	if c.owned {
 		return 0
 	}
 	return c.Shipping

@@ -19,7 +19,7 @@ func TestBroadcastingSchedule(t *testing.T) {
 		t.Errorf("delay %v", d)
 	}
 	// Offset shifts the slot.
-	b2 := Broadcasting{Period: 24 * time.Hour, Offset: 9 * time.Hour}
+	b2 := Broadcasting{Period: 24 * time.Hour, offset: 9 * time.Hour}
 	if d := b2.AccessDelay(sim.Zero, 0); d != 9*time.Hour {
 		t.Errorf("offset delay %v", d)
 	}
@@ -42,7 +42,7 @@ func TestCDROM(t *testing.T) {
 	if d := c.AccessDelay(sim.Zero, 100<<20); d != 72*time.Hour {
 		t.Errorf("first access %v", d)
 	}
-	owned := CDROM{Shipping: 72 * time.Hour, Owned: true}
+	owned := CDROM{Shipping: 72 * time.Hour, owned: true}
 	if d := owned.AccessDelay(sim.Zero, 100<<20); d != 0 {
 		t.Errorf("owned access %v", d)
 	}

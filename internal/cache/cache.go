@@ -10,9 +10,9 @@
 // The cache is value-agnostic: callers store whatever they fetched
 // along with its byte cost, and own the discipline for sharing it.
 // transport.DBClient.GetContent hands every hit the same record under
-// an immutable-bytes contract (CloneContentRecord for a caller that must
-// mutate), and a navigator keeps its decoded, read-only course
-// documents in the same cache under keys no content ref can reach.
+// an immutable-bytes contract (a caller that must mutate copies), and a
+// navigator keeps its decoded, read-only course documents in the same
+// cache under keys no content ref can reach.
 package cache
 
 import (
@@ -189,11 +189,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
-}
-
-// Bytes reports resident cost.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }

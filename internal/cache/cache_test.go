@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// resident reports the objects and bytes the cache holds.
+func resident(c *Cache) (objects int, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items), c.bytes
+}
+
 func TestLRUEvictsColdEnd(t *testing.T) {
 	c := New("t-evict", 100)
 	c.Add("a", "A", 40)
@@ -24,8 +31,8 @@ func TestLRUEvictsColdEnd(t *testing.T) {
 			t.Fatalf("%s evicted, want only b", k)
 		}
 	}
-	if c.Bytes() != 80 || c.Len() != 2 {
-		t.Fatalf("bytes=%d len=%d, want 80/2", c.Bytes(), c.Len())
+	if n, b := resident(c); b != 80 || n != 2 {
+		t.Fatalf("bytes=%d len=%d, want 80/2", b, n)
 	}
 }
 
@@ -33,8 +40,8 @@ func TestLRUReplaceAdjustsCost(t *testing.T) {
 	c := New("t-replace", 100)
 	c.Add("a", "A", 60)
 	c.Add("a", "A2", 30)
-	if c.Bytes() != 30 || c.Len() != 1 {
-		t.Fatalf("bytes=%d len=%d after replace, want 30/1", c.Bytes(), c.Len())
+	if n, b := resident(c); b != 30 || n != 1 {
+		t.Fatalf("bytes=%d len=%d after replace, want 30/1", b, n)
 	}
 	if v, _ := c.Get("a"); v != "A2" {
 		t.Fatalf("got %v, want replacement", v)
@@ -44,7 +51,7 @@ func TestLRUReplaceAdjustsCost(t *testing.T) {
 func TestOversizedValueNotStored(t *testing.T) {
 	c := New("t-oversize", 100)
 	c.Add("big", "B", 101)
-	if c.Len() != 0 || c.Bytes() != 0 {
+	if n, b := resident(c); n != 0 || b != 0 {
 		t.Fatal("value larger than the whole cache was stored")
 	}
 }
@@ -54,8 +61,11 @@ func TestRemove(t *testing.T) {
 	c.Add("a", "A", 10)
 	c.Remove("a")
 	c.Remove("a") // idempotent
-	if _, ok := c.Get("a"); ok || c.Bytes() != 0 {
-		t.Fatal("Remove left residue")
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("Remove left the key")
+	}
+	if n, b := resident(c); n != 0 || b != 0 {
+		t.Fatalf("Remove left %d objects, %d bytes", n, b)
 	}
 }
 
@@ -109,7 +119,7 @@ func TestFillErrorNotCached(t *testing.T) {
 	if _, err := c.GetOrFill("k", func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want fill error", err)
 	}
-	if c.Len() != 0 {
+	if n, _ := resident(c); n != 0 {
 		t.Fatal("error was cached")
 	}
 	v, err := c.GetOrFill("k", func() (any, int64, error) { return "ok", 2, nil })
@@ -140,7 +150,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if b := c.Bytes(); b > 512 {
+	if _, b := resident(c); b > 512 {
 		t.Fatalf("cache over bound: %d bytes", b)
 	}
 }

@@ -88,9 +88,6 @@ type Config struct {
 	// Seed fixes every replica client's retry-jitter stream, so chaos
 	// runs replay deterministically.
 	Seed uint64
-
-	// VirtualNodes per shard on the hash ring; 0 means the default.
-	VirtualNodes int
 }
 
 // shard is one configured shard at runtime. All fields are immutable
@@ -173,7 +170,7 @@ func New(cfg Config) (*Router, error) {
 		policy.Budget = transport.NewRetryBudget(float64(2*n), float64(n))
 	}
 	r := &Router{
-		ring:          newRing(len(cfg.Shards), cfg.VirtualNodes),
+		ring:          newRing(len(cfg.Shards)),
 		budget:        policy.Budget,
 		readFailovers: obs.GetCounter("cluster_read_failovers_total"),
 		readFailed:    obs.GetCounter("cluster_read_failures_total"),
@@ -219,19 +216,8 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Budget exposes the shared retry budget (stats, tests).
-func (r *Router) Budget() *transport.RetryBudget { return r.budget }
-
 // Shards reports the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
-
-// Replicas returns the replicas of shard i, primary first — the chaos
-// harness uses it to pick victims.
-func (r *Router) Replicas(i int) []*Replica {
-	sh := r.shards[i]
-	out := []*Replica{sh.primary}
-	return append(out, sh.replicas...)
-}
 
 // ShardFor reports which shard owns an object ID.
 func (r *Router) ShardFor(key string) int { return r.ring.shardFor(key) }

@@ -62,10 +62,16 @@ func routerClient(r *Router) transport.DBClient {
 	return transport.DBClient{C: transport.Loopback{H: r}}
 }
 
+// replicasOf returns the replicas of shard i, primary first.
+func replicasOf(r *Router, i int) []*Replica {
+	sh := r.shards[i]
+	return append([]*Replica{sh.primary}, sh.replicas...)
+}
+
 // TestRingPlacement pins the ring's contract: deterministic placement,
 // full shard coverage, and every key owned by exactly one shard.
 func TestRingPlacement(t *testing.T) {
-	rg := newRing(3, 0)
+	rg := newRing(3)
 	hit := make(map[int]int)
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("store/object-%d.mpg", i)
@@ -172,7 +178,7 @@ func TestDocumentDigestAcrossReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rep := range r.Replicas(shard) {
+		for _, rep := range replicasOf(r, shard) {
 			rec, err := rep.DB.GetSelectedDoc(name, 0)
 			if err != nil || rec.Digest != primary.Digest || string(rec.Data) != string(primary.Data) {
 				t.Errorf("%s on %s: %+v, %v; want the primary's copy under %#x", name, rep.Name, rec, err, primary.Digest)
@@ -186,7 +192,7 @@ func TestDocumentDigestAcrossReplicas(t *testing.T) {
 		if _, err := db.PutDocument(name, "T:"+name, "asn1", []byte("second edition of "+name), "network/atm"); err != nil {
 			t.Fatalf("republish %s: %v", name, err)
 		}
-		rec, err := r.Replicas(shard)[0].DB.GetSelectedDoc(name, primary.Digest)
+		rec, err := replicasOf(r, shard)[0].DB.GetSelectedDoc(name, primary.Digest)
 		if err != nil || string(rec.Data) != "second edition of "+name || rec.Digest == primary.Digest {
 			t.Errorf("%s through the primary after an acknowledged put: %+v, %v; want the second edition", name, rec, err)
 		}
@@ -443,11 +449,11 @@ func TestKeywordTreeMerge(t *testing.T) {
 // retries beyond it.
 func TestRouterSharesRetryBudget(t *testing.T) {
 	r, _ := testCluster(t, 2, 2)
-	if r.Budget() == nil {
+	if r.budget == nil {
 		t.Fatal("router built without a shared retry budget")
 	}
 	// 4 replicas: default budget is 2 tokens per replica.
-	if got := r.Budget().Tokens(); got != 8 {
+	if got := r.budget.Tokens(); got != 8 {
 		t.Fatalf("default budget tokens = %v, want 8", got)
 	}
 }

@@ -22,16 +22,13 @@ type ringPoint struct {
 	shard int
 }
 
-// defaultVirtualNodes balances placement evenness against lookup-table
-// size: at 64 points per shard the per-shard keyspace share stays
-// within a few percent of uniform for small clusters.
-const defaultVirtualNodes = 64
+// virtualNodes balances placement evenness against lookup-table size:
+// at 64 points per shard the per-shard keyspace share stays within a
+// few percent of uniform for small clusters.
+const virtualNodes = 64
 
 // newRing builds the ring for nShards shards.
-func newRing(nShards, virtualNodes int) *ring {
-	if virtualNodes <= 0 {
-		virtualNodes = defaultVirtualNodes
-	}
+func newRing(nShards int) *ring {
 	r := &ring{points: make([]ringPoint, 0, nShards*virtualNodes)}
 	for s := 0; s < nShards; s++ {
 		for v := 0; v < virtualNodes; v++ {

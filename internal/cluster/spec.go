@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"time"
 
@@ -45,31 +46,27 @@ func ParseSpec(spec string, callTimeout time.Duration) ([]ShardConfig, error) {
 	return shards, nil
 }
 
-// TCPOptions tunes NewTCPRouter; zero values take the defaults of the
-// resilience layer (and a 2s call timeout).
-type TCPOptions struct {
-	CallTimeout      time.Duration
-	Policy           transport.RetryPolicy
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	Seed             uint64
-}
-
 // NewTCPRouter builds a router over a -cluster topology string, each
-// replica reached through its own resilient TCP client stack.
-func NewTCPRouter(spec string, opts TCPOptions) (*Router, error) {
-	if opts.CallTimeout <= 0 {
-		opts.CallTimeout = 2 * time.Second
-	}
-	shards, err := ParseSpec(spec, opts.CallTimeout)
+// replica reached through its own resilient TCP client stack with the
+// resilience layer's defaults and a 2s call timeout.
+func NewTCPRouter(spec string) (*Router, error) {
+	shards, err := ParseSpec(spec, 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	return New(Config{
-		Shards:           shards,
-		Policy:           opts.Policy,
-		BreakerThreshold: opts.BreakerThreshold,
-		BreakerCooldown:  opts.BreakerCooldown,
-		Seed:             opts.Seed,
-	})
+	return New(Config{Shards: shards})
+}
+
+// TCPDialer dials a remote store node by address, for shards running
+// in other processes (cmd/mitsd -cluster).
+func TCPDialer(addr string, callTimeout time.Duration) transport.Dialer {
+	return func() (transport.Client, error) {
+		conn, err := net.DialTimeout("tcp", addr, callTimeout)
+		if err != nil {
+			return nil, err
+		}
+		c := transport.NewTCPClient(conn)
+		c.Timeout = callTimeout
+		return c, nil
+	}
 }

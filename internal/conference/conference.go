@@ -23,50 +23,50 @@ import (
 
 // Audio parameters: 64 kb/s PCM voice in 20 ms frames (160 bytes).
 const (
-	AudioFrameInterval = 20 * time.Millisecond
-	AudioFrameBytes    = 160
-	AudioBitRate       = 64000
+	audioFrameInterval = 20 * time.Millisecond
+	audioFrameBytes    = 160
+	audioBitRate       = 64000
 )
 
 // Video parameters: a small conference window.
 const (
-	VideoFrameInterval = 100 * time.Millisecond // 10 fps talking head
-	VideoFrameBytes    = 3000                   // ≈240 kb/s
-	VideoBitRate       = 8 * VideoFrameBytes * 10
+	videoFrameInterval = 100 * time.Millisecond // 10 fps talking head
+	videoFrameBytes    = 3000                   // ≈240 kb/s
+	videoBitRate       = 8 * videoFrameBytes * 10
 )
 
-// LatencyBudget is the mouth-to-ear delay above which conversation
+// latencyBudget is the mouth-to-ear delay above which conversation
 // degrades (the classic 150 ms interactive threshold).
-const LatencyBudget = 150 * time.Millisecond
+const latencyBudget = 150 * time.Millisecond
 
 // StreamQuality summarizes one direction of one medium.
 type StreamQuality struct {
-	FramesSent      int
-	FramesDelivered int
+	framesSent      int
+	framesDelivered int
 	Latency         sim.Series // per-frame mouth-to-ear delay (ns)
-	LateFrames      int        // frames beyond the latency budget
+	lateFrames      int        // frames beyond the latency budget
 }
 
 // LossRate reports the fraction of frames lost.
 func (q *StreamQuality) LossRate() float64 {
-	if q.FramesSent == 0 {
+	if q.framesSent == 0 {
 		return 0
 	}
-	return float64(q.FramesSent-q.FramesDelivered) / float64(q.FramesSent)
+	return float64(q.framesSent-q.framesDelivered) / float64(q.framesSent)
 }
 
 // LateRate reports the fraction of delivered frames past the budget.
 func (q *StreamQuality) LateRate() float64 {
-	if q.FramesDelivered == 0 {
+	if q.framesDelivered == 0 {
 		return 0
 	}
-	return float64(q.LateFrames) / float64(q.FramesDelivered)
+	return float64(q.lateFrames) / float64(q.framesDelivered)
 }
 
 // PartyQuality groups the streams one participant receives.
 type PartyQuality struct {
 	Audio StreamQuality
-	Video StreamQuality
+	video StreamQuality
 }
 
 // Session is a two-party conference between hosts on an ATM network.
@@ -100,11 +100,11 @@ func Dial(n *atm.Network, a, b *atm.Host, opts Options) (*Session, error) {
 	}
 	s := &Session{net: n, duration: opts.Duration}
 
-	audioContract := atm.CBRContract(AudioBitRate * 1.2) // header room
-	videoContract := atm.VBRContract(VideoBitRate, VideoBitRate*4, 100)
+	audioContract := atm.CBRContract(audioBitRate * 1.2) // header room
+	videoContract := atm.VBRContract(videoBitRate, videoBitRate*4, 100)
 	if opts.BestEffort {
-		audioContract = atm.UBRContract(AudioBitRate * 1.2)
-		videoContract = atm.UBRContract(VideoBitRate * 1.2)
+		audioContract = atm.UBRContract(audioBitRate * 1.2)
+		videoContract = atm.UBRContract(videoBitRate * 1.2)
 	}
 
 	type dir struct {
@@ -123,19 +123,19 @@ func Dial(n *atm.Network, a, b *atm.Host, opts Options) (*Session, error) {
 			return nil, fmt.Errorf("conference: audio %s→%s: %w", d.from.Name(), d.to.Name(), err)
 		}
 		s.conns = append(s.conns, audio)
-		s.schedule(audio, AudioFrameInterval, AudioFrameBytes, &s.Quality[d.party].Audio)
+		s.schedule(audio, audioFrameInterval, audioFrameBytes, &s.Quality[d.party].Audio)
 
 		if opts.VideoEnabled {
 			video, err := n.Open(d.from, d.to, videoContract, atm.OpenOptions{
 				Deliver: func(pdu []byte, sent, now sim.Time) {
-					s.receive(&s.Quality[d.party].Video, sent, now)
+					s.receive(&s.Quality[d.party].video, sent, now)
 				},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("conference: video %s→%s: %w", d.from.Name(), d.to.Name(), err)
 			}
 			s.conns = append(s.conns, video)
-			s.schedule(video, VideoFrameInterval, VideoFrameBytes, &s.Quality[d.party].Video)
+			s.schedule(video, videoFrameInterval, videoFrameBytes, &s.Quality[d.party].video)
 		}
 	}
 	return s, nil
@@ -147,18 +147,18 @@ func (s *Session) schedule(conn *atm.Connection, interval time.Duration, size in
 		at := sim.Zero.Add(time.Duration(i) * interval)
 		s.net.Clock().At(at, func(sim.Time) {
 			if conn.Send(make([]byte, size)) == nil {
-				q.FramesSent++
+				q.framesSent++
 			}
 		})
 	}
 }
 
 func (s *Session) receive(q *StreamQuality, sent, now sim.Time) {
-	q.FramesDelivered++
+	q.framesDelivered++
 	lat := now.Sub(sent)
 	q.Latency.AddDuration(lat)
-	if lat > LatencyBudget {
-		q.LateFrames++
+	if lat > latencyBudget {
+		q.lateFrames++
 	}
 }
 

@@ -57,14 +57,14 @@ func TestAudioOnlyCallOnIdleNetwork(t *testing.T) {
 	}
 	for i := range s.Quality {
 		q := &s.Quality[i].Audio
-		if q.FramesSent != 500 || q.FramesDelivered != 500 {
-			t.Errorf("party %d audio %d/%d frames", i, q.FramesDelivered, q.FramesSent)
+		if q.framesSent != 500 || q.framesDelivered != 500 {
+			t.Errorf("party %d audio %d/%d frames", i, q.framesDelivered, q.framesSent)
 		}
 		if mean := time.Duration(q.Latency.Mean()); mean > 20*time.Millisecond {
 			t.Errorf("party %d mouth-to-ear %v", i, mean)
 		}
-		if q.LateFrames != 0 {
-			t.Errorf("party %d late frames %d", i, q.LateFrames)
+		if q.lateFrames != 0 {
+			t.Errorf("party %d late frames %d", i, q.lateFrames)
 		}
 	}
 }
@@ -77,8 +77,8 @@ func TestVideoCallAddsStreams(t *testing.T) {
 	}
 	n.Clock().Run()
 	for i := range s.Quality {
-		if s.Quality[i].Video.FramesDelivered != 50 {
-			t.Errorf("party %d video %d/50 frames", i, s.Quality[i].Video.FramesDelivered)
+		if s.Quality[i].video.framesDelivered != 50 {
+			t.Errorf("party %d video %d/50 frames", i, s.Quality[i].video.framesDelivered)
 		}
 	}
 	if !s.Usable() {
@@ -141,7 +141,7 @@ func TestHangupReleasesReservations(t *testing.T) {
 }
 
 func TestQualityAccessors(t *testing.T) {
-	q := StreamQuality{FramesSent: 100, FramesDelivered: 90, LateFrames: 9}
+	q := StreamQuality{framesSent: 100, framesDelivered: 90, lateFrames: 9}
 	if q.LossRate() != 0.1 {
 		t.Errorf("loss %v", q.LossRate())
 	}

@@ -63,7 +63,7 @@ func E7ClientServer() (*Report, error) {
 		for i := 0; i < clients; i++ {
 			host := n.AddHost(fmt.Sprintf("user%d", i))
 			n.Connect(host, sw, 155e6, 500*time.Microsecond)
-			sess, err := transport.OpenATMSession(n, host, server, mux, transport.ATMSessionOptions{ServiceTime: 2 * time.Millisecond})
+			sess, err := transport.OpenATMSession(n, host, server, mux, 2*time.Millisecond)
 			if err != nil {
 				return nil, err
 			}

@@ -104,7 +104,7 @@ func E5Layers() (*Report, error) {
 	}
 	mux := transport.NewMux()
 	transport.RegisterStore(mux, store)
-	sess, err := transport.OpenATMSession(n, user, dbh, mux, transport.ATMSessionOptions{ServiceTime: time.Millisecond})
+	sess, err := transport.OpenATMSession(n, user, dbh, mux, time.Millisecond)
 	if err != nil {
 		return nil, err
 	}

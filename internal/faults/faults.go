@@ -1,29 +1,25 @@
 // Package faults is the deterministic fault-injection layer of the
-// chaos harness (experiment E28). MITS is a five-site distributed
-// system — content server, authoring site and navigators talk over a
-// client–server protocol on a broadband network (Fig 3.5) — and the
-// resilience mechanisms in transport and navigator exist precisely for
-// the moments that network misbehaves. This package manufactures those
-// moments on demand and, crucially, *reproducibly*: every decision
-// (drop this write? stall this read? how much jitter?) is drawn from a
-// sim.RNG stream seeded by the caller, so replaying a scenario with
-// the same seed injects the identical fault sequence. E28 asserts
-// exactly that.
+// chaos tests in transport and cluster; no binary links it. MITS is a
+// five-site distributed system — content server, authoring site and
+// navigators talk over a client–server protocol on a broadband network
+// (Fig 3.5) — and the resilience mechanisms in transport and navigator
+// exist precisely for the moments that network misbehaves. This package
+// manufactures those moments on demand and, crucially, *reproducibly*:
+// every decision (drop this write? stall this read? how much jitter?)
+// is drawn from a sim.RNG stream seeded by the caller, so replaying a
+// scenario with the same seed injects the identical fault sequence.
+// TestReplayDeterminism asserts exactly that.
 //
-// Two injection surfaces are provided:
-//
-//   - net.Conn / net.Listener wrappers for the real TCP path (latency,
-//     jitter, silent drops, truncation, byte corruption, read stalls,
-//     accept errors, full partition);
-//   - an RPC hook for the virtual-time ATM path (per-call delay, drop,
-//     injected error) fitting transport.ATMSessionOptions.Fault.
+// The injection surface is a pair of net.Conn / net.Listener wrappers
+// for the real TCP path: latency, jitter, silent drops, truncation,
+// byte corruption, read stalls, accept errors, full partition.
 //
 // Determinism discipline: injection happens only where the operation
 // sequence is itself deterministic. Conn decisions are drawn per Write
 // call and per first-Read-after-a-Write (one logical response), never
 // per raw Read, because TCP segmentation makes the raw read count
-// nondeterministic. With a single sequential client — the E28 shape —
-// the draw sequence, and therefore the event log, replays exactly.
+// nondeterministic. With a single sequential client the draw
+// sequence, and therefore the event log, replays exactly.
 package faults
 
 import (
@@ -38,12 +34,10 @@ import (
 // Scenario parameterizes one fault regime. The zero value injects
 // nothing (a clean network); each field enables one fault class.
 // Probabilities are per injection opportunity (one Write, one logical
-// response read, one Accept, one RPC).
+// response read, one Accept).
 type Scenario struct {
-	Name string
-
 	// Latency delays every Write; Jitter adds a uniform extra in
-	// [0, Jitter). On the ATM hook both apply per RPC in virtual time.
+	// [0, Jitter).
 	Latency time.Duration
 	Jitter  time.Duration
 
@@ -66,9 +60,6 @@ type Scenario struct {
 	// AcceptErrProb makes a wrapped listener's Accept fail with a
 	// temporary error, exercising server accept-loop backoff.
 	AcceptErrProb float64
-
-	// ErrProb injects a synthetic error on the ATM RPC hook.
-	ErrProb float64
 
 	// Partitioned refuses dials and fails conn I/O instantly, a full
 	// network partition. Toggle at runtime with SetPartitioned to
@@ -94,14 +85,7 @@ func NewInjector(scen Scenario, seed uint64) *Injector {
 	return &Injector{scen: scen, rng: sim.NewRNG(seed)}
 }
 
-// Scenario reports the injector's current scenario.
-func (in *Injector) Scenario() Scenario {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.scen
-}
-
-// SetPartitioned heals or severs the network at runtime (the E28
+// SetPartitioned heals or severs the network at runtime (a
 // partition-then-heal phase).
 func (in *Injector) SetPartitioned(p bool) {
 	in.mu.Lock()
@@ -111,7 +95,7 @@ func (in *Injector) SetPartitioned(p bool) {
 
 // Events returns a copy of the injected-fault log, in injection order.
 // Two runs of the same scenario, seed and caller behaviour produce
-// identical logs — the replay invariant E28 asserts.
+// identical logs — the replay invariant.
 func (in *Injector) Events() []string {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -233,24 +217,4 @@ func (in *Injector) partitioned(op string) bool {
 	in.seq++
 	in.recordLocked("partition", op)
 	return true
-}
-
-// RPC is the fault hook for the virtual-time ATM path (fits
-// transport.ATMSessionOptions.Fault): a virtual delay before the
-// request is sent, a silent drop (only the session deadline can finish
-// the call), or an injected error delivered to the caller.
-func (in *Injector) RPC(method string) (delay time.Duration, drop bool, err error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.seq++
-	delay = in.delayLocked()
-	switch {
-	case in.draw(in.scen.DropProb):
-		in.recordLocked("rpc-drop", method)
-		return delay, true, nil
-	case in.draw(in.scen.ErrProb):
-		in.recordLocked("rpc-err", method)
-		return delay, false, fmt.Errorf("%w: rpc %s", ErrInjected, method)
-	}
-	return delay, false, nil
 }

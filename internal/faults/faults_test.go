@@ -155,19 +155,6 @@ func TestAcceptErrIsTemporary(t *testing.T) {
 	}
 }
 
-func TestRPCHookDrawsFaults(t *testing.T) {
-	in := NewInjector(Scenario{DropProb: 1, Latency: time.Millisecond}, 7)
-	delay, drop, err := in.RPC("db.Get_Selected_Doc")
-	if !drop || err != nil || delay < time.Millisecond {
-		t.Fatalf("RPC = (%v, %v, %v), want dropped with latency", delay, drop, err)
-	}
-	in2 := NewInjector(Scenario{ErrProb: 1}, 8)
-	_, drop, err = in2.RPC("m")
-	if drop || !errors.Is(err, ErrInjected) {
-		t.Fatalf("RPC err-injection = (%v, %v), want ErrInjected", drop, err)
-	}
-}
-
 // TestReplayDeterminism drives two injectors with the same seed and
 // scenario through the same operation sequence and requires identical
 // event logs — the invariant that makes chaos runs reproducible.
@@ -176,7 +163,7 @@ func TestReplayDeterminism(t *testing.T) {
 		Latency: time.Microsecond, Jitter: time.Microsecond,
 		DropProb: 0.3, CorruptProb: 0.2, TruncProb: 0.1,
 		StallProb: 0.25, StallFor: time.Microsecond,
-		AcceptErrProb: 0.4, ErrProb: 0.2,
+		AcceptErrProb: 0.4,
 	}
 	run := func() []string {
 		in := NewInjector(scen, 42)
@@ -184,7 +171,6 @@ func TestReplayDeterminism(t *testing.T) {
 			in.writePlan(100)
 			in.readStall()
 			in.acceptErr()
-			in.RPC("m")
 		}
 		return in.Events()
 	}

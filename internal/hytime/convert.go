@@ -23,14 +23,14 @@ import (
 //   - ilinks become behaviors: rule "user" → clicked, rule "finish" →
 //     finished; targets in another scene become goto actions.
 func ToIMD(d *Doc) (*document.IMDoc, error) {
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	tAxis, ok := d.TemporalAxis()
+	tAxis, ok := d.temporalAxis()
 	if !ok {
 		return nil, fmt.Errorf("hytime: document has no temporal axis to schedule scenes on")
 	}
-	axis, _ := d.Axis(tAxis)
+	axis, _ := d.axis(tAxis)
 	eng := NewEngine(d)
 
 	// Which events source a user link? They render as buttons.
@@ -44,7 +44,7 @@ func ToIMD(d *Doc) (*document.IMDoc, error) {
 		}
 		src := eps[0]
 		for _, tgt := range eps[1:] {
-			if l.Rule == RuleUser {
+			if l.rule == ruleUser {
 				userSources[src] = true
 				userLinks[src] = append(userLinks[src], tgt)
 			} else {
@@ -56,70 +56,70 @@ func ToIMD(d *Doc) (*document.IMDoc, error) {
 	// Scene of each event, for cross-scene link targets.
 	sceneOf := make(map[string]string)
 	for _, f := range d.FCSs {
-		for _, ev := range f.Events {
-			if _, ok := ev.Extent(tAxis); ok {
-				sceneOf[ev.ID] = f.ID
+		for _, ev := range f.events {
+			if _, ok := ev.extent(tAxis); ok {
+				sceneOf[ev.id] = f.ID
 			}
 		}
 	}
 
 	toDuration := func(units int64) time.Duration {
-		return time.Duration(float64(units) / float64(axis.PerSecond) * float64(time.Second))
+		return time.Duration(float64(units) / float64(axis.perSecond) * float64(time.Second))
 	}
 
 	var scenes []*document.Scene
 	for _, f := range d.FCSs {
-		s := &document.Scene{ID: f.ID, Title: f.Title}
+		s := &document.Scene{ID: f.ID, Title: f.title}
 		if s.Title == "" {
 			s.Title = f.ID
 		}
 		hasTimed := false
-		for _, ev := range f.Events {
-			tx, onTime := ev.Extent(tAxis)
+		for _, ev := range f.events {
+			tx, onTime := ev.extent(tAxis)
 			if !onTime {
 				continue
 			}
 			hasTimed = true
-			ent, _ := d.Entity(ev.Entity)
-			obj := document.SceneObject{ID: ev.ID, Channel: "stage"}
+			ent, _ := d.entity(ev.entity)
+			obj := document.SceneObject{ID: ev.id, Channel: "stage"}
 			switch {
-			case userSources[ev.ID]:
+			case userSources[ev.id]:
 				obj.Kind = document.ObjButton
 				obj.Text = buttonLabel(ev, ent)
 				obj.Channel = "controls"
-			case kindOfNotation(ent.Notation) == "video":
+			case kindOfNotation(ent.notation) == "video":
 				obj.Kind = document.ObjVideo
-				obj.Media = ent.System
-			case kindOfNotation(ent.Notation) == "audio":
+				obj.Media = ent.system
+			case kindOfNotation(ent.notation) == "audio":
 				obj.Kind = document.ObjAudio
-				obj.Media = ent.System
+				obj.Media = ent.system
 				obj.Channel = "audio"
-			case kindOfNotation(ent.Notation) == "image":
+			case kindOfNotation(ent.notation) == "image":
 				obj.Kind = document.ObjImage
-				obj.Media = ent.System
+				obj.Media = ent.system
 			default:
 				obj.Kind = document.ObjText
-				obj.Text = ent.Text
+				obj.Text = ent.text
 				if obj.Text == "" {
-					obj.Text = ent.System
+					obj.Text = ent.system
 				}
 			}
 			if obj.Kind.Presentable() {
-				obj.Duration = toDuration(tx.Dur)
+				obj.Duration = toDuration(tx.dur)
 			}
-			if xx, ok := ev.Extent("x"); ok {
-				obj.At.X = int(xx.Start)
-				obj.At.W = int(xx.Dur)
+			if xx, ok := ev.extent("x"); ok {
+				obj.At.X = int(xx.start)
+				obj.At.W = int(xx.dur)
 			}
-			if yy, ok := ev.Extent("y"); ok {
-				obj.At.Y = int(yy.Start)
-				obj.At.H = int(yy.Dur)
+			if yy, ok := ev.extent("y"); ok {
+				obj.At.Y = int(yy.start)
+				obj.At.H = int(yy.dur)
 			}
 			s.Objects = append(s.Objects, obj)
 			// Buttons live outside the timeline; media places at start.
 			if obj.Kind != document.ObjButton {
 				s.Timeline = append(s.Timeline, document.Placement{
-					Object: ev.ID, Kind: document.PlaceAt, Offset: toDuration(tx.Start),
+					Object: ev.id, Kind: document.PlaceAt, Offset: toDuration(tx.start),
 				})
 			}
 		}
@@ -127,18 +127,18 @@ func ToIMD(d *Doc) (*document.IMDoc, error) {
 			continue // a pure layout FCS (rendition target), not a scene
 		}
 		// Behaviors from links whose source is in this scene.
-		for _, ev := range f.Events {
-			addLinkBehaviors(s, ev.ID, userLinks[ev.ID], document.BEvClicked, sceneOf, f.ID)
-			addLinkBehaviors(s, ev.ID, finishLinks[ev.ID], document.BEvFinished, sceneOf, f.ID)
+		for _, ev := range f.events {
+			addLinkBehaviors(s, ev.id, userLinks[ev.id], document.BEvClicked, sceneOf, f.ID)
+			addLinkBehaviors(s, ev.id, finishLinks[ev.id], document.BEvFinished, sceneOf, f.ID)
 		}
 		scenes = append(scenes, s)
 	}
 	if len(scenes) == 0 {
 		return nil, fmt.Errorf("hytime: no FCS schedules events on the temporal axis %q", tAxis)
 	}
-	title := d.Title
+	title := d.title
 	if title == "" {
-		title = d.ID
+		title = d.id
 	}
 	doc := &document.IMDoc{
 		Title:    title,
@@ -147,14 +147,14 @@ func ToIMD(d *Doc) (*document.IMDoc, error) {
 	return doc, doc.Validate()
 }
 
-func buttonLabel(ev *Event, ent Entity) string {
-	if ev.Label != "" {
-		return ev.Label
+func buttonLabel(ev *Event, ent entity) string {
+	if ev.label != "" {
+		return ev.label
 	}
-	if ent.Text != "" {
-		return ent.Text
+	if ent.text != "" {
+		return ent.text
 	}
-	return ev.ID
+	return ev.id
 }
 
 func addLinkBehaviors(s *document.Scene, src string, targets []string, event document.BEvent, sceneOf map[string]string, sceneID string) {
@@ -200,72 +200,72 @@ func dedupe(in []string) []string {
 // pipeline converts it for interchange.
 func SampleCourse() *Doc {
 	return &Doc{
-		ID:    "atm-hytime",
-		Title: "ATM Technology (HyTime authoring)",
-		Axes: []Axis{
-			{Name: "t", Unit: "ms", PerSecond: 1000},
-			{Name: "x", Unit: "vu"},
-			{Name: "y", Unit: "vu"},
+		id:    "atm-hytime",
+		title: "ATM Technology (HyTime authoring)",
+		axes: []axis{
+			{name: "t", unit: "ms", perSecond: 1000},
+			{name: "x", unit: "vu"},
+			{name: "y", unit: "vu"},
 		},
-		Entities: []Entity{
-			{ID: "welcome-clip", System: "store/atm/welcome.mpg", Notation: "MPEG"},
-			{ID: "welcome-tune", System: "store/atm/welcome.mid", Notation: "MIDI"},
-			{ID: "cells-text", Notation: "text", Text: "An ATM cell is 53 bytes: a 5-byte header and a 48-byte payload."},
-			{ID: "cell-diagram", System: "store/atm/cell-format.jpg", Notation: "JPEG"},
-			{ID: "show-btn", Notation: "text", Text: "Show cell diagram"},
+		entities: []entity{
+			{id: "welcome-clip", system: "store/atm/welcome.mpg", notation: "MPEG"},
+			{id: "welcome-tune", system: "store/atm/welcome.mid", notation: "MIDI"},
+			{id: "cells-text", notation: "text", text: "An ATM cell is 53 bytes: a 5-byte header and a 48-byte payload."},
+			{id: "cell-diagram", system: "store/atm/cell-format.jpg", notation: "JPEG"},
+			{id: "show-btn", notation: "text", text: "Show cell diagram"},
 		},
 		FCSs: []*FCS{
 			{
-				ID: "intro", Title: "Welcome", Axes: []string{"t", "x", "y"},
-				Events: []*Event{
-					{ID: "ev-welcome", Entity: "welcome-clip", Extents: []Extent{
-						{Axis: "t", Start: 0, Dur: 8000},
-						{Axis: "x", Start: 0, Dur: 352},
-						{Axis: "y", Start: 0, Dur: 240},
+				ID: "intro", title: "Welcome", axes: []string{"t", "x", "y"},
+				events: []*Event{
+					{id: "ev-welcome", entity: "welcome-clip", extents: []extent{
+						{axis: "t", start: 0, dur: 8000},
+						{axis: "x", start: 0, dur: 352},
+						{axis: "y", start: 0, dur: 240},
 					}},
-					{ID: "ev-tune", Entity: "welcome-tune", Extents: []Extent{
-						{Axis: "t", Start: 0, Dur: 8000},
+					{id: "ev-tune", entity: "welcome-tune", extents: []extent{
+						{axis: "t", start: 0, dur: 8000},
 					}},
 				},
 			},
 			{
-				ID: "cells", Title: "ATM Cells", Axes: []string{"t", "x", "y"},
-				Events: []*Event{
-					{ID: "ev-text", Entity: "cells-text", Extents: []Extent{
-						{Axis: "t", Start: 0, Dur: 20000},
-						{Axis: "x", Start: 0, Dur: 400},
-						{Axis: "y", Start: 0, Dur: 200},
+				ID: "cells", title: "ATM Cells", axes: []string{"t", "x", "y"},
+				events: []*Event{
+					{id: "ev-text", entity: "cells-text", extents: []extent{
+						{axis: "t", start: 0, dur: 20000},
+						{axis: "x", start: 0, dur: 400},
+						{axis: "y", start: 0, dur: 200},
 					}},
-					{ID: "ev-diagram", Entity: "cell-diagram", Extents: []Extent{
-						{Axis: "t", Start: 20000, Dur: 10000},
-						{Axis: "x", Start: 0, Dur: 400},
-						{Axis: "y", Start: 0, Dur: 300},
+					{id: "ev-diagram", entity: "cell-diagram", extents: []extent{
+						{axis: "t", start: 20000, dur: 10000},
+						{axis: "x", start: 0, dur: 400},
+						{axis: "y", start: 0, dur: 300},
 					}},
-					{ID: "ev-btn", Entity: "show-btn", Extents: []Extent{
-						{Axis: "t", Start: 0, Dur: 20000},
-						{Axis: "x", Start: 420, Dur: 120},
-						{Axis: "y", Start: 0, Dur: 30},
+					{id: "ev-btn", entity: "show-btn", extents: []extent{
+						{axis: "t", start: 0, dur: 20000},
+						{axis: "x", start: 420, dur: 120},
+						{axis: "y", start: 0, dur: 30},
 					}},
 				},
 			},
 		},
-		NameLocs: []NameLoc{
-			{ID: "loc-btn", Ref: "ev-btn"},
-			{ID: "loc-diagram", Ref: "ev-diagram"},
-			{ID: "loc-welcome", Ref: "ev-welcome"},
-			{ID: "loc-text", Ref: "ev-text"},
+		nameLocs: []nameLoc{
+			{id: "loc-btn", ref: "ev-btn"},
+			{id: "loc-diagram", ref: "ev-diagram"},
+			{id: "loc-welcome", ref: "ev-welcome"},
+			{id: "loc-text", ref: "ev-text"},
 		},
 		Links: []ILink{
 			// Clicking the button shows the diagram (Fig 4.4b's choice).
-			{ID: "lnk-show", Endpoints: []string{"loc-btn", "loc-diagram"}, Rule: RuleUser},
+			{ID: "lnk-show", endpoints: []string{"loc-btn", "loc-diagram"}, rule: ruleUser},
 			// When the welcome clip finishes, move to the cells scene.
-			{ID: "lnk-advance", Endpoints: []string{"loc-welcome", "loc-text"}, Rule: RuleFinish},
+			{ID: "lnk-advance", endpoints: []string{"loc-welcome", "loc-text"}, rule: ruleFinish},
 		},
-		Renditions: []Rendition{
+		renditions: []rendition{
 			// Map generic video units onto a 2× presentation space.
-			{ID: "rnd-screen", From: "intro", To: "screen", Maps: []AxisMap{
-				{Axis: "x", Scale: 2, Offset: 16},
-				{Axis: "y", Scale: 2, Offset: 16},
+			{id: "rnd-screen", from: "intro", to: "screen", maps: []axisMap{
+				{axis: "x", scale: 2, offset: 16},
+				{axis: "y", scale: 2, offset: 16},
 			}},
 		},
 	}

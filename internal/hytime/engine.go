@@ -14,7 +14,7 @@ import (
 // links arrive fully resolved, every HyTime query pays a resolution
 // step — the E21 experiment counts them.
 type Engine struct {
-	Doc *Doc
+	doc *Doc
 
 	// Resolutions counts address resolutions performed, the runtime
 	// cost §2.3.2 attributes to HyTime presentation.
@@ -22,20 +22,20 @@ type Engine struct {
 }
 
 // NewEngine wraps a validated document.
-func NewEngine(d *Doc) *Engine { return &Engine{Doc: d} }
+func NewEngine(d *Doc) *Engine { return &Engine{doc: d} }
 
-// ResolveLocation resolves a location id (nameloc or treeloc) to the id
+// resolveLocation resolves a location id (nameloc or treeloc) to the id
 // of the element it addresses.
-func (e *Engine) ResolveLocation(locID string) (string, error) {
+func (e *Engine) resolveLocation(locID string) (string, error) {
 	e.Resolutions++
-	for _, n := range e.Doc.NameLocs {
-		if n.ID == locID {
-			return n.Ref, nil
+	for _, n := range e.doc.nameLocs {
+		if n.id == locID {
+			return n.ref, nil
 		}
 	}
-	for _, tl := range e.Doc.TreeLocs {
-		if tl.ID == locID {
-			el, err := e.resolveTree(tl.Path)
+	for _, tl := range e.doc.treeLocs {
+		if tl.id == locID {
+			el, err := e.resolveTree(tl.path)
 			if err != nil {
 				return "", err
 			}
@@ -49,14 +49,14 @@ func (e *Engine) ResolveLocation(locID string) (string, error) {
 	if _, ok := e.findEvent(locID); ok {
 		return locID, nil
 	}
-	if _, ok := e.Doc.Entity(locID); ok {
+	if _, ok := e.doc.entity(locID); ok {
 		return locID, nil
 	}
 	return "", fmt.Errorf("hytime: unknown location %q", locID)
 }
 
 func (e *Engine) resolveTree(path []int) (*markup.Element, error) {
-	el := e.Doc.root
+	el := e.doc.root
 	if el == nil {
 		return nil, fmt.Errorf("hytime: no document tree retained")
 	}
@@ -70,8 +70,8 @@ func (e *Engine) resolveTree(path []int) (*markup.Element, error) {
 }
 
 func (e *Engine) findEvent(id string) (*Event, bool) {
-	for _, f := range e.Doc.FCSs {
-		if ev, ok := f.Event(id); ok {
+	for _, f := range e.doc.FCSs {
+		if ev, ok := f.event(id); ok {
 			return ev, true
 		}
 	}
@@ -83,27 +83,27 @@ func (e *Engine) findEvent(id string) (*Event, bool) {
 // schedules".
 func (e *Engine) EventsAt(fcsID, axis string, t int64) ([]*Event, error) {
 	e.Resolutions++
-	f, ok := e.Doc.FCS(fcsID)
+	f, ok := e.doc.fcs(fcsID)
 	if !ok {
 		return nil, fmt.Errorf("hytime: unknown fcs %q", fcsID)
 	}
 	var out []*Event
-	for _, ev := range f.Events {
-		x, ok := ev.Extent(axis)
+	for _, ev := range f.events {
+		x, ok := ev.extent(axis)
 		if !ok {
 			continue
 		}
-		if t >= x.Start && t < x.Start+x.Dur {
+		if t >= x.start && t < x.start+x.dur {
 			out = append(out, ev)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		xi, _ := out[i].Extent(axis)
-		xj, _ := out[j].Extent(axis)
-		if xi.Start != xj.Start {
-			return xi.Start < xj.Start
+		xi, _ := out[i].extent(axis)
+		xj, _ := out[j].extent(axis)
+		if xi.start != xj.start {
+			return xi.start < xj.start
 		}
-		return out[i].ID < out[j].ID
+		return out[i].id < out[j].id
 	})
 	return out, nil
 }
@@ -111,14 +111,14 @@ func (e *Engine) EventsAt(fcsID, axis string, t int64) ([]*Event, error) {
 // Span reports the FCS's total extent on the axis.
 func (e *Engine) Span(fcsID, axis string) (int64, error) {
 	e.Resolutions++
-	f, ok := e.Doc.FCS(fcsID)
+	f, ok := e.doc.fcs(fcsID)
 	if !ok {
 		return 0, fmt.Errorf("hytime: unknown fcs %q", fcsID)
 	}
 	var span int64
-	for _, ev := range f.Events {
-		if x, ok := ev.Extent(axis); ok {
-			if end := x.Start + x.Dur; end > span {
+	for _, ev := range f.events {
+		if x, ok := ev.extent(axis); ok {
+			if end := x.start + x.dur; end > span {
 				span = end
 			}
 		}
@@ -130,13 +130,13 @@ func (e *Engine) Span(fcsID, axis string) (int64, error) {
 // the hyperlink traversal of §2.2.1.3, which in HyTime requires
 // resolving each endpoint's location chain at traversal time.
 func (e *Engine) Traverse(linkID string) ([]string, error) {
-	for _, l := range e.Doc.Links {
+	for _, l := range e.doc.Links {
 		if l.ID != linkID {
 			continue
 		}
-		out := make([]string, 0, len(l.Endpoints))
-		for _, ep := range l.Endpoints {
-			id, err := e.ResolveLocation(ep)
+		out := make([]string, 0, len(l.endpoints))
+		for _, ep := range l.endpoints {
+			id, err := e.resolveLocation(ep)
 			if err != nil {
 				return nil, fmt.Errorf("hytime: link %q: %w", linkID, err)
 			}
@@ -147,17 +147,17 @@ func (e *Engine) Traverse(linkID string) ([]string, error) {
 	return nil, fmt.Errorf("hytime: unknown link %q", linkID)
 }
 
-// Rendered applies the FCS's rendition (if any) to an event's extent on
+// rendered applies the FCS's rendition (if any) to an event's extent on
 // an axis, yielding presentation coordinates.
-func (e *Engine) Rendered(fcsID string, ev *Event, axis string) (Extent, error) {
+func (e *Engine) rendered(fcsID string, ev *Event, axis string) (extent, error) {
 	e.Resolutions++
-	x, ok := ev.Extent(axis)
+	x, ok := ev.extent(axis)
 	if !ok {
-		return Extent{}, fmt.Errorf("hytime: event %q has no extent on %q", ev.ID, axis)
+		return extent{}, fmt.Errorf("hytime: event %q has no extent on %q", ev.id, axis)
 	}
-	for _, r := range e.Doc.Renditions {
-		if r.From == fcsID {
-			return r.Apply(x), nil
+	for _, r := range e.doc.renditions {
+		if r.from == fcsID {
+			return r.apply(x), nil
 		}
 	}
 	return x, nil

@@ -33,156 +33,156 @@ import (
 	"mits/internal/markup"
 )
 
-// Axis is one dimension of the measurement module: a named axis
+// axis is one dimension of the measurement module: a named axis
 // measured in units with a granularity (units per second for temporal
 // axes; 0 marks a spatial/virtual axis).
-type Axis struct {
-	Name      string
-	Unit      string
-	PerSecond int // >0: temporal axis with this many units per second
+type axis struct {
+	name      string
+	unit      string
+	perSecond int // >0: temporal axis with this many units per second
 }
 
-// Temporal reports whether the axis measures time.
-func (a Axis) Temporal() bool { return a.PerSecond > 0 }
+// temporal reports whether the axis measures time.
+func (a axis) temporal() bool { return a.perSecond > 0 }
 
-// Entity is a declared external content object (the SGML entity that
+// entity is a declared external content object (the SGML entity that
 // HyTime addressing ultimately grounds in).
-type Entity struct {
-	ID       string
-	System   string // system identifier: the content reference
-	Notation string // data notation: MPEG, JPEG, WAV, text…
-	Text     string // inline text entities
+type entity struct {
+	id       string
+	system   string // system identifier: the content reference
+	notation string // data notation: MPEG, JPEG, WAV, text…
+	text     string // inline text entities
 }
 
-// Extent places an event along one axis.
-type Extent struct {
-	Axis  string
-	Start int64
-	Dur   int64
+// extent places an event along one axis.
+type extent struct {
+	axis  string
+	start int64
+	dur   int64
 }
 
 // Event schedules one entity in a finite coordinate space.
 type Event struct {
-	ID      string
-	Entity  string // entity id presented by this event
-	Label   string
-	Extents []Extent
+	id      string
+	entity  string // entity id presented by this event
+	label   string
+	extents []extent
 }
 
-// Extent returns the event's extent on the named axis.
-func (e *Event) Extent(axis string) (Extent, bool) {
-	for _, x := range e.Extents {
-		if x.Axis == axis {
+// extent returns the event's extent on the named axis.
+func (e *Event) extent(axis string) (extent, bool) {
+	for _, x := range e.extents {
+		if x.axis == axis {
 			return x, true
 		}
 	}
-	return Extent{}, false
+	return extent{}, false
 }
 
 // FCS is a finite coordinate space of the scheduling module: a set of
 // axes with events placed on them.
 type FCS struct {
 	ID     string
-	Title  string
-	Axes   []string
-	Events []*Event
+	title  string
+	axes   []string
+	events []*Event
 }
 
-// Event finds an event by id.
-func (f *FCS) Event(id string) (*Event, bool) {
-	for _, e := range f.Events {
-		if e.ID == id {
+// event finds an event by id.
+func (f *FCS) event(id string) (*Event, bool) {
+	for _, e := range f.events {
+		if e.id == id {
 			return e, true
 		}
 	}
 	return nil, false
 }
 
-// NameLoc is a name-space address: "the most robust form of address in
+// nameLoc is a name-space address: "the most robust form of address in
 // that it can survive changes in the object being addressed"
 // (§2.2.1.3).
-type NameLoc struct {
-	ID  string
-	Ref string // id of the addressed element (event or entity)
+type nameLoc struct {
+	id  string
+	ref string // id of the addressed element (event or entity)
 }
 
-// TreeLoc is a coordinate address into the document tree: "the first
+// treeLoc is a coordinate address into the document tree: "the first
 // child of the second child of the root" (§2.2.1.3). Path components
 // are 1-based child indexes from the document element.
-type TreeLoc struct {
-	ID   string
-	Path []int
+type treeLoc struct {
+	id   string
+	path []int
 }
 
-// LinkRule describes when an ilink is traversed.
-type LinkRule string
+// linkRule describes when an ilink is traversed.
+type linkRule string
 
 // Link traversal rules.
 const (
-	RuleUser   LinkRule = "user"   // traversed on user activation
-	RuleFinish LinkRule = "finish" // traversed when the source event ends
+	ruleUser   linkRule = "user"   // traversed on user activation
+	ruleFinish linkRule = "finish" // traversed when the source event ends
 )
 
 // ILink is an independent link between located endpoints.
 type ILink struct {
 	ID        string
-	Endpoints []string // location ids; first is the source
-	Rule      LinkRule
+	endpoints []string // location ids; first is the source
+	rule      linkRule
 }
 
-// AxisMap is one axis mapping of a rendition.
-type AxisMap struct {
-	Axis   string
-	Scale  float64
-	Offset int64
+// axisMap is one axis mapping of a rendition.
+type axisMap struct {
+	axis   string
+	scale  float64
+	offset int64
 }
 
-// Rendition maps events of one FCS onto another (generic layout →
+// rendition maps events of one FCS onto another (generic layout →
 // presentation layout, §2.2.1.2's rendition module).
-type Rendition struct {
-	ID   string
-	From string
-	To   string
-	Maps []AxisMap
+type rendition struct {
+	id   string
+	from string
+	to   string
+	maps []axisMap
 }
 
 // Doc is a parsed HyTime document.
 type Doc struct {
-	ID         string
-	Title      string
-	Axes       []Axis
-	Entities   []Entity
+	id         string
+	title      string
+	axes       []axis
+	entities   []entity
 	FCSs       []*FCS
-	NameLocs   []NameLoc
-	TreeLocs   []TreeLoc
+	nameLocs   []nameLoc
+	treeLocs   []treeLoc
 	Links      []ILink
-	Renditions []Rendition
+	renditions []rendition
 
 	root *markup.Element // retained for tree-location resolution
 }
 
-// Axis finds an axis by name.
-func (d *Doc) Axis(name string) (Axis, bool) {
-	for _, a := range d.Axes {
-		if a.Name == name {
+// axis finds an axis by name.
+func (d *Doc) axis(name string) (axis, bool) {
+	for _, a := range d.axes {
+		if a.name == name {
 			return a, true
 		}
 	}
-	return Axis{}, false
+	return axis{}, false
 }
 
-// Entity finds an entity by id.
-func (d *Doc) Entity(id string) (Entity, bool) {
-	for _, e := range d.Entities {
-		if e.ID == id {
+// entity finds an entity by id.
+func (d *Doc) entity(id string) (entity, bool) {
+	for _, e := range d.entities {
+		if e.id == id {
 			return e, true
 		}
 	}
-	return Entity{}, false
+	return entity{}, false
 }
 
-// FCS finds a coordinate space by id.
-func (d *Doc) FCS(id string) (*FCS, bool) {
+// fcs finds a coordinate space by id.
+func (d *Doc) fcs(id string) (*FCS, bool) {
 	for _, f := range d.FCSs {
 		if f.ID == id {
 			return f, true
@@ -191,30 +191,30 @@ func (d *Doc) FCS(id string) (*FCS, bool) {
 	return nil, false
 }
 
-// TemporalAxis returns the document's (first) temporal axis name.
-func (d *Doc) TemporalAxis() (string, bool) {
-	for _, a := range d.Axes {
-		if a.Temporal() {
-			return a.Name, true
+// temporalAxis returns the document's (first) temporal axis name.
+func (d *Doc) temporalAxis() (string, bool) {
+	for _, a := range d.axes {
+		if a.temporal() {
+			return a.name, true
 		}
 	}
 	return "", false
 }
 
-// Validate checks referential integrity across the modules.
-func (d *Doc) Validate() error {
-	if d.ID == "" {
+// validate checks referential integrity across the modules.
+func (d *Doc) validate() error {
+	if d.id == "" {
 		return fmt.Errorf("hytime: document has no id")
 	}
-	axes := make(map[string]Axis, len(d.Axes))
-	for _, a := range d.Axes {
-		if a.Name == "" {
+	axes := make(map[string]axis, len(d.axes))
+	for _, a := range d.axes {
+		if a.name == "" {
 			return fmt.Errorf("hytime: axis with empty name")
 		}
-		if _, dup := axes[a.Name]; dup {
-			return fmt.Errorf("hytime: duplicate axis %q", a.Name)
+		if _, dup := axes[a.name]; dup {
+			return fmt.Errorf("hytime: duplicate axis %q", a.name)
 		}
-		axes[a.Name] = a
+		axes[a.name] = a
 	}
 	ids := make(map[string]string) // id → element kind
 	declare := func(id, kind string) error {
@@ -227,65 +227,65 @@ func (d *Doc) Validate() error {
 		ids[id] = kind
 		return nil
 	}
-	for _, e := range d.Entities {
-		if err := declare(e.ID, "entity"); err != nil {
+	for _, e := range d.entities {
+		if err := declare(e.id, "entity"); err != nil {
 			return err
 		}
-		if e.System == "" && e.Text == "" {
-			return fmt.Errorf("hytime: entity %q has neither system identifier nor text", e.ID)
+		if e.system == "" && e.text == "" {
+			return fmt.Errorf("hytime: entity %q has neither system identifier nor text", e.id)
 		}
 	}
 	for _, f := range d.FCSs {
 		if err := declare(f.ID, "fcs"); err != nil {
 			return err
 		}
-		for _, ax := range f.Axes {
+		for _, ax := range f.axes {
 			if _, ok := axes[ax]; !ok {
 				return fmt.Errorf("hytime: fcs %q uses undeclared axis %q", f.ID, ax)
 			}
 		}
-		fcsAxes := make(map[string]bool, len(f.Axes))
-		for _, ax := range f.Axes {
+		fcsAxes := make(map[string]bool, len(f.axes))
+		for _, ax := range f.axes {
 			fcsAxes[ax] = true
 		}
-		for _, ev := range f.Events {
-			if err := declare(ev.ID, "event"); err != nil {
+		for _, ev := range f.events {
+			if err := declare(ev.id, "event"); err != nil {
 				return err
 			}
-			if _, ok := d.Entity(ev.Entity); !ok {
-				return fmt.Errorf("hytime: event %q schedules undeclared entity %q", ev.ID, ev.Entity)
+			if _, ok := d.entity(ev.entity); !ok {
+				return fmt.Errorf("hytime: event %q schedules undeclared entity %q", ev.id, ev.entity)
 			}
-			if len(ev.Extents) == 0 {
-				return fmt.Errorf("hytime: event %q has no extents", ev.ID)
+			if len(ev.extents) == 0 {
+				return fmt.Errorf("hytime: event %q has no extents", ev.id)
 			}
-			for _, x := range ev.Extents {
-				if !fcsAxes[x.Axis] {
-					return fmt.Errorf("hytime: event %q extent on axis %q outside fcs %q", ev.ID, x.Axis, f.ID)
+			for _, x := range ev.extents {
+				if !fcsAxes[x.axis] {
+					return fmt.Errorf("hytime: event %q extent on axis %q outside fcs %q", ev.id, x.axis, f.ID)
 				}
-				if x.Start < 0 || x.Dur < 0 {
-					return fmt.Errorf("hytime: event %q has negative extent on %q", ev.ID, x.Axis)
+				if x.start < 0 || x.dur < 0 {
+					return fmt.Errorf("hytime: event %q has negative extent on %q", ev.id, x.axis)
 				}
 			}
 		}
 	}
-	for _, n := range d.NameLocs {
-		if err := declare(n.ID, "nameloc"); err != nil {
+	for _, n := range d.nameLocs {
+		if err := declare(n.id, "nameloc"); err != nil {
 			return err
 		}
-		if _, ok := ids[n.Ref]; !ok {
-			return fmt.Errorf("hytime: nameloc %q addresses unknown id %q", n.ID, n.Ref)
+		if _, ok := ids[n.ref]; !ok {
+			return fmt.Errorf("hytime: nameloc %q addresses unknown id %q", n.id, n.ref)
 		}
 	}
-	for _, tl := range d.TreeLocs {
-		if err := declare(tl.ID, "treeloc"); err != nil {
+	for _, tl := range d.treeLocs {
+		if err := declare(tl.id, "treeloc"); err != nil {
 			return err
 		}
-		if len(tl.Path) == 0 {
-			return fmt.Errorf("hytime: treeloc %q has empty path", tl.ID)
+		if len(tl.path) == 0 {
+			return fmt.Errorf("hytime: treeloc %q has empty path", tl.id)
 		}
-		for _, step := range tl.Path {
+		for _, step := range tl.path {
 			if step < 1 {
-				return fmt.Errorf("hytime: treeloc %q has non-positive step", tl.ID)
+				return fmt.Errorf("hytime: treeloc %q has non-positive step", tl.id)
 			}
 		}
 	}
@@ -294,10 +294,10 @@ func (d *Doc) Validate() error {
 		if err := declare(l.ID, "ilink"); err != nil {
 			return err
 		}
-		if len(l.Endpoints) < 2 {
+		if len(l.endpoints) < 2 {
 			return fmt.Errorf("hytime: ilink %q needs ≥2 endpoints", l.ID)
 		}
-		for _, ep := range l.Endpoints {
+		for _, ep := range l.endpoints {
 			kind, ok := ids[ep]
 			if !ok {
 				return fmt.Errorf("hytime: ilink %q endpoint %q unknown", l.ID, ep)
@@ -306,42 +306,42 @@ func (d *Doc) Validate() error {
 				return fmt.Errorf("hytime: ilink %q endpoint %q is a %s, want a location or event", l.ID, ep, kind)
 			}
 		}
-		switch l.Rule {
-		case RuleUser, RuleFinish:
+		switch l.rule {
+		case ruleUser, ruleFinish:
 		default:
-			return fmt.Errorf("hytime: ilink %q has unknown traversal rule %q", l.ID, l.Rule)
+			return fmt.Errorf("hytime: ilink %q has unknown traversal rule %q", l.ID, l.rule)
 		}
 	}
-	for _, r := range d.Renditions {
-		if err := declare(r.ID, "rendition"); err != nil {
+	for _, r := range d.renditions {
+		if err := declare(r.id, "rendition"); err != nil {
 			return err
 		}
-		if _, ok := d.FCS(r.From); !ok {
-			return fmt.Errorf("hytime: rendition %q maps from unknown fcs %q", r.ID, r.From)
+		if _, ok := d.fcs(r.from); !ok {
+			return fmt.Errorf("hytime: rendition %q maps from unknown fcs %q", r.id, r.from)
 		}
-		for _, m := range r.Maps {
-			if _, ok := axes[m.Axis]; !ok {
-				return fmt.Errorf("hytime: rendition %q maps undeclared axis %q", r.ID, m.Axis)
+		for _, m := range r.maps {
+			if _, ok := axes[m.axis]; !ok {
+				return fmt.Errorf("hytime: rendition %q maps undeclared axis %q", r.id, m.axis)
 			}
-			if m.Scale == 0 {
-				return fmt.Errorf("hytime: rendition %q has zero scale on %q", r.ID, m.Axis)
+			if m.scale == 0 {
+				return fmt.Errorf("hytime: rendition %q has zero scale on %q", r.id, m.axis)
 			}
 		}
 	}
 	return nil
 }
 
-// Apply maps an extent through the rendition ("events in one FCS can be
+// apply maps an extent through the rendition ("events in one FCS can be
 // mapped to another FCS", §2.2.1.2).
-func (r Rendition) Apply(x Extent) Extent {
-	for _, m := range r.Maps {
-		if m.Axis != x.Axis {
+func (r rendition) apply(x extent) extent {
+	for _, m := range r.maps {
+		if m.axis != x.axis {
 			continue
 		}
-		return Extent{
-			Axis:  x.Axis,
-			Start: int64(float64(x.Start)*m.Scale) + m.Offset,
-			Dur:   int64(float64(x.Dur) * m.Scale),
+		return extent{
+			axis:  x.axis,
+			start: int64(float64(x.start)*m.scale) + m.offset,
+			dur:   int64(float64(x.dur) * m.scale),
 		}
 	}
 	return x

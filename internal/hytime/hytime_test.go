@@ -14,10 +14,10 @@ import (
 
 func TestSampleCourseValidates(t *testing.T) {
 	d := SampleCourse()
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ax, ok := d.TemporalAxis(); !ok || ax != "t" {
+	if ax, ok := d.temporalAxis(); !ok || ax != "t" {
 		t.Errorf("temporal axis %q ok=%v", ax, ok)
 	}
 }
@@ -29,21 +29,21 @@ func TestMarkupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
-	if parsed.ID != d.ID || parsed.Title != d.Title {
-		t.Errorf("identity lost: %q %q", parsed.ID, parsed.Title)
+	if parsed.id != d.id || parsed.title != d.title {
+		t.Errorf("identity lost: %q %q", parsed.id, parsed.title)
 	}
-	if len(parsed.Axes) != 3 || len(parsed.Entities) != 5 || len(parsed.FCSs) != 2 ||
-		len(parsed.NameLocs) != 4 || len(parsed.Links) != 2 || len(parsed.Renditions) != 1 {
+	if len(parsed.axes) != 3 || len(parsed.entities) != 5 || len(parsed.FCSs) != 2 ||
+		len(parsed.nameLocs) != 4 || len(parsed.Links) != 2 || len(parsed.renditions) != 1 {
 		t.Errorf("structure lost: %d axes %d entities %d fcs %d locs %d links %d renditions",
-			len(parsed.Axes), len(parsed.Entities), len(parsed.FCSs),
-			len(parsed.NameLocs), len(parsed.Links), len(parsed.Renditions))
+			len(parsed.axes), len(parsed.entities), len(parsed.FCSs),
+			len(parsed.nameLocs), len(parsed.Links), len(parsed.renditions))
 	}
-	cells, ok := parsed.FCS("cells")
-	if !ok || len(cells.Events) != 3 {
+	cells, ok := parsed.fcs("cells")
+	if !ok || len(cells.events) != 3 {
 		t.Fatalf("cells fcs %+v", cells)
 	}
-	ev, _ := cells.Event("ev-diagram")
-	if x, ok := ev.Extent("t"); !ok || x.Start != 20000 || x.Dur != 10000 {
+	ev, _ := cells.event("ev-diagram")
+	if x, ok := ev.extent("t"); !ok || x.start != 20000 || x.dur != 10000 {
 		t.Errorf("diagram extent %+v", x)
 	}
 }
@@ -62,7 +62,7 @@ func TestParseArchitecturalForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.FCSs) != 1 || len(d.FCSs[0].Events) != 1 {
+	if len(d.FCSs) != 1 || len(d.FCSs[0].events) != 1 {
 		t.Errorf("architectural forms not recognized: %+v", d.FCSs)
 	}
 }
@@ -114,7 +114,7 @@ func TestEngineScheduleQueries(t *testing.T) {
 		t.Fatalf("EventsAt(0)=%v err=%v", at0, err)
 	}
 	at25, err := e.EventsAt("cells", "t", 25000)
-	if err != nil || len(at25) != 1 || at25[0].ID != "ev-diagram" {
+	if err != nil || len(at25) != 1 || at25[0].id != "ev-diagram" {
 		t.Fatalf("EventsAt(25s)=%v", at25)
 	}
 	span, err := e.Span("cells", "t")
@@ -131,30 +131,30 @@ func TestEngineScheduleQueries(t *testing.T) {
 
 func TestEngineLocationResolution(t *testing.T) {
 	d := SampleCourse()
-	d.TreeLocs = append(d.TreeLocs, TreeLoc{ID: "tl-first-axis", Path: []int{1, 1}})
+	d.treeLocs = append(d.treeLocs, treeLoc{id: "tl-first-axis", path: []int{1, 1}})
 	// Re-parse to get the document tree for treelocs.
 	parsed, err := Parse(d.Markup())
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := NewEngine(parsed)
-	id, err := e.ResolveLocation("loc-btn")
+	id, err := e.resolveLocation("loc-btn")
 	if err != nil || id != "ev-btn" {
 		t.Errorf("nameloc → %q err=%v", id, err)
 	}
 	// Tree path 1,1: hydoc → axes → first axis.
-	id, err = e.ResolveLocation("tl-first-axis")
+	id, err = e.resolveLocation("tl-first-axis")
 	if err != nil || id != "t" {
 		t.Errorf("treeloc → %q err=%v", id, err)
 	}
 	// Events and entities self-address.
-	if id, _ := e.ResolveLocation("ev-text"); id != "ev-text" {
+	if id, _ := e.resolveLocation("ev-text"); id != "ev-text" {
 		t.Error("event self-address")
 	}
-	if id, _ := e.ResolveLocation("welcome-clip"); id != "welcome-clip" {
+	if id, _ := e.resolveLocation("welcome-clip"); id != "welcome-clip" {
 		t.Error("entity self-address")
 	}
-	if _, err := e.ResolveLocation("ghost"); err == nil {
+	if _, err := e.resolveLocation("ghost"); err == nil {
 		t.Error("ghost location resolved")
 	}
 	if e.Resolutions == 0 {
@@ -175,24 +175,24 @@ func TestEngineTraverse(t *testing.T) {
 
 func TestRenditionMapping(t *testing.T) {
 	e := NewEngine(SampleCourse())
-	f, _ := e.Doc.FCS("intro")
-	ev, _ := f.Event("ev-welcome")
-	out, err := e.Rendered("intro", ev, "x")
+	f, _ := e.doc.fcs("intro")
+	ev, _ := f.event("ev-welcome")
+	out, err := e.rendered("intro", ev, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// x: start 0, dur 352, scale 2 offset 16 → start 16, dur 704.
-	if out.Start != 16 || out.Dur != 704 {
+	if out.start != 16 || out.dur != 704 {
 		t.Errorf("rendered extent %+v", out)
 	}
 	// An FCS without a rendition passes extents through.
-	cf, _ := e.Doc.FCS("cells")
-	cev, _ := cf.Event("ev-text")
-	plain, err := e.Rendered("cells", cev, "x")
-	if err != nil || plain.Start != 0 || plain.Dur != 400 {
+	cf, _ := e.doc.fcs("cells")
+	cev, _ := cf.event("ev-text")
+	plain, err := e.rendered("cells", cev, "x")
+	if err != nil || plain.start != 0 || plain.dur != 400 {
 		t.Errorf("unmapped extent %+v err=%v", plain, err)
 	}
-	if _, err := e.Rendered("cells", cev, "nope"); err == nil {
+	if _, err := e.rendered("cells", cev, "nope"); err == nil {
 		t.Error("missing axis rendered")
 	}
 }
@@ -248,14 +248,14 @@ func TestToIMDStructure(t *testing.T) {
 
 func TestToIMDErrors(t *testing.T) {
 	d := SampleCourse()
-	d.Axes[0].PerSecond = 0 // no temporal axis
+	d.axes[0].perSecond = 0 // no temporal axis
 	if _, err := ToIMD(d); err == nil || !strings.Contains(err.Error(), "temporal axis") {
 		t.Errorf("err=%v", err)
 	}
 	bad := SampleCourse()
 	bad.FCSs = nil
 	bad.Links = nil
-	bad.NameLocs = nil
+	bad.nameLocs = nil
 	if _, err := ToIMD(bad); err == nil {
 		t.Error("converted doc without schedules")
 	}

@@ -21,8 +21,8 @@ func Parse(src []byte) (*Doc, error) {
 		return nil, fmt.Errorf("hytime: document element <%s> is not a HyDoc", root.Name)
 	}
 	d := &Doc{
-		ID:    root.Attr("id"),
-		Title: root.Attr("title"),
+		id:    root.Attr("id"),
+		title: root.Attr("title"),
 		root:  root,
 	}
 	var perr error
@@ -32,90 +32,90 @@ func Parse(src []byte) (*Doc, error) {
 		}
 		switch form(el) {
 		case "axis":
-			d.Axes = append(d.Axes, Axis{
-				Name:      el.Attr("id"),
-				Unit:      el.Attr("unit"),
-				PerSecond: int(el.AttrInt("persecond")),
+			d.axes = append(d.axes, axis{
+				name:      el.Attr("id"),
+				unit:      el.Attr("unit"),
+				perSecond: int(el.AttrInt("persecond")),
 			})
 		case "entity":
-			d.Entities = append(d.Entities, Entity{
-				ID:       el.Attr("id"),
-				System:   el.Attr("system"),
-				Notation: el.Attr("notation"),
-				Text:     el.Text,
+			d.entities = append(d.entities, entity{
+				id:       el.Attr("id"),
+				system:   el.Attr("system"),
+				notation: el.Attr("notation"),
+				text:     el.Text,
 			})
 		case "fcs":
-			f := &FCS{ID: el.Attr("id"), Title: el.Attr("title")}
+			f := &FCS{ID: el.Attr("id"), title: el.Attr("title")}
 			if ax := el.Attr("axes"); ax != "" {
-				f.Axes = strings.Fields(ax)
+				f.axes = strings.Fields(ax)
 			}
 			for _, evEl := range el.Kids {
 				if form(evEl) != "event" {
 					continue
 				}
 				ev := &Event{
-					ID:     evEl.Attr("id"),
-					Entity: evEl.Attr("ref"),
-					Label:  evEl.Attr("label"),
+					id:     evEl.Attr("id"),
+					entity: evEl.Attr("ref"),
+					label:  evEl.Attr("label"),
 				}
 				for _, xEl := range evEl.Children("extent") {
-					ev.Extents = append(ev.Extents, Extent{
-						Axis:  xEl.Attr("axis"),
-						Start: xEl.AttrInt("start"),
-						Dur:   xEl.AttrInt("dur"),
+					ev.extents = append(ev.extents, extent{
+						axis:  xEl.Attr("axis"),
+						start: xEl.AttrInt("start"),
+						dur:   xEl.AttrInt("dur"),
 					})
 				}
-				f.Events = append(f.Events, ev)
+				f.events = append(f.events, ev)
 			}
 			d.FCSs = append(d.FCSs, f)
 		case "nameloc":
-			d.NameLocs = append(d.NameLocs, NameLoc{ID: el.Attr("id"), Ref: el.Attr("ref")})
+			d.nameLocs = append(d.nameLocs, nameLoc{id: el.Attr("id"), ref: el.Attr("ref")})
 		case "treeloc":
-			tl := TreeLoc{ID: el.Attr("id")}
+			tl := treeLoc{id: el.Attr("id")}
 			for _, part := range strings.Fields(el.Attr("path")) {
 				n, err := strconv.Atoi(part)
 				if err != nil {
-					perr = fmt.Errorf("hytime: treeloc %q has bad path step %q", tl.ID, part)
+					perr = fmt.Errorf("hytime: treeloc %q has bad path step %q", tl.id, part)
 					return
 				}
-				tl.Path = append(tl.Path, n)
+				tl.path = append(tl.path, n)
 			}
-			d.TreeLocs = append(d.TreeLocs, tl)
+			d.treeLocs = append(d.treeLocs, tl)
 		case "ilink":
-			rule := LinkRule(el.Attr("rule"))
+			rule := linkRule(el.Attr("rule"))
 			if rule == "" {
-				rule = RuleUser
+				rule = ruleUser
 			}
 			d.Links = append(d.Links, ILink{
 				ID:        el.Attr("id"),
-				Endpoints: strings.Fields(el.Attr("endpoints")),
-				Rule:      rule,
+				endpoints: strings.Fields(el.Attr("endpoints")),
+				rule:      rule,
 			})
 		case "rendition":
-			r := Rendition{ID: el.Attr("id"), From: el.Attr("from"), To: el.Attr("to")}
+			r := rendition{id: el.Attr("id"), from: el.Attr("from"), to: el.Attr("to")}
 			for _, mEl := range el.Children("map") {
 				scale := 1.0
 				if s := mEl.Attr("scale"); s != "" {
 					v, err := strconv.ParseFloat(s, 64)
 					if err != nil {
-						perr = fmt.Errorf("hytime: rendition %q has bad scale %q", r.ID, s)
+						perr = fmt.Errorf("hytime: rendition %q has bad scale %q", r.id, s)
 						return
 					}
 					scale = v
 				}
-				r.Maps = append(r.Maps, AxisMap{
-					Axis:   mEl.Attr("axis"),
-					Scale:  scale,
-					Offset: mEl.AttrInt("offset"),
+				r.maps = append(r.maps, axisMap{
+					axis:   mEl.Attr("axis"),
+					scale:  scale,
+					offset: mEl.AttrInt("offset"),
 				})
 			}
-			d.Renditions = append(d.Renditions, r)
+			d.renditions = append(d.renditions, r)
 		}
 	})
 	if perr != nil {
 		return nil, perr
 	}
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -137,47 +137,47 @@ func form(el *markup.Element) string {
 // Markup serializes the document back to its interchange form (used by
 // authoring tools and the E21 experiment to measure document sizes).
 func (d *Doc) Markup() []byte {
-	root := markup.New("hydoc").Set("id", d.ID).Set("title", d.Title)
+	root := markup.New("hydoc").Set("id", d.id).Set("title", d.title)
 	axes := markup.New("axes")
-	for _, a := range d.Axes {
-		axes.Add(markup.New("axis").Set("id", a.Name).Set("unit", a.Unit).SetInt("persecond", int64(a.PerSecond)))
+	for _, a := range d.axes {
+		axes.Add(markup.New("axis").Set("id", a.name).Set("unit", a.unit).SetInt("persecond", int64(a.perSecond)))
 	}
 	root.Add(axes)
-	for _, e := range d.Entities {
-		el := markup.New("entity").Set("id", e.ID).Set("system", e.System).Set("notation", e.Notation)
-		el.Text = e.Text
+	for _, e := range d.entities {
+		el := markup.New("entity").Set("id", e.id).Set("system", e.system).Set("notation", e.notation)
+		el.Text = e.text
 		root.Add(el)
 	}
 	for _, f := range d.FCSs {
-		fEl := markup.New("fcs").Set("id", f.ID).Set("title", f.Title).Set("axes", strings.Join(f.Axes, " "))
-		for _, ev := range f.Events {
-			evEl := markup.New("event").Set("id", ev.ID).Set("ref", ev.Entity).Set("label", ev.Label)
-			for _, x := range ev.Extents {
-				evEl.Add(markup.New("extent").Set("axis", x.Axis).SetInt("start", x.Start).SetInt("dur", x.Dur))
+		fEl := markup.New("fcs").Set("id", f.ID).Set("title", f.title).Set("axes", strings.Join(f.axes, " "))
+		for _, ev := range f.events {
+			evEl := markup.New("event").Set("id", ev.id).Set("ref", ev.entity).Set("label", ev.label)
+			for _, x := range ev.extents {
+				evEl.Add(markup.New("extent").Set("axis", x.axis).SetInt("start", x.start).SetInt("dur", x.dur))
 			}
 			fEl.Add(evEl)
 		}
 		root.Add(fEl)
 	}
-	for _, n := range d.NameLocs {
-		root.Add(markup.New("nameloc").Set("id", n.ID).Set("ref", n.Ref))
+	for _, n := range d.nameLocs {
+		root.Add(markup.New("nameloc").Set("id", n.id).Set("ref", n.ref))
 	}
-	for _, tl := range d.TreeLocs {
-		parts := make([]string, len(tl.Path))
-		for i, p := range tl.Path {
+	for _, tl := range d.treeLocs {
+		parts := make([]string, len(tl.path))
+		for i, p := range tl.path {
 			parts[i] = strconv.Itoa(p)
 		}
-		root.Add(markup.New("treeloc").Set("id", tl.ID).Set("path", strings.Join(parts, " ")))
+		root.Add(markup.New("treeloc").Set("id", tl.id).Set("path", strings.Join(parts, " ")))
 	}
 	for _, l := range d.Links {
 		root.Add(markup.New("ilink").Set("id", l.ID).
-			Set("endpoints", strings.Join(l.Endpoints, " ")).Set("rule", string(l.Rule)))
+			Set("endpoints", strings.Join(l.endpoints, " ")).Set("rule", string(l.rule)))
 	}
-	for _, r := range d.Renditions {
-		rEl := markup.New("rendition").Set("id", r.ID).Set("from", r.From).Set("to", r.To)
-		for _, m := range r.Maps {
-			mEl := markup.New("map").Set("axis", m.Axis).SetInt("offset", m.Offset)
-			mEl.Set("scale", strconv.FormatFloat(m.Scale, 'g', -1, 64))
+	for _, r := range d.renditions {
+		rEl := markup.New("rendition").Set("id", r.id).Set("from", r.from).Set("to", r.to)
+		for _, m := range r.maps {
+			mEl := markup.New("map").Set("axis", m.axis).SetInt("offset", m.offset)
+			mEl.Set("scale", strconv.FormatFloat(m.scale, 'g', -1, 64))
 			rEl.Add(mEl)
 		}
 		root.Add(rEl)

@@ -95,7 +95,6 @@ func TestStoreConcurrentStress(t *testing.T) {
 				}
 				s.DocsByKeyword("networking")
 				s.ListDocuments()
-				s.ListContent("store/")
 				s.HasContent(ref)
 				s.Stats()
 				s.Sizes()

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,21 +318,6 @@ func (s *Store) HasContent(refs ...string) (missing []string) {
 		}
 	}
 	return missing
-}
-
-// ListContent returns stored content references, optionally filtered by
-// a prefix ("store/atm/").
-func (s *Store) ListContent(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	refs := make([]string, 0, len(s.content))
-	for r := range s.content {
-		if strings.HasPrefix(r, prefix) {
-			refs = append(refs, r)
-		}
-	}
-	sort.Strings(refs)
-	return refs
 }
 
 // Stats reports served volume for the experiments.

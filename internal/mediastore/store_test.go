@@ -87,12 +87,6 @@ func TestContentDatabase(t *testing.T) {
 	if _, err := s.GetContent("store/zzz"); !errors.Is(err, ErrNotFound) {
 		t.Error("missing content found")
 	}
-	if got := s.ListContent("store/atm/"); len(got) != 2 {
-		t.Errorf("ListContent(atm)=%v", got)
-	}
-	if got := s.ListContent(""); len(got) != 3 {
-		t.Errorf("ListContent()=%v", got)
-	}
 	missing := s.HasContent("store/atm/cells.wav", "store/zzz", "store/yyy")
 	if !reflect.DeepEqual(missing, []string{"store/zzz", "store/yyy"}) {
 		t.Errorf("missing=%v", missing)

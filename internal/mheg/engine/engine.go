@@ -1066,42 +1066,6 @@ func (e *Engine) fetchContent(c *mheg.Content) {
 	}
 }
 
-// ContentData returns the data of a content model: inline bytes, or the
-// cached/fetched referenced data.
-func (e *Engine) ContentData(id mheg.ID) ([]byte, error) {
-	c, ok := e.models[id].(*mheg.Content)
-	if !ok {
-		if m, okm := e.models[id].(*mheg.MultiplexedContent); okm {
-			c = &m.Content
-		} else {
-			return nil, fmt.Errorf("engine: %v is not content", id)
-		}
-	}
-	if !c.Referenced() {
-		return c.Inline, nil
-	}
-	if data, ok := e.contentCache[c.ContentRef]; ok {
-		e.Stats.CacheHits++
-		e.metrics.cacheHits.Inc()
-		return data, nil
-	}
-	if e.resolver == nil {
-		return nil, fmt.Errorf("engine: no resolver for content %q", c.ContentRef)
-	}
-	data, err := e.resolver.FetchContent(c.ContentRef)
-	if err != nil {
-		e.metrics.fetchErrs.Inc()
-		return nil, err
-	}
-	e.Stats.ContentFetches++
-	e.metrics.fetches.Inc()
-	e.Stats.BytesFetched += int64(len(data))
-	if !e.DisableCache {
-		e.contentCache[c.ContentRef] = data
-	}
-	return data, nil
-}
-
 // Subscribe adds a presentation-event sink at run time.
 func (e *Engine) Subscribe(r Renderer) { e.renderers = append(e.renderers, r) }
 

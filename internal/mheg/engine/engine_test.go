@@ -473,9 +473,8 @@ func TestContentFetchCaching(t *testing.T) {
 }
 
 // TestContentFetchErrorsCounted: a resolver failure is counted once per
-// failed fetch on both paths — a presentation's fetch and ContentData —
-// and a failed fetch is not cached, so the next presentation tries (and
-// counts) again.
+// failed fetch, and a failed fetch is not cached, so the next
+// presentation tries (and counts) again.
 func TestContentFetchErrorsCounted(t *testing.T) {
 	failing := ResolverFunc(func(ref string) ([]byte, error) { return nil, fmt.Errorf("store down: %s", ref) })
 	errs := obs.GetCounter("mheg_content_fetch_errors_total")
@@ -490,38 +489,8 @@ func TestContentFetchErrorsCounted(t *testing.T) {
 	if got := errs.Value() - before; got != 3 {
 		t.Errorf("3 failed presentation fetches counted %d errors", got)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := e.ContentData(id(1)); err == nil {
-			t.Fatal("ContentData through a failing resolver succeeded")
-		}
-	}
-	if got := errs.Value() - before; got != 5 {
-		t.Errorf("3 failed fetches and 2 failed ContentData counted %d errors, want 5", got)
-	}
 	if e.Stats.ContentFetches != 0 || e.Stats.BytesFetched != 0 {
 		t.Errorf("failed fetches reached Stats: %+v", e.Stats)
-	}
-}
-
-func TestContentData(t *testing.T) {
-	e, _, _ := newTestEngine(t)
-	inline := mheg.NewTextContent(id(1), "inline text")
-	e.AddModel(inline)
-	data, err := e.ContentData(id(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if txt, _ := media.TextContent(media.CodingASCII, data); txt != "inline text" {
-		t.Errorf("inline data %q", txt)
-	}
-	ref := mheg.NewVideoContent(id(2), "store/x", mheg.Size{}, time.Second)
-	e.AddModel(ref)
-	if _, err := e.ContentData(id(2)); err == nil {
-		t.Error("referenced content without resolver succeeded")
-	}
-	e.AddModel(mheg.NewComposite(id(3)))
-	if _, err := e.ContentData(id(3)); err == nil {
-		t.Error("ContentData on composite succeeded")
 	}
 }
 

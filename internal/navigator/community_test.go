@@ -70,7 +70,7 @@ func TestBulletinAndMail(t *testing.T) {
 		t.Fatalf("prof inbox %v", got)
 	}
 	// Reply arrives in the student's mailbox.
-	fac.Send("prof", nav.Student(), "re: question", "history")
+	fac.Send("prof", nav.student, "re: question", "history")
 	inbox, err := nav.Mailbox()
 	if err != nil || len(inbox) != 1 || inbox[0].From != "prof" {
 		t.Fatalf("inbox %v err=%v", inbox, err)

@@ -1,6 +1,8 @@
 package navigator
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -133,14 +135,14 @@ func TestCourseImageImmutable(t *testing.T) {
 	if again := cachedImage(t, c, atmImageKey); again != img {
 		t.Error("a second open of an unchanged document replaced the image")
 	}
-	if m, ok := nav.Engine().Model(img.root.Base().ID); !ok || m != img.root {
+	if m, ok := nav.engine.Model(img.root.Base().ID); !ok || m != img.root {
 		t.Error("the second open's engine does not hold the cached root")
 	}
-	if got, want := nav.Engine().Models(), len(img.index); got != want {
+	if got, want := nav.engine.Models(), len(img.index); got != want {
 		t.Errorf("the second open's engine holds %d models, the image %d", got, want)
 	}
-	if nav.Engine().Stats.ObjectsDecoded != 0 {
-		t.Errorf("the second open decoded %d objects, want 0", nav.Engine().Stats.ObjectsDecoded)
+	if nav.engine.Stats.ObjectsDecoded != 0 {
+		t.Errorf("the second open decoded %d objects, want 0", nav.engine.Stats.ObjectsDecoded)
 	}
 	nav.Clock().RunFor(40 * time.Second) // a session on the adopted index
 	if err := nav.ExitCourse(); err != nil {
@@ -173,7 +175,7 @@ func republish(t *testing.T, store *mediastore.Store, edition int) string {
 
 // presenting is the title of the root the navigator presents.
 func presenting(nav *Navigator) string {
-	if m, ok := nav.Engine().Model(nav.rootID); ok {
+	if m, ok := nav.engine.Model(nav.rootID); ok {
 		return m.Base().Info.Name
 	}
 	return ""
@@ -417,8 +419,8 @@ func TestWarmOpenShipsNoDocument(t *testing.T) {
 				if call.Method != transport.MethodGetDoc {
 					continue
 				}
-				doc, err := transport.DecodeDocRecord(call.Resp)
-				if err != nil {
+				var doc mediastore.DocRecord
+				if err := gob.NewDecoder(bytes.NewReader(call.Resp)).Decode(&doc); err != nil {
 					t.Fatal(err)
 				}
 				n += len(doc.Data)

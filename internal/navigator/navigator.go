@@ -68,7 +68,6 @@ type Navigator struct {
 
 // Options wires a navigator to its services.
 type Options struct {
-	Clock  *sim.Clock
 	DB     transport.Client
 	School transport.Client
 	// Capabilities defaults to DefaultCapabilities().
@@ -85,11 +84,8 @@ type Options struct {
 
 // New builds a navigator.
 func New(opts Options) *Navigator {
-	if opts.Clock == nil {
-		opts.Clock = sim.NewClock()
-	}
 	n := &Navigator{
-		clock:      opts.Clock,
+		clock:      sim.NewClock(),
 		db:         courseDB{transport.DBClient{C: opts.DB, ContentCache: opts.ContentCache}},
 		school:     school.Client{C: opts.School},
 		sceneRoots: make(map[string]mheg.ID),
@@ -149,9 +145,6 @@ func (n *Navigator) Clock() *sim.Clock { return n.clock }
 // Screen exposes the virtual display.
 func (n *Navigator) Screen() *Screen { return n.screen }
 
-// Engine exposes the underlying MHEG engine (for experiments).
-func (n *Navigator) Engine() *engine.Engine { return n.engine }
-
 // ---- administration (Figs 5.3, 5.4, 5.6) ----
 
 // Register creates the student's school record and logs in.
@@ -172,9 +165,6 @@ func (n *Navigator) Login(number string) error {
 	n.student = number
 	return nil
 }
-
-// Student reports the logged-in student number.
-func (n *Navigator) Student() string { return n.student }
 
 var errNotLoggedIn = errors.New("navigator: no student logged in")
 

@@ -82,7 +82,7 @@ func TestRegistrationAndLogin(t *testing.T) {
 	if err != nil || num == "" {
 		t.Fatalf("register: %q %v", num, err)
 	}
-	if nav.Student() != num {
+	if nav.student != num {
 		t.Error("not logged in after registration")
 	}
 	// Fresh navigator, existing number (Fig 5.3's returning student).
@@ -337,7 +337,7 @@ func TestContentFetchedThroughDatabase(t *testing.T) {
 	if contentReads == 0 {
 		t.Error("presentation never pulled content from the database")
 	}
-	if nav.Engine().Stats.BytesFetched == 0 {
+	if nav.engine.Stats.BytesFetched == 0 {
 		t.Error("engine fetched no content bytes")
 	}
 }

@@ -55,11 +55,8 @@ type StreamPlayer struct {
 	buffer  time.Duration // start-up buffering window
 	stats   StreamStats
 	started bool
-	base    sim.Time // arrival time of the first frame
-
-	frameDur time.Duration
-	arrived  []sim.Time // per-frame arrival instants
-	expected int
+	base    sim.Time   // arrival time of the first frame
+	arrived []sim.Time // per-frame arrival instants
 }
 
 // NewStreamPlayer builds a player with the given start-up buffer.

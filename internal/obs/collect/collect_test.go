@@ -53,8 +53,9 @@ func (c *captureClient) spans() []SpanRecord {
 
 func TestExporterShipsFinishedSpans(t *testing.T) {
 	reg := obs.NewRegistry()
+	reg.SetSite("navigator")
 	cap := &captureClient{}
-	e := StartExporter(reg, cap, ExporterOptions{Site: "navigator"})
+	e := StartExporter(reg, cap, ExporterOptions{})
 	defer e.Close()
 
 	sp := reg.StartSpan("db.GetContent", "client")
@@ -85,7 +86,7 @@ func TestExporterShipsFinishedSpans(t *testing.T) {
 func TestExporterFiltersOwnExportSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	cap := &captureClient{}
-	e := StartExporter(reg, cap, ExporterOptions{Site: "n"})
+	e := StartExporter(reg, cap, ExporterOptions{})
 	defer e.Close()
 
 	reg.StartSpan(transport.MethodObsExport, "client").End(nil)
@@ -136,7 +137,7 @@ func TestExporterNeverBlocksAndCountsDrops(t *testing.T) {
 	blocked := make(chan struct{})
 	defer close(blocked)
 	cl := transport.Client(blockingClient{blocked})
-	e := StartExporter(reg, cl, ExporterOptions{Site: "n", QueueDepth: 4, BatchSize: 1000, FlushInterval: time.Hour})
+	e := StartExporter(reg, cl, ExporterOptions{QueueDepth: 4, BatchSize: 1000, FlushInterval: time.Hour})
 	defer func() {
 		// Detach the sink without waiting for the blocked client.
 		reg.SetSpanSink(nil)
@@ -166,7 +167,7 @@ func TestExporterCloseLeavesNoGoroutine(t *testing.T) {
 	leaktest.Check(t)
 	reg := obs.NewRegistry()
 	cap := &captureClient{}
-	e := StartExporter(reg, cap, ExporterOptions{Site: "n", FlushInterval: time.Millisecond})
+	e := StartExporter(reg, cap, ExporterOptions{FlushInterval: time.Millisecond})
 	reg.StartSpan("op", "client").End(nil)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -202,10 +203,7 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		{Trace: ^uint64(0), ID: 1, Parent: 0, Name: "", Kind: "server",
 			Site: "store", Err: obs.DeadlineMissPrefix + "3 of 40", StartNS: 1 << 60, DurNS: 0},
 	}}
-	data, err := encodeBatch(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := appendBatch(nil, in)
 	out, err := decodeBatch(data)
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +407,8 @@ func TestCollectorOverTransportAndViews(t *testing.T) {
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	e := StartExporter(reg, Dial(addr), ExporterOptions{Site: "navigator"})
+	reg.SetSite("navigator")
+	e := StartExporter(reg, Dial(addr), ExporterOptions{})
 	sp := reg.StartSpan("db.GetContent", "client")
 	child := reg.ContinueSpan("store.GetContent", "internal", sp.Trace, sp.ID)
 	child.End(nil)

@@ -27,8 +27,6 @@ type RetainPolicy struct {
 	SampleRate float64
 	// RecorderSize bounds the flight recorder ring; 0 defaults to 128.
 	RecorderSize int
-	// Seed fixes the sampling RNG for reproducible runs.
-	Seed uint64
 	// CompleteAfter is how long a trace must sit idle (no new spans)
 	// before Sweep finalizes it; 0 defaults to 1s.
 	CompleteAfter time.Duration
@@ -130,7 +128,7 @@ func NewCollector(policy RetainPolicy) *Collector {
 		policy:   policy,
 		pending:  make(map[uint64]*traceBuf),
 		byID:     make(map[obs.TraceID]*Trace),
-		rng:      sim.NewRNG(policy.Seed),
+		rng:      sim.NewRNG(0),
 		now:      time.Now,
 		quit:     make(chan struct{}),
 		spansIn:  obs.GetCounter("obs_collector_spans_total"),

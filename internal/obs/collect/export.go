@@ -39,9 +39,6 @@ type Batch struct {
 // ExporterOptions configures an Exporter; the zero value gets the
 // defaults noted per field.
 type ExporterOptions struct {
-	// Site stamps every exported span with the node's name; defaults to
-	// the registry's SetSite value at export time.
-	Site string
 	// QueueDepth bounds spans buffered between the hot path and the
 	// export goroutine; beyond it spans are dropped (counted in
 	// obs_export_dropped_total). The export goroutine only drains on
@@ -147,16 +144,6 @@ func (e *Exporter) offer(s *obs.Span) {
 	}
 }
 
-// site resolves the name stamped on exported spans and batches: the
-// explicit option, else the registry's SetSite value at the time of
-// use (it may be configured after the exporter starts).
-func (e *Exporter) site() string {
-	if e.opts.Site != "" {
-		return e.opts.Site
-	}
-	return e.reg.Site()
-}
-
 // run is the export goroutine: every FlushInterval it drains the
 // queue and ships the accumulated spans in BatchSize chunks. It
 // deliberately never parks on the queue itself — with no receiver
@@ -200,7 +187,7 @@ func (e *Exporter) drainInto(batch []SpanRecord) []SpanRecord {
 // telemetry, not payload, and buffering them against a dead collector
 // would turn the exporter into the memory leak it exists to avoid.
 func (e *Exporter) ship(batch []SpanRecord) []SpanRecord {
-	site := e.site()
+	site := e.reg.Site() // SetSite may run after the exporter starts
 	for off := 0; off < len(batch); off += e.opts.BatchSize {
 		chunk := batch[off:min(off+e.opts.BatchSize, len(batch))]
 		e.scratch = appendBatch(e.scratch[:0], Batch{Site: site, Spans: chunk})
@@ -221,18 +208,6 @@ func (e *Exporter) ship(batch []SpanRecord) []SpanRecord {
 	}
 	return batch[:0]
 }
-
-// Detach unhooks the exporter from the registry's span sink without
-// stopping it: queued spans still ship on the next tick, the client
-// stays connected, and Attach resumes capture. The pair lets an
-// operator (or a benchmark) toggle tracing on a live node without
-// paying exporter start-up per toggle.
-func (e *Exporter) Detach() { e.reg.SetSpanSink(nil) }
-
-// Attach (re-)hooks the exporter as the registry's span sink.
-// StartExporter attaches automatically; Attach is only needed after a
-// Detach.
-func (e *Exporter) Attach() { e.reg.SetSpanSink(e.offer) }
 
 // Flush synchronously drains the queue and ships everything buffered —
 // the deterministic barrier tests and experiments use instead of

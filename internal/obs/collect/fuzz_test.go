@@ -23,10 +23,7 @@ func FuzzWireDecode(f *testing.F) {
 			{Trace: 0xdeadbeef, ID: 3, Parent: 1, Name: "GetDoc", Kind: "server", Site: "core", StartNS: -7, DurNS: 1},
 		}},
 	} {
-		enc, err := encodeBatch(b)
-		if err != nil {
-			f.Fatalf("seed encode: %v", err)
-		}
+		enc := appendBatch(nil, b)
 		f.Add(enc)
 		if len(enc) > 2 {
 			f.Add(enc[:len(enc)-2]) // truncated mid-span
@@ -43,10 +40,7 @@ func FuzzWireDecode(f *testing.F) {
 		if uint64(len(b.Spans)) > maxWireSpans {
 			t.Fatalf("decode accepted %d spans (max %d)", len(b.Spans), maxWireSpans)
 		}
-		enc, err := encodeBatch(b)
-		if err != nil {
-			t.Fatalf("re-encode of accepted batch: %v", err)
-		}
+		enc := appendBatch(nil, b)
 		b2, err := decodeBatch(enc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted batch: %v", err)

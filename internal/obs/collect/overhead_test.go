@@ -115,10 +115,10 @@ func BenchmarkE30ExportOverhead(b *testing.B) {
 	// via Attach/Detach. Building a fresh exporter per phase (queue
 	// allocation, TCP dial, cold paths) charges start-up costs to the
 	// overhead being measured; a real node pays them once per process.
-	discardExp := StartExporter(obs.Default, Dial(discardAddr), ExporterOptions{Site: "bench"})
+	discardExp := StartExporter(obs.Default, Dial(discardAddr), ExporterOptions{})
 	discardExp.Detach()
 	defer discardExp.Close()
-	colExp := StartExporter(obs.Default, Dial(colAddr), ExporterOptions{Site: "bench"})
+	colExp := StartExporter(obs.Default, Dial(colAddr), ExporterOptions{})
 	colExp.Detach()
 	defer colExp.Close()
 
@@ -181,3 +181,15 @@ func median(xs []float64) float64 {
 	}
 	return 0
 }
+
+// Detach unhooks the exporter from the registry's span sink without
+// stopping it: queued spans still ship on the next tick, the client
+// stays connected, and Attach resumes capture. The pair lets the
+// benchmark toggle tracing on a live node without paying exporter
+// start-up per toggle.
+func (e *Exporter) Detach() { e.reg.SetSpanSink(nil) }
+
+// Attach (re-)hooks the exporter as the registry's span sink.
+// StartExporter attaches automatically; Attach is only needed after a
+// Detach.
+func (e *Exporter) Attach() { e.reg.SetSpanSink(e.offer) }

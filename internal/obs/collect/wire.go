@@ -29,12 +29,6 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func encodeBatch(b Batch) ([]byte, error) {
-	// 64 bytes of fixed fields per span plus the strings is a close
-	// enough size guess to make growth rare.
-	return appendBatch(make([]byte, 0, 16+len(b.Site)+len(b.Spans)*64), b), nil
-}
-
 // appendBatch encodes b onto buf and returns the extended slice — the
 // reuse form the exporter ships with, so a steady span stream does not
 // churn a fresh encode buffer per chunk.

@@ -40,9 +40,6 @@ func newHistogram(name, base string, labels []string) *Histogram {
 	return &Histogram{name: name, base: base, labels: labels}
 }
 
-// Name reports the full exposition name.
-func (h *Histogram) Name() string { return h.name }
-
 // Base reports the metric name without labels.
 func (h *Histogram) Base() string { return h.base }
 

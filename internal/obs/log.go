@@ -48,6 +48,3 @@ func SetSite(site string) { Default.SetSite(site) }
 
 // SetLogLevel adjusts the Default registry's log level.
 func SetLogLevel(l slog.Level) { Default.SetLogLevel(l) }
-
-// SetLogOutput replaces the Default registry's log sink.
-func SetLogOutput(w io.Writer) { Default.SetLogOutput(w) }

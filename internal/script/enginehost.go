@@ -9,16 +9,16 @@ import (
 	"mits/internal/sim"
 )
 
-// EngineHost adapts an MHEG engine as a script Host: aliases bind to
+// engineHost adapts an MHEG engine as a script Host: aliases bind to
 // model object ids, verbs map to elementary actions, and status waits
 // subscribe to the engine's render events. This is the bridge that lets
 // a script object "contain complex synchronization taking into account
 // previous user replies" (Fig 2.5).
-type EngineHost struct {
-	E    *engine.Engine
-	Bind map[string]mheg.ID
-	// SayFn receives `say` output; nil discards it.
-	SayFn func(string)
+type engineHost struct {
+	e    *engine.Engine
+	bind map[string]mheg.ID
+	// sayFn receives `say` output; nil discards it.
+	sayFn func(string)
 
 	watchers map[watchKey][]func()
 }
@@ -28,15 +28,15 @@ type watchKey struct {
 	status string
 }
 
-// NewEngineHost wires a host to an engine with the given alias→object
+// newEngineHost wires a host to an engine with the given alias→object
 // bindings and subscribes to status events.
-func NewEngineHost(e *engine.Engine, bind map[string]mheg.ID) *EngineHost {
-	h := &EngineHost{E: e, Bind: bind, watchers: make(map[watchKey][]func())}
+func newEngineHost(e *engine.Engine, bind map[string]mheg.ID) *engineHost {
+	h := &engineHost{e: e, bind: bind, watchers: make(map[watchKey][]func())}
 	e.Subscribe(engine.RendererFunc(h.onEvent))
 	return h
 }
 
-func (h *EngineHost) onEvent(ev engine.Event) {
+func (h *engineHost) onEvent(ev engine.Event) {
 	var status string
 	switch ev.Kind {
 	case engine.EvRan, engine.EvResumed:
@@ -59,8 +59,8 @@ func (h *EngineHost) onEvent(ev engine.Event) {
 	}
 }
 
-func (h *EngineHost) resolve(alias string) (mheg.ID, error) {
-	id, ok := h.Bind[alias]
+func (h *engineHost) resolve(alias string) (mheg.ID, error) {
+	id, ok := h.bind[alias]
 	if !ok {
 		return mheg.ID{}, fmt.Errorf("unbound object alias %q", alias)
 	}
@@ -68,19 +68,19 @@ func (h *EngineHost) resolve(alias string) (mheg.ID, error) {
 }
 
 // After implements Host on the engine's clock.
-func (h *EngineHost) After(d time.Duration, f func()) {
-	h.E.Clock().After(d, func(sim.Time) { f() })
+func (h *engineHost) After(d time.Duration, f func()) {
+	h.e.Clock().After(d, func(sim.Time) { f() })
 }
 
 // Apply implements Host.
-func (h *EngineHost) Apply(verb, alias, channel string) error {
+func (h *engineHost) Apply(verb, alias, channel string) error {
 	id, err := h.resolve(alias)
 	if err != nil {
 		return err
 	}
 	ensureRT := func() error {
-		if len(h.E.RTsOf(id)) == 0 {
-			if _, err := h.E.NewRT(id, channel); err != nil {
+		if len(h.e.RTsOf(id)) == 0 {
+			if _, err := h.e.NewRT(id, channel); err != nil {
 				return err
 			}
 		}
@@ -88,30 +88,30 @@ func (h *EngineHost) Apply(verb, alias, channel string) error {
 	}
 	switch verb {
 	case "new":
-		_, err := h.E.NewRT(id, channel)
+		_, err := h.e.NewRT(id, channel)
 		return err
 	case "run":
 		if err := ensureRT(); err != nil {
 			return err
 		}
-		for _, rt := range h.E.RTsOf(id) {
-			h.E.Run(rt)
+		for _, rt := range h.e.RTsOf(id) {
+			h.e.Run(rt)
 		}
 	case "stopobj":
-		for _, rt := range h.E.RTsOf(id) {
-			h.E.Stop(rt)
+		for _, rt := range h.e.RTsOf(id) {
+			h.e.Stop(rt)
 		}
 	case "pause":
-		for _, rt := range h.E.RTsOf(id) {
-			h.E.Pause(rt)
+		for _, rt := range h.e.RTsOf(id) {
+			h.e.Pause(rt)
 		}
 	case "resume":
-		for _, rt := range h.E.RTsOf(id) {
-			h.E.Resume(rt)
+		for _, rt := range h.e.RTsOf(id) {
+			h.e.Resume(rt)
 		}
 	case "delete":
-		for _, rt := range h.E.RTsOf(id) {
-			h.E.Delete(rt)
+		for _, rt := range h.e.RTsOf(id) {
+			h.e.Delete(rt)
 		}
 	case "show", "hide":
 		visible := verb == "show"
@@ -125,23 +125,23 @@ func (h *EngineHost) Apply(verb, alias, channel string) error {
 	return nil
 }
 
-func (h *EngineHost) applyVisible(id mheg.ID, visible bool) {
-	h.E.ApplyItems([]mheg.ElementaryAction{
+func (h *engineHost) applyVisible(id mheg.ID, visible bool) {
+	h.e.ApplyItems([]mheg.ElementaryAction{
 		mheg.Act(mheg.OpSetVisible, id, mheg.BoolValue(visible)),
 	})
 }
 
 // Status implements Host.
-func (h *EngineHost) Status(alias string) (string, error) {
+func (h *engineHost) Status(alias string) (string, error) {
 	id, err := h.resolve(alias)
 	if err != nil {
 		return "", err
 	}
-	rts := h.E.RTsOf(id)
+	rts := h.e.RTsOf(id)
 	if len(rts) == 0 {
 		return "stopped", nil
 	}
-	rt, ok := h.E.RT(rts[0])
+	rt, ok := h.e.RT(rts[0])
 	if !ok {
 		return "stopped", nil
 	}
@@ -156,16 +156,16 @@ func (h *EngineHost) Status(alias string) (string, error) {
 }
 
 // Reply implements Host: the object's selection state as text.
-func (h *EngineHost) Reply(alias string) (string, error) {
+func (h *engineHost) Reply(alias string) (string, error) {
 	id, err := h.resolve(alias)
 	if err != nil {
 		return "", err
 	}
-	rts := h.E.RTsOf(id)
+	rts := h.e.RTsOf(id)
 	if len(rts) == 0 {
 		return "", nil
 	}
-	rt, ok := h.E.RT(rts[0])
+	rt, ok := h.e.RT(rts[0])
 	if !ok {
 		return "", nil
 	}
@@ -176,7 +176,7 @@ func (h *EngineHost) Reply(alias string) (string, error) {
 }
 
 // WatchStatus implements Host.
-func (h *EngineHost) WatchStatus(alias, status string, f func()) error {
+func (h *engineHost) WatchStatus(alias, status string, f func()) error {
 	id, err := h.resolve(alias)
 	if err != nil {
 		return err
@@ -187,9 +187,9 @@ func (h *EngineHost) WatchStatus(alias, status string, f func()) error {
 }
 
 // Say implements Host.
-func (h *EngineHost) Say(text string) {
-	if h.SayFn != nil {
-		h.SayFn(text)
+func (h *engineHost) Say(text string) {
+	if h.sayFn != nil {
+		h.sayFn(text)
 	}
 }
 
@@ -208,11 +208,11 @@ func Activate(e *engine.Engine, id mheg.ID, bind map[string]mheg.ID, say func(st
 	if s.Language != Language {
 		return nil, fmt.Errorf("script: %v holds language %q, want %q", id, s.Language, Language)
 	}
-	prog, err := Compile(s.Source)
+	prog, err := compile(s.Source)
 	if err != nil {
 		return nil, err
 	}
-	host := NewEngineHost(e, bind)
-	host.SayFn = say
-	return Start(host, prog), nil
+	host := newEngineHost(e, bind)
+	host.sayFn = say
+	return start(host, prog), nil
 }

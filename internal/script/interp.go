@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Host is the world a script instance acts on. The MHEG engine adapter
+// host is the world a script instance acts on. The MHEG engine adapter
 // (EngineHost) is the production implementation; tests may stub it.
-type Host interface {
+type host interface {
 	// After schedules f on virtual time.
 	After(d time.Duration, f func())
 	// Apply performs one object verb ("run", "stopobj", "pause",
@@ -33,22 +33,22 @@ const maxStepsPerResume = 10000
 // Instance is one activation of a program (an MHEG run-time script
 // object's behaviour).
 type Instance struct {
-	prog *Program
-	host Host
+	prog *program
+	host host
 	pc   int
 	vars map[string]string
 
 	done bool
 	err  error
-	// Steps counts executed instructions, for tests and accounting.
-	Steps int
-	// OnDone, when set, runs at termination (normal or error).
-	OnDone func(err error)
+	// steps counts executed instructions, for tests and accounting.
+	steps int
+	// onDone, when set, runs at termination (normal or error).
+	onDone func(err error)
 }
 
-// Start activates a program on a host and executes until the first
+// start activates a program on a host and executes until the first
 // wait (or completion).
-func Start(h Host, p *Program) *Instance {
+func start(h host, p *program) *Instance {
 	in := &Instance{prog: p, host: h, vars: make(map[string]string)}
 	in.resume()
 	return in
@@ -73,8 +73,8 @@ func (in *Instance) finish() {
 		return
 	}
 	in.done = true
-	if in.OnDone != nil {
-		in.OnDone(in.err)
+	if in.onDone != nil {
+		in.onDone(in.err)
 	}
 }
 
@@ -82,77 +82,77 @@ func (in *Instance) finish() {
 func (in *Instance) resume() {
 	steps := 0
 	for !in.done {
-		if in.pc >= len(in.prog.Instrs) {
+		if in.pc >= len(in.prog.instrs) {
 			in.finish() // falling off the end terminates normally
 			return
 		}
 		steps++
-		in.Steps++
+		in.steps++
 		if steps > maxStepsPerResume {
-			in.fail("line %d: %d instructions without a wait — runaway loop", in.prog.Instrs[in.pc].Line, steps)
+			in.fail("line %d: %d instructions without a wait — runaway loop", in.prog.instrs[in.pc].line, steps)
 			return
 		}
-		instr := in.prog.Instrs[in.pc]
+		instr := in.prog.instrs[in.pc]
 		in.pc++
-		switch instr.Op {
+		switch instr.op {
 		case opNop:
 		case opRun, opStopObj, opPause, opResume, opNew, opDelete, opShow, opHide:
-			verb := map[OpCode]string{
+			verb := map[opCode]string{
 				opRun: "run", opStopObj: "stopobj", opPause: "pause", opResume: "resume",
 				opNew: "new", opDelete: "delete", opShow: "show", opHide: "hide",
-			}[instr.Op]
-			if err := in.host.Apply(verb, instr.Object, instr.Arg); err != nil {
-				in.fail("line %d: %v", instr.Line, err)
+			}[instr.op]
+			if err := in.host.Apply(verb, instr.object, instr.arg); err != nil {
+				in.fail("line %d: %v", instr.line, err)
 				return
 			}
 		case opSet:
-			in.vars[instr.Var] = in.expand(instr.Arg)
+			in.vars[instr.Var] = in.expand(instr.arg)
 		case opAdd:
 			cur := parseNum(in.vars[instr.Var])
-			in.vars[instr.Var] = formatNum(cur + parseNum(in.expand(instr.Arg)))
+			in.vars[instr.Var] = formatNum(cur + parseNum(in.expand(instr.arg)))
 		case opWait:
-			in.host.After(instr.Dur, in.resume)
+			in.host.After(instr.dur, in.resume)
 			return
 		case opWaitFor:
-			status, err := in.host.Status(instr.Object)
+			status, err := in.host.Status(instr.object)
 			if err != nil {
-				in.fail("line %d: %v", instr.Line, err)
+				in.fail("line %d: %v", instr.line, err)
 				return
 			}
-			if status == instr.Arg {
+			if status == instr.arg {
 				continue // already there
 			}
-			if err := in.host.WatchStatus(instr.Object, instr.Arg, in.resume); err != nil {
-				in.fail("line %d: %v", instr.Line, err)
+			if err := in.host.WatchStatus(instr.object, instr.arg, in.resume); err != nil {
+				in.fail("line %d: %v", instr.line, err)
 				return
 			}
 			return
 		case opGoto:
-			in.pc = instr.Target
+			in.pc = instr.target
 		case opIfGoto:
-			ok, err := in.evalCond(instr.Cond)
+			ok, err := in.evalCond(instr.cond)
 			if err != nil {
-				in.fail("line %d: %v", instr.Line, err)
+				in.fail("line %d: %v", instr.line, err)
 				return
 			}
 			if ok {
-				in.pc = instr.Target
+				in.pc = instr.target
 			}
 		case opSay:
-			in.host.Say(in.expand(instr.Arg))
+			in.host.Say(in.expand(instr.arg))
 		case opStop:
 			in.finish()
 			return
 		default:
-			in.fail("line %d: bad opcode %d", instr.Line, instr.Op)
+			in.fail("line %d: bad opcode %d", instr.line, instr.op)
 			return
 		}
 	}
 }
 
-func (in *Instance) evalCond(c *Cond) (bool, error) {
+func (in *Instance) evalCond(c *cond) (bool, error) {
 	var replyErr, statusErr error
-	ok := c.Eval(in.vars,
+	ok := c.eval(in.vars,
 		func(alias string) string {
 			v, err := in.host.Reply(alias)
 			if err != nil {

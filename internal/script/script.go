@@ -40,12 +40,12 @@ import (
 	"time"
 )
 
-// OpCode enumerates the instructions.
-type OpCode int
+// opCode enumerates the instructions.
+type opCode int
 
 // Instructions.
 const (
-	opNop     OpCode = iota
+	opNop     opCode = iota
 	opRun            // run <object>
 	opStopObj        // stopobj <object>
 	opPause          // pause <object>
@@ -64,46 +64,46 @@ const (
 	opStop    // stop (end of script)
 )
 
-// Instr is one compiled instruction.
-type Instr struct {
-	Op     OpCode
-	Object string // target object alias
+// instr is one compiled instruction.
+type instr struct {
+	op     opCode
+	object string // target object alias
 	Var    string
-	Arg    string // label, channel, status name or literal text
-	Dur    time.Duration
-	Cond   *Cond
-	Target int // resolved jump target
-	Line   int // source line, for errors
+	arg    string // label, channel, status name or literal text
+	dur    time.Duration
+	cond   *cond
+	target int // resolved jump target
+	line   int // source line, for errors
 }
 
-// CondKind distinguishes condition operand sources.
-type CondKind int
+// condKind distinguishes condition operand sources.
+type condKind int
 
 // Condition operand kinds.
 const (
-	CondVar    CondKind = iota // variable value
-	CondReply                  // reply(<object>): the object's selection state
-	CondStatus                 // status(<object>): running|finished|stopped
+	condVar    condKind = iota // variable value
+	condReply                  // reply(<object>): the object's selection state
+	condStatus                 // status(<object>): running|finished|stopped
 )
 
-// Cond is a comparison in an `if` instruction.
-type Cond struct {
-	Kind    CondKind
-	Operand string // variable name or object alias
-	Op      string // == != >= <= > <
-	Value   string // literal (number or quoted string)
+// cond is a comparison in an `if` instruction.
+type cond struct {
+	kind    condKind
+	operand string // variable name or object alias
+	op      string // == != >= <= > <
+	value   string // literal (number or quoted string)
 }
 
-// Program is a compiled script.
-type Program struct {
-	Source []byte
-	Instrs []Instr
+// program is a compiled script.
+type program struct {
+	source []byte
+	instrs []instr
 	labels map[string]int
 }
 
-// Compile parses script source into a program.
-func Compile(src []byte) (*Program, error) {
-	p := &Program{Source: src, labels: make(map[string]int)}
+// compile parses script source into a program.
+func compile(src []byte) (*program, error) {
+	p := &program{source: src, labels: make(map[string]int)}
 	lines := strings.Split(string(src), "\n")
 	// First pass: collect labels.
 	for _, raw := range lines {
@@ -131,25 +131,25 @@ func Compile(src []byte) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		if instr.Op == opNop && instr.Arg != "" { // label marker
-			p.labels[instr.Arg] = len(p.Instrs)
+		if instr.op == opNop && instr.arg != "" { // label marker
+			p.labels[instr.arg] = len(p.instrs)
 			continue
 		}
-		p.Instrs = append(p.Instrs, instr)
+		p.instrs = append(p.instrs, instr)
 	}
 	// Resolve jumps.
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.Op != opGoto && in.Op != opIfGoto {
+	for i := range p.instrs {
+		in := &p.instrs[i]
+		if in.op != opGoto && in.op != opIfGoto {
 			continue
 		}
-		tgt, ok := p.labels[in.Arg]
+		tgt, ok := p.labels[in.arg]
 		if !ok || tgt < 0 {
-			return nil, fmt.Errorf("script: line %d: unknown label %q", in.Line, in.Arg)
+			return nil, fmt.Errorf("script: line %d: unknown label %q", in.line, in.arg)
 		}
-		in.Target = tgt
+		in.target = tgt
 	}
-	if len(p.Instrs) == 0 {
+	if len(p.instrs) == 0 {
 		return nil, fmt.Errorf("script: empty program")
 	}
 	return p, nil
@@ -162,33 +162,33 @@ func stripComment(raw string) string {
 	return strings.TrimSpace(raw)
 }
 
-func (p *Program) compileLine(line string, ln int) (Instr, error) {
+func (p *program) compileLine(line string, ln int) (instr, error) {
 	fields := strings.Fields(line)
 	cmd := fields[0]
 	args := fields[1:]
-	bad := func(format string, a ...any) (Instr, error) {
-		return Instr{}, fmt.Errorf("script: line %d: %s", ln, fmt.Sprintf(format, a...))
+	bad := func(format string, a ...any) (instr, error) {
+		return instr{}, fmt.Errorf("script: line %d: %s", ln, fmt.Sprintf(format, a...))
 	}
 	need := func(n int) bool { return len(args) == n }
 	switch cmd {
 	case "label":
-		return Instr{Op: opNop, Arg: args[0], Line: ln}, nil
+		return instr{op: opNop, arg: args[0], line: ln}, nil
 	case "run", "stopobj", "pause", "resume", "delete", "show", "hide":
 		if !need(1) {
 			return bad("%s needs one object", cmd)
 		}
-		op := map[string]OpCode{
+		op := map[string]opCode{
 			"run": opRun, "stopobj": opStopObj, "pause": opPause,
 			"resume": opResume, "delete": opDelete, "show": opShow, "hide": opHide,
 		}[cmd]
-		return Instr{Op: op, Object: args[0], Line: ln}, nil
+		return instr{op: op, object: args[0], line: ln}, nil
 	case "new":
 		if len(args) < 1 || len(args) > 2 {
 			return bad("new <object> [channel]")
 		}
-		in := Instr{Op: opNew, Object: args[0], Line: ln}
+		in := instr{op: opNew, object: args[0], line: ln}
 		if len(args) == 2 {
-			in.Arg = args[1]
+			in.arg = args[1]
 		}
 		return in, nil
 	case "set", "add":
@@ -199,7 +199,7 @@ func (p *Program) compileLine(line string, ln int) (Instr, error) {
 		if cmd == "add" {
 			op = opAdd
 		}
-		return Instr{Op: op, Var: args[0], Arg: args[1], Line: ln}, nil
+		return instr{op: op, Var: args[0], arg: args[1], line: ln}, nil
 	case "wait":
 		if !need(1) {
 			return bad("wait <duration>")
@@ -208,7 +208,7 @@ func (p *Program) compileLine(line string, ln int) (Instr, error) {
 		if err != nil || d < 0 {
 			return bad("bad duration %q", args[0])
 		}
-		return Instr{Op: opWait, Dur: d, Line: ln}, nil
+		return instr{op: opWait, dur: d, line: ln}, nil
 	case "waitfor":
 		if !need(2) {
 			return bad("waitfor <object> running|finished|stopped")
@@ -218,12 +218,12 @@ func (p *Program) compileLine(line string, ln int) (Instr, error) {
 		default:
 			return bad("bad status %q", args[1])
 		}
-		return Instr{Op: opWaitFor, Object: args[0], Arg: args[1], Line: ln}, nil
+		return instr{op: opWaitFor, object: args[0], arg: args[1], line: ln}, nil
 	case "goto":
 		if !need(1) {
 			return bad("goto <label>")
 		}
-		return Instr{Op: opGoto, Arg: args[0], Line: ln}, nil
+		return instr{op: opGoto, arg: args[0], line: ln}, nil
 	case "if":
 		// if <operand> <op> <value> goto <label>
 		rest := strings.Join(args, " ")
@@ -231,11 +231,11 @@ func (p *Program) compileLine(line string, ln int) (Instr, error) {
 		if err != nil {
 			return bad("%v", err)
 		}
-		return Instr{Op: opIfGoto, Cond: cond, Arg: label, Line: ln}, nil
+		return instr{op: opIfGoto, cond: cond, arg: label, line: ln}, nil
 	case "say":
-		return Instr{Op: opSay, Arg: strings.Join(args, " "), Line: ln}, nil
+		return instr{op: opSay, arg: strings.Join(args, " "), line: ln}, nil
 	case "stop":
-		return Instr{Op: opStop, Line: ln}, nil
+		return instr{op: opStop, line: ln}, nil
 	default:
 		return bad("unknown command %q", cmd)
 	}
@@ -243,7 +243,7 @@ func (p *Program) compileLine(line string, ln int) (Instr, error) {
 
 // parseCond parses `<operand> <op> <value> goto <label>`; value may be
 // a quoted string containing spaces.
-func parseCond(s string) (*Cond, string, error) {
+func parseCond(s string) (*cond, string, error) {
 	gi := strings.LastIndex(s, " goto ")
 	if gi < 0 {
 		return nil, "", fmt.Errorf("if needs 'goto <label>'")
@@ -259,19 +259,19 @@ func parseCond(s string) (*Cond, string, error) {
 			op = cand
 			left := strings.TrimSpace(expr[:i])
 			right := strings.TrimSpace(expr[i+len(cand):])
-			cond := &Cond{Op: op, Value: unquote(right)}
+			cond := &cond{op: op, value: unquote(right)}
 			switch {
 			case strings.HasPrefix(left, "reply(") && strings.HasSuffix(left, ")"):
-				cond.Kind = CondReply
-				cond.Operand = left[len("reply(") : len(left)-1]
+				cond.kind = condReply
+				cond.operand = left[len("reply(") : len(left)-1]
 			case strings.HasPrefix(left, "status(") && strings.HasSuffix(left, ")"):
-				cond.Kind = CondStatus
-				cond.Operand = left[len("status(") : len(left)-1]
+				cond.kind = condStatus
+				cond.operand = left[len("status(") : len(left)-1]
 			default:
-				cond.Kind = CondVar
-				cond.Operand = left
+				cond.kind = condVar
+				cond.operand = left
 			}
-			if cond.Operand == "" {
+			if cond.operand == "" {
 				return nil, "", fmt.Errorf("empty condition operand")
 			}
 			return cond, label, nil
@@ -287,28 +287,28 @@ func unquote(s string) string {
 	return s
 }
 
-// Eval evaluates the condition given variable and engine state lookups.
-func (c *Cond) Eval(vars map[string]string, reply func(string) string, status func(string) string) bool {
+// eval evaluates the condition given variable and engine state lookups.
+func (c *cond) eval(vars map[string]string, reply func(string) string, status func(string) string) bool {
 	var left string
-	switch c.Kind {
-	case CondVar:
-		left = vars[c.Operand]
-	case CondReply:
-		left = reply(c.Operand)
-	case CondStatus:
-		left = status(c.Operand)
+	switch c.kind {
+	case condVar:
+		left = vars[c.operand]
+	case condReply:
+		left = reply(c.operand)
+	case condStatus:
+		left = status(c.operand)
 	}
-	switch c.Op {
+	switch c.op {
 	case "==":
-		return left == c.Value
+		return left == c.value
 	case "!=":
-		return left != c.Value
+		return left != c.value
 	}
 	// Ordering: numeric when both parse, else lexicographic.
 	ln, lerr := strconv.ParseFloat(left, 64)
-	rn, rerr := strconv.ParseFloat(c.Value, 64)
+	rn, rerr := strconv.ParseFloat(c.value, 64)
 	if lerr == nil && rerr == nil {
-		switch c.Op {
+		switch c.op {
 		case ">":
 			return ln > rn
 		case "<":
@@ -319,15 +319,15 @@ func (c *Cond) Eval(vars map[string]string, reply func(string) string, status fu
 			return ln <= rn
 		}
 	}
-	switch c.Op {
+	switch c.op {
 	case ">":
-		return left > c.Value
+		return left > c.value
 	case "<":
-		return left < c.Value
+		return left < c.value
 	case ">=":
-		return left >= c.Value
+		return left >= c.value
 	case "<=":
-		return left <= c.Value
+		return left <= c.value
 	}
 	return false
 }

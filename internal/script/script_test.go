@@ -32,7 +32,7 @@ func TestCompileErrors(t *testing.T) {
 		{"set arity", "set a"},
 	}
 	for _, c := range cases {
-		if _, err := Compile([]byte(c.src)); err == nil {
+		if _, err := compile([]byte(c.src)); err == nil {
 			t.Errorf("%s: compiled", c.name)
 		}
 	}
@@ -48,11 +48,11 @@ if tries < 3 goto loop
 say done after $tries tries
 stop
 `
-	p, err := Compile([]byte(src))
+	p, err := compile([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Instrs) == 0 {
+	if len(p.instrs) == 0 {
 		t.Fatal("no instructions")
 	}
 }
@@ -111,9 +111,9 @@ func (s *stubHost) fire(alias, status string) {
 }
 func (s *stubHost) Say(text string) { s.said = append(s.said, text) }
 
-func mustCompile(t *testing.T, src string) *Program {
+func mustCompile(t *testing.T, src string) *program {
 	t.Helper()
-	p, err := Compile([]byte(src))
+	p, err := compile([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func mustCompile(t *testing.T, src string) *Program {
 
 func TestStraightLineExecution(t *testing.T) {
 	h := newStubHost()
-	in := Start(h, mustCompile(t, `
+	in := start(h, mustCompile(t, `
 run intro
 set x 5
 add x 3
@@ -146,7 +146,7 @@ run never-reached
 
 func TestWaitResumesOnVirtualTime(t *testing.T) {
 	h := newStubHost()
-	in := Start(h, mustCompile(t, `
+	in := start(h, mustCompile(t, `
 say before
 wait 5s
 say after
@@ -168,7 +168,7 @@ say after
 
 func TestWaitForBlocksAndResumes(t *testing.T) {
 	h := newStubHost()
-	in := Start(h, mustCompile(t, `
+	in := start(h, mustCompile(t, `
 run video
 waitfor video finished
 say over
@@ -185,7 +185,7 @@ say over
 func TestWaitForAlreadySatisfied(t *testing.T) {
 	h := newStubHost()
 	h.status["video"] = "finished"
-	in := Start(h, mustCompile(t, `
+	in := start(h, mustCompile(t, `
 waitfor video finished
 say immediate
 `))
@@ -198,7 +198,7 @@ func TestBranchingOnReply(t *testing.T) {
 	run := func(reply string) []string {
 		h := newStubHost()
 		h.reply["quiz"] = reply
-		Start(h, mustCompile(t, `
+		start(h, mustCompile(t, `
 if reply(quiz) == "53 bytes" goto praise
 say wrong
 stop
@@ -218,7 +218,7 @@ say right
 func TestBranchingOnStatusAndNumbers(t *testing.T) {
 	h := newStubHost()
 	h.status["video"] = "running"
-	in := Start(h, mustCompile(t, `
+	in := start(h, mustCompile(t, `
 set n 10
 if status(video) == "running" goto a
 say unreachable
@@ -240,7 +240,7 @@ say all-passed
 
 func TestLoopWithCounter(t *testing.T) {
 	h := newStubHost()
-	in := Start(h, mustCompile(t, `
+	in := start(h, mustCompile(t, `
 set tries 0
 label loop
 add tries 1
@@ -264,7 +264,7 @@ say tried $tries times
 
 func TestRunawayLoopDetected(t *testing.T) {
 	h := newStubHost()
-	in := Start(h, mustCompile(t, `
+	in := start(h, mustCompile(t, `
 label forever
 goto forever
 `))
@@ -387,7 +387,7 @@ func TestActivateValidation(t *testing.T) {
 func TestEngineHostErrors(t *testing.T) {
 	clock := sim.NewClock()
 	e := engine.New(clock)
-	h := NewEngineHost(e, map[string]mheg.ID{})
+	h := newEngineHost(e, map[string]mheg.ID{})
 	if err := h.Apply("run", "ghost", ""); err == nil {
 		t.Error("unbound alias ran")
 	}
@@ -400,7 +400,7 @@ func TestEngineHostErrors(t *testing.T) {
 	if err := h.WatchStatus("ghost", "running", func() {}); err == nil {
 		t.Error("unbound alias watch")
 	}
-	h2 := NewEngineHost(e, map[string]mheg.ID{"x": id(1)})
+	h2 := newEngineHost(e, map[string]mheg.ID{"x": id(1)})
 	if err := h2.Apply("explode", "x", ""); err == nil {
 		t.Error("unknown verb applied")
 	}
@@ -411,8 +411,8 @@ func TestPauseResumeDeleteVerbs(t *testing.T) {
 	e := engine.New(clock)
 	v := mheg.NewVideoContent(id(1), "v", mheg.Size{}, 10*time.Second)
 	e.AddModel(v)
-	h := NewEngineHost(e, map[string]mheg.ID{"v": id(1)})
-	in := Start(h, mustCompile(t, `
+	h := newEngineHost(e, map[string]mheg.ID{"v": id(1)})
+	in := start(h, mustCompile(t, `
 run v
 wait 2s
 pause v
@@ -439,13 +439,13 @@ func TestShowHideVerbs(t *testing.T) {
 	clock := sim.NewClock()
 	e := engine.New(clock)
 	e.AddModel(mheg.NewImageContent(id(1), "i", mheg.Size{}))
-	h := NewEngineHost(e, map[string]mheg.ID{"img": id(1)})
-	Start(h, mustCompile(t, "new img stage\nhide img\n"))
+	h := newEngineHost(e, map[string]mheg.ID{"img": id(1)})
+	start(h, mustCompile(t, "new img stage\nhide img\n"))
 	rt, _ := e.RT(e.RTsOf(id(1))[0])
 	if rt.Visible {
 		t.Error("hide did not apply")
 	}
-	Start(h, mustCompile(t, "show img\n"))
+	start(h, mustCompile(t, "show img\n"))
 	if !rt.Visible {
 		t.Error("show did not apply")
 	}

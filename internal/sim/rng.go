@@ -44,14 +44,3 @@ func (r *RNG) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Norm returns an approximately normally distributed value using the
-// sum-of-uniforms method (Irwin–Hall with 12 samples), which is accurate
-// enough for traffic-size jitter and avoids math imports beyond ln.
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	s := 0.0
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return mean + stddev*(s-6)
-}

@@ -54,9 +54,6 @@ type Event struct {
 // When reports the instant the event is scheduled for.
 func (e *Event) When() Time { return e.when }
 
-// Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && e.idx >= 0 }
-
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -91,11 +88,10 @@ func (q *eventQueue) Pop() any {
 // and deterministic by design (parallel workloads model concurrency
 // inside virtual time, not with goroutines).
 type Clock struct {
-	now    Time
-	seq    uint64
-	queue  eventQueue
-	fired  uint64
-	closed bool
+	now   Time
+	seq   uint64
+	queue eventQueue
+	fired uint64
 }
 
 // NewClock returns a clock positioned at time zero.
@@ -106,9 +102,6 @@ func (c *Clock) Now() Time { return c.now }
 
 // Fired reports how many events have run so far.
 func (c *Clock) Fired() uint64 { return c.fired }
-
-// Pending reports how many events are queued.
-func (c *Clock) Pending() int { return len(c.queue) }
 
 // At schedules fn to run at instant t. Scheduling in the past (before
 // Now) panics: that is always a simulation logic bug, and silently

@@ -11,8 +11,8 @@ func TestClockStartsAtZero(t *testing.T) {
 	if c.Now() != Zero {
 		t.Fatalf("new clock at %v, want 0", c.Now())
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("new clock has %d pending events", c.Pending())
+	if len(c.queue) != 0 {
+		t.Fatalf("new clock has %d pending events", len(c.queue))
 	}
 }
 
@@ -131,8 +131,8 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 	if c.Now() != Time(2*time.Second) {
 		t.Errorf("clock at %v, want 2s", c.Now())
 	}
-	if c.Pending() != 1 {
-		t.Errorf("%d pending, want 1", c.Pending())
+	if len(c.queue) != 1 {
+		t.Errorf("%d pending, want 1", len(c.queue))
 	}
 	c.Run()
 	if len(fired) != 2 {

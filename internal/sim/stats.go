@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -28,24 +27,12 @@ func (s *Series) AddDuration(d time.Duration) { s.Add(float64(d)) }
 // N reports the sample count.
 func (s *Series) N() int { return len(s.samples) }
 
-// Sum reports the total of all samples.
-func (s *Series) Sum() float64 { return s.sum }
-
 // Mean reports the arithmetic mean, or 0 with no samples.
 func (s *Series) Mean() float64 {
 	if len(s.samples) == 0 {
 		return 0
 	}
 	return s.sum / float64(len(s.samples))
-}
-
-// Min reports the smallest sample, or 0 with no samples.
-func (s *Series) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.samples[0]
 }
 
 // Max reports the largest sample, or 0 with no samples.
@@ -73,34 +60,9 @@ func (s *Series) Percentile(p float64) float64 {
 	return s.samples[rank]
 }
 
-// StdDev reports the population standard deviation.
-func (s *Series) StdDev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s.samples {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
 func (s *Series) sort() {
 	if !s.sorted {
 		sort.Float64s(s.samples)
 		s.sorted = true
 	}
-}
-
-// DurationStats formats the series as durations for report tables.
-func (s *Series) DurationStats() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		s.N(),
-		time.Duration(s.Mean()).Round(time.Microsecond),
-		time.Duration(s.Percentile(50)).Round(time.Microsecond),
-		time.Duration(s.Percentile(99)).Round(time.Microsecond),
-		time.Duration(s.Max()).Round(time.Microsecond))
 }

@@ -23,15 +23,12 @@ type ATMSession struct {
 	c2s     *atm.Connection
 	s2c     *atm.Connection
 	handler Handler
-	// ServiceTime models server request-processing latency (database
+	// serviceTime models server request-processing latency (database
 	// lookup, disk) before the response leaves.
-	ServiceTime time.Duration
-	// timeout and fault come from ATMSessionOptions; see there.
-	timeout time.Duration
-	fault   func(method string) (time.Duration, bool, error)
+	serviceTime time.Duration
 
 	nextID   uint64
-	pending  map[uint64]func(payload []byte, err error)
+	pending  map[uint64]atmCall
 	reqBytes int64
 	rspBytes int64
 
@@ -40,6 +37,12 @@ type ATMSession struct {
 	// here.
 	reqBuf []byte
 	rspBuf []byte
+}
+
+// atmCall is one request awaiting its response.
+type atmCall struct {
+	method string
+	done   func(payload []byte, err error)
 }
 
 // chunkPayload is the message chunk carried per AAL5 PDU, leaving room
@@ -96,40 +99,16 @@ func accumulate(buf *[]byte, pdu []byte) ([]byte, bool) {
 	return msg, true
 }
 
-// ATMSessionOptions configures OpenATMSession.
-type ATMSessionOptions struct {
-	// Contract applies to both directions; zero value means a 10 Mb/s
-	// nrt-VBR-free default of UBR at link speed.
-	Contract atm.TrafficDescriptor
-	// ServiceTime is the per-request server processing time.
-	ServiceTime time.Duration
-	// Timeout bounds each call on the virtual clock: if the response
-	// has not arrived within it, the callback fires with a CallError
-	// wrapping ErrCallTimeout and the pending entry is dropped. Lost
-	// requests (cells dropped, faults injected) therefore always
-	// complete instead of hanging the session.
-	Timeout time.Duration
-	// Fault, when set, is consulted before each request is sent — the
-	// chaos harness hook (see internal/faults.Injector.RPC): an extra
-	// virtual-time delay, a silently dropped request (only Timeout can
-	// then complete the call), or an injected error delivered to the
-	// callback after the delay.
-	Fault func(method string) (delay time.Duration, drop bool, err error)
-}
-
-// OpenATMSession wires a client host to a server host running handler.
-func OpenATMSession(n *atm.Network, client, server *atm.Host, h Handler, opts ATMSessionOptions) (*ATMSession, error) {
-	td := opts.Contract
-	if td.PCR == 0 {
-		td = atm.UBRContract(100e6)
-	}
+// OpenATMSession wires a client host to a server host running h over
+// UBR virtual connections at 100 Mb/s; serviceTime is the per-request
+// server processing time.
+func OpenATMSession(n *atm.Network, client, server *atm.Host, h Handler, serviceTime time.Duration) (*ATMSession, error) {
+	td := atm.UBRContract(100e6)
 	s := &ATMSession{
 		net:         n,
 		handler:     h,
-		ServiceTime: opts.ServiceTime,
-		timeout:     opts.Timeout,
-		fault:       opts.Fault,
-		pending:     make(map[uint64]func([]byte, error)),
+		serviceTime: serviceTime,
+		pending:     make(map[uint64]atmCall),
 	}
 	var err error
 	s.c2s, err = n.Open(client, server, td, atm.OpenOptions{Deliver: s.onRequest})
@@ -157,7 +136,7 @@ func (s *ATMSession) Go(method string, payload []byte, cb func(payload []byte, e
 		kind: kindRequest, id: s.nextID, method: method, payload: payload,
 		trace: uint64(sp.Trace), span: uint64(sp.ID),
 	}
-	s.pending[f.id] = func(p []byte, err error) {
+	s.pending[f.id] = atmCall{method: method, done: func(p []byte, err error) {
 		sp.End(err)
 		obs.Observe("transport_atm_rpc_latency_ns", s.net.Clock().Now().Sub(issued), "method", method)
 		obs.GetCounter("transport_atm_rpcs_total", "method", method).Inc()
@@ -165,51 +144,26 @@ func (s *ATMSession) Go(method string, payload []byte, cb func(payload []byte, e
 			obs.GetCounter("transport_atm_errors_total", "method", method).Inc()
 		}
 		cb(p, err)
-	}
-	if s.timeout > 0 {
-		id := f.id
-		s.net.Clock().After(s.timeout, func(sim.Time) {
-			s.complete(id, nil, &CallError{Method: method, Attempts: 1, Err: ErrCallTimeout})
-		})
-	}
-	var delay time.Duration
-	if s.fault != nil {
-		fdelay, drop, ferr := s.fault(method)
-		delay = fdelay
-		if drop {
-			// Request lost on the wire: nothing is sent, and only the
-			// timeout (if armed) completes the call.
-			return nil
-		}
-		if ferr != nil {
-			id := f.id
-			s.net.Clock().After(delay, func(sim.Time) {
-				s.complete(id, nil, &CallError{Method: method, Attempts: 1, Err: ferr})
-			})
-			return nil
-		}
-	}
+	}}
 	body := f.marshal()
 	s.reqBytes += int64(len(body))
 	obsATMBytes.Add(int64(len(body)))
-	if delay > 0 {
-		s.net.Clock().After(delay, func(sim.Time) {
-			sendChunked(s.c2s, body) //mits:allow errdrop delayed send on a possibly-closed session
-		})
-		return nil
-	}
 	return sendChunked(s.c2s, body)
 }
 
-// complete fires and removes a pending callback; completions after the
-// call already finished (a response racing its own timeout) are no-ops.
-func (s *ATMSession) complete(id uint64, payload []byte, err error) {
-	cb, ok := s.pending[id]
+// complete fires and removes a pending callback; a response for no
+// pending call (a duplicate, a confused peer) is dropped.
+func (s *ATMSession) complete(id uint64, payload []byte, errText string) {
+	c, ok := s.pending[id]
 	if !ok {
 		return
 	}
 	delete(s.pending, id)
-	cb(payload, err)
+	if errText != "" {
+		c.done(nil, &RemoteError{Method: c.method, Text: errText})
+		return
+	}
+	c.done(payload, nil)
 }
 
 func (s *ATMSession) onRequest(pdu []byte, _, _ sim.Time) {
@@ -241,8 +195,8 @@ func (s *ATMSession) onRequest(pdu []byte, _, _ sim.Time) {
 		obsATMBytes.Add(int64(len(body)))
 		sendChunked(s.s2c, body) //mits:allow errdrop closed session drops responses
 	}
-	if s.ServiceTime > 0 {
-		s.net.Clock().After(s.ServiceTime, respond)
+	if s.serviceTime > 0 {
+		s.net.Clock().After(s.serviceTime, respond)
 	} else {
 		respond(s.net.Clock().Now())
 	}
@@ -257,15 +211,8 @@ func (s *ATMSession) onResponse(pdu []byte, _, _ sim.Time) {
 	if err != nil || resp.kind != kindResponse {
 		return
 	}
-	if resp.errText != "" {
-		s.complete(resp.id, nil, &RemoteError{Text: resp.errText})
-		return
-	}
-	s.complete(resp.id, resp.payload, nil)
+	s.complete(resp.id, resp.payload, resp.errText)
 }
-
-// Pending reports requests still awaiting a response.
-func (s *ATMSession) Pending() int { return len(s.pending) }
 
 // Traffic reports bytes moved in each direction (payload framing
 // included, ATM overhead excluded).

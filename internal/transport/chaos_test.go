@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mits/internal/atm"
 	"mits/internal/faults"
 	"mits/internal/mediastore"
 	"mits/internal/obs"
@@ -104,54 +103,5 @@ func TestResilientClientFaultMatrix(t *testing.T) {
 	}
 	if retries.Value() == retriesBefore {
 		t.Error("no retries recorded across the fault matrix")
-	}
-}
-
-// TestATMSessionFaultHook runs the virtual-time RPC path with the
-// injector behind ATMSessionOptions.Fault: dropped requests must
-// complete through the call deadline and injected errors must arrive
-// typed, so the session ends with nothing pending.
-func TestATMSessionFaultHook(t *testing.T) {
-	n := atm.New()
-	server := n.AddHost("db")
-	client := n.AddHost("nav")
-	sw := n.AddSwitch("sw")
-	n.Connect(server, sw, 155e6, 200*time.Microsecond)
-	n.Connect(client, sw, 155e6, 200*time.Microsecond)
-
-	inj := faults.NewInjector(faults.Scenario{
-		DropProb: 0.25, ErrProb: 0.15,
-		Latency: time.Millisecond, Jitter: time.Millisecond,
-	}, 0xA71)
-	sess, err := OpenATMSession(n, client, server, chaosStore(t), ATMSessionOptions{
-		ServiceTime: time.Millisecond,
-		Timeout:     250 * time.Millisecond,
-		Fault:       inj.RPC,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	req, err := EncodeGetDoc("atm-course")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, typed := 0, 0
-	for i := 0; i < 20; i++ {
-		_, err := sess.CallOver(MethodGetDoc, req)
-		switch {
-		case err == nil:
-			ok++
-		case isTypedErr(err):
-			typed++
-		default:
-			t.Errorf("call %d: untyped error %T: %v", i, err, err)
-		}
-	}
-	if ok == 0 || typed == 0 {
-		t.Errorf("ok=%d typed=%d: want both faults and successes", ok, typed)
-	}
-	if p := sess.Pending(); p != 0 {
-		t.Errorf("%d calls still pending", p)
 	}
 }

@@ -547,7 +547,7 @@ func TestReleaseBlindServeRecycles(t *testing.T) {
 	mux := NewMux()
 	RegisterStore(mux, store)
 	n, user, db := atmTestNet(t)
-	sess, err := OpenATMSession(n, user, db, mux, ATMSessionOptions{})
+	sess, err := OpenATMSession(n, user, db, mux, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,12 +97,6 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 // the call over asynchronous carriers (ATM sessions).
 func EncodeGetDoc(name string) ([]byte, error) { return gobEncode(getDocReq{Name: name}) }
 
-// DecodeDocRecord decodes a Get_Selected_Doc response payload.
-func DecodeDocRecord(data []byte) (*mediastore.DocRecord, error) {
-	var rec mediastore.DocRecord
-	return &rec, gobDecode(data, &rec)
-}
-
 // EncodeGetContent encodes a GetContent request payload.
 func EncodeGetContent(ref string) ([]byte, error) { return gobEncode(getContentReq{Ref: ref}) }
 
@@ -214,23 +208,15 @@ type DBClient struct {
 	// of scene activations fetching the same MPEG object issues one
 	// upstream RPC. Records that pass through the cache are shared
 	// under the immutable-bytes handoff contract: every hit returns
-	// the same record and callers must not mutate it
-	// (CloneContentRecord for the rare caller that must). Nil means
-	// every call goes upstream (the experiments keep it nil so store
-	// read counts stay exact).
+	// the same record and callers must not mutate it (the rare caller
+	// that must copies first). Nil means every call goes upstream (the
+	// experiments keep it nil so store read counts stay exact).
 	ContentCache *cache.Cache
 
 	// Trace, when non-zero, is the span context every call continues —
-	// a trace-aware handler forwarding work upstream sets it per request
-	// (via WithTrace) so the whole multi-hop path shares one trace.
+	// the cluster router sets it per request (via WithTrace) so the
+	// whole multi-hop path shares one trace.
 	Trace obs.SpanContext
-}
-
-// WithContentCache returns a copy of the client that serves content
-// through c.
-func (d DBClient) WithContentCache(c *cache.Cache) DBClient {
-	d.ContentCache = c
-	return d
 }
 
 // WithTrace returns a copy of the client whose calls continue sc.
@@ -295,9 +281,8 @@ func (d DBClient) GetDocByKeyword(keyword string) (names []string, err error) {
 // GetContent fetches a content object's data by reference, consulting
 // the content cache when one is attached. Records served through the
 // cache are SHARED under the immutable-bytes handoff contract: every
-// hit returns the same record, callers must treat it as read-only, and
-// CloneContentRecord gives a private copy to the rare caller that
-// needs to mutate (a defensive clone per hit dominated the hit cost, E32).
+// hit returns the same record and callers must treat it as read-only
+// (a defensive clone per hit dominated the hit cost, E32).
 func (d DBClient) GetContent(ref string) (*mediastore.ContentRecord, error) {
 	if d.ContentCache == nil {
 		return d.fetchContent(ref)
@@ -344,17 +329,6 @@ func (d DBClient) fetchContent(ref string) (*mediastore.ContentRecord, error) {
 	return &mediastore.ContentRecord{Ref: ck.Ref, Coding: ck.Coding, Keywords: ck.Keywords, Data: append([]byte(nil), ck.Data...)}, nil
 }
 
-// CloneContentRecord deep-copies a record — the escape hatch for
-// callers that need to mutate what GetContent/GetContentStream
-// returned, now that cached records are shared rather than cloned on
-// every hit.
-func CloneContentRecord(rec *mediastore.ContentRecord) *mediastore.ContentRecord {
-	cp := *rec
-	cp.Data = append([]byte(nil), rec.Data...)
-	cp.Keywords = append([]string(nil), rec.Keywords...)
-	return &cp
-}
-
 // PutDocument publishes a courseware document (author site).
 func (d DBClient) PutDocument(name, title, encoding string, data []byte, keywords ...string) (int, error) {
 	var resp putDocResp
@@ -389,47 +363,4 @@ func NewResilientDBClient(peer string, dial Dialer, policy RetryPolicy, threshol
 	br := NewBreaker(peer, threshold, cooldown)
 	rc := NewRetryClient(dial, policy, seed)
 	return DBClient{C: WithBreaker(rc, br)}, br
-}
-
-// ForwardHandler serves the courseware-database service by proxying to
-// an upstream site through a DBClient — the edge node of a multi-hop
-// delivery path (navigator → edge cache → store). It is trace-aware:
-// the span context of the incoming request threads into every upstream
-// call, so one trace spans all hops. GetContent goes through the
-// client's typed path (and therefore its content cache, when one is
-// attached); every other method forwards raw bytes.
-type ForwardHandler struct {
-	DB DBClient
-}
-
-// Handle implements Handler (untraced requests).
-func (f ForwardHandler) Handle(method string, payload []byte) ([]byte, error) {
-	return f.HandleCtx(obs.SpanContext{}, method, payload)
-}
-
-// HandleCtx implements CtxHandler.
-func (f ForwardHandler) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	return unpooled(f.HandleCtxPooled(sc, method, payload))
-}
-
-// HandleCtxPooled implements PooledCtxHandler: the upstream's response
-// is relayed with its release, not copied.
-func (f ForwardHandler) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-	d := f.DB.WithTrace(sc)
-	if method == MethodGetContent && d.ContentCache != nil {
-		ref, err := RequestKey(method, payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec, err := d.GetContent(ref)
-		if err != nil {
-			return nil, nil, err
-		}
-		return encodeContent(rec, 0, wholeObject) // as the store behind would
-	}
-	// The server recycles the request buffer when this handler returns,
-	// but a timed-out upstream call can leave its frame queued behind
-	// the upstream writer still referencing payload — forward a private
-	// copy.
-	return d.Do(method, append([]byte(nil), payload...))
 }

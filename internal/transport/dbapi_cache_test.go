@@ -31,7 +31,7 @@ func TestDBClientContentCacheHitAvoidsUpstream(t *testing.T) {
 	mux := NewMux()
 	RegisterStore(mux, store)
 	cc := &countingClient{Client: Loopback{H: mux}}
-	db := DBClient{C: cc}.WithContentCache(cache.New("t-db", 1<<20))
+	db := DBClient{C: cc, ContentCache: cache.New("t-db", 1<<20)}
 
 	rec1, err := db.GetContent("store/v.mpg")
 	if err != nil {
@@ -52,23 +52,13 @@ func TestDBClientContentCacheHitAvoidsUpstream(t *testing.T) {
 	}
 
 	// Immutable-bytes handoff: hits share one record (zero copies on
-	// the hot path), so repeat hits must return the same backing data,
-	// and a caller that needs a private mutable copy goes through
-	// CloneContentRecord instead of mutating the shared one.
+	// the hot path), so repeat hits must return the same backing data.
 	rec3, err := db.GetContent("store/v.mpg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &rec2.Data[0] != &rec3.Data[0] {
 		t.Fatal("cache hits did not share the record: hot path is copying")
-	}
-	cp := CloneContentRecord(rec3)
-	if &cp.Data[0] == &rec3.Data[0] {
-		t.Fatal("CloneContentRecord aliased the shared entry's data")
-	}
-	cp.Data[0] = 'X'
-	if rec3.Data[0] == 'X' {
-		t.Fatal("clone mutation reached the shared cache entry")
 	}
 }
 
@@ -86,7 +76,7 @@ func TestDBClientContentCacheSingleflight(t *testing.T) {
 		return mux.Handle(method, payload)
 	})
 	cc := &countingClient{Client: Loopback{H: gated}}
-	db := DBClient{C: cc}.WithContentCache(cache.New("t-flight-db", 1<<20))
+	db := DBClient{C: cc, ContentCache: cache.New("t-flight-db", 1<<20)}
 
 	const waiters = 16
 	var wg sync.WaitGroup
@@ -125,7 +115,7 @@ func TestDBClientContentCacheErrorNotCached(t *testing.T) {
 		}
 		return mux.Handle(method, payload)
 	})
-	db := DBClient{C: Loopback{H: flaky}}.WithContentCache(cache.New("t-err-db", 1<<20))
+	db := DBClient{C: Loopback{H: flaky}, ContentCache: cache.New("t-err-db", 1<<20)}
 
 	if _, err := db.GetContent("store/v.mpg"); err == nil {
 		t.Fatal("failed fetch reported success")

@@ -151,10 +151,12 @@ func TestGetContentHostilePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	const deadline = 2 * time.Second
-	pool.SetTimeout(deadline)
+	for _, c := range pool.stripes {
+		c.Timeout = deadline
+	}
 	contents := cache.New("t-hostile-content", 1<<20)
-	db := DBClient{C: pool}.WithContentCache(contents)
-	held := int64(pool.Conns()) // each stripe's write scratch, a dead stripe's too, until Close
+	db := DBClient{C: pool, ContentCache: contents}
+	held := int64(len(pool.stripes)) // each stripe's write scratch, a dead stripe's too, until Close
 	waitFor(t, func() bool { return audit.Load() == held })
 
 	for _, step := range script {
@@ -248,7 +250,7 @@ func TestGetContentRecordOwnsItsMemory(t *testing.T) {
 	}
 	for name, carrier := range map[string]Client{"loopback": Loopback{H: mux}, "pool": pool} {
 		sc := &scribbler{Client: carrier}
-		db := DBClient{C: sc}.WithContentCache(cache.New("t-owns-"+name, 1<<22))
+		db := DBClient{C: sc, ContentCache: cache.New("t-owns-"+name, 1<<22)}
 		got := make([][]*mediastore.ContentRecord, callers)
 		var wg sync.WaitGroup
 		for c := 0; c < callers; c++ {
@@ -306,84 +308,4 @@ func TestGetContentRecordOwnsItsMemory(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestEdgeCacheHitAnswersLikeTheStore: an edge ForwardHandler serving
-// db.GetContent out of its cache and the store behind it put the same
-// bytes on the wire, with and without keywords, and the hit's pooled
-// buffer comes back exactly once — by the caller that was handed the
-// release, by the server's writer when the edge is served over TCP.
-func TestEdgeCacheHitAnswersLikeTheStore(t *testing.T) {
-	store := mediastore.New()
-	if err := store.PutContent("store/kw.mpg", "MPEG", bytes.Repeat([]byte("k"), 70000), "video", "atm/demo"); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.PutContent("store/bare.mpg", "", []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	mux := NewMux()
-	RegisterStore(mux, store)
-	upstream := &countingClient{Client: Loopback{H: mux}}
-	edge := ForwardHandler{DB: DBClient{C: upstream}.WithContentCache(cache.New("t-edge-parity", 1<<20))}
-
-	var audit atomic.Int64
-	bufAudit.Store(&audit)
-	defer bufAudit.Store(nil)
-	for _, ref := range []string{"store/kw.mpg", "store/bare.mpg"} {
-		req, err := EncodeGetContent(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromStore, err := mux.Handle(MethodGetContent, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls := upstream.calls.Load()
-		for _, arm := range []string{"miss", "hit"} {
-			out, release, err := edge.HandleCtxPooled(obs.SpanContext{}, MethodGetContent, req)
-			if err != nil || release == nil {
-				t.Fatalf("%s, %s: release %v, %v", ref, arm, release != nil, err)
-			}
-			if !bytes.Equal(out, fromStore) {
-				t.Errorf("%s: the edge's %s answers %d bytes, the store %d, and they differ", ref, arm, len(out), len(fromStore))
-			}
-			if n := audit.Load(); n != 1 {
-				t.Errorf("%s, %s: %d pooled buffers out while the caller holds the answer, want 1", ref, arm, n)
-			}
-			release()
-			if n := audit.Load(); n != 0 {
-				t.Errorf("%s, %s: %d pooled buffers out after the release", ref, arm, n)
-			}
-		}
-		if n := upstream.calls.Load() - calls; n != 1 {
-			t.Errorf("%s: %d upstream calls for a miss and a hit, want 1", ref, n)
-		}
-	}
-
-	// The same hit served over a socket: the client's record is the
-	// store's object and the server's writer makes the one release.
-	srv := NewTCPServer(edge)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := DialTCP(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := upstream.calls.Load()
-	rec, err := DBClient{C: cli}.GetContent("store/kw.mpg")
-	if err != nil || rec.Coding != "MPEG" || !slices.Equal(rec.Keywords, []string{"video", "atm/demo"}) || len(rec.Data) != 70000 {
-		t.Fatalf("through the edge over TCP: %+v, %v", rec, err)
-	}
-	if n := upstream.calls.Load() - calls; n != 0 {
-		t.Errorf("the hit over TCP went upstream %d times", n)
-	}
-	if err := cli.Close(); err != nil {
-		t.Logf("client close: %v", err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return audit.Load() == 0 })
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"mits/internal/faults"
 	"mits/internal/lint/leaktest"
 	"mits/internal/obs"
 	"mits/internal/obs/spantest"
@@ -230,24 +229,18 @@ func TestConnDeathFailsAllInFlight(t *testing.T) {
 	}
 }
 
-// TestInjectedStallDoesNotBlockNeighbors drives the fault injector's
-// RPC hook against one method while neighbours run clean: the stalled
-// call must be the only slow one. (A conn-level read stall would park
-// the shared reader goroutine — head-of-line by construction — so
-// per-call stalls are injected where they land in production: in the
-// handler.)
+// TestInjectedStallDoesNotBlockNeighbors stalls one method's handler
+// while neighbours run clean: the stalled call must be the only slow
+// one. (A conn-level read stall would park the shared reader goroutine
+// — head-of-line by construction — so the per-call stall is injected
+// where it lands in production: in the handler.)
 func TestInjectedStallDoesNotBlockNeighbors(t *testing.T) {
 	leaktest.Check(t)
 	const stallFor = 300 * time.Millisecond
-	inj := faults.NewInjector(faults.Scenario{Name: "stall-one", Latency: stallFor}, 1)
 	mux := NewMux()
 	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
 	mux.Register("slow", func(_ string, p []byte) ([]byte, error) {
-		delay, drop, err := inj.RPC("slow")
-		if err != nil || drop {
-			return nil, fmt.Errorf("unexpected injector verdict: drop=%v err=%v", drop, err)
-		}
-		time.Sleep(delay)
+		time.Sleep(stallFor)
 		return p, nil
 	})
 	srv := NewTCPServer(mux)
@@ -538,7 +531,7 @@ func TestEnqueueBlockedCallersReleasedOnConnDeath(t *testing.T) {
 
 // TestWriteLoopSkipsAbandonedFrames checks that a call that timed out
 // while its frame was still queued behind the writer is never written:
-// the server should not spend a MaxInFlight slot computing a response
+// the server should not spend a maxInFlight slot computing a response
 // the client will drop by correlation ID.
 func TestWriteLoopSkipsAbandonedFrames(t *testing.T) {
 	leaktest.Check(t)

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"mits/internal/obs"
 )
@@ -72,19 +71,6 @@ func DialTCPPool(addr string, n int) (*ClientPool, error) {
 	}
 	return NewClientPool(stripes), nil
 }
-
-// SetTimeout sets the per-call deadline on every stripe. Like
-// TCPClient.Timeout it must be set before the first call.
-func (p *ClientPool) SetTimeout(d time.Duration) {
-	for _, c := range p.stripes {
-		c.mu.Lock()
-		c.Timeout = d
-		c.mu.Unlock()
-	}
-}
-
-// Conns reports the stripe count.
-func (p *ClientPool) Conns() int { return len(p.stripes) }
 
 // pick chooses the next stripe round-robin among the live stripes
 // holding the fewest content streams (streamContent holds one per

@@ -629,6 +629,3 @@ func (bc *BreakerClient) CallInTracePooled(sc obs.SpanContext, method string, pa
 
 // Close implements Client.
 func (bc *BreakerClient) Close() error { return bc.c.Close() }
-
-// Breaker exposes the guarding breaker (for state assertions).
-func (bc *BreakerClient) Breaker() *Breaker { return bc.b }

@@ -192,7 +192,7 @@ func TestBreakerClientIgnoresRemoteErrors(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		bc.Call(MethodGetDoc, nil) //nolint:errcheck // remote errors are the point
 	}
-	if got := bc.Breaker().State(); got != BreakerClosed {
+	if got := bc.b.State(); got != BreakerClosed {
 		t.Fatalf("remote errors tripped the breaker: %v", got)
 	}
 }

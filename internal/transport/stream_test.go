@@ -143,7 +143,7 @@ func TestGetContentStreamCacheAssembleThenAdmit(t *testing.T) {
 		}
 		return mux.Handle(method, payload)
 	})
-	db := DBClient{C: Loopback{H: counted}}.WithContentCache(cache.New("t-stream-db", 1<<22))
+	db := DBClient{C: Loopback{H: counted}, ContentCache: cache.New("t-stream-db", 1<<22)}
 
 	first, err := db.GetContentStream("store/big.mpg", nil)
 	if err != nil {
@@ -240,7 +240,7 @@ func TestGetContentStreamNotFound(t *testing.T) {
 	store := streamStore(t, 10)
 	mux := NewMux()
 	RegisterStore(mux, store)
-	db := DBClient{C: Loopback{H: mux}}.WithContentCache(cache.New("t-stream-miss", 1<<20))
+	db := DBClient{C: Loopback{H: mux}, ContentCache: cache.New("t-stream-miss", 1<<20)}
 	if _, err := db.GetContentStream("store/nope", nil); err == nil {
 		t.Fatal("stream of a dangling ref succeeded")
 	}

@@ -234,7 +234,8 @@ func TestStreamOrderAndEquivalence(t *testing.T) {
 				}
 				// Cache: the miss streams to the sink AND admits the whole
 				// object; the hit shares that record.
-				cached := db.WithContentCache(cache.New(fmt.Sprintf("t-window-%d-%s", size, carrier.name), 1<<23))
+				cached := db
+				cached.ContentCache = cache.New(fmt.Sprintf("t-window-%d-%s", size, carrier.name), 1<<23)
 				miss, _, _ := collect(cached)
 				if !bytes.Equal(miss.Data, wantData) {
 					t.Fatal("cache admitted a partial object")

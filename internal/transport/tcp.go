@@ -27,25 +27,6 @@ var (
 	obsUnknownCorr = obs.GetCounter("transport_client_unknown_corr_total")
 )
 
-// writeFrame sends one length-prefixed frame. The header and body are
-// encoded into a single pooled buffer, so a frame costs one Write call
-// and no per-RPC allocation.
-func writeFrame(w io.Writer, f *frame) error {
-	size := f.wireSize()
-	if size > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
-	}
-	buf := getBuf(4 + size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(size))
-	buf = f.appendTo(buf)
-	_, err := w.Write(buf)
-	putBuf(buf)
-	if err == nil {
-		obsBytesTx.Add(int64(4 + size))
-	}
-	return err
-}
-
 // readGrant is the first allocation for a frame body: a default
 // stream chunk plus its chunk and frame headers, so the frame the
 // delivery path moves most takes one buffer and no grow-copy, while a
@@ -132,7 +113,7 @@ func readBody(r io.Reader, n int, pooled bool) ([]byte, error) {
 // TCPServer serves a Handler over TCP — the content server process of
 // Fig 3.5, "distributed applications ... consist of a number of
 // independent programs running on remote hosts". Requests on one
-// connection are handled concurrently (bounded by MaxInFlight) and
+// connection are handled concurrently (bounded by maxInFlight) and
 // responses are matched to requests by correlation ID, so they may
 // complete out of order behind a pipelined client.
 type TCPServer struct {
@@ -144,12 +125,6 @@ type TCPServer struct {
 	// an idle timeout between requests. Set before Listen/Serve.
 	ConnTimeout time.Duration
 
-	// MaxInFlight bounds how many requests one connection may have in
-	// handlers simultaneously; beyond it the connection's read loop
-	// stops admitting work (natural backpressure on the pipelining
-	// client). 0 means DefaultMaxInFlight. Set before Listen/Serve.
-	MaxInFlight int
-
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]bool
@@ -158,11 +133,13 @@ type TCPServer struct {
 	wg       sync.WaitGroup
 }
 
-// DefaultMaxInFlight is the per-connection concurrent-request bound
-// when TCPServer.MaxInFlight is unset: enough to keep every core of a
-// content server busy under one navigator's pipeline, small enough
-// that a misbehaving client cannot fork-bomb the server.
-const DefaultMaxInFlight = 32
+// maxInFlight bounds how many requests one connection may have in
+// handlers simultaneously; beyond it the connection's read loop stops
+// admitting work (natural backpressure on the pipelining client). It
+// is enough to keep every core of a content server busy under one
+// navigator's pipeline, small enough that a misbehaving client cannot
+// fork-bomb the server.
+const maxInFlight = 32
 
 // NewTCPServer wraps a handler. When h also implements CtxHandler, the
 // server threads each request's trace context through HandleCtx so
@@ -269,10 +246,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	maxInFlight := s.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = DefaultMaxInFlight
-	}
 	rw := newRespWriter(conn, s.ConnTimeout)
 	var handlers sync.WaitGroup
 	defer func() {
@@ -296,7 +269,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			releaseFrame(req)
 			return
 		}
-		sem <- struct{}{} // backpressure: stop reading at MaxInFlight
+		sem <- struct{}{} // backpressure: stop reading at maxInFlight
 		handlers.Add(1)
 		go func(req *frame) {
 			defer handlers.Done()
@@ -538,7 +511,7 @@ type pendingCall struct {
 	// abandoned is set when the call times out or is cancelled while
 	// its frame may still be queued behind the writer; the writer drops
 	// flagged frames instead of spending wire bytes and a server
-	// MaxInFlight slot on a response nobody will take.
+	// maxInFlight slot on a response nobody will take.
 	abandoned atomic.Bool
 }
 
@@ -647,7 +620,7 @@ func (c *TCPClient) Err() error {
 // consumes. A call that could not start is returned already failed.
 func (c *TCPClient) start(sc obs.SpanContext, method string, payload []byte) *pendingCall {
 	pc := &pendingCall{c: c, method: method, done: make(chan struct{})}
-	pc.timeout = c.Timeout //mits:nolock Timeout is set before the first Call and read-only after
+	pc.timeout = c.Timeout
 	pc.sp = obs.Default.ContinueSpan(method, "client", sc.Trace, sc.Parent)
 	if err := c.register(pc, payload); err != nil {
 		pc.err = err
@@ -790,7 +763,7 @@ func (c *TCPClient) writeLoop() {
 	for {
 		select {
 		case pc := <-c.sendq:
-			if c.Timeout > 0 { //mits:nolock Timeout is set before the first Call and read-only after
+			if c.Timeout > 0 {
 				_ = c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
 			}
 		drain:

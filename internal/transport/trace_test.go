@@ -141,7 +141,7 @@ func TestTraceAcrossATM(t *testing.T) {
 	n, client, server := atmTestNet(t)
 	mux := NewMux()
 	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
-	sess, err := OpenATMSession(n, client, server, mux, ATMSessionOptions{})
+	sess, err := OpenATMSession(n, client, server, mux, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -16,6 +18,24 @@ import (
 	"mits/internal/mediastore"
 	"mits/internal/obs"
 )
+
+// writeFrame sends one length-prefixed frame, as a hand-rolled peer
+// would: the tests use it to speak the wire without a TCPClient.
+func writeFrame(w io.Writer, f *frame) error {
+	size := f.wireSize()
+	if size > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
+	}
+	buf := getBuf(4 + size)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(size))
+	buf = f.appendTo(buf)
+	_, err := w.Write(buf)
+	putBuf(buf)
+	if err == nil {
+		obsBytesTx.Add(int64(4 + size))
+	}
+	return err
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []*frame{
@@ -244,7 +264,7 @@ func TestDBOverATM(t *testing.T) {
 	mux := NewMux()
 	RegisterStore(mux, store)
 	n, user, db := atmTestNet(t)
-	sess, err := OpenATMSession(n, user, db, mux, ATMSessionOptions{ServiceTime: time.Millisecond})
+	sess, err := OpenATMSession(n, user, db, mux, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +295,8 @@ func TestDBOverATM(t *testing.T) {
 	if _, err := sess.CallOver(MethodGetDoc, req); err == nil {
 		t.Error("missing doc over ATM succeeded")
 	}
-	if sess.Pending() != 0 {
-		t.Errorf("pending=%d after all calls", sess.Pending())
+	if n := len(sess.pending); n != 0 {
+		t.Errorf("pending=%d after all calls", n)
 	}
 	reqB, rspB := sess.Traffic()
 	if reqB == 0 || rspB < 100000 {
@@ -289,7 +309,7 @@ func TestATMCallLatencyReflectsNetwork(t *testing.T) {
 	mux := NewMux()
 	RegisterStore(mux, store)
 	n, user, db := atmTestNet(t)
-	sess, err := OpenATMSession(n, user, db, mux, ATMSessionOptions{ServiceTime: 2 * time.Millisecond})
+	sess, err := OpenATMSession(n, user, db, mux, 2*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,14 +327,23 @@ func TestATMCallLatencyReflectsNetwork(t *testing.T) {
 	}
 }
 
-func TestATMSessionAdmissionFailure(t *testing.T) {
+// TestATMRemoteErrorNamesMethod: a server-side failure over the ATM
+// carrier reads like one over TCP — a RemoteError naming the method
+// the client called.
+func TestATMRemoteErrorNamesMethod(t *testing.T) {
 	n, user, db := atmTestNet(t)
-	// Demand more guaranteed bandwidth than the 155 Mb/s links carry.
-	_, err := OpenATMSession(n, user, db, NewMux(), ATMSessionOptions{
-		Contract: atm.CBRContract(200e6),
-	})
-	if !errors.Is(err, atm.ErrAdmissionDenied) {
-		t.Errorf("err=%v, want admission denied", err)
+	sess, err := OpenATMSession(n, user, db, NewMux(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	_, err = sess.CallOver("db.Nope", nil)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Method != "db.Nope" {
+		t.Fatalf("err = %v, want a RemoteError for db.Nope", err)
+	}
+	if want := `transport: remote db.Nope: transport: unknown method: "db.Nope"`; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }
 
@@ -338,7 +367,7 @@ func TestATMSessionSurvivesResponseLoss(t *testing.T) {
 	n.Connect(x1, sw, 155e6, 500*time.Microsecond)
 	n.Connect(sw, x2, 155e6, 500*time.Microsecond)
 
-	sess, err := OpenATMSession(n, user, db, mux, ATMSessionOptions{})
+	sess, err := OpenATMSession(n, user, db, mux, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +391,7 @@ func TestATMSessionSurvivesResponseLoss(t *testing.T) {
 		t.Skip("no loss induced on this topology; nothing to assert")
 	}
 	// Some calls never completed (chunks lost) — they are still pending.
-	if sess.Pending() == 0 && errs == 0 {
+	if len(sess.pending) == 0 && errs == 0 {
 		t.Error("loss occurred but every call completed cleanly")
 	}
 }

@@ -200,8 +200,8 @@ func TestWireGoldenMovedGetSelectedDoc(t *testing.T) {
 	if payload, err = hex.DecodeString(call[2]); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := DecodeDocRecord(payload)
-	if err != nil {
+	rec := new(mediastore.DocRecord)
+	if err := gobDecode(payload, rec); err != nil {
 		t.Fatal(err)
 	}
 	fresh := mediastore.New()

@@ -193,7 +193,7 @@ func (n *Navigator) CoursesIn(program string) ([]school.Course, error) {
 // ("by selecting a course, then clicking the 'introduction' button, a
 // video clip is going to be shown").
 func (n *Navigator) CourseIntroduction(code string) (*mediastore.ContentRecord, error) {
-	c, err := n.school.Course(code)
+	c, _, _, err := n.school.Course(n.student, code)
 	if err != nil {
 		return nil, err
 	}
@@ -213,16 +213,17 @@ func (n *Navigator) Enroll(code string) error {
 
 // ---- classroom presentation (Fig 5.5) ----
 
-// StartCourse fetches the course document — or only the store's word
-// that the cached image's copy is current — loads it into a fresh
-// engine, and begins presentation — resuming at the stored stop
-// position when one exists ("the courseware can automatically start the
-// course presentation at the right place when a student enters again").
+// StartCourse fetches the course record with the student's stored stop
+// position, then the course document — or only the store's word that
+// the cached image's copy is current — loads it into a fresh engine,
+// and begins presentation — resuming at the stop position when one
+// exists ("the courseware can automatically start the course
+// presentation at the right place when a student enters again").
 func (n *Navigator) StartCourse(code string) error {
 	if n.student == "" {
 		return errNotLoggedIn
 	}
-	course, err := n.school.Course(code)
+	course, pos, resume, err := n.school.Course(n.student, code)
 	if err != nil {
 		return err
 	}
@@ -260,8 +261,8 @@ func (n *Navigator) StartCourse(code string) error {
 	if err != nil {
 		return err
 	}
-	// Resume support.
-	if pos, found, err := n.school.GetResume(n.student, code); err == nil && found {
+	// Resume at the stop position the course record came with.
+	if resume {
 		if sceneID, ok := n.sceneRoots[pos.Scene]; ok {
 			// Instantiate everything (NewRT above), then enter the
 			// stored scene directly instead of running the root.
@@ -479,18 +480,15 @@ func (n *Navigator) Bookmark(label string) error {
 	})
 }
 
-// ExitCourse stores the stop position and records a session
-// ("some important information such as the stop position of the
+// ExitCourse stores the stop position and records a session in one
+// call ("some important information such as the stop position of the
 // courseware presentation is to be automatically stored", §5.4).
 func (n *Navigator) ExitCourse() error {
 	if n.student == "" || n.courseCode == "" {
 		return errors.New("navigator: no course in progress")
 	}
 	scene, at := n.CurrentScene()
-	if err := n.school.SetResume(n.student, n.courseCode, scene, at); err != nil {
-		return err
-	}
-	if _, err := n.school.RecordSession(n.student, n.courseCode); err != nil {
+	if _, err := n.school.RecordSession(n.student, n.courseCode, scene, at); err != nil {
 		return err
 	}
 	n.courseCode = ""

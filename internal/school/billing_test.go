@@ -33,7 +33,7 @@ func TestInvoiceUsageBased(t *testing.T) {
 	}
 	// Three on-demand sessions add usage charges.
 	for i := 0; i < 3; i++ {
-		s.RecordSession(num, "ELG5121")
+		s.RecordSession(num, "ELG5121", Position{})
 	}
 	inv, _ = s.Invoice(num)
 	if inv.TotalCents != 5000+3*750 {
@@ -44,7 +44,7 @@ func TestInvoiceUsageBased(t *testing.T) {
 	}
 	// Free courses don't bill.
 	s.Enroll(num, "HIS1100")
-	s.RecordSession(num, "HIS1100")
+	s.RecordSession(num, "HIS1100", Position{})
 	inv, _ = s.Invoice(num)
 	if inv.TotalCents != 5000+3*750 {
 		t.Errorf("free course billed: %+v", inv)

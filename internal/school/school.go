@@ -251,15 +251,19 @@ func (s *School) Enroll(number, courseCode string) error {
 	return nil
 }
 
-// RecordSession advances a student's progress in a course by one
-// session, marking completion when planned sessions are reached.
-func (s *School) RecordSession(number, courseCode string) (Registration, error) {
+// RecordSession is a student's exit from a course presentation (§5.4):
+// it stores the stop position, then advances the student's progress in
+// the course by one session, marking completion when planned sessions
+// are reached. A student who is not enrolled keeps the stored position
+// and gets the "not enrolled" error.
+func (s *School) RecordSession(number, courseCode string, pos Position) (Registration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.students[number]
 	if !ok {
 		return Registration{}, fmt.Errorf("%w: student %s", ErrNotFound, number)
 	}
+	st.Resume[courseCode] = pos
 	reg := st.registration(courseCode)
 	if reg == nil {
 		return Registration{}, fmt.Errorf("school: student %s not enrolled in %s", number, courseCode)

@@ -2,6 +2,7 @@ package school
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestEnrollmentAndProgress(t *testing.T) {
 	var reg Registration
 	for i := 0; i < 12; i++ {
 		var err error
-		reg, err = s.RecordSession(num, "ELG5121")
+		reg, err = s.RecordSession(num, "ELG5121", Position{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,8 +134,39 @@ func TestEnrollmentAndProgress(t *testing.T) {
 	if !reg.Completed || reg.SessionsDone != 12 {
 		t.Errorf("registration after 12 sessions: %+v", reg)
 	}
-	if _, err := s.RecordSession(num, "ELG5374"); err == nil {
+	if _, err := s.RecordSession(num, "ELG5374", Position{}); err == nil {
 		t.Error("session recorded for unenrolled course")
+	}
+}
+
+// TestRecordSessionStoresPosition: an exit stores the stop position and
+// advances the session. A student who is not enrolled keeps the stored
+// position and gets the "not enrolled" error; an unknown student gets
+// ErrNotFound.
+func TestRecordSessionStoresPosition(t *testing.T) {
+	s := testSchool(t)
+	num, _ := s.Register(Profile{Name: "A"})
+	s.Enroll(num, "ELG5121")
+	pos := Position{Scene: "cells", At: 12 * time.Second}
+
+	reg, err := s.RecordSession(num, "ELG5121", pos)
+	if err != nil || reg.SessionsDone != 1 {
+		t.Fatalf("enrolled exit: %+v err=%v", reg, err)
+	}
+	if got, found, _ := s.GetResume(num, "ELG5121"); !found || got != pos {
+		t.Errorf("enrolled exit stored %+v found=%v, want %+v", got, found, pos)
+	}
+
+	_, err = s.RecordSession(num, "ELG5374", pos)
+	if err == nil || !strings.Contains(err.Error(), "not enrolled") {
+		t.Errorf("exit from a course not enrolled in: %v, want the not-enrolled error", err)
+	}
+	if got, found, _ := s.GetResume(num, "ELG5374"); !found || got != pos {
+		t.Errorf("exit from a course not enrolled in stored %+v found=%v, want %+v", got, found, pos)
+	}
+
+	if _, err := s.RecordSession("000", "ELG5121", pos); !errors.Is(err, ErrNotFound) {
+		t.Errorf("exit of an unknown student: %v, want ErrNotFound", err)
 	}
 }
 
@@ -181,7 +213,7 @@ func TestStats(t *testing.T) {
 	s.Enroll(b, "ELG5121")
 	s.Enroll(b, "HIS1100")
 	for i := 0; i < 8; i++ {
-		s.RecordSession(b, "HIS1100")
+		s.RecordSession(b, "HIS1100", Position{})
 	}
 	stats := s.Stats()
 	if stats.Students != 2 || stats.Courses != 3 || stats.Programs != 2 {
@@ -217,12 +249,22 @@ func TestServiceOverLoopbackAndTCP(t *testing.T) {
 		if err := client.Enroll(num, courses[0].Code); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.Course(courses[0].Code); err != nil {
-			t.Fatal(err)
+		if _, _, found, err := client.Course(num, courses[0].Code); err != nil || found {
+			t.Fatalf("course: stop position found=%v err=%v before any exit", found, err)
 		}
-		reg, err := client.RecordSession(num, courses[0].Code)
+		reg, err := client.RecordSession(num, courses[0].Code, "intro", 2*time.Second)
 		if err != nil || reg.SessionsDone != 1 {
 			t.Fatalf("session %+v err=%v", reg, err)
+		}
+		if c, pos, found, err := client.Course(num, courses[0].Code); err != nil || c.Code != courses[0].Code ||
+			!found || pos != (Position{Scene: "intro", At: 2 * time.Second}) {
+			t.Fatalf("course %+v stop position %+v found=%v err=%v after the exit", c, pos, found, err)
+		}
+		if c, _, found, err := client.Course("000", courses[0].Code); err != nil || c.Code != courses[0].Code || found {
+			t.Fatalf("course for an unknown student: %+v found=%v err=%v, want the record alone", c, found, err)
+		}
+		if _, _, _, err := client.Course(num, "NOPE101"); err == nil || !strings.Contains(err.Error(), ErrNotFound.Error()) {
+			t.Fatalf("unknown course: %v, want %q", err, ErrNotFound)
 		}
 		if err := client.SetResume(num, courses[0].Code, "cells", 5*time.Second); err != nil {
 			t.Fatal(err)
@@ -283,7 +325,7 @@ func TestConcurrentAdministration(t *testing.T) {
 				return
 			}
 			s.Enroll(num, "ELG5121")
-			s.RecordSession(num, "ELG5121")
+			s.RecordSession(num, "ELG5121", Position{})
 			s.Student(num)
 			s.Stats()
 		}()
@@ -300,7 +342,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s := testSchool(t)
 	num, _ := s.Register(Profile{Name: "Persistent Student", Email: "p@s"})
 	s.Enroll(num, "ELG5121")
-	s.RecordSession(num, "ELG5121")
+	s.RecordSession(num, "ELG5121", Position{})
 	s.SetResume(num, "ELG5121", Position{Scene: "cells", At: 7 * time.Second})
 	s.SetFee("ELG5121", Fee{EnrollCents: 5000, SessionCents: 100})
 	s.RecordPayment(num, 2500)

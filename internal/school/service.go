@@ -36,6 +36,15 @@ type resumeResp struct {
 	Pos   Position
 	Found bool
 }
+
+// courseResp answers school.Course: the course record and the asking
+// student's stored stop position in it, if any.
+type courseResp struct {
+	Course Course
+	Pos    Position
+	Found  bool
+}
+
 type bookmarkReq struct {
 	Number   string
 	Bookmark Bookmark
@@ -50,12 +59,26 @@ func RegisterService(m *transport.Mux, s *School) {
 	})
 	transport.Route(m, MethodPrograms, func(struct{}) ([]string, error) { return s.Programs(), nil })
 	transport.Route(m, MethodCoursesIn, func(program string) ([]Course, error) { return s.CoursesIn(program), nil })
-	transport.Route(m, MethodCourse, s.Course)
+	transport.Route(m, MethodCourse, func(req studentCourseReq) (courseResp, error) {
+		c, err := s.Course(req.Course)
+		if err != nil {
+			return courseResp{}, err
+		}
+		// An unknown student has no stop position; the course record
+		// alone decides the call's outcome.
+		pos, found, _ := s.GetResume(req.Number, req.Course)
+		return courseResp{Course: c, Pos: pos, Found: found}, nil
+	})
 	transport.Route(m, MethodEnroll, func(req studentCourseReq) (struct{}, error) {
 		return struct{}{}, s.Enroll(req.Number, req.Course)
 	})
-	transport.Route(m, MethodRecordSession, func(req studentCourseReq) (Registration, error) {
-		return s.RecordSession(req.Number, req.Course)
+	// school.Course and school.RecordSession carry the stop position
+	// since they replaced GetResume and SetResume on a course visit's
+	// path. gob decodes loosely: an older client's RecordSession request
+	// reaches this route with a zero position and overwrites the one it
+	// filed just before, so servers and navigators upgrade together.
+	transport.Route(m, MethodRecordSession, func(req resumeSetReq) (Registration, error) {
+		return s.RecordSession(req.Number, req.Course, req.Pos)
 	})
 	transport.Route(m, MethodSetResume, func(req resumeSetReq) (struct{}, error) {
 		return struct{}{}, s.SetResume(req.Number, req.Course, req.Pos)
@@ -113,10 +136,13 @@ func (c Client) CoursesIn(program string) (courses []Course, err error) {
 	return courses, err
 }
 
-// Course fetches one course record.
-func (c Client) Course(code string) (course Course, err error) {
-	err = c.invoke(MethodCourse, code, &course)
-	return course, err
+// Course fetches one course record and the student's stored stop
+// position in it: found is false when there is none, or no such
+// student. Only an unknown course fails the call.
+func (c Client) Course(number, code string) (course Course, pos Position, found bool, err error) {
+	var resp courseResp
+	err = c.invoke(MethodCourse, studentCourseReq{Number: number, Course: code}, &resp)
+	return resp.Course, resp.Pos, resp.Found, err
 }
 
 // Enroll registers the student for a course.
@@ -124,9 +150,10 @@ func (c Client) Enroll(number, course string) error {
 	return c.invoke(MethodEnroll, studentCourseReq{Number: number, Course: course}, nil)
 }
 
-// RecordSession advances course progress.
-func (c Client) RecordSession(number, course string) (reg Registration, err error) {
-	err = c.invoke(MethodRecordSession, studentCourseReq{Number: number, Course: course}, &reg)
+// RecordSession stores the stop position and then advances course
+// progress.
+func (c Client) RecordSession(number, course, scene string, at time.Duration) (reg Registration, err error) {
+	err = c.invoke(MethodRecordSession, resumeSetReq{Number: number, Course: course, Pos: Position{Scene: scene, At: at}}, &reg)
 	return reg, err
 }
 

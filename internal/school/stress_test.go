@@ -40,7 +40,7 @@ func TestSchoolConcurrentStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.RecordSession(num, "ELG5121"); err != nil {
+				if _, err := s.RecordSession(num, "ELG5121", Position{}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -41,9 +41,9 @@ func recordWire() (*wiretest.Recorder, error) {
 		func() error { return c.UpdateProfile(num, Profile{Name: "Ada L.", Email: "ada@example.org"}) },
 		func() error { _, err := c.Programs(); return err },
 		func() error { _, err := c.CoursesIn("Engineering"); return err },
-		func() error { _, err := c.Course("ELG5121"); return err },
+		func() error { _, _, _, err := c.Course(num, "ELG5121"); return err },
 		func() error { return c.Enroll(num, "ELG5121") },
-		func() error { _, err := c.RecordSession(num, "ELG5121"); return err },
+		func() error { _, err := c.RecordSession(num, "ELG5121", "scene-1", 30*time.Second); return err },
 		func() error { return c.SetResume(num, "ELG5121", "scene-2", 90*time.Second) },
 		func() (err error) { pos, found, err = c.GetResume(num, "ELG5121"); return },
 		func() error {
@@ -67,7 +67,10 @@ func recordWire() (*wiretest.Recorder, error) {
 
 // TestWireGolden compares the request/response payloads of all twelve
 // school.* stubs with testdata/wire.golden, captured from the
-// hand-written stubs this layer replaced.
+// hand-written stubs this layer replaced. school.Course and
+// school.RecordSession were captured again when they began to carry the
+// stop position; gob numbers types process-wide, so every later line
+// moved with them by its type IDs alone.
 func TestWireGolden(t *testing.T) {
 	if wireErr != nil {
 		t.Fatal(wireErr)

@@ -30,7 +30,7 @@ lint:
 fuzz:
 	go test -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/transport/
 	go test -fuzz=FuzzContentChunkDecode -fuzztime=10s ./internal/transport/
-	go test -fuzz=FuzzGobDecodeDifferential -fuzztime=10s ./internal/transport/
+	go test -fuzz=FuzzPayloadDecode -fuzztime=10s ./internal/transport/
 	go test -fuzz=FuzzAAL5Reassemble -fuzztime=10s ./internal/atm/
 	go test -fuzz=FuzzMHEGDecode -fuzztime=10s ./internal/mheg/codec/
 	go test -fuzz=FuzzMarkupParse -fuzztime=10s ./internal/markup/
@@ -50,7 +50,7 @@ cluster:
 # multiplexed hot path — transport pipelining (out-of-order completion,
 # conn-death drain, blocked-enqueue release, abandoned frames, the
 # stream window's settle-every-started-call accounting, the process-wide
-# codec pools under eight callers, GetContent's records against scribbled
+# buffer pools under eight callers, GetContent's records against scribbled
 # and reused response buffers), the cache singleflight, the
 # cluster failover ladder (replica death mid-stream vs the replication
 # appliers, the relay's release-exactly-once), the keyword tree's

@@ -13,10 +13,10 @@ import (
 	"mits/internal/transport/wiretest"
 )
 
-// unchangedReplyMax bounds an "unchanged" GetKeywordTree reply: the tag
-// behind the reply type's gob definitions (185 bytes as measured), which
-// every payload of the primed codec opens with — whatever the tree holds.
-const unchangedReplyMax = 192
+// unchangedReplyMax bounds an "unchanged" GetKeywordTree reply: the
+// tag's varint (10 bytes for most digests) and the absent tree's
+// presence byte, 11 bytes as measured, + 10 %.
+const unchangedReplyMax = 12
 
 // hasKeyword reports whether the tree has a node at the keyword path.
 func hasKeyword(tree *mediastore.KeywordNode, path string) (found bool) {

@@ -2,6 +2,7 @@ package courseware
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mits/internal/document"
@@ -135,7 +136,12 @@ func CompileIMD(doc *document.IMDoc, app string) (*Compiled, error) {
 // finish assembles the descriptor and container.
 func (c *imdCompiler) finish(title string) {
 	desc := mheg.NewDescriptor(c.ids.Next(), c.out.Root)
+	codings := make([]media.Coding, 0, len(c.codings))
 	for coding := range c.codings {
+		codings = append(codings, coding)
+	}
+	slices.Sort(codings) // one document compiles to one encoding, and so one digest
+	for _, coding := range codings {
 		if need, ok := resourceNeeds[coding]; ok {
 			desc.Needs = append(desc.Needs, need)
 		}

@@ -1,21 +1,18 @@
 package exercise
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"mits/internal/obs"
 	"mits/internal/transport"
 	"mits/internal/transport/wiretest"
 )
 
-// wire is recorded while the package initialises: gob numbers types in
-// the order a process first meets them, so the bytes are only
-// reproducible before any other test has touched gob.
-var wire, wireErr = recordWire()
-
-// recordWire drives every ex.* stub once with fixed inputs. The set has
-// one problem, so every map on the wire has one entry and gob's output
-// is stable.
+// recordWire drives every ex.* stub once with fixed inputs.
 func recordWire() (*wiretest.Recorder, error) {
 	mux := transport.NewMux()
 	RegisterService(mux, NewBook())
@@ -53,11 +50,11 @@ func recordWire() (*wiretest.Recorder, error) {
 }
 
 // TestWireGolden compares the request/response payloads of all seven
-// ex.* stubs with testdata/wire.golden, captured from the hand-written
-// stubs this layer replaced.
+// ex.* stubs with testdata/wire.golden.
 func TestWireGolden(t *testing.T) {
-	if wireErr != nil {
-		t.Fatal(wireErr)
+	wire, err := recordWire()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := len(wire.Methods()); got != 7 {
 		t.Errorf("%d ex.* methods exercised, want all 7", got)
@@ -73,12 +70,62 @@ func TestWireGolden(t *testing.T) {
 	wire.Golden(t, "testdata/wire.golden")
 }
 
-// TestWireRepeatCalls: the golden pins each method's first call, which
-// meets fresh codecs; calls two and three meet primed ones and must put
+// TestWireRepeatCalls: the script run again in the same process puts
 // the same bytes on the wire, requests and responses alike.
 func TestWireRepeatCalls(t *testing.T) {
-	if wireErr != nil {
-		t.Fatal(wireErr)
+	wire, err := recordWire()
+	if err != nil {
+		t.Fatal(err)
 	}
 	wire.Repeat(t, recordWire)
+}
+
+// sameAsGob sends each sample through a route that echoes it, the
+// payload codec both ways, and fails unless what comes back is what an
+// encoding/gob round trip of the sample gives: the semantics callers of
+// the gob era relied on.
+func sameAsGob[T any](t *testing.T, samples ...T) {
+	t.Helper()
+	mux := transport.NewMux()
+	transport.Route(mux, "echo", func(v T) (T, error) { return v, nil })
+	for i, v := range samples {
+		var got, want T
+		if err := transport.Invoke(transport.Loopback{H: mux}, obs.SpanContext{}, "echo", v, &got); err != nil {
+			t.Fatalf("%T sample %d: %v", v, i, err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T sample %d: the codec gives %+v, gob %+v", v, i, got, want)
+		}
+	}
+}
+
+// TestPayloadMatchesGob: every Req and Resp the ex.* routes carry.
+func TestPayloadMatchesGob(t *testing.T) {
+	set := Set{ID: "q1", Course: "ELG5121", Title: "Quiz 1", Problems: []Problem{
+		{ID: "p1", Kind: Numeric, Prompt: "cells?", Answer: "1", Tolerance: 0.5, Points: 3, Feedback: "trailer"},
+		{ID: "p2", Kind: MultipleChoice, Options: []string{"AAL1", "AAL5", ""}, Answer: "1", Points: -1},
+		{ID: "p3", Options: []string{}},
+	}}
+	grade := Grade{Student: "S1", SetID: "q1", Score: 3, Max: 5, Attempt: 2, Results: map[string]Result{
+		"p2": {}, "p1": {Correct: true, Earned: 3}, "p3": {Feedback: "see §2"},
+	}}
+	sameAsGob(t, Set{}, set, Set{ID: "empty", Problems: []Problem{}})
+	sameAsGob(t, &set, &Set{})
+	sameAsGob(t, "", "ELG5121")
+	sameAsGob(t, []string(nil), []string{}, []string{"q2", "q1"})
+	sameAsGob(t, submitReq{}, submitReq{SetID: "q1", Student: "S1", Answers: map[string]string{"p2": "1", "p1": "1.2", "p3": ""}},
+		submitReq{Answers: map[string]string{}})
+	sameAsGob(t, &grade, &Grade{}, &Grade{Results: map[string]Result{}})
+	sameAsGob(t, bestReq{}, bestReq{SetID: "q1", Student: "S1"})
+	sameAsGob(t, bestResp{}, bestResp{Grade: &grade, Found: true}, bestResp{Grade: &Grade{}})
+	sameAsGob(t, SetStats{}, SetStats{Submissions: 4, MeanPercent: 62.5, MissRate: map[string]float64{"p2": 0.25, "p1": 0}},
+		SetStats{MissRate: map[string]float64{}})
+	sameAsGob(t, []Standing(nil), []Standing{}, []Standing{{Student: "S2", Score: 7, Max: 8}, {}})
 }

@@ -129,7 +129,7 @@ func E5Layers() (*Report, error) {
 		Rows: [][]string{
 			{"application (courseware)", "1 container", bytesStr(appBytes), "1.00×"},
 			{"MHEG object layer", fmt.Sprintf("%d objects coded", len(out.Container.Items)), bytesStr(appBytes), "1.00×"},
-			{"message protocol", "gob record + frame", bytesStr(rspBytes), ratio(rspBytes, appBytes)},
+			{"message protocol", "typed payload + frame", bytesStr(rspBytes), ratio(rspBytes, appBytes)},
 			{"AAL5 + chunking", fmt.Sprintf("%d cells payloads", cells), bytesStr(cells * atm.CellPayloadSize), ratio(cells*atm.CellPayloadSize, appBytes)},
 			{"ATM wire (53B cells)", fmt.Sprintf("%d cells", cells), bytesStr(wire), ratio(wire, appBytes)},
 		},

@@ -1,17 +1,16 @@
 package facilitator
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"mits/internal/obs"
 	"mits/internal/transport"
 	"mits/internal/transport/wiretest"
 )
-
-// wire is recorded while the package initialises: gob numbers types in
-// the order a process first meets them, so the bytes are only
-// reproducible before any other test has touched gob.
-var wire, wireErr = recordWire()
 
 // recordWire drives every fac.* stub once with fixed inputs.
 func recordWire() (*wiretest.Recorder, error) {
@@ -51,11 +50,11 @@ func recordWire() (*wiretest.Recorder, error) {
 }
 
 // TestWireGolden compares the request/response payloads of all twelve
-// fac.* stubs with testdata/wire.golden, captured from the hand-written
-// stubs this layer replaced.
+// fac.* stubs with testdata/wire.golden.
 func TestWireGolden(t *testing.T) {
-	if wireErr != nil {
-		t.Fatal(wireErr)
+	wire, err := recordWire()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := len(wire.Methods()); got != 12 {
 		t.Errorf("%d fac.* methods exercised, want all 12", got)
@@ -73,12 +72,53 @@ func TestWireGolden(t *testing.T) {
 	wire.Golden(t, "testdata/wire.golden")
 }
 
-// TestWireRepeatCalls: the golden pins each method's first call, which
-// meets fresh codecs; calls two and three meet primed ones and must put
+// TestWireRepeatCalls: the script run again in the same process puts
 // the same bytes on the wire, requests and responses alike.
 func TestWireRepeatCalls(t *testing.T) {
-	if wireErr != nil {
-		t.Fatal(wireErr)
+	wire, err := recordWire()
+	if err != nil {
+		t.Fatal(err)
 	}
 	wire.Repeat(t, recordWire)
+}
+
+// sameAsGob sends each sample through a route that echoes it, the
+// payload codec both ways, and fails unless what comes back is what an
+// encoding/gob round trip of the sample gives: the semantics callers of
+// the gob era relied on.
+func sameAsGob[T any](t *testing.T, samples ...T) {
+	t.Helper()
+	mux := transport.NewMux()
+	transport.Route(mux, "echo", func(v T) (T, error) { return v, nil })
+	for i, v := range samples {
+		var got, want T
+		if err := transport.Invoke(transport.Loopback{H: mux}, obs.SpanContext{}, "echo", v, &got); err != nil {
+			t.Fatalf("%T sample %d: %v", v, i, err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T sample %d: the codec gives %+v, gob %+v", v, i, got, want)
+		}
+	}
+}
+
+// TestPayloadMatchesGob: every Req and Resp the fac.* routes carry.
+func TestPayloadMatchesGob(t *testing.T) {
+	sameAsGob(t, "", "atm")
+	sameAsGob(t, 0, -1, 1<<40)
+	sameAsGob(t, []string(nil), []string{}, []string{"news", "atm", ""})
+	sameAsGob(t, roomMemberReq{}, roomMemberReq{Room: "atm", Member: "ada"})
+	sameAsGob(t, sayReq{}, sayReq{Room: "atm", Member: "ada", Text: "what is a VC?"})
+	sameAsGob(t, pollReq{}, pollReq{Name: "atm", After: -3})
+	sameAsGob(t, publishReq{}, publishReq{Board: "news", Author: "prof", Subject: "exam", Body: "next week"})
+	sameAsGob(t, mailReq{}, mailReq{From: "ada", To: "prof", Subject: "q", Body: "b"})
+	sameAsGob(t, []ChatMessage(nil), []ChatMessage{}, []ChatMessage{{Seq: 1, Author: "ada", Text: "hi"}, {}})
+	sameAsGob(t, []Post(nil), []Post{}, []Post{{Seq: 2, Author: "prof", Subject: "exam", Body: "next week"}, {}})
+	sameAsGob(t, []Mail(nil), []Mail{}, []Mail{{Seq: 3, From: "ada", To: "prof", Subject: "q", Body: "b"}, {}})
 }

@@ -74,9 +74,9 @@ func RegisterService(m *transport.Mux, s *School) {
 	})
 	// school.Course and school.RecordSession carry the stop position
 	// since they replaced GetResume and SetResume on a course visit's
-	// path. gob decodes loosely: an older client's RecordSession request
-	// reaches this route with a zero position and overwrites the one it
-	// filed just before, so servers and navigators upgrade together.
+	// path. A RecordSession request in its older shape, without the
+	// position, runs out of bytes where the position begins and is
+	// refused: it cannot file a zero position over the stored one.
 	transport.Route(m, MethodRecordSession, func(req resumeSetReq) (Registration, error) {
 		return s.RecordSession(req.Number, req.Course, req.Pos)
 	})

@@ -1,7 +1,10 @@
 package school
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,13 +15,9 @@ import (
 	"mits/internal/transport/wiretest"
 )
 
-// wire is recorded while the package initialises: gob numbers types in
-// the order a process first meets them, so the bytes are only
-// reproducible before any other test has touched gob.
-var wire, wireErr = recordWire()
-
-// recordWire drives every school.* stub once with fixed inputs. Maps in
-// the wire structs hold one entry at most, so gob's output is stable.
+// recordWire drives every school.* stub once with fixed inputs. The
+// student's stop positions, one per course, reach school.Student's reply
+// as a map of two entries.
 func recordWire() (*wiretest.Recorder, error) {
 	s := New("MITS")
 	if err := s.AddCourse(Course{Code: "ELG5121", Name: "Multimedia", Program: "Engineering",
@@ -44,8 +43,8 @@ func recordWire() (*wiretest.Recorder, error) {
 		func() error { _, _, _, err := c.Course(num, "ELG5121"); return err },
 		func() error { return c.Enroll(num, "ELG5121") },
 		func() error { _, err := c.RecordSession(num, "ELG5121", "scene-1", 30*time.Second); return err },
-		func() error { return c.SetResume(num, "ELG5121", "scene-2", 90*time.Second) },
-		func() (err error) { pos, found, err = c.GetResume(num, "ELG5121"); return },
+		func() error { return c.SetResume(num, "ELG5374", "scene-2", 90*time.Second) },
+		func() (err error) { pos, found, err = c.GetResume(num, "ELG5374"); return },
 		func() error {
 			return c.AddBookmark(num, Bookmark{Label: "here", Course: "ELG5121", Scene: "scene-1", At: time.Second})
 		},
@@ -59,21 +58,18 @@ func recordWire() (*wiretest.Recorder, error) {
 	if !found || pos.Scene != "scene-2" || pos.At != 90*time.Second {
 		return nil, fmt.Errorf("GetResume = %+v, %v", pos, found)
 	}
-	if st.Profile.Name != "Ada L." || len(st.Bookmarks) != 1 {
+	if st.Profile.Name != "Ada L." || len(st.Bookmarks) != 1 || len(st.Resume) != 2 {
 		return nil, fmt.Errorf("Student = %+v", st)
 	}
 	return rec, nil
 }
 
 // TestWireGolden compares the request/response payloads of all twelve
-// school.* stubs with testdata/wire.golden, captured from the
-// hand-written stubs this layer replaced. school.Course and
-// school.RecordSession were captured again when they began to carry the
-// stop position; gob numbers types process-wide, so every later line
-// moved with them by its type IDs alone.
+// school.* stubs with testdata/wire.golden.
 func TestWireGolden(t *testing.T) {
-	if wireErr != nil {
-		t.Fatal(wireErr)
+	wire, err := recordWire()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := len(wire.Methods()); got != 12 {
 		t.Errorf("%d school.* methods exercised, want all 12", got)
@@ -141,12 +137,98 @@ func TestCallsContinueTheCallersTrace(t *testing.T) {
 	}
 }
 
-// TestWireRepeatCalls: the golden pins each method's first call, which
-// meets fresh codecs; calls two and three meet primed ones and must put
+// TestWireRepeatCalls: the script run again in the same process puts
 // the same bytes on the wire, requests and responses alike.
 func TestWireRepeatCalls(t *testing.T) {
-	if wireErr != nil {
-		t.Fatal(wireErr)
+	wire, err := recordWire()
+	if err != nil {
+		t.Fatal(err)
 	}
 	wire.Repeat(t, recordWire)
+}
+
+// sameAsGob sends each sample through a route that echoes it, the
+// payload codec both ways, and fails unless what comes back is what an
+// encoding/gob round trip of the sample gives: the semantics callers of
+// the gob era relied on.
+func sameAsGob[T any](t *testing.T, samples ...T) {
+	t.Helper()
+	mux := transport.NewMux()
+	transport.Route(mux, "echo", func(v T) (T, error) { return v, nil })
+	for i, v := range samples {
+		var got, want T
+		if err := transport.Invoke(transport.Loopback{H: mux}, obs.SpanContext{}, "echo", v, &got); err != nil {
+			t.Fatalf("%T sample %d: %v", v, i, err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T sample %d: the codec gives %+v, gob %+v", v, i, got, want)
+		}
+	}
+}
+
+// TestPayloadMatchesGob: every Req and Resp the school.* routes carry.
+func TestPayloadMatchesGob(t *testing.T) {
+	course := Course{Code: "ELG5121", Name: "Multimedia", Program: "Engineering", PlannedSessions: 2, Document: "elg5121.doc", IntroRef: "intro/elg5121"}
+	profile := Profile{Name: "Ada", Address: "1 Main St", Email: "ada@example.org", Background: "math"}
+	pos := Position{Scene: "scene-2", At: 90 * time.Second}
+	sameAsGob(t, Profile{}, profile)
+	sameAsGob(t, "", "S1")
+	sameAsGob(t, Student{}, Student{Courses: []Registration{}, Bookmarks: []Bookmark{}, Resume: map[string]Position{}},
+		Student{Number: "S1", Profile: profile,
+			Courses:   []Registration{{CourseCode: "ELG5121", SessionsDone: 2, Completed: true}, {CourseCode: "ELG5374"}},
+			Bookmarks: []Bookmark{{Label: "here", Course: "ELG5121", Scene: "scene-1", At: -time.Second}, {}},
+			Resume:    map[string]Position{"ELG5374": pos, "ELG5121": {}, "": {Scene: "s"}}})
+	sameAsGob(t, profileReq{}, profileReq{Number: "S1", Profile: profile})
+	sameAsGob(t, []string(nil), []string{}, []string{"Engineering", "Arts"})
+	sameAsGob(t, []Course(nil), []Course{}, []Course{course, {}})
+	sameAsGob(t, studentCourseReq{}, studentCourseReq{Number: "S1", Course: "ELG5121"})
+	sameAsGob(t, courseResp{}, courseResp{Course: course, Pos: pos, Found: true})
+	sameAsGob(t, resumeSetReq{}, resumeSetReq{Number: "S1", Course: "ELG5121", Pos: pos})
+	sameAsGob(t, Registration{}, Registration{CourseCode: "ELG5121", SessionsDone: 1})
+	sameAsGob(t, resumeResp{}, resumeResp{Pos: pos, Found: true})
+	sameAsGob(t, bookmarkReq{}, bookmarkReq{Number: "S1", Bookmark: Bookmark{Label: "here", At: time.Minute}})
+	sameAsGob(t, Statistics{}, Statistics{Enrollments: map[string]int{}, Completions: map[string]int{}},
+		Statistics{Students: 2, Courses: 3, Programs: 1, Enrollments: map[string]int{"ELG5374": 1, "ELG5121": 2}, Completions: map[string]int{"ELG5121": 1}})
+}
+
+// TestRecordSessionRefusesTheOldRequest: a school.RecordSession request
+// in the shape it had before it carried the stop position — the student
+// and the course alone — is refused, and neither the position filed
+// before it nor the course progress moves.
+func TestRecordSessionRefusesTheOldRequest(t *testing.T) {
+	s := New("MITS")
+	if err := s.AddCourse(Course{Code: "ELG5121", Name: "Multimedia", Program: "Engineering", PlannedSessions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	mux := transport.NewMux()
+	RegisterService(mux, s)
+	c := Client{C: transport.Loopback{H: mux}}
+	num, err := c.Register(Profile{Name: "Ada"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Enroll(num, "ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetResume(num, "ELG5121", "scene-2", 90*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var reg Registration
+	if err := transport.Invoke(c.C, obs.SpanContext{}, MethodRecordSession, studentCourseReq{Number: num, Course: "ELG5121"}, &reg); err == nil {
+		t.Errorf("the position-less request was taken: %+v", reg)
+	}
+	pos, found, err := c.GetResume(num, "ELG5121")
+	if err != nil || !found || pos != (Position{Scene: "scene-2", At: 90 * time.Second}) {
+		t.Errorf("stored position after the refused request: %+v, %v, %v", pos, found, err)
+	}
+	if st, err := c.Student(num); err != nil || st.Courses[0].SessionsDone != 0 {
+		t.Errorf("course progress after the refused request: %+v, %v", st.Courses, err)
+	}
 }

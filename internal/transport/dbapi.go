@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -25,7 +26,7 @@ const (
 	MethodPutContent   = "db.PutContent"
 )
 
-// Wire structs.
+// Wire structs. Each keyed request leads with its key, which RequestKey reads.
 
 // getDocReq names a document and the digest of the copy the caller holds
 // (0 for none); while it is current the reply is the record without Data.
@@ -78,7 +79,7 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 			return nil, nil, err
 		}
 		served[resp.Root != nil].Inc()
-		return gobEncodePooled(resp)
+		return appendPayloadPooled(resp)
 	})
 	Route(m, MethodDocByKeyword, func(req keywordReq) ([]string, error) {
 		return store.DocsByKeyword(req.Keyword), nil
@@ -95,10 +96,10 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 
 // EncodeGetDoc encodes a Get_Selected_Doc request payload, for issuing
 // the call over asynchronous carriers (ATM sessions).
-func EncodeGetDoc(name string) ([]byte, error) { return gobEncode(getDocReq{Name: name}) }
+func EncodeGetDoc(name string) ([]byte, error) { return appendPayload(nil, getDocReq{Name: name}) }
 
 // EncodeGetContent encodes a GetContent request payload.
-func EncodeGetContent(ref string) ([]byte, error) { return gobEncode(getContentReq{Ref: ref}) }
+func EncodeGetContent(ref string) ([]byte, error) { return appendPayload(nil, getContentReq{Ref: ref}) }
 
 // Routing-key extractors and scatter-gather codecs. A cluster router
 // sits between clients and shards speaking the same wire protocol both
@@ -108,30 +109,20 @@ func EncodeGetContent(ref string) ([]byte, error) { return gobEncode(getContentR
 // a thin, exported view of the wire structs for exactly that — the
 // payloads themselves are forwarded verbatim via DBClient.Do.
 
-// putDocKey and putContentKey read a put for its routing key alone: gob
-// skips the fields a target lacks, so routing a write does not materialise
-// its Data. (Not the gets' types: learned prefixes are bounded per target.)
-type putDocKey struct{ Name string }
-type putContentKey struct{ Ref string }
-
 // RequestKey extracts the routing key of a keyed request payload: the
 // document name for Get_Selected_Doc/PutDocument, the content ref for
 // GetContent/PutContent. Methods that have no single key (list and
-// keyword methods, which fan out) return ErrUnkeyedMethod.
+// keyword methods, which fan out) return ErrUnkeyedMethod. The key is
+// the string each keyed request leads with, read without the rest: a
+// put's Data is never materialised to route it.
 func RequestKey(method string, payload []byte) (string, error) {
 	switch method {
-	case MethodGetDoc:
-		var req getDocReq
-		return req.Name, gobDecode(payload, &req)
-	case MethodGetContent:
-		var req getContentReq
-		return req.Ref, gobDecode(payload, &req)
-	case MethodPutDoc:
-		var key putDocKey
-		return key.Name, gobDecode(payload, &key)
-	case MethodPutContent:
-		var key putContentKey
-		return key.Ref, gobDecode(payload, &key)
+	case MethodGetDoc, MethodGetContent, MethodPutDoc, MethodPutContent:
+		n, k := binary.Uvarint(payload)
+		if k <= 0 || n > uint64(len(payload)-k) {
+			return "", errMalformed
+		}
+		return string(payload[k : k+int(n)]), nil
 	case MethodGetContentStream:
 		ref, _, _, err := DecodeGetContentStream(payload)
 		return ref, err
@@ -145,12 +136,12 @@ var ErrUnkeyedMethod = errors.New("transport: method has no routing key")
 
 // EncodeNameList encodes a []string response payload (ListDocs,
 // DocByKeyword) — the merge side of scatter-gather.
-func EncodeNameList(names []string) ([]byte, error) { return gobEncode(names) }
+func EncodeNameList(names []string) ([]byte, error) { return appendPayload(nil, names) }
 
 // DecodeNameList decodes a []string response payload.
 func DecodeNameList(payload []byte) ([]string, error) {
 	var names []string
-	return names, gobDecode(payload, &names)
+	return names, decodePayload(payload, &names)
 }
 
 // ErrKeywordTag marks "unchanged" in answer to a tag the caller did not send.
@@ -161,7 +152,7 @@ var ErrKeywordTag = errors.New("transport: keyword tree unchanged from a tag not
 func answerKeywordTree(request []byte, root *mediastore.KeywordNode, tag uint64) (keywordTreeResp, error) {
 	var have uint64
 	if len(request) > 0 {
-		if err := gobDecode(request, &have); err != nil {
+		if err := decodePayload(request, &have); err != nil {
 			return keywordTreeResp{}, err
 		}
 	}
@@ -177,7 +168,7 @@ func EncodeKeywordTree(request []byte, root *mediastore.KeywordNode, tag uint64)
 	if err != nil {
 		return nil, err
 	}
-	return gobEncode(resp)
+	return appendPayload(nil, resp)
 }
 
 // tree is the asking side: what r says in answer to a request naming have.
@@ -191,7 +182,7 @@ func (r keywordTreeResp) tree(have uint64) (*mediastore.KeywordNode, uint64, err
 // DecodeKeywordTree decodes the response to an unconditional GetKeywordTree.
 func DecodeKeywordTree(payload []byte) (*mediastore.KeywordNode, uint64, error) {
 	var resp keywordTreeResp
-	if err := gobDecode(payload, &resp); err != nil {
+	if err := decodePayload(payload, &resp); err != nil {
 		return nil, 0, err
 	}
 	return resp.tree(0)

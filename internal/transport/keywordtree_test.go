@@ -52,7 +52,7 @@ func TestKeywordTreeRoute(t *testing.T) {
 		t.Errorf("after a publish, have the old tag: %+v under %#x, %v", root, tag, err)
 	}
 	if _, err := c.Call(MethodKeywordTree, []byte{0x01, 0x02}); err == nil {
-		t.Error("a request that is not a gob value was served")
+		t.Error("a request that is not a payload was served")
 	}
 	if f, u := served("full")-full, served("unchanged")-unchanged; f != 4 || u != 1 {
 		t.Errorf("served %d full and %d unchanged, want 4 and 1", f, u)
@@ -91,7 +91,7 @@ func TestKeywordTreeReplyShapes(t *testing.T) {
 		{"unchanged under tag 0", keywordTreeResp{}, 8, true},
 		{"nothing at all", keywordTreeResp{}, 0, true},
 	} {
-		payload, err := gobEncode(tc.reply)
+		payload, err := appendPayload(nil, tc.reply)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestKeywordTreeReplyShapes(t *testing.T) {
 			t.Errorf("%s: DecodeKeywordTree = %+v, %v", tc.what, root, err)
 		}
 	}
-	payload, _ := gobEncode(keywordTreeResp{Tag: 9, Root: tree})
+	payload, _ := appendPayload(nil, keywordTreeResp{Tag: 9, Root: tree})
 	truncated := DBClient{C: Loopback{H: HandlerFunc(func(string, []byte) ([]byte, error) { return payload[:len(payload)-2], nil })}}
 	if root, _, err := truncated.GetKeywordTree(9); err == nil || root != nil {
 		t.Errorf("truncated reply: %+v, %v", root, err)

@@ -22,9 +22,10 @@ import (
 // most the window's worth of video. db.GetContent answers in the same
 // layout: the whole object as chunk 0, which is also the last.
 //
-// The codec is hand-rolled binary, not gob: a fixed layout decodes with
-// zero reflection, zero allocation beyond the strings and a Data that
-// is a view of the frame, where gob copies every message twice (E36).
+// The codec is a fixed layout of its own, not the typed-RPC one: it
+// decodes with zero reflection and zero allocation beyond the strings,
+// and Data is a view of the frame where the typed decoder would copy
+// it (E36).
 
 // MethodGetContentStream is the chunked content wire op. It is keyed
 // by ref (RequestKey) and idempotent per chunk.
@@ -250,7 +251,7 @@ const wholeObject = math.MaxUint32
 
 // registerContent mounts the two content reads on the mux. They differ
 // only in how a request says (ref, offset, maxBytes) — db.GetContent's
-// gob {Ref} means all of it, from 0 — and answer alike: one chunk,
+// {Ref} means all of it, from 0 — and answer alike: one chunk,
 // served straight off the store's borrowed (zero-copy) record.
 func registerContent(m *Mux, store *mediastore.Store) {
 	serve := func(sc obs.SpanContext, span, ref string, offset, maxBytes uint64, err error) ([]byte, func(), error) {
@@ -267,7 +268,7 @@ func registerContent(m *Mux, store *mediastore.Store) {
 	}
 	m.RegisterPooled(MethodGetContent, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
 		var req getContentReq
-		err := gobDecode(payload, &req)
+		err := decodePayload(payload, &req)
 		return serve(sc, "store.GetContent", req.Ref, 0, wholeObject, err)
 	})
 	m.RegisterPooled(MethodGetContentStream, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {

@@ -1,277 +1,273 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mits/internal/obs"
 )
 
 // The typed-RPC stub layer: the one client module and the one server
-// dispatch routine of §5.3.2. Every typed service call in the system —
-// db.*, school.*, ex.*, fac.* — is an Invoke on the client side and a
-// Route on the server side, so the payload format (one gob value per
-// direction, no bytes at all for "no argument" / "no result") and the
-// call sequence (encode → CallInTracePooled → decode → release) are
-// written down here and nowhere else. Service packages own only their
-// method names and wire structs.
+// dispatch routine of §5.3.2. Every typed service call — db.*, school.*,
+// ex.*, fac.* — is an Invoke on the client side and a Route on the
+// server side, so the payload format and the call sequence (encode →
+// CallInTracePooled → decode → release) are written down here and
+// nowhere else; service packages own only method names and wire structs.
 //
-// The payload is, as it always was, what a fresh gob.Encoder writes for
-// the value: its type definitions, then one value message. What changed
-// is how often gob's type machinery runs: a fresh encoder re-describes
-// its types and a fresh decoder re-compiles its engine per message (a
-// quarter of a routed read's CPU, E34), so gobEncode and gobDecode keep
-// primed ones per Go type. No peer can tell (TestGobCodecDifferential).
+// A payload is one value (no bytes at all for "no argument" / "no
+// result") in a layout read and written by reflection, with nothing
+// kept between messages but each struct type's exported field indexes.
+// A struct is its exported fields in order; a bool a byte, 0 or 1; an
+// integer a varint, zig-zag if signed; a float 8 bytes, little-endian;
+// a string, []byte or slice a uvarint count and then its elements; a
+// pointer a presence byte (0 or 1) and what it points at, a map one and
+// a count of entries, key first, in key order. An empty slice decodes as
+// nil and a message that is a pointer is what it points at, as under
+// gob. The decoder holds every count to the bytes left, nesting to
+// maxNesting, and refuses bytes after the value.
 
-// splitGob splits a payload as gob frames it — messages of an unsigned
-// byte count and a body opening with a signed type id, negative for a
-// type definition — into the leading definitions and the first value
-// message; like a decoder reading one value, it ignores what follows.
-func splitGob(payload []byte) (defs, value []byte, ok bool) {
-	for off := 0; off < len(payload); {
-		count, n := gobUint(payload[off:])
-		body := off + n
-		if n == 0 || count == 0 || count > uint64(len(payload)-body) {
-			return nil, nil, false
-		}
-		end := body + int(count)
-		id, n := gobUint(payload[body:end])
-		if n == 0 {
-			return nil, nil, false
-		}
-		if id&1 == 0 { // a signed integer keeps its sign in the low bit
-			return payload[:off], payload[off:end], true
-		}
-		off = end
+// maxNesting bounds how deep a message nests: 3 a keyword tree level.
+const maxNesting = 512
+
+var errMalformed = errors.New("transport: malformed payload")
+var errNesting = fmt.Errorf("transport: payload nests deeper than %d", maxNesting)
+
+var fieldIndexes sync.Map // reflect.Type → []int
+
+// exportedFields lists the exported fields of a struct type, of others none.
+func exportedFields(t reflect.Type) []int {
+	if f, ok := fieldIndexes.Load(t); ok || t.Kind() != reflect.Struct {
+		f, _ := f.([]int)
+		return f
 	}
-	return nil, nil, false
+	var f []int
+	for i := range t.NumField() {
+		if t.Field(i).IsExported() {
+			f = append(f, i)
+		}
+	}
+	fieldIndexes.Store(t, f)
+	return f
 }
 
-// gobUint reads gob's unsigned integer at the head of b: one byte below
-// 128, or the negated count of the big-endian bytes that follow. n is
-// how many bytes it took, 0 when b does not hold one.
-func gobUint(b []byte) (v uint64, n int) {
-	if len(b) == 0 {
-		return 0, 0
-	}
-	if b[0] < 0x80 {
-		return uint64(b[0]), 1
-	}
-	n = 1 - int(int8(b[0]))
-	if n > 9 || n > len(b) {
-		return 0, 0
-	}
-	for _, c := range b[1:n] {
-		v = v<<8 | uint64(c)
-	}
-	return v, n
-}
+func noLayout(t reflect.Type) error { return fmt.Errorf("transport: %s has no payload layout", t) }
 
-const (
-	// maxPooledCodecBytes bounds what a pooled codec pins (an encoder
-	// keeps its buffers, a decoder its last message): a larger message
-	// costs its encoder its place, and is decoded by a fresh decoder.
-	maxPooledCodecBytes = 256 << 10
-
-	// maxLearnedPrefixes bounds the prefixes decoders are kept for, per
-	// target type, and maxPrefixBytes each of them (a wire type's is a
-	// few hundred bytes; gob lets a peer pad one with unused definitions).
-	// Peers built from this tree send a handful, one per order a process
-	// met its types in; one that keeps inventing them is decoded as ever.
-	maxLearnedPrefixes = 4
-	maxPrefixBytes     = 4 << 10
-)
-
-// codecFallback counts a message that went round the primed codecs: dir
-// encode|decode, reason unsplittable|prefix_bound|multi_message|oversize.
-func codecFallback(dir, reason string) {
-	obs.GetCounter("transport_codec_fallback_total", "dir", dir, "reason", reason).Inc()
-}
-
-// wireCodec holds the primed codecs of one Go type; wireCodecs maps
-// each reflect.Type met so far — the wire types, a fixed set — to its own.
-type wireCodec struct {
-	encoders sync.Pool                                       // *primedEncoder
-	decoders [maxLearnedPrefixes]atomic.Pointer[decoderPool] // filled in order, never evicted
-}
-
-var wireCodecs sync.Map
-
-func codecFor(t reflect.Type) *wireCodec {
-	if c, ok := wireCodecs.Load(t); ok {
-		return c.(*wireCodec)
-	}
-	c, _ := wireCodecs.LoadOrStore(t, new(wireCodec))
-	return c.(*wireCodec)
-}
-
-// primedEncoder is an encoder that has sent its type definitions: they
-// stay at the head of out, each further Encode writes a value message
-// alone behind them, and out is the payload.
-type primedEncoder struct {
-	enc  *gob.Encoder
-	out  bytes.Buffer // the definitions, then what enc wrote during the call in progress
-	defs int          // how much of out they are
-}
-
-// gobEncodeTo gob-encodes v, into a getBuf buffer when pooled. A type's
-// first encode is a fresh encoder's; the definitions it opens with are
-// kept in front of the lone value message of each later one — a fresh
-// encoder's bytes, every time. An encoder that writes anything else
-// loses its place: an interface value met a concrete type it had not
-// sent, gob defined the type mid-stream (cutting the message in two),
-// and its later messages would lean on it.
-func gobEncodeTo(v any, pooled bool) ([]byte, error) {
-	pool := &codecFor(reflect.TypeOf(v)).encoders
-	for e, primed := pool.Get().(*primedEncoder); ; e, primed = nil, false {
-		if !primed {
-			e = new(primedEncoder)
-			e.enc = gob.NewEncoder(&e.out)
+// checkLayout panics on a type that holds a kind with no layout:
+// interface, chan, func, array, complex, uintptr, unsafe pointer, a map
+// not keyed by a string, a struct with no exported field.
+func checkLayout(t reflect.Type, seen map[reflect.Type]bool) {
+	switch k := t.Kind(); {
+	case seen[t], k == reflect.Bool, k == reflect.String, k >= reflect.Int && k <= reflect.Uint64, k == reflect.Float32, k == reflect.Float64:
+	case k == reflect.Pointer || k == reflect.Slice || k == reflect.Map && t.Key().Kind() == reflect.String:
+		seen[t] = true
+		checkLayout(t.Elem(), seen)
+	case len(exportedFields(t)) > 0:
+		seen[t] = true
+		for _, i := range exportedFields(t) {
+			checkLayout(t.Field(i).Type, seen)
 		}
-		e.out.Truncate(e.defs)
-		if err := e.enc.Encode(v); err != nil {
-			return nil, err // and e is dropped: what it has sent is unknown
-		}
-		payload := e.out.Bytes()
-		defs, value, ok := splitGob(payload[e.defs:])
-		single := ok && e.defs+len(defs)+len(value) == len(payload) && (!primed || len(defs) == 0)
-		if primed && !single {
-			continue // the message leans on what e sent before: drop e, encode afresh
-		}
-		keep := single && len(value) <= maxPooledCodecBytes
-		if pooled {
-			payload = append(getBuf(len(payload)), payload...)
-		} else if keep {
-			payload = bytes.Clone(payload) // else e goes no further: its buffer is the payload
-		}
-		switch {
-		case keep:
-			e.defs += len(defs)
-			pool.Put(e)
-		case single:
-			codecFallback("encode", "oversize")
-		default:
-			codecFallback("encode", "multi_message")
-		}
-		return payload, nil
+	default:
+		panic(noLayout(t))
 	}
 }
 
-func gobEncode(v any) ([]byte, error) { return gobEncodeTo(v, false) }
+// codecFault carries an error out of the codec's recursion to catch.
+type codecFault struct{ error }
 
-// gobEncodePooled is gobEncode into a pooled buffer; release recycles it.
-func gobEncodePooled(v any) (out []byte, release func(), err error) {
-	if out, err = gobEncodeTo(v, true); err != nil {
-		return nil, nil, err
+func catch(err *error) {
+	if r := recover(); r != nil {
+		f, ok := r.(codecFault)
+		if !ok {
+			panic(r)
+		}
+		*err = f.error
+	}
+}
+
+func appendValue(b []byte, v reflect.Value, depth int) []byte {
+	switch k := v.Kind(); {
+	case depth > maxNesting:
+		panic(codecFault{errNesting})
+	case k == reflect.Bool && v.Bool():
+		return append(b, 1)
+	case k == reflect.Pointer && !v.IsNil():
+		return appendValue(append(b, 1), v.Elem(), depth+1)
+	case k == reflect.Bool, k == reflect.Pointer, k == reflect.Map && v.IsNil():
+		return append(b, 0)
+	case k == reflect.String:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
+	case v.CanInt():
+		return binary.AppendVarint(b, v.Int())
+	case v.CanUint():
+		return binary.AppendUvarint(b, v.Uint())
+	case v.CanFloat():
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
+	case k == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.Bytes()...)
+	case k == reflect.Slice:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		for i := range v.Len() {
+			b = appendValue(b, v.Index(i), depth+1)
+		}
+		return b
+	case k == reflect.Map && v.Type().Key().Kind() == reflect.String:
+		keys := v.MapKeys()
+		slices.SortFunc(keys, func(x, y reflect.Value) int { return strings.Compare(x.String(), y.String()) })
+		b = binary.AppendUvarint(append(b, 1), uint64(len(keys)))
+		for _, key := range keys {
+			b = appendValue(appendValue(b, key, depth+1), v.MapIndex(key), depth+1)
+		}
+		return b
+	case len(exportedFields(v.Type())) > 0:
+		for _, i := range exportedFields(v.Type()) {
+			b = appendValue(b, v.Field(i), depth+1)
+		}
+		return b
+	}
+	panic(codecFault{noLayout(v.Type())})
+}
+
+// appendPayload appends the payload of v to b.
+func appendPayload(b []byte, v any) (out []byte, err error) {
+	defer catch(&err)
+	rv := reflect.ValueOf(v)
+	for rv.Kind() == reflect.Pointer {
+		rv = rv.Elem()
+	}
+	if !rv.IsValid() {
+		return nil, fmt.Errorf("transport: cannot encode a nil %T", v)
+	}
+	return appendValue(b, rv, 0), nil
+}
+
+// appendPayloadPooled encodes v into a getBuf buffer; release recycles
+// it. A payload that outgrows the buffer leaves it behind, unpooled.
+func appendPayloadPooled(v any) ([]byte, func(), error) {
+	buf := getBuf(0)
+	out, err := appendPayload(buf, v)
+	if err != nil || cap(out) != cap(buf) {
+		putBuf(buf)
+		return out, nil, err
 	}
 	return out, func() { putBuf(out) }, nil
 }
 
-// decoderPool holds the decoders that have consumed one prefix. Its type
-// ids follow the order the sending process first met its types in, so it
-// is learned from what arrives and matched by its bytes, never predicted.
-type decoderPool struct {
-	prefix []byte
-	pool   sync.Pool // *primedDecoder
+// decoder reads a payload off b, panicking at the first fault in it.
+type decoder struct{ b []byte }
+
+func (d *decoder) take(n int) []byte {
+	if n > len(d.b) {
+		panic(codecFault{errMalformed})
+	}
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
 }
 
-// decodersFor returns the pool primed with defs, nil when there is none:
-// learn then gives defs the next free slot, full says none is left.
-func (c *wireCodec) decodersFor(defs []byte, learn bool) (dp *decoderPool, full bool) {
-	for i := range c.decoders {
-		dp = c.decoders[i].Load()
-		if dp == nil && learn {
-			c.decoders[i].CompareAndSwap(nil, &decoderPool{prefix: bytes.Clone(defs)})
-			dp = c.decoders[i].Load()
+// uvarint reads an unsigned varint no greater than limit.
+func (d *decoder) uvarint(limit uint64) uint64 {
+	x, n := binary.Uvarint(d.b)
+	if d.take(max(n, 0)); n <= 0 || x > limit {
+		panic(codecFault{errMalformed})
+	}
+	return x
+}
+
+// count reads how many values of t follow: they must fit in the bytes
+// left at a byte each, a byte a field for a struct, plus extra.
+func (d *decoder) count(t reflect.Type, extra int) int {
+	return int(d.uvarint(uint64(len(d.b) / (extra + max(1, len(exportedFields(t)))))))
+}
+
+func (d *decoder) value(v reflect.Value, depth int) {
+	switch t, k := v.Type(), v.Kind(); {
+	case depth > maxNesting:
+		panic(codecFault{errNesting})
+	case k == reflect.Bool:
+		v.SetBool(d.uvarint(1) == 1)
+	case k == reflect.String:
+		v.SetString(string(d.take(d.count(t, 0))))
+	case v.CanInt():
+		x := d.uvarint(math.MaxUint64 >> (64 - t.Bits())) // a zig-zag of t.Bits() bits
+		v.SetInt(int64(x>>1) ^ -int64(x&1))
+	case v.CanUint():
+		v.SetUint(d.uvarint(math.MaxUint64 >> (64 - t.Bits())))
+	case v.CanFloat():
+		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(d.take(8))))
+	case k == reflect.Slice && t.Elem().Kind() == reflect.Uint8:
+		v.SetBytes(append([]byte(nil), d.take(d.count(t.Elem(), 0))...))
+	case k == reflect.Slice:
+		v.SetZero()
+		if n := d.count(t.Elem(), 0); n > 0 {
+			v.Set(reflect.MakeSlice(t, n, n))
+			for i := range n {
+				d.value(v.Index(i), depth+1)
+			}
 		}
-		if dp == nil || bytes.Equal(dp.prefix, defs) {
-			return dp, false
+	case k == reflect.Map && t.Key().Kind() == reflect.String:
+		if v.SetZero(); d.uvarint(1) == 1 {
+			n := d.count(t.Elem(), 1)
+			v.Set(reflect.MakeMapWithSize(t, n))
+			key, elem := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+			for range n {
+				d.value(key, depth+1)
+				d.value(elem, depth+1)
+				v.SetMapIndex(key, elem)
+			}
+		}
+	case k == reflect.Pointer:
+		if v.SetZero(); d.uvarint(1) == 1 {
+			v.Set(reflect.New(t.Elem()))
+			d.value(v.Elem(), depth+1)
+		}
+	case len(exportedFields(t)) > 0:
+		for _, i := range exportedFields(t) {
+			d.value(v.Field(i), depth+1)
+		}
+	default:
+		panic(codecFault{noLayout(t)})
+	}
+}
+
+// decodePayload decodes data into v, a non-nil pointer, allocating
+// through any pointers beyond it. Nothing decoded aliases data.
+func decodePayload(data []byte, v any) (err error) {
+	defer catch(&err)
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("transport: cannot decode into %T", v)
+	}
+	for rv = rv.Elem(); rv.Kind() == reflect.Pointer; rv = rv.Elem() {
+		if rv.IsNil() {
+			rv.Set(reflect.New(rv.Type().Elem()))
 		}
 	}
-	return nil, true
-}
-
-// primedDecoder is a decoder and the reader it was built over, re-pointed
-// at each message: an io.ByteReader, or gob would read ahead through bufio.
-type primedDecoder struct {
-	dec *gob.Decoder
-	src bytes.Reader
-}
-
-func (d *primedDecoder) decode(data []byte, v any) error {
-	if d.dec == nil {
-		d.dec = gob.NewDecoder(&d.src)
-	}
-	d.src.Reset(data)
-	err := d.dec.Decode(v)
-	d.src.Reset(nil)
-	return err
-}
-
-// gobDecode decodes the first gob value in data into v, a pointer. A
-// decoder that has consumed data's type definitions — the same bytes,
-// for the same target type — gets the value message alone and runs the
-// engine it compiled the first time. All else goes to a fresh decoder
-// over the whole payload, as every message used to: what the switch
-// counts (the guard for outside input; a kept decoder has read only its
-// prefix and lone value messages), a prefix's first sight (that decoder
-// is then kept), and any message a primed decoder refused — so a caller
-// sees only a fresh decoder's errors, and a failed decoder is never reused.
-func gobDecode(data []byte, v any) error {
-	c := codecFor(reflect.TypeOf(v))
-	defs, value, ok := splitGob(data)
-	dp, full := c.decodersFor(defs, false)
-	reason := ""
-	switch {
-	case !ok:
-		reason = "unsplittable"
-	case len(defs)+len(value) != len(data):
-		reason = "multi_message"
-	case len(value) > maxPooledCodecBytes || len(defs) > maxPrefixBytes:
-		reason = "oversize"
-	case full:
-		reason = "prefix_bound"
-	}
-	if reason != "" {
-		codecFallback("decode", reason)
-		return new(primedDecoder).decode(data, v)
-	}
-	if dp != nil {
-		if d, _ := dp.pool.Get().(*primedDecoder); d != nil && d.decode(value, v) == nil {
-			dp.pool.Put(d)
-			return nil
-		}
-	}
-	d := new(primedDecoder)
-	if err := d.decode(data, v); err != nil {
-		return err
-	}
-	if dp == nil {
-		dp, _ = c.decodersFor(defs, true)
-	}
-	if dp != nil {
-		dp.pool.Put(d)
+	d := decoder{data}
+	if d.value(rv, 0); len(d.b) > 0 {
+		return fmt.Errorf("%w: %d bytes after the value", errMalformed, len(d.b))
 	}
 	return nil
 }
 
-// Invoke issues one typed call: req is gob-encoded (nil sends no
-// payload), the call goes out through the carrier's pooled path under
-// the caller's span context (zero = untraced or fresh trace, as the
-// carrier decides), and the response is gob-decoded into resp, a
-// pointer (nil discards it). Invoke owns the response buffer: gob
-// copies every byte it keeps, so the buffer is released exactly once
-// before returning — after a successful decode and after a failed one
-// alike — and nothing the caller receives aliases it. The request is
-// not pooled: a timed-out call can leave its frame queued for the writer.
+// Invoke issues one typed call: req is encoded (nil sends no payload),
+// the call goes out through the carrier's pooled path under the
+// caller's span context (zero = untraced or fresh trace, as the carrier
+// decides), and the response is decoded into resp, a pointer (nil
+// discards it). Nothing decoded aliases the response, which Invoke
+// releases exactly once before returning, decoded or not. The request
+// is not pooled: a timed-out call can leave its frame queued for the
+// writer.
 func Invoke(c Client, sc obs.SpanContext, method string, req, resp any) error {
 	var payload []byte
 	if req != nil {
 		var err error
-		if payload, err = gobEncode(req); err != nil {
+		if payload, err = appendPayload(make([]byte, 0, 64), req); err != nil { // most requests fit
 			return err
 		}
 	}
@@ -280,7 +276,7 @@ func Invoke(c Client, sc obs.SpanContext, method string, req, resp any) error {
 		return err
 	}
 	if resp != nil {
-		err = gobDecode(out, resp)
+		err = decodePayload(out, resp)
 	}
 	if release != nil {
 		release()
@@ -289,11 +285,11 @@ func Invoke(c Client, sc obs.SpanContext, method string, req, resp any) error {
 }
 
 // Route mounts fn on the mux as method's handler: the request payload
-// is gob-decoded into a Req, fn's Resp is gob-encoded as the response.
-// A Req of struct{} means the method takes no argument (the payload is
-// ignored), a Resp of struct{} that it returns none (a nil payload) —
-// the conventions Invoke's nil req and nil resp speak from the other
-// side. Call it with inferred type arguments.
+// is decoded into a Req, fn's Resp is encoded as the response. A Req of
+// struct{} means the method takes no argument (the payload is ignored),
+// a Resp of struct{} that it returns none (a nil payload), as Invoke's
+// nil req and nil resp do; Route panics on any other Req or Resp with
+// no layout. Call it with inferred type arguments.
 func Route[Req, Resp any](m *Mux, method string, fn func(Req) (Resp, error)) {
 	RouteCtx(m, method, func(_ obs.SpanContext, req Req) (Resp, error) { return fn(req) })
 }
@@ -301,12 +297,15 @@ func Route[Req, Resp any](m *Mux, method string, fn func(Req) (Resp, error)) {
 // RouteCtx is Route for handlers that continue the request's trace. The
 // response's pooled buffer is the serving connection's to release.
 func RouteCtx[Req, Resp any](m *Mux, method string, fn func(obs.SpanContext, Req) (Resp, error)) {
+	none := map[reflect.Type]bool{reflect.TypeFor[struct{}](): true} // "no payload" needs no layout
+	checkLayout(reflect.TypeFor[Req](), none)
+	checkLayout(reflect.TypeFor[Resp](), none)
 	_, noReq := any(*new(Req)).(struct{})
 	_, noResp := any(*new(Resp)).(struct{})
 	m.RegisterPooled(method, func(sc obs.SpanContext, _ string, payload []byte) ([]byte, func(), error) {
 		var req Req
 		if !noReq {
-			if err := gobDecode(payload, &req); err != nil {
+			if err := decodePayload(payload, &req); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -314,6 +313,6 @@ func RouteCtx[Req, Resp any](m *Mux, method string, fn func(obs.SpanContext, Req
 		if err != nil || noResp {
 			return nil, nil, err
 		}
-		return gobEncodePooled(resp)
+		return appendPayloadPooled(resp)
 	})
 }

@@ -31,7 +31,7 @@ func (f *pooledFake) CallInTracePooled(sc obs.SpanContext, _ string, _ []byte) (
 // once when the caller discards the result — and a failed call hands
 // out nothing to release.
 func TestInvokeReleasesExactlyOnce(t *testing.T) {
-	good, err := gobEncode("payload")
+	good, err := appendPayload(nil, "payload")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestInvokeReleasesExactlyOnce(t *testing.T) {
 		releases int
 	}{
 		{"decoded", pooledFake{resp: good}, &out, false, 1},
-		{"decode error", pooledFake{resp: []byte("not gob")}, &out, true, 1},
+		{"decode error", pooledFake{resp: []byte("not a payload")}, &out, true, 1},
 		{"result discarded", pooledFake{resp: good}, nil, false, 1},
 		{"call failed", pooledFake{err: boom}, &out, true, 0},
 	} {
@@ -74,7 +74,7 @@ func TestRouteNilPayloadConventions(t *testing.T) {
 	mux := NewMux()
 	Route(mux, "ping", func(struct{}) (struct{}, error) { return struct{}{}, nil })
 	Route(mux, "len", func(s string) (int, error) { return len(s), nil })
-	out, err := mux.Handle("ping", []byte("ignored, not even gob"))
+	out, err := mux.Handle("ping", []byte("ignored, not even a payload"))
 	if err != nil || out != nil {
 		t.Fatalf("ping = %x, %v; want nil, nil", out, err)
 	}
@@ -86,7 +86,7 @@ func TestRouteNilPayloadConventions(t *testing.T) {
 	if err := Invoke(c, obs.SpanContext{}, "len", "four", &n); err != nil || n != 4 {
 		t.Fatalf("len = %d, %v", n, err)
 	}
-	if _, err := mux.Handle("len", []byte("not gob")); err == nil {
+	if _, err := mux.Handle("len", []byte("not a payload")); err == nil {
 		t.Fatal("garbage request decoded")
 	}
 }

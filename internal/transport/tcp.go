@@ -583,7 +583,7 @@ func (c *TCPClient) CallInTrace(sc obs.SpanContext, method string, payload []byt
 // pooled frame buffer, and release (when non-nil) recycles it. The
 // caller must not touch the payload — or anything aliasing it — after
 // calling release, and must not call release twice; callers that
-// decode-and-drop (gob into a typed struct) release immediately after
+// decode-and-drop (Invoke into a typed struct) release immediately after
 // decoding. Dropping release instead of calling it is always safe: the
 // buffer just falls to the GC.
 func (c *TCPClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {

@@ -276,12 +276,12 @@ func TestDBOverATM(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
-	if err := gobDecode(payload, &names); err != nil || len(names) != 1 {
+	if err := decodePayload(payload, &names); err != nil || len(names) != 1 {
 		t.Fatalf("names=%v err=%v", names, err)
 	}
 
 	// Large content fetch: 100 kB crosses the chunking path.
-	req, _ := gobEncode(getContentReq{Ref: "store/v.mpg"})
+	req, _ := appendPayload(nil, getContentReq{Ref: "store/v.mpg"})
 	payload, err = sess.CallOver(MethodGetContent, req)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestDBOverATM(t *testing.T) {
 	}
 
 	// Errors cross the ATM path too.
-	req, _ = gobEncode(getDocReq{Name: "missing"})
+	req, _ = appendPayload(nil, getDocReq{Name: "missing"})
 	if _, err := sess.CallOver(MethodGetDoc, req); err == nil {
 		t.Error("missing doc over ATM succeeded")
 	}

@@ -1,13 +1,11 @@
 // Package wiretest pins RPC payload bytes: a Recorder sits between a
 // service's typed client stubs and its mux, and Golden compares every
-// request and response payload it saw against a checked-in hex fixture.
-// The fixtures were captured from the hand-written stubs that preceded
-// transport.Invoke/Route, so a passing test proves the stub layer left
-// the bytes on the wire alone. Repeat runs the same script again in the
-// same process: the recording Golden checks meets fresh codecs, the
-// repeats meet primed ones, and the bytes must not differ. The package
-// imports nothing of the transport, so the transport's own tests can
-// use it too.
+// request and response payload it saw against a checked-in hex fixture,
+// so a passing test proves the bytes on the wire did not move. Repeat
+// runs the same script again in the same process, and the bytes must
+// not differ: nothing in a payload may depend on map order or on what
+// the process sent before. The package imports nothing of the
+// transport, so the transport's own tests can use it too.
 package wiretest
 
 import (
@@ -16,8 +14,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"mits/internal/obs"
 )
 
 // Exchange is one recorded call. A nil payload stays nil (argument-less
@@ -109,25 +105,10 @@ func (r *Recorder) Golden(t *testing.T, path string) {
 	}
 }
 
-// CodecFallbacks sums transport_codec_fallback_total over its closed
-// label sets: how many messages have gone round the primed codecs in
-// this process so far.
-func CodecFallbacks() (n int64) {
-	for _, dir := range []string{"encode", "decode"} {
-		for _, reason := range []string{"unsplittable", "prefix_bound", "multi_message", "oversize"} {
-			n += obs.GetCounter("transport_codec_fallback_total", "dir", dir, "reason", reason).Value()
-		}
-	}
-	return n
-}
-
 // Repeat runs the recording script twice more and compares every
-// request and response payload of both runs with r's — byte identity
-// beyond the first call, which is all the fixture can pin — and checks
-// that none of those messages fell back to an unprimed codec.
+// request and response payload of both runs with r's.
 func (r *Recorder) Repeat(t *testing.T, record func() (*Recorder, error)) {
 	t.Helper()
-	before := CodecFallbacks()
 	want := strings.Split(r.format(), "\n")
 	for run := 2; run <= 3; run++ {
 		again, err := record()
@@ -143,8 +124,5 @@ func (r *Recorder) Repeat(t *testing.T, record func() (*Recorder, error)) {
 				t.Errorf("run %d call %d: wire bytes differ from the first run\n got %s\nwant %s", run, i+1, got[i], want[i])
 			}
 		}
-	}
-	if n := CodecFallbacks() - before; n != 0 {
-		t.Errorf("%d messages of the wire script fell back to an unprimed codec, want 0", n)
 	}
 }

@@ -9,6 +9,10 @@
 //	mitsd -collect 127.0.0.1:7123 -stats 127.0.0.1:7122   # trace collector
 //	mitsd -export 127.0.0.1:7123                # ship spans to a collector
 //
+// Restarted on its own image, mitsd serves the courses, students and
+// library it saved; only the sample exercise set and announcement,
+// which are not persisted, are stocked again.
+//
 // Cluster deployment (DESIGN §12) splits the daemon into two roles:
 //
 //	mitsd -shard -addr 127.0.0.1:7201           # one store node (primary or replica)
@@ -21,7 +25,8 @@
 // facilitation and exercise services locally, and publishes the
 // sample courses through the router so they shard and replicate like
 // any other courseware. Navigators dial the front door exactly as
-// they would a single mitsd.
+// they would a single mitsd. The front door keeps its school in memory
+// and refuses -db; each -shard node keeps its own image.
 //
 // With -stats, GET /metrics returns the Prometheus exposition
 // (counters, gauges, latency histograms, opened by a "# mits
@@ -83,6 +88,9 @@ func main() {
 	logger := obs.Logger("mitsd")
 	if *shardMode && *clusterSpec != "" {
 		fatal(logger, "flags", errFlagConflict)
+	}
+	if *clusterSpec != "" && *dbPath != "" {
+		fatal(logger, "flags", errClusterImage)
 	}
 
 	// The serving surface differs per role; observability and shutdown
@@ -195,14 +203,21 @@ func runSingle(logger *slog.Logger, addr, dbPath, name string, noSamples bool) (
 			return nil, "", nil, err
 		}
 	}
+	// A school loaded from an image already lists the sample courses
+	// and the store holds their documents and the library. The
+	// exercise book and the facilitator are not persisted, so they are
+	// stocked at every start.
+	fresh := sch == nil
 	sys := mits.NewSystemFrom(name, store, sch)
 
 	if !noSamples {
-		if err := publishSamples(sys.Publisher()); err != nil {
-			return nil, "", nil, err
-		}
-		if err := sys.StockLibrary(); err != nil {
-			return nil, "", nil, err
+		if fresh {
+			if err := publishSamples(sys.Publisher()); err != nil {
+				return nil, "", nil, err
+			}
+			if err := sys.StockLibrary(); err != nil {
+				return nil, "", nil, err
+			}
 		}
 		if err := publishExercises(sys.Exercises, sys.Facilitator); err != nil {
 			return nil, "", nil, err
@@ -334,7 +349,10 @@ func fatal(logger *slog.Logger, msg string, err error) {
 	os.Exit(1)
 }
 
-var errFlagConflict = errors.New("-shard and -cluster are mutually exclusive roles")
+var (
+	errFlagConflict = errors.New("-shard and -cluster are mutually exclusive roles")
+	errClusterImage = errors.New("-cluster keeps no database image: give -db to each -shard node instead")
+)
 
 func publishSamples(pub *mits.Publisher) error {
 	atmDoc, err := mits.SampleATMCourse()

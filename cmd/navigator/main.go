@@ -4,10 +4,13 @@
 //
 //	navigator -server 127.0.0.1:7121
 //
-// Session commands (the sample session of §5.4):
+// Session commands (the sample session of §5.4; the transcript test
+// in session_test.go runs it against a real mitsd):
 //
+//	help                  list the commands
 //	register <name>       create a student record and log in
 //	login <number>        enter the school with a student number
+//	stats                 school totals and enrolments per course
 //	programs              list programs
 //	courses <program>     list a program's courses
 //	intro <code>          describe a course's introduction clip
@@ -20,6 +23,7 @@
 //	bookmark <label>      save the current position
 //	library [keyword]     browse the library / search by keyword
 //	read <ref>            read a library holding
+//	rooms                 list discussion rooms
 //	join <room>           enter a discussion room
 //	say <room> <text>     post to a discussion room
 //	room <room>           read a discussion room
@@ -30,6 +34,7 @@
 //	exercises <course>    list a course's problem sets
 //	take <set>            show a problem set
 //	answer <set> p1=0 p2=GCRA   submit answers
+//	contest <course>      rank the course's students by best scores
 //	exit                  leave the course (stores stop position)
 //	quit                  end the session
 package main
@@ -39,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -117,7 +123,7 @@ func main() {
 		var err error
 		switch cmd {
 		case "help":
-			fmt.Println("commands: register login stats programs courses intro enroll start tick screen click goto bookmark library read join say room boards board mail inbox exercises take answer exit quit")
+			fmt.Println("commands: help register login stats programs courses intro enroll start tick screen click goto bookmark library read rooms join say room boards board mail inbox exercises take answer contest exit quit")
 		case "register":
 			var num string
 			num, err = nav.Register(school.Profile{Name: arg})
@@ -225,6 +231,12 @@ func main() {
 					fmt.Println(txt)
 				}
 			}
+		case "rooms":
+			rooms, rerr := nav.Rooms()
+			err = rerr
+			for _, r := range rooms {
+				fmt.Println(" ", r)
+			}
 		case "join":
 			if err = nav.JoinDiscussion(arg); err == nil {
 				fmt.Println("joined", arg)
@@ -298,11 +310,22 @@ func main() {
 			err = gerr
 			if err == nil {
 				fmt.Println("  grade:", mits.FormatGrade(grade))
-				for pid, res := range grade.Results {
-					if !res.Correct && res.Feedback != "" {
+				pids := make([]string, 0, len(grade.Results))
+				for pid := range grade.Results {
+					pids = append(pids, pid)
+				}
+				slices.Sort(pids)
+				for _, pid := range pids {
+					if res := grade.Results[pid]; !res.Correct && res.Feedback != "" {
 						fmt.Printf("  %s: %s\n", pid, res.Feedback)
 					}
 				}
+			}
+		case "contest":
+			ranks, cerr := nav.Contest(arg)
+			err = cerr
+			for i, s := range ranks {
+				fmt.Printf("  %d. %s %d/%d\n", i+1, s.Student, s.Score, s.Max)
 			}
 		case "exit":
 			if err = nav.ExitCourse(); err == nil {

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"mits/internal/mediastore"
@@ -54,6 +56,9 @@ func main() {
 	if loaded, err := mediastore.Load(*dbPath); err == nil {
 		store = loaded
 		fmt.Fprintf(os.Stderr, "extending database image %s\n", *dbPath)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		// Saving over an image this build cannot read would destroy it.
+		fail(fmt.Errorf("read database image %s: %w", *dbPath, err))
 	}
 
 	center := &production.Center{}

@@ -1,7 +1,7 @@
 // TeleSchool day: several students use the school at once — classroom,
-// library, bulletin board, discussion room, and help on demand — the
-// seamless environment of §5.2.1, with the SIDL phone-queue comparison
-// of §1.3.1 at the end.
+// library, bulletin board, discussion room, help on demand and the
+// usage-based bill — the seamless environment of §5.2.1, with the SIDL
+// phone-queue comparison of §1.3.1.
 package main
 
 import (
@@ -139,6 +139,9 @@ func main() {
 	// Course-On-Demand billing (§5.2.1): enrollment fee plus a charge
 	// per on-demand session.
 	sys.School.SetFee("ELG5121", school.Fee{EnrollCents: 5000, SessionCents: 750})
+	if err := sys.School.RecordPayment(ada.num, 5000); err != nil {
+		log.Fatal(err)
+	}
 	inv, err := sys.School.Invoice(ada.num)
 	if err != nil {
 		log.Fatal(err)
@@ -148,6 +151,10 @@ func main() {
 		fmt.Printf("  %-10s %-28s $%6.2f\n", c.Course, c.Description, float64(c.AmountCents)/100)
 	}
 	fmt.Printf("  %-39s $%6.2f\n", "total", float64(inv.TotalCents)/100)
+	fmt.Printf("  %-39s $%6.2f\n", "paid", float64(inv.PaidCents)/100)
+	fmt.Printf("  %-39s $%6.2f\n", "balance", float64(inv.BalanceCents)/100)
+	billed, paid := sys.School.Revenue()
+	fmt.Printf("\nschool revenue: $%.2f billed, $%.2f collected\n", float64(billed)/100, float64(paid)/100)
 }
 
 type studentSession struct {

@@ -151,6 +151,41 @@ func TestBinariesLinkNoTestInfra(t *testing.T) {
 	}
 }
 
+// TestEveryMainIsRun fails when a main package under cmd/ or examples/
+// is run by nothing: each must be built and run by
+// TestSessionTranscript (sessionMains) or be named in
+// mainsRunElsewhere with what runs it. A new command or example joins
+// the transcript; a deleted one leaves both lists.
+func TestEveryMainIsRun(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./cmd/...", "./examples/...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	mains := map[string]bool{}
+	for _, path := range strings.Fields(string(out)) {
+		mains[strings.TrimPrefix(path, "mits/")] = true
+	}
+	if len(mains) == 0 {
+		t.Fatal("go list named no main package")
+	}
+	for m := range mains {
+		_, elsewhere := mainsRunElsewhere[m]
+		if inSession := slices.Contains(sessionMains, m); inSession == elsewhere {
+			t.Errorf("%s: in the session transcript = %v, run elsewhere = %v; it must be exactly one", m, inSession, elsewhere)
+		}
+	}
+	for _, m := range sessionMains {
+		if !mains[m] {
+			t.Errorf("the session transcript builds %s, which is not a main package", m)
+		}
+	}
+	for m := range mainsRunElsewhere {
+		if !mains[m] {
+			t.Errorf("mainsRunElsewhere names %s, which is not a main package", m)
+		}
+	}
+}
+
 var (
 	scriptRef = regexp.MustCompile(`scripts/[\w.-]+\.sh`)
 	makeRef   = regexp.MustCompile(`\bmake (\w+)`)

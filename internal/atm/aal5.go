@@ -47,28 +47,17 @@ func Segment(vc VC, connID int, seqStart int64, pdu []byte) ([]Cell, error) {
 	return cells, nil
 }
 
-// CellsForPDU reports how many cells AAL5 needs for a PDU of n bytes.
-func CellsForPDU(n int) int {
-	total := n + trailerSize
-	ncells := (total + CellPayloadSize - 1) / CellPayloadSize
-	if ncells == 0 {
-		ncells = 1
-	}
-	return ncells
-}
-
 // Reassembler rebuilds AAL5 PDUs from an in-order cell stream of a single
 // virtual connection. Cell loss is detected by the CRC/length check when
 // the end-of-PDU cell arrives.
 type Reassembler struct {
 	buf    []byte
 	errors int
-	pdus   int
 }
 
 // Push adds the next cell. When the cell completes a PDU, Push returns
 // the reassembled payload and true; corrupted or truncated PDUs are
-// dropped, counted in Errors, and return (nil, false).
+// dropped, counted in errors, and return (nil, false).
 func (r *Reassembler) Push(c Cell) ([]byte, bool) {
 	r.buf = append(r.buf, c.Payload[:]...)
 	if !c.EndOfPDU() {
@@ -90,12 +79,5 @@ func (r *Reassembler) Push(c Cell) ([]byte, bool) {
 	}
 	pdu := make([]byte, tr.Length)
 	copy(pdu, r.buf)
-	r.pdus++
 	return pdu, true
 }
-
-// Errors reports how many PDUs failed reassembly (cell loss/corruption).
-func (r *Reassembler) Errors() int { return r.errors }
-
-// PDUs reports how many PDUs reassembled successfully.
-func (r *Reassembler) PDUs() int { return r.pdus }

@@ -116,15 +116,6 @@ func (c *Connection) maybeSendRM(now sim.Time) {
 	})
 }
 
-// ACR reports an ABR connection's current allowed cell rate in cells/s
-// (0 for non-ABR connections).
-func (c *Connection) ACR() float64 {
-	if c.abr == nil {
-		return 0
-	}
-	return c.abr.acr
-}
-
 // RateChanges reports how many times ABR feedback adjusted the rate.
 func (c *Connection) RateChanges() int {
 	if c.abr == nil {

@@ -65,33 +65,6 @@ type Cell struct {
 // EndOfPDU reports whether this cell terminates an AAL5 PDU.
 func (c *Cell) EndOfPDU() bool { return c.PTI&PTIUserDataEnd != 0 }
 
-// MarshalHeader encodes the 5-byte UNI cell header. The HEC byte is a
-// simple checksum of the first four bytes rather than the CRC-8 the
-// hardware uses; the experiments never exercise header error correction,
-// only header integrity checks in tests.
-func (c *Cell) MarshalHeader() [CellHeaderSize]byte {
-	var h [CellHeaderSize]byte
-	// GFC(4) | VPI(8) | VCI(16) | PTI(3) | CLP(1) | HEC(8)
-	h[0] = byte(c.VC.VPI >> 4)
-	h[1] = byte(c.VC.VPI<<4) | byte(c.VC.VCI>>12)
-	h[2] = byte(c.VC.VCI >> 4)
-	h[3] = byte(c.VC.VCI<<4) | (c.PTI&0x7)<<1 | c.CLP&1
-	h[4] = h[0] ^ h[1] ^ h[2] ^ h[3]
-	return h
-}
-
-// UnmarshalHeader decodes a 5-byte header, validating the HEC byte.
-func (c *Cell) UnmarshalHeader(h [CellHeaderSize]byte) error {
-	if h[4] != h[0]^h[1]^h[2]^h[3] {
-		return fmt.Errorf("atm: header HEC mismatch")
-	}
-	c.VC.VPI = uint16(h[0])<<4 | uint16(h[1])>>4
-	c.VC.VCI = uint16(h[1]&0xf)<<12 | uint16(h[2])<<4 | uint16(h[3])>>4
-	c.PTI = (h[3] >> 1) & 0x7
-	c.CLP = h[3] & 1
-	return nil
-}
-
 // aal5Trailer is the 8-byte AAL5 CPCS trailer: UU, CPI, 16-bit length,
 // 32-bit CRC. It occupies the last 8 bytes of the final cell.
 type aal5Trailer struct {

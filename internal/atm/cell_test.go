@@ -13,43 +13,6 @@ import (
 	"testing/quick"
 )
 
-func TestCellHeaderRoundTrip(t *testing.T) {
-	c := Cell{VC: VC{VPI: 123, VCI: 45678}, PTI: PTIUserDataEnd, CLP: 1}
-	h := c.MarshalHeader()
-	var d Cell
-	if err := d.UnmarshalHeader(h); err != nil {
-		t.Fatalf("UnmarshalHeader: %v", err)
-	}
-	if d.VC != c.VC || d.PTI != c.PTI || d.CLP != c.CLP {
-		t.Errorf("round trip got %+v, want %+v", d, c)
-	}
-}
-
-func TestCellHeaderRoundTripProperty(t *testing.T) {
-	f := func(vpi, vci uint16, pti, clp uint8) bool {
-		c := Cell{VC: VC{VPI: vpi & 0xfff, VCI: vci}, PTI: pti & 0x7, CLP: clp & 1}
-		h := c.MarshalHeader()
-		var d Cell
-		if err := d.UnmarshalHeader(h); err != nil {
-			return false
-		}
-		return d.VC == c.VC && d.PTI == c.PTI && d.CLP == c.CLP
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCellHeaderHECDetectsCorruption(t *testing.T) {
-	c := Cell{VC: VC{VPI: 1, VCI: 100}}
-	h := c.MarshalHeader()
-	h[2] ^= 0x40
-	var d Cell
-	if err := d.UnmarshalHeader(h); err == nil {
-		t.Error("corrupted header accepted")
-	}
-}
-
 func TestVCString(t *testing.T) {
 	if got := (VC{VPI: 2, VCI: 33}).String(); got != "2/33" {
 		t.Errorf("VC.String()=%q, want 2/33", got)
@@ -66,7 +29,7 @@ func TestSegmentReassembleRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Segment(%d bytes): %v", n, err)
 		}
-		if want := CellsForPDU(n); len(cells) != want {
+		if want := cellsForPDU(n); len(cells) != want {
 			t.Errorf("%d bytes → %d cells, want %d", n, len(cells), want)
 		}
 		for i, c := range cells {
@@ -115,8 +78,8 @@ func TestReassemblerDetectsLostCell(t *testing.T) {
 			t.Fatal("corrupted PDU reassembled successfully")
 		}
 	}
-	if r.Errors() != 1 {
-		t.Errorf("Errors=%d, want 1", r.Errors())
+	if r.errors != 1 {
+		t.Errorf("Errors=%d, want 1", r.errors)
 	}
 }
 
@@ -133,8 +96,8 @@ func TestReassemblerDetectsCorruptPayload(t *testing.T) {
 	if ok {
 		t.Error("corrupt payload passed CRC")
 	}
-	if r.Errors() != 1 {
-		t.Errorf("Errors=%d, want 1", r.Errors())
+	if r.errors != 1 {
+		t.Errorf("Errors=%d, want 1", r.errors)
 	}
 }
 
@@ -150,8 +113,8 @@ func TestReassemblerRecoversAfterError(t *testing.T) {
 	for _, c := range good {
 		r.Push(c)
 	}
-	if r.Errors() != 1 {
-		t.Errorf("Errors=%d, want 1", r.Errors())
+	if r.errors != 1 {
+		t.Errorf("Errors=%d, want 1", r.errors)
 	}
 	again, _ := Segment(VC{}, 0, 99, []byte("third pdu arrives intact too"))
 	var got []byte
@@ -191,11 +154,19 @@ func TestSegmentReassembleProperty(t *testing.T) {
 	}
 }
 
+// cellsForPDU is the AAL5 cell count for a PDU of n bytes: payload and
+// the 8-byte trailer, padded to whole 48-byte cell payloads.
+func cellsForPDU(n int) int { return (n + trailerSize + CellPayloadSize - 1) / CellPayloadSize }
+
 func TestCellsForPDU(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 40: 1, 41: 2, 88: 2, 89: 3}
 	for n, want := range cases {
-		if got := CellsForPDU(n); got != want {
-			t.Errorf("CellsForPDU(%d)=%d, want %d", n, got, want)
+		cells, err := Segment(VC{VCI: 1}, 1, 0, make([]byte, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != want || cellsForPDU(n) != want {
+			t.Errorf("a %d-byte PDU took %d cells (cellsForPDU %d), want %d", n, len(cells), cellsForPDU(n), want)
 		}
 	}
 }

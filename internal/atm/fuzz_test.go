@@ -59,8 +59,8 @@ func FuzzAAL5Reassemble(f *testing.F) {
 		if !bytes.Equal(out, pdu) {
 			t.Fatalf("round trip changed PDU: %d bytes in, %d out", len(pdu), len(out))
 		}
-		if r.Errors() != 0 {
-			t.Fatalf("clean stream counted %d reassembly errors", r.Errors())
+		if r.errors != 0 {
+			t.Fatalf("clean stream counted %d reassembly errors", r.errors)
 		}
 	})
 }

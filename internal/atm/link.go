@@ -60,12 +60,6 @@ func newLink(net *Network, from, to node, rateBits float64, prop time.Duration, 
 // CellRate reports the link's raw capacity in cells per second.
 func (l *Link) CellRate() float64 { return l.rateBits / CellBits }
 
-// Drops reports cells lost to buffer overflow on this link.
-func (l *Link) Drops() int { return l.drops }
-
-// Carried reports cells successfully transmitted.
-func (l *Link) Carried() int64 { return l.carried }
-
 // enqueue accepts a cell for transmission, dropping it when its service
 // category's buffer partition is full — per-class buffering is what
 // keeps a best-effort flood from starving reserved traffic of buffer

@@ -96,9 +96,6 @@ type routeEntry struct {
 // Name reports the switch's name.
 func (s *Switch) Name() string { return s.name }
 
-// Policed reports cells the switch's edge policers dropped or tagged.
-func (s *Switch) Policed() int { return s.policed }
-
 type conformer interface {
 	Conforms(now sim.Time) bool
 }
@@ -150,10 +147,6 @@ func (n *Network) Connect(a, b node, rateBits float64, prop time.Duration) {
 	n.adjacent[a] = append(n.adjacent[a], newLink(n, a, b, rateBits, prop, n.BufferCells))
 	n.adjacent[b] = append(n.adjacent[b], newLink(n, b, a, rateBits, prop, n.BufferCells))
 }
-
-// Links reports all outgoing links of a node (mainly for tests and
-// drop accounting).
-func (n *Network) Links(nd node) []*Link { return n.adjacent[nd] }
 
 // ConnMetrics accumulates per-connection measurements.
 type ConnMetrics struct {

@@ -52,8 +52,8 @@ func TestEndToEndPDUDelivery(t *testing.T) {
 	if m.PDUsSent != 1 || m.PDUsDelivered != 1 || m.PDUErrors != 0 {
 		t.Errorf("metrics %+v", m)
 	}
-	if m.CellsSent != int64(CellsForPDU(len(msg))) {
-		t.Errorf("CellsSent=%d, want %d", m.CellsSent, CellsForPDU(len(msg)))
+	if m.CellsSent != int64(cellsForPDU(len(msg))) {
+		t.Errorf("CellsSent=%d, want %d", m.CellsSent, cellsForPDU(len(msg)))
 	}
 	if m.Delay.N() != 1 || m.Delay.Mean() <= float64(3*time.Millisecond) {
 		t.Errorf("delay %v should exceed 3ms of propagation", time.Duration(m.Delay.Mean()))
@@ -262,7 +262,7 @@ func TestEdgePolicingDropsViolatingRealTime(t *testing.T) {
 	}
 	n.Clock().Run()
 	sw := n.nodes["sw1"].(*Switch)
-	if sw.Policed() == 0 {
+	if sw.policed == 0 {
 		t.Error("edge policer saw no violations from an unshaped 100× overrate source")
 	}
 	if conn.Metrics.CellsDropped == 0 {
@@ -315,12 +315,12 @@ func TestLinkAccounting(t *testing.T) {
 	conn, _ := n.Open(a, b, CBRContract(10e6), OpenOptions{})
 	conn.Send(make([]byte, 480))
 	n.Clock().Run()
-	access := n.Links(a)[0]
-	if access.Carried() != int64(CellsForPDU(480)) {
-		t.Errorf("access link carried %d cells, want %d", access.Carried(), CellsForPDU(480))
+	access := n.adjacent[a][0]
+	if access.carried != int64(cellsForPDU(480)) {
+		t.Errorf("access link carried %d cells, want %d", access.carried, cellsForPDU(480))
 	}
-	if access.Drops() != 0 {
-		t.Errorf("unexpected drops: %d", access.Drops())
+	if access.drops != 0 {
+		t.Errorf("unexpected drops: %d", access.drops)
 	}
 }
 
@@ -419,13 +419,13 @@ func TestABRAdaptsToCongestion(t *testing.T) {
 
 	// Idle path: the source ramps up from ICR toward PCR.
 	n1, idle := build(false)
-	icr := idle.ACR()
+	icr := idle.abr.acr
 	n1.Clock().Run()
 	if idle.RateChanges() == 0 {
 		t.Fatal("no rate feedback on idle path")
 	}
-	if idle.ACR() <= icr {
-		t.Errorf("idle ACR %.0f did not ramp up from ICR %.0f", idle.ACR(), icr)
+	if idle.abr.acr <= icr {
+		t.Errorf("idle ACR %.0f did not ramp up from ICR %.0f", idle.abr.acr, icr)
 	}
 	if idle.Metrics.PDUsDelivered != 500 {
 		t.Errorf("idle delivered %d/500", idle.Metrics.PDUsDelivered)
@@ -459,7 +459,7 @@ func TestABRContractValidation(t *testing.T) {
 	if got := ABRContract(10e6, 1e6).GuaranteedRate(); got <= 0 {
 		t.Error("ABR MCR not reserved by CAC")
 	}
-	// Non-ABR connections report no ACR.
+	// Non-ABR connections carry no ABR state.
 	n := New()
 	a := n.AddHost("a")
 	b := n.AddHost("b")
@@ -470,7 +470,7 @@ func TestABRContractValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conn.ACR() != 0 || conn.RateChanges() != 0 {
+	if conn.abr != nil || conn.RateChanges() != 0 {
 		t.Error("CBR connection reports ABR state")
 	}
 }

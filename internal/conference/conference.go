@@ -76,8 +76,6 @@ type Session struct {
 
 	// Received quality per party (index 0 = the first host's inbound).
 	Quality [2]PartyQuality
-
-	conns []*atm.Connection
 }
 
 // Options tunes a conference session.
@@ -122,7 +120,6 @@ func Dial(n *atm.Network, a, b *atm.Host, opts Options) (*Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("conference: audio %s→%s: %w", d.from.Name(), d.to.Name(), err)
 		}
-		s.conns = append(s.conns, audio)
 		s.schedule(audio, audioFrameInterval, audioFrameBytes, &s.Quality[d.party].Audio)
 
 		if opts.VideoEnabled {
@@ -134,7 +131,6 @@ func Dial(n *atm.Network, a, b *atm.Host, opts Options) (*Session, error) {
 			if err != nil {
 				return nil, fmt.Errorf("conference: video %s→%s: %w", d.from.Name(), d.to.Name(), err)
 			}
-			s.conns = append(s.conns, video)
 			s.schedule(video, videoFrameInterval, videoFrameBytes, &s.Quality[d.party].video)
 		}
 	}
@@ -160,14 +156,6 @@ func (s *Session) receive(q *StreamQuality, sent, now sim.Time) {
 	if lat > latencyBudget {
 		q.lateFrames++
 	}
-}
-
-// Hangup releases the session's connections and their reservations.
-func (s *Session) Hangup() {
-	for _, c := range s.conns {
-		c.Close()
-	}
-	s.conns = nil
 }
 
 // Usable reports whether the received quality supports conversation:

@@ -8,6 +8,7 @@
 package conference
 
 import (
+	"strings"
 	"testing"
 
 	"mits/internal/lint/leaktest"
@@ -113,31 +114,20 @@ func TestBestEffortCallCollapsesUnderCongestion(t *testing.T) {
 	}
 }
 
-func TestHangupReleasesReservations(t *testing.T) {
+func TestDialRefusedAtCapacity(t *testing.T) {
 	leaktest.Check(t)
 	n, a, b := confNet(t, false)
 	// The 10 Mb/s trunk fits a handful of reserved video calls; dialing
-	// forever without hangup must eventually hit admission control.
-	var sessions []*Session
-	var dialErr error
+	// more must hit admission control, and the refusal names the leg.
 	for i := 0; i < 100; i++ {
-		s, err := Dial(n, a, b, Options{Duration: time.Second, VideoEnabled: true})
-		if err != nil {
-			dialErr = err
-			break
+		if _, err := Dial(n, a, b, Options{Duration: time.Second, VideoEnabled: true}); err != nil {
+			if !strings.HasPrefix(err.Error(), "conference: ") {
+				t.Errorf("refusal %q does not name the conference leg", err)
+			}
+			return
 		}
-		sessions = append(sessions, s)
 	}
-	if dialErr == nil {
-		t.Fatal("admission control never refused a call")
-	}
-	// Hanging up frees capacity for a new call.
-	for _, s := range sessions {
-		s.Hangup()
-	}
-	if _, err := Dial(n, a, b, Options{Duration: time.Second}); err != nil {
-		t.Errorf("call refused after hangups: %v", err)
-	}
+	t.Fatal("admission control never refused a call")
 }
 
 func TestQualityAccessors(t *testing.T) {

@@ -193,7 +193,7 @@ func (c *imdCompiler) compileScene(s *document.Scene, next *document.Scene) erro
 		}
 	}
 	base := c.ids.Reserve(uint32(1 + len(s.Timeline)))
-	startup, tlLinks, err := tl.CompileRunOnly(c.ids.App, base)
+	startup, tlLinks, err := tl.Compile(c.ids.App, base)
 	if err != nil {
 		return fmt.Errorf("courseware: scene %q: %w", s.ID, err)
 	}

@@ -24,8 +24,8 @@ func TestIDAllocator(t *testing.T) {
 	if a.Next() != (mheg.ID{App: "app", Num: 17}) {
 		t.Error("Reserve did not advance")
 	}
-	if a.Allocated() != 18 {
-		t.Errorf("Allocated=%d", a.Allocated())
+	if a.next != 18 {
+		t.Errorf("next=%d", a.next)
 	}
 }
 
@@ -257,11 +257,6 @@ func TestTemplates(t *testing.T) {
 	if a.Kind != document.ObjAudio || a.Volume != 80 {
 		t.Errorf("audio template %+v", a)
 	}
-	ct := CaptionTemplate{Duration: 3 * time.Second}
-	c := ct.New("cap1", "Hello")
-	if c.Kind != document.ObjText || c.Text != "Hello" {
-		t.Errorf("caption template %+v", c)
-	}
 }
 
 // ---- compiler tests ----
@@ -319,7 +314,7 @@ func TestCompileIMDRejectsInvalidDoc(t *testing.T) {
 		t.Error("invalid doc compiled")
 	}
 	noTimeline := document.SampleATMCourse()
-	s, _ := noTimeline.Scene("quiz")
+	s := sceneOf(noTimeline, "quiz")
 	s.Timeline = nil
 	if _, err := CompileIMD(noTimeline, "x"); err == nil || !strings.Contains(err.Error(), "timeline") {
 		t.Errorf("scene without timeline compiled (err=%v)", err)

@@ -54,9 +54,6 @@ func (a *IDAllocator) Reserve(n uint32) uint32 {
 	return start
 }
 
-// Allocated reports how many IDs have been issued.
-func (a *IDAllocator) Allocated() uint32 { return a.next }
-
 // ---- Interactive objects (Fig 4.6) ----
 
 // Button builds an interactive object: a labelled selectable area whose

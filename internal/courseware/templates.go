@@ -42,21 +42,6 @@ func (t AudioTemplate) New(id, mediaRef string) document.SceneObject {
 	}
 }
 
-// CaptionTemplate instantiates timed text captions.
-type CaptionTemplate struct {
-	At       document.Region
-	Duration time.Duration
-	Channel  string
-}
-
-// New fills the template with caption text.
-func (t CaptionTemplate) New(id, text string) document.SceneObject {
-	return document.SceneObject{
-		ID: id, Kind: document.ObjText, Text: text,
-		At: t.At, Duration: t.Duration, Channel: t.Channel,
-	}
-}
-
 // QuizOption is one answer in a quiz template.
 type QuizOption struct {
 	Label    string

@@ -22,9 +22,19 @@ func TestLogicalView(t *testing.T) {
 	}
 }
 
+// sceneOf finds a scene anywhere in a document's hierarchy.
+func sceneOf(doc *document.IMDoc, id string) *document.Scene {
+	for _, s := range doc.AllScenes() {
+		if s.ID == id {
+			return s
+		}
+	}
+	return nil
+}
+
 func TestLayoutView(t *testing.T) {
 	doc := document.SampleATMCourse()
-	s, _ := doc.Scene("cells")
+	s := sceneOf(doc, "cells")
 	v := LayoutView(s)
 	for _, want := range []string{"text1", "( 420,   0)", `channel "controls"`, "400x300"} {
 		if !strings.Contains(v, want) {
@@ -35,7 +45,7 @@ func TestLayoutView(t *testing.T) {
 
 func TestTimelineView(t *testing.T) {
 	doc := document.SampleATMCourse()
-	s, _ := doc.Scene("cells")
+	s := sceneOf(doc, "cells")
 	v, err := TimelineView(s)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +93,7 @@ func TestTimelineView(t *testing.T) {
 
 func TestBehaviorView(t *testing.T) {
 	doc := document.SampleATMCourse()
-	s, _ := doc.Scene("switching")
+	s := sceneOf(doc, "switching")
 	v := BehaviorView(s)
 	for _, want := range []string{"condition set", "action set", "stopbtn clicked", "stop audio1,text2,anim1"} {
 		if !strings.Contains(v, want) {

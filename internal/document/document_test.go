@@ -21,18 +21,24 @@ func TestHyperNavigation(t *testing.T) {
 	if start == nil || start.ID != "s1" {
 		t.Fatalf("start page %v", start)
 	}
-	next, ok := d.Next("s1", "next1")
-	if !ok || next.ID != "s2" {
-		t.Fatalf("Next(s1,next1) = %v", next)
+	// next is the page reached by activating item on page.
+	next := func(page, item string) string {
+		for _, l := range d.Choices(page) {
+			if l.Condition == item {
+				return l.To
+			}
+		}
+		return ""
+	}
+	if got := next("s1", "next1"); got != "s2" {
+		t.Fatalf("s1/next1 leads to %q", got)
 	}
 	// Quiz branch: right and wrong answers go to different pages.
-	right, _ := d.Next("q1", "q1-right")
-	wrong, _ := d.Next("q1", "q1-wrong")
-	if right.ID != "q1-correct" || wrong.ID != "q1-incorrect" {
-		t.Errorf("quiz branch %v / %v", right.ID, wrong.ID)
+	if right, wrong := next("q1", "q1-right"), next("q1", "q1-wrong"); right != "q1-correct" || wrong != "q1-incorrect" {
+		t.Errorf("quiz branch %v / %v", right, wrong)
 	}
-	if _, ok := d.Next("s1", "nonexistent"); ok {
-		t.Error("Next on unknown condition succeeded")
+	if got := next("s1", "nonexistent"); got != "" {
+		t.Errorf("unknown condition leads to %q", got)
 	}
 	if got := len(d.Choices("s1")); got != 3 {
 		t.Errorf("s1 has %d choices, want 3", got)
@@ -98,6 +104,16 @@ func TestHyperValidateCatchesAuthoringBugs(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+}
+
+// Scene finds a scene by id anywhere in the hierarchy.
+func (d *IMDoc) Scene(id string) (*Scene, bool) {
+	for _, s := range d.AllScenes() {
+		if s.ID == id {
+			return s, true
+		}
+	}
+	return nil, false
 }
 
 func TestIMDocStructure(t *testing.T) {

@@ -101,17 +101,6 @@ func (d *HyperDoc) Page(id string) (*Page, bool) {
 	return nil, false
 }
 
-// Next resolves a navigation step: the page reached by activating the
-// given item on the given page.
-func (d *HyperDoc) Next(page, item string) (*Page, bool) {
-	for _, l := range d.Links {
-		if l.From == page && l.Condition == item {
-			return d.mustPage(l.To), true
-		}
-	}
-	return nil, false
-}
-
 // Choices lists the outgoing links of a page.
 func (d *HyperDoc) Choices(page string) []NavLink {
 	var out []NavLink

@@ -182,16 +182,6 @@ func (d *IMDoc) AllScenes() []*Scene {
 	return out
 }
 
-// Scene finds a scene by id anywhere in the hierarchy.
-func (d *IMDoc) Scene(id string) (*Scene, bool) {
-	for _, s := range d.AllScenes() {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
 // Validate checks the document: unique scene and object ids, placements
 // and behaviors that reference existing objects, buttons not used as
 // media, and goto targets that exist.

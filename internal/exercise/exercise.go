@@ -312,43 +312,6 @@ func (b *Book) Best(setID, student string) (*Grade, bool) {
 	return g, ok
 }
 
-// SetStats summarizes a set's results — the "analysis of the common
-// mistakes in an exercise" the bulletin board publishes (§5.2.1).
-type SetStats struct {
-	Submissions int
-	MeanPercent float64
-	// MissRate per problem id: fraction of best grades answering wrong.
-	MissRate map[string]float64
-}
-
-// Stats computes a set's statistics over best grades.
-func (b *Book) Stats(setID string) (SetStats, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	s, ok := b.sets[setID]
-	if !ok {
-		return SetStats{}, fmt.Errorf("exercise: unknown set %s", setID)
-	}
-	stats := SetStats{MissRate: make(map[string]float64, len(s.Problems))}
-	var pctSum float64
-	for _, g := range b.grades[setID] {
-		stats.Submissions++
-		pctSum += g.Percent()
-		for pid, res := range g.Results {
-			if !res.Correct {
-				stats.MissRate[pid]++
-			}
-		}
-	}
-	if stats.Submissions > 0 {
-		stats.MeanPercent = pctSum / float64(stats.Submissions)
-		for pid := range stats.MissRate {
-			stats.MissRate[pid] /= float64(stats.Submissions)
-		}
-	}
-	return stats, nil
-}
-
 // Standing is one contest row.
 type Standing struct {
 	Student string

@@ -145,34 +145,6 @@ func TestBookFlow(t *testing.T) {
 	if _, err := b.Presentable("zzz"); err == nil {
 		t.Error("presented ghost set")
 	}
-	if _, err := b.Stats("zzz"); err == nil {
-		t.Error("stats for ghost set")
-	}
-}
-
-func TestStatsAndMissRates(t *testing.T) {
-	b := NewBook()
-	b.AddSet(sampleSet())
-	// Three students: one perfect, two missing p4.
-	b.Submit("ex1", "a", map[string]string{"p1": "1", "p2": "48", "p3": "155", "p4": "GCRA", "p5": "0"})
-	b.Submit("ex1", "b", map[string]string{"p1": "1", "p2": "48", "p3": "155", "p4": "nope", "p5": "0"})
-	b.Submit("ex1", "c", map[string]string{"p1": "1", "p2": "48", "p3": "155", "p4": "nah", "p5": "0"})
-	stats, err := b.Stats("ex1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Submissions != 3 {
-		t.Errorf("submissions %d", stats.Submissions)
-	}
-	if miss := stats.MissRate["p4"]; miss < 0.66 || miss > 0.67 {
-		t.Errorf("p4 miss rate %.2f, want 2/3", miss)
-	}
-	if stats.MissRate["p1"] != 0 {
-		t.Errorf("p1 miss rate %.2f", stats.MissRate["p1"])
-	}
-	if stats.MeanPercent < 70 || stats.MeanPercent > 90 {
-		t.Errorf("mean percent %.1f", stats.MeanPercent)
-	}
 }
 
 func TestContestRanking(t *testing.T) {
@@ -215,15 +187,13 @@ func TestConcurrentSubmissions(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				b.Submit("ex1", student, map[string]string{"p1": "1"})
 				b.Best("ex1", student)
-				b.Stats("ex1")
 				b.Contest("ELG5121")
 			}
 		}(i)
 	}
 	wg.Wait()
-	stats, _ := b.Stats("ex1")
-	if stats.Submissions != 8 {
-		t.Errorf("submissions %d", stats.Submissions)
+	if ranks := b.Contest("ELG5121"); len(ranks) != 8 {
+		t.Errorf("%d students ranked, want 8", len(ranks))
 	}
 }
 

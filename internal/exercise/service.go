@@ -7,12 +7,10 @@ import (
 
 // Network method names of the exercise service.
 const (
-	MethodAddSet      = "ex.AddSet"
 	MethodSetsFor     = "ex.SetsFor"
 	MethodPresentable = "ex.Presentable"
 	MethodSubmit      = "ex.Submit"
 	MethodBest        = "ex.Best"
-	MethodStats       = "ex.Stats"
 	MethodContest     = "ex.Contest"
 )
 
@@ -27,10 +25,9 @@ type bestResp struct {
 	Found bool
 }
 
-// RegisterService exposes a grade book on a transport mux. AddSet is
-// the author-site call; the rest serve navigators.
+// RegisterService exposes a grade book to navigators on a transport
+// mux. Sets are added where the book lives (Book.AddSet).
 func RegisterService(m *transport.Mux, b *Book) {
-	transport.Route(m, MethodAddSet, func(s Set) (struct{}, error) { return struct{}{}, b.AddSet(&s) })
 	transport.Route(m, MethodSetsFor, func(course string) ([]string, error) { return b.SetsFor(course), nil })
 	transport.Route(m, MethodPresentable, b.Presentable)
 	transport.Route(m, MethodSubmit, func(req submitReq) (*Grade, error) {
@@ -40,7 +37,6 @@ func RegisterService(m *transport.Mux, b *Book) {
 		g, found := b.Best(req.SetID, req.Student)
 		return bestResp{Grade: g, Found: found}, nil
 	})
-	transport.Route(m, MethodStats, b.Stats)
 	transport.Route(m, MethodContest, func(course string) ([]Standing, error) { return b.Contest(course), nil })
 }
 
@@ -52,11 +48,6 @@ type Client struct {
 // invoke is the typed call every stub below makes.
 func (c Client) invoke(method string, req, resp any) error {
 	return transport.Invoke(c.C, obs.SpanContext{}, method, req, resp)
-}
-
-// AddSet publishes a problem set (author site).
-func (c Client) AddSet(s *Set) error {
-	return c.invoke(MethodAddSet, s, nil)
 }
 
 // SetsFor lists a course's sets.
@@ -82,12 +73,6 @@ func (c Client) Best(setID, student string) (*Grade, bool, error) {
 	var resp bestResp
 	err := c.invoke(MethodBest, bestReq{SetID: setID, Student: student}, &resp)
 	return resp.Grade, resp.Found, err
-}
-
-// Stats fetches a set's statistics.
-func (c Client) Stats(setID string) (st SetStats, err error) {
-	err = c.invoke(MethodStats, setID, &st)
-	return st, err
 }
 
 // Contest fetches a course's ranking.

@@ -100,18 +100,6 @@ func (f *Facilitator) Join(roomName, member string) error {
 	return nil
 }
 
-// Leave removes a member.
-func (f *Facilitator) Leave(roomName, member string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r, ok := f.rooms[roomName]
-	if !ok {
-		return fmt.Errorf("%w: room %q", ErrNotFound, roomName)
-	}
-	delete(r.members, member)
-	return nil
-}
-
 // Say posts a message to a room; only members may speak.
 func (f *Facilitator) Say(roomName, member, text string) (int, error) {
 	f.mu.Lock()
@@ -143,22 +131,6 @@ func (f *Facilitator) Messages(roomName string, after int) ([]ChatMessage, error
 			out = append(out, m)
 		}
 	}
-	return out, nil
-}
-
-// Members lists a room's members, sorted.
-func (f *Facilitator) Members(roomName string) ([]string, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	r, ok := f.rooms[roomName]
-	if !ok {
-		return nil, fmt.Errorf("%w: room %q", ErrNotFound, roomName)
-	}
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
 	return out, nil
 }
 

@@ -64,12 +64,6 @@ func (h *HelpDesk) Ask(t *Ticket) {
 	}
 }
 
-// QueueLength reports questions currently waiting.
-func (h *HelpDesk) QueueLength() int { return len(h.queue) }
-
-// Busy reports consultants currently answering.
-func (h *HelpDesk) Busy() int { return h.busy }
-
 func (h *HelpDesk) serve(t *Ticket) {
 	h.busy++
 	waited := h.clock.Now().Sub(t.asked)

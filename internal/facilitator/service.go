@@ -9,12 +9,9 @@ import (
 const (
 	MethodOpenRoom = "fac.OpenRoom"
 	MethodJoin     = "fac.Join"
-	MethodLeave    = "fac.Leave"
 	MethodSay      = "fac.Say"
 	MethodMessages = "fac.Messages"
-	MethodMembers  = "fac.Members"
 	MethodRooms    = "fac.Rooms"
-	MethodPublish  = "fac.Publish"
 	MethodRead     = "fac.Read"
 	MethodBoards   = "fac.Boards"
 	MethodSend     = "fac.Send"
@@ -27,7 +24,6 @@ type pollReq struct {
 	Name  string
 	After int
 }
-type publishReq struct{ Board, Author, Subject, Body string }
 type mailReq struct{ From, To, Subject, Body string }
 
 // RegisterService exposes a Facilitator on a transport mux.
@@ -36,18 +32,11 @@ func RegisterService(m *transport.Mux, f *Facilitator) {
 	transport.Route(m, MethodJoin, func(req roomMemberReq) (struct{}, error) {
 		return struct{}{}, f.Join(req.Room, req.Member)
 	})
-	transport.Route(m, MethodLeave, func(req roomMemberReq) (struct{}, error) {
-		return struct{}{}, f.Leave(req.Room, req.Member)
-	})
 	transport.Route(m, MethodSay, func(req sayReq) (int, error) { return f.Say(req.Room, req.Member, req.Text) })
 	transport.Route(m, MethodMessages, func(req pollReq) ([]ChatMessage, error) {
 		return f.Messages(req.Name, req.After)
 	})
-	transport.Route(m, MethodMembers, f.Members)
 	transport.Route(m, MethodRooms, func(struct{}) ([]string, error) { return f.Rooms(), nil })
-	transport.Route(m, MethodPublish, func(req publishReq) (int, error) {
-		return f.Publish(req.Board, req.Author, req.Subject, req.Body)
-	})
 	transport.Route(m, MethodRead, func(req pollReq) ([]Post, error) { return f.Read(req.Name, req.After) })
 	transport.Route(m, MethodBoards, func(struct{}) ([]string, error) { return f.Boards(), nil })
 	transport.Route(m, MethodSend, func(req mailReq) (int, error) {
@@ -76,11 +65,6 @@ func (c Client) Join(room, member string) error {
 	return c.invoke(MethodJoin, roomMemberReq{Room: room, Member: member}, nil)
 }
 
-// Leave exits a room.
-func (c Client) Leave(room, member string) error {
-	return c.invoke(MethodLeave, roomMemberReq{Room: room, Member: member}, nil)
-}
-
 // Say posts a message.
 func (c Client) Say(room, member, text string) (seq int, err error) {
 	err = c.invoke(MethodSay, sayReq{Room: room, Member: member, Text: text}, &seq)
@@ -93,22 +77,10 @@ func (c Client) Messages(room string, after int) (msgs []ChatMessage, err error)
 	return msgs, err
 }
 
-// Members lists a room's members.
-func (c Client) Members(room string) (members []string, err error) {
-	err = c.invoke(MethodMembers, room, &members)
-	return members, err
-}
-
 // Rooms lists open rooms.
 func (c Client) Rooms() (rooms []string, err error) {
 	err = c.invoke(MethodRooms, nil, &rooms)
 	return rooms, err
-}
-
-// Publish posts to a bulletin board.
-func (c Client) Publish(board, author, subject, body string) (seq int, err error) {
-	err = c.invoke(MethodPublish, publishReq{Board: board, Author: author, Subject: subject, Body: body}, &seq)
-	return seq, err
 }
 
 // Read polls a board.

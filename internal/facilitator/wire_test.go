@@ -15,7 +15,8 @@ import (
 // recordWire drives every fac.* stub once with fixed inputs.
 func recordWire() (*wiretest.Recorder, error) {
 	mux := transport.NewMux()
-	RegisterService(mux, New())
+	fac := New()
+	RegisterService(mux, fac)
 	rec := &wiretest.Recorder{Next: transport.Loopback{H: mux}}
 	c := Client{C: rec}
 
@@ -27,10 +28,9 @@ func recordWire() (*wiretest.Recorder, error) {
 		func() error { return c.Join("atm", "ada") },
 		func() (err error) { seq, err = c.Say("atm", "ada", "what is a VC?"); return },
 		func() (err error) { msgs, err = c.Messages("atm", 0); return },
-		func() error { _, err := c.Members("atm"); return err },
 		func() error { _, err := c.Rooms(); return err },
-		func() error { return c.Leave("atm", "ada") },
-		func() error { _, err := c.Publish("news", "prof", "exam", "next week"); return err },
+		// The board is posted to where the facilitator runs, not over the wire.
+		func() error { _, err := fac.Publish("news", "prof", "exam", "next week"); return err },
 		func() error { _, err := c.Read("news", 0); return err },
 		func() error { _, err := c.Boards(); return err },
 		func() error { _, err := c.SendMail("ada", "prof", "question", "about the exam"); return err },
@@ -49,22 +49,22 @@ func recordWire() (*wiretest.Recorder, error) {
 	return rec, nil
 }
 
-// TestWireGolden compares the request/response payloads of all twelve
+// TestWireGolden compares the request/response payloads of all nine
 // fac.* stubs with testdata/wire.golden.
 func TestWireGolden(t *testing.T) {
 	wire, err := recordWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(wire.Methods()); got != 12 {
-		t.Errorf("%d fac.* methods exercised, want all 12", got)
+	if got := len(wire.Methods()); got != 9 {
+		t.Errorf("%d fac.* methods exercised, want all 9", got)
 	}
 	for _, call := range wire.Calls {
 		argless := call.Method == MethodRooms || call.Method == MethodBoards
 		if argless != (call.Req == nil) {
 			t.Errorf("%s: nil request = %v", call.Method, call.Req == nil)
 		}
-		resultless := call.Method == MethodOpenRoom || call.Method == MethodJoin || call.Method == MethodLeave
+		resultless := call.Method == MethodOpenRoom || call.Method == MethodJoin
 		if resultless != (call.Resp == nil) {
 			t.Errorf("%s: nil response = %v", call.Method, call.Resp == nil)
 		}
@@ -116,7 +116,6 @@ func TestPayloadMatchesGob(t *testing.T) {
 	sameAsGob(t, roomMemberReq{}, roomMemberReq{Room: "atm", Member: "ada"})
 	sameAsGob(t, sayReq{}, sayReq{Room: "atm", Member: "ada", Text: "what is a VC?"})
 	sameAsGob(t, pollReq{}, pollReq{Name: "atm", After: -3})
-	sameAsGob(t, publishReq{}, publishReq{Board: "news", Author: "prof", Subject: "exam", Body: "next week"})
 	sameAsGob(t, mailReq{}, mailReq{From: "ada", To: "prof", Subject: "q", Body: "b"})
 	sameAsGob(t, []ChatMessage(nil), []ChatMessage{}, []ChatMessage{{Seq: 1, Author: "ada", Text: "hi"}, {}})
 	sameAsGob(t, []Post(nil), []Post{}, []Post{{Seq: 2, Author: "prof", Subject: "exam", Body: "next week"}, {}})

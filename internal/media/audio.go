@@ -2,7 +2,6 @@ package media
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"time"
 )
@@ -69,34 +68,4 @@ func EncodeMIDI(d time.Duration) []byte {
 		buf = append(buf, ev[:]...)
 	}
 	return buf
-}
-
-// MIDIEvents parses the event count from an encoded MIDI object.
-func MIDIEvents(data []byte) (int, error) {
-	if _, err := Decode(CodingMIDI, data); err != nil {
-		return 0, err
-	}
-	n := len(data) - headerSize
-	if n%midiEventSize != 0 {
-		return 0, fmt.Errorf("MIDI payload %d not a whole number of events", n)
-	}
-	return n / midiEventSize, nil
-}
-
-// NewAudio builds a complete audio Object.
-func NewAudio(id, name string, coding Coding, d time.Duration, keywords ...string) (*Object, error) {
-	var data []byte
-	switch coding {
-	case CodingWAV:
-		data = EncodeWAV(d, DefaultWAVRate, 1)
-	case CodingMIDI:
-		data = EncodeMIDI(d)
-	default:
-		return nil, fmt.Errorf("media: %q is not an audio coding", coding)
-	}
-	meta, err := Decode(coding, data)
-	if err != nil {
-		return nil, err
-	}
-	return &Object{ID: id, Name: name, Coding: coding, Meta: meta, Keywords: keywords, Data: data}, nil
 }

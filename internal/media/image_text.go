@@ -64,17 +64,6 @@ func TextPrefix(c Coding, data []byte, n int) (string, error) {
 	return string(text), nil
 }
 
-// NewHTML builds an HTML document Object, synthesizing a simple page
-// around the body when it is not already markup.
-func NewHTML(id, title, body string, keywords ...string) (*Object, error) {
-	doc := body
-	if !strings.Contains(body, "<html>") {
-		doc = fmt.Sprintf("<html><head><title>%s</title></head><body>%s</body></html>", title, body)
-	}
-	data := EncodeHTML(doc)
-	return &Object{ID: id, Name: title, Coding: CodingHTML, Keywords: keywords, Data: data}, nil
-}
-
 // GenerateLecture produces deterministic lecture-note text of roughly
 // the requested length, for workload generation.
 func GenerateLecture(topic string, approxLen int, seed uint64) string {

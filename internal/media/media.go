@@ -13,7 +13,6 @@ package media
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 )
@@ -98,25 +97,6 @@ type Object struct {
 	Meta     Meta
 	Keywords []string
 	Data     []byte
-}
-
-// Size reports the encoded size in bytes.
-func (o *Object) Size() int { return len(o.Data) }
-
-// Validate checks the object's internal consistency: the data must
-// decode under the declared coding and the header metadata must match.
-func (o *Object) Validate() error {
-	if o.ID == "" {
-		return errors.New("media: object has empty ID")
-	}
-	meta, err := Decode(o.Coding, o.Data)
-	if err != nil {
-		return fmt.Errorf("media: object %s: %w", o.ID, err)
-	}
-	if TimeBased(o.Coding) && meta.Duration != o.Meta.Duration {
-		return fmt.Errorf("media: object %s: header duration %v != meta %v", o.ID, meta.Duration, o.Meta.Duration)
-	}
-	return nil
 }
 
 // Synthetic container format shared by all simulated codecs: a 4-byte

@@ -44,20 +44,6 @@ func TestWAVDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMIDIEvents(t *testing.T) {
-	data := EncodeMIDI(30 * time.Second)
-	n, err := MIDIEvents(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 100 {
-		t.Errorf("30s of MIDI has only %d events", n)
-	}
-	if _, err := MIDIEvents(EncodeWAV(time.Second, 0, 0)); err == nil {
-		t.Error("MIDIEvents accepted WAV data")
-	}
-}
-
 func TestMPEGGOPStructure(t *testing.T) {
 	data := EncodeMPEG(VideoParams{Duration: 4 * time.Second})
 	frames, m, err := ParseMPEG(data)
@@ -188,54 +174,6 @@ func TestTextRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHTMLWrapping(t *testing.T) {
-	obj, err := NewHTML("doc1", "ATM Basics", "Cells have 48-byte payloads.", "atm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := TextContent(CodingHTML, obj.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "<title>ATM Basics</title>") {
-		t.Errorf("HTML not wrapped: %q", text)
-	}
-}
-
-func TestObjectValidate(t *testing.T) {
-	obj, err := NewAudio("a1", "intro music", CodingMIDI, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obj.Validate(); err != nil {
-		t.Errorf("valid object rejected: %v", err)
-	}
-	obj.Data[0] = 'X'
-	if err := obj.Validate(); err == nil {
-		t.Error("corrupted object validated")
-	}
-	empty := &Object{}
-	if err := empty.Validate(); err == nil {
-		t.Error("object with empty ID validated")
-	}
-}
-
-func TestNewVideoAndMismatchedCodings(t *testing.T) {
-	v, err := NewVideo("v1", "welcome clip", CodingMPEG, VideoParams{Duration: time.Second}, "welcome")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Meta.Duration != time.Second || v.Size() == 0 {
-		t.Errorf("video object %+v", v.Meta)
-	}
-	if _, err := NewVideo("v2", "x", CodingWAV, VideoParams{}); err == nil {
-		t.Error("NewVideo accepted audio coding")
-	}
-	if _, err := NewAudio("a2", "x", CodingMPEG, time.Second); err == nil {
-		t.Error("NewAudio accepted video coding")
 	}
 }
 

@@ -178,21 +178,3 @@ func EncodeAVI(p VideoParams) []byte {
 	}
 	return buf
 }
-
-// NewVideo builds a complete video Object under the given coding.
-func NewVideo(id, name string, coding Coding, p VideoParams, keywords ...string) (*Object, error) {
-	var data []byte
-	switch coding {
-	case CodingMPEG:
-		data = EncodeMPEG(p)
-	case CodingAVI:
-		data = EncodeAVI(p)
-	default:
-		return nil, fmt.Errorf("media: %q is not a video coding", coding)
-	}
-	meta, err := Decode(coding, data)
-	if err != nil {
-		return nil, err
-	}
-	return &Object{ID: id, Name: name, Coding: coding, Meta: meta, Keywords: keywords, Data: data}, nil
-}

@@ -32,7 +32,7 @@ func TestProducePerCoding(t *testing.T) {
 		if obj.Coding != tc.coding {
 			t.Errorf("%s coding %s, want %s", tc.ref, obj.Coding, tc.coding)
 		}
-		if obj.Size() == 0 {
+		if len(obj.Data) == 0 {
 			t.Errorf("%s produced empty data", tc.ref)
 		}
 		if media.TimeBased(tc.coding) && obj.Meta.Duration != 2*time.Second {

@@ -191,8 +191,8 @@ func TestTimelineResolveAbsoluteAndRelative(t *testing.T) {
 	if span := tl.Span(); span != 5500*time.Millisecond {
 		t.Errorf("span=%v, want 5.5s", span)
 	}
-	if tl.Len() != 3 {
-		t.Errorf("Len=%d", tl.Len())
+	if len(tl.entries) != 3 {
+		t.Errorf("%d entries placed, want 3", len(tl.entries))
 	}
 }
 
@@ -261,6 +261,11 @@ func TestTimelineEndToEndPlayback(t *testing.T) {
 	action, links, err := tl.Compile("s", 100)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The timeline runs objects that already exist, as the composite
+	// that sockets them creates them first.
+	for n := uint32(3); n >= 1; n-- {
+		action.Items = append([]mheg.ElementaryAction{mheg.Act(mheg.OpNew, id(n))}, action.Items...)
 	}
 	ran := play(t, map[uint32]time.Duration{1: 2 * time.Second, 2: time.Second, 3: time.Second}, action, links)
 	if ran[1] != 0 {

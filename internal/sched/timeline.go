@@ -74,9 +74,6 @@ func (t *Timeline) After(id, other mheg.ID, offset, duration time.Duration) erro
 	return t.add(&entry{id: id, duration: duration, rel: relAfterEnd, other: other, offset: offset})
 }
 
-// Len reports the number of placed objects.
-func (t *Timeline) Len() int { return len(t.entries) }
-
 // Resolve computes absolute start offsets where durations permit. It
 // returns an error on references to unplaced objects or cyclic
 // relations. Entries downstream of an unknown duration stay unresolved
@@ -172,19 +169,10 @@ func (t *Timeline) Span() time.Duration {
 // Compile turns the timeline into MHEG objects: one action carrying the
 // resolved offsets and one OnFinished link per event-driven entry.
 // Object numbers are allocated from base upward in the given app
-// namespace. Emitted actions both create and run each object.
+// namespace. The objects already exist as run-time instances
+// (components socketed into a composite), so the emitted actions only
+// run them.
 func (t *Timeline) Compile(app string, base uint32) (*mheg.Action, []*mheg.Link, error) {
-	return t.compile(app, base, true)
-}
-
-// CompileRunOnly is Compile for objects that already exist as run-time
-// instances (components socketed into a composite): emitted actions
-// only run them, without 'new'.
-func (t *Timeline) CompileRunOnly(app string, base uint32) (*mheg.Action, []*mheg.Link, error) {
-	return t.compile(app, base, false)
-}
-
-func (t *Timeline) compile(app string, base uint32, withNew bool) (*mheg.Action, []*mheg.Link, error) {
 	if err := t.Resolve(); err != nil {
 		return nil, nil, err
 	}
@@ -201,20 +189,12 @@ func (t *Timeline) compile(app string, base uint32, withNew bool) (*mheg.Action,
 			fixed = append(fixed, placed{id: e.id, start: e.start})
 			continue
 		}
-		var effect []mheg.ElementaryAction
-		if withNew {
-			effect = append(effect, mheg.ActAfter(e.offset, mheg.OpNew, e.id))
-		}
-		effect = append(effect, mheg.ActAfter(e.offset, mheg.OpRun, e.id))
-		links = append(links, mheg.OnFinished(mheg.ID{App: app, Num: num}, e.other, effect...))
+		links = append(links, mheg.OnFinished(mheg.ID{App: app, Num: num}, e.other, mheg.ActAfter(e.offset, mheg.OpRun, e.id)))
 		num++
 	}
 	sort.SliceStable(fixed, func(i, j int) bool { return fixed[i].start < fixed[j].start })
 	action := mheg.NewAction(mheg.ID{App: app, Num: base})
 	for _, p := range fixed {
-		if withNew {
-			action.Items = append(action.Items, mheg.ActAfter(p.start, mheg.OpNew, p.id))
-		}
 		action.Items = append(action.Items, mheg.ActAfter(p.start, mheg.OpRun, p.id))
 	}
 	if len(action.Items) == 0 {

@@ -76,10 +76,6 @@ type Student struct {
 	Resume map[string]Position
 }
 
-// FindNumberOfCourse reports how many courses the student has
-// registered for — the thesis's member function of the same name.
-func (s *Student) FindNumberOfCourse() int { return len(s.Courses) }
-
 func (s *Student) registration(code string) *Registration {
 	for i := range s.Courses {
 		if s.Courses[i].CourseCode == code {
@@ -110,9 +106,6 @@ func New(name string) *School {
 		nextNumber: 880001, // student numbers look like the thesis era's
 	}
 }
-
-// Name reports the school's name.
-func (s *School) Name() string { return s.name }
 
 // AddCourse lists a course in the catalogue.
 func (s *School) AddCourse(c Course) error {

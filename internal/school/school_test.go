@@ -118,8 +118,8 @@ func TestEnrollmentAndProgress(t *testing.T) {
 		t.Error("ghost student enrolled")
 	}
 	st, _ := s.Student(num)
-	if st.FindNumberOfCourse() != 1 {
-		t.Errorf("FindNumberOfCourse=%d", st.FindNumberOfCourse())
+	if len(st.Courses) != 1 {
+		t.Errorf("registered for %d courses", len(st.Courses))
 	}
 
 	// 12 sessions complete the course.
@@ -354,8 +354,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Name() != s.Name() {
-		t.Errorf("name %q", loaded.Name())
+	if loaded.name != s.name {
+		t.Errorf("name %q", loaded.name)
 	}
 	st, err := loaded.Student(num)
 	if err != nil || st.Profile.Name != "Persistent Student" {

@@ -147,8 +147,16 @@ func (n *Navigator) Screen() *Screen { return n.screen }
 
 // ---- administration (Figs 5.3, 5.4, 5.6) ----
 
+// errCourseOpen refuses a change of student while a course is open: the
+// exit would file the open course's stop position and session under the
+// new student's number.
+var errCourseOpen = errors.New("navigator: a course is open; exit it first")
+
 // Register creates the student's school record and logs in.
 func (n *Navigator) Register(p school.Profile) (string, error) {
+	if n.courseCode != "" {
+		return "", errCourseOpen
+	}
 	num, err := n.school.Register(p)
 	if err != nil {
 		return "", err
@@ -157,9 +165,13 @@ func (n *Navigator) Register(p school.Profile) (string, error) {
 	return num, nil
 }
 
-// Login enters the school with an existing student number.
+// Login enters the school with an existing student number: one round
+// trip that checks the number and fetches nothing of the record.
 func (n *Navigator) Login(number string) error {
-	if _, err := n.school.Student(number); err != nil {
+	if n.courseCode != "" {
+		return errCourseOpen
+	}
+	if err := n.school.Login(number); err != nil {
 		return err
 	}
 	n.student = number

@@ -104,6 +104,55 @@ func TestExitWithoutEnrollment(t *testing.T) {
 	}
 }
 
+// TestChangeOfStudentWaitsForTheExit: on a shared lab PC, a login or a
+// registration while a course is open is refused. Taken, it would make
+// the exit file the open course's stop position under the new number.
+// Once the first student exits, the next one logs in.
+func TestChangeOfStudentWaitsForTheExit(t *testing.T) {
+	nav, _, sch := buildSchool(t)
+	a, err := nav.Register(school.Profile{Name: "A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sch.Register(school.Profile{Name: "B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nav.Enroll("ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nav.StartCourse("ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	nav.Clock().RunFor(9 * time.Second) // into "cells"
+	scene, at := nav.CurrentScene()
+	if _, err := nav.Register(school.Profile{Name: "C"}); err == nil {
+		t.Error("a registration while a course is open was taken")
+	}
+	if err := nav.Login(b); err == nil {
+		t.Error("a login while a course is open was taken")
+	}
+	if err := nav.ExitCourse(); err != nil {
+		t.Errorf("exit: %v", err)
+	}
+	if st, err := sch.Student(b); err != nil || len(st.Resume) != 0 || len(st.Courses) != 0 {
+		t.Errorf("B's record after A's exit: %+v, %v; want no stop position and no course", st, err)
+	}
+	if st, err := sch.Student(a); err != nil || st.Resume["ELG5121"] != (school.Position{Scene: scene, At: at}) ||
+		st.Courses[0].SessionsDone != 1 {
+		t.Errorf("A's record after the exit: %+v, %v; want %s at %v and one session", st, err, scene, at)
+	}
+	if stats := sch.Stats(); stats.Students != 2 {
+		t.Errorf("%d students after the refused registration, want 2", stats.Students)
+	}
+	if err := nav.Login(b); err != nil {
+		t.Fatalf("login after the exit: %v", err)
+	}
+	if nav.student != b {
+		t.Errorf("logged in as %q after the exit, want %q", nav.student, b)
+	}
+}
+
 // TestConcurrentVisitsOfOneStudent: eight lab PCs visit one course as
 // one student at once, each leaving from its own scene. The school
 // counts every exit as a session, and the stop position it keeps is one
@@ -196,13 +245,22 @@ func loggedNavigator(t *testing.T, c *cache.Cache) (*Navigator, *[]string) {
 	}), log
 }
 
-// TestVisitRoundTrips counts a visit's calls. An open is one school
-// call and one store call, then only the engine's content fetches when
-// the course image is cold; an exit is one school call.
+// TestVisitRoundTrips counts a visit's calls. A returning student's
+// login is one school call; an open is one school call and one store
+// call, then only the engine's content fetches when the course image is
+// cold; an exit is one school call.
 func TestVisitRoundTrips(t *testing.T) {
 	nav, log := loggedNavigator(t, cache.New("navigator-test", 1<<30))
 	enrolled(t, nav, "A", "ELG5121")
 	open := []string{school.MethodCourse, transport.MethodGetDoc}
+
+	*log = (*log)[:0]
+	if err := nav.Login(nav.student); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{school.MethodLogin}; !slices.Equal(*log, want) {
+		t.Errorf("a login called %v, want %v", *log, want)
+	}
 
 	*log = (*log)[:0]
 	if err := nav.StartCourse("ELG5121"); err != nil {

@@ -136,6 +136,24 @@ func (s *School) Course(code string) (Course, error) {
 	return *c, nil
 }
 
+// courseVisit answers school.Course: a course record and the student's
+// stored stop position in it, read under one hold of the read lock, so
+// no concurrent RecordSession lands between the two reads. found is
+// false when there is no position, or no such student; only an unknown
+// course is an error.
+func (s *School) courseVisit(number, code string) (c Course, pos Position, found bool, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	cp, ok := s.courses[code]
+	if !ok {
+		return Course{}, Position{}, false, fmt.Errorf("%w: course %s", ErrNotFound, code)
+	}
+	if st, ok := s.students[number]; ok {
+		pos, found = st.Resume[code]
+	}
+	return *cp, pos, found, nil
+}
+
 // Programs lists the programs offered, sorted.
 func (s *School) Programs() []string {
 	s.mu.RLock()
@@ -186,9 +204,20 @@ func (s *School) Register(p Profile) (string, error) {
 	return num, nil
 }
 
-// Student fetches a copy of a student record; entering the school
-// requires the number ("each time a student accesses a course, it is
-// required that the student number ... should be provided", §5.2.1).
+// Login checks a student number: entering the school requires only the
+// number ("each time a student accesses a course, it is required that
+// the student number ... should be provided", §5.2.1), so it copies
+// nothing of the record.
+func (s *School) Login(number string) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, ok := s.students[number]; !ok {
+		return fmt.Errorf("%w: student %s", ErrNotFound, number)
+	}
+	return nil
+}
+
+// Student fetches a copy of a student record.
 func (s *School) Student(number string) (Student, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

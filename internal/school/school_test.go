@@ -48,6 +48,12 @@ func TestRegistrationFlow(t *testing.T) {
 	if _, err := s.Student("000000"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("ghost student err=%v", err)
 	}
+	if err := s.Login(num); err != nil {
+		t.Errorf("login: %v", err)
+	}
+	if err := s.Login("000000"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ghost login err=%v", err)
+	}
 	if _, err := s.Register(Profile{}); err == nil {
 		t.Error("nameless registration accepted")
 	}
@@ -279,7 +285,10 @@ func TestServiceOverLoopbackAndTCP(t *testing.T) {
 		if err := client.UpdateProfile(num, Profile{Name: "Renamed"}); err != nil {
 			t.Fatal(err)
 		}
-		st, err := client.Student(num)
+		if err := client.Login(num); err != nil {
+			t.Fatalf("login: %v", err)
+		}
+		st, err := s.Student(num)
 		if err != nil || st.Profile.Name != "Renamed" || len(st.Bookmarks) != 1 {
 			t.Fatalf("student %+v err=%v", st, err)
 		}
@@ -287,8 +296,8 @@ func TestServiceOverLoopbackAndTCP(t *testing.T) {
 		if err != nil || stats.Students == 0 {
 			t.Fatalf("stats %+v err=%v", stats, err)
 		}
-		if _, err := client.Student("000"); err == nil {
-			t.Error("ghost student fetched remotely")
+		if err := client.Login("000"); err == nil || !strings.Contains(err.Error(), ErrNotFound.Error()+": student 000") {
+			t.Errorf("login with an unknown number: %v, want %q", err, ErrNotFound)
 		}
 	}
 

@@ -10,7 +10,7 @@ import (
 // Network method names of the administration service.
 const (
 	MethodRegister      = "school.Register"
-	MethodStudent       = "school.Student"
+	MethodLogin         = "school.Login"
 	MethodUpdateProfile = "school.UpdateProfile"
 	MethodPrograms      = "school.Programs"
 	MethodCoursesIn     = "school.CoursesIn"
@@ -53,21 +53,17 @@ type bookmarkReq struct {
 // RegisterService exposes a School on a transport mux.
 func RegisterService(m *transport.Mux, s *School) {
 	transport.Route(m, MethodRegister, s.Register)
-	transport.Route(m, MethodStudent, s.Student)
+	transport.Route(m, MethodLogin, func(number string) (struct{}, error) {
+		return struct{}{}, s.Login(number)
+	})
 	transport.Route(m, MethodUpdateProfile, func(req profileReq) (struct{}, error) {
 		return struct{}{}, s.UpdateProfile(req.Number, req.Profile)
 	})
 	transport.Route(m, MethodPrograms, func(struct{}) ([]string, error) { return s.Programs(), nil })
 	transport.Route(m, MethodCoursesIn, func(program string) ([]Course, error) { return s.CoursesIn(program), nil })
 	transport.Route(m, MethodCourse, func(req studentCourseReq) (courseResp, error) {
-		c, err := s.Course(req.Course)
-		if err != nil {
-			return courseResp{}, err
-		}
-		// An unknown student has no stop position; the course record
-		// alone decides the call's outcome.
-		pos, found, _ := s.GetResume(req.Number, req.Course)
-		return courseResp{Course: c, Pos: pos, Found: found}, nil
+		c, pos, found, err := s.courseVisit(req.Number, req.Course)
+		return courseResp{Course: c, Pos: pos, Found: found}, err
 	})
 	transport.Route(m, MethodEnroll, func(req studentCourseReq) (struct{}, error) {
 		return struct{}{}, s.Enroll(req.Number, req.Course)
@@ -113,10 +109,10 @@ func (c Client) Register(p Profile) (num string, err error) {
 	return num, err
 }
 
-// Student fetches a student record.
-func (c Client) Student(number string) (st Student, err error) {
-	err = c.invoke(MethodStudent, number, &st)
-	return st, err
+// Login checks that a student number exists; the reply is empty
+// whatever the student's record holds.
+func (c Client) Login(number string) error {
+	return c.invoke(MethodLogin, number, nil)
 }
 
 // UpdateProfile replaces a student's personal data.

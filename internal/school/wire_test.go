@@ -15,9 +15,11 @@ import (
 	"mits/internal/transport/wiretest"
 )
 
-// recordWire drives every school.* stub once with fixed inputs. The
-// student's stop positions, one per course, reach school.Student's reply
-// as a map of two entries.
+// recordWire drives every school.* stub once with fixed inputs, then
+// reads the student's record back in process: its profile, its bookmark
+// and its stop positions, one per course. school.Login replaced
+// school.Student on the wire, so testdata/wire.golden's line 11 carries
+// the number and an empty reply where the whole record was.
 func recordWire() (*wiretest.Recorder, error) {
 	s := New("MITS")
 	if err := s.AddCourse(Course{Code: "ELG5121", Name: "Multimedia", Program: "Engineering",
@@ -35,7 +37,6 @@ func recordWire() (*wiretest.Recorder, error) {
 	}
 	var pos Position
 	var found bool
-	var st Student
 	for _, step := range []func() error{
 		func() error { return c.UpdateProfile(num, Profile{Name: "Ada L.", Email: "ada@example.org"}) },
 		func() error { _, err := c.Programs(); return err },
@@ -48,7 +49,7 @@ func recordWire() (*wiretest.Recorder, error) {
 		func() error {
 			return c.AddBookmark(num, Bookmark{Label: "here", Course: "ELG5121", Scene: "scene-1", At: time.Second})
 		},
-		func() (err error) { st, err = c.Student(num); return },
+		func() error { return c.Login(num) },
 		func() error { _, err := c.Stats(); return err },
 	} {
 		if err := step(); err != nil {
@@ -57,6 +58,10 @@ func recordWire() (*wiretest.Recorder, error) {
 	}
 	if !found || pos.Scene != "scene-2" || pos.At != 90*time.Second {
 		return nil, fmt.Errorf("GetResume = %+v, %v", pos, found)
+	}
+	st, err := s.Student(num)
+	if err != nil {
+		return nil, err
 	}
 	if st.Profile.Name != "Ada L." || len(st.Bookmarks) != 1 || len(st.Resume) != 2 {
 		return nil, fmt.Errorf("Student = %+v", st)
@@ -80,12 +85,65 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s: nil request = %v", call.Method, call.Req == nil)
 		}
 		resultless := call.Method == MethodUpdateProfile || call.Method == MethodEnroll ||
-			call.Method == MethodSetResume || call.Method == MethodAddBookmark
+			call.Method == MethodSetResume || call.Method == MethodAddBookmark || call.Method == MethodLogin
 		if resultless != (call.Resp == nil) {
 			t.Errorf("%s: nil response = %v", call.Method, call.Resp == nil)
 		}
 	}
 	wire.Golden(t, "testdata/wire.golden")
+}
+
+// TestLoginReplyDoesNotGrow: school.Login puts the same bytes on the
+// wire, request and reply, for a fresh student and for one with 100
+// bookmarks, 10 registrations and 10 stop positions. (school.Student,
+// which it replaced, shipped the whole record.)
+func TestLoginReplyDoesNotGrow(t *testing.T) {
+	login := func(history bool) wiretest.Exchange {
+		t.Helper()
+		s := New("MITS")
+		num, err := s.Register(Profile{Name: "Ada"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if history {
+			for i := 0; i < 10; i++ {
+				code := fmt.Sprintf("ELG51%02d", i)
+				if err := s.AddCourse(Course{Code: code, Name: "Course " + code, Program: "Engineering", PlannedSessions: 5}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Enroll(num, code); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.RecordSession(num, code, Position{Scene: "scene-1", At: time.Duration(i) * time.Second}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ {
+				if err := s.AddBookmark(num, Bookmark{Label: fmt.Sprintf("mark %d", i), Course: "ELG5100", Scene: "scene-1", At: time.Duration(i) * time.Second}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st, err := s.Student(num); err != nil || len(st.Bookmarks) != 100 || len(st.Courses) != 10 || len(st.Resume) != 10 {
+				t.Fatalf("history not filed: %d bookmarks, %d registrations, %d stop positions, %v",
+					len(st.Bookmarks), len(st.Courses), len(st.Resume), err)
+			}
+		}
+		mux := transport.NewMux()
+		RegisterService(mux, s)
+		rec := &wiretest.Recorder{Next: transport.Loopback{H: mux}}
+		if err := (Client{C: rec}).Login(num); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Calls) != 1 || rec.Calls[0].Method != MethodLogin {
+			t.Fatalf("login made %+v, want one %s", rec.Calls, MethodLogin)
+		}
+		return rec.Calls[0]
+	}
+	fresh, long := login(false), login(true)
+	if !bytes.Equal(fresh.Req, long.Req) || !bytes.Equal(fresh.Resp, long.Resp) {
+		t.Errorf("login of a fresh student sent %x and got %x; with a history, %x and %x",
+			fresh.Req, fresh.Resp, long.Req, long.Resp)
+	}
 }
 
 // TestCallsContinueTheCallersTrace: a school.* call issued under a span
@@ -228,7 +286,7 @@ func TestRecordSessionRefusesTheOldRequest(t *testing.T) {
 	if err != nil || !found || pos != (Position{Scene: "scene-2", At: 90 * time.Second}) {
 		t.Errorf("stored position after the refused request: %+v, %v, %v", pos, found, err)
 	}
-	if st, err := c.Student(num); err != nil || st.Courses[0].SessionsDone != 0 {
+	if st, err := s.Student(num); err != nil || st.Courses[0].SessionsDone != 0 {
 		t.Errorf("course progress after the refused request: %+v, %v", st.Courses, err)
 	}
 }

@@ -88,6 +88,9 @@ func TestSessionTranscript(t *testing.T) {
 	nav.run("goto quiz")
 	stored := nav.run("tick 1")
 	nav.run("exit")
+	// An unknown number: the golden's line names the route that refused
+	// it, school.Login (school.Student until the login stopped
+	// downloading the record).
 	nav.run("login 1")
 	nav.quit()
 	d.stop()

@@ -51,13 +51,12 @@ func Segment(vc VC, connID int, seqStart int64, pdu []byte) ([]Cell, error) {
 // virtual connection. Cell loss is detected by the CRC/length check when
 // the end-of-PDU cell arrives.
 type Reassembler struct {
-	buf    []byte
-	errors int
+	buf []byte
 }
 
 // Push adds the next cell. When the cell completes a PDU, Push returns
 // the reassembled payload and true; corrupted or truncated PDUs are
-// dropped, counted in errors, and return (nil, false).
+// dropped and return (nil, false).
 func (r *Reassembler) Push(c Cell) ([]byte, bool) {
 	r.buf = append(r.buf, c.Payload[:]...)
 	if !c.EndOfPDU() {
@@ -65,16 +64,13 @@ func (r *Reassembler) Push(c Cell) ([]byte, bool) {
 	}
 	defer func() { r.buf = r.buf[:0] }()
 	if len(r.buf) < trailerSize {
-		r.errors++
 		return nil, false
 	}
 	tr := unmarshalTrailer((*[trailerSize]byte)(r.buf[len(r.buf)-trailerSize:]))
 	if int(tr.Length) > len(r.buf)-trailerSize {
-		r.errors++
 		return nil, false
 	}
 	if crc32.ChecksumIEEE(r.buf[:len(r.buf)-trailerSize]) != tr.CRC {
-		r.errors++
 		return nil, false
 	}
 	pdu := make([]byte, tr.Length)

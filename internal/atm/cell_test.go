@@ -70,34 +70,40 @@ func TestReassemblerDetectsLostCell(t *testing.T) {
 	}
 	cells, _ := Segment(VC{}, 0, 0, pdu)
 	var r Reassembler
-	for i, c := range cells {
-		if i == 2 {
-			continue // drop one middle cell
-		}
-		if _, ok := r.Push(c); ok {
-			t.Fatal("corrupted PDU reassembled successfully")
+	pdus, rejected := pushAll(&r, append(cells[:2:2], cells[3:]...)) // drop one middle cell
+	if len(pdus) != 0 {
+		t.Fatal("corrupted PDU reassembled successfully")
+	}
+	if rejected != 1 {
+		t.Errorf("rejected end cells = %d, want 1", rejected)
+	}
+}
+
+// pushAll pushes cells in order and returns the PDUs reassembled and the
+// number of end-of-PDU cells that Push refused with (nil, false).
+func pushAll(r *Reassembler, cells []Cell) (pdus [][]byte, rejected int) {
+	for _, c := range cells {
+		p, ok := r.Push(c)
+		switch {
+		case ok:
+			pdus = append(pdus, p)
+		case c.EndOfPDU() && p == nil:
+			rejected++
 		}
 	}
-	if r.errors != 1 {
-		t.Errorf("Errors=%d, want 1", r.errors)
-	}
+	return pdus, rejected
 }
 
 func TestReassemblerDetectsCorruptPayload(t *testing.T) {
 	cells, _ := Segment(VC{}, 0, 0, []byte("hello telelearning world, this is a test PDU"))
 	cells[0].Payload[3] ^= 0xff
 	var r Reassembler
-	ok := false
-	for _, c := range cells {
-		if _, done := r.Push(c); done {
-			ok = true
-		}
-	}
-	if ok {
+	pdus, rejected := pushAll(&r, cells)
+	if len(pdus) != 0 {
 		t.Error("corrupt payload passed CRC")
 	}
-	if r.errors != 1 {
-		t.Errorf("Errors=%d, want 1", r.errors)
+	if rejected != 1 {
+		t.Errorf("rejected end cells = %d, want 1", rejected)
 	}
 }
 
@@ -105,16 +111,11 @@ func TestReassemblerRecoversAfterError(t *testing.T) {
 	bad, _ := Segment(VC{}, 0, 0, bytes.Repeat([]byte("first pdu that will be truncated "), 8))
 	good, _ := Segment(VC{}, 0, int64(len(bad)), []byte("second pdu arrives intact"))
 	var r Reassembler
-	for _, c := range bad[:len(bad)-1] {
-		r.Push(c)
-	}
 	// End cell of the bad PDU lost; next PDU's cells arrive. The merged
 	// buffer fails CRC at good's end cell, then the stream recovers.
-	for _, c := range good {
-		r.Push(c)
-	}
-	if r.errors != 1 {
-		t.Errorf("Errors=%d, want 1", r.errors)
+	pdus, rejected := pushAll(&r, append(bad[:len(bad)-1:len(bad)-1], good...))
+	if len(pdus) != 0 || rejected != 1 {
+		t.Errorf("merged PDU: %d reassembled, %d rejected end cells, want 0 and 1", len(pdus), rejected)
 	}
 	again, _ := Segment(VC{}, 0, 99, []byte("third pdu arrives intact too"))
 	var got []byte

@@ -46,21 +46,15 @@ func FuzzAAL5Reassemble(f *testing.F) {
 			t.Fatalf("Segment: %v", err)
 		}
 		var r Reassembler
-		var out []byte
-		done := false
-		for _, c := range cells {
-			if p, ok := r.Push(c); ok {
-				out, done = p, true
-			}
+		pdus, rejected := pushAll(&r, cells)
+		if rejected != 0 {
+			t.Fatalf("clean stream had %d end cells refused", rejected)
 		}
-		if !done {
-			t.Fatal("segmented PDU never reassembled")
+		if len(pdus) != 1 {
+			t.Fatalf("segmented PDU reassembled %d times, want once", len(pdus))
 		}
-		if !bytes.Equal(out, pdu) {
-			t.Fatalf("round trip changed PDU: %d bytes in, %d out", len(pdu), len(out))
-		}
-		if r.errors != 0 {
-			t.Fatalf("clean stream counted %d reassembly errors", r.errors)
+		if !bytes.Equal(pdus[0], pdu) {
+			t.Fatalf("round trip changed PDU: %d bytes in, %d out", len(pdu), len(pdus[0]))
 		}
 	})
 }

@@ -36,12 +36,10 @@ type Link struct {
 	prop     time.Duration // propagation delay
 	serial   time.Duration // per-cell serialization time
 
-	queues  [numCategories][]Cell
-	queued  int
-	limit   int // buffer capacity in cells across all queues
-	busy    bool
-	drops   int
-	carried int64
+	queues [numCategories][]Cell
+	queued int
+	limit  int // buffer capacity in cells across all queues
+	busy   bool
 }
 
 // newLink wires a simplex link. limit is the output buffer in cells.
@@ -78,13 +76,11 @@ func (l *Link) enqueue(c Cell, cat ServiceCategory, now sim.Time) {
 				victim := l.queues[cat][i]
 				l.queues[cat] = append(l.queues[cat][:i], l.queues[cat][i+1:]...)
 				l.queued--
-				l.drops++
 				obsCellsDropped.Inc()
 				l.net.noteDrop(victim.ConnID)
 			}
 		}
 		if len(l.queues[cat]) >= l.limit {
-			l.drops++
 			obsCellsDropped.Inc()
 			l.net.noteDrop(c.ConnID)
 			return
@@ -133,7 +129,6 @@ func (l *Link) transmitNext(now sim.Time) {
 	done := now.Add(l.serial)
 	arrive := done.Add(l.prop)
 	l.net.clock.At(arrive, func(t sim.Time) {
-		l.carried++
 		obsCellsSent.Inc()
 		l.to.receive(c, l, t)
 	})

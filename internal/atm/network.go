@@ -79,7 +79,6 @@ type Switch struct {
 	// policers holds edge policers for connections entering the
 	// network at this switch, keyed by connection id.
 	policers map[int]conformer
-	policed  int // cells dropped or tagged by policing
 }
 
 type routeKey struct {
@@ -431,7 +430,6 @@ func (s *Switch) receive(cell Cell, on *Link, now sim.Time) {
 	if s.net.Policing {
 		if p, ok := s.policers[cell.ConnID]; ok {
 			if !p.Conforms(now) {
-				s.policed++
 				obsGCRAViolations.Inc()
 				conn := s.net.conns[cell.ConnID]
 				if conn != nil && conn.td.Category.RealTime() {

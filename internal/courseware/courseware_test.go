@@ -156,7 +156,8 @@ func TestOutputText(t *testing.T) {
 	if len(g.Objects) != 1 {
 		t.Error("output text group")
 	}
-	if txt, err := g.Objects[0].(*mheg.Content).Text(); err != nil || txt != "hello" {
+	c := g.Objects[0].(*mheg.Content)
+	if txt, err := media.TextContent(c.Coding, c.Inline); err != nil || txt != "hello" {
 		t.Errorf("text %q err %v", txt, err)
 	}
 }

@@ -146,19 +146,3 @@ func (e *Engine) Traverse(linkID string) ([]string, error) {
 	}
 	return nil, fmt.Errorf("hytime: unknown link %q", linkID)
 }
-
-// rendered applies the FCS's rendition (if any) to an event's extent on
-// an axis, yielding presentation coordinates.
-func (e *Engine) rendered(fcsID string, ev *Event, axis string) (extent, error) {
-	e.Resolutions++
-	x, ok := ev.extent(axis)
-	if !ok {
-		return extent{}, fmt.Errorf("hytime: event %q has no extent on %q", ev.id, axis)
-	}
-	for _, r := range e.doc.renditions {
-		if r.from == fcsID {
-			return r.apply(x), nil
-		}
-	}
-	return x, nil
-}

@@ -331,22 +331,6 @@ func (d *Doc) validate() error {
 	return nil
 }
 
-// apply maps an extent through the rendition ("events in one FCS can be
-// mapped to another FCS", §2.2.1.2).
-func (r rendition) apply(x extent) extent {
-	for _, m := range r.maps {
-		if m.axis != x.axis {
-			continue
-		}
-		return extent{
-			axis:  x.axis,
-			start: int64(float64(x.start)*m.scale) + m.offset,
-			dur:   int64(float64(x.dur) * m.scale),
-		}
-	}
-	return x
-}
-
 // kindOfNotation groups notations for the converter.
 func kindOfNotation(n string) string {
 	switch strings.ToUpper(n) {

@@ -173,30 +173,6 @@ func TestEngineTraverse(t *testing.T) {
 	}
 }
 
-func TestRenditionMapping(t *testing.T) {
-	e := NewEngine(SampleCourse())
-	f, _ := e.doc.fcs("intro")
-	ev, _ := f.event("ev-welcome")
-	out, err := e.rendered("intro", ev, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// x: start 0, dur 352, scale 2 offset 16 → start 16, dur 704.
-	if out.start != 16 || out.dur != 704 {
-		t.Errorf("rendered extent %+v", out)
-	}
-	// An FCS without a rendition passes extents through.
-	cf, _ := e.doc.fcs("cells")
-	cev, _ := cf.event("ev-text")
-	plain, err := e.rendered("cells", cev, "x")
-	if err != nil || plain.start != 0 || plain.dur != 400 {
-		t.Errorf("unmapped extent %+v err=%v", plain, err)
-	}
-	if _, err := e.rendered("cells", cev, "nope"); err == nil {
-		t.Error("missing axis rendered")
-	}
-}
-
 func TestToIMDStructure(t *testing.T) {
 	doc, err := ToIMD(SampleCourse())
 	if err != nil {

@@ -20,8 +20,10 @@ const (
 )
 
 // EncodeWAV synthesizes a waveform-audio object of the given duration.
-// The payload is a deterministic 440 Hz-ish tone; its size tracks the
-// real format: sampleRate × bytes/sample × channels × seconds.
+// The payload is a deterministic 440 Hz tone; its size tracks the real
+// format: sampleRate × bytes/sample × channels × seconds. The tone is
+// one exact cycle of wavTone, repeated: a cycle is
+// sampleRate/gcd(440, sampleRate) bytes (2205 at 11025 Hz).
 func EncodeWAV(d time.Duration, sampleRate, channels int) []byte {
 	if sampleRate <= 0 {
 		sampleRate = DefaultWAVRate
@@ -35,11 +37,27 @@ func EncodeWAV(d time.Duration, sampleRate, channels int) []byte {
 	m := Meta{Duration: d, SampleRate: sampleRate, Channels: channels,
 		BitRate: sampleRate * wavBytesPerSample * 8 * channels}
 	buf := encodeHeader(CodingWAV, m, n)
-	for i := 0; i < n; i++ {
-		// A cheap periodic waveform; content is never inspected.
-		buf = append(buf, byte(128+100*math.Sin(float64(i)*2*math.Pi*440/float64(sampleRate))))
+	cycle := sampleRate / gcd(wavToneHz, sampleRate)
+	for i := 0; i < min(n, cycle); i++ {
+		buf = append(buf, wavTone(i, sampleRate))
 	}
-	return buf
+	return appendRepeat(buf, headerSize, headerSize+n)
+}
+
+// wavToneHz is the frequency of EncodeWAV's tone.
+const wavToneHz = 440
+
+// wavTone is byte i of EncodeWAV's tone: a cheap periodic waveform
+// whose content is never inspected.
+func wavTone(i, sampleRate int) byte {
+	return byte(128 + 100*math.Sin(float64(i)*2*math.Pi*wavToneHz/float64(sampleRate)))
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // MIDI cost per minute (§5.2.2): "about 5KB of disk space ... about

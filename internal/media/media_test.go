@@ -1,11 +1,15 @@
 package media
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"mits/internal/sim"
 )
 
 func TestWAVSizeMatchesTable51(t *testing.T) {
@@ -215,4 +219,168 @@ func TestGenerateLecture(t *testing.T) {
 	if !strings.HasPrefix(a, "Lecture notes: ATM networks.") {
 		t.Error("lecture missing topic header")
 	}
+}
+
+// oracleEncodeMPEG is EncodeMPEG as it was written first, one append
+// per byte; the block-copy encoder must reproduce it byte for byte.
+func oracleEncodeMPEG(p VideoParams) []byte {
+	p.defaults()
+	frames := int(float64(p.FrameRate) * p.Duration.Seconds())
+	bytesPerGOP := float64(p.BitRate) / 8 * float64(gopLength) / float64(p.FrameRate)
+	rng := sim.NewRNG(p.Seed + 1)
+	m := Meta{Duration: p.Duration, Width: p.Width, Height: p.Height,
+		FrameRate: p.FrameRate, BitRate: p.BitRate}
+	sizes := make([]int, frames)
+	total := 0
+	for i := range sizes {
+		kind := gopPattern[i%gopLength]
+		base := bytesPerGOP * frameWeight[kind] / gopWeight
+		jitter := 0.8 + 0.4*rng.Float64()
+		sz := int(base * jitter)
+		if sz < frameRecordSize {
+			sz = frameRecordSize
+		}
+		sizes[i] = sz
+		total += sz
+	}
+	buf := encodeHeader(CodingMPEG, m, total)
+	for i, sz := range sizes {
+		var rec [frameRecordSize]byte
+		rec[0] = byte(gopPattern[i%gopLength])
+		binary.BigEndian.PutUint32(rec[1:], uint32(sz))
+		buf = append(buf, rec[:]...)
+		for j := frameRecordSize; j < sz; j++ {
+			buf = append(buf, byte(i*31+j))
+		}
+	}
+	return buf
+}
+
+// oracleEncodeAVI is EncodeAVI as it was written first: it re-parses
+// the oracle's MPEG output and appends the audio filler a byte at a time.
+func oracleEncodeAVI(p VideoParams) []byte {
+	p.defaults()
+	video := oracleEncodeMPEG(p)
+	audioPerFrame := int(float64(p.BitRate) / 8 * aviAudioShare / float64(p.FrameRate))
+	frames, _, err := ParseMPEG(video)
+	if err != nil {
+		panic(err)
+	}
+	total := 0
+	for _, f := range frames {
+		total += f.Size + audioPerFrame
+	}
+	m := Meta{Duration: p.Duration, Width: p.Width, Height: p.Height,
+		FrameRate: p.FrameRate, BitRate: int(float64(p.BitRate) * (1 + aviAudioShare)),
+		SampleRate: DefaultWAVRate, Channels: 1}
+	buf := encodeHeader(CodingAVI, m, total)
+	payload := video[headerSize:]
+	off := 0
+	for _, f := range frames {
+		buf = append(buf, payload[off:off+f.Size]...)
+		for j := 0; j < audioPerFrame; j++ {
+			buf = append(buf, byte(j))
+		}
+		off += f.Size
+	}
+	return buf
+}
+
+// oracleEncodeWAV is EncodeWAV as it was written first, one sine per
+// byte.
+func oracleEncodeWAV(d time.Duration, sampleRate, channels int) []byte {
+	if sampleRate <= 0 {
+		sampleRate = DefaultWAVRate
+	}
+	if channels <= 0 {
+		channels = 1
+	}
+	samples := int(float64(sampleRate) * d.Seconds())
+	n := samples * wavBytesPerSample * channels
+	n += n * wavOverheadPercent / 100
+	m := Meta{Duration: d, SampleRate: sampleRate, Channels: channels,
+		BitRate: sampleRate * wavBytesPerSample * 8 * channels}
+	buf := encodeHeader(CodingWAV, m, n)
+	for i := 0; i < n; i++ {
+		buf = append(buf, byte(128+100*math.Sin(float64(i)*2*math.Pi*440/float64(sampleRate))))
+	}
+	return buf
+}
+
+func TestVideoEncodersMatchOracle(t *testing.T) {
+	durations := []time.Duration{0, time.Second / 7, 2 * time.Second, 20 * time.Second}
+	// 0 is the 1.5 Mb/s default; at 2 kb/s every B-frame is clamped to
+	// frameRecordSize, and at 4 kb/s about half of them are.
+	bitRates := []int{0, 2000, 4000, 64000}
+	for seed := uint64(0); seed < 50; seed++ {
+		for _, d := range durations {
+			for _, br := range bitRates {
+				p := VideoParams{Duration: d, BitRate: br, Seed: seed}
+				if got, want := EncodeMPEG(p), oracleEncodeMPEG(p); !bytes.Equal(got, want) {
+					t.Fatalf("EncodeMPEG(%+v): %d bytes differ from the oracle's %d at byte %d", p, len(got), len(want), firstDiff(got, want))
+				}
+				if got, want := EncodeAVI(p), oracleEncodeAVI(p); !bytes.Equal(got, want) {
+					t.Fatalf("EncodeAVI(%+v): %d bytes differ from the oracle's %d at byte %d", p, len(got), len(want), firstDiff(got, want))
+				}
+			}
+		}
+	}
+	// Odd geometry and frame rates take the same path.
+	p := VideoParams{Duration: 3 * time.Second, Width: 640, Height: 480, FrameRate: 25, BitRate: 3000000, Seed: 99}
+	if !bytes.Equal(EncodeMPEG(p), oracleEncodeMPEG(p)) || !bytes.Equal(EncodeAVI(p), oracleEncodeAVI(p)) {
+		t.Fatalf("encoders differ from the oracle at %+v", p)
+	}
+}
+
+func TestVideoOracleClampsFrames(t *testing.T) {
+	frames, _, err := ParseMPEG(EncodeMPEG(VideoParams{Duration: time.Second, BitRate: 2000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		if clamped := f.Size == frameRecordSize; clamped != (f.Kind == BFrame) {
+			t.Fatalf("frame %d (%c) at 2 kb/s has %d bytes: want exactly the B-frames clamped to %d", i, f.Kind, f.Size, frameRecordSize)
+		}
+	}
+}
+
+func TestWAVRepeatsOneCycleOfTheFormula(t *testing.T) {
+	for _, rate := range []int{8000, 11025, 44100} {
+		for _, ch := range []int{1, 2} {
+			for _, d := range []time.Duration{0, time.Second / 7, 2 * time.Second, 20 * time.Second} {
+				got, want := EncodeWAV(d, rate, ch), oracleEncodeWAV(d, rate, ch)
+				if len(got) != len(want) || !bytes.Equal(got[:headerSize], want[:headerSize]) {
+					t.Fatalf("WAV %v %d Hz ×%d: %d bytes, header %x; want %d, %x",
+						d, rate, ch, len(got), got[:headerSize], len(want), want[:headerSize])
+				}
+				payload, ref := got[headerSize:], want[headerSize:]
+				for i := range payload {
+					if diff := int(payload[i]) - int(ref[i]); diff < -1 || diff > 1 {
+						t.Fatalf("WAV %v %d Hz ×%d: byte %d is %d, formula gives %d", d, rate, ch, i, payload[i], ref[i])
+					}
+				}
+				cycle := rate / gcd(wavToneHz, rate)
+				if !bytes.Equal(payload[:min(cycle, len(payload))], ref[:min(cycle, len(ref))]) {
+					t.Fatalf("WAV %v %d Hz ×%d: first cycle is not the formula's", d, rate, ch)
+				}
+				for i := cycle; i < len(payload); i++ {
+					if payload[i] != payload[i-cycle] {
+						t.Fatalf("WAV %v %d Hz ×%d: byte %d breaks the %d-byte cycle", d, rate, ch, i, cycle)
+					}
+				}
+			}
+		}
+	}
+	if c := DefaultWAVRate / gcd(wavToneHz, DefaultWAVRate); c != 2205 {
+		t.Errorf("cycle at %d Hz = %d samples, want 2205", DefaultWAVRate, c)
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

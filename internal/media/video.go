@@ -74,18 +74,27 @@ const frameRecordSize = 8
 
 // EncodeMPEG synthesizes an MPEG-like elementary stream: a sequence of
 // frame records following the GOP pattern, with deterministic ±20% size
-// jitter so VBR behaviour is realistic.
+// jitter so VBR behaviour is realistic. The bytes are a pure function
+// of p.
 func EncodeMPEG(p VideoParams) []byte {
 	p.defaults()
+	sizes, total := mpegFrameSizes(p)
+	m := Meta{Duration: p.Duration, Width: p.Width, Height: p.Height,
+		FrameRate: p.FrameRate, BitRate: p.BitRate}
+	buf := encodeHeader(CodingMPEG, m, total)
+	for i, sz := range sizes {
+		buf = appendFrame(buf, i, sz)
+	}
+	return buf
+}
+
+// mpegFrameSizes draws the encoded size of every frame of the stream
+// (each at least frameRecordSize) and their sum.
+func mpegFrameSizes(p VideoParams) (sizes []int, total int) {
 	frames := int(float64(p.FrameRate) * p.Duration.Seconds())
 	bytesPerGOP := float64(p.BitRate) / 8 * float64(gopLength) / float64(p.FrameRate)
 	rng := sim.NewRNG(p.Seed + 1)
-	m := Meta{Duration: p.Duration, Width: p.Width, Height: p.Height,
-		FrameRate: p.FrameRate, BitRate: p.BitRate}
-
-	// First pass: frame sizes.
-	sizes := make([]int, frames)
-	total := 0
+	sizes = make([]int, frames)
 	for i := range sizes {
 		kind := gopPattern[i%gopLength]
 		base := bytesPerGOP * frameWeight[kind] / gopWeight
@@ -97,16 +106,36 @@ func EncodeMPEG(p VideoParams) []byte {
 		sizes[i] = sz
 		total += sz
 	}
-	buf := encodeHeader(CodingMPEG, m, total)
-	for i, sz := range sizes {
-		var rec [frameRecordSize]byte
-		rec[0] = byte(gopPattern[i%gopLength])
-		binary.BigEndian.PutUint32(rec[1:], uint32(sz))
-		buf = append(buf, rec[:]...)
-		// Frame body: deterministic filler.
-		for j := frameRecordSize; j < sz; j++ {
-			buf = append(buf, byte(i*31+j))
-		}
+	return sizes, total
+}
+
+// appendFrame appends frame i of size sz: its record, then a body of
+// deterministic filler whose byte j (counted from the record's start)
+// is byte(i*31+j).
+func appendFrame(buf []byte, i, sz int) []byte {
+	var rec [frameRecordSize]byte
+	rec[0] = byte(gopPattern[i%gopLength])
+	binary.BigEndian.PutUint32(rec[1:], uint32(sz))
+	buf = append(buf, rec[:]...)
+	return appendRamp(buf, sz-frameRecordSize, byte(i*31+frameRecordSize))
+}
+
+// appendRamp appends n bytes start, start+1, … (mod 256) to buf: one
+// 256-byte period by hand, then copies of it.
+func appendRamp(buf []byte, n int, start byte) []byte {
+	off := len(buf)
+	for k := 0; k < min(n, 256); k++ {
+		buf = append(buf, start+byte(k))
+	}
+	return appendRepeat(buf, off, off+n)
+}
+
+// appendRepeat extends buf to length end by repeating buf[off:], which
+// must hold a whole number of the pattern's periods. Each append
+// doubles what is repeated.
+func appendRepeat(buf []byte, off, end int) []byte {
+	for len(buf) > off && len(buf) < end {
+		buf = append(buf, buf[off:off+min(len(buf)-off, end-len(buf))]...)
 	}
 	return buf
 }
@@ -151,30 +180,20 @@ const aviAudioShare = 0.1
 // EncodeAVI synthesizes an audio-video-interleaved object: the MPEG-like
 // video stream plus a WAV-like audio track, interleaved per frame. AVI
 // is the navigator's native Windows 95 playback format (Table 5.1).
+// Each video frame is EncodeMPEG's, followed by audio filler whose byte
+// j is byte(j); the bytes are a pure function of p.
 func EncodeAVI(p VideoParams) []byte {
 	p.defaults()
-	video := EncodeMPEG(p)
+	sizes, total := mpegFrameSizes(p)
 	audioPerFrame := int(float64(p.BitRate) / 8 * aviAudioShare / float64(p.FrameRate))
-	frames, _, err := ParseMPEG(video)
-	if err != nil {
-		panic("media: internal error: self-encoded MPEG failed to parse: " + err.Error())
-	}
-	total := 0
-	for _, f := range frames {
-		total += f.Size + audioPerFrame
-	}
+	total += len(sizes) * audioPerFrame
 	m := Meta{Duration: p.Duration, Width: p.Width, Height: p.Height,
 		FrameRate: p.FrameRate, BitRate: int(float64(p.BitRate) * (1 + aviAudioShare)),
 		SampleRate: DefaultWAVRate, Channels: 1}
 	buf := encodeHeader(CodingAVI, m, total)
-	payload := video[headerSize:]
-	off := 0
-	for _, f := range frames {
-		buf = append(buf, payload[off:off+f.Size]...)
-		for j := 0; j < audioPerFrame; j++ {
-			buf = append(buf, byte(j))
-		}
-		off += f.Size
+	for i, sz := range sizes {
+		buf = appendFrame(buf, i, sz)
+		buf = appendRamp(buf, audioPerFrame, 0)
 	}
 	return buf
 }

@@ -130,7 +130,10 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	}
 	start := time.Now()
 	defer func() { s.obsPutDoc.Observe(time.Since(start)) }()
-	digest := docDigest(encoding, data) // before the lock: readers wait for none of it
+	// Digest and copies before the lock: readers wait for none of them.
+	digest := docDigest(encoding, data)
+	kw := append([]string(nil), keywords...)
+	cp := append([]byte(nil), data...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.docs[name]
@@ -142,8 +145,8 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	}
 	rec.Title = title
 	rec.Encoding = encoding
-	rec.Keywords = append([]string(nil), keywords...)
-	rec.Data = append([]byte(nil), data...)
+	rec.Keywords = kw
+	rec.Data = cp
 	rec.Digest = digest
 	rec.Version++
 	s.keywords.add(name, keywords)
@@ -245,14 +248,15 @@ func (s *Store) PutContent(ref, coding string, data []byte, keywords ...string) 
 	}
 	start := time.Now()
 	defer func() { s.obsPutContent.Observe(time.Since(start)) }()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.content[ref] = &ContentRecord{
+	rec := &ContentRecord{ // copied before the lock: readers wait for none of it
 		Ref:      ref,
 		Coding:   coding,
 		Keywords: append([]string(nil), keywords...),
 		Data:     append([]byte(nil), data...),
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.content[ref] = rec
 	s.obsContents.Set(int64(len(s.content)))
 	return nil
 }

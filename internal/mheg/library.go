@@ -52,17 +52,6 @@ func NewTextContent(id ID, text string) *Content {
 	return NewInlineContent(id, media.CodingASCII, media.EncodeText(text))
 }
 
-// Text extracts the text from an inline text content object.
-func (c *Content) Text() (string, error) {
-	if c.Coding != media.CodingASCII && c.Coding != media.CodingHTML {
-		return "", fmt.Errorf("mheg: content %v is %s, not text", c.ID, c.Coding)
-	}
-	if !c.Referenced() {
-		return media.TextContent(c.Coding, c.Inline)
-	}
-	return "", fmt.Errorf("mheg: content %v text is stored externally as %q", c.ID, c.ContentRef)
-}
-
 // NonMediaCoding marks non-media data: "executables or document coded
 // in other formats (e.g., HyperODA, HyTime)" (§4.4.1).
 const (
@@ -86,45 +75,8 @@ func NewGenericValue(id ID, v Value) *Content {
 	return c
 }
 
-// GenericValue decodes the value held by a generic value object.
-func (c *Content) GenericValue() (Value, error) {
-	if c.Coding != CodingValue {
-		return Value{}, fmt.Errorf("mheg: content %v is %s, not a generic value", c.ID, c.Coding)
-	}
-	return decodeValue(c.Inline)
-}
-
 func encodeValue(v Value) []byte {
 	return []byte(fmt.Sprintf("%d|%s", v.Kind, v.String()))
-}
-
-func decodeValue(b []byte) (Value, error) {
-	s := string(b)
-	var kind int
-	var rest string
-	if _, err := fmt.Sscanf(s, "%d|", &kind); err != nil {
-		return Value{}, fmt.Errorf("mheg: bad generic value %q", s)
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == '|' {
-			rest = s[i+1:]
-			break
-		}
-	}
-	switch ValueKind(kind) {
-	case ValueInt:
-		var n int64
-		if _, err := fmt.Sscanf(rest, "%d", &n); err != nil {
-			return Value{}, fmt.Errorf("mheg: bad int value %q", rest)
-		}
-		return IntValue(n), nil
-	case ValueBool:
-		return BoolValue(rest == "true"), nil
-	case ValueString:
-		return StringValue(rest), nil
-	default:
-		return Value{}, fmt.Errorf("mheg: bad value kind %d", kind)
-	}
 }
 
 // OnSelect builds the most common courseware link: when the source

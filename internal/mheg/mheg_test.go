@@ -195,40 +195,6 @@ func TestScriptValidate(t *testing.T) {
 	}
 }
 
-func TestGenericValueRoundTrip(t *testing.T) {
-	cases := []Value{IntValue(-42), IntValue(0), BoolValue(true), BoolValue(false), StringValue("hello world"), StringValue("")}
-	for _, v := range cases {
-		g := NewGenericValue(id(70), v)
-		got, err := g.GenericValue()
-		if err != nil {
-			t.Fatalf("GenericValue(%v): %v", v, err)
-		}
-		if !got.Equal(v) {
-			t.Errorf("round trip %v → %v", v, got)
-		}
-	}
-	c := NewTextContent(id(71), "not a value")
-	if _, err := c.GenericValue(); err == nil {
-		t.Error("GenericValue on text content succeeded")
-	}
-}
-
-func TestTextHelper(t *testing.T) {
-	c := NewTextContent(id(80), "ATM basics")
-	got, err := c.Text()
-	if err != nil || got != "ATM basics" {
-		t.Errorf("Text()=%q, %v", got, err)
-	}
-	v := NewVideoContent(id(81), "store/v", Size{W: 64, H: 128}, 3*time.Second)
-	if _, err := v.Text(); err == nil {
-		t.Error("Text() on video succeeded")
-	}
-	ref := NewContent(id(82), media.CodingASCII, "store/t")
-	if _, err := ref.Text(); err == nil {
-		t.Error("Text() on referenced text succeeded")
-	}
-}
-
 func TestLibraryConstructors(t *testing.T) {
 	v := NewVideoContent(id(90), "store/paris.mpg", Size{W: 64, H: 128}, 6*time.Second)
 	if v.Coding != media.CodingMPEG || v.OrigSize != (Size{64, 128}) || v.OrigDuration != 6*time.Second {

@@ -1,6 +1,7 @@
 package production
 
 import (
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -116,5 +117,93 @@ func TestCodingFor(t *testing.T) {
 	if CodingFor("x.mpeg") != media.CodingMPEG || CodingFor("x.midi") != media.CodingMIDI ||
 		CodingFor("x.htm") != media.CodingHTML || CodingFor("x.txt") != media.CodingASCII {
 		t.Error("CodingFor misclassifies")
+	}
+}
+
+// sampleCourseObjects is what production makes of the sample ATM course
+// and its 20 s introduction clip: byte counts, and for every object but
+// the WAVs (whose bytes may move by ±1 with float rounding) the CRC-32
+// of its encoding. testdata/session.golden prints the same sizes.
+var sampleCourseObjects = map[string]struct {
+	size int
+	crc  uint32
+}{
+	"store/atm/welcome.mpg":      {1511276, 0x3c7c8ab5},
+	"store/atm/welcome.mid":      {720, 0x863451d8},
+	"store/atm/cell-format.jpg":  {18040, 0x164d8685},
+	"store/atm/cells.wav":        {330790, 0},
+	"store/atm/switching.wav":    {496165, 0},
+	"store/atm/switch-anim.mpg":  {5612243, 0x993a73c6},
+	"store/atm/introduction.mpg": {3732266, 0x340b45a3},
+}
+
+// recordSink keeps what it is given.
+type recordSink map[string][]byte
+
+func (s recordSink) PutContent(ref, coding string, data []byte, keywords ...string) error {
+	s[ref] = data
+	return nil
+}
+
+// discardSink drops what it is given.
+type discardSink struct{}
+
+func (discardSink) PutContent(ref, coding string, data []byte, keywords ...string) error { return nil }
+
+// produceSampleCourse produces the sample ATM course's media and its
+// introduction clip into sink, as mits.Publisher does on a publish.
+func produceSampleCourse(tb testing.TB, out *courseware.Compiled, sink ContentSink) {
+	c := &Center{}
+	if _, err := c.ProduceForCourse(out, sink); err != nil {
+		tb.Fatal(err)
+	}
+	intro, err := c.Produce("store/atm/introduction.mpg", Hints{Duration: 20 * time.Second, Topic: "Introduction to ATM"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sink.PutContent(intro.ID, string(intro.Coding), intro.Data); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func TestSampleCourseObjectsKeepTheirBytes(t *testing.T) {
+	out, err := courseware.CompileIMD(document.SampleATMCourse(), "atm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := recordSink{}
+	produceSampleCourse(t, out, got)
+	if len(got) != len(sampleCourseObjects) {
+		t.Errorf("produced %d objects, want %d", len(got), len(sampleCourseObjects))
+	}
+	for ref, want := range sampleCourseObjects {
+		data, ok := got[ref]
+		if !ok {
+			t.Errorf("%s not produced", ref)
+			continue
+		}
+		if len(data) != want.size {
+			t.Errorf("%s: %d bytes, want %d", ref, len(data), want.size)
+		}
+		if CodingFor(ref) == media.CodingWAV {
+			continue
+		}
+		if crc := crc32.ChecksumIEEE(data); crc != want.crc {
+			t.Errorf("%s: CRC-32 %#08x, want %#08x", ref, crc, want.crc)
+		}
+	}
+}
+
+// BenchmarkProduceCourse is one publish's production work: the sample
+// ATM course's six objects and a 20 s introduction clip, into a sink
+// that discards them (EXPERIMENTS E51).
+func BenchmarkProduceCourse(b *testing.B) {
+	out, err := courseware.CompileIMD(document.SampleATMCourse(), "atm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		produceSampleCourse(b, out, discardSink{})
 	}
 }

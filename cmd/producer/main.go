@@ -62,30 +62,18 @@ func main() {
 	}
 
 	center := &production.Center{}
-	produced := 0
-	var mediaBytes int64
-	seen := make(map[string]bool)
-	for _, item := range container.Items {
-		content, isContent := item.(*mheg.Content)
-		if !isContent || !content.Referenced() || seen[content.ContentRef] {
-			continue
-		}
-		seen[content.ContentRef] = true
-		mo, err := center.Produce(content.ContentRef, production.Hints{
-			Duration: content.OrigDuration,
-			Width:    content.OrigSize.W,
-			Height:   content.OrigSize.H,
-			Topic:    content.Info.Name,
-		})
+	produced, err := center.ProduceForCourse(container, store)
+	if err != nil {
+		fail(err)
+	}
+	var mediaBytes int
+	for _, ref := range produced {
+		rec, err := store.GetContentBorrow(ref)
 		if err != nil {
 			fail(err)
 		}
-		if err := store.PutContent(content.ContentRef, string(mo.Coding), mo.Data); err != nil {
-			fail(err)
-		}
-		produced++
-		mediaBytes += int64(len(mo.Data))
-		fmt.Fprintf(os.Stderr, "  produced %-40s %8d bytes (%s)\n", content.ContentRef, len(mo.Data), mo.Coding)
+		mediaBytes += len(rec.Data)
+		fmt.Fprintf(os.Stderr, "  produced %-40s %8d bytes (%s)\n", ref, len(rec.Data), rec.Coding)
 	}
 
 	docTitle := *title
@@ -110,7 +98,7 @@ func main() {
 	}
 	docs, contents := store.Sizes()
 	fmt.Fprintf(os.Stderr, "stored %q v%d; produced %d media objects (%d bytes); image %s now holds %d docs, %d content objects\n",
-		*name, version, produced, mediaBytes, *dbPath, docs, contents)
+		*name, version, len(produced), mediaBytes, *dbPath, docs, contents)
 }
 
 func splitComma(s string) []string {

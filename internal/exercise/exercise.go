@@ -304,14 +304,6 @@ func (b *Book) Submit(setID, student string, answers map[string]string) (*Grade,
 	return g, nil
 }
 
-// Best returns a student's best grade for a set.
-func (b *Book) Best(setID, student string) (*Grade, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	g, ok := b.grades[setID][student]
-	return g, ok
-}
-
 // Standing is one contest row.
 type Standing struct {
 	Student string

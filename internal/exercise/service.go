@@ -10,7 +10,6 @@ const (
 	MethodSetsFor     = "ex.SetsFor"
 	MethodPresentable = "ex.Presentable"
 	MethodSubmit      = "ex.Submit"
-	MethodBest        = "ex.Best"
 	MethodContest     = "ex.Contest"
 )
 
@@ -18,11 +17,6 @@ type submitReq struct {
 	SetID   string
 	Student string
 	Answers map[string]string
-}
-type bestReq struct{ SetID, Student string }
-type bestResp struct {
-	Grade *Grade
-	Found bool
 }
 
 // RegisterService exposes a grade book to navigators on a transport
@@ -32,10 +26,6 @@ func RegisterService(m *transport.Mux, b *Book) {
 	transport.Route(m, MethodPresentable, b.Presentable)
 	transport.Route(m, MethodSubmit, func(req submitReq) (*Grade, error) {
 		return b.Submit(req.SetID, req.Student, req.Answers)
-	})
-	transport.Route(m, MethodBest, func(req bestReq) (bestResp, error) {
-		g, found := b.Best(req.SetID, req.Student)
-		return bestResp{Grade: g, Found: found}, nil
 	})
 	transport.Route(m, MethodContest, func(course string) ([]Standing, error) { return b.Contest(course), nil })
 }
@@ -66,13 +56,6 @@ func (c Client) Presentable(id string) (*Set, error) {
 func (c Client) Submit(setID, student string, answers map[string]string) (*Grade, error) {
 	var g Grade
 	return &g, c.invoke(MethodSubmit, submitReq{SetID: setID, Student: student, Answers: answers}, &g)
-}
-
-// Best fetches the student's best grade.
-func (c Client) Best(setID, student string) (*Grade, bool, error) {
-	var resp bestResp
-	err := c.invoke(MethodBest, bestReq{SetID: setID, Student: student}, &resp)
-	return resp.Grade, resp.Found, err
 }
 
 // Contest fetches a course's ranking.

@@ -27,13 +27,11 @@ func recordWire() (*wiretest.Recorder, error) {
 	c := Client{C: rec}
 
 	var set *Set
-	var g, best *Grade
-	var found bool
+	var g *Grade
 	for _, step := range []func() error{
 		func() error { _, err := c.SetsFor("ELG5121"); return err },
 		func() (err error) { set, err = c.Presentable("q1"); return },
 		func() (err error) { g, err = c.Submit("q1", "S1", map[string]string{"p1": "1"}); return },
-		func() (err error) { best, found, err = c.Best("q1", "S1"); return },
 		func() error { _, err := c.Contest("ELG5121"); return err },
 	} {
 		if err := step(); err != nil {
@@ -43,21 +41,21 @@ func recordWire() (*wiretest.Recorder, error) {
 	if set.Problems[0].Answer != "" {
 		return nil, fmt.Errorf("Presentable leaked the answer %q", set.Problems[0].Answer)
 	}
-	if g.Score != 3 || !found || best.Score != 3 {
-		return nil, fmt.Errorf("Submit = %+v, Best = %+v, %v", g, best, found)
+	if g.Score != 3 {
+		return nil, fmt.Errorf("Submit = %+v", g)
 	}
 	return rec, nil
 }
 
-// TestWireGolden compares the request/response payloads of all five
+// TestWireGolden compares the request/response payloads of all four
 // ex.* stubs with testdata/wire.golden.
 func TestWireGolden(t *testing.T) {
 	wire, err := recordWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(wire.Methods()); got != 5 {
-		t.Errorf("%d ex.* methods exercised, want all 5", got)
+	if got := len(wire.Methods()); got != 4 {
+		t.Errorf("%d ex.* methods exercised, want all 4", got)
 	}
 	for _, call := range wire.Calls {
 		if call.Req == nil {
@@ -123,7 +121,5 @@ func TestPayloadMatchesGob(t *testing.T) {
 	sameAsGob(t, submitReq{}, submitReq{SetID: "q1", Student: "S1", Answers: map[string]string{"p2": "1", "p1": "1.2", "p3": ""}},
 		submitReq{Answers: map[string]string{}})
 	sameAsGob(t, &grade, &Grade{}, &Grade{Results: map[string]Result{}})
-	sameAsGob(t, bestReq{}, bestReq{SetID: "q1", Student: "S1"})
-	sameAsGob(t, bestResp{}, bestResp{Grade: &grade, Found: true}, bestResp{Grade: &Grade{}})
 	sameAsGob(t, []Standing(nil), []Standing{}, []Standing{{Student: "S2", Score: 7, Max: 8}, {}})
 }

@@ -185,7 +185,7 @@ func E13Mediastore() (*Report, error) {
 			return nil, err
 		}
 		put += int64(len(data))
-		refs, err := center.ProduceForCourse(out, store)
+		refs, err := center.ProduceForCourse(out.Container, store)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +243,7 @@ func E14Session() (*Report, error) {
 	if _, err := store.PutDocument("atm-course", "ATM Technology", "asn1", data, "network/atm"); err != nil {
 		return nil, err
 	}
-	if _, err := center.ProduceForCourse(out, store); err != nil {
+	if _, err := center.ProduceForCourse(out.Container, store); err != nil {
 		return nil, err
 	}
 	if _, err := center.StockLibrary(store); err != nil {

@@ -263,7 +263,7 @@ func E18ContentSeparation() (*Report, error) {
 		return nil, err
 	}
 	store := mediastore.New()
-	if _, err := (&production.Center{}).ProduceForCourse(out, store); err != nil {
+	if _, err := (&production.Center{}).ProduceForCourse(out.Container, store); err != nil {
 		return nil, err
 	}
 

@@ -37,7 +37,7 @@ func E4Pipeline() (*Report, error) {
 	// Media production center: synthesize every referenced object.
 	store := mediastore.New()
 	center := &production.Center{}
-	produced, err := center.ProduceForCourse(out, store)
+	produced, err := center.ProduceForCourse(out.Container, store)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func E6Processing() (*Report, error) {
 	center := &production.Center{}
 
 	// Production phase.
-	produced, err := center.ProduceForCourse(out, store)
+	produced, err := center.ProduceForCourse(out.Container, store)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +248,7 @@ func E8Authoring() (*Report, error) {
 
 	// Media layer.
 	store := mediastore.New()
-	produced, err := (&production.Center{}).ProduceForCourse(out, store)
+	produced, err := (&production.Center{}).ProduceForCourse(out.Container, store)
 	if err != nil {
 		return nil, err
 	}

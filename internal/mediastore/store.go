@@ -68,6 +68,11 @@ type ContentRecord struct {
 
 // Store is the courseware database. It is safe for concurrent use: the
 // content server of Fig 3.5 serves many navigator clients at once.
+//
+// Aliasing contract: a put keeps the data and keywords slices it is
+// handed, without a copy, and the caller must not write to them after
+// the call. The store never writes into them either, so the bytes a
+// reader sees change only when a later put replaces the slice.
 type Store struct {
 	mu       sync.RWMutex
 	docs     map[string]*DocRecord
@@ -118,7 +123,8 @@ func New() *Store {
 
 // PutDocument stores or updates a courseware document, bumping its
 // version ("it can be updated in both the content and the scenario at
-// anytime", §3.2).
+// anytime", §3.2). The record keeps data and keywords, not copies of
+// them; the caller must not write to either afterwards.
 func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords ...string) (int, error) {
 	if name == "" {
 		s.obsErrPutDoc.Inc()
@@ -130,10 +136,7 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	}
 	start := time.Now()
 	defer func() { s.obsPutDoc.Observe(time.Since(start)) }()
-	// Digest and copies before the lock: readers wait for none of them.
-	digest := docDigest(encoding, data)
-	kw := append([]string(nil), keywords...)
-	cp := append([]byte(nil), data...)
+	digest := docDigest(encoding, data) // before the lock: readers do not wait for it
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.docs[name]
@@ -145,8 +148,8 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	}
 	rec.Title = title
 	rec.Encoding = encoding
-	rec.Keywords = kw
-	rec.Data = cp
+	rec.Keywords = keywords
+	rec.Data = data
 	rec.Digest = digest
 	rec.Version++
 	s.keywords.add(name, keywords)
@@ -236,7 +239,10 @@ func (s *Store) Keywords() (*KeywordNode, uint64) {
 }
 
 // PutContent stores a mono-media object in the content database under
-// the given reference.
+// the given reference. The record keeps data and keywords, not copies
+// of them: a publish copies each produced object once, when it is
+// encoded. The caller must not write to either afterwards.
+// TestPutContentKeepsCallersBuffer pins this.
 func (s *Store) PutContent(ref, coding string, data []byte, keywords ...string) error {
 	if ref == "" {
 		s.obsErrPutContent.Inc()
@@ -248,12 +254,7 @@ func (s *Store) PutContent(ref, coding string, data []byte, keywords ...string) 
 	}
 	start := time.Now()
 	defer func() { s.obsPutContent.Observe(time.Since(start)) }()
-	rec := &ContentRecord{ // copied before the lock: readers wait for none of it
-		Ref:      ref,
-		Coding:   coding,
-		Keywords: append([]string(nil), keywords...),
-		Data:     append([]byte(nil), data...),
-	}
+	rec := &ContentRecord{Ref: ref, Coding: coding, Keywords: keywords, Data: data}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.content[ref] = rec
@@ -283,14 +284,16 @@ func (s *Store) GetContent(ref string) (*ContentRecord, error) {
 }
 
 // GetContentBorrow retrieves content by reference without copying: the
-// returned record is the store's own. It is safe to read indefinitely
-// — PutContent replaces records wholesale (fresh struct, fresh slices)
-// and never mutates one in place, so a borrowed record is immutable
-// for its lifetime; a concurrent republish simply leaves the borrower
-// reading the superseded snapshot. Borrowers must not write through
-// it. This is the serving hot path: a multi-MB media object is read
-// thousands of times per publish, and GetContent's defensive copy was
-// pure allocator load when the caller immediately re-serializes.
+// returned record is the store's own, and its Data is the slice its
+// put was handed. It is safe to read indefinitely — PutContent replaces
+// records wholesale (fresh struct) and never mutates one in place, and
+// no putter writes to what it handed over (the Store contract), so a
+// borrowed record is immutable for its lifetime; a concurrent
+// republish simply leaves the borrower reading the superseded
+// snapshot. Borrowers must not write through it. This is the serving
+// hot path: a multi-MB media object is read thousands of times per
+// publish, and GetContent's defensive copy was pure allocator load
+// when the caller immediately re-serializes.
 // TestGetContentBorrowIsZeroCopy pins the no-copy end.
 func (s *Store) GetContentBorrow(ref string) (*ContentRecord, error) {
 	start := time.Now()

@@ -358,6 +358,49 @@ func TestGetContentBorrowIsZeroCopy(t *testing.T) {
 	}
 }
 
+// TestPutContentKeepsCallersBuffer pins the put end of the aliasing
+// contract: the store keeps the slices a put is handed, so a borrowed
+// record's Data and Keywords are the caller's own, not copies of them.
+func TestPutContentKeepsCallersBuffer(t *testing.T) {
+	s := New()
+	data, keywords := []byte{1, 2, 3}, []string{"video"}
+	if err := s.PutContent("store/v.mpg", "mpeg", data, keywords...); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.GetContentBorrow("store/v.mpg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rec.Data[0] != &data[0] || len(rec.Data) != len(data) {
+		t.Error("PutContent copied the caller's data")
+	}
+	if &rec.Keywords[0] != &keywords[0] {
+		t.Error("PutContent copied the caller's keywords")
+	}
+}
+
+// TestPutDocumentKeepsCallersBuffer is the same for documents, whose
+// stored record is read in place (GetDocument copies).
+func TestPutDocumentKeepsCallersBuffer(t *testing.T) {
+	s := New()
+	data, keywords := []byte("container"), []string{"network/atm"}
+	for version := 1; version <= 2; version++ { // a new record, then an update of it
+		if _, err := s.PutDocument("doc", "Title", "asn1", data, keywords...); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.RLock()
+		rec := s.docs["doc"]
+		s.mu.RUnlock()
+		if rec.Version != version || &rec.Data[0] != &data[0] || len(rec.Data) != len(data) {
+			t.Errorf("version %d: PutDocument copied the caller's data", version)
+		}
+		if &rec.Keywords[0] != &keywords[0] {
+			t.Errorf("version %d: PutDocument copied the caller's keywords", version)
+		}
+		data, keywords = []byte("container v2"), []string{"network/atm", "updated"}
+	}
+}
+
 // TestGetContentBorrowStableAcrossRepublish pins the immutability basis
 // of borrowing: PutContent replaces records wholesale, so a record
 // borrowed before a republish keeps reading the superseded snapshot —

@@ -100,14 +100,6 @@ func (n *Navigator) SubmitExercise(setID string, answers map[string]string) (*ex
 	return n.exClient().Submit(setID, n.student, answers)
 }
 
-// BestGrade fetches the student's best grade for a set.
-func (n *Navigator) BestGrade(setID string) (*exercise.Grade, bool, error) {
-	if n.student == "" {
-		return nil, false, errNotLoggedIn
-	}
-	return n.exClient().Best(setID, n.student)
-}
-
 // Contest fetches a course's contest ranking.
 func (n *Navigator) Contest(courseCode string) ([]exercise.Standing, error) {
 	return n.exClient().Contest(courseCode)

@@ -110,10 +110,6 @@ func TestExerciseFlowOverService(t *testing.T) {
 	if s := FormatGrade(g); !strings.Contains(s, "5/5 (100%)") {
 		t.Errorf("FormatGrade %q", s)
 	}
-	best, found, err := nav.BestGrade("ex1")
-	if err != nil || !found || best.Score != 5 {
-		t.Fatalf("best %+v found=%v err=%v", best, found, err)
-	}
 	ranks, err := nav.Contest("C1")
 	if err != nil || len(ranks) != 1 || ranks[0].Score != 5 {
 		t.Fatalf("contest %v err=%v", ranks, err)

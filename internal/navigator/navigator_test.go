@@ -42,7 +42,7 @@ func buildCachedSchool(t *testing.T, c *cache.Cache) (*Navigator, *mediastore.St
 		t.Fatal(err)
 	}
 	center := &production.Center{}
-	if _, err := center.ProduceForCourse(out, store); err != nil {
+	if _, err := center.ProduceForCourse(out.Container, store); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := center.StockLibrary(store); err != nil {
@@ -298,7 +298,7 @@ func TestSGMLCourseDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.PutDocument("net-course", "Networking Basics", "sgml", text, "network")
-	(&production.Center{}).ProduceForCourse(out, store)
+	(&production.Center{}).ProduceForCourse(out.Container, store)
 	sch.AddCourse(school.Course{Code: "ELG5374", Name: "Networks", Program: "Engineering",
 		PlannedSessions: 2, Document: "net-course"})
 
@@ -487,7 +487,7 @@ func TestDescriptorNegotiationBlocksIncapableSites(t *testing.T) {
 		}
 		data, _ := codec.ASN1().Encode(out.Container)
 		store.PutDocument("atm-course", "ATM", "asn1", data)
-		(&production.Center{}).ProduceForCourse(out, store)
+		(&production.Center{}).ProduceForCourse(out.Container, store)
 		sch := school.New("s")
 		sch.AddCourse(school.Course{Code: "C1", Name: "ATM", Program: "Eng",
 			PlannedSessions: 1, Document: "atm-course"})

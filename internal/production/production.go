@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"mits/internal/courseware"
 	"mits/internal/media"
 	"mits/internal/mheg"
 )
@@ -128,14 +127,15 @@ type ContentSink interface {
 	PutContent(ref, coding string, data []byte, keywords ...string) error
 }
 
-// ProduceForCourse walks a compiled course's container, produces one
-// media object per referenced content object using the author's
-// presentation parameters as capture hints, and loads them into the
-// sink. It returns the references produced.
-func (c *Center) ProduceForCourse(out *courseware.Compiled, sink ContentSink) ([]string, error) {
+// ProduceForCourse walks a course's container, produces one media
+// object per referenced content object using the author's presentation
+// parameters as capture hints, and loads them into the sink, which
+// keeps each buffer (nothing here touches it again). It returns the
+// references produced, in container order.
+func (c *Center) ProduceForCourse(container *mheg.Container, sink ContentSink) ([]string, error) {
 	var produced []string
 	seen := make(map[string]bool)
-	for _, obj := range out.Container.Items {
+	for _, obj := range container.Items {
 		content, ok := obj.(*mheg.Content)
 		if !ok || !content.Referenced() {
 			continue

@@ -36,6 +36,11 @@ func TestProducePerCoding(t *testing.T) {
 		if len(obj.Data) == 0 {
 			t.Errorf("%s produced empty data", tc.ref)
 		}
+		// The store keeps the buffer production hands it, so spare
+		// capacity would stay resident as long as the object is stored.
+		if cap(obj.Data) != len(obj.Data) {
+			t.Errorf("%s: cap %d, len %d", tc.ref, cap(obj.Data), len(obj.Data))
+		}
 		if media.TimeBased(tc.coding) && obj.Meta.Duration != 2*time.Second {
 			t.Errorf("%s duration %v, want 2s", tc.ref, obj.Meta.Duration)
 		}
@@ -65,7 +70,7 @@ func TestProduceForCourse(t *testing.T) {
 	}
 	store := mediastore.New()
 	c := &Center{}
-	produced, err := c.ProduceForCourse(out, store)
+	produced, err := c.ProduceForCourse(out.Container, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +159,7 @@ func (discardSink) PutContent(ref, coding string, data []byte, keywords ...strin
 // introduction clip into sink, as mits.Publisher does on a publish.
 func produceSampleCourse(tb testing.TB, out *courseware.Compiled, sink ContentSink) {
 	c := &Center{}
-	if _, err := c.ProduceForCourse(out, sink); err != nil {
+	if _, err := c.ProduceForCourse(out.Container, sink); err != nil {
 		tb.Fatal(err)
 	}
 	intro, err := c.Produce("store/atm/introduction.mpg", Hints{Duration: 20 * time.Second, Topic: "Introduction to ATM"})

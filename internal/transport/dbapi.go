@@ -85,6 +85,9 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 		return store.DocsByKeyword(req.Keyword), nil
 	})
 	registerContent(m, store)
+	// The store keeps a put's Data and Keywords: they are the decoder's
+	// fresh copies, never views of the pooled request frame
+	// (TestPutOverWireOutlivesItsFrame).
 	Route(m, MethodPutDoc, func(req putDocReq) (putDocResp, error) {
 		v, err := store.PutDocument(req.Name, req.Title, req.Encoding, req.Data, req.Keywords...)
 		return putDocResp{Version: v}, err

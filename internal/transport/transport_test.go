@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"strings"
@@ -134,6 +135,77 @@ func TestDBOverTCP(t *testing.T) {
 	}
 	defer client.Close()
 	exerciseDB(t, DBClient{C: client})
+}
+
+// TestPutOverWireOutlivesItsFrame: the store keeps the Data a put hands
+// it, so what a put over the wire stores must be the decoder's own
+// bytes, never a view of the request frame. One object and one document
+// are put, then 120 more puts of other bytes of the same sizes go over
+// the same connection, reusing whatever buffers the first frames came
+// in; the first records must still read as what was sent.
+func TestPutOverWireOutlivesItsFrame(t *testing.T) {
+	leaktest.Check(t)
+	const calls = 120
+	fill := func(seed, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(seed*131 + i*7)
+		}
+		return b
+	}
+	for _, carrier := range []string{"loopback", "tcp"} {
+		t.Run(carrier, func(t *testing.T) {
+			store := mediastore.New()
+			mux := NewMux()
+			RegisterStore(mux, store)
+			var c Client = Loopback{H: mux}
+			if carrier == "tcp" {
+				srv := NewTCPServer(mux)
+				addr, err := srv.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				client, err := DialTCP(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				c = client
+			}
+			db := DBClient{C: c}
+			content, doc := fill(1, 100_000), fill(2, 3_000)
+			contentCRC, docCRC := crc32.ChecksumIEEE(content), crc32.ChecksumIEEE(doc)
+			if err := db.PutContent("store/kept.mpg", "MPEG", content, "kept"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.PutDocument("kept", "Kept", "asn1", doc, "kept"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < calls; i++ {
+				if err := db.PutContent(fmt.Sprintf("store/o%d.mpg", i%4), "MPEG", fill(i+3, len(content)), "other"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.PutDocument(fmt.Sprintf("d%d", i%4), "Other", "asn1", fill(i+3, len(doc)), "other"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec, err := store.GetContentBorrow("store/kept.mpg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crc32.ChecksumIEEE(rec.Data) != contentCRC || len(rec.Keywords) != 1 || rec.Keywords[0] != "kept" {
+				t.Errorf("stored content changed after %d more puts on the connection", calls)
+			}
+			d, err := store.GetDocument("kept")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crc32.ChecksumIEEE(d.Data) != docCRC || len(d.Keywords) != 1 || d.Keywords[0] != "kept" {
+				t.Errorf("stored document changed after %d more puts on the connection", calls)
+			}
+		})
+	}
 }
 
 func exerciseDB(t *testing.T, db DBClient) {

@@ -193,7 +193,7 @@ func (p *Publisher) publish(out *courseware.Compiled, title string, info CourseI
 	if _, err := p.DB.PutDocument(info.DocName, title, info.Encoding, data, info.Keywords...); err != nil {
 		return err
 	}
-	if _, err := p.Production.ProduceForCourse(out, p.DB); err != nil {
+	if _, err := p.Production.ProduceForCourse(out.Container, p.DB); err != nil {
 		return err
 	}
 	introRef := info.IntroRef

@@ -286,11 +286,17 @@ func isNotFound(err error) bool {
 // failures and not-found answers (which may be replication lag) fall
 // through to the next rung; any other remote error is authoritative
 // and returns immediately. The primary's answer — including its
-// not-found — is final. The answer is the replica client's buffer,
-// not a copy: whoever takes it owes release (when non-nil) exactly
-// once, after the last byte is read.
+// not-found — is final. A content digest asks the primary alone: a
+// replica whose applier is behind would vouch for bytes the primary
+// has since replaced, and a publisher trusting it would skip a put the
+// shard needs. The answer is the replica client's buffer, not a copy:
+// whoever takes it owes release (when non-nil) exactly once, after the
+// last byte is read.
 func (r *Router) read(sc obs.SpanContext, sh *shard, method string, payload []byte) ([]byte, func(), error) {
 	ladder := append(orderByHealth(sh.replicas), sh.primary)
+	if method == transport.MethodContentDigest {
+		ladder = ladder[len(ladder)-1:]
+	}
 	var lastErr error
 	for i, rep := range ladder {
 		if i > 0 {

@@ -28,23 +28,24 @@ func (r *Router) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([
 
 // HandleCtxPooled implements transport.PooledCtxHandler: the router's
 // whole wire surface. Keyed methods hash to their owning shard — reads
-// walk the failover ladder, writes go primary-then-replicate — and the
-// node's answer is relayed as it arrived, its pooled buffer released by
-// the serving connection once the bytes are on the wire; unkeyed
-// methods scatter to every shard and gather with partial-result
-// degradation.
+// walk the failover ladder (the content digest's is the primary alone),
+// writes go primary-then-replicate — and the node's answer is relayed
+// as it arrived, its pooled buffer released by the serving connection
+// once the bytes are on the wire; unkeyed methods scatter to every
+// shard and gather with partial-result degradation.
 func (r *Router) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	// The server recycles the request buffer when this handler returns,
 	// but the replication queues (and a timed-out forward's still-queued
 	// frame) outlive it — take a private copy once, up front.
 	payload = append([]byte(nil), payload...)
 	switch method {
-	case transport.MethodGetDoc, transport.MethodGetContent, transport.MethodGetContentStream:
+	case transport.MethodGetDoc, transport.MethodGetContent, transport.MethodGetContentStream, transport.MethodContentDigest:
 		// GetContentStream chunks ride the ordinary keyed-read path:
 		// every chunk of one object hashes to the same shard (keyed by
 		// ref), the request and response payloads are forwarded
 		// verbatim (the router never reassembles), and each chunk
-		// independently walks the failover ladder.
+		// independently walks the failover ladder. ContentDigest's
+		// ladder is the primary alone (read).
 		key, err := transport.RequestKey(method, payload)
 		if err != nil {
 			return nil, nil, err
@@ -79,6 +80,7 @@ func (r *Router) Register(m *transport.Mux) {
 		transport.MethodDocByKeyword,
 		transport.MethodGetContent,
 		transport.MethodGetContentStream,
+		transport.MethodContentDigest,
 		transport.MethodPutDoc,
 		transport.MethodPutContent,
 	}

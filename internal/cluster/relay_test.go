@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -319,5 +320,88 @@ func waitFor(t *testing.T, what string, cond func(*countingNode) bool, nodes []*
 			t.Fatalf("%s: not within 5s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// heldNode is a countingNode whose content puts wait at hold before they
+// reach the store: a replica whose applier is held back.
+type heldNode struct {
+	*countingNode
+	hold chan struct{}
+}
+
+func (n heldNode) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
+	if method == transport.MethodPutContent {
+		<-n.hold
+	}
+	return n.countingNode.CallInTracePooled(sc, method, payload)
+}
+
+// TestContentDigestAsksThePrimary: through the router, the digest of a
+// ref is the shard primary's answer, not a read replica's. With the
+// replicas' appliers held back after a republish, the replicas still
+// hold the old bytes; a digest from the read ladder would vouch for
+// them, and a publisher trusting it would skip a put the shard needs.
+func TestContentDigestAsksThePrimary(t *testing.T) {
+	const ref = "store/atm/welcome.mpg"
+	old, fresh := []byte("first edition"), []byte("second edition")
+	hold := make(chan struct{})
+	var sc ShardConfig
+	var nodes []*countingNode
+	for j := 0; j < 3; j++ {
+		n := newCountingNode()
+		if err := n.store.PutContent(ref, "mpeg", old); err != nil { // converged on the first edition
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+		var c transport.Client = n
+		if j > 0 {
+			c = heldNode{n, hold}
+		}
+		sc.Replicas = append(sc.Replicas, ReplicaConfig{Dial: func() (transport.Client, error) { return c, nil }})
+	}
+	r, err := New(Config{Shards: []ShardConfig{sc}, Policy: testPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(hold)
+		}
+	}()
+	db := transport.DBClient{C: transport.Loopback{H: r}}
+	if err := db.PutContent(ref, "mpeg", fresh); err != nil {
+		t.Fatal(err)
+	}
+	want := mediastore.Digest("mpeg", fresh)
+	for i := 0; i < 4; i++ {
+		if got, err := db.ContentDigest(ref); err != nil || got != want {
+			t.Fatalf("ask %d: ContentDigest = %#x, %v; the primary holds %#x (a lagging replica %#x)", i, got, err, want, mediastore.Digest("mpeg", old))
+		}
+	}
+	close(hold)
+	released = true
+	if !r.WaitConverged(5 * time.Second) {
+		t.Fatal("replicas did not converge")
+	}
+	for j, n := range nodes {
+		if got, _ := n.store.ContentDigest(ref); got != want {
+			t.Errorf("node %d holds %#x after converging, want %#x", j, got, want)
+		}
+	}
+}
+
+// TestRouterServesTheStoreMethodSet: a router mounted on a mux serves
+// exactly the methods a single store's mux does, so a client cannot
+// tell the two apart by what they answer.
+func TestRouterServesTheStoreMethodSet(t *testing.T) {
+	single, routed := transport.NewMux(), transport.NewMux()
+	transport.RegisterStore(single, mediastore.New())
+	r, _ := relayCluster(t)
+	r.Register(routed)
+	if s, c := single.Methods(), routed.Methods(); !reflect.DeepEqual(s, c) {
+		t.Errorf("a store serves %v, the router %v", s, c)
 	}
 }

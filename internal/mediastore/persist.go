@@ -83,7 +83,7 @@ func Load(path string) (*Store, error) {
 	s := New()
 	for _, d := range snap.Docs {
 		if d.Digest == 0 {
-			d.Digest = docDigest(d.Encoding, d.Data)
+			d.Digest = Digest(d.Encoding, d.Data)
 		}
 		s.docs[d.Name] = d
 		s.keywords.add(d.Name, d.Keywords)

@@ -1,6 +1,7 @@
 package mediastore
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -95,7 +96,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 				}
 				s.DocsByKeyword("networking")
 				s.ListDocuments()
-				s.HasContent(ref)
+				s.ContentDigest(ref)
 				s.Stats()
 				s.Sizes()
 				if i%50 == 0 {
@@ -199,4 +200,50 @@ func TestReadsShareTheReadLock(t *testing.T) {
 		t.Errorf("Stats moved by %d doc reads, %d content reads, %d bytes; the readers made %d, %d, %d",
 			d-baseDocs, c-baseContent, b-baseBytes, docReads.Load(), contentReads.Load(), bytesOut.Load())
 	}
+}
+
+// TestContentDigestNeverStale: ContentDigest beside a writer replacing
+// one ref's record never answers with the digest of a record replaced
+// before the ask began — a digest hashed from a record that a put
+// replaced meanwhile goes back to its asker but is never kept.
+func TestContentDigestNeverStale(t *testing.T) {
+	s := New()
+	const versions = 200
+	data := make([][]byte, versions)
+	version := make(map[uint64]int, versions) // digest → version
+	for v := range data {
+		data[v] = bytes.Repeat([]byte{byte(v), byte(v >> 8)}, 32<<10) // 64 KB: a put can land mid-hash
+		version[Digest("mpeg", data[v])] = v
+	}
+	if err := s.PutContent("store/clip", "mpeg", data[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var done atomic.Int64 // the last version whose put has returned
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 1; v < versions; v++ {
+			if err := s.PutContent("store/clip", "mpeg", data[v]); err != nil {
+				t.Error(err)
+			}
+			done.Store(int64(v))
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for floor := int64(0); floor < versions-1; {
+				floor = done.Load()
+				d, err := s.ContentDigest("store/clip")
+				v, ok := version[d]
+				if err != nil || !ok || int64(v) < floor {
+					t.Errorf("ContentDigest = %#x (version %d, known %v), %v, after version %d was put", d, v, ok, err, floor)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -43,11 +43,13 @@ type DocRecord struct {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// docDigest is CRC-32C ‖ CRC-32 (IEEE) of the encoding's length, the
-// encoding and the data, mapped off 0, which means "no digest" to a
-// reader. Both CRCs are hardware paths in hash/crc32: 1.2 µs for an 8 KB
-// document, where a byte-at-a-time hash such as FNV-1a takes 14 µs (E42).
-func docDigest(encoding string, data []byte) uint64 {
+// Digest identifies a document's (Encoding, Data) and a content
+// object's (Coding, Data): CRC-32C ‖ CRC-32 (IEEE) of the encoding's
+// length, the encoding and the data, mapped off 0, which means "no
+// digest" to a reader. Both CRCs are hardware paths in hash/crc32:
+// 1.2 µs for an 8 KB document, where a byte-at-a-time hash such as
+// FNV-1a takes 14 µs (E42).
+func Digest(encoding string, data []byte) uint64 {
 	var buf [32]byte
 	head := append(binary.AppendUvarint(buf[:0], uint64(len(encoding))), encoding...)
 	c, i := crc32.Update(0, castagnoli, head), crc32.ChecksumIEEE(head)
@@ -78,6 +80,9 @@ type Store struct {
 	docs     map[string]*DocRecord
 	content  map[string]*ContentRecord
 	keywords *KeywordTree
+	// digests holds ContentDigest's answers by ref: each is computed on
+	// the first ask and dropped by the put that replaces its record.
+	digests map[string]uint64
 
 	// Stats for the experiments: atomics, so reads take the read lock.
 	docReads     atomic.Int64
@@ -100,6 +105,7 @@ func New() *Store {
 		docs:     make(map[string]*DocRecord),
 		content:  make(map[string]*ContentRecord),
 		keywords: NewKeywordTree(),
+		digests:  make(map[string]uint64),
 
 		obsGetDoc:     obs.GetHistogram("mediastore_latency_ns", "op", "get_document"),
 		obsPutDoc:     obs.GetHistogram("mediastore_latency_ns", "op", "put_document"),
@@ -136,7 +142,7 @@ func (s *Store) PutDocument(name, title, encoding string, data []byte, keywords 
 	}
 	start := time.Now()
 	defer func() { s.obsPutDoc.Observe(time.Since(start)) }()
-	digest := docDigest(encoding, data) // before the lock: readers do not wait for it
+	digest := Digest(encoding, data) // before the lock: readers do not wait for it
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.docs[name]
@@ -258,8 +264,34 @@ func (s *Store) PutContent(ref, coding string, data []byte, keywords ...string) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.content[ref] = rec
+	delete(s.digests, ref)
 	s.obsContents.Set(int64(len(s.content)))
 	return nil
+}
+
+// ContentDigest identifies the content held at ref: the digest of its
+// (Coding, Data), as a document's Digest is of its (Encoding, Data), so
+// equal digests mean equal bytes on every store; 0 when nothing is held.
+// It is computed on the first ask, outside the lock, and kept until a
+// put replaces the record — not at the put, so a store that is never
+// asked (every one that serves only reads) never hashes. The error is
+// always nil here; it is there for the same question over the wire
+// (transport.DBClient.ContentDigest).
+func (s *Store) ContentDigest(ref string) (uint64, error) {
+	s.mu.RLock()
+	rec, held := s.content[ref]
+	d, known := s.digests[ref]
+	s.mu.RUnlock()
+	if !held || known {
+		return d, nil
+	}
+	d = Digest(rec.Coding, rec.Data)
+	s.mu.Lock()
+	if s.content[ref] == rec { // a put while hashing: its record is not rec's
+		s.digests[ref] = d
+	}
+	s.mu.Unlock()
+	return d, nil
 }
 
 // GetContent retrieves content data by reference.
@@ -311,20 +343,6 @@ func (s *Store) GetContentBorrow(ref string) (*ContentRecord, error) {
 	s.contentReads.Add(1)
 	s.bytesOut.Add(int64(len(rec.Data)))
 	return rec, nil
-}
-
-// HasContent reports whether every given reference resolves, returning
-// the missing ones — used to validate a courseware's media refs before
-// publication.
-func (s *Store) HasContent(refs ...string) (missing []string) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, r := range refs {
-		if _, ok := s.content[r]; !ok {
-			missing = append(missing, r)
-		}
-	}
-	return missing
 }
 
 // Stats reports served volume for the experiments.

@@ -87,9 +87,10 @@ func TestContentDatabase(t *testing.T) {
 	if _, err := s.GetContent("store/zzz"); !errors.Is(err, ErrNotFound) {
 		t.Error("missing content found")
 	}
-	missing := s.HasContent("store/atm/cells.wav", "store/zzz", "store/yyy")
-	if !reflect.DeepEqual(missing, []string{"store/zzz", "store/yyy"}) {
-		t.Errorf("missing=%v", missing)
+	for ref, held := range map[string]bool{"store/atm/cells.wav": true, "store/zzz": false} {
+		if d, err := s.ContentDigest(ref); err != nil || (d != 0) != held {
+			t.Errorf("ContentDigest(%s) = %#x, %v; held %v", ref, d, err, held)
+		}
 	}
 	docs, contents := s.Sizes()
 	if docs != 0 || contents != 3 {
@@ -462,8 +463,8 @@ func TestDocumentDigest(t *testing.T) {
 		}
 		seen[digest(a, name)] = name
 	}
-	if docDigest("", nil) == 0 {
-		t.Error("docDigest of nothing is 0")
+	if Digest("", nil) == 0 {
+		t.Error("Digest of nothing is 0")
 	}
 
 	have := digest(a, "doc")
@@ -481,6 +482,68 @@ func TestDocumentDigest(t *testing.T) {
 	}
 	if _, err := a.RevalidateDocument("nope", have); !errors.Is(err, ErrNotFound) {
 		t.Errorf("RevalidateDocument of a missing document: %v", err)
+	}
+}
+
+// TestContentDigest: the digest names (Coding, Data) — the same under
+// any ref, on any store, and the one a document of that encoding and
+// data carries — is 0 for a ref that holds nothing, follows a put that
+// replaces the record, and is the same after Save and Load, which write
+// no digest into the image.
+func TestContentDigest(t *testing.T) {
+	digest := func(s *Store, ref string) uint64 {
+		t.Helper()
+		d, err := s.ContentDigest(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	a, b := New(), New()
+	a.PutContent("store/a.mpg", "mpeg", []byte("frames"), "video")
+	b.PutContent("store/b.mpg", "mpeg", []byte("frames"))
+	if digest(a, "store/a.mpg") != digest(b, "store/b.mpg") || digest(a, "store/a.mpg") == 0 {
+		t.Errorf("equal coding and data digest to %#x and %#x", digest(a, "store/a.mpg"), digest(b, "store/b.mpg"))
+	}
+	b.PutDocument("doc", "Title", "mpeg", []byte("frames"))
+	if doc, err := b.GetDocument("doc"); err != nil || doc.Digest != digest(b, "store/b.mpg") {
+		t.Errorf("a document of the same encoding and data has digest %+v, %v", doc, err)
+	}
+	if d := digest(a, "store/none"); d != 0 {
+		t.Errorf("a ref that holds nothing has digest %#x", d)
+	}
+	first := digest(a, "store/a.mpg")
+	a.PutContent("store/a.mpg", "avi", []byte("frames"))
+	if d := digest(a, "store/a.mpg"); d == first || d == 0 {
+		t.Errorf("a put of another coding left the digest at %#x (was %#x)", d, first)
+	}
+	a.PutContent("store/a.mpg", "mpeg", []byte("frames"))
+	if d := digest(a, "store/a.mpg"); d != first {
+		t.Errorf("the first record put again digests to %#x, was %#x", d, first)
+	}
+
+	dir := t.TempDir()
+	one := New()
+	one.PutContent("store/v.mpg", "mpeg", []byte("vid"), "video")
+	unasked, asked := filepath.Join(dir, "unasked.db"), filepath.Join(dir, "asked.db")
+	if err := one.Save(unasked); err != nil {
+		t.Fatal(err)
+	}
+	before := digest(one, "store/v.mpg")
+	if err := one.Save(asked); err != nil {
+		t.Fatal(err)
+	}
+	x, _ := os.ReadFile(unasked)
+	y, _ := os.ReadFile(asked)
+	if !bytes.Equal(x, y) {
+		t.Errorf("asking the digest changed the saved image: %d bytes, then %d", len(x), len(y))
+	}
+	loaded, err := Load(asked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := digest(loaded, "store/v.mpg"); after != before {
+		t.Errorf("digest %#x before Save, %#x after Load", before, after)
 	}
 }
 

@@ -14,8 +14,11 @@ import (
 // TestProduceForCourseAllocBudget: producing the sample ATM course into
 // a local store allocates each object once — the encoder's buffer,
 // which the store keeps — plus a little bookkeeping. A store that
-// cloned what it is handed doubles the figure. Built without -race,
-// whose instrumentation allocates on its own account.
+// cloned what it is handed doubles the figure. The Center is a fresh
+// one, which remembers nothing and so produces every object: one that
+// had produced the course before would skip them all and leave nothing
+// to measure. Built without -race, whose instrumentation allocates on
+// its own account.
 func TestProduceForCourseAllocBudget(t *testing.T) {
 	out, err := courseware.CompileIMD(document.SampleATMCourse(), "atm")
 	if err != nil {

@@ -14,17 +14,34 @@ package production
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"mits/internal/media"
+	"mits/internal/mediastore"
 	"mits/internal/mheg"
 )
 
-// Center is a media production server.
+// Center is a media production server. It is safe for concurrent use;
+// use it through a pointer, never a copy.
 type Center struct {
 	// SeedBase varies synthetic content across installations while
 	// keeping each installation deterministic.
 	SeedBase uint64
+
+	mu sync.Mutex
+	// made is the digest of what ProduceForCourse last produced for
+	// each recipe: one entry per distinct recipe, no bytes.
+	made map[recipe]uint64
+}
+
+// recipe is everything a produced object is a function of: the encoders
+// are pure functions of the reference (which fixes the coding), its
+// seed and the hints, defaults applied.
+type recipe struct {
+	ref   string
+	seed  uint64
+	hints Hints
 }
 
 // Hints carries the presentation parameters production must match.
@@ -125,15 +142,23 @@ func (c *Center) Produce(ref string, hints Hints) (*media.Object, error) {
 // or behind the network client.
 type ContentSink interface {
 	PutContent(ref, coding string, data []byte, keywords ...string) error
+	// ContentDigest is the digest of what the sink holds at ref, 0 for
+	// nothing (mediastore.Store.ContentDigest).
+	ContentDigest(ref string) (uint64, error)
 }
 
 // ProduceForCourse walks a course's container, produces one media
 // object per referenced content object using the author's presentation
 // parameters as capture hints, and loads them into the sink, which
-// keeps each buffer (nothing here touches it again). It returns the
-// references produced, in container order.
+// keeps each buffer (nothing here touches it again). A reference is not
+// produced again when the sink still holds, byte for byte, what this
+// center last produced for the same recipe: the sink's digest of it is
+// the one remembered. Anything else — a first publish, a ref another
+// writer has overwritten, a changed hint or SeedBase, a sink that cannot
+// answer — is produced and put. It returns the references the course
+// needs, produced or already held, in container order.
 func (c *Center) ProduceForCourse(container *mheg.Container, sink ContentSink) ([]string, error) {
-	var produced []string
+	var refs []string
 	seen := make(map[string]bool)
 	for _, obj := range container.Items {
 		content, ok := obj.(*mheg.Content)
@@ -145,21 +170,50 @@ func (c *Center) ProduceForCourse(container *mheg.Container, sink ContentSink) (
 			continue
 		}
 		seen[ref] = true
-		mo, err := c.Produce(ref, Hints{
+		refs = append(refs, ref)
+		hints := Hints{
 			Duration: content.OrigDuration,
 			Width:    content.OrigSize.W,
 			Height:   content.OrigSize.H,
 			Topic:    content.Info.Name,
-		})
+		}
+		hints.defaults(CodingFor(ref))
+		key := recipe{ref: ref, seed: c.seedFor(ref), hints: hints}
+		if made, ok := c.lastMade(key); ok {
+			// An error costs a produce, not the publish: the put below
+			// reports a sink that is really down.
+			if held, err := sink.ContentDigest(ref); err == nil && held == made {
+				continue
+			}
+		}
+		mo, err := c.Produce(ref, hints)
 		if err != nil {
 			return nil, err
 		}
 		if err := sink.PutContent(ref, string(mo.Coding), mo.Data); err != nil {
 			return nil, fmt.Errorf("production: store %q: %w", ref, err)
 		}
-		produced = append(produced, ref)
+		c.remember(key, mediastore.Digest(string(mo.Coding), mo.Data))
 	}
-	return produced, nil
+	return refs, nil
+}
+
+// lastMade is the digest of what was last produced for key.
+func (c *Center) lastMade(key recipe) (uint64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d, ok := c.made[key]
+	return d, ok
+}
+
+// remember records the digest of what was just produced for key.
+func (c *Center) remember(key recipe, digest uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.made == nil {
+		c.made = make(map[recipe]uint64)
+	}
+	c.made[key] = digest
 }
 
 // LibraryDoc is one library holding of §5.2.1's library browsing:

@@ -77,6 +77,7 @@ func wireSamples() []wireSample {
 	return []wireSample{
 		{[]any{getDocReq{}, getDocReq{Name: "elg5121.doc"}, getDocReq{Name: "elg5121.doc", Have: 0xf8ef2936b2a0664f}}, func() any { return new(getDocReq) }},
 		{[]any{getContentReq{}, getContentReq{Ref: "intro/elg5121"}}, func() any { return new(getContentReq) }},
+		{[]any{contentDigestReq{}, contentDigestReq{Ref: "intro/elg5121"}}, func() any { return new(contentDigestReq) }},
 		{[]any{keywordReq{}, keywordReq{Keyword: "Engineering/ATM"}}, func() any { return new(keywordReq) }},
 		{[]any{putDocResp{}, putDocResp{Version: 7}}, func() any { return new(putDocResp) }},
 		{[]any{
@@ -396,6 +397,7 @@ func TestRequestKeyReadsOnlyTheKey(t *testing.T) {
 	putContent, _ := appendPayload(nil, putContentReq{Ref: "intro/elg5121", Coding: "mpeg", Keywords: []string{"k"}, Data: data})
 	getDoc, _ := appendPayload(nil, getDocReq{Name: "elg5121.doc", Have: 7})
 	getContent, _ := appendPayload(nil, getContentReq{Ref: "intro/elg5121"})
+	contentDigest, _ := appendPayload(nil, contentDigestReq{Ref: "intro/elg5121"})
 	for _, tc := range []struct {
 		method  string
 		payload []byte
@@ -404,6 +406,7 @@ func TestRequestKeyReadsOnlyTheKey(t *testing.T) {
 		{MethodGetDoc, getDoc, "elg5121.doc"},
 		{MethodPutDoc, putDoc, "elg5121.doc"},
 		{MethodGetContent, getContent, "intro/elg5121"},
+		{MethodContentDigest, contentDigest, "intro/elg5121"},
 		{MethodPutContent, putContent, "intro/elg5121"},
 		{MethodGetContentStream, mustStreamReq("intro/elg5121", 1<<16, 1<<16), "intro/elg5121"},
 	} {

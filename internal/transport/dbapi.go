@@ -17,13 +17,14 @@ import (
 // future work (§5.5); the rest complete the round trip for the
 // production and author sites.
 const (
-	MethodListDocs     = "db.Get_List_Doc"
-	MethodGetDoc       = "db.Get_Selected_Doc"
-	MethodKeywordTree  = "db.GetKeywordTree"
-	MethodDocByKeyword = "db.GetDocByKeyword"
-	MethodGetContent   = "db.GetContent"
-	MethodPutDoc       = "db.PutDocument"
-	MethodPutContent   = "db.PutContent"
+	MethodListDocs      = "db.Get_List_Doc"
+	MethodGetDoc        = "db.Get_Selected_Doc"
+	MethodKeywordTree   = "db.GetKeywordTree"
+	MethodDocByKeyword  = "db.GetDocByKeyword"
+	MethodGetContent    = "db.GetContent"
+	MethodContentDigest = "db.ContentDigest"
+	MethodPutDoc        = "db.PutDocument"
+	MethodPutContent    = "db.PutContent"
 )
 
 // Wire structs. Each keyed request leads with its key, which RequestKey reads.
@@ -41,6 +42,10 @@ type putDocReq struct {
 }
 type putDocResp struct{ Version int }
 type getContentReq struct{ Ref string }
+
+// contentDigestReq asks for the digest of what a store holds at Ref; the
+// reply is a bare uint64, 0 for nothing.
+type contentDigestReq struct{ Ref string }
 type putContentReq struct {
 	Ref, Coding string
 	Keywords    []string
@@ -85,6 +90,9 @@ func RegisterStore(m *Mux, store *mediastore.Store) {
 		return store.DocsByKeyword(req.Keyword), nil
 	})
 	registerContent(m, store)
+	Route(m, MethodContentDigest, func(req contentDigestReq) (uint64, error) {
+		return store.ContentDigest(req.Ref)
+	})
 	// The store keeps a put's Data and Keywords: they are the decoder's
 	// fresh copies, never views of the pooled request frame
 	// (TestPutOverWireOutlivesItsFrame).
@@ -114,13 +122,13 @@ func EncodeGetContent(ref string) ([]byte, error) { return appendPayload(nil, ge
 
 // RequestKey extracts the routing key of a keyed request payload: the
 // document name for Get_Selected_Doc/PutDocument, the content ref for
-// GetContent/PutContent. Methods that have no single key (list and
+// GetContent/ContentDigest/PutContent. Methods that have no single key (list and
 // keyword methods, which fan out) return ErrUnkeyedMethod. The key is
 // the string each keyed request leads with, read without the rest: a
 // put's Data is never materialised to route it.
 func RequestKey(method string, payload []byte) (string, error) {
 	switch method {
-	case MethodGetDoc, MethodGetContent, MethodPutDoc, MethodPutContent:
+	case MethodGetDoc, MethodGetContent, MethodContentDigest, MethodPutDoc, MethodPutContent:
 		n, k := binary.Uvarint(payload)
 		if k <= 0 || n > uint64(len(payload)-k) {
 			return "", errMalformed
@@ -321,6 +329,14 @@ func (d DBClient) fetchContent(ref string) (*mediastore.ContentRecord, error) {
 		return nil, fmt.Errorf("content %q: %w", ref, err)
 	}
 	return &mediastore.ContentRecord{Ref: ck.Ref, Coding: ck.Coding, Keywords: ck.Keywords, Data: append([]byte(nil), ck.Data...)}, nil
+}
+
+// ContentDigest asks the store for the digest of what it holds at ref,
+// 0 for nothing (mediastore.Store.ContentDigest): the production
+// center's question before it produces ref again.
+func (d DBClient) ContentDigest(ref string) (digest uint64, err error) {
+	err = d.invoke(MethodContentDigest, contentDigestReq{Ref: ref}, &digest)
+	return digest, err
 }
 
 // PutDocument publishes a courseware document (author site).

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"mits/internal/obs"
 )
@@ -234,6 +235,16 @@ func (m *Mux) RegisterPooled(method string, h func(sc obs.SpanContext, method st
 		panic("transport: duplicate method " + method)
 	}
 	m.routes[method] = h
+}
+
+// Methods returns the mounted method names, sorted.
+func (m *Mux) Methods() []string {
+	names := make([]string, 0, len(m.routes))
+	for name := range m.routes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Handle implements Handler.

@@ -69,6 +69,7 @@ var idempotentMethods = map[string]bool{
 	MethodDocByKeyword:     true,
 	MethodGetContent:       true,
 	MethodGetContentStream: true, // each chunk is an independent read
+	MethodContentDigest:    true,
 	MethodObsExport:        true,
 }
 

@@ -20,7 +20,7 @@ func recordWire() (*wiretest.Recorder, error) {
 	var names []string
 	var content *mediastore.ContentRecord
 	var tree, again *mediastore.KeywordNode
-	var tag uint64
+	var tag, digest uint64
 	for _, step := range []func() error{
 		func() (err error) {
 			version, err = db.PutDocument("elg5121.doc", "Multimedia", "asn1", []byte{0x30, 0x03, 0x02, 0x01, 0x07}, "Engineering/ATM")
@@ -33,6 +33,7 @@ func recordWire() (*wiretest.Recorder, error) {
 		func() (err error) { again, _, err = db.GetKeywordTree(tag); return },
 		func() (err error) { names, err = db.GetDocByKeyword("Engineering/ATM"); return },
 		func() (err error) { content, err = db.GetContent("intro/elg5121"); return },
+		func() (err error) { digest, err = db.ContentDigest("intro/elg5121"); return },
 	} {
 		if err := step(); err != nil {
 			return nil, err
@@ -47,24 +48,30 @@ func recordWire() (*wiretest.Recorder, error) {
 	if tree == nil || tag != tree.Digest() || again != nil {
 		return nil, fmt.Errorf("GetKeywordTree(0) = %+v tag %#x, GetKeywordTree(tag) = %+v", tree, tag, again)
 	}
+	if want := mediastore.Digest("mpeg", []byte("frame-bytes")); digest != want {
+		return nil, fmt.Errorf("ContentDigest = %#x, want %#x", digest, want)
+	}
 	return rec, nil
 }
 
-// TestWireGolden compares the request/response payloads of all seven
+// TestWireGolden compares the request/response payloads of all eight
 // db.* stubs (the typed-RPC layout, but for db.GetContent's reply, a
 // content chunk) with testdata/wire.golden; RequestKey must pull the
-// routing key out of each keyed request.
+// routing key out of each keyed request. The fixture was regenerated
+// on purpose when db.ContentDigest was added: its line is the only one
+// that changed.
 func TestWireGolden(t *testing.T) {
 	wire, err := recordWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(wire.Methods()); got != 7 {
-		t.Errorf("%d db.* methods exercised, want all 7", got)
+	if got := len(wire.Methods()); got != 8 {
+		t.Errorf("%d db.* methods exercised, want all 8", got)
 	}
 	keys := map[string]string{
 		MethodPutDoc: "elg5121.doc", MethodGetDoc: "elg5121.doc",
 		MethodPutContent: "intro/elg5121", MethodGetContent: "intro/elg5121",
+		MethodContentDigest: "intro/elg5121",
 	}
 	for _, call := range wire.Calls {
 		argless := call.Method == MethodListDocs

@@ -140,7 +140,7 @@ func (ci *CourseInfo) defaults() error {
 // store or through the wire into a sharded cluster with the same code.
 type CoursewareDB interface {
 	PutDocument(name, title, encoding string, data []byte, keywords ...string) (int, error)
-	production.ContentSink // PutContent
+	production.ContentSink // PutContent, ContentDigest
 	GetContent(ref string) (*mediastore.ContentRecord, error)
 }
 

@@ -10,13 +10,15 @@ import (
 	"mits/internal/transport"
 )
 
-// Handle implements transport.Handler (untraced requests).
+// Handle implements transport.Handler (untraced requests). It stays
+// because bench/ names it.
 func (r *Router) Handle(method string, payload []byte) ([]byte, error) {
 	return r.HandleCtx(obs.SpanContext{}, method, payload)
 }
 
 // HandleCtx implements transport.CtxHandler, for a caller that cannot
 // release: it gets a copy of a relayed response, the pool its buffer.
+// It stays because bench/ names it.
 func (r *Router) HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
 	out, release, err := r.HandleCtxPooled(sc, method, payload)
 	if release != nil {

@@ -34,9 +34,6 @@ func newCountingNode() *countingNode {
 	return n
 }
 
-func (n *countingNode) Call(string, []byte) ([]byte, error) {
-	panic("the router must take the pooled path")
-}
 func (n *countingNode) Close() error { return nil }
 
 func (n *countingNode) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
@@ -221,7 +218,7 @@ func TestRouterRelayReleasesExactlyOnce(t *testing.T) {
 	// router hands it a copy and gives the node's buffer back itself, so
 	// the bytes stay good for as long as the caller likes.
 	blind := transport.Loopback{H: blindHandler{r}}
-	if out, err = blind.Call(transport.MethodGetContent, getContent("store/a.mpg")); err != nil {
+	if out, err = transport.CallInTrace(blind, obs.SpanContext{}, transport.MethodGetContent, getContent("store/a.mpg")); err != nil {
 		t.Fatal(err)
 	}
 	settle("release-blind wrapper", 1)

@@ -55,7 +55,7 @@ var Analyzer = &lint.Analyzer{
 // indefinite blocking I/O. Handle is deliberately absent: it is
 // in-process dispatch, bounded by whatever bounds its caller.
 var blockingNames = map[string]bool{
-	"Call": true,
+	"Call": true, "CallInTracePooled": true,
 	"Read": true, "Write": true,
 	"Send": true, "Recv": true, "Receive": true,
 	"Accept": true, "Wait": true,

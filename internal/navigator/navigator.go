@@ -494,17 +494,24 @@ func (n *Navigator) Bookmark(label string) error {
 
 // ExitCourse stores the stop position and records a session in one
 // call ("some important information such as the stop position of the
-// courseware presentation is to be automatically stored", §5.4).
+// courseware presentation is to be automatically stored", §5.4). The
+// course closes whatever the school answers, a refusal included, so a
+// refused exit cannot keep the next student out; only a transport
+// failure (a CallError that carries no answer of the school) leaves it
+// open, for the exit to be retried.
 func (n *Navigator) ExitCourse() error {
 	if n.student == "" || n.courseCode == "" {
 		return errors.New("navigator: no course in progress")
 	}
 	scene, at := n.CurrentScene()
-	if _, err := n.school.RecordSession(n.student, n.courseCode, scene, at); err != nil {
+	_, err := n.school.RecordSession(n.student, n.courseCode, scene, at)
+	var carrier *transport.CallError
+	var answer *transport.RemoteError
+	if errors.As(err, &carrier) && !errors.As(err, &answer) {
 		return err
 	}
 	n.courseCode = ""
-	return nil
+	return err
 }
 
 // ---- library browsing (Fig 5.7) ----

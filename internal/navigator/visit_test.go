@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mits/internal/cache"
+	"mits/internal/obs"
 	"mits/internal/school"
 	"mits/internal/transport"
 )
@@ -79,7 +80,7 @@ func TestOpenUnknownCourse(t *testing.T) {
 
 // TestExitWithoutEnrollment: a student who opens a course they never
 // enrolled in and leaves it gets the stop position stored and the
-// school's "not enrolled" answer, and the course stays in progress.
+// school's "not enrolled" answer, and the course is closed.
 func TestExitWithoutEnrollment(t *testing.T) {
 	nav, _, sch := buildSchool(t)
 	num, err := nav.Register(school.Profile{Name: "A"})
@@ -99,8 +100,67 @@ func TestExitWithoutEnrollment(t *testing.T) {
 	if err != nil || !found || pos != (school.Position{Scene: scene, At: at}) {
 		t.Errorf("stored position %+v found=%v err=%v, want %s at %v", pos, found, err, scene, at)
 	}
+	if nav.courseCode != "" {
+		t.Errorf("course in progress %q after the refused exit, want none", nav.courseCode)
+	}
+}
+
+// TestRefusedExitLetsTheNextStudentIn: on a shared lab PC, an exit the
+// school refuses still closes the course, so the next login is taken.
+func TestRefusedExitLetsTheNextStudentIn(t *testing.T) {
+	nav, _, sch := buildSchool(t)
+	if _, err := nav.Register(school.Profile{Name: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sch.Register(school.Profile{Name: "B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nav.StartCourse("ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nav.ExitCourse(); err == nil {
+		t.Fatal("the school took the exit of a course nobody enrolled in")
+	}
+	if err := nav.Login(b); err != nil {
+		t.Fatalf("login after a refused exit: %v", err)
+	}
+}
+
+// TestDeadCarrierKeepsTheCourseOpen: an exit that never reached the
+// school leaves the course open, so it can be retried, and the next
+// student waits for it.
+func TestDeadCarrierKeepsTheCourseOpen(t *testing.T) {
+	nav, _, sch := buildSchool(t)
+	mux := transport.NewMux()
+	school.RegisterService(mux, sch)
+	srv := transport.NewTCPServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := transport.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	nav = New(Options{DB: nav.db.C, School: conn})
+	enrolled(t, nav, "A", "ELG5121")
+	if err := nav.StartCourse("ELG5121"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var carrier *transport.CallError
+	if err := nav.ExitCourse(); !errors.As(err, &carrier) {
+		t.Fatalf("exit over a dead carrier: %v, want a *transport.CallError", err)
+	}
 	if nav.courseCode != "ELG5121" {
-		t.Errorf("course in progress %q after the refused exit, want ELG5121", nav.courseCode)
+		t.Errorf("course in progress %q after the lost exit, want ELG5121", nav.courseCode)
+	}
+	if err := nav.Login(nav.student); !errors.Is(err, errCourseOpen) {
+		t.Errorf("login with the lost exit pending: %v, want %v", err, errCourseOpen)
 	}
 }
 
@@ -225,9 +285,9 @@ type callLog struct {
 	log  *[]string
 }
 
-func (l callLog) Call(method string, payload []byte) ([]byte, error) {
+func (l callLog) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	*l.log = append(*l.log, method)
-	return l.next.Call(method, payload) //mits:allow deadlinecheck a test log adds no wait of its own; whatever bounds next bounds this
+	return l.next.CallInTracePooled(sc, method, payload)
 }
 
 func (l callLog) Close() error { return nil }

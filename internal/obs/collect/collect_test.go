@@ -2,7 +2,6 @@ package collect
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,30 +12,34 @@ import (
 	"mits/internal/lint/leaktest"
 	"mits/internal/obs"
 	"mits/internal/transport"
+	"mits/internal/transport/wiretest"
 )
 
-// captureClient records obs.Export payloads.
+// captureClient records the batches of obs.Export calls, decoded by an
+// obs.Export route like the collector's.
 type captureClient struct {
 	mu      sync.Mutex
 	batches []Batch
 	fail    bool
 }
 
-func (c *captureClient) Call(method string, payload []byte) ([]byte, error) {
+func (c *captureClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.fail {
-		return nil, errors.New("collector unreachable")
+		return nil, nil, errors.New("collector unreachable")
 	}
-	if method != transport.MethodObsExport {
-		return nil, fmt.Errorf("unexpected method %s", method)
-	}
-	b, err := decodeBatch(payload)
-	if err != nil {
-		return nil, err
-	}
-	c.batches = append(c.batches, b)
-	return nil, nil
+	return transport.Loopback{H: batchMux(func(b Batch) { c.batches = append(c.batches, b) })}.CallInTracePooled(sc, method, payload)
+}
+
+// batchMux mounts an obs.Export route that hands each batch to add.
+func batchMux(add func(Batch)) *transport.Mux {
+	m := transport.NewMux()
+	transport.Route(m, transport.MethodObsExport, func(b Batch) (struct{}, error) {
+		add(b)
+		return struct{}{}, nil
+	})
+	return m
 }
 
 func (c *captureClient) Close() error { return nil }
@@ -189,13 +192,16 @@ func TestCollectorCloseLeavesNoGoroutine(t *testing.T) {
 
 type blockingClient struct{ blocked chan struct{} }
 
-func (b blockingClient) Call(string, []byte) ([]byte, error) { <-b.blocked; return nil, nil }
-func (b blockingClient) Close() error                        { return nil }
+func (b blockingClient) CallInTracePooled(obs.SpanContext, string, []byte) ([]byte, func(), error) {
+	<-b.blocked
+	return nil, nil, nil
+}
+func (b blockingClient) Close() error { return nil }
 
-// TestBatchWireRoundTrip pins the binary batch codec: every field
-// survives, and malformed payloads (truncation anywhere, a bogus
-// version, an absurd span count) error instead of panicking or
-// over-allocating.
+// TestBatchWireRoundTrip sends a batch the way the exporter does
+// (Invoke) to a collector's route over Loopback: every field reaches
+// the collector's traces unchanged, extremes included, and every
+// truncation of the payload is refused.
 func TestBatchWireRoundTrip(t *testing.T) {
 	in := Batch{Site: "schoolsrv", Spans: []SpanRecord{
 		{Trace: 1, ID: 2, Parent: 3, Name: "db.GetContent", Kind: "client",
@@ -203,29 +209,27 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		{Trace: ^uint64(0), ID: 1, Parent: 0, Name: "", Kind: "server",
 			Site: "store", Err: obs.DeadlineMissPrefix + "3 of 40", StartNS: 1 << 60, DurNS: 0},
 	}}
-	data := appendBatch(nil, in)
-	out, err := decodeBatch(data)
-	if err != nil {
+	col := NewCollector(RetainPolicy{SlowThreshold: time.Nanosecond})
+	mux := transport.NewMux()
+	col.Register(mux)
+	rec := &wiretest.Recorder{Next: transport.Loopback{H: mux}}
+	if err := transport.Invoke(rec, obs.SpanContext{}, transport.MethodObsExport, in, nil); err != nil {
 		t.Fatal(err)
 	}
-	if out.Site != in.Site || len(out.Spans) != len(in.Spans) {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-	for i := range in.Spans {
-		if out.Spans[i] != in.Spans[i] {
-			t.Errorf("span %d = %+v, want %+v", i, out.Spans[i], in.Spans[i])
+	data := rec.Calls[0].Req
+	for cut := range len(data) {
+		if _, _, err := rec.CallInTracePooled(obs.SpanContext{}, transport.MethodObsExport, data[:cut]); err == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(data))
 		}
 	}
-
-	if _, err := decodeBatch(nil); err == nil {
-		t.Error("empty payload decoded without error")
+	col.Sweep(0)
+	if n := len(col.Retained()); n != len(in.Spans) {
+		t.Errorf("collector retained %d traces, want %d", n, len(in.Spans))
 	}
-	if _, err := decodeBatch([]byte{99}); err == nil {
-		t.Error("unknown version decoded without error")
-	}
-	for cut := 1; cut < len(data); cut++ {
-		if _, err := decodeBatch(data[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d decoded without error", cut, len(data))
+	for _, want := range in.Spans {
+		tr := col.Get(obs.TraceID(want.Trace))
+		if tr == nil || len(tr.Spans) != 1 || tr.Spans[0] != want {
+			t.Errorf("trace %x = %+v, want the one span %+v", want.Trace, tr, want)
 		}
 	}
 }

@@ -181,13 +181,9 @@ func (c *Collector) Add(b Batch) {
 // Register mounts the collector's ingest on a transport mux as the
 // obs.Export method.
 func (c *Collector) Register(m *transport.Mux) {
-	m.Register(transport.MethodObsExport, func(_ string, payload []byte) ([]byte, error) {
-		b, err := decodeBatch(payload)
-		if err != nil {
-			return nil, err
-		}
+	transport.Route(m, transport.MethodObsExport, func(b Batch) (struct{}, error) {
 		c.Add(b)
-		return nil, nil
+		return struct{}{}, nil
 	})
 }
 

@@ -15,9 +15,9 @@ import (
 	"mits/internal/transport"
 )
 
-// SpanRecord is one finished span on the wire (the hand-rolled binary
-// format in wire.go). IDs travel as raw uint64 so the record stays
-// flat.
+// SpanRecord is one finished span on the wire (the typed-RPC payload
+// codec, transport.Invoke/Route). IDs travel as raw uint64 so the
+// record stays flat.
 type SpanRecord struct {
 	Trace   uint64
 	ID      uint64
@@ -86,7 +86,6 @@ type Exporter struct {
 	quit    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
-	scratch []byte // encode buffer, owned by the run goroutine
 
 	dropped  *obs.Counter
 	exported *obs.Counter
@@ -190,8 +189,7 @@ func (e *Exporter) ship(batch []SpanRecord) []SpanRecord {
 	site := e.reg.Site() // SetSite may run after the exporter starts
 	for off := 0; off < len(batch); off += e.opts.BatchSize {
 		chunk := batch[off:min(off+e.opts.BatchSize, len(batch))]
-		e.scratch = appendBatch(e.scratch[:0], Batch{Site: site, Spans: chunk})
-		_, err := e.client.Call(transport.MethodObsExport, e.scratch)
+		err := transport.Invoke(e.client, obs.SpanContext{}, transport.MethodObsExport, Batch{Site: site, Spans: chunk}, nil)
 		if err != nil {
 			e.failed.Inc()
 			e.dropped.Add(int64(len(chunk)))

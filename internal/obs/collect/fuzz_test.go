@@ -2,18 +2,23 @@ package collect
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+
+	"mits/internal/obs"
+	"mits/internal/transport"
+	"mits/internal/transport/wiretest"
 )
 
-// FuzzWireDecode hammers the batch wire decoder with hostile payloads:
-// decodeBatch must never panic or over-allocate on corrupt input, and
-// anything it accepts must survive an encode/decode round trip
-// unchanged — the exporter on the far site will only ever see the
-// re-encoded form. Seeds cover the honest shapes (empty batch, mixed
-// spans with shared interned strings, zig-zag-negative timestamps) and
-// the documented rejection paths (empty payload, unknown version,
-// truncated span, absurd span count); the checked-in corpus under
-// testdata/fuzz/FuzzWireDecode replays on every plain `go test` run.
+// FuzzWireDecode throws hostile payloads at a collector's obs.Export
+// route: it must never panic, never allocate more than 32 bytes per
+// input byte (plus 4 KB), and a batch it accepts must survive a trip
+// back through Invoke unchanged — the exporter only ever sends what
+// Invoke encodes. Seeds cover the honest shapes (empty batch, mixed
+// spans sharing strings, negative timestamps), each cut short, and an
+// empty payload, a lone byte and an absurd span count; the checked-in
+// corpus under testdata/fuzz/FuzzWireDecode replays on every plain
+// `go test` run.
 func FuzzWireDecode(f *testing.F) {
 	for _, b := range []Batch{
 		{Site: "edge-a"},
@@ -23,33 +28,47 @@ func FuzzWireDecode(f *testing.F) {
 			{Trace: 0xdeadbeef, ID: 3, Parent: 1, Name: "GetDoc", Kind: "server", Site: "core", StartNS: -7, DurNS: 1},
 		}},
 	} {
-		enc := appendBatch(nil, b)
-		f.Add(enc)
-		if len(enc) > 2 {
-			f.Add(enc[:len(enc)-2]) // truncated mid-span
+		rec := &wiretest.Recorder{Next: transport.Loopback{H: batchMux(func(Batch) {})}}
+		if err := transport.Invoke(rec, obs.SpanContext{}, transport.MethodObsExport, b, nil); err != nil {
+			f.Fatal(err)
 		}
+		enc := rec.Calls[0].Req
+		f.Add(enc)
+		f.Add(enc[:len(enc)-2]) // cut mid-span, or mid-count
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x01})                           // unknown version
-	f.Add([]byte{wireV1, 0, 0xff, 0xff, 0xff, 0xff, 7}) // absurd span count
+	f.Add([]byte{0xff})
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 7}) // absurd span count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeBatch(data)
+		var got []Batch
+		col := transport.Loopback{H: batchMux(func(b Batch) { got = append(got, b) })}
+		call := func() error {
+			_, _, err := col.CallInTracePooled(obs.SpanContext{}, transport.MethodObsExport, data)
+			return err
+		}
+		// TotalAlloc is the process's: only the least of four counts
+		// over the limit fails.
+		limit := 32*uint64(len(data)) + 4<<10
+		var err error
+		for try := 0; ; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = call()
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n <= limit {
+				break
+			} else if try == 3 {
+				t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(data), n, limit)
+			}
+		}
 		if err != nil {
 			return
 		}
-		if uint64(len(b.Spans)) > maxWireSpans {
-			t.Fatalf("decode accepted %d spans (max %d)", len(b.Spans), maxWireSpans)
+		if err := transport.Invoke(col, obs.SpanContext{}, transport.MethodObsExport, got[0], nil); err != nil {
+			t.Fatalf("accepted batch does not travel again: %v", err)
 		}
-		enc := appendBatch(nil, b)
-		b2, err := decodeBatch(enc)
-		if err != nil {
-			t.Fatalf("re-decode of accepted batch: %v", err)
-		}
-		if b2.Spans == nil && b.Spans != nil && len(b.Spans) == 0 {
-			b2.Spans = []SpanRecord{} // len-0 slice vs nil is not a wire difference
-		}
-		if !reflect.DeepEqual(b, b2) {
-			t.Fatalf("round trip changed batch:\n%+v\n%+v", b, b2)
+		if !reflect.DeepEqual(got[0], got[len(got)-1]) {
+			t.Fatalf("round trip changed batch:\n%+v\n%+v", got[0], got[len(got)-1])
 		}
 	})
 }

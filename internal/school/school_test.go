@@ -272,13 +272,6 @@ func TestServiceOverLoopbackAndTCP(t *testing.T) {
 		if _, _, _, err := client.Course(num, "NOPE101"); err == nil || !strings.Contains(err.Error(), ErrNotFound.Error()) {
 			t.Fatalf("unknown course: %v, want %q", err, ErrNotFound)
 		}
-		if err := client.SetResume(num, courses[0].Code, "cells", 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		pos, found, err := client.GetResume(num, courses[0].Code)
-		if err != nil || !found || pos.Scene != "cells" {
-			t.Fatalf("resume %+v found=%v err=%v", pos, found, err)
-		}
 		if err := client.AddBookmark(num, Bookmark{Label: "b"}); err != nil {
 			t.Fatal(err)
 		}

@@ -17,10 +17,15 @@ const (
 	MethodCourse        = "school.Course"
 	MethodEnroll        = "school.Enroll"
 	MethodRecordSession = "school.RecordSession"
-	MethodSetResume     = "school.SetResume"
-	MethodGetResume     = "school.GetResume"
 	MethodAddBookmark   = "school.AddBookmark"
 	MethodStats         = "school.Stats"
+)
+
+// Names of routes no longer mounted. They stay because bench/ names
+// them.
+const (
+	MethodSetResume = "school.SetResume"
+	MethodGetResume = "school.GetResume"
 )
 
 type studentCourseReq struct{ Number, Course string }
@@ -31,10 +36,6 @@ type profileReq struct {
 type resumeSetReq struct {
 	Number, Course string
 	Pos            Position
-}
-type resumeResp struct {
-	Pos   Position
-	Found bool
 }
 
 // courseResp answers school.Course: the course record and the asking
@@ -75,13 +76,6 @@ func RegisterService(m *transport.Mux, s *School) {
 	// refused: it cannot file a zero position over the stored one.
 	transport.Route(m, MethodRecordSession, func(req resumeSetReq) (Registration, error) {
 		return s.RecordSession(req.Number, req.Course, req.Pos)
-	})
-	transport.Route(m, MethodSetResume, func(req resumeSetReq) (struct{}, error) {
-		return struct{}{}, s.SetResume(req.Number, req.Course, req.Pos)
-	})
-	transport.Route(m, MethodGetResume, func(req studentCourseReq) (resumeResp, error) {
-		pos, found, err := s.GetResume(req.Number, req.Course)
-		return resumeResp{Pos: pos, Found: found}, err
 	})
 	transport.Route(m, MethodAddBookmark, func(req bookmarkReq) (struct{}, error) {
 		return struct{}{}, s.AddBookmark(req.Number, req.Bookmark)
@@ -151,18 +145,6 @@ func (c Client) Enroll(number, course string) error {
 func (c Client) RecordSession(number, course, scene string, at time.Duration) (reg Registration, err error) {
 	err = c.invoke(MethodRecordSession, resumeSetReq{Number: number, Course: course, Pos: Position{Scene: scene, At: at}}, &reg)
 	return reg, err
-}
-
-// SetResume stores the stop position.
-func (c Client) SetResume(number, course, scene string, at time.Duration) error {
-	return c.invoke(MethodSetResume, resumeSetReq{Number: number, Course: course, Pos: Position{Scene: scene, At: at}}, nil)
-}
-
-// GetResume retrieves the stored stop position.
-func (c Client) GetResume(number, course string) (Position, bool, error) {
-	var resp resumeResp
-	err := c.invoke(MethodGetResume, studentCourseReq{Number: number, Course: course}, &resp)
-	return resp.Pos, resp.Found, err
 }
 
 // AddBookmark saves a bookmark.

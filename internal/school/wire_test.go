@@ -35,8 +35,6 @@ func recordWire() (*wiretest.Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pos Position
-	var found bool
 	for _, step := range []func() error{
 		func() error { return c.UpdateProfile(num, Profile{Name: "Ada L.", Email: "ada@example.org"}) },
 		func() error { _, err := c.Programs(); return err },
@@ -44,8 +42,6 @@ func recordWire() (*wiretest.Recorder, error) {
 		func() error { _, _, _, err := c.Course(num, "ELG5121"); return err },
 		func() error { return c.Enroll(num, "ELG5121") },
 		func() error { _, err := c.RecordSession(num, "ELG5121", "scene-1", 30*time.Second); return err },
-		func() error { return c.SetResume(num, "ELG5374", "scene-2", 90*time.Second) },
-		func() (err error) { pos, found, err = c.GetResume(num, "ELG5374"); return },
 		func() error {
 			return c.AddBookmark(num, Bookmark{Label: "here", Course: "ELG5121", Scene: "scene-1", At: time.Second})
 		},
@@ -56,28 +52,25 @@ func recordWire() (*wiretest.Recorder, error) {
 			return nil, err
 		}
 	}
-	if !found || pos.Scene != "scene-2" || pos.At != 90*time.Second {
-		return nil, fmt.Errorf("GetResume = %+v, %v", pos, found)
-	}
 	st, err := s.Student(num)
 	if err != nil {
 		return nil, err
 	}
-	if st.Profile.Name != "Ada L." || len(st.Bookmarks) != 1 || len(st.Resume) != 2 {
+	if st.Profile.Name != "Ada L." || len(st.Bookmarks) != 1 || len(st.Resume) != 1 {
 		return nil, fmt.Errorf("Student = %+v", st)
 	}
 	return rec, nil
 }
 
-// TestWireGolden compares the request/response payloads of all twelve
+// TestWireGolden compares the request/response payloads of all ten
 // school.* stubs with testdata/wire.golden.
 func TestWireGolden(t *testing.T) {
 	wire, err := recordWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(wire.Methods()); got != 12 {
-		t.Errorf("%d school.* methods exercised, want all 12", got)
+	if got := len(wire.Methods()); got != 10 {
+		t.Errorf("%d school.* methods exercised, want all 10", got)
 	}
 	for _, call := range wire.Calls {
 		argless := call.Method == MethodPrograms || call.Method == MethodStats
@@ -85,7 +78,7 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s: nil request = %v", call.Method, call.Req == nil)
 		}
 		resultless := call.Method == MethodUpdateProfile || call.Method == MethodEnroll ||
-			call.Method == MethodSetResume || call.Method == MethodAddBookmark || call.Method == MethodLogin
+			call.Method == MethodAddBookmark || call.Method == MethodLogin
 		if resultless != (call.Resp == nil) {
 			t.Errorf("%s: nil response = %v", call.Method, call.Resp == nil)
 		}
@@ -250,7 +243,6 @@ func TestPayloadMatchesGob(t *testing.T) {
 	sameAsGob(t, courseResp{}, courseResp{Course: course, Pos: pos, Found: true})
 	sameAsGob(t, resumeSetReq{}, resumeSetReq{Number: "S1", Course: "ELG5121", Pos: pos})
 	sameAsGob(t, Registration{}, Registration{CourseCode: "ELG5121", SessionsDone: 1})
-	sameAsGob(t, resumeResp{}, resumeResp{Pos: pos, Found: true})
 	sameAsGob(t, bookmarkReq{}, bookmarkReq{Number: "S1", Bookmark: Bookmark{Label: "here", At: time.Minute}})
 	sameAsGob(t, Statistics{}, Statistics{Enrollments: map[string]int{}, Completions: map[string]int{}},
 		Statistics{Students: 2, Courses: 3, Programs: 1, Enrollments: map[string]int{"ELG5374": 1, "ELG5121": 2}, Completions: map[string]int{"ELG5121": 1}})
@@ -275,14 +267,14 @@ func TestRecordSessionRefusesTheOldRequest(t *testing.T) {
 	if err := c.Enroll(num, "ELG5121"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetResume(num, "ELG5121", "scene-2", 90*time.Second); err != nil {
+	if err := s.SetResume(num, "ELG5121", Position{Scene: "scene-2", At: 90 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	var reg Registration
 	if err := transport.Invoke(c.C, obs.SpanContext{}, MethodRecordSession, studentCourseReq{Number: num, Course: "ELG5121"}, &reg); err == nil {
 		t.Errorf("the position-less request was taken: %+v", reg)
 	}
-	pos, found, err := c.GetResume(num, "ELG5121")
+	pos, found, err := s.GetResume(num, "ELG5121")
 	if err != nil || !found || pos != (Position{Scene: "scene-2", At: 90 * time.Second}) {
 		t.Errorf("stored position after the refused request: %+v, %v, %v", pos, found, err)
 	}

@@ -35,7 +35,7 @@ func TestRetryBudgetCapsAmplification(t *testing.T) {
 			defer wg.Done()
 			rc := NewRetryClient(failDialer, policy, seed)
 			defer rc.Close()
-			if _, err := rc.Call(MethodListDocs, nil); err == nil {
+			if _, err := CallInTrace(rc, obs.SpanContext{}, MethodListDocs, nil); err == nil {
 				t.Error("call against a dead dialer succeeded")
 			}
 		}(uint64(i))

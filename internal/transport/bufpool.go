@@ -22,11 +22,10 @@ import (
 //     that payloads do not outlive the call); a pooled response
 //     (PooledCtxHandler) is released at the same point;
 //   - client response buffers are pooled too, but recycling is opt-in:
-//     the pooled call API (CallInTracePooled) hands the caller a
-//     release callback, and a caller that drops it — every plain
-//     Call — simply lets the buffer fall to the GC. putBuf runs
-//     only via release, so an un-released buffer can never be handed
-//     out twice.
+//     the call (CallInTracePooled) hands the caller a release
+//     callback, and a caller that drops it simply lets the buffer fall
+//     to the GC. putBuf runs only via release, so an un-released
+//     buffer can never be handed out twice.
 
 // bufClasses are the pooled capacities. The smallest covers the framed
 // control RPCs (list/keyword calls), the middle ones the typical

@@ -482,7 +482,7 @@ func TestReleaseBlindServeRecycles(t *testing.T) {
 	for name, call := range map[string]func() ([]byte, error){
 		"Mux.Handle":    func() ([]byte, error) { return mux.Handle(MethodGetContent, req) },
 		"Mux.HandleCtx": func() ([]byte, error) { return mux.HandleCtx(obs.SpanContext{}, MethodGetContent, req) },
-		"Loopback.Call": func() ([]byte, error) { return Loopback{H: mux}.Call(MethodGetContent, req) },
+		"CallInTrace":   func() ([]byte, error) { return CallInTrace(Loopback{H: mux}, obs.SpanContext{}, MethodGetContent, req) },
 		"ATM session":   func() ([]byte, error) { return sess.CallOver(MethodGetContent, req) },
 	} {
 		out, err := call()

@@ -232,9 +232,9 @@ func (d DBClient) WithTrace(sc obs.SpanContext) DBClient {
 // the forwarding hook for proxies that route by inspecting the payload
 // rather than re-marshalling it: the cluster router decodes just the
 // routing key and ships the original bytes to the chosen replica, then
-// hands the response and its release (PooledTraceCaller) to its own writer.
+// hands the response and its release to its own writer.
 func (d DBClient) Do(method string, payload []byte) (resp []byte, release func(), err error) {
-	return CallInTracePooled(d.C, d.Trace, method, payload)
+	return d.C.CallInTracePooled(d.Trace, method, payload)
 }
 
 // invoke is the typed call every stub below makes: Invoke under the

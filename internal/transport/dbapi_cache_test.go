@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mits/internal/cache"
+	"mits/internal/obs"
 )
 
 // countingClient wraps a Client and counts upstream calls per method.
@@ -16,11 +17,11 @@ type countingClient struct {
 	calls atomic.Int64
 }
 
-func (c *countingClient) Call(method string, payload []byte) ([]byte, error) {
+func (c *countingClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	if method == MethodGetContent {
 		c.calls.Add(1)
 	}
-	return c.Client.Call(method, payload)
+	return c.Client.CallInTracePooled(sc, method, payload)
 }
 
 // TestDBClientContentCacheHitAvoidsUpstream: the second GetContent for

@@ -55,9 +55,8 @@ type frame struct {
 	// buf, when non-nil, is the pooled backing buffer this frame was
 	// decoded from; releaseFrame returns it for reuse. The server's
 	// request path recycles it after the response is encoded; the
-	// client's response path recycles it only through the pooled call
-	// API's release callback (a plain Call's payload is caller-owned
-	// and falls to the GC).
+	// client's response path recycles it only through the call's
+	// release callback (dropped, the buffer falls to the GC).
 	buf []byte
 }
 
@@ -154,7 +153,7 @@ func unmarshalFrame(data []byte) (*frame, error) {
 // recycles its backing buffer afterwards); a handler that needs the
 // bytes later must copy them. Returning the payload itself (or a slice
 // of it) as the response is fine — the buffer is released only after
-// the response is written.
+// the response is written. It stays because bench/ names it.
 type Handler interface {
 	Handle(method string, payload []byte) ([]byte, error)
 }
@@ -172,7 +171,8 @@ func (f HandlerFunc) Handle(method string, payload []byte) ([]byte, error) {
 // when the request is untraced), so nested work — an internal span, a
 // further RPC to another site — lands in the same trace. The loopback
 // carrier probes for it, for the servers too, and falls back to Handler
-// when absent, so trace-blind handlers keep working unchanged.
+// when absent, so trace-blind handlers keep working unchanged. It stays
+// because bench/ names it.
 type CtxHandler interface {
 	HandleCtx(sc obs.SpanContext, method string, payload []byte) ([]byte, error)
 }
@@ -247,7 +247,7 @@ func (m *Mux) Methods() []string {
 	return names
 }
 
-// Handle implements Handler.
+// Handle implements Handler. It stays because bench/ names it.
 func (m *Mux) Handle(method string, payload []byte) ([]byte, error) {
 	return m.HandleCtx(obs.SpanContext{}, method, payload)
 }
@@ -276,82 +276,61 @@ func (m *Mux) HandleCtxPooled(sc obs.SpanContext, method string, payload []byte)
 	return h(sc, method, payload)
 }
 
-// Client is a synchronous request issuer (TCP and loopback carriers).
-type Client interface {
-	Call(method string, payload []byte) ([]byte, error)
-	Close() error
-}
-
-// TraceCaller is the client-side half of trace propagation: a client
-// that can issue a call whose client span continues an existing trace
-// rather than opening a fresh one. All carriers in this package
-// implement it; the package-level CallInTrace probes for it so callers
-// degrade gracefully over a plain Client.
-type TraceCaller interface {
-	CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error)
-}
-
-// CallInTrace issues a call continuing the trace in sc when the client
-// supports it, falling back to an ordinary (fresh-trace or untraced)
-// Call when it does not. A zero sc behaves exactly like Call on every
-// carrier.
-func CallInTrace(c Client, sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	if tc, ok := c.(TraceCaller); ok {
-		return tc.CallInTrace(sc, method, payload)
-	}
-	return c.Call(method, payload)
-}
-
-// PooledTraceCaller is the optional client interface of the
-// allocation-free decode path: the returned payload may be backed by a
-// pooled buffer that release (when non-nil) recycles. The contract is
-// strict — after release the payload and anything aliasing it are
-// invalid, and release must be called at most once — but opting out is
-// always safe: drop release and the buffer falls to the GC like any
-// other allocation.
+// PooledTraceCaller is the one call of every carrier: issue a request
+// continuing the trace in sc (zero = a fresh trace, or none where the
+// carrier keeps none) and wait for its response. The returned payload
+// may be backed by a pooled buffer that release (when non-nil)
+// recycles. The contract is strict — after release the payload and
+// anything aliasing it are invalid, and release must be called at most
+// once — but opting out is always safe: drop release and the buffer
+// falls to the GC like any other allocation.
 type PooledTraceCaller interface {
 	CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error)
 }
 
-// CallInTracePooled issues a call through the pooled decode path when
-// the client supports it, degrading to CallInTrace (nil release, plain
-// heap payload) when it does not — resilience wrappers and test fakes
-// keep working unchanged, they just skip the recycling.
+// Client is a synchronous request issuer: TCPClient, ClientPool,
+// RetryClient, BreakerClient and Loopback.
+type Client interface {
+	PooledTraceCaller
+	Close() error
+}
+
+// TraceCaller is the release-blind call. No carrier implements it;
+// it stays because bench/ names it.
+type TraceCaller interface {
+	CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error)
+}
+
+// CallInTrace issues a call and hands back a copy of the response the
+// caller owns, the pooled buffer released. It stays because bench/
+// names it.
+func CallInTrace(c Client, sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
+	return unpooled(c.CallInTracePooled(sc, method, payload))
+}
+
+// CallInTracePooled is c's own call. It stays because bench/ names it.
 func CallInTracePooled(c Client, sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-	if pc, ok := c.(PooledTraceCaller); ok {
-		return pc.CallInTracePooled(sc, method, payload)
-	}
-	out, err := CallInTrace(c, sc, method, payload)
-	return out, nil, err
+	return c.CallInTracePooled(sc, method, payload)
 }
 
 // Loopback adapts a Handler into an in-process Client, used by unit
 // tests and by co-located sites (the author site editing against a
-// local database).
+// local database), and the TCP and ATM servers dispatch through it.
 type Loopback struct{ H Handler }
 
-// Call implements Client.
-func (l Loopback) Call(method string, payload []byte) ([]byte, error) {
-	return l.H.Handle(method, payload)
-}
-
-// CallInTrace implements TraceCaller: the context reaches a trace-aware
-// handler directly — no wire hop, no client/server span pair, matching
-// the carrier's in-process nature.
-func (l Loopback) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	if ch, ok := l.H.(CtxHandler); ok {
-		return ch.HandleCtx(sc, method, payload)
-	}
-	return l.H.Handle(method, payload)
-}
-
-// CallInTracePooled implements PooledTraceCaller: a handler's pooled
-// response and its release pass straight through to the caller.
+// CallInTracePooled implements Client: the context reaches a
+// trace-aware handler directly — no wire hop, no client/server span
+// pair, matching the carrier's in-process nature — and a pooled
+// handler's response and its release pass straight through.
 func (l Loopback) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-	if ph, ok := l.H.(PooledCtxHandler); ok {
-		return ph.HandleCtxPooled(sc, method, payload)
+	switch h := l.H.(type) {
+	case PooledCtxHandler:
+		return h.HandleCtxPooled(sc, method, payload)
+	case CtxHandler:
+		out, err := h.HandleCtx(sc, method, payload)
+		return out, nil, err
 	}
-	out, err := l.CallInTrace(sc, method, payload)
+	out, err := l.H.Handle(method, payload)
 	return out, nil, err
 }
 

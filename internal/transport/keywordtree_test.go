@@ -51,7 +51,7 @@ func TestKeywordTreeRoute(t *testing.T) {
 	if root, tag, err := db.GetKeywordTree(wantTag); err != nil || root == nil || tag == wantTag || tag != root.Digest() {
 		t.Errorf("after a publish, have the old tag: %+v under %#x, %v", root, tag, err)
 	}
-	if _, err := c.Call(MethodKeywordTree, []byte{0x01, 0x02}); err == nil {
+	if _, err := CallInTrace(c, obs.SpanContext{}, MethodKeywordTree, []byte{0x01, 0x02}); err == nil {
 		t.Error("a request that is not a payload was served")
 	}
 	if f, u := served("full")-full, served("unchanged")-unchanged; f != 4 || u != 1 {

@@ -104,14 +104,14 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := cli.Call("block", []byte("held"))
+		_, err := CallInTrace(cli, obs.SpanContext{}, "block", []byte("held"))
 		blocked <- err
 	}()
 	waitFor(t, func() bool { return parked.Load() == 1 })
 
 	// Neighbours must complete while "block" is still in flight.
 	for i := 0; i < 8; i++ {
-		out, err := cli.Call("echo", []byte{byte(i)})
+		out, err := CallInTrace(cli, obs.SpanContext{}, "echo", []byte{byte(i)})
 		if err != nil {
 			t.Fatalf("echo %d behind a blocked call: %v", i, err)
 		}
@@ -168,7 +168,7 @@ func TestUnknownCorrelationResponse(t *testing.T) {
 	before := obsUnknownCorr.Value()
 	cli := mustDial(t, ln.Addr().String())
 	defer cli.Close()
-	out, err := cli.Call("echo", []byte("hi"))
+	out, err := CallInTrace(cli, obs.SpanContext{}, "echo", []byte("hi"))
 	if err != nil {
 		t.Fatalf("call after bogus response: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestConnDeathFailsAllInFlight(t *testing.T) {
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
 		go func() {
-			_, err := cli.Call("block", nil)
+			_, err := CallInTrace(cli, obs.SpanContext{}, "block", nil)
 			errs <- err
 		}()
 	}
@@ -258,7 +258,7 @@ func TestInjectedStallDoesNotBlockNeighbors(t *testing.T) {
 	start := time.Now()
 	slowDone := make(chan time.Duration, 1)
 	go func() {
-		if _, err := cli.Call("slow", nil); err != nil {
+		if _, err := CallInTrace(cli, obs.SpanContext{}, "slow", nil); err != nil {
 			t.Errorf("stalled call failed: %v", err)
 		}
 		slowDone <- time.Since(start)
@@ -269,7 +269,7 @@ func TestInjectedStallDoesNotBlockNeighbors(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := cli.Call("echo", nil); err != nil {
+			if _, err := CallInTrace(cli, obs.SpanContext{}, "echo", nil); err != nil {
 				t.Errorf("neighbour failed: %v", err)
 			}
 			for {
@@ -307,7 +307,7 @@ func TestCallTimeoutKeepsConnection(t *testing.T) {
 	defer cli.Close()
 	cli.Timeout = 50 * time.Millisecond
 
-	_, err = cli.Call("block", nil)
+	_, err = CallInTrace(cli, obs.SpanContext{}, "block", nil)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("got %v, want ErrCallTimeout", err)
 	}
@@ -315,7 +315,7 @@ func TestCallTimeoutKeepsConnection(t *testing.T) {
 	close(release) // the late response arrives now, for a call nobody waits on
 	waitFor(t, func() bool { return obsUnknownCorr.Value() > before })
 
-	out, err := cli.Call("echo", []byte("still alive"))
+	out, err := CallInTrace(cli, obs.SpanContext{}, "echo", []byte("still alive"))
 	if err != nil {
 		t.Fatalf("connection unusable after a timeout: %v", err)
 	}
@@ -399,7 +399,7 @@ func TestPipelineStress64(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				want := fmt.Sprintf("g%d-i%d", g, i)
-				out, err := cli.Call("echo", []byte(want))
+				out, err := CallInTrace(cli, obs.SpanContext{}, "echo", []byte(want))
 				if err != nil {
 					t.Errorf("caller %d call %d: %v", g, i, err)
 					return
@@ -435,7 +435,7 @@ func TestCloseDrainsPendingExactlyOnce(t *testing.T) {
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
 		go func() {
-			_, err := cli.Call("block", nil)
+			_, err := CallInTrace(cli, obs.SpanContext{}, "block", nil)
 			errs <- err
 		}()
 	}
@@ -462,7 +462,7 @@ func TestCloseDrainsPendingExactlyOnce(t *testing.T) {
 		}
 	}
 	// And calls issued after Close fail fast with the same typed error.
-	if _, err := cli.Call("echo", nil); !errors.Is(err, ErrPeerClosed) {
+	if _, err := CallInTrace(cli, obs.SpanContext{}, "echo", nil); !errors.Is(err, ErrPeerClosed) {
 		t.Fatalf("post-Close call: got %v, want ErrPeerClosed", err)
 	}
 }
@@ -491,7 +491,7 @@ func TestEnqueueBlockedCallersReleasedOnConnDeath(t *testing.T) {
 	errs := make(chan error, callers)
 	call := func() {
 		defer wg.Done()
-		_, err := c.Call("stalled", nil)
+		_, err := CallInTrace(c, obs.SpanContext{}, "stalled", nil)
 		errs <- err
 	}
 	wg.Add(callers)
@@ -549,7 +549,7 @@ func TestWriteLoopSkipsAbandonedFrames(t *testing.T) {
 
 	live := make(chan error, 1)
 	go func() {
-		_, err := c.Call("live", nil)
+		_, err := CallInTrace(c, obs.SpanContext{}, "live", nil)
 		live <- err
 	}()
 

@@ -30,9 +30,9 @@ import (
 const DefaultPoolConns = 4
 
 // ClientPool stripes calls over a fixed set of TCPClients to one peer.
-// It implements Client, TraceCaller and PooledTraceCaller, so it drops
-// into every place a single TCPClient composes today — DBClient, the
-// breaker/retry stack, the cluster router's per-node clients.
+// It implements Client, so it drops into every place a single
+// TCPClient composes today — DBClient, the breaker/retry stack, the
+// cluster router's per-node clients.
 type ClientPool struct {
 	stripes []*TCPClient
 	next    atomic.Uint64
@@ -92,17 +92,7 @@ func (p *ClientPool) pick() *TCPClient {
 	return best
 }
 
-// Call implements Client on the next stripe.
-func (p *ClientPool) Call(method string, payload []byte) ([]byte, error) {
-	return p.pick().Call(method, payload)
-}
-
-// CallInTrace implements TraceCaller on the next stripe.
-func (p *ClientPool) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	return p.pick().CallInTrace(sc, method, payload)
-}
-
-// CallInTracePooled implements PooledTraceCaller on the next stripe.
+// CallInTracePooled implements Client on the next stripe.
 func (p *ClientPool) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	return p.pick().CallInTracePooled(sc, method, payload)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mits/internal/lint/leaktest"
+	"mits/internal/obs"
 )
 
 // TestPoolStripesRoundRobin pins the striping itself: sequential calls
@@ -24,7 +25,7 @@ func TestPoolStripesRoundRobin(t *testing.T) {
 
 	const calls = 8
 	for i := 0; i < calls; i++ {
-		if _, err := pool.Call("echo", []byte{byte(i)}); err != nil {
+		if _, err := CallInTrace(pool, obs.SpanContext{}, "echo", []byte{byte(i)}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -60,7 +61,7 @@ func TestPoolStripeFailureIsolation(t *testing.T) {
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, err := pool.Call("block", []byte("held"))
+			_, err := CallInTrace(pool, obs.SpanContext{}, "block", []byte("held"))
 			errs <- err
 		}()
 	}
@@ -87,7 +88,7 @@ func TestPoolStripeFailureIsolation(t *testing.T) {
 		t.Fatalf("pool reported dead with 3 live stripes: %v", err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := pool.Call("echo", []byte{byte(i)}); err != nil {
+		if _, err := CallInTrace(pool, obs.SpanContext{}, "echo", []byte{byte(i)}); err != nil {
 			t.Fatalf("call after stripe death: %v", err)
 		}
 	}
@@ -118,7 +119,7 @@ func TestPoolAllStripesDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if _, err := pool.Call("echo", []byte("up")); err != nil {
+	if _, err := CallInTrace(pool, obs.SpanContext{}, "echo", []byte("up")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +133,7 @@ func TestPoolAllStripesDead(t *testing.T) {
 	if !errors.Is(pool.Err(), ErrPeerClosed) {
 		t.Fatalf("all-dead pool reported %v, want ErrPeerClosed", pool.Err())
 	}
-	if _, err := pool.Call("echo", []byte("down")); !errors.Is(err, ErrPeerClosed) {
+	if _, err := CallInTrace(pool, obs.SpanContext{}, "echo", []byte("down")); !errors.Is(err, ErrPeerClosed) {
 		t.Fatalf("call on all-dead pool returned %v, want ErrPeerClosed", err)
 	}
 }

@@ -281,28 +281,11 @@ func NewRetryClient(dial Dialer, policy RetryPolicy, seed uint64) *RetryClient {
 	return &RetryClient{dial: dial, policy: policy.withDefaults(), rng: sim.NewRNG(seed)}
 }
 
-// Call implements Client with the retry loop.
-func (r *RetryClient) Call(method string, payload []byte) ([]byte, error) {
-	out, _, err := r.call(obs.SpanContext{}, method, payload, false)
-	return out, err
-}
-
-// CallInTrace implements TraceCaller: each attempt's client span
-// continues the caller's trace, so retries appear as sibling spans
-// under the same parent.
-func (r *RetryClient) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	out, _, err := r.call(sc, method, payload, false)
-	return out, err
-}
-
-// CallInTracePooled implements PooledTraceCaller with the same retry
-// loop: the release of the winning attempt's response is handed
-// through (nil when the inner carrier does not pool).
+// CallInTracePooled implements Client with the retry loop: each
+// attempt's client span continues the caller's trace, so retries
+// appear as sibling spans under the same parent, and the release of
+// the winning attempt's response is handed through.
 func (r *RetryClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-	return r.call(sc, method, payload, true)
-}
-
-func (r *RetryClient) call(sc obs.SpanContext, method string, payload []byte, pooled bool) ([]byte, func(), error) {
 	p := r.policy
 	var lastErr error
 	for attempt := 1; attempt <= p.Attempts; attempt++ {
@@ -327,13 +310,7 @@ func (r *RetryClient) call(sc obs.SpanContext, method string, payload []byte, po
 			lastErr = fmt.Errorf("%w: %w", ErrDial, err)
 			continue // nothing was sent: always safe to retry
 		}
-		var out []byte
-		var rel func()
-		if pooled {
-			out, rel, err = CallInTracePooled(cl, sc, method, payload)
-		} else {
-			out, err = CallInTrace(cl, sc, method, payload)
-		}
+		out, rel, err := cl.CallInTracePooled(sc, method, payload)
 		if err == nil {
 			if attempt > 1 {
 				obs.GetCounter("transport_retry_recoveries_total", "method", method).Inc()
@@ -587,38 +564,13 @@ func WithBreaker(c Client, b *Breaker) *BreakerClient {
 	return &BreakerClient{c: c, b: b}
 }
 
-// Call implements Client: fast-fail while open, record outcomes.
-func (bc *BreakerClient) Call(method string, payload []byte) ([]byte, error) {
-	return bc.call(obs.SpanContext{}, method, payload)
-}
-
-// CallInTrace implements TraceCaller, threading the trace through to
-// the guarded client.
-func (bc *BreakerClient) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	return bc.call(sc, method, payload)
-}
-
-func (bc *BreakerClient) call(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	if err := bc.b.Allow(); err != nil {
-		return nil, &CallError{Method: method, Err: err}
-	}
-	out, err := CallInTrace(bc.c, sc, method, payload)
-	var remote *RemoteError
-	if err != nil && errors.As(err, &remote) {
-		bc.b.Record(nil)
-	} else {
-		bc.b.Record(err)
-	}
-	return out, err
-}
-
-// CallInTracePooled implements PooledTraceCaller: the pooled path gets
-// the same fast-fail guard and outcome accounting.
+// CallInTracePooled implements Client: fast-fail while open, record
+// outcomes, and thread the trace through to the guarded client.
 func (bc *BreakerClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	if err := bc.b.Allow(); err != nil {
 		return nil, nil, &CallError{Method: method, Err: err}
 	}
-	out, rel, err := CallInTracePooled(bc.c, sc, method, payload)
+	out, rel, err := bc.c.CallInTracePooled(sc, method, payload)
 	var remote *RemoteError
 	if err != nil && errors.As(err, &remote) {
 		bc.b.Record(nil)

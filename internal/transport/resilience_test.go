@@ -11,10 +11,11 @@ import (
 	"time"
 
 	"mits/internal/mediastore"
+	"mits/internal/obs"
 	"mits/internal/sim"
 )
 
-// fakeClient scripts Call outcomes for retry-loop tests.
+// fakeClient scripts call outcomes for retry-loop tests.
 type fakeClient struct {
 	mu     sync.Mutex
 	errs   []error // consumed per call; nil entry = success
@@ -22,19 +23,19 @@ type fakeClient struct {
 	closed int
 }
 
-func (f *fakeClient) Call(method string, _ []byte) ([]byte, error) {
+func (f *fakeClient) CallInTracePooled(obs.SpanContext, string, []byte) ([]byte, func(), error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls++
 	if len(f.errs) == 0 {
-		return []byte("ok"), nil
+		return []byte("ok"), nil, nil
 	}
 	err := f.errs[0]
 	f.errs = f.errs[1:]
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return []byte("ok"), nil
+	return []byte("ok"), nil, nil
 }
 
 func (f *fakeClient) Close() error {
@@ -55,7 +56,7 @@ func TestRetryClientRetriesIdempotentCalls(t *testing.T) {
 	rc := NewRetryClient(func() (Client, error) { return fc, nil },
 		RetryPolicy{Attempts: 3, Sleep: noSleep(&slept)}, 1)
 	defer rc.Close()
-	out, err := rc.Call(MethodListDocs, nil)
+	out, err := CallInTrace(rc, obs.SpanContext{}, MethodListDocs, nil)
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("Call = (%q, %v), want recovery", out, err)
 	}
@@ -73,7 +74,7 @@ func TestRetryClientDoesNotRetryMutations(t *testing.T) {
 	rc := NewRetryClient(func() (Client, error) { return fc, nil },
 		RetryPolicy{Attempts: 3, Sleep: noSleep(&slept)}, 1)
 	defer rc.Close()
-	_, err := rc.Call(MethodPutDoc, nil)
+	_, err := CallInTrace(rc, obs.SpanContext{}, MethodPutDoc, nil)
 	if err == nil {
 		t.Fatal("non-idempotent call was retried to success")
 	}
@@ -100,7 +101,7 @@ func TestRetryClientRetriesDialFailures(t *testing.T) {
 	defer rc.Close()
 	// Dial failures are safe to retry even for mutations: nothing was
 	// ever sent.
-	if _, err := rc.Call(MethodPutDoc, nil); err != nil {
+	if _, err := CallInTrace(rc, obs.SpanContext{}, MethodPutDoc, nil); err != nil {
 		t.Fatalf("call after dial recovery failed: %v", err)
 	}
 	if dials != 3 {
@@ -113,7 +114,7 @@ func TestRetryClientRemoteErrorsKeepConnection(t *testing.T) {
 	rc := NewRetryClient(func() (Client, error) { return fc, nil },
 		RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}}, 1)
 	defer rc.Close()
-	_, err := rc.Call(MethodGetDoc, nil)
+	_, err := CallInTrace(rc, obs.SpanContext{}, MethodGetDoc, nil)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("remote error lost its type: %v", err)
@@ -190,7 +191,7 @@ func TestBreakerClientIgnoresRemoteErrors(t *testing.T) {
 	}}
 	bc := WithBreaker(fc, NewBreaker("peer-b", 2, time.Second))
 	for i := 0; i < 3; i++ {
-		bc.Call(MethodGetDoc, nil) //nolint:errcheck // remote errors are the point
+		CallInTrace(bc, obs.SpanContext{}, MethodGetDoc, nil) //nolint:errcheck // remote errors are the point
 	}
 	if got := bc.b.State(); got != BreakerClosed {
 		t.Fatalf("remote errors tripped the breaker: %v", got)

@@ -424,7 +424,7 @@ func (d DBClient) streamContent(ref string, sink func([]byte) error, retain bool
 		} else {
 			var req []byte
 			if req, err = chunkRequest(ref, idx); err == nil {
-				payload, rel, err = CallInTracePooled(c, d.Trace, MethodGetContentStream, req)
+				payload, rel, err = c.CallInTracePooled(d.Trace, MethodGetContentStream, req)
 			}
 			started++
 		}

@@ -25,7 +25,7 @@ const streamRef = "store/big.mpg"
 func sequentialStream(t *testing.T, c Client, ref string) (data []byte, bounds []int, coding string, keywords []string) {
 	t.Helper()
 	for off := uint64(0); ; {
-		out, err := c.Call(MethodGetContentStream, mustStreamReq(ref, off, DefaultStreamChunkBytes))
+		out, err := CallInTrace(c, obs.SpanContext{}, MethodGetContentStream, mustStreamReq(ref, off, DefaultStreamChunkBytes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +565,7 @@ func TestServerReleasesPooledResponseExactlyOnce(t *testing.T) {
 	}
 	cli := mustDial(t, addr)
 	for i := 1; i <= 3; i++ {
-		if out, err := cli.Call("m", nil); err != nil || string(out) != "pooled" {
+		if out, err := CallInTrace(cli, obs.SpanContext{}, "m", nil); err != nil || string(out) != "pooled" {
 			t.Fatalf("call = (%q, %v)", out, err)
 		}
 		// The release ran before the response was flushed.
@@ -616,7 +616,7 @@ func TestServerReleasesPooledResponseExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli = mustDial(t, addr)
-	if out, err := cli.Call("m", nil); err != nil || string(out) != "pooled" {
+	if out, err := CallInTrace(cli, obs.SpanContext{}, "m", nil); err != nil || string(out) != "pooled" {
 		t.Fatalf("call through the wrapper = (%q, %v)", out, err)
 	}
 	cli.Close()

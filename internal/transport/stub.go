@@ -271,7 +271,7 @@ func Invoke(c Client, sc obs.SpanContext, method string, req, resp any) error {
 			return err
 		}
 	}
-	out, release, err := CallInTracePooled(c, sc, method, payload)
+	out, release, err := c.CallInTracePooled(sc, method, payload)
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,8 @@ import (
 	"mits/internal/obs"
 )
 
-// pooledFake is a PooledTraceCaller that answers every call with resp
-// (or err) and counts how often the release it hands out is called.
+// pooledFake is a Client that answers every call with resp (or err)
+// and counts how often the release it hands out is called.
 type pooledFake struct {
 	resp     []byte
 	err      error
@@ -16,8 +16,7 @@ type pooledFake struct {
 	releases int
 }
 
-func (f *pooledFake) Call(string, []byte) ([]byte, error) { panic("Invoke must take the pooled path") }
-func (f *pooledFake) Close() error                        { return nil }
+func (f *pooledFake) Close() error { return nil }
 func (f *pooledFake) CallInTracePooled(sc obs.SpanContext, _ string, _ []byte) ([]byte, func(), error) {
 	f.sc = sc
 	if f.err != nil {

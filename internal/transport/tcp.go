@@ -461,7 +461,7 @@ func (s *TCPServer) Close() error {
 
 // TCPClient is the client module embedded in the navigator (§5.3.2),
 // upgraded from the thesis's one-call-at-a-time Client() routine into a
-// multiplexed, pipelined client: any number of goroutines may Call
+// multiplexed, pipelined client: any number of goroutines may call
 // concurrently over the one connection, each call carrying a
 // correlation ID that a writer goroutine serializes onto the wire and
 // a reader goroutine matches back out of order. The pending-call map
@@ -473,7 +473,7 @@ type TCPClient struct {
 	// on a slow or dead peer forever. A timed-out call abandons its
 	// pending entry; the connection stays usable, a frame still queued
 	// behind the writer is dropped unwritten, and a late response is
-	// discarded by correlation ID. Set before the first Call.
+	// discarded by correlation ID. Set before the first call.
 	Timeout time.Duration
 
 	conn    net.Conn
@@ -556,36 +556,16 @@ func NewTCPClient(conn net.Conn) *TCPClient {
 	return c
 }
 
-// Call implements Client: issue a request, wait for its response —
-// like every synchronous variant below, start-then-wait. Safe for
-// concurrent use; calls pipeline onto the one connection.
-// Every call opens a fresh trace whose IDs ride the frame header, so
-// the server's span lands in the same trace as the client's. The
-// returned payload is caller-owned: its backing buffer is simply left
-// to the GC (never recycled), so holding it forever is safe.
-func (c *TCPClient) Call(method string, payload []byte) ([]byte, error) {
-	return c.CallInTrace(obs.SpanContext{}, method, payload)
-}
-
-// CallInTrace implements TraceCaller: the client span continues the
-// trace in sc (parented under sc.Parent) instead of opening a fresh
-// one, so a server handling a request can fan out to another site
-// within the same trace. A caller that wants to know which trace its
-// call travelled under opens the root span itself and passes its
-// context. A zero sc opens a fresh trace, like Call.
-func (c *TCPClient) CallInTrace(sc obs.SpanContext, method string, payload []byte) ([]byte, error) {
-	out, _, err := c.start(sc, method, payload).wait()
-	return out, err
-}
-
-// CallInTracePooled implements PooledTraceCaller: CallInTrace for the
-// allocation-free decode path. The returned payload is backed by a
-// pooled frame buffer, and release (when non-nil) recycles it. The
-// caller must not touch the payload — or anything aliasing it — after
-// calling release, and must not call release twice; callers that
-// decode-and-drop (Invoke into a typed struct) release immediately after
-// decoding. Dropping release instead of calling it is always safe: the
-// buffer just falls to the GC.
+// CallInTracePooled implements Client: issue a request, wait for its
+// response. Safe for concurrent use; calls pipeline onto the one
+// connection. The client span continues the trace in sc (parented
+// under sc.Parent), or opens a fresh one when sc is zero; its IDs ride
+// the frame header, so the server's span lands in the same trace and a
+// server handling a request can fan out to another site within it.
+// The returned payload is backed by a pooled frame buffer that release
+// (when non-nil) recycles: the caller must not touch the payload — or
+// anything aliasing it — after calling release, and must not call it
+// twice. Dropping release is always safe: the buffer falls to the GC.
 func (c *TCPClient) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
 	out, resp, err := c.start(sc, method, payload).wait()
 	return out, poolRelease(resp), err
@@ -793,9 +773,9 @@ func (c *TCPClient) writeLoop() {
 // readLoop is the reader-dispatch goroutine: it decodes response
 // frames as they arrive — in whatever order the server completed them
 // — and hands each to its pending call by correlation ID. Response
-// bodies come from the frame pool: a caller using the pooled API
-// recycles the buffer when done decoding, a plain Call lets it fall to
-// the GC (putBuf is never called on it, so the pool stays coherent
+// bodies come from the frame pool: a caller that calls release
+// recycles the buffer when done decoding, one that drops it lets it
+// fall to the GC (putBuf is never called on it, so the pool stays coherent
 // either way). Frames nobody is waiting for are recycled on the spot.
 // A read or decode failure is connection-fatal.
 func (c *TCPClient) readLoop() {

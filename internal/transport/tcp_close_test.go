@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mits/internal/lint/leaktest"
+	"mits/internal/obs"
 )
 
 func echoHandler() Handler {
@@ -86,7 +87,7 @@ func TestTCPServerCloseDrainsConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients[i] = c
-		if got, err := c.Call("echo", []byte("ping")); err != nil || string(got) != "ping" {
+		if got, err := CallInTrace(c, obs.SpanContext{}, "echo", []byte("ping")); err != nil || string(got) != "ping" {
 			t.Fatalf("Call = %q, %v", got, err)
 		}
 	}
@@ -96,7 +97,7 @@ func TestTCPServerCloseDrainsConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range clients {
-		if _, err := c.Call("echo", nil); err == nil {
+		if _, err := CallInTrace(c, obs.SpanContext{}, "echo", nil); err == nil {
 			t.Error("Call succeeded against a closed server")
 		}
 		if err := c.Close(); err != nil {

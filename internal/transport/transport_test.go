@@ -313,7 +313,7 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := client.Call("x", nil); err == nil {
+	if _, err := CallInTrace(client, obs.SpanContext{}, "x", nil); err == nil {
 		t.Error("call on closed server succeeded")
 	}
 	client.Close()
@@ -473,11 +473,27 @@ func TestLoopbackErrorPropagation(t *testing.T) {
 	mux.Register("boom", func(string, []byte) ([]byte, error) {
 		return nil, errors.New("kaput")
 	})
-	if _, err := (Loopback{H: mux}).Call("boom", nil); err == nil || !strings.Contains(err.Error(), "kaput") {
+	if _, err := CallInTrace(Loopback{H: mux}, obs.SpanContext{}, "boom", nil); err == nil || !strings.Contains(err.Error(), "kaput") {
 		t.Errorf("err=%v", err)
 	}
 	if err := (Loopback{}).Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCarriersHaveOneCall: each of the five carriers is a Client, and
+// none keeps a second, release-blind call beside CallInTracePooled.
+func TestCarriersHaveOneCall(t *testing.T) {
+	type plainCaller interface {
+		Call(method string, payload []byte) ([]byte, error)
+	}
+	for _, c := range []Client{&TCPClient{}, &ClientPool{}, &RetryClient{}, &BreakerClient{}, Loopback{}} {
+		if _, ok := c.(TraceCaller); ok {
+			t.Errorf("%T has CallInTrace", c)
+		}
+		if _, ok := c.(plainCaller); ok {
+			t.Errorf("%T has Call", c)
+		}
 	}
 }
 

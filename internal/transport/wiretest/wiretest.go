@@ -14,6 +14,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"mits/internal/obs"
 )
 
 // Exchange is one recorded call. A nil payload stays nil (argument-less
@@ -24,21 +26,22 @@ type Exchange struct {
 }
 
 // Recorder is a transport.Client that forwards to Next and records the
-// payloads. It implements only the plain Client surface, so stubs reach
-// it through the CallInTracePooled fallback chain. Not safe for
-// concurrent use.
+// payloads. Next is the transport's one call, declared here because
+// this package may not import the transport. Not safe for concurrent
+// use.
 type Recorder struct {
 	Next interface {
-		Call(string, []byte) ([]byte, error)
+		CallInTracePooled(obs.SpanContext, string, []byte) ([]byte, func(), error)
 	}
 	Calls []Exchange
 }
 
-// Call implements transport.Client.
-func (r *Recorder) Call(method string, payload []byte) ([]byte, error) {
-	out, err := r.Next.Call(method, payload) //mits:allow deadlinecheck a test recorder adds no wait of its own; whatever bounds Next bounds this
+// CallInTracePooled implements transport.Client. The recorded copies
+// are taken before the response and its release are handed on.
+func (r *Recorder) CallInTracePooled(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
+	out, release, err := r.Next.CallInTracePooled(sc, method, payload) //mits:allow deadlinecheck a test recorder adds no wait of its own; whatever bounds Next bounds this
 	r.Calls = append(r.Calls, Exchange{Method: method, Req: clone(payload), Resp: clone(out)})
-	return out, err
+	return out, release, err
 }
 
 // Close implements transport.Client.

@@ -119,7 +119,7 @@ func main() {
 	var colSrv *transport.TCPServer
 	var mountViews func(*http.ServeMux)
 	if *collectAddr != "" {
-		col = collect.NewCollector(collect.RetainPolicy{})
+		col = collect.NewCollector()
 		mountViews = col.Mount
 		colMux := transport.NewMux()
 		col.Register(colMux)
@@ -128,7 +128,7 @@ func main() {
 		if err != nil {
 			fatal(logger, "collector listen", err)
 		}
-		col.Start(time.Second)
+		col.Start()
 		logger.Info("trace collector up", "addr", colBound)
 	}
 
@@ -146,7 +146,7 @@ func main() {
 	// obs_export_dropped_total.
 	var exporter *collect.Exporter
 	if *exportAddr != "" {
-		exporter = collect.StartExporter(obs.Default, collect.Dial(*exportAddr), collect.ExporterOptions{})
+		exporter = collect.StartExporter(obs.Default, collect.Dial(*exportAddr))
 		logger.Info("span export up", "collector", *exportAddr)
 	}
 	logger.Info("serving", "addr", bound)

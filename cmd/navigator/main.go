@@ -83,7 +83,7 @@ func main() {
 	// of every trace — shipping them to the deployment's collector is
 	// what lets a slow request be blamed on the right site.
 	if *exportAddr != "" {
-		exporter := collect.StartExporter(obs.Default, collect.Dial(*exportAddr), collect.ExporterOptions{})
+		exporter := collect.StartExporter(obs.Default, collect.Dial(*exportAddr))
 		defer exporter.Close()
 		fmt.Printf("exporting spans to %s\n", *exportAddr)
 	}

@@ -30,14 +30,7 @@ func BenchmarkE31ClusterAvailability(b *testing.B) {
 		seedCourses = 8
 	)
 	nodes := make([][]*StoreNode, shards)
-	cfg := Config{
-		Policy: transport.RetryPolicy{
-			Attempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
-		},
-		BreakerThreshold: 3,
-		BreakerCooldown:  60 * time.Millisecond,
-		Seed:             0xE31BE,
-	}
+	cfg := Config{Seed: 0xE31BE} // the retry and breaker stack mitsd -cluster runs
 	for i := 0; i < shards; i++ {
 		var sc ShardConfig
 		for j := 0; j < replicas; j++ {

@@ -75,16 +75,6 @@ type ShardConfig struct {
 type Config struct {
 	Shards []ShardConfig
 
-	// Policy is the per-replica retry policy. Its Budget, when nil, is
-	// replaced by a shared cluster-wide budget so that N replicas
-	// failing over together stay inside one token bucket.
-	Policy transport.RetryPolicy
-
-	// Breaker tuning per replica; zero values take the transport
-	// defaults (5 failures, 500ms cooldown).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	// Seed fixes every replica client's retry-jitter stream, so chaos
 	// runs replay deterministically.
 	Seed uint64
@@ -159,16 +149,16 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
 	}
-	policy := cfg.Policy
-	if policy.Budget == nil {
-		// Default storm control: a burst of two retries per replica,
-		// refilling at one per replica per second.
-		n := 0
-		for _, s := range cfg.Shards {
-			n += len(s.Replicas)
+	n := 0
+	for i, sc := range cfg.Shards {
+		if len(sc.Replicas) == 0 {
+			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
 		}
-		policy.Budget = transport.NewRetryBudget(float64(2*n), float64(n))
+		n += len(sc.Replicas)
 	}
+	// Storm control: a burst of two retries per replica, refilling at
+	// one per replica per second, shared by every replica client.
+	policy := transport.RetryPolicy{Budget: transport.NewRetryBudget(float64(2*n), float64(n))}
 	r := &Router{
 		ring:          newRing(len(cfg.Shards)),
 		budget:        policy.Budget,
@@ -178,9 +168,6 @@ func New(cfg Config) (*Router, error) {
 		shardsFailed:  obs.GetGauge("cluster_search_shards_failed"),
 	}
 	for i, sc := range cfg.Shards {
-		if len(sc.Replicas) == 0 {
-			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
-		}
 		sh := &shard{index: i}
 		var appliers []*applier
 		for j, rc := range sc.Replicas {
@@ -192,8 +179,7 @@ func New(cfg Config) (*Router, error) {
 					name = fmt.Sprintf("shard%d/replica%d", i, j)
 				}
 			}
-			db, br := transport.NewResilientDBClient(name, rc.Dial, policy,
-				cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed+uint64(i*101+j))
+			db, br := transport.NewResilientDBClient(name, rc.Dial, policy, cfg.Seed+uint64(i*101+j))
 			rep := &Replica{Name: name, DB: db, Breaker: br}
 			if j == 0 {
 				sh.primary = rep

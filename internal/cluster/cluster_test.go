@@ -8,31 +8,18 @@ import (
 	"time"
 
 	"mits/internal/faults"
+	"mits/internal/lint/leaktest"
 	"mits/internal/mediastore"
 	"mits/internal/obs"
 	"mits/internal/transport"
 )
-
-// testPolicy keeps retries fast and bounded for in-process chaos.
-func testPolicy() transport.RetryPolicy {
-	return transport.RetryPolicy{
-		Attempts:    2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
-	}
-}
 
 // testCluster spins up shards*replicas store nodes and a router over
 // them. nodes[i][j] is shard i's j-th node, j==0 the primary.
 func testCluster(t *testing.T, shards, replicasPerShard int) (*Router, [][]*StoreNode) {
 	t.Helper()
 	nodes := make([][]*StoreNode, shards)
-	cfg := Config{
-		Policy:           testPolicy(),
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-		Seed:             0x5EED,
-	}
+	cfg := Config{Seed: 0x5EED}
 	for i := 0; i < shards; i++ {
 		var sc ShardConfig
 		for j := 0; j < replicasPerShard; j++ {
@@ -460,7 +447,7 @@ func TestRouterSharesRetryBudget(t *testing.T) {
 
 // TestSpecParsing pins the -cluster topology grammar.
 func TestSpecParsing(t *testing.T) {
-	shards, err := ParseSpec("a:1,b:2 ; c:3", time.Second)
+	shards, err := ParseSpec("a:1,b:2 ; c:3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,10 +457,23 @@ func TestSpecParsing(t *testing.T) {
 	if shards[0].Replicas[0].Name != "shard0/primary@a:1" {
 		t.Fatalf("primary name = %q", shards[0].Replicas[0].Name)
 	}
-	if _, err := ParseSpec("a:1,,b:2", time.Second); err == nil {
+	if _, err := ParseSpec("a:1,,b:2"); err == nil {
 		t.Fatal("empty replica address accepted")
 	}
-	if _, err := ParseSpec("  ", time.Second); err == nil {
+	if _, err := ParseSpec("  "); err == nil {
 		t.Fatal("blank spec accepted")
+	}
+}
+
+// TestNewRefusesAnEmptyShardStartingNothing: a topology whose second
+// shard has no replicas is refused before the first shard's
+// replication appliers start, so none is left running.
+func TestNewRefusesAnEmptyShardStartingNothing(t *testing.T) {
+	leaktest.Check(t)
+	dial := func() (transport.Client, error) { return nil, errors.New("never dialed") }
+	p, rep := ReplicaConfig{Name: "p", Dial: dial}, ReplicaConfig{Name: "r", Dial: dial}
+	if r, err := New(Config{Shards: []ShardConfig{{Replicas: []ReplicaConfig{p, rep}}, {}}}); err == nil {
+		r.Close()
+		t.Fatal("a shard without replicas was accepted")
 	}
 }

@@ -104,7 +104,7 @@ func relayCluster(t *testing.T) (*Router, []*countingNode) {
 		nodes = append(nodes, n)
 		sc.Replicas = append(sc.Replicas, ReplicaConfig{Dial: func() (transport.Client, error) { return n, nil }})
 	}
-	r, err := New(Config{Shards: []ShardConfig{sc}, Policy: testPolicy()})
+	r, err := New(Config{Shards: []ShardConfig{sc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestContentDigestAsksThePrimary(t *testing.T) {
 		}
 		sc.Replicas = append(sc.Replicas, ReplicaConfig{Dial: func() (transport.Client, error) { return c, nil }})
 	}
-	r, err := New(Config{Shards: []ShardConfig{sc}, Policy: testPolicy()})
+	r, err := New(Config{Shards: []ShardConfig{sc}})
 	if err != nil {
 		t.Fatal(err)
 	}

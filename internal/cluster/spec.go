@@ -17,9 +17,13 @@ import (
 //
 // describes two shards of one primary and one read replica each.
 
+// nodeCallTimeout bounds each dial and call the front door makes to a
+// store node.
+const nodeCallTimeout = 2 * time.Second
+
 // ParseSpec parses a topology string into shard configurations that
-// dial each address over TCP.
-func ParseSpec(spec string, callTimeout time.Duration) ([]ShardConfig, error) {
+// dial each address over TCP with nodeCallTimeout.
+func ParseSpec(spec string) ([]ShardConfig, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, fmt.Errorf("cluster: empty topology spec")
@@ -38,7 +42,7 @@ func ParseSpec(spec string, callTimeout time.Duration) ([]ShardConfig, error) {
 			}
 			sc.Replicas = append(sc.Replicas, ReplicaConfig{
 				Name: fmt.Sprintf("shard%d/%s@%s", i, role, addr),
-				Dial: TCPDialer(addr, callTimeout),
+				Dial: TCPDialer(addr, nodeCallTimeout),
 			})
 		}
 		shards = append(shards, sc)
@@ -47,10 +51,9 @@ func ParseSpec(spec string, callTimeout time.Duration) ([]ShardConfig, error) {
 }
 
 // NewTCPRouter builds a router over a -cluster topology string, each
-// replica reached through its own resilient TCP client stack with the
-// resilience layer's defaults and a 2s call timeout.
+// replica reached through its own resilient TCP client stack.
 func NewTCPRouter(spec string) (*Router, error) {
-	shards, err := ParseSpec(spec, 2*time.Second)
+	shards, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -70,8 +70,6 @@ type Navigator struct {
 type Options struct {
 	DB     transport.Client
 	School transport.Client
-	// Capabilities defaults to DefaultCapabilities().
-	Capabilities *Capabilities
 	// ContentCache, when non-nil, serves the playback path's repeated
 	// content fetches (scene replays, shared stills, the engine's
 	// resolver) from local memory with singleflight dedup, and keeps
@@ -90,9 +88,6 @@ func New(opts Options) *Navigator {
 		school:     school.Client{C: opts.School},
 		sceneRoots: make(map[string]mheg.ID),
 		caps:       DefaultCapabilities(),
-	}
-	if opts.Capabilities != nil {
-		n.caps = *opts.Capabilities
 	}
 	n.resetEngine(nil)
 	return n

@@ -495,11 +495,14 @@ func TestDescriptorNegotiationBlocksIncapableSites(t *testing.T) {
 		transport.RegisterStore(dbMux, store)
 		schMux := transport.NewMux()
 		school.RegisterService(schMux, sch)
-		return New(Options{
-			DB:           transport.Loopback{H: dbMux},
-			School:       transport.Loopback{H: schMux},
-			Capabilities: caps,
+		n := New(Options{
+			DB:     transport.Loopback{H: dbMux},
+			School: transport.Loopback{H: schMux},
 		})
+		if caps != nil {
+			n.caps = *caps
+		}
+		return n
 	}
 
 	// A capable site starts fine (defaults).

@@ -58,7 +58,7 @@ func TestExporterShipsFinishedSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetSite("navigator")
 	cap := &captureClient{}
-	e := StartExporter(reg, cap, ExporterOptions{})
+	e := StartExporter(reg, cap)
 	defer e.Close()
 
 	sp := reg.StartSpan("db.GetContent", "client")
@@ -89,7 +89,7 @@ func TestExporterShipsFinishedSpans(t *testing.T) {
 func TestExporterFiltersOwnExportSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	cap := &captureClient{}
-	e := StartExporter(reg, cap, ExporterOptions{})
+	e := StartExporter(reg, cap)
 	defer e.Close()
 
 	reg.StartSpan(transport.MethodObsExport, "client").End(nil)
@@ -114,7 +114,7 @@ func TestExporterBatchSiteDefaultsToRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetSite("schoolsrv")
 	cap := &captureClient{}
-	e := StartExporter(reg, cap, ExporterOptions{})
+	e := StartExporter(reg, cap)
 	defer e.Close()
 
 	reg.StartSpan("op", "client").End(nil)
@@ -134,22 +134,27 @@ func TestExporterBatchSiteDefaultsToRegistry(t *testing.T) {
 }
 
 func TestExporterNeverBlocksAndCountsDrops(t *testing.T) {
+	leaktest.Check(t)
 	reg := obs.NewRegistry()
-	// A client that blocks forever would back the export goroutine up;
-	// the hot path must still complete instantly and count the drops.
-	blocked := make(chan struct{})
-	defer close(blocked)
-	cl := transport.Client(blockingClient{blocked})
-	e := StartExporter(reg, cl, ExporterOptions{QueueDepth: 4, BatchSize: 1000, FlushInterval: time.Hour})
-	defer func() {
-		// Detach the sink without waiting for the blocked client.
-		reg.SetSpanSink(nil)
+	// A client that blocks would back the export goroutine up; the hot
+	// path must still complete instantly and count the drops.
+	cl := blockingClient{entered: make(chan struct{}, 1), blocked: make(chan struct{})}
+	e := StartExporter(reg, cl)
+	// Park the export goroutine inside its client with one span, so no
+	// tick drains the queue while it fills.
+	reg.StartSpan("op", "client").End(nil)
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		e.Flush()
 	}()
+	<-cl.entered
 
+	const over = 100
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 100; i++ {
+		for i := 0; i < 8192+over; i++ {
 			reg.StartSpan("op", "client").End(nil)
 		}
 	}()
@@ -158,10 +163,14 @@ func TestExporterNeverBlocksAndCountsDrops(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Span.End blocked behind a stuck exporter")
 	}
-	if d := reg.Counter("obs_export_dropped_total").Value(); d < 90 {
-		t.Errorf("dropped = %d, want >= 90 (queue depth 4, 100 spans, stuck export)", d)
+	if d := reg.Counter("obs_export_dropped_total").Value(); d != over {
+		t.Errorf("dropped = %d, want %d (8192 queued while the export is stuck)", d, over)
 	}
-	_ = e // leaked goroutine is reclaimed at process exit; Close would block on the stuck client
+	close(cl.blocked)
+	<-flushed
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestExporterCloseLeavesNoGoroutine: the export loop exits on Close,
@@ -170,7 +179,7 @@ func TestExporterCloseLeavesNoGoroutine(t *testing.T) {
 	leaktest.Check(t)
 	reg := obs.NewRegistry()
 	cap := &captureClient{}
-	e := StartExporter(reg, cap, ExporterOptions{FlushInterval: time.Millisecond})
+	e := StartExporter(reg, cap)
 	reg.StartSpan("op", "client").End(nil)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -183,16 +192,22 @@ func TestExporterCloseLeavesNoGoroutine(t *testing.T) {
 // TestCollectorCloseLeavesNoGoroutine: the sweeper exits on Close.
 func TestCollectorCloseLeavesNoGoroutine(t *testing.T) {
 	leaktest.Check(t)
-	c := NewCollector(RetainPolicy{})
-	c.Start(time.Millisecond)
+	c := NewCollector()
+	c.Start()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-type blockingClient struct{ blocked chan struct{} }
+// blockingClient signals entered on each call and holds it until
+// blocked closes.
+type blockingClient struct{ entered, blocked chan struct{} }
 
 func (b blockingClient) CallInTracePooled(obs.SpanContext, string, []byte) ([]byte, func(), error) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
 	<-b.blocked
 	return nil, nil, nil
 }
@@ -209,7 +224,7 @@ func TestBatchWireRoundTrip(t *testing.T) {
 		{Trace: ^uint64(0), ID: 1, Parent: 0, Name: "", Kind: "server",
 			Site: "store", Err: obs.DeadlineMissPrefix + "3 of 40", StartNS: 1 << 60, DurNS: 0},
 	}}
-	col := NewCollector(RetainPolicy{SlowThreshold: time.Nanosecond})
+	col := NewCollector()
 	mux := transport.NewMux()
 	col.Register(mux)
 	rec := &wiretest.Recorder{Next: transport.Loopback{H: mux}}
@@ -243,7 +258,7 @@ func mkspan(trace, id, parent uint64, name, kind, site string, start, dur time.D
 }
 
 func TestCollectorAssemblyAndCriticalPath(t *testing.T) {
-	c := NewCollector(RetainPolicy{SlowThreshold: 50 * time.Millisecond, SampleRate: 0})
+	c := NewCollector()
 	// navigator client (100ms) → edge server (90ms) → edge client (80ms)
 	// → store server (75ms): the store hop owns the latency.
 	c.Add(Batch{Spans: []SpanRecord{
@@ -288,20 +303,25 @@ func TestCollectorAssemblyAndCriticalPath(t *testing.T) {
 }
 
 func TestCollectorTailSampling(t *testing.T) {
-	c := NewCollector(RetainPolicy{SlowThreshold: time.Hour, SampleRate: 0})
+	c := NewCollector()
+	sampledOut := obs.GetCounter("obs_collector_sampled_out_total")
+	before := sampledOut.Value()
 	add := func(trace uint64, err string, dur time.Duration) {
 		rec := mkspan(trace, 1, 0, "op", "client", "n", 0, dur)
 		rec.Err = err
 		c.Add(Batch{Spans: []SpanRecord{rec}})
 	}
-	add(1, "", time.Millisecond)                        // ordinary → sampled out
+	add(1, "", 99*time.Millisecond)                     // ordinary → sampled out
 	add(2, "connection refused", time.Millisecond)      // error → kept
 	add(3, obs.DeadlineMissPrefix+"3 of 40", time.Hour) // deadline → kept, wins over slow
-	add(4, "", 2*time.Hour)                             // slow → kept
+	add(4, "", 100*time.Millisecond)                    // slow → kept
 	c.Sweep(0)
 
 	if tr := c.Get(obs.TraceID(1)); tr != nil {
-		t.Errorf("ordinary trace retained with SampleRate 0 (reason %q)", tr.Reason)
+		t.Errorf("ordinary 99ms trace retained (reason %q)", tr.Reason)
+	}
+	if got := sampledOut.Value() - before; got != 1 {
+		t.Errorf("obs_collector_sampled_out_total moved by %d, want 1", got)
 	}
 	for id, want := range map[uint64]string{2: "error", 3: "deadline", 4: "slow"} {
 		tr := c.Get(obs.TraceID(id))
@@ -313,23 +333,15 @@ func TestCollectorTailSampling(t *testing.T) {
 			t.Errorf("trace %d reason = %q, want %q", id, tr.Reason, want)
 		}
 	}
-
-	// SampleRate 1 keeps everything.
-	c2 := NewCollector(RetainPolicy{SlowThreshold: time.Hour, SampleRate: 1})
-	c2.Add(Batch{Spans: []SpanRecord{mkspan(9, 1, 0, "op", "client", "n", 0, time.Millisecond)}})
-	c2.Sweep(0)
-	if tr := c2.Get(obs.TraceID(9)); tr == nil || tr.Reason != "sampled" {
-		t.Errorf("SampleRate 1 trace = %+v, want reason sampled", tr)
-	}
 }
 
 // TestCollectorStragglerMergesIntoRetained is the regression for a
 // late export retry (the 2s call timeout outlives the 1s
-// CompleteAfter) re-finalizing an already-retained trace: the
+// completeAfter) re-finalizing an already-retained trace: the
 // straggler's spans alone must never replace the complete tree —
 // re-finalize merges, so a retained trace only ever gains spans.
 func TestCollectorStragglerMergesIntoRetained(t *testing.T) {
-	c := NewCollector(RetainPolicy{SlowThreshold: 50 * time.Millisecond, SampleRate: 0})
+	c := NewCollector()
 	c.Add(Batch{Spans: []SpanRecord{
 		mkspan(7, 1, 0, "db.GetContent", "client", "navigator", 0, 100*time.Millisecond),
 		mkspan(7, 2, 1, "db.GetContent", "server", "store", time.Millisecond, 90*time.Millisecond),
@@ -368,7 +380,7 @@ func TestCollectorStragglerMergesIntoRetained(t *testing.T) {
 // TestCollectorStragglerUpgradesReason: when the late spans carry the
 // error the first pass never saw, the retained reason upgrades.
 func TestCollectorStragglerUpgradesReason(t *testing.T) {
-	c := NewCollector(RetainPolicy{SlowThreshold: 50 * time.Millisecond, SampleRate: 0})
+	c := NewCollector()
 	c.Add(Batch{Spans: []SpanRecord{
 		mkspan(8, 1, 0, "op", "client", "n", 0, time.Hour),
 	}})
@@ -386,21 +398,27 @@ func TestCollectorStragglerUpgradesReason(t *testing.T) {
 	}
 }
 
+// TestCollectorRecorderBounded: the recorder holds 128 traces, and the
+// 129th evicts the oldest.
 func TestCollectorRecorderBounded(t *testing.T) {
-	c := NewCollector(RetainPolicy{RecorderSize: 3, SampleRate: 1})
-	for i := uint64(1); i <= 5; i++ {
-		c.Add(Batch{Spans: []SpanRecord{mkspan(i, 1, 0, "op", "client", "n", 0, time.Millisecond)}})
+	c := NewCollector()
+	for i := uint64(1); i <= 129; i++ {
+		c.Add(Batch{Spans: []SpanRecord{mkspan(i, 1, 0, "op", "client", "n", 0, time.Second)}})
+		c.Sweep(0)
 	}
-	c.Sweep(0)
-	if n := len(c.Retained()); n != 3 {
-		t.Fatalf("recorder holds %d traces, want 3", n)
+	kept := c.Retained()
+	if len(kept) != 128 {
+		t.Fatalf("recorder holds %d traces, want 128", len(kept))
+	}
+	if c.Get(obs.TraceID(1)) != nil || kept[0].ID != 2 || kept[127].ID != 129 {
+		t.Errorf("recorder spans traces %s..%s, want the oldest (1) evicted", kept[0].ID, kept[127].ID)
 	}
 }
 
 func TestCollectorOverTransportAndViews(t *testing.T) {
 	// Full pipeline over real TCP: exporter → obs.Export → collector →
 	// HTTP views.
-	col := NewCollector(RetainPolicy{SlowThreshold: time.Nanosecond, SampleRate: 0})
+	col := NewCollector()
 	mux := transport.NewMux()
 	col.Register(mux)
 	srv := transport.NewTCPServer(mux)
@@ -412,8 +430,9 @@ func TestCollectorOverTransportAndViews(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	reg.SetSite("navigator")
-	e := StartExporter(reg, Dial(addr), ExporterOptions{})
+	e := StartExporter(reg, Dial(addr))
 	sp := reg.StartSpan("db.GetContent", "client")
+	sp.Start = sp.Start.Add(-slowTrace) // a root slow enough to keep
 	child := reg.ContinueSpan("store.GetContent", "internal", sp.Trace, sp.ID)
 	child.End(nil)
 	sp.End(nil)

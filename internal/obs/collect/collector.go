@@ -7,43 +7,23 @@ import (
 	"time"
 
 	"mits/internal/obs"
-	"mits/internal/sim"
 	"mits/internal/transport"
 )
 
-// RetainPolicy is the collector's tail-sampling decision: which
-// finalized traces enter the flight recorder. A trace is ALWAYS
-// retained when any span carries an error or a deadline miss, or when
-// its root duration reaches SlowThreshold — the tails worth debugging
-// are never sampled away. Everything else is kept with probability
-// SampleRate.
-type RetainPolicy struct {
-	// SlowThreshold retains any trace whose root span took at least
-	// this long; 0 defaults to 100ms.
-	SlowThreshold time.Duration
-	// SampleRate in [0,1] keeps this fraction of ordinary traces.
-	// Exactly 0 keeps none (the experiments' setting, so every retained
-	// trace has a stated reason).
-	SampleRate float64
-	// RecorderSize bounds the flight recorder ring; 0 defaults to 128.
-	RecorderSize int
-	// CompleteAfter is how long a trace must sit idle (no new spans)
-	// before Sweep finalizes it; 0 defaults to 1s.
-	CompleteAfter time.Duration
-}
-
-func (p RetainPolicy) withDefaults() RetainPolicy {
-	if p.SlowThreshold <= 0 {
-		p.SlowThreshold = 100 * time.Millisecond
-	}
-	if p.RecorderSize <= 0 {
-		p.RecorderSize = 128
-	}
-	if p.CompleteAfter <= 0 {
-		p.CompleteAfter = time.Second
-	}
-	return p
-}
+// The collector's tail-sampling decision and its cadence. A trace
+// enters the flight recorder when any span carries an error or a
+// deadline miss, or when its root took at least slowTrace — the tails
+// worth debugging; every other trace is dropped (counted in
+// obs_collector_sampled_out_total). The recorder keeps the newest
+// recorderSize traces. The background sweep runs every sweepEvery and
+// finalizes a trace once it has sat idle (no new spans) for
+// completeAfter.
+const (
+	slowTrace     = 100 * time.Millisecond
+	recorderSize  = 128
+	sweepEvery    = time.Second
+	completeAfter = time.Second
+)
 
 // Trace is one assembled trace tree in the flight recorder.
 type Trace struct {
@@ -51,7 +31,7 @@ type Trace struct {
 	Spans  []SpanRecord // sorted by StartNS
 	Root   *SpanRecord  // span with no parent present; nil if orphaned
 	Dur    time.Duration
-	Reason string // why retained: "error", "deadline", "slow", "sampled"
+	Reason string // why retained: "error", "deadline", "slow"
 
 	// Critical holds the trace's critical path, root first: at each
 	// level the longest child is descended into, and Self is the time
@@ -102,13 +82,10 @@ func (tb *traceBuf) add(rec SpanRecord) (added, overflow bool) {
 // idle traces into the flight recorder. All methods are safe for
 // concurrent use.
 type Collector struct {
-	policy RetainPolicy
-
 	mu       sync.Mutex
 	pending  map[uint64]*traceBuf
 	ring     []*Trace // flight recorder, oldest first, bounded
 	byID     map[obs.TraceID]*Trace
-	rng      *sim.RNG
 	now      func() time.Time
 	sweepers sync.WaitGroup
 	quit     chan struct{}
@@ -121,14 +98,11 @@ type Collector struct {
 	overflow *obs.Counter
 }
 
-// NewCollector builds a collector with policy (zero value = defaults).
-func NewCollector(policy RetainPolicy) *Collector {
-	policy = policy.withDefaults()
+// NewCollector builds a collector.
+func NewCollector() *Collector {
 	return &Collector{
-		policy:   policy,
 		pending:  make(map[uint64]*traceBuf),
 		byID:     make(map[obs.TraceID]*Trace),
-		rng:      sim.NewRNG(0),
 		now:      time.Now,
 		quit:     make(chan struct{}),
 		spansIn:  obs.GetCounter("obs_collector_spans_total"),
@@ -211,7 +185,7 @@ func (c *Collector) Sweep(maxIdle time.Duration) int {
 func (c *Collector) finalizeLocked(id obs.TraceID, tb *traceBuf) {
 	if old := c.byID[id]; old != nil {
 		// A straggler batch (a late export retry can outlive
-		// CompleteAfter) re-finalized a trace already in the flight
+		// completeAfter) re-finalized a trace already in the flight
 		// recorder. The original spans left pending at the first
 		// finalize, so the straggler set alone may be near-empty —
 		// merge the retained tree into it and re-assemble in place, so
@@ -223,7 +197,7 @@ func (c *Collector) finalizeLocked(id obs.TraceID, tb *traceBuf) {
 		t.Reason = old.Reason
 		// Late spans may carry the error or the tail the first pass
 		// never saw; upgrade the reason if they do.
-		if r := deterministicReason(t, c.policy.SlowThreshold); r != "" {
+		if r := retainReason(t); r != "" {
 			t.Reason = r
 		}
 		for i, r := range c.ring {
@@ -237,7 +211,7 @@ func (c *Collector) finalizeLocked(id obs.TraceID, tb *traceBuf) {
 	}
 	c.traces.Inc()
 	t := assemble(id, tb)
-	reason := c.retainReason(t)
+	reason := retainReason(t)
 	if reason == "" {
 		c.dropped.Inc()
 		return
@@ -246,7 +220,7 @@ func (c *Collector) finalizeLocked(id obs.TraceID, tb *traceBuf) {
 	c.retained.Inc()
 	c.ring = append(c.ring, t)
 	c.byID[t.ID] = t
-	if len(c.ring) > c.policy.RecorderSize {
+	if len(c.ring) > recorderSize {
 		evict := c.ring[0]
 		c.ring = c.ring[1:]
 		delete(c.byID, evict.ID)
@@ -254,19 +228,7 @@ func (c *Collector) finalizeLocked(id obs.TraceID, tb *traceBuf) {
 }
 
 // retainReason decides tail sampling; "" means drop.
-func (c *Collector) retainReason(t *Trace) string {
-	if r := deterministicReason(t, c.policy.SlowThreshold); r != "" {
-		return r
-	}
-	if c.policy.SampleRate > 0 && c.rng.Float64() < c.policy.SampleRate {
-		return "sampled"
-	}
-	return ""
-}
-
-// deterministicReason is the policy's non-probabilistic half — the
-// reasons a trace is ALWAYS retained; "" defers to sampling.
-func deterministicReason(t *Trace, slow time.Duration) string {
+func retainReason(t *Trace) string {
 	for i := range t.Spans {
 		if strings.HasPrefix(t.Spans[i].Err, obs.DeadlineMissPrefix) {
 			return "deadline"
@@ -277,7 +239,7 @@ func deterministicReason(t *Trace, slow time.Duration) string {
 			return "error"
 		}
 	}
-	if t.Root != nil && t.Dur >= slow {
+	if t.Root != nil && t.Dur >= slowTrace {
 		return "slow"
 	}
 	return ""
@@ -371,21 +333,18 @@ func (c *Collector) PendingCount() int {
 	return len(c.pending)
 }
 
-// Start launches background sweeping every interval, finalizing traces
-// idle for CompleteAfter. Close stops it.
-func (c *Collector) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
+// Start launches background sweeping every sweepEvery, finalizing
+// traces idle for completeAfter. Close stops it.
+func (c *Collector) Start() {
 	c.sweepers.Add(1)
 	go func() {
 		defer c.sweepers.Done()
-		t := time.NewTicker(interval)
+		t := time.NewTicker(sweepEvery)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				c.Sweep(c.policy.CompleteAfter)
+				c.Sweep(completeAfter)
 			case <-c.quit:
 				return
 			}

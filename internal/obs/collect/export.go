@@ -4,7 +4,7 @@
 // ordinary transport to a Collector, which reassembles per-trace span
 // trees, attributes tail latency along the critical path, and keeps a
 // flight recorder of the traces worth keeping (errors, deadline
-// misses, slow outliers, plus a probabilistic sample of the rest).
+// misses, slow outliers).
 package collect
 
 import (
@@ -36,38 +36,18 @@ type Batch struct {
 	Spans []SpanRecord
 }
 
-// ExporterOptions configures an Exporter; the zero value gets the
-// defaults noted per field.
-type ExporterOptions struct {
-	// QueueDepth bounds spans buffered between the hot path and the
-	// export goroutine; beyond it spans are dropped (counted in
-	// obs_export_dropped_total). The export goroutine only drains on
-	// the FlushInterval tick, so this must cover a full interval of
-	// span production. Default 8192 (~32k spans/sec at the default
-	// 250ms interval).
-	QueueDepth int
-	// BatchSize is how many spans ship per obs.Export call. Default 128
-	// — big enough to amortize the per-call transport cost on a busy
-	// node at the default flush interval.
-	BatchSize int
-	// FlushInterval is the export cadence: how often the buffered spans
-	// are drained and shipped, and therefore how stale a span may go.
-	// Default 250ms.
-	FlushInterval time.Duration
-}
-
-func (o ExporterOptions) withDefaults() ExporterOptions {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 8192
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 128
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 250 * time.Millisecond
-	}
-	return o
-}
+// The exporter's queue, batch and cadence. exportQueue bounds spans
+// buffered between the hot path and the export goroutine; beyond it
+// spans are dropped (counted in obs_export_dropped_total). The export
+// goroutine only drains on the exportEvery tick, so the queue must
+// cover a full interval of span production: ~32k spans/sec. Each
+// obs.Export call ships up to exportBatch spans — big enough to
+// amortize the per-call transport cost on a busy node.
+const (
+	exportQueue = 8192
+	exportBatch = 128
+	exportEvery = 250 * time.Millisecond
+)
 
 // Exporter drains a registry's finished spans to a collector. The
 // registry side is one non-blocking channel send per span — End never
@@ -79,7 +59,6 @@ func (o ExporterOptions) withDefaults() ExporterOptions {
 type Exporter struct {
 	reg    *obs.Registry
 	client transport.Client
-	opts   ExporterOptions
 
 	queue   chan SpanRecord
 	flushc  chan chan struct{}
@@ -95,13 +74,11 @@ type Exporter struct {
 // StartExporter taps reg's span sink and begins shipping spans through
 // client (typically a RetryClient from Dial, so a collector restart
 // heals). The exporter owns the client and closes it on Close.
-func StartExporter(reg *obs.Registry, client transport.Client, opts ExporterOptions) *Exporter {
-	opts = opts.withDefaults()
+func StartExporter(reg *obs.Registry, client transport.Client) *Exporter {
 	e := &Exporter{
 		reg:      reg,
 		client:   client,
-		opts:     opts,
-		queue:    make(chan SpanRecord, opts.QueueDepth),
+		queue:    make(chan SpanRecord, exportQueue),
 		flushc:   make(chan chan struct{}),
 		quit:     make(chan struct{}),
 		dropped:  reg.Counter("obs_export_dropped_total"),
@@ -143,8 +120,8 @@ func (e *Exporter) offer(s *obs.Span) {
 	}
 }
 
-// run is the export goroutine: every FlushInterval it drains the
-// queue and ships the accumulated spans in BatchSize chunks. It
+// run is the export goroutine: every exportEvery it drains the
+// queue and ships the accumulated spans in exportBatch chunks. It
 // deliberately never parks on the queue itself — with no receiver
 // waiting, the hot path's enqueue is a plain buffered-channel write
 // that wakes nobody, where a parked receiver would turn every
@@ -152,7 +129,7 @@ func (e *Exporter) offer(s *obs.Span) {
 // rates on small hosts).
 func (e *Exporter) run() {
 	defer e.wg.Done()
-	t := time.NewTicker(e.opts.FlushInterval)
+	t := time.NewTicker(exportEvery)
 	defer t.Stop()
 	var batch []SpanRecord
 	for {
@@ -181,14 +158,14 @@ func (e *Exporter) drainInto(batch []SpanRecord) []SpanRecord {
 	}
 }
 
-// ship sends the buffered spans in BatchSize chunks, returning the
+// ship sends the buffered spans in exportBatch chunks, returning the
 // reset buffer. A failed export drops that chunk (counted): spans are
 // telemetry, not payload, and buffering them against a dead collector
 // would turn the exporter into the memory leak it exists to avoid.
 func (e *Exporter) ship(batch []SpanRecord) []SpanRecord {
 	site := e.reg.Site() // SetSite may run after the exporter starts
-	for off := 0; off < len(batch); off += e.opts.BatchSize {
-		chunk := batch[off:min(off+e.opts.BatchSize, len(batch))]
+	for off := 0; off < len(batch); off += exportBatch {
+		chunk := batch[off:min(off+exportBatch, len(batch))]
 		err := transport.Invoke(e.client, obs.SpanContext{}, transport.MethodObsExport, Batch{Site: site, Spans: chunk}, nil)
 		if err != nil {
 			e.failed.Inc()
@@ -201,7 +178,7 @@ func (e *Exporter) ship(batch []SpanRecord) []SpanRecord {
 	// buffer holding thousands of pointer-bearing records; do not carry
 	// that as permanent live heap for the GC to re-mark every cycle —
 	// steady state regrows a right-sized buffer in one tick.
-	if cap(batch) > 4*e.opts.BatchSize {
+	if cap(batch) > 4*exportBatch {
 		return nil
 	}
 	return batch[:0]
@@ -209,7 +186,7 @@ func (e *Exporter) ship(batch []SpanRecord) []SpanRecord {
 
 // Flush synchronously drains the queue and ships everything buffered —
 // the deterministic barrier tests and experiments use instead of
-// waiting out FlushInterval.
+// waiting out exportEvery.
 func (e *Exporter) Flush() {
 	ack := make(chan struct{})
 	select {

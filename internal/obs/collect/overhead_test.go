@@ -76,16 +76,30 @@ func BenchmarkE30ExportOverhead(b *testing.B) {
 		return float64(per*callers) / elapsed.Seconds()
 	}
 
-	// CompleteAfter is short so the collector's finalize work (sort,
-	// tree assembly, critical path) lands inside the collector phase
-	// that produced it; at the production default of 1s it lands in the
-	// NEXT round's baseline phase instead, deflating the off throughput
-	// and corrupting both overhead fractions. The explicit Sweep(0)
-	// between phases below drains the remainder outside any timed
-	// window.
-	col := NewCollector(RetainPolicy{SampleRate: 0, CompleteAfter: 50 * time.Millisecond})
-	defer col.Close()
-	col.Start(50 * time.Millisecond)
+	// The benchmark sweeps the collector itself, every 50ms for traces
+	// idle 50ms, so the finalize work (sort, tree assembly, critical
+	// path) lands inside the collector phase that produced it; at the
+	// collector's own 1s cadence it lands in the NEXT round's baseline
+	// phase instead, deflating the off throughput and corrupting both
+	// overhead fractions. The explicit Sweep(0) between phases below
+	// drains the remainder outside any timed window.
+	col := NewCollector()
+	stopSweep := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				col.Sweep(50 * time.Millisecond)
+			case <-stopSweep:
+				return
+			}
+		}
+	}()
+	defer func() { close(stopSweep); <-swept }()
 	colMux := transport.NewMux()
 	col.Register(colMux)
 	colSrv := transport.NewTCPServer(colMux)
@@ -100,9 +114,9 @@ func BenchmarkE30ExportOverhead(b *testing.B) {
 	// encode, TCP ship) but none of the collector's decode/assembly —
 	// the production topology, where the collector is another site.
 	discardMux := transport.NewMux()
-	discardMux.Register(transport.MethodObsExport, transport.HandlerFunc(func(string, []byte) ([]byte, error) {
-		return nil, nil
-	}))
+	discardMux.RegisterPooled(transport.MethodObsExport, func(obs.SpanContext, string, []byte) ([]byte, func(), error) {
+		return nil, nil, nil
+	})
 	discardSrv := transport.NewTCPServer(discardMux)
 	discardAddr, err := discardSrv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -115,10 +129,10 @@ func BenchmarkE30ExportOverhead(b *testing.B) {
 	// via Attach/Detach. Building a fresh exporter per phase (queue
 	// allocation, TCP dial, cold paths) charges start-up costs to the
 	// overhead being measured; a real node pays them once per process.
-	discardExp := StartExporter(obs.Default, Dial(discardAddr), ExporterOptions{})
+	discardExp := StartExporter(obs.Default, Dial(discardAddr))
 	discardExp.Detach()
 	defer discardExp.Close()
-	colExp := StartExporter(obs.Default, Dial(colAddr), ExporterOptions{})
+	colExp := StartExporter(obs.Default, Dial(colAddr))
 	colExp.Detach()
 	defer colExp.Close()
 

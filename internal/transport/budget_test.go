@@ -94,13 +94,14 @@ func TestRetryBudgetExhaustionCounted(t *testing.T) {
 // see open circuits directly.
 func TestBreakerStateGauge(t *testing.T) {
 	g := obs.GetGauge("breaker_state", "peer", "gauge-peer")
-	br := NewBreaker("gauge-peer", 2, 50*time.Millisecond)
+	br := NewBreaker("gauge-peer")
 	if got := g.Value(); got != int64(BreakerClosed) {
 		t.Fatalf("fresh breaker gauge = %d, want closed (%d)", got, BreakerClosed)
 	}
 	boom := errors.New("boom")
-	br.Record(boom)
-	br.Record(boom)
+	for range breakerThreshold {
+		br.Record(boom)
+	}
 	if got := g.Value(); got != int64(BreakerOpen) {
 		t.Fatalf("tripped breaker gauge = %d, want open (%d)", got, BreakerOpen)
 	}

@@ -46,7 +46,9 @@ func TestResilientClientFaultMatrix(t *testing.T) {
 		callTimeout = 50 * time.Millisecond
 		connTimeout = 200 * time.Millisecond
 	)
-	policy := RetryPolicy{Attempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 10 * time.Millisecond}
+	// The backoffs are recorded, not slept: 84 calls waiting out the
+	// deployed 5–100ms schedule would only slow the matrix down.
+	policy := RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}}
 	retries := obs.GetCounter("transport_retries_total", "method", MethodListDocs)
 	retriesBefore := retries.Value()
 	for i, sc := range []struct {
@@ -83,7 +85,7 @@ func TestResilientClientFaultMatrix(t *testing.T) {
 			c.Timeout = callTimeout
 			return c, nil
 		}
-		db, _ := NewResilientDBClient("content-server", dial, policy, 4, 80*time.Millisecond, seed)
+		db, _ := NewResilientDBClient("content-server", dial, policy, seed)
 
 		ok := 0
 		for c := 0; c < calls; c++ {

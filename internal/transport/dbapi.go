@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"mits/internal/cache"
 	"mits/internal/mediastore"
@@ -369,8 +368,8 @@ func (d DBClient) FetchContent(ref string) ([]byte, error) {
 // alongside so callers can observe or reset it; peer labels the
 // breaker's metrics. Seed fixes the retry jitter stream for
 // reproducible chaos runs.
-func NewResilientDBClient(peer string, dial Dialer, policy RetryPolicy, threshold int, cooldown time.Duration, seed uint64) (DBClient, *Breaker) {
-	br := NewBreaker(peer, threshold, cooldown)
+func NewResilientDBClient(peer string, dial Dialer, policy RetryPolicy, seed uint64) (DBClient, *Breaker) {
+	br := NewBreaker(peer)
 	rc := NewRetryClient(dial, policy, seed)
 	return DBClient{C: WithBreaker(rc, br)}, br
 }

@@ -204,8 +204,7 @@ var ErrUnknownMethod = errors.New("transport: unknown method")
 // Mux dispatches requests by method name. The zero value is unusable;
 // create with NewMux. Registration happens at server start-up; serving
 // is concurrent-safe because the map is read-only afterwards. Routes
-// are context-aware internally; Register wraps a trace-blind handler,
-// RegisterCtx mounts one that threads the span context onward.
+// are mounted with Route (typed) or RegisterPooled (raw payloads).
 type Mux struct {
 	routes map[string]pooledHandlerFunc
 }
@@ -213,23 +212,8 @@ type Mux struct {
 // NewMux returns an empty mux.
 func NewMux() *Mux { return &Mux{routes: make(map[string]pooledHandlerFunc)} }
 
-// Register adds a method handler; re-registering a method panics (it is
-// always a wiring bug).
-func (m *Mux) Register(method string, h HandlerFunc) {
-	m.RegisterCtx(method, func(_ obs.SpanContext, method string, payload []byte) ([]byte, error) {
-		return h(method, payload)
-	})
-}
-
-// RegisterCtx adds a trace-aware method handler.
-func (m *Mux) RegisterCtx(method string, h CtxHandlerFunc) {
-	m.RegisterPooled(method, func(sc obs.SpanContext, method string, payload []byte) ([]byte, func(), error) {
-		out, err := h(sc, method, payload)
-		return out, nil, err
-	})
-}
-
-// RegisterPooled adds a handler whose responses may be pooled buffers.
+// RegisterPooled adds a handler whose responses may be pooled buffers;
+// re-registering a method panics (it is always a wiring bug).
 func (m *Mux) RegisterPooled(method string, h func(sc obs.SpanContext, method string, payload []byte) (resp []byte, release func(), err error)) {
 	if _, dup := m.routes[method]; dup {
 		panic("transport: duplicate method " + method)

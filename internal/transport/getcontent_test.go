@@ -80,10 +80,11 @@ func (s *contentScript) load(reply []byte, cut bool) {
 
 func (s *contentScript) serve(conn net.Conn) {
 	for {
-		req, err := readFrame(conn, false)
+		req, err := readFrame(conn)
 		if err != nil {
 			return
 		}
+		releaseFrame(req) // id and corr outlive the payload
 		s.mu.Lock()
 		reply, cut := s.reply, s.cut
 		s.mu.Unlock()

@@ -70,13 +70,13 @@ func TestFrameV3Truncated(t *testing.T) {
 func pipelineServer(t *testing.T, release chan struct{}, inFlight *atomic.Int64) (*TCPServer, string) {
 	t.Helper()
 	mux := NewMux()
-	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
-	mux.Register("block", func(_ string, p []byte) ([]byte, error) {
+	mux.RegisterPooled("echo", echo)
+	mux.RegisterPooled("block", func(_ obs.SpanContext, _ string, p []byte) ([]byte, func(), error) {
 		if inFlight != nil {
 			inFlight.Add(1)
 		}
 		<-release
-		return p, nil
+		return p, nil, nil
 	})
 	srv := NewTCPServer(mux)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -149,7 +149,7 @@ func TestUnknownCorrelationResponse(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		req, err := readFrame(conn, false)
+		req, err := readFrame(conn)
 		if err != nil {
 			srvErr <- err
 			return
@@ -238,10 +238,10 @@ func TestInjectedStallDoesNotBlockNeighbors(t *testing.T) {
 	leaktest.Check(t)
 	const stallFor = 300 * time.Millisecond
 	mux := NewMux()
-	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
-	mux.Register("slow", func(_ string, p []byte) ([]byte, error) {
+	mux.RegisterPooled("echo", echo)
+	mux.RegisterPooled("slow", func(_ obs.SpanContext, _ string, p []byte) ([]byte, func(), error) {
 		time.Sleep(stallFor)
-		return p, nil
+		return p, nil, nil
 	})
 	srv := NewTCPServer(mux)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -555,7 +555,7 @@ func TestWriteLoopSkipsAbandonedFrames(t *testing.T) {
 
 	// The first frame to reach the wire must be the live call's: the
 	// abandoned one queued ahead of it was dropped unwritten.
-	f, err := readFrame(srvConn, false)
+	f, err := readFrame(srvConn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,17 +100,8 @@ type RetryBudget struct {
 }
 
 // NewRetryBudget builds a budget holding at most maxTokens retries,
-// refilling at refillPerSec tokens per second. maxTokens <= 0 defaults
-// to 10, refillPerSec <= 0 to 10/s — roughly "one small burst, then one
-// retry per 100ms", tight enough to flatten a stampede without starving
-// a lone caller's recovery.
+// refilling at refillPerSec tokens per second.
 func NewRetryBudget(maxTokens, refillPerSec float64) *RetryBudget {
-	if maxTokens <= 0 {
-		maxTokens = 10
-	}
-	if refillPerSec <= 0 {
-		refillPerSec = 10
-	}
 	return &RetryBudget{
 		tokens:    maxTokens,
 		max:       maxTokens,
@@ -165,24 +156,22 @@ func (b *RetryBudget) Tokens() float64 {
 	return b.tokens
 }
 
-// RetryPolicy configures RetryClient: attempt budget, exponential
-// backoff with jitter, and the retry decision. The zero value gets
-// sane defaults (3 attempts, 5ms base backoff doubling to 100ms,
-// ±50% jitter, DefaultRetryable).
+// The backoff of every RetryClient: the first retry waits 5ms, each
+// further one doubles it up to 100ms, and each wait is spread
+// uniformly over ±50% of itself, decorrelating clients that failed
+// together.
+const (
+	retryBaseBackoff = 5 * time.Millisecond
+	retryMaxBackoff  = 100 * time.Millisecond
+	retryJitterFrac  = 0.5
+)
+
+// RetryPolicy configures RetryClient: its attempt budget and the
+// retry token bucket it shares. The zero value makes 3 attempts and
+// shares no bucket; DefaultRetryable decides which failures retry.
 type RetryPolicy struct {
 	// Attempts is the total call budget (first try included).
 	Attempts int
-	// BaseBackoff is the pause before the first retry; each further
-	// retry doubles it up to MaxBackoff.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterFrac spreads each backoff uniformly over ±frac of itself,
-	// decorrelating clients that failed together.
-	JitterFrac float64
-	// Retryable decides whether a failed attempt may be retried; nil
-	// means DefaultRetryable. Dial failures are always retried —
-	// nothing was sent.
-	Retryable func(method string, err error) bool
 	// Sleep waits out a backoff; nil means a real clock wait. Tests
 	// inject a recorder.
 	Sleep func(time.Duration)
@@ -198,18 +187,6 @@ type RetryPolicy struct {
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Attempts <= 0 {
 		p.Attempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 5 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 100 * time.Millisecond
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.5
-	}
-	if p.Retryable == nil {
-		p.Retryable = DefaultRetryable
 	}
 	if p.Sleep == nil {
 		p.Sleep = func(d time.Duration) {
@@ -240,21 +217,13 @@ func DefaultRetryable(method string, err error) bool {
 // backoffFor computes the pause before retry #retry (1-based),
 // exponential with cap and jitter. rng draws are deterministic per
 // seed, so chaos runs replay their backoff schedule exactly.
-func (p RetryPolicy) backoffFor(retry int, rng *sim.RNG) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < retry && d < p.MaxBackoff; i++ {
+func backoffFor(retry int, rng *sim.RNG) time.Duration {
+	d := retryBaseBackoff
+	for i := 1; i < retry && d < retryMaxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.JitterFrac > 0 {
-		d = time.Duration(float64(d) * (1 + p.JitterFrac*(2*rng.Float64()-1)))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	d = min(d, retryMaxBackoff)
+	return time.Duration(float64(d) * (1 + retryJitterFrac*(2*rng.Float64()-1)))
 }
 
 // Dialer establishes one client connection to a peer.
@@ -329,7 +298,7 @@ func (r *RetryClient) CallInTracePooled(sc obs.SpanContext, method string, paylo
 			// call for one slow one (per-call, not per-connection).
 			r.discardIfDead(cl)
 		}
-		if !p.Retryable(method, err) {
+		if !DefaultRetryable(method, err) {
 			break
 		}
 	}
@@ -347,7 +316,7 @@ var errRetryClientClosed = errors.New("transport: retry client closed")
 func (r *RetryClient) jitteredBackoff(retry int) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.policy.backoffFor(retry, r.rng)
+	return backoffFor(retry, r.rng)
 }
 
 // client returns the live connection, dialing if needed.
@@ -434,16 +403,22 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// Breaker is a per-peer circuit breaker: after Threshold consecutive
-// failures it opens and rejects calls instantly (no timeout waits
-// pile up against a dead peer); after Cooldown it half-opens and lets
-// one probe through — success closes it, failure re-opens. State
-// transitions and rejections are counted at /metrics.
+// A breaker opens after 5 consecutive failures and half-opens 500ms
+// later.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 500 * time.Millisecond
+)
+
+// Breaker is a per-peer circuit breaker: after breakerThreshold
+// consecutive failures it opens and rejects calls instantly (no
+// timeout waits pile up against a dead peer); after breakerCooldown
+// it half-opens and lets one probe through — success closes it,
+// failure re-opens. State transitions and rejections are counted at
+// /metrics.
 type Breaker struct {
-	peer      string
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	peer string
+	now  func() time.Time
 
 	// stateGauge mirrors the position into /metrics as
 	// breaker_state{peer=...} (0 closed, 1 open, 2 half-open), so the
@@ -458,17 +433,10 @@ type Breaker struct {
 	probing  bool
 }
 
-// NewBreaker builds a breaker for the named peer. threshold ≤ 0
-// defaults to 5 consecutive failures; cooldown ≤ 0 to 500ms.
-func NewBreaker(peer string, threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 500 * time.Millisecond
-	}
+// NewBreaker builds a breaker for the named peer.
+func NewBreaker(peer string) *Breaker {
 	b := &Breaker{
-		peer: peer, threshold: threshold, cooldown: cooldown, now: time.Now,
+		peer: peer, now: time.Now,
 		stateGauge: obs.GetGauge("breaker_state", "peer", peer),
 	}
 	b.stateGauge.Set(int64(BreakerClosed))
@@ -510,7 +478,7 @@ func (b *Breaker) Allow() error {
 	case BreakerClosed:
 		return nil
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
+		if b.now().Sub(b.openedAt) >= breakerCooldown {
 			b.transitionLocked(BreakerHalfOpen)
 			b.probing = true
 			return nil
@@ -542,7 +510,7 @@ func (b *Breaker) Record(err error) {
 		b.transitionLocked(BreakerOpen)
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= b.threshold {
+		if b.failures >= breakerThreshold {
 			b.openedAt = b.now()
 			b.transitionLocked(BreakerOpen)
 		}

@@ -125,10 +125,10 @@ func TestRetryClientRemoteErrorsKeepConnection(t *testing.T) {
 }
 
 func TestRetryBackoffGrowsAndJitters(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, JitterFrac: 0.5}.withDefaults()
 	rng := sim.NewRNG(1)
-	for retry, base := range map[int]time.Duration{1: 10 * time.Millisecond, 2: 20 * time.Millisecond, 4: 80 * time.Millisecond, 8: 80 * time.Millisecond} {
-		d := p.backoffFor(retry, rng)
+	ms := time.Millisecond
+	for retry, base := range map[int]time.Duration{1: 5 * ms, 2: 10 * ms, 4: 40 * ms, 5: 80 * ms, 6: 100 * ms, 8: 100 * ms} {
+		d := backoffFor(retry, rng)
 		lo, hi := base/2, base+base/2
 		if d < lo || d > hi {
 			t.Errorf("backoff(retry=%d) = %v, want within [%v, %v]", retry, d, lo, hi)
@@ -139,24 +139,34 @@ func TestRetryBackoffGrowsAndJitters(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
-	b := NewBreaker("peer-a", 3, 100*time.Millisecond).SetClock(clock)
+	b := NewBreaker("peer-a").SetClock(clock)
 
 	if err := b.Allow(); err != nil {
 		t.Fatalf("closed breaker rejected a call: %v", err)
 	}
-	for i := 0; i < 3; i++ {
+	// The deployed values: 5 consecutive failures trip it, and it stays
+	// open for 500ms.
+	for i := 0; i < 4; i++ {
 		b.Record(errors.New("boom"))
 	}
+	if got := b.State(); got != BreakerClosed {
+		t.Fatalf("state after 4 failures = %v, want closed", got)
+	}
+	b.Record(errors.New("boom"))
 	if got := b.State(); got != BreakerOpen {
-		t.Fatalf("state after threshold failures = %v, want open", got)
+		t.Fatalf("state after 5 failures = %v, want open", got)
 	}
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker error = %v, want ErrBreakerOpen", err)
 	}
+	now = now.Add(499 * time.Millisecond)
+	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("breaker 499ms after the trip = %v, want ErrBreakerOpen", err)
+	}
 
 	// Cooldown elapses: one probe allowed, a second concurrent call is
 	// still rejected.
-	now = now.Add(150 * time.Millisecond)
+	now = now.Add(time.Millisecond)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("half-open probe rejected: %v", err)
 	}
@@ -173,7 +183,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
-	now = now.Add(150 * time.Millisecond)
+	now = now.Add(500 * time.Millisecond)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("second probe rejected: %v", err)
 	}
@@ -184,13 +194,12 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerClientIgnoresRemoteErrors(t *testing.T) {
-	fc := &fakeClient{errs: []error{
-		&RemoteError{Method: MethodGetDoc, Text: "x"},
-		&RemoteError{Method: MethodGetDoc, Text: "x"},
-		&RemoteError{Method: MethodGetDoc, Text: "x"},
-	}}
-	bc := WithBreaker(fc, NewBreaker("peer-b", 2, time.Second))
-	for i := 0; i < 3; i++ {
+	fc := &fakeClient{}
+	for range breakerThreshold + 1 {
+		fc.errs = append(fc.errs, &RemoteError{Method: MethodGetDoc, Text: "x"})
+	}
+	bc := WithBreaker(fc, NewBreaker("peer-b"))
+	for range breakerThreshold + 1 {
 		CallInTrace(bc, obs.SpanContext{}, MethodGetDoc, nil) //nolint:errcheck // remote errors are the point
 	}
 	if got := bc.b.State(); got != BreakerClosed {
@@ -240,7 +249,7 @@ func TestDBClientPeerClosedMidResponse(t *testing.T) {
 	addr := rawServer(t, func(conn net.Conn) {
 		// Read the request, then advertise a response and hang up
 		// halfway through it.
-		readFrame(conn, false) //nolint:errcheck // scripted peer
+		readFrame(conn) //nolint:errcheck // scripted peer
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], 64)
 		conn.Write(hdr[:])           //nolint:errcheck
@@ -264,7 +273,7 @@ func TestDBClientPeerClosedMidResponse(t *testing.T) {
 
 func TestDBClientMalformedStatusFrame(t *testing.T) {
 	addr := rawServer(t, func(conn net.Conn) {
-		req, err := readFrame(conn, false)
+		req, err := readFrame(conn)
 		if err != nil {
 			return
 		}
@@ -294,8 +303,8 @@ func TestDBClientDeadlineExpiry(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	addr := rawServer(t, func(conn net.Conn) {
-		readFrame(conn, false) //nolint:errcheck // scripted peer
-		<-block                // never respond
+		readFrame(conn) //nolint:errcheck // scripted peer
+		<-block         // never respond
 	})
 	cl, err := DialTCP(addr)
 	if err != nil {
@@ -317,7 +326,7 @@ func TestDBClientDeadlineExpiry(t *testing.T) {
 func TestResilientDBClientEndToEnd(t *testing.T) {
 	addr := dbServer(t)
 	dial := func() (Client, error) { return DialTCP(addr) }
-	db, br := NewResilientDBClient("db", dial, RetryPolicy{Attempts: 2}, 3, 50*time.Millisecond, 11)
+	db, br := NewResilientDBClient("db", dial, RetryPolicy{Attempts: 2}, 11)
 	defer db.C.Close()
 	names, err := db.GetListDoc()
 	if err != nil || len(names) != 1 {
@@ -349,7 +358,7 @@ func TestReadFrameStreamsLargeBodies(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := readFrame(conn, false); err == nil {
+	if _, err := readFrame(conn); err == nil {
 		t.Fatal("truncated 15MB frame decoded successfully")
 	}
 	runtime.ReadMemStats(&after)
@@ -374,7 +383,7 @@ func TestReadBodyGrowthPath(t *testing.T) {
 	go func() {
 		writeFrame(a, f) //nolint:errcheck // read side validates
 	}()
-	got, err := readFrame(b, false)
+	got, err := readFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func (s *lateEvenServer) serve(conn net.Conn) {
 		return writeFrame(conn, resp)
 	}
 	for {
-		req, err := readFrame(conn, false)
+		req, err := readFrame(conn)
 		if err != nil {
 			return
 		}
@@ -151,8 +151,8 @@ func TestStreamOrderAndEquivalence(t *testing.T) {
 		} else {
 			// The store refuses empty content; an empty object is still
 			// a legal stream (one empty terminal chunk).
-			mux.Register(MethodGetContentStream, func(string, []byte) ([]byte, error) {
-				return mustChunk(&ContentChunk{Ref: streamRef, Coding: "MPEG", Last: true, Keywords: []string{"video"}}), nil
+			mux.RegisterPooled(MethodGetContentStream, func(obs.SpanContext, string, []byte) ([]byte, func(), error) {
+				return mustChunk(&ContentChunk{Ref: streamRef, Coding: "MPEG", Last: true, Keywords: []string{"video"}}), nil, nil
 			})
 		}
 		wantData, wantBounds, wantCoding, wantKeywords := sequentialStream(t, Loopback{H: mux}, streamRef)

@@ -33,12 +33,11 @@ var (
 // hostile header still reserves little before any payload arrives.
 const readGrant = DefaultStreamChunkBytes + 1<<10
 
-// readFrame receives one length-prefixed frame. With pooled set, the
-// body buffer comes from (and, on decode failure, returns to) the
-// frame pool and the caller must releaseFrame the result when the
-// frame's payload is no longer referenced; without it the buffer is a
-// plain allocation owned by whoever ends up holding the payload.
-func readFrame(r io.Reader, pooled bool) (*frame, error) {
+// readFrame receives one length-prefixed frame. The body buffer comes
+// from (and, on decode failure, returns to) the frame pool, and the
+// caller must releaseFrame the result when the frame's payload is no
+// longer referenced.
+func readFrame(r io.Reader) (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -47,27 +46,23 @@ func readFrame(r io.Reader, pooled bool) (*frame, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
 	}
-	body, err := readBody(r, int(n), pooled)
+	body, err := readBody(r, int(n))
 	if err != nil {
 		return nil, err
 	}
 	obsBytesRx.Add(int64(4 + len(body)))
 	f, err := unmarshalFrame(body)
 	if err != nil {
-		if pooled {
-			putBuf(body)
-		}
+		putBuf(body)
 		return nil, err
 	}
-	if pooled {
-		f.buf = body
-	}
+	f.buf = body
 	return f, nil
 }
 
 // releaseFrame returns a pooled frame's backing buffer for reuse. The
 // frame's payload (and anything aliasing it) must not be touched
-// afterwards. No-op for frames read without pooling.
+// afterwards. No-op for a frame not read by readFrame.
 func releaseFrame(f *frame) {
 	if f.buf != nil {
 		putBuf(f.buf)
@@ -76,36 +71,27 @@ func releaseFrame(f *frame) {
 	}
 }
 
-// frameBuf allocates an n-byte body buffer from the pool or the heap.
-func frameBuf(n int, pooled bool) []byte {
-	if pooled {
-		return getBuf(n)[:n]
-	}
-	return make([]byte, n)
-}
+// frameBuf takes an n-byte body buffer from the pool.
+func frameBuf(n int) []byte { return getBuf(n)[:n] }
 
-// readBody reads exactly n bytes, growing the buffer as data actually
-// arrives: a peer advertising a huge-but-legal length gets at most one
-// readGrant of memory up front, and capacity only doubles after the
-// previously granted bytes have been delivered. Growth intermediates
-// (and the result, on error) go back to the pool when pooled.
-func readBody(r io.Reader, n int, pooled bool) ([]byte, error) {
-	buf := frameBuf(min(n, readGrant), pooled)
+// readBody reads exactly n bytes into a pooled buffer, growing it as
+// data actually arrives: a peer advertising a huge-but-legal length
+// gets at most one readGrant of memory up front, and capacity only
+// doubles after the previously granted bytes have been delivered.
+// Growth intermediates (and the result, on error) go back to the pool.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := frameBuf(min(n, readGrant))
 	for read := 0; ; {
 		if _, err := io.ReadFull(r, buf[read:]); err != nil {
-			if pooled {
-				putBuf(buf)
-			}
+			putBuf(buf)
 			return nil, err
 		}
 		if read = len(buf); read == n {
 			return buf, nil
 		}
-		grown := frameBuf(min(2*read, n), pooled)
+		grown := frameBuf(min(2*read, n))
 		copy(grown, buf)
-		if pooled {
-			putBuf(buf)
-		}
+		putBuf(buf)
 		buf = grown
 	}
 }
@@ -261,7 +247,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if s.ConnTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.ConnTimeout))
 		}
-		req, err := readFrame(br, true)
+		req, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -789,7 +775,7 @@ func (c *TCPClient) readLoop() {
 			return
 		default:
 		}
-		resp, err := readFrame(br, true)
+		resp, err := readFrame(br)
 		if err != nil {
 			c.fail(classifyIOErr(err))
 			return

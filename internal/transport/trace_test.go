@@ -78,7 +78,7 @@ func TestFrameRejectsRetiredKinds(t *testing.T) {
 func TestTraceAcrossTCP(t *testing.T) {
 	leaktest.Check(t)
 	mux := NewMux()
-	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
+	mux.RegisterPooled("echo", echo)
 	srv := NewTCPServer(mux)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -140,7 +140,7 @@ func TestTraceAcrossATM(t *testing.T) {
 	leaktest.Check(t)
 	n, client, server := atmTestNet(t)
 	mux := NewMux()
-	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
+	mux.RegisterPooled("echo", echo)
 	sess, err := OpenATMSession(n, client, server, mux, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ func TestFrameFuzzProperty(t *testing.T) {
 
 func TestMux(t *testing.T) {
 	m := NewMux()
-	m.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
+	m.RegisterPooled("echo", echo)
 	out, err := m.Handle("echo", []byte("hi"))
 	if err != nil || string(out) != "hi" {
 		t.Errorf("echo: %q %v", out, err)
@@ -95,8 +95,11 @@ func TestMux(t *testing.T) {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	m.Register("echo", func(string, []byte) ([]byte, error) { return nil, nil })
+	m.RegisterPooled("echo", echo)
 }
+
+// echo is a raw test route answering each request with its payload.
+func echo(_ obs.SpanContext, _ string, p []byte) ([]byte, func(), error) { return p, nil, nil }
 
 func testStore(t *testing.T) *mediastore.Store {
 	t.Helper()
@@ -470,8 +473,8 @@ func TestATMSessionSurvivesResponseLoss(t *testing.T) {
 
 func TestLoopbackErrorPropagation(t *testing.T) {
 	mux := NewMux()
-	mux.Register("boom", func(string, []byte) ([]byte, error) {
-		return nil, errors.New("kaput")
+	mux.RegisterPooled("boom", func(obs.SpanContext, string, []byte) ([]byte, func(), error) {
+		return nil, nil, errors.New("kaput")
 	})
 	if _, err := CallInTrace(Loopback{H: mux}, obs.SpanContext{}, "boom", nil); err == nil || !strings.Contains(err.Error(), "kaput") {
 		t.Errorf("err=%v", err)
@@ -527,7 +530,7 @@ func TestDialTCPConnectBounded(t *testing.T) {
 func TestUnknownMethodsShareOneMetricSeries(t *testing.T) {
 	leaktest.Check(t)
 	mux := NewMux()
-	mux.Register("echo", func(_ string, p []byte) ([]byte, error) { return p, nil })
+	mux.RegisterPooled("echo", echo)
 	srv := NewTCPServer(mux)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -544,7 +547,7 @@ func TestUnknownMethodsShareOneMetricSeries(t *testing.T) {
 		if err := writeFrame(conn, &frame{kind: kindRequest, id: id, corr: id, method: method}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readFrame(conn, false)
+		resp, err := readFrame(conn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,8 @@ cluster:
 # conn-death drain, blocked-enqueue release, abandoned frames, the
 # stream window's settle-every-started-call accounting, the process-wide
 # buffer pools under eight callers, GetContent's records against scribbled
-# and reused response buffers), the cache singleflight, the
+# and reused response buffers), the cache singleflight (also for a fill
+# the cache refuses to admit), the
 # cluster failover ladder (replica death mid-stream vs the replication
 # appliers, the relay's release-exactly-once), the keyword tree's
 # shared snapshot under publishers, store reads sharing the read lock
@@ -65,7 +66,7 @@ cluster:
 .PHONY: racestress
 racestress:
 	go test -race -count=5 -run 'TestPipelineStress64|TestCloseDrainsPendingExactlyOnce|TestEnqueueBlockedCallersReleasedOnConnDeath|TestWriteLoopSkipsAbandonedFrames|TestConnDeathFailsAllInFlight|TestCallTimeoutKeepsConnection|TestPoolStripeFailureIsolation|TestStreamSettlesEveryStartedCall|TestStreamOrderAndEquivalence|TestServerReleasesPooledResponseExactlyOnce|TestCodecConcurrent|TestGetContentRecordOwnsItsMemory' ./internal/transport/
-	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys' ./internal/cache/
+	go test -race -count=5 -run 'TestSingleflight|TestFillErrorNotCached|TestConcurrentMixedKeys|TestRefusedFillReachesEveryWaiter' ./internal/cache/
 	go test -race -count=5 -run 'TestReplicaFailoverMidStream|TestReadFailoverReplicaDown|TestReplicationHealsAfterPartition|TestRouterRelayReleasesExactlyOnce|TestLibraryTreeFreshness' ./internal/cluster/
 	go test -race -count=5 -run 'TestKeywordSnapshotsConcurrent|TestReadsShareTheReadLock' ./internal/mediastore/
 	go test -race -count=5 -run 'TestAdoptedIndexCopyOnWrite' ./internal/mheg/engine/

@@ -6,6 +6,8 @@
 // replay from local memory turns a network round trip into a map
 // lookup, and singleflight turns a stampede of misses for one hot
 // object into a single upstream fetch that every waiter shares.
+// Admission is TinyLFU's rule (Einziger et al., 2017): a new object is
+// stored only if no entry it would evict was asked for more often.
 //
 // The cache is value-agnostic: callers store whatever they fetched
 // along with its byte cost, and own the discipline for sharing it.
@@ -23,8 +25,8 @@ import (
 	"mits/internal/obs"
 )
 
-// Cache is a size-bounded LRU keyed by string with singleflight fill.
-// Safe for concurrent use. The zero value is unusable; create with New.
+// Cache is a size-bounded LRU keyed by string with singleflight fill and
+// frequency-aware admission. Safe for concurrent use; create with New.
 type Cache struct {
 	maxBytes int64
 
@@ -34,13 +36,18 @@ type Cache struct {
 	flight map[string]*flightCall
 	bytes  int64
 
+	// seen counts the misses of keys not resident, at most one aging
+	// period of them; asks counts lookups since counts were halved.
+	seen map[string]uint32
+	asks int
+
 	// Exposed at /metrics: hit ratio tells an operator whether the cache
 	// is sized for the working set, evictions whether it is thrashing,
 	// and the fill-latency histogram what a miss actually costs (the
 	// upstream fetch time a hit saves).
-	hits, misses, evictions, shared *obs.Counter
-	bytesGauge, objectsGauge        *obs.Gauge
-	fillLatency                     *obs.Histogram
+	hits, misses, evictions, shared, refused *obs.Counter
+	bytesGauge, objectsGauge                 *obs.Gauge
+	fillLatency                              *obs.Histogram
 }
 
 // entry is one resident object.
@@ -48,7 +55,12 @@ type entry struct {
 	key  string
 	val  any
 	cost int64
+	freq uint32 // asks: its misses when admitted, plus its hits
 }
+
+// Every count is halved once per agingPeriod × (resident + agingFloor)
+// lookups, so a key asked for often long ago loses to one asked now.
+const agingPeriod, agingFloor = 64, 16
 
 // flightCall is one in-progress fill that late arrivals wait on.
 type flightCall struct {
@@ -67,10 +79,12 @@ func New(name string, maxBytes int64) *Cache {
 		ll:           list.New(),
 		items:        make(map[string]*list.Element),
 		flight:       make(map[string]*flightCall),
+		seen:         make(map[string]uint32),
 		hits:         obs.GetCounter("cache_hits_total", "cache", name),
 		misses:       obs.GetCounter("cache_misses_total", "cache", name),
 		evictions:    obs.GetCounter("cache_evictions_total", "cache", name),
 		shared:       obs.GetCounter("cache_singleflight_shared_total", "cache", name),
+		refused:      obs.GetCounter("cache_admission_refused_total", "cache", name),
 		bytesGauge:   obs.GetGauge("cache_bytes", "cache", name),
 		objectsGauge: obs.GetGauge("cache_objects", "cache", name),
 		fillLatency:  obs.GetHistogram("cache_fill_latency_ns", "cache", name),
@@ -81,27 +95,55 @@ func New(name string, maxBytes int64) *Cache {
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits.Inc()
-		return el.Value.(*entry).val, true
+	if e := c.lookupLocked(key); e != nil {
+		return e.val, true
 	}
 	c.misses.Inc()
 	return nil, false
 }
 
-// GetOrFill returns the cached value for key, or fills it by calling
-// fetch exactly once no matter how many goroutines miss concurrently —
-// the singleflight guarantee. Waiters share the leader's value (and
-// error); successful fills are cached at the returned cost. A fill
-// error is returned to every waiter of that flight but is not cached:
-// the next GetOrFill tries again.
-func (c *Cache) GetOrFill(key string, fetch func() (val any, cost int64, err error)) (any, error) {
-	c.mu.Lock()
+// lookupLocked counts one ask for key: a hit refreshes the entry's
+// recency and returns it, a miss counts in seen.
+func (c *Cache) lookupLocked(key string) *entry {
+	if c.asks++; c.asks >= agingPeriod*(len(c.items)+agingFloor) {
+		c.ageLocked()
+	}
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits.Inc()
-		val := el.Value.(*entry).val
+		e := el.Value.(*entry)
+		e.freq++
+		return e
+	}
+	if n, ok := c.seen[key]; ok || len(c.seen) < agingPeriod*(len(c.items)+agingFloor) {
+		c.seen[key] = n + 1
+	}
+	return nil
+}
+
+// ageLocked halves every count, forgetting the keys whose count is 0.
+func (c *Cache) ageLocked() {
+	c.asks = 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		el.Value.(*entry).freq /= 2
+	}
+	for k, n := range c.seen {
+		if c.seen[k] = n / 2; n < 2 {
+			delete(c.seen, k)
+		}
+	}
+}
+
+// GetOrFill returns the cached value for key, or fills it by calling
+// fetch exactly once no matter how many goroutines miss concurrently —
+// the singleflight guarantee. Waiters share the leader's value (and
+// error), also one the cache refuses to admit; successful fills are
+// offered at the returned cost. A fill error reaches every waiter of
+// that flight but is not cached: the next GetOrFill tries again.
+func (c *Cache) GetOrFill(key string, fetch func() (val any, cost int64, err error)) (any, error) {
+	c.mu.Lock()
+	if e := c.lookupLocked(key); e != nil {
+		val := e.val
 		c.mu.Unlock()
 		return val, nil
 	}
@@ -132,9 +174,9 @@ func (c *Cache) GetOrFill(key string, fetch func() (val any, cost int64, err err
 }
 
 // Add inserts (or replaces) a value at the given byte cost, evicting
-// from the cold end until the bound holds. Values costing more than
-// the whole cache are not stored — they would only evict everything
-// else on their way through.
+// from the cold end until the bound holds, unless a new key would evict
+// an entry asked for more often. A value costing more than the whole
+// cache is not stored (it would evict everything) and drops the key's.
 func (c *Cache) Add(key string, val any, cost int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -142,16 +184,29 @@ func (c *Cache) Add(key string, val any, cost int64) {
 }
 
 func (c *Cache) addLocked(key string, val any, cost int64) {
-	if cost > c.maxBytes {
-		return
-	}
-	if el, ok := c.items[key]; ok {
+	el, resident := c.items[key]
+	switch {
+	case resident && cost > c.maxBytes:
+		c.removeLocked(el)
+	case resident:
 		old := el.Value.(*entry)
 		c.bytes += cost - old.cost
 		old.val, old.cost = val, cost
 		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&entry{key: key, val: val, cost: cost})
+	case cost > c.maxBytes:
+		return
+	default:
+		freq := c.seen[key]
+		for v, need := c.ll.Back(), c.bytes+cost-c.maxBytes; need > 0; v = v.Prev() {
+			e := v.Value.(*entry)
+			if e.freq > freq {
+				c.refused.Inc()
+				return
+			}
+			need -= e.cost
+		}
+		delete(c.seen, key)
+		c.items[key] = c.ll.PushFront(&entry{key: key, val: val, cost: cost, freq: freq})
 		c.bytes += cost
 	}
 	for c.bytes > c.maxBytes {

@@ -36,12 +36,15 @@ func EncodeWAV(d time.Duration, sampleRate, channels int) []byte {
 	n += n * wavOverheadPercent / 100
 	m := Meta{Duration: d, SampleRate: sampleRate, Channels: channels,
 		BitRate: sampleRate * wavBytesPerSample * 8 * channels}
-	buf := encodeHeader(CodingWAV, m, n)
-	cycle := sampleRate / gcd(wavToneHz, sampleRate)
-	for i := 0; i < min(n, cycle); i++ {
-		buf = append(buf, wavTone(i, sampleRate))
+	tone := make([]byte, min(n, sampleRate/gcd(wavToneHz, sampleRate)))
+	for i := range tone {
+		tone[i] = wavTone(i, sampleRate)
 	}
-	return appendRepeat(buf, headerSize, headerSize+n)
+	parts := make([][]byte, 1, 2+n/max(len(tone), 1))
+	for left := n; left > 0; left -= len(tone) {
+		parts = append(parts, tone[:min(left, len(tone))])
+	}
+	return encodeJoined(CodingWAV, m, parts)
 }
 
 // wavToneHz is the frequency of EncodeWAV's tone.

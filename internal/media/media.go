@@ -12,6 +12,7 @@
 package media
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -116,7 +117,29 @@ var magics = map[Coding][4]byte{
 }
 
 func encodeHeader(c Coding, m Meta, payloadLen int) []byte {
-	buf := make([]byte, headerSize, headerSize+payloadLen)
+	return newHeader(c, m, payloadLen, headerSize+payloadLen)
+}
+
+// encodeJoined is an object of coding c whose payload is parts[1:] in
+// order; parts[0] is overwritten with its header. bytes.Join allocates
+// exactly the object's size without zeroing it, so every byte of the
+// object is written once.
+func encodeJoined(c Coding, m Meta, parts [][]byte) []byte {
+	n := 0
+	for _, p := range parts[1:] {
+		n += len(p)
+	}
+	parts[0] = newHeader(c, m, n, headerSize)
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	return bytes.Join(parts, nil)
+}
+
+// newHeader is the header of an object of coding c in a buffer of the
+// given capacity.
+func newHeader(c Coding, m Meta, payloadLen, capacity int) []byte {
+	buf := make([]byte, headerSize, capacity)
 	magic := magics[c]
 	copy(buf, magic[:])
 	binary.BigEndian.PutUint64(buf[4:], uint64(m.Duration))

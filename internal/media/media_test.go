@@ -384,3 +384,18 @@ func firstDiff(a, b []byte) int {
 	}
 	return min(len(a), len(b))
 }
+
+// BenchmarkEncodeIntros encodes the 24 introduction clips a school of
+// 24 courses publishes: 20 s of MPEG each, at the default 1.5 Mb/s
+// (3.75 MB), one seed per course (EXPERIMENTS E56).
+func BenchmarkEncodeIntros(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for seed := uint64(0); seed < 24; seed++ {
+			introSink = EncodeMPEG(VideoParams{Duration: 20 * time.Second, Seed: seed})
+		}
+	}
+}
+
+// introSink keeps BenchmarkEncodeIntros' clips live.
+var introSink []byte

@@ -78,23 +78,18 @@ const frameRecordSize = 8
 // of p.
 func EncodeMPEG(p VideoParams) []byte {
 	p.defaults()
-	sizes, total := mpegFrameSizes(p)
 	m := Meta{Duration: p.Duration, Width: p.Width, Height: p.Height,
 		FrameRate: p.FrameRate, BitRate: p.BitRate}
-	buf := encodeHeader(CodingMPEG, m, total)
-	for i, sz := range sizes {
-		buf = appendFrame(buf, i, sz)
-	}
-	return buf
+	return encodeJoined(CodingMPEG, m, frameParts(mpegFrameSizes(p), 0))
 }
 
 // mpegFrameSizes draws the encoded size of every frame of the stream
-// (each at least frameRecordSize) and their sum.
-func mpegFrameSizes(p VideoParams) (sizes []int, total int) {
+// (each at least frameRecordSize).
+func mpegFrameSizes(p VideoParams) []int {
 	frames := int(float64(p.FrameRate) * p.Duration.Seconds())
 	bytesPerGOP := float64(p.BitRate) / 8 * float64(gopLength) / float64(p.FrameRate)
 	rng := sim.NewRNG(p.Seed + 1)
-	sizes = make([]int, frames)
+	sizes := make([]int, frames)
 	for i := range sizes {
 		kind := gopPattern[i%gopLength]
 		base := bytesPerGOP * frameWeight[kind] / gopWeight
@@ -104,40 +99,37 @@ func mpegFrameSizes(p VideoParams) (sizes []int, total int) {
 			sz = frameRecordSize
 		}
 		sizes[i] = sz
-		total += sz
 	}
-	return sizes, total
+	return sizes
 }
 
-// appendFrame appends frame i of size sz: its record, then a body of
-// deterministic filler whose byte j (counted from the record's start)
-// is byte(i*31+j).
-func appendFrame(buf []byte, i, sz int) []byte {
-	var rec [frameRecordSize]byte
-	rec[0] = byte(gopPattern[i%gopLength])
-	binary.BigEndian.PutUint32(rec[1:], uint32(sz))
-	buf = append(buf, rec[:]...)
-	return appendRamp(buf, sz-frameRecordSize, byte(i*31+frameRecordSize))
-}
-
-// appendRamp appends n bytes start, start+1, … (mod 256) to buf: one
-// 256-byte period by hand, then copies of it.
-func appendRamp(buf []byte, n int, start byte) []byte {
-	off := len(buf)
-	for k := 0; k < min(n, 256); k++ {
-		buf = append(buf, start+byte(k))
+// frameParts lists the parts a stream of frames of the given sizes is
+// joined from, after a first part left for the header: per frame its
+// record, then a body of deterministic filler whose byte j (counted
+// from the record's start) is byte(i*31+j), then audio bytes of filler
+// whose byte j is byte(j). Every filler is a slice of one ramp table.
+func frameParts(sizes []int, audio int) [][]byte {
+	n := audio
+	for _, sz := range sizes {
+		n = max(n, 256+sz-frameRecordSize)
 	}
-	return appendRepeat(buf, off, off+n)
-}
-
-// appendRepeat extends buf to length end by repeating buf[off:], which
-// must hold a whole number of the pattern's periods. Each append
-// doubles what is repeated.
-func appendRepeat(buf []byte, off, end int) []byte {
-	for len(buf) > off && len(buf) < end {
-		buf = append(buf, buf[off:off+min(len(buf)-off, end-len(buf))]...)
+	ramp := make([]byte, n)
+	for k := range ramp {
+		ramp[k] = byte(k)
 	}
-	return buf
+	records := make([]byte, frameRecordSize*len(sizes))
+	parts := make([][]byte, 1, 1+(2+min(audio, 1))*len(sizes))
+	for i, sz := range sizes {
+		rec := records[i*frameRecordSize : (i+1)*frameRecordSize]
+		rec[0] = byte(gopPattern[i%gopLength])
+		binary.BigEndian.PutUint32(rec[1:], uint32(sz))
+		start := int(byte(i*31 + frameRecordSize))
+		parts = append(parts, rec, ramp[start:start+sz-frameRecordSize])
+		if audio > 0 {
+			parts = append(parts, ramp[:audio])
+		}
+	}
+	return parts
 }
 
 // ParseMPEG extracts the frame sequence from an encoded stream, with
@@ -184,16 +176,9 @@ const aviAudioShare = 0.1
 // j is byte(j); the bytes are a pure function of p.
 func EncodeAVI(p VideoParams) []byte {
 	p.defaults()
-	sizes, total := mpegFrameSizes(p)
 	audioPerFrame := int(float64(p.BitRate) / 8 * aviAudioShare / float64(p.FrameRate))
-	total += len(sizes) * audioPerFrame
 	m := Meta{Duration: p.Duration, Width: p.Width, Height: p.Height,
 		FrameRate: p.FrameRate, BitRate: int(float64(p.BitRate) * (1 + aviAudioShare)),
 		SampleRate: DefaultWAVRate, Channels: 1}
-	buf := encodeHeader(CodingAVI, m, total)
-	for i, sz := range sizes {
-		buf = appendFrame(buf, i, sz)
-		buf = appendRamp(buf, audioPerFrame, 0)
-	}
-	return buf
+	return encodeJoined(CodingAVI, m, frameParts(mpegFrameSizes(p), audioPerFrame))
 }

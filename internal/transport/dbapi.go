@@ -205,12 +205,14 @@ type DBClient struct {
 
 	// ContentCache, when non-nil, serves repeated GetContent /
 	// GetContentStream / FetchContent calls from local memory instead
-	// of the wire: a size-bounded LRU with singleflight, so a stampede
-	// of scene activations fetching the same MPEG object issues one
-	// upstream RPC. Records that pass through the cache are shared
-	// under the immutable-bytes handoff contract: every hit returns
-	// the same record and callers must not mutate it (the rare caller
-	// that must copies first). Nil means every call goes upstream (the
+	// of the wire: a size-bounded LRU with singleflight and
+	// frequency-aware admission, so a stampede of scene activations
+	// fetching the same MPEG object issues one upstream RPC, and an
+	// object asked for rarely does not evict one asked for often.
+	// Records that pass through the cache are shared under the
+	// immutable-bytes handoff contract: every hit returns the same
+	// record and callers must not mutate it (the rare caller that must
+	// copies first). Nil means every call goes upstream (the
 	// experiments keep it nil so store read counts stay exact).
 	ContentCache *cache.Cache
 
